@@ -432,26 +432,6 @@ let verifier ?registry () view =
   | None -> Ok ()
   | Some msg -> Error msg
 
-(* The engine memoizes [?verify] verdicts per cached program keyed on
-   the hook's physical identity (Progcache.entry.verdict), so handing
-   it a fresh closure per call would defeat the memoization. Keep one
-   verifier per registry (compared physically); a single slot is
-   enough because a node verifies against its own registry. *)
-let verifier_slot :
-    (Registry.t * (Packet.view -> (unit, string) result)) option Atomic.t =
-  Atomic.make None
-
-let shared_verifier registry =
-  match Atomic.get verifier_slot with
-  | Some (r, f) when r == registry -> f
-  | _ ->
-      let f = verifier ~registry () in
-      Atomic.set verifier_slot (Some (registry, f));
-      f
-
-let hook ~registry verify =
-  if verify then Some (shared_verifier registry) else None
-
 let registry_gate ~programs registry =
   let rec go i = function
     | [] -> Ok ()
@@ -461,17 +441,3 @@ let registry_gate ~programs registry =
         | None -> go (i + 1) rest)
   in
   go 0 programs
-
-let process ?(verify = false) ~registry env ~now ~ingress buf =
-  Engine.process ?verify:(hook ~registry verify) ~registry env ~now ~ingress
-    buf
-
-let host_process ?(verify = false) ~registry env ~now ~ingress buf =
-  Engine.host_process ?verify:(hook ~registry verify) ~registry env ~now
-    ~ingress buf
-
-let handler ?(verify = false) ~registry env =
-  Engine.handler ?verify:(hook ~registry verify) ~registry env
-
-let host_handler ?(verify = false) ~registry env =
-  Engine.host_handler ?verify:(hook ~registry verify) ~registry env

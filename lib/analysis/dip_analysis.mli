@@ -26,9 +26,9 @@
       every on-path node (§2.4 heterogeneous deployment).
 
     The verifier is also available as an opt-in pre-check inside the
-    engine ({!process} with [~verify:true], or
-    [Engine.process ?verify:(verifier () )]) so simulator runs fail
-    fast on malformed programs. *)
+    engine ([Engine.process ~verify:(verifier ~registry ())], and
+    likewise [Engine.handler]) so simulator runs fail fast on
+    malformed programs. *)
 
 module Report = Report
 module Absint = Absint
@@ -94,8 +94,8 @@ val verifier :
     [Ok ()] when {!analyze_view} finds no [Error] diagnostics,
     otherwise the first error rendered as one line. The engine
     memoizes verdicts per cached program keyed on the hook's physical
-    identity, so build the hook once and reuse it (as {!process}
-    does) rather than making a closure per packet. *)
+    identity, so build the hook once and reuse it rather than making
+    a closure per packet. *)
 
 val registry_gate :
   programs:Dip_bitbuf.Bitbuf.t list ->
@@ -106,39 +106,3 @@ val registry_gate :
     registry with no [Error] (including the Sharding class), or the
     first failure is reported and the snapshot must not be
     published. *)
-
-val process :
-  ?verify:bool ->
-  registry:Dip_core.Registry.t ->
-  Dip_core.Env.t ->
-  now:float ->
-  ingress:Dip_core.Env.port ->
-  Dip_bitbuf.Bitbuf.t ->
-  Dip_core.Engine.verdict * Dip_core.Engine.info
-(** {!Dip_core.Engine.process} with the static pre-check wired in
-    when [verify] is [true] (default [false]): a program that fails
-    verification is dropped with reason ["verify: …"] before any FN
-    executes. *)
-
-val host_process :
-  ?verify:bool ->
-  registry:Dip_core.Registry.t ->
-  Dip_core.Env.t ->
-  now:float ->
-  ingress:Dip_core.Env.port ->
-  Dip_bitbuf.Bitbuf.t ->
-  Dip_core.Engine.verdict * Dip_core.Engine.info
-
-val handler :
-  ?verify:bool ->
-  registry:Dip_core.Registry.t ->
-  Dip_core.Env.t ->
-  Dip_netsim.Sim.handler
-(** A verifying DIP router as a simulator node — {!Dip_core.Engine.handler}
-    behind the {!process} pre-check. *)
-
-val host_handler :
-  ?verify:bool ->
-  registry:Dip_core.Registry.t ->
-  Dip_core.Env.t ->
-  Dip_netsim.Sim.handler

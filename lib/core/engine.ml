@@ -87,12 +87,25 @@ let check_view ?verify parsed =
           | Ok () -> Ok (view, entry)
           | Error e -> Error ("verify: " ^ e)))
 
-(* Algorithm 1 proper, over an already parsed-and-checked program.
-   [sampled]/[t_start] come from the caller's [Obs.begin_packet] so
-   that batch entry points share the instrumentation protocol with
-   the per-packet one. *)
-let execute ?obs ~registry ~side env ~now ~ingress buf ~sampled ~t_start checked
-    =
+let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
+  (* Observability is opt-in: with [obs = None] every instrumentation
+     point is a single match on an immediate — no clock reads, no
+     allocation. [sampled] selects the runs that additionally get
+     monotonic-clock spans (Obs sampling keeps timing overhead off
+     most packets). *)
+  let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
+  let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
+  let parsed =
+    (* Fast path: packets of a known program reuse the cached FN
+       array (and its memoized verification verdict) instead of
+       re-decoding the definitions. *)
+    if Progcache.enabled env.Env.prog_cache then
+      Progcache.parse env.Env.prog_cache buf
+    else
+      match Packet.parse buf with
+      | Ok view -> Ok (view, None)
+      | Error e -> Error e
+  in
   let observe verdict =
     match obs with
     | None -> ()
@@ -100,7 +113,7 @@ let execute ?obs ~registry ~side env ~now ~ingress buf ~sampled ~t_start checked
         Obs.verdict o (verdict_class verdict);
         if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start)
   in
-  match checked with
+  match check_view ?verify parsed with
   | Error e ->
       observe (Dropped e);
       (Dropped e, no_info)
@@ -231,28 +244,6 @@ let execute ?obs ~registry ~side env ~now ~ingress buf ~sampled ~t_start checked
       in
       loop 0
 
-let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
-  (* Observability is opt-in: with [obs = None] every instrumentation
-     point is a single match on an immediate — no clock reads, no
-     allocation. [sampled] selects the runs that additionally get
-     monotonic-clock spans (Obs sampling keeps timing overhead off
-     most packets). *)
-  let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
-  let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
-  let parsed =
-    (* Fast path: packets of a known program reuse the cached FN
-       array (and its memoized verification verdict) instead of
-       re-decoding the definitions. *)
-    if Progcache.enabled env.Env.prog_cache then
-      Progcache.parse env.Env.prog_cache buf
-    else
-      match Packet.parse buf with
-      | Ok view -> Ok (view, None)
-      | Error e -> Error e
-  in
-  execute ?obs ~registry ~side env ~now ~ingress buf ~sampled ~t_start
-    (check_view ?verify parsed)
-
 let process ?obs ?verify ~registry env ~now ~ingress buf =
   run ?obs ?verify ~registry ~side:`Router env ~now ~ingress buf
 
@@ -310,75 +301,26 @@ let actions_of_verdict env ~ingress buf verdict =
   | [] -> verdict_actions env ~ingress buf verdict
   | aux -> aux @ verdict_actions env ~ingress buf verdict
 
-let publish_obs obs env =
+(* The deferred per-node accounting: progcache counters into [env]'s
+   counters and, with [obs], the cache gauges. *)
+let publish obs env =
+  Env.publish_cache_stats env;
   match obs with
   | None -> ()
   | Some o -> Obs.publish_cache o env.Env.prog_cache
 
-(* --- batch processing -------------------------------------------- *)
-
-(* A batch amortizes the per-packet setup that [run] pays every time:
-   the progcache probe collapses to a byte-compare for runs of
-   same-program packets (the steady state of a forwarding router),
-   and the cache-stats / obs-gauge publication happens once per batch
-   instead of once per packet. *)
-type batch = {
-  b_obs : Obs.t option;
-  b_verify : (Packet.view -> (unit, string) result) option;
-  b_registry : Registry.t;
-  b_env : Env.t;
-  b_hint : Progcache.hint option;
-}
-
-let batch_start ?obs ?verify ?hint ~registry env =
-  {
-    b_obs = obs;
-    b_verify = verify;
-    b_registry = registry;
-    b_env = env;
-    b_hint =
-      (if Progcache.enabled env.Env.prog_cache then
-         Some (match hint with Some h -> h | None -> Progcache.hint ())
-       else None);
-  }
-
-let batch_step b ~now ~ingress buf =
-  let obs = b.b_obs in
-  let env = b.b_env in
-  let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
-  let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
-  let parsed =
-    match b.b_hint with
-    | Some h -> Progcache.parse_hinted env.Env.prog_cache h buf
-    | None -> (
-        match Packet.parse buf with
-        | Ok view -> Ok (view, None)
-        | Error e -> Error e)
-  in
-  execute ?obs ~registry:b.b_registry ~side:`Router env ~now ~ingress buf
-    ~sampled ~t_start
-    (check_view ?verify:b.b_verify parsed)
-
-let batch_finish b =
-  Env.publish_cache_stats b.b_env;
-  publish_obs b.b_obs b.b_env
-
 let process_batch ?obs ?verify ~registry env ~now ~ingress bufs =
-  let b = batch_start ?obs ?verify ~registry env in
-  let out = Array.map (fun buf -> batch_step b ~now ~ingress buf) bufs in
-  batch_finish b;
+  let out = Array.map (process ?obs ?verify ~registry env ~now ~ingress) bufs in
+  publish obs env;
   out
 
-let handler ?obs ?verify ~registry env _sim ~now ~ingress packet =
-  let verdict, _info = process ?obs ?verify ~registry env ~now ~ingress packet in
-  Env.publish_cache_stats env;
-  publish_obs obs env;
+let handle ~side ?obs ?verify ~registry env ~now ~ingress packet =
+  let verdict, _info = run ?obs ?verify ~registry ~side env ~now ~ingress packet in
+  publish obs env;
   actions_of_verdict env ~ingress packet verdict
 
+let handler ?obs ?verify ~registry env _sim ~now ~ingress packet =
+  handle ~side:`Router ?obs ?verify ~registry env ~now ~ingress packet
+
 let host_handler ?obs ?verify ~registry env _sim ~now ~ingress packet =
-  let verdict, _info =
-    host_process ?obs ?verify ~registry env ~now ~ingress packet
-  in
-  Env.publish_cache_stats env;
-  publish_obs obs env;
-  actions_of_verdict env ~ingress packet verdict
+  handle ~side:`Host ?obs ?verify ~registry env ~now ~ingress packet

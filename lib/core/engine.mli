@@ -120,43 +120,12 @@ val actions_of_verdict :
     batched dispatchers ({!Dip_mcore.Pool}) can produce action lists
     off the handler path. *)
 
-(** {1 Batch processing}
-
-    The data-plane entry points for {!Dip_mcore}-style batched
-    dispatch. A batch shares one progcache hint across its packets —
-    a run of same-program packets costs one byte-compare each instead
-    of a key allocation plus an LRU probe — and publishes cache
-    stats / obs gauges once per batch rather than once per packet. *)
-
-type batch
-
-val batch_start :
-  ?obs:Obs.t ->
-  ?verify:(Packet.view -> (unit, string) result) ->
-  ?hint:Progcache.hint ->
-  registry:Registry.t ->
-  Env.t ->
-  batch
-(** Open a router-side batch on [env]. The batch must not outlive
-    control-plane changes to [env]'s program cache or registry (its
-    parse hint pins cache entries — see {!Progcache.hint}).
-
-    [hint] lets a long-lived dispatcher ({!Dip_mcore.Pool} workers)
-    carry one warm parse hint across {e many} batches on the same
-    env: without it every batch re-arms a cold hint, and the first
-    packet of each batch pays the full key-hash + LRU probe even in
-    the steady state of small per-worker batches. The same lifetime
-    rule applies to the caller-owned hint — it must be dropped with
-    the env/cache it was warmed on. *)
-
-val batch_step :
-  batch -> now:float -> ingress:Env.port -> Dip_bitbuf.Bitbuf.t -> verdict * info
-(** Process one packet of the batch; semantically identical to
-    {!process} with the batch's [obs]/[verify]/[registry]. *)
-
-val batch_finish : batch -> unit
-(** Publish the per-batch deferred accounting (progcache counters
-    into [env]'s {!Dip_netsim.Stats.Counters}, obs cache gauges). *)
+val publish : Obs.t option -> Env.t -> unit
+(** The deferred per-node accounting {!handler} runs after each
+    packet: [env]'s program-cache counters into its
+    {!Dip_netsim.Stats.Counters} and, with [obs], the
+    [engine.progcache.*] gauges. A caller driving {!process} itself
+    ({!process_batch}, {!Dip_mcore.Pool}) publishes once per batch. *)
 
 val process_batch :
   ?obs:Obs.t ->
@@ -167,11 +136,9 @@ val process_batch :
   ingress:Env.port ->
   Dip_bitbuf.Bitbuf.t array ->
   (verdict * info) array
-(** [batch_start] / [batch_step] over every buffer / [batch_finish].
-    Equivalent to folding {!process} over the array (same verdicts,
-    drops, and per-opkey obs counts) — the batch property the test
-    suite checks — but with the per-packet setup amortized. Packets
-    are mutated in place exactly as {!process} does. *)
+(** {!process} over every buffer, then one {!publish}. A run of
+    same-program packets is served by the program cache's inline
+    hint, as it is for {!process}. *)
 
 val handler :
   ?obs:Obs.t ->

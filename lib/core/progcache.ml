@@ -23,20 +23,26 @@ type entry = {
     ((Packet.view -> (unit, string) result) * (unit, string) result) option;
 }
 
+(* A one-entry parse memo: the last program prefix parsed through it
+   and its cache entry. *)
+type hint = { mutable hkey : string; mutable hentry : entry option }
+
+let hint () = { hkey = ""; hentry = None }
+
 type t = {
   table : (string, entry) Lru.t;
   mutable enabled : bool;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  (* Inline single-entry hint: the last program parsed. A forwarding
-     router's steady state is a run of same-program packets, so most
-     parses resolve here with zero allocation — no key extraction, no
-     LRU probe. Because the hint is re-armed on every LRU access, an
-     inline hit is always the LRU's MRU entry: skipping the touch
-     cannot change the eviction order. *)
-  mutable last_key : string;
-  mutable last_entry : entry option;
+  (* The inline hint {!parse} uses. A forwarding router's steady
+     state is a run of same-program packets, so most parses resolve
+     here with zero allocation — no key extraction, no LRU probe.
+     Because [parse] re-arms the hint on every LRU access it makes,
+     an inline hit is the LRU's MRU entry unless an external hint
+     touched the LRU since: skipping the touch cannot change the
+     eviction order. *)
+  inline : hint;
   mutable flight : F.ring option;
   mutable fl_tick : int;
 }
@@ -66,8 +72,7 @@ let create ?(capacity = 512) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    last_key = "";
-    last_entry = None;
+    inline = hint ();
     flight = None;
     fl_tick = 0;
   }
@@ -111,13 +116,13 @@ let reset_counters t =
   t.misses <- 0;
   t.evictions <- 0
 
-let drop_hint t =
-  t.last_key <- "";
-  t.last_entry <- None
+let arm h key e =
+  h.hkey <- key;
+  h.hentry <- Some e
 
-let arm_hint t key e =
-  t.last_key <- key;
-  t.last_entry <- Some e
+let drop_hint t =
+  t.inline.hkey <- "";
+  t.inline.hentry <- None
 
 let clear t =
   drop_hint t;
@@ -170,7 +175,6 @@ let insert t key (view : Packet.view) =
     drop_hint t
   end;
   Lru.insert t.table key e;
-  arm_hint t key e;
   e
 
 (* Does [buf]'s program prefix equal [key], hop-limit byte ignored?
@@ -192,13 +196,12 @@ let key_matches buf key =
        !i = klen
      end
 
-let parse t buf =
-  match t.last_entry with
-  | Some e when key_matches buf t.last_key ->
-      (* Same program as the previous packet: serve it without
-         touching the key or the LRU (the hint is the LRU's MRU by
-         construction). The packet must still be long enough for the
-         header the prefix announces. *)
+let parse_hinted t h buf =
+  match h.hentry with
+  | Some e when key_matches buf h.hkey ->
+      (* Same program as the previous packet through [h]: serve it
+         without touching the key or the LRU. The packet must still be
+         long enough for the header the prefix announces. *)
       if e.header_len > Bitbuf.length buf then
         Error "header exceeds packet bounds"
       else begin
@@ -223,49 +226,7 @@ let parse t buf =
                 Error "header exceeds packet bounds"
               else begin
                 note_hit t;
-                arm_hint t key e;
-                Ok (view_of_entry e buf, Some e)
-              end
-          | None -> (
-              match Packet.parse buf with
-              | Error _ as err -> err
-              | Ok view ->
-                  note_miss t;
-                  Ok (view, Some (insert t key view)))))
-
-(* --- batch parse hint -------------------------------------------- *)
-
-type hint = { mutable hkey : string; mutable hentry : entry option }
-
-let hint () = { hkey = ""; hentry = None }
-
-let parse_hinted t h buf =
-  match h.hentry with
-  | Some e when key_matches buf h.hkey ->
-      (* Same program as the previous packet of the batch: skip the
-         key allocation and the LRU probe entirely. Counted as a hit
-         so batch and per-packet accounting agree. *)
-      if e.header_len > Bitbuf.length buf then
-        Error "header exceeds packet bounds"
-      else begin
-        note_hit t;
-        Ok (view_of_entry e buf, Some e)
-      end
-  | _ -> (
-      match key_of buf with
-      | None -> (
-          match Packet.parse buf with
-          | Ok view -> Ok (view, None)
-          | Error e -> Error e)
-      | Some key -> (
-          match Lru.find t.table key with
-          | Some e ->
-              if e.header_len > Bitbuf.length buf then
-                Error "header exceeds packet bounds"
-              else begin
-                note_hit t;
-                h.hkey <- key;
-                h.hentry <- Some e;
+                arm h key e;
                 Ok (view_of_entry e buf, Some e)
               end
           | None -> (
@@ -274,9 +235,10 @@ let parse_hinted t h buf =
               | Ok view ->
                   note_miss t;
                   let e = insert t key view in
-                  h.hkey <- key;
-                  h.hentry <- Some e;
+                  arm h key e;
                   Ok (view, Some e))))
+
+let parse t buf = parse_hinted t t.inline buf
 
 let invalidate_key t key =
   let victims =

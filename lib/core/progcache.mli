@@ -85,23 +85,22 @@ val parse : t -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) res
     eviction, so it never outlives the entry it points to. *)
 
 type hint
-(** A one-batch parse memo: remembers the last program prefix parsed
-    through it so a run of same-program packets (the steady state of
-    a forwarding router, and the common shape of a batch) skips both
-    the key allocation and the LRU probe. A hint must not outlive the
-    batch it was created for: cache invalidation ({!clear},
-    {!invalidate_key}, {!Control} updates) does not reach into live
-    hints. *)
+(** A one-entry parse memo: the last program prefix parsed through it.
+    Every cache carries one inline hint, which {!parse} uses; an
+    external hint is only for a caller that wants its own run state.
+    Cache invalidation ({!clear}, {!invalidate_key}, {!Control}
+    updates) drops the inline hint but cannot reach external ones, so
+    an external hint must not outlive the batch it was created for. *)
 
 val hint : unit -> hint
 
 val parse_hinted :
   t -> hint -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) result
-(** {!parse}, amortized: when the packet's prefix matches the hint's
-    remembered program (hop-limit byte ignored), the cached entry is
-    reused without touching the LRU; otherwise it falls back to
-    {!parse} semantics and re-arms the hint. Hit/miss accounting is
-    identical to {!parse}. *)
+(** {!parse} through [hint] instead of the inline hint: when the
+    packet's prefix matches the hint's remembered program (hop-limit
+    byte ignored), the cached entry is reused without touching the
+    LRU; otherwise the LRU is probed and the hint re-armed. Hit/miss
+    accounting is identical to {!parse}. *)
 
 val clear : t -> unit
 (** Drop every entry (registry changed outside {!Control}). *)

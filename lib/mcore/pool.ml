@@ -25,16 +25,12 @@ let ev_gc_minor = F.register ~kind:F.Counter "gc.minor_collections"
 let ev_gc_promoted = F.register ~kind:F.Counter "gc.promoted_words"
 
 (* Everything a worker reads per batch, swapped as one pointer
-   (RCU-style): treat all of it as immutable once published. The
-   per-worker parse hints live here, not in the worker, because a
-   hint pins entries of its epoch's program caches — swapping the
-   world must swap the hints with it. *)
+   (RCU-style): treat all of it as immutable once published. *)
 type published = {
   snap : Snapshot.t;
   envs : Env.t array;
   obses : Obs.t option array;
   metricses : Metrics.t option array;
-  hints : Progcache.hint array;
 }
 
 (* One dispatch's completion: a countdown over its live jobs. The
@@ -133,8 +129,7 @@ let build_published ?sample_every ~metrics ~flights snap ndomains =
   Array.iteri
     (fun w env -> Progcache.set_flight env.Env.prog_cache flights.(w))
     envs;
-  let hints = Array.init ndomains (fun _ -> Progcache.hint ()) in
-  { snap; envs; obses; metricses; hints }
+  { snap; envs; obses; metricses }
 
 (* Per-batch GC visibility from the executing domain: the absolute
    minor-collection and promoted-word readings as flight counters
@@ -157,6 +152,37 @@ let note_gc t w fl =
     | None -> ()
   end
 
+(* The shard executor: Algorithm 1 over one job on worker [w]'s
+   environment of the world pinned into the job, results straight
+   into the caller-order slots, then the per-batch publish, execute
+   span and GC reading. The ring workers and the 1-domain inline path
+   both run exactly this. *)
+let run_shard t w job =
+  let fl = t.fl_rings.(w + 1) in
+  let x0 = match fl with None -> 0 | Some _ -> F.now () in
+  let pub = job.j_pub in
+  let env = pub.envs.(w) and obs = pub.obses.(w) in
+  let verify = pub.snap.Snapshot.verify
+  and registry = pub.snap.Snapshot.registry in
+  let items = job.j_items and idxs = job.j_idxs in
+  for k = 0 to job.j_count - 1 do
+    let it = items.(k) in
+    let ((verdict, _) as r) =
+      Engine.process ?obs ?verify ~registry env ~now:it.now ~ingress:it.ingress
+        it.pkt
+    in
+    let i = idxs.(k) in
+    job.j_verdicts.(i) <- r;
+    if job.j_want_actions then
+      job.j_actions.(i) <-
+        Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
+  done;
+  Engine.publish obs env;
+  (match fl with
+  | None -> ()
+  | Some r -> F.record r ev_execute (F.now () - x0) job.j_count 0);
+  note_gc t w fl
+
 let worker t w =
   let stop () = Atomic.get t.stop in
   let ring = t.rings.(w) in
@@ -165,41 +191,14 @@ let worker t w =
     match Spsc.pop_wait ~spin:t.spin ring ~stop with
     | None -> ()
     | Some job ->
+        (match fl with
+        | None -> ()
+        | Some r ->
+            F.record r ev_queue_wait (F.now () - job.j_submit_ns) job.j_count 0);
         (* The world was pinned into the job when it was dispatched:
            a publish between dispatch and this pop must not retarget
            an in-flight batch (snapshot.mli's RCU contract). *)
-        let pub = job.j_pub in
-        let env = pub.envs.(w) in
-        let t0 =
-          match fl with
-          | None -> 0
-          | Some r ->
-              let n = F.now () in
-              F.record r ev_queue_wait (n - job.j_submit_ns) job.j_count 0;
-              n
-        in
-        let b =
-          Engine.batch_start ?obs:pub.obses.(w)
-            ?verify:pub.snap.Snapshot.verify ~hint:pub.hints.(w)
-            ~registry:pub.snap.Snapshot.registry env
-        in
-        let items = job.j_items and idxs = job.j_idxs in
-        for k = 0 to job.j_count - 1 do
-          let it = items.(k) in
-          let ((verdict, _) as r) =
-            Engine.batch_step b ~now:it.now ~ingress:it.ingress it.pkt
-          in
-          let i = idxs.(k) in
-          job.j_verdicts.(i) <- r;
-          if job.j_want_actions then
-            job.j_actions.(i) <-
-              Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
-        done;
-        Engine.batch_finish b;
-        (match fl with
-        | None -> ()
-        | Some r -> F.record r ev_execute (F.now () - t0) job.j_count 0);
-        note_gc t w fl;
+        run_shard t w job;
         (* After the decrement the dispatcher may reclaim the job as
            scratch — the job must not be touched again. Only the last
            job of the dispatch pays the lock/broadcast, and only to
@@ -387,42 +386,6 @@ let dispatch_async t ~want_actions items =
   tk.t_verdicts <- verdicts;
   tk.t_actions <- actions;
   if n = 0 then Atomic.set tk.comp.pending 0
-  else if t.ndomains = 1 then begin
-    (* Run-to-completion: a one-worker pool {e is} the dispatcher.
-       There is no parallelism to win by crossing a domain boundary,
-       only the ring transfer plus (on a box where the two domains
-       share a core) two scheduler round trips per batch — which is
-       exactly how the PR-5 pool lost to sequential at one domain.
-       Worker 0's environment, hint and observer are used so results,
-       counters and caching are indistinguishable from the ring path;
-       the (parked) worker domain never touches them. *)
-    let pub = Atomic.get t.current in
-    let env = pub.envs.(0) in
-    let fl1 = t.fl_rings.(1) in
-    let x0 = match fl1 with None -> 0 | Some _ -> F.now () in
-    let b =
-      Engine.batch_start ?obs:pub.obses.(0) ?verify:pub.snap.Snapshot.verify
-        ~hint:pub.hints.(0) ~registry:pub.snap.Snapshot.registry env
-    in
-    for i = 0 to n - 1 do
-      let it = items.(i) in
-      let ((verdict, _) as r) =
-        Engine.batch_step b ~now:it.now ~ingress:it.ingress it.pkt
-      in
-      verdicts.(i) <- r;
-      if want_actions then
-        actions.(i) <-
-          Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
-    done;
-    Engine.batch_finish b;
-    (* The dispatcher {e is} worker 0 here, so the execute span lands
-       on worker 0's lane, written from the only domain there is. *)
-    (match fl1 with
-    | None -> ()
-    | Some r -> F.record r ev_execute (F.now () - x0) n 0);
-    note_gc t 0 fl1;
-    Atomic.set tk.comp.pending 0
-  end
   else begin
     (* Pin the world once for the whole dispatch: every job of this
        batch executes this epoch, whatever publishes land before the
@@ -463,30 +426,44 @@ let dispatch_async t ~want_actions items =
       j.j_idxs.(fill.(w)) <- i;
       fill.(w) <- fill.(w) + 1
     done;
-    (* One submit stamp for the whole dispatch: each worker's
-       queue-wait span measures pop time minus this. *)
-    (match fl0 with
-    | None -> ()
-    | Some _ ->
-        let s = F.now () in
-        for w = 0 to t.ndomains - 1 do
-          if counts.(w) > 0 then tk.jobs.(w).j_submit_ns <- s
-        done);
-    (* The countdown must be armed before the first push: a fast
-       worker may finish its job before the later pushes happen. *)
-    Atomic.set tk.comp.pending !live;
-    for w = 0 to t.ndomains - 1 do
-      if counts.(w) > 0 then
-        (* The ring holds batches, not packets; it only fills if the
-           caller outruns the worker by [queue_capacity] whole
-           batches, so backing off is fine. *)
-        while not (Spsc.push t.rings.(w) tk.jobs.(w)) do
-          Domain.cpu_relax ()
-        done
-    done;
-    match fl0 with
-    | None -> ()
-    | Some r -> F.record r ev_dispatch (F.now () - d0) n !live
+    if t.ndomains = 1 then begin
+      (* Run-to-completion: a one-worker pool {e is} the dispatcher.
+         There is no parallelism to win by crossing a domain boundary,
+         only the ring transfer plus (on a box where the two domains
+         share a core) two scheduler round trips per batch — which is
+         exactly how the PR-5 pool lost to sequential at one domain.
+         The job is worker 0's, so results, counters, caching and the
+         execute span are indistinguishable from the ring path; the
+         worker domain is never spawned. *)
+      run_shard t 0 tk.jobs.(0);
+      Atomic.set tk.comp.pending 0
+    end
+    else begin
+      (* One submit stamp for the whole dispatch: each worker's
+         queue-wait span measures pop time minus this. *)
+      (match fl0 with
+      | None -> ()
+      | Some _ ->
+          let s = F.now () in
+          for w = 0 to t.ndomains - 1 do
+            if counts.(w) > 0 then tk.jobs.(w).j_submit_ns <- s
+          done);
+      (* The countdown must be armed before the first push: a fast
+         worker may finish its job before the later pushes happen. *)
+      Atomic.set tk.comp.pending !live;
+      for w = 0 to t.ndomains - 1 do
+        if counts.(w) > 0 then
+          (* The ring holds batches, not packets; it only fills if the
+             caller outruns the worker by [queue_capacity] whole
+             batches, so backing off is fine. *)
+          while not (Spsc.push t.rings.(w) tk.jobs.(w)) do
+            Domain.cpu_relax ()
+          done
+      done;
+      match fl0 with
+      | None -> ()
+      | Some r -> F.record r ev_dispatch (F.now () - d0) n !live
+    end
   end;
   tk
 

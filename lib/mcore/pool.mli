@@ -7,10 +7,10 @@
       (cache-line-padded cursors, cached opposing-cursor reads) and
       owning a private {!Dip_core.Env.t} (built from the snapshot's
       [mk_env]) plus, optionally, a private
-      {!Dip_obs.Metrics.t}/{!Dip_core.Obs.t} pair and a persistent
-      parse hint. Workers share {e no} mutable state; the only
-      cross-domain traffic is the rings, the published-snapshot
-      pointer, and one completion countdown per dispatch.
+      {!Dip_obs.Metrics.t}/{!Dip_core.Obs.t} pair. Workers share
+      {e no} mutable state; the only cross-domain traffic is the
+      rings, the published-snapshot pointer, and one completion
+      countdown per dispatch.
     - Packets are sharded to workers by {!Flow.hash} over the match
       field, so all packets of a flow execute in arrival order on
       one worker (per-flow ordering, coherent per-flow state) while
@@ -74,8 +74,9 @@ val create :
     the pool is quiescent.
 
     A [domains:1] pool runs batches to completion on the dispatching
-    domain itself (using worker 0's environment, hint and observer,
-    so everything observable is identical to the ring path): with one
+    domain itself: the dispatcher runs worker 0's job through the
+    same shard executor the ring workers use, so everything
+    observable is identical to the ring path. With one
     worker there is no parallelism to buy with a domain crossing,
     only hand-off overhead — this is the configuration the overhead
     floor in BENCH_PR7 measures. *)

@@ -12,9 +12,13 @@ type 'a t = {
   mutable heap : 'a slot array;
   mutable len : int;
   mutable next_seq : int;
+  (* [peek]'s answer, kept until the next push or pop: the simulator
+     peeks at every event before popping it, and the pop then hands
+     back the same block instead of allocating a second one. *)
+  mutable head : (float * 'a) option;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0 }
+let create () = { heap = [||]; len = 0; next_seq = 0; head = None }
 let size t = t.len
 let is_empty t = t.len = 0
 
@@ -60,36 +64,38 @@ let push t ~time payload =
   if time < 0.0 then invalid_arg "Event_queue.push: negative time";
   let c = Cell { time; seq = t.next_seq; payload } in
   t.next_seq <- t.next_seq + 1;
+  t.head <- None;
   grow t;
   t.heap.(t.len) <- c;
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
-let pop t =
-  if t.len = 0 then None
-  else
-    match t.heap.(0) with
-    | Empty -> invalid_arg "Event_queue: empty slot in heap"
-    | Cell top ->
-        t.len <- t.len - 1;
-        if t.len > 0 then begin
-          t.heap.(0) <- t.heap.(t.len);
-          t.heap.(t.len) <- Empty;
-          sift_down t 0
-        end
-        else t.heap.(0) <- Empty;
-        Some (top.time, top.payload)
-
-let peek_time t =
-  if t.len = 0 then None
-  else match t.heap.(0) with Empty -> None | Cell c -> Some c.time
-
 let peek t =
-  if t.len = 0 then None
-  else
-    match t.heap.(0) with
-    | Empty -> None
-    | Cell c -> Some (c.time, c.payload)
+  match t.head with
+  | Some _ as h -> h
+  | None ->
+      if t.len = 0 then None
+      else (
+        match t.heap.(0) with
+        | Empty -> None
+        | Cell c ->
+            let h = Some (c.time, c.payload) in
+            t.head <- h;
+            h)
+
+let pop t =
+  match peek t with
+  | None -> None
+  | Some _ as h ->
+      t.head <- None;
+      t.len <- t.len - 1;
+      if t.len > 0 then begin
+        t.heap.(0) <- t.heap.(t.len);
+        t.heap.(t.len) <- Empty;
+        sift_down t 0
+      end
+      else t.heap.(0) <- Empty;
+      h
 
 let vacant_slots_cleared t =
   let ok = ref true in
@@ -100,4 +106,5 @@ let vacant_slots_cleared t =
 
 let clear t =
   t.heap <- [||];
-  t.len <- 0
+  t.len <- 0;
+  t.head <- None

@@ -17,13 +17,11 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
 
-val peek_time : 'a t -> float option
-(** Time of the earliest event without removing it. *)
-
 val peek : 'a t -> (float * 'a) option
-(** The earliest event without removing it — what a batching run
-    loop inspects to decide whether the head joins the current
-    batch. *)
+(** The earliest event without removing it — what the simulator's
+    run loop inspects to decide whether the head runs now, joins the
+    current batch, or waits past [until]. A {!pop} straight after a
+    [peek] returns the same value without allocating again. *)
 
 val vacant_slots_cleared : 'a t -> bool
 (** [true] iff no slot beyond the live heap still holds a popped

@@ -269,13 +269,16 @@ let transmit t ~from:(id, port) packet =
                 e.packet)
             (hook t ~from:(id, port) packet))
 
-let handle_arrival t id port packet =
+(* One arrival's effects, whoever computed its actions (the node's
+   handler inline, or a batch backend): the clock to the arrival
+   instant, rx accounting, then the actions. *)
+let apply_arrival t ~time id packet actions =
+  t.clock <- time;
   let node = t.nodes.(id) in
   Stats.Counters.incr t.stats (node.name ^ ".rx");
   (match t.obs with
   | Some o -> Dip_obs.Metrics.Counter.incr o.rx
   | None -> ());
-  let actions = node.handler t ~now:t.clock ~ingress:port packet in
   List.iter
     (fun action ->
       match action with
@@ -292,25 +295,6 @@ let handle_arrival t id port packet =
           obs_drop t reason)
     actions
 
-let run ?(until = Float.infinity) t =
-  let rec loop () =
-    match Event_queue.peek_time t.queue with
-    | None -> ()
-    | Some time when time > until -> ()
-    | Some _ -> (
-        match Event_queue.pop t.queue with
-        | None -> ()
-        | Some (time, ev) ->
-            t.clock <- time;
-            (match ev with
-            | Arrival (id, port, packet) -> handle_arrival t id port packet
-            | Timer f -> f t);
-            loop ())
-  in
-  loop ()
-
-(* --- batched execution ------------------------------------------- *)
-
 type batch_item = {
   b_node : node_id;
   b_port : port;
@@ -318,43 +302,18 @@ type batch_item = {
   b_packet : Dip_bitbuf.Bitbuf.t;
 }
 
-(* Apply one batched item's results exactly as [handle_arrival] would
-   have: clock rewound to the item's arrival instant, rx accounting,
-   then the actions. *)
-let apply_batch_result t item actions =
-  t.clock <- item.b_time;
-  let node = t.nodes.(item.b_node) in
-  Stats.Counters.incr t.stats (node.name ^ ".rx");
-  (match t.obs with
-  | Some o -> Dip_obs.Metrics.Counter.incr o.rx
-  | None -> ());
-  List.iter
-    (fun action ->
-      match action with
-      | Forward (out, pkt) -> transmit t ~from:(item.b_node, out) pkt
-      | Consume ->
-          Stats.Counters.incr t.stats (node.name ^ ".consumed");
-          (match t.obs with
-          | Some o -> Dip_obs.Metrics.Counter.incr o.consumed_c
-          | None -> ());
-          t.delivered <- (item.b_node, t.clock, item.b_packet) :: t.delivered;
-          List.iter (fun f -> f item.b_node t.clock item.b_packet) t.consume_hooks
-      | Drop reason ->
-          Stats.Counters.incr t.stats (node.name ^ ".drop." ^ reason);
-          obs_drop t reason)
-    actions
-
-(* The shared batched event loop. [submit] hands a closed window to
-   the execution backend and returns a join thunk producing the
-   per-item action lists; [depth] bounds how many submitted windows
-   may stay {e unapplied} while the loop keeps collecting. Depth 0 is
-   the classic barrier (submit, join, apply, continue); depth 1 is
-   the double-buffered pipeline — window [k] executes on the backend
-   while window [k+1] is collected and submitted, and [k] is joined
-   only when [k+1] closes. Results are always applied in batch order
-   on the calling domain, so everything a handler could observe
-   sequentially is a function of the workload and the windowing
-   discipline only — never of backend scheduling. *)
+(* The event loop — {!run} is this loop with nothing batchable.
+   [submit] hands a closed window to the execution backend and
+   returns a join thunk producing the per-item action lists; [depth]
+   bounds how many submitted windows may stay {e unapplied} while the
+   loop keeps collecting. Depth 0 is the classic barrier (submit,
+   join, apply, continue); depth 1 is the double-buffered pipeline —
+   window [k] executes on the backend while window [k+1] is collected
+   and submitted, and [k] is joined only when [k+1] closes. Results
+   are always applied in batch order on the calling domain, so
+   everything a handler could observe sequentially is a function of
+   the workload and the windowing discipline only — never of backend
+   scheduling. *)
 let run_submitted ~who ?(until = Float.infinity) ?(window = 0.0) ~depth t
     ~batchable ~submit =
   if window < 0.0 then invalid_arg (who ^ ": negative window");
@@ -381,7 +340,11 @@ let run_submitted ~who ?(until = Float.infinity) ?(window = 0.0) ~depth t
        handler could observe sequentially (per-link serialization,
        counters, consume order) is independent of how the backend
        scheduled the work. *)
-    Array.iteri (fun i item -> apply_batch_result t item results.(i)) arr;
+    Array.iteri
+      (fun i item ->
+        apply_arrival t ~time:item.b_time item.b_node item.b_packet
+          results.(i))
+      arr;
     match t.flight with
     | None -> ()
     | Some r ->
@@ -416,74 +379,62 @@ let run_submitted ~who ?(until = Float.infinity) ?(window = 0.0) ~depth t
   let idle () = !npending = 0 && Queue.is_empty inflight in
   let rec loop () =
     match Event_queue.peek t.queue with
-    | None ->
-        (* Flushing/applying the tail can schedule new events;
-           re-enter so they run rather than being stranded. *)
-        if not (idle ()) then begin
-          flush ();
-          drain ();
-          loop ()
-        end
-    | Some (time, _) when time > until ->
-        (* Same: a flush can schedule events at or before [until]. *)
-        if not (idle ()) then begin
-          flush ();
-          drain ();
-          loop ()
-        end
-    | Some (time, ev) ->
-        let batchable_ev =
-          match ev with Arrival (id, _, _) -> batchable id | Timer _ -> false
-        in
-        let joins =
-          batchable_ev && (!npending = 0 || time <= !anchor +. window)
-        in
-        if joins then begin
-          (match Event_queue.pop t.queue with
-          | Some (time, Arrival (id, port, packet)) ->
+    | Some (time, ev) when time <= until -> (
+        match ev with
+        | Arrival (id, port, packet) when batchable id ->
+            if !npending = 0 || time <= !anchor +. window then begin
+              ignore (Event_queue.pop t.queue);
               if !npending = 0 then anchor := time;
               pending :=
                 { b_node = id; b_port = port; b_time = time;
                   b_packet = packet }
                 :: !pending;
               incr npending
-          | Some _ | None -> assert false);
-          loop ()
-        end
-        else if batchable_ev && !npending > 0 then begin
-          (* Window boundary at a batchable node: rotate the pipeline.
-             The closing window is submitted and only windows beyond
-             [depth] are joined — with depth 1 this is where the
-             overlap happens: the arrival re-peeks and opens window
-             [k+1] while window [k] still executes. *)
-          flush ();
-          loop ()
-        end
-        else if not (idle ()) then begin
-          (* A timer or non-batchable arrival must observe every
-             batched effect before it runs: its handler may read state
-             the batches write, and the applications may schedule
-             earlier events than this one. Close the window, drain the
-             pipeline, re-peek. *)
+            end
+            else
+              (* Window boundary at a batchable node: rotate the
+                 pipeline. The closing window is submitted and only
+                 windows beyond [depth] are joined — with depth 1 this
+                 is where the overlap happens: the arrival re-peeks and
+                 opens window [k+1] while window [k] still executes. *)
+              flush ();
+            loop ()
+        | _ when not (idle ()) ->
+            (* A timer or non-batchable arrival must observe every
+               batched effect before it runs: its handler may read
+               state the batches write, and the applications may
+               schedule earlier events than this one. Close the window,
+               drain the pipeline, re-peek. *)
+            flush ();
+            drain ();
+            loop ()
+        | Arrival (id, port, packet) ->
+            ignore (Event_queue.pop t.queue);
+            t.clock <- time;
+            apply_arrival t ~time id packet
+              (t.nodes.(id).handler t ~now:time ~ingress:port packet);
+            loop ()
+        | Timer f ->
+            ignore (Event_queue.pop t.queue);
+            t.clock <- time;
+            f t;
+            loop ())
+    | None | Some _ ->
+        (* Queue drained or past [until]. Flushing/applying the tail
+           can schedule new events at or before [until]; re-enter so
+           they run rather than being stranded. *)
+        if not (idle ()) then begin
           flush ();
           drain ();
           loop ()
         end
-        else begin
-          (match Event_queue.pop t.queue with
-          | None -> ()
-          | Some (time, ev) -> (
-              match ev with
-              | Arrival (id, port, packet) ->
-                  t.clock <- time;
-                  handle_arrival t id port packet
-              | Timer f ->
-                  t.clock <- time;
-                  f t));
-          loop ()
-        end
   in
   loop ()
+
+let run ?until t =
+  run_submitted ~who:"Sim.run" ?until ~depth:0 t
+    ~batchable:(fun _ -> false)
+    ~submit:(fun _ -> assert false)
 
 let run_batched ?until ?window t ~batchable ~exec =
   run_submitted ~who:"Sim.run_batched" ?until ?window ~depth:0 t ~batchable

@@ -84,7 +84,9 @@ val now : t -> float
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or the clock
-    passes [until]. *)
+    passes [until]. There is one event loop: [run] is
+    {!run_batched} with no batchable node, so every arrival goes
+    through its node's handler the moment it is popped. *)
 
 type batch_item = {
   b_node : node_id;

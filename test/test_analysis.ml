@@ -274,7 +274,8 @@ let test_engine_verify_rejects () =
       ~locations:(String.make 68 '\000') ~payload:"" ()
   in
   let env = Env.create ~name:"r" () in
-  match Dip_analysis.process ~verify:true ~registry:reg env ~now:0.0 ~ingress:0 bad with
+  let verify = Dip_analysis.verifier ~registry:reg () in
+  match Engine.process ~verify ~registry:reg env ~now:0.0 ~ingress:0 bad with
   | Engine.Dropped reason, info ->
       Alcotest.(check bool) "verify: prefix" true
         (String.length reason >= 7 && String.sub reason 0 7 = "verify:");
@@ -288,7 +289,8 @@ let test_engine_verify_passes_good () =
   let pkt =
     Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.0.0.1") ~payload:"" ()
   in
-  match Dip_analysis.process ~verify:true ~registry:reg env ~now:0.0 ~ingress:0 pkt with
+  let verify = Dip_analysis.verifier ~registry:reg () in
+  match Engine.process ~verify ~registry:reg env ~now:0.0 ~ingress:0 pkt with
   | Engine.Forwarded [ 3 ], _ -> ()
   | Engine.Dropped r, _ -> Alcotest.failf "verified packet dropped: %s" r
   | _ -> Alcotest.fail "expected forward"
@@ -625,11 +627,12 @@ let prop_verify_sound_and_cache_stable =
         Dip_tables.Name_fib.insert env.Env.fib name 1;
         env
       in
+      let verify = Dip_analysis.verifier ~registry:reg () in
       let run env =
         verdict_sig
           (fst
-             (Dip_analysis.process ~verify:true ~registry:reg env ~now:0.0
-                ~ingress:0 (Bitbuf.copy pkt)))
+             (Engine.process ~verify ~registry:reg env ~now:0.0 ~ingress:0
+                (Bitbuf.copy pkt)))
       in
       (* Per-flow engine state may legitimately change verdicts
          between runs (PIT aggregation turns the second interest

@@ -891,11 +891,35 @@ let test_progcache_control_invalidation () =
      unsupported-handling depend on the registry) but not DIP-32. *)
   push 1L (Control.Enable_op Opkey.F_fib);
   Alcotest.(check int) "NDN entry invalidated" 1 (Progcache.size c);
-  ignore (Engine.process ~registry:live env ~now:0.0 ~ingress:0 (dip32 ()));
+  (* A verifier that reads the live registry, so a verdict memoized
+     before a registry change is observably stale after it. *)
+  let verifications = ref 0 in
+  let verify view =
+    incr verifications;
+    if
+      Array.for_all
+        (fun fn -> Registry.supports live fn.Fn.key)
+        view.Packet.fns
+    then Ok ()
+    else Error "op not installed"
+  in
+  ignore (Engine.process ~verify ~registry:live env ~now:0.0 ~ingress:0 (dip32 ()));
   Alcotest.(check int) "DIP-32 entry survived" 1 (Progcache.hits c);
   (* Disabling an op drops the programs using it. *)
   push 2L (Control.Disable_op Opkey.F_source);
-  Alcotest.(check int) "DIP-32 entry invalidated" 0 (Progcache.size c)
+  Alcotest.(check int) "DIP-32 entry invalidated" 0 (Progcache.size c);
+  (* The last packet armed the cache's inline parse hint on the DIP-32
+     entry; a batch straight after the invalidation must re-verify
+     instead of serving the stale entry and its memoized verdict. *)
+  let out =
+    Engine.process_batch ~verify ~registry:live env ~now:0.0 ~ingress:0
+      [| dip32 (); dip32 () |]
+  in
+  Alcotest.(check int) "re-verified once" 2 !verifications;
+  Alcotest.(check bool) "new verdict applies" true
+    (Array.for_all
+       (function Engine.Dropped "verify: op not installed", _ -> true | _ -> false)
+       out)
 
 let test_progcache_stale_verdict_without_control () =
   (* The documented sharp edge: a memoized verdict reflects the world

@@ -443,6 +443,119 @@ let test_pit_fanout_independent_copies () =
   | l -> Alcotest.failf "expected a 2-port fanout, got %d deliveries"
            (List.length l)
 
+(* --- 8. One event loop: Sim.run ≡ Sim.run_batched over the same handlers --- *)
+
+(* A k=4 fat-tree of Engine routers and hosts, host-to-host DIP-32
+   traffic injected at the source hosts' edge switches, and a reliable
+   sender/receiver pair hung off two edge switches, over links that
+   lose 5% of transmissions: delivery, departure and retransmit timers
+   interleave with router arrivals. Returns the simulator, the router
+   predicate and the sender. *)
+let lossy_fat_tree () =
+  let module Topology = Dip_netsim.Topology in
+  let module Reliable = Host.Reliable in
+  let topo = Topology.fat_tree ~latency:1e-5 ~bandwidth:1.25e7 4 in
+  let n = topo.Topology.node_count in
+  let is_host u = List.length (Topology.neighbors topo u) = 1 in
+  let hosts = List.filter is_host (List.init n Fun.id) |> Array.of_list in
+  let edge_of h = List.hd (Topology.neighbors topo h) in
+  let envs = Array.init n (fun u -> Env.create ~name:(Printf.sprintf "n%d" u) ()) in
+  (* Every router routes [prefix] along a BFS tree toward [node]; the
+     router at [node] itself (if any) uses [last_port]. *)
+  let route_toward ~node ?last_port prefix =
+    let pred = Topology.shortest_paths topo ~src:node in
+    for r = 0 to n - 1 do
+      if not (is_host r) then
+        let port =
+          if r = node then last_port
+          else if pred.(r) >= 0 then Some (Topology.port_of topo r pred.(r))
+          else None
+        in
+        Option.iter
+          (Dip_ip.Ipv4.add_route envs.(r).Env.v4_routes
+             (Ipaddr.Prefix.of_string prefix))
+          port
+    done
+  in
+  let host_addr i = Printf.sprintf "10.0.%d.1" i in
+  Array.iteri
+    (fun i h ->
+      route_toward ~node:h (Printf.sprintf "10.0.%d.0/24" i);
+      envs.(h).Env.local_v4 <- Some (v4 (host_addr i)))
+    hosts;
+  let spare = 50 in
+  let edge_s = edge_of hosts.(0) and edge_r = edge_of hosts.(15) in
+  route_toward ~node:edge_s ~last_port:spare "10.9.0.2/32";
+  route_toward ~node:edge_r ~last_port:spare "10.9.0.1/32";
+  let sim = Sim.create () in
+  let ids =
+    Topology.instantiate topo sim
+      ~name:(Printf.sprintf "n%d")
+      ~handler:(fun u ->
+        if is_host u then Engine.host_handler ~registry envs.(u)
+        else Engine.handler ~registry envs.(u))
+  in
+  let sender =
+    Reliable.add_sender sim ~name:"snd" ~seed:5L ~src:(v4 "10.9.0.2")
+      ~dst:(v4 "10.9.0.1") ~out_port:0
+  in
+  let _recv, recv_node = Reliable.add_receiver sim ~name:"rcv" in
+  Sim.connect sim ~latency:1e-5 (Reliable.sender_node sender, 0) (ids.(edge_s), spare);
+  Sim.connect sim ~latency:1e-5 (recv_node, 0) (ids.(edge_r), spare);
+  let faults = Dip_netsim.Faults.attach ~seed:11L sim in
+  Dip_netsim.Faults.all_links faults (Dip_netsim.Faults.spec ~drop:0.05 ());
+  let g = Dip_stdext.Prng.create 17L in
+  for j = 0 to 239 do
+    let s = Dip_stdext.Prng.int g 16 in
+    let d = (s + 1 + Dip_stdext.Prng.int g 15) mod 16 in
+    let e = edge_of hosts.(s) in
+    (* Four packets per instant, so same-instant windows form. *)
+    Sim.inject sim
+      ~at:(1e-4 *. float_of_int (j / 4))
+      ~node:ids.(e)
+      ~port:(Topology.port_of topo e hosts.(s))
+      (Realize.ipv4 ~src:(v4 (host_addr s)) ~dst:(v4 (host_addr d))
+         ~payload:(Printf.sprintf "h%d" j) ())
+  done;
+  for j = 0 to 39 do
+    Reliable.send sender ~at:(5e-4 *. float_of_int j)
+      ~payload:(Printf.sprintf "r%d" j)
+  done;
+  let routers = Array.make (Sim.node_count sim) false in
+  Array.iteri (fun u id -> if not (is_host u) then routers.(id) <- true) ids;
+  (sim, (fun id -> routers.(id)), sender)
+
+let test_run_equals_run_batched () =
+  let outcome sim =
+    ( List.map
+        (fun (node, time, pkt) -> (node, time, Bitbuf.to_string pkt))
+        (Sim.consumed sim),
+      Dip_netsim.Stats.Counters.to_list (Sim.counters sim),
+      Sim.now sim )
+  in
+  let seq_sim, _, sender = lossy_fat_tree () in
+  Sim.run seq_sim;
+  let stats = Host.Reliable.sender_stats sender in
+  Alcotest.(check bool) "losses forced retransmissions" true
+    (stats.Host.Reliable.transmissions > stats.Host.Reliable.sent);
+  let bat_sim, batchable, _ = lossy_fat_tree () in
+  let widest = ref 0 in
+  Sim.run_batched ~window:0.0 bat_sim ~batchable ~exec:(fun items ->
+      widest := max !widest (Array.length items);
+      Array.map
+        (fun (it : Sim.batch_item) ->
+          Sim.node_handler bat_sim it.Sim.b_node bat_sim ~now:it.Sim.b_time
+            ~ingress:it.Sim.b_port it.Sim.b_packet)
+        items);
+  Alcotest.(check bool) "windows held several arrivals" true (!widest > 1);
+  let consumed, counters, now = outcome seq_sim in
+  let b_consumed, b_counters, b_now = outcome bat_sim in
+  Alcotest.(check bool) "traffic delivered" true (List.length consumed > 200);
+  Alcotest.(check (list (triple int (float 0.0) string)))
+    "same deliveries" consumed b_consumed;
+  Alcotest.(check (list (pair string int))) "same counters" counters b_counters;
+  Alcotest.(check (float 0.0)) "same final clock" now b_now
+
 let prop_compiled_interpreter_parity =
   (* Randomized destinations through both engines must agree. *)
   let env = Env.create ~name:"par" () in
@@ -482,6 +595,8 @@ let () =
             test_telemetry_reports_real_queue;
           Alcotest.test_case "PIT fanout copies independent" `Quick
             test_pit_fanout_independent_copies;
+          Alcotest.test_case "Sim.run ≡ run_batched on a lossy fat-tree"
+            `Quick test_run_equals_run_batched;
         ] );
       ( "fuzz",
         [

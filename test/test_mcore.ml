@@ -204,8 +204,8 @@ let test_flow_match_field_agrees_with_analyzer () =
 
 let chain_name = Name.of_string "/mcore/test"
 
-let mk_env ?(v4_port = 1) _w =
-  let env = Env.create ~name:"mcore-test" () in
+let mk_env ?(v4_port = 1) ?prog_cache_capacity _w =
+  let env = Env.create ?prog_cache_capacity ~name:"mcore-test" () in
   Dip_ip.Ipv4.add_route env.Env.v4_routes
     (Ipaddr.Prefix.of_string "10.0.0.0/8")
     v4_port;
@@ -261,6 +261,17 @@ let obs_counts m =
       | _ -> None)
     (Dip_obs.Metrics.snapshot m)
 
+(* Hit/miss/eviction totals of an env's program cache. *)
+let cache_counts env =
+  let c = env.Env.prog_cache in
+  (Progcache.hits c, Progcache.misses c, Progcache.evictions c)
+
+(* The cache capacities the equivalence properties run under: the
+   default, and one below the workload's distinct-program count
+   (IPv4, IPv6 and NDN names of two lengths), so evictions interleave
+   with the cache's inline parse hint. *)
+let capacities = [ None; Some 2 ]
+
 (* --- batch ≡ sequential fold (engine level) --- *)
 
 let prop_batch_equals_fold =
@@ -271,8 +282,8 @@ let prop_batch_equals_fold =
         (pair (int_range 0 2) (int_range 0 15)))
     (fun specs ->
       let pkts = List.map mk_packet specs in
-      let run_seq () =
-        let env = mk_env 0 in
+      let run_seq prog_cache_capacity =
+        let env = mk_env ?prog_cache_capacity 0 in
         let m = Dip_obs.Metrics.create () in
         let obs = Obs.create m in
         let out =
@@ -284,21 +295,21 @@ let prop_batch_equals_fold =
             pkts
         in
         Env.publish_cache_stats env;
-        (out, obs_counts m)
+        (out, obs_counts m, cache_counts env)
       in
-      let run_batch () =
-        let env = mk_env 0 in
+      let run_batch prog_cache_capacity =
+        let env = mk_env ?prog_cache_capacity 0 in
         let m = Dip_obs.Metrics.create () in
         let obs = Obs.create m in
         let out =
           Engine.process_batch ~obs ~registry env ~now:0.0 ~ingress:0
             (Array.of_list (List.map Bitbuf.copy pkts))
         in
-        (Array.to_list (Array.map result_summary out), obs_counts m)
+        ( Array.to_list (Array.map result_summary out),
+          obs_counts m,
+          cache_counts env )
       in
-      let seq_out, seq_counts = run_seq () in
-      let batch_out, batch_counts = run_batch () in
-      seq_out = batch_out && seq_counts = batch_counts)
+      List.for_all (fun cap -> run_seq cap = run_batch cap) capacities)
 
 (* Batches also mutate the packets identically (hop limits, marks). *)
 let prop_batch_mutations_agree =
@@ -322,10 +333,10 @@ let prop_batch_mutations_agree =
 
 (* --- pool ≡ sequential fold --- *)
 
-let pool_vs_fold ~domains specs =
+let pool_vs_fold ?prog_cache_capacity ~domains specs =
   let pkts = List.map mk_packet specs in
   let seq =
-    let env = mk_env 0 in
+    let env = mk_env ?prog_cache_capacity 0 in
     List.map
       (fun p ->
         verdict_summary
@@ -333,7 +344,10 @@ let pool_vs_fold ~domains specs =
       pkts
   in
   let pool =
-    Mcore.Pool.create ~domains (Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) ())
+    Mcore.Pool.create ~domains
+      (Mcore.Snapshot.v ~registry
+         ~mk_env:(fun w -> mk_env ?prog_cache_capacity w)
+         ())
   in
   let items =
     Array.of_list
@@ -353,8 +367,11 @@ let prop_pool_equals_fold =
         (list_of_size (Gen.int_range 0 30)
            (pair (int_range 0 2) (int_range 0 15))))
     (fun (domains, specs) ->
-      let seq, pool = pool_vs_fold ~domains specs in
-      seq = pool)
+      List.for_all
+        (fun prog_cache_capacity ->
+          let seq, pool = pool_vs_fold ?prog_cache_capacity ~domains specs in
+          seq = pool)
+        capacities)
 
 (* --- pool: snapshot publication --- *)
 
@@ -380,7 +397,7 @@ let test_pool_publish () =
   (* RCU-style cutover: next batch sees the new forwarding table. *)
   (match
      Mcore.Pool.publish pool
-       (Mcore.Snapshot.next ~mk_env:(mk_env ~v4_port:7) snap0)
+       (Mcore.Snapshot.next ~mk_env:(fun w -> mk_env ~v4_port:7 w) snap0)
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));
@@ -505,7 +522,7 @@ let test_pool_counters_survive_publish () =
   batch n1;
   (match
      Mcore.Pool.publish pool
-       (Mcore.Snapshot.next ~mk_env:(mk_env ~v4_port:7) snap0)
+       (Mcore.Snapshot.next ~mk_env:(fun w -> mk_env ~v4_port:7 w) snap0)
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));
@@ -542,7 +559,7 @@ let test_pool_epoch_pinned_at_dispatch () =
      old epoch routes 10/8 to port 1, new epoch to port 7. *)
   (match
      Mcore.Pool.publish pool
-       (Mcore.Snapshot.next ~mk_env:(mk_env ~v4_port:7) snap0)
+       (Mcore.Snapshot.next ~mk_env:(fun w -> mk_env ~v4_port:7 w) snap0)
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));

@@ -31,10 +31,17 @@ let test_eq_fifo_ties () =
 
 let test_eq_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option (float 0.0))) "empty" None (Event_queue.peek_time q);
-  Event_queue.push q ~time:5.0 ();
-  Alcotest.(check (option (float 0.0))) "peek" (Some 5.0) (Event_queue.peek_time q);
-  Alcotest.(check int) "size" 1 (Event_queue.size q)
+  let head = Alcotest.(option (pair (float 0.0) string)) in
+  Alcotest.check head "empty" None (Event_queue.peek q);
+  Event_queue.push q ~time:5.0 "e";
+  Alcotest.check head "peek" (Some (5.0, "e")) (Event_queue.peek q);
+  Alcotest.(check int) "size" 1 (Event_queue.size q);
+  (* A push after a peek must not leave the old head visible. *)
+  Event_queue.push q ~time:2.0 "b";
+  Alcotest.check head "earlier push" (Some (2.0, "b")) (Event_queue.peek q);
+  Alcotest.check head "pop = peek" (Some (2.0, "b")) (Event_queue.pop q);
+  Alcotest.check head "next" (Some (5.0, "e")) (Event_queue.peek q);
+  Alcotest.(check int) "size after pop" 1 (Event_queue.size q)
 
 let test_eq_invalid_times () =
   let q = Event_queue.create () in

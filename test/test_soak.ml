@@ -52,9 +52,10 @@ let run_network ~seed ~nodes ~packets =
     (* Every router statically verifies each packet before running it
        (Dip_analysis): the mixed workload must never trip the
        pre-check. *)
+    let verify = Dip_analysis.verifier ~registry () in
     Topology.instantiate topo sim
       ~name:(Printf.sprintf "n%d")
-      ~handler:(fun i -> Dip_analysis.handler ~verify:true ~registry envs.(i))
+      ~handler:(fun i -> Engine.handler ~verify ~registry envs.(i))
   in
   (* Mixed workload injected at random non-zero nodes. *)
   let g = Dip_stdext.Prng.create (Int64.add seed 1L) in
