@@ -388,7 +388,7 @@ let demo_parallel proto n count no_cache metrics domains flight =
       List.iter
         (fun pool ->
           match Dip_mcore.Pool.metrics pool with
-          | Some pm -> Dip_obs.Metrics.absorb m (Dip_obs.Metrics.snapshot pm)
+          | Some pm -> Dip_obs.Metrics.absorb m pm
           | None -> ())
         pools;
       print_newline ();

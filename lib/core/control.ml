@@ -151,13 +151,15 @@ let apply ~key ~state ~env ~registry ~master buf =
 
 let handler ~key ~env ~registry ~master inner =
   let state = initial_state () in
+  let c = Dip_obs.Metrics.counter env.Env.counters in
+  let applied = c "control.applied" and rejected = c "control.rejected" in
   fun sim ~now ~ingress packet ->
     if is_control packet then
       match apply ~key ~state ~env ~registry ~master packet with
       | Ok _ ->
-          Dip_netsim.Stats.Counters.incr env.Env.counters "control.applied";
+          Dip_obs.Metrics.Counter.incr applied;
           [ Dip_netsim.Sim.Consume ]
       | Error reason ->
-          Dip_netsim.Stats.Counters.incr env.Env.counters "control.rejected";
+          Dip_obs.Metrics.Counter.incr rejected;
           [ Dip_netsim.Sim.Drop ("control: " ^ reason) ]
     else inner sim ~now ~ingress packet

@@ -1,5 +1,4 @@
 module Sim = Dip_netsim.Sim
-module Stats = Dip_netsim.Stats
 module Bitbuf = Dip_bitbuf.Bitbuf
 module Custody_store = Dip_tables.Custody_store
 
@@ -74,12 +73,6 @@ let ev_evict = Dip_obs.Flight.register "custody.evict"
 let ev_reject = Dip_obs.Flight.register "custody.reject"
 let ev_replay = Dip_obs.Flight.register "custody.replay"
 
-let counter_name = function
-  | Custody_store.Take -> "custody.take"
-  | Custody_store.Release -> "custody.release"
-  | Custody_store.Evict -> "custody.evict"
-  | Custody_store.Reject -> "custody.reject"
-
 let event_id = function
   | Custody_store.Take -> ev_take
   | Custody_store.Release -> ev_release
@@ -91,18 +84,28 @@ let make_store cfg =
   Custody_store.create ~capacity:cfg.capacity ~max_bytes:cfg.max_bytes
     ~size:Bitbuf.length ()
 
-(* Mirror store transitions into the env counters (so chaos/bench
+(* Count store transitions in the env's registry (so chaos/bench
    reports see custody.{take,release,evict,reject} next to the dip.*
-   counters), an optional depth gauge, and optional Flight instants. *)
-let observe ?gauge ?flight ~env ~store ~node ev =
-  Stats.Counters.incr env.Env.counters (counter_name ev);
-  (match gauge with
-  | Some g -> Dip_obs.Metrics.Gauge.set g (Custody_store.size store)
-  | None -> ());
-  match flight with
-  | Some r ->
-      Dip_obs.Flight.record r (event_id ev) node (Custody_store.size store) 0
-  | None -> ()
+   counters; the handles are registered here, once per store), plus
+   an optional depth gauge and optional Flight instants. *)
+let observe ?gauge ?flight ~env ~store ~node =
+  let c = Dip_obs.Metrics.counter env.Env.counters in
+  let take = c "custody.take" and release = c "custody.release" in
+  let evict = c "custody.evict" and reject = c "custody.reject" in
+  fun ev ->
+    Dip_obs.Metrics.Counter.incr
+      (match ev with
+      | Custody_store.Take -> take
+      | Custody_store.Release -> release
+      | Custody_store.Evict -> evict
+      | Custody_store.Reject -> reject);
+    (match gauge with
+    | Some g -> Dip_obs.Metrics.Gauge.set g (Custody_store.size store)
+    | None -> ());
+    match flight with
+    | Some r ->
+        Dip_obs.Flight.record r (event_id ev) node (Custody_store.size store) 0
+    | None -> ()
 
 let enable ?(config = default_config) env =
   let store = make_store config in
@@ -120,6 +123,7 @@ type router = {
   mutable node : Sim.node_id;
   mutable armed : bool;
   flight : Dip_obs.Flight.ring option;
+  replayed : Dip_obs.Metrics.counter; (* the Sim's "custody.replay" *)
 }
 
 let node t = t.node
@@ -140,7 +144,7 @@ let rec replay t =
       t.store 0
   in
   if n > 0 then begin
-    Stats.Counters.incr ~by:n (Sim.counters t.sim) "custody.replay";
+    Dip_obs.Metrics.Counter.incr ~by:n t.replayed;
     (match t.flight with
     | Some r -> Dip_obs.Flight.record r ev_replay t.node n 0
     | None -> ())
@@ -169,7 +173,8 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
   env.Env.custody <- Some store;
   let t =
     { sim; env; store; cfg = config; out_port; node = -1; armed = false;
-      flight }
+      flight;
+      replayed = Dip_obs.Metrics.counter (Sim.counters sim) "custody.replay" }
   in
   t.node <-
     Sim.add_node sim ~name (fun sim ~now ~ingress packet ->
@@ -195,12 +200,9 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
   t
 
 let stats t =
-  let c = Custody_store.counters t.store in
-  [
-    ("take", c.Custody_store.takes);
-    ("release", c.Custody_store.releases);
-    ("evict", c.Custody_store.evicts);
-    ("reject", c.Custody_store.rejects);
+  let get k = Dip_netsim.Stats.Counters.get t.env.Env.counters ("custody." ^ k) in
+  List.map (fun k -> (k, get k)) [ "take"; "release"; "evict"; "reject" ]
+  @ [
     ("held", Custody_store.size t.store);
     ("high-water", Custody_store.high_water t.store);
     ("high-water-bytes", Custody_store.high_water_bytes t.store);

@@ -90,8 +90,10 @@ val add_router :
     custody store on [env], a replay path out of [out_port], and the
     periodic safety sweep. [metrics] adds a ["custody.<name>.depth"]
     gauge; store transitions and replays land in [flight] as
-    instants ([custody.take/release/evict/reject/replay]) and in the
-    env counters under the same names. *)
+    instants ([custody.take/release/evict/reject/replay]), the
+    transitions in the env's counters and the replays in the
+    simulator's ({!Dip_netsim.Sim.counters}) under the same names,
+    through handles registered here. *)
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t
@@ -102,5 +104,6 @@ val replay : router -> unit
     {!Dip_netsim.Faults.on_link_up} hook should call. *)
 
 val stats : router -> (string * int) list
-(** [take/release/evict/reject] counters plus current [held],
-    [high-water] occupancy and [high-water-bytes]. *)
+(** [take/release/evict/reject] — the env's ["custody.*"] counters —
+    plus current [held], [high-water] occupancy and
+    [high-water-bytes]. *)

@@ -250,7 +250,14 @@ let process ?obs ?verify ~registry env ~now ~ingress buf =
 let host_process ?obs ?verify ~registry env ~now ~ingress buf =
   run ?obs ?verify ~registry ~side:`Host env ~now ~ingress buf
 
-let count env key = Dip_netsim.Stats.Counters.incr env.Env.counters key
+module Counter = Dip_obs.Metrics.Counter
+
+(* The Sim drop reason of each unsupported key, built once. *)
+let unsupported_reason =
+  Array.init (Opkey.max_key + 1) (fun i ->
+      match Opkey.of_int i with
+      | Some key -> "unsupported-" ^ Opkey.name key
+      | None -> "")
 
 (* Auxiliary transmissions (scratch.emit, pushed by F_cust) precede
    the verdict's own actions: custody is taken — and ACKed — even
@@ -266,9 +273,11 @@ let drain_aux env =
       env.Env.scratch.Registry.emit <- [];
       List.rev_map (fun (p, pkt) -> Dip_netsim.Sim.Forward (p, pkt)) l
 
-let verdict_actions env ~ingress buf = function
+let verdict_actions env ~ingress buf verdict =
+  let c = env.Env.counts in
+  match verdict with
   | Forwarded ports ->
-      count env "dip.forwarded";
+      Counter.incr c.forwarded;
       (* Fan-out copies must not share storage: every downstream hop
          mutates its packet in place (hop limit, tag updates), so two
          in-flight copies aliasing one Bitbuf.t would corrupt each
@@ -278,22 +287,22 @@ let verdict_actions env ~ingress buf = function
           Dip_netsim.Sim.Forward (p, if i = 0 then buf else Bitbuf.copy buf))
         ports
   | Delivered ->
-      count env "dip.delivered";
+      Counter.incr c.delivered;
       [ Dip_netsim.Sim.Consume ]
   | Responded reply ->
-      count env "dip.responded";
+      Counter.incr c.responded;
       [ Dip_netsim.Sim.Forward (ingress, reply) ]
   | Quiet ->
-      count env "dip.quiet";
+      Counter.incr c.quiet;
       []
   | Dropped reason ->
-      count env ("dip.drop." ^ reason);
+      Counter.incr (Dip_obs.Metrics.member c.dropped reason);
       [ Dip_netsim.Sim.Drop reason ]
   | Unsupported key ->
-      count env ("dip.unsupported." ^ Opkey.name key);
+      Counter.incr (Dip_obs.Metrics.member c.unsupported (Opkey.name key));
       [
         Dip_netsim.Sim.Forward (ingress, Errors.fn_unsupported ~key ~rejected:buf);
-        Dip_netsim.Sim.Drop ("unsupported-" ^ Opkey.name key);
+        Dip_netsim.Sim.Drop unsupported_reason.(Opkey.to_int key);
       ]
 
 let actions_of_verdict env ~ingress buf verdict =

@@ -113,8 +113,8 @@ val actions_of_verdict :
 (** The router-side verdict → simulator-action translation {!handler}
     applies: [Forwarded] becomes per-port transmissions (with fan-out
     buffer copies), [Unsupported] becomes the §2.3 FN-unsupported
-    notification plus a drop, and so on. Counts the verdict into
-    [env]'s counters. Also drains the auxiliary-transmission channel
+    notification plus a drop, and so on. Counts the verdict through
+    [env]'s pre-registered [dip.*] handles ({!Env.counts}). Also drains the auxiliary-transmission channel
     ([scratch.emit] — custody ACKs pushed by F_cust during the
     preceding [process]) into leading [Forward] actions. Exposed so
     batched dispatchers ({!Dip_mcore.Pool}) can produce action lists
@@ -122,8 +122,8 @@ val actions_of_verdict :
 
 val publish : Obs.t option -> Env.t -> unit
 (** The deferred per-node accounting {!handler} runs after each
-    packet: [env]'s program-cache counters into its
-    {!Dip_netsim.Stats.Counters} and, with [obs], the
+    packet: [env]'s program-cache totals into its [progcache.*]
+    handles ({!Env.publish_cache_stats}) and, with [obs], the
     [engine.progcache.*] gauges. A caller driving {!process} itself
     ({!process_batch}, {!Dip_mcore.Pool}) publishes once per batch. *)
 

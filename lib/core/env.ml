@@ -5,6 +5,19 @@ type scratch = {
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
+type counts = {
+  forwarded : Dip_obs.Metrics.counter;
+  delivered : Dip_obs.Metrics.counter;
+  responded : Dip_obs.Metrics.counter;
+  quiet : Dip_obs.Metrics.counter;
+  dropped : Dip_obs.Metrics.family;
+  unsupported : Dip_obs.Metrics.family;
+  pc_hit : Dip_obs.Metrics.counter;
+  pc_miss : Dip_obs.Metrics.counter;
+  pc_evict : Dip_obs.Metrics.counter;
+  custody_ack : Dip_obs.Metrics.counter;
+}
+
 type t = {
   name : string;
   v4_routes : port Dip_tables.Fib.V4.t;
@@ -28,15 +41,32 @@ type t = {
   mutable queue_depth : unit -> int;
   guard : Guard.t;
   counters : Dip_netsim.Stats.Counters.t;
+  counts : counts;
   scratch : scratch;
   prog_cache : Progcache.t;
   mutable custody :
     (int32, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
 }
 
+let register_counts m =
+  let c = Dip_obs.Metrics.counter m in
+  {
+    forwarded = c "dip.forwarded";
+    delivered = c "dip.delivered";
+    responded = c "dip.responded";
+    quiet = c "dip.quiet";
+    dropped = Dip_obs.Metrics.family m "dip.drop.";
+    unsupported = Dip_obs.Metrics.family m "dip.unsupported.";
+    pc_hit = c "progcache.hit";
+    pc_miss = c "progcache.miss";
+    pc_evict = c "progcache.evict";
+    custody_ack = c "custody.ack";
+  }
+
 let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
     ?(interest_lifetime = 4.0) ?(opt_alg = Dip_opt.Protocol.EM2) ?guard
     ?(prog_cache_capacity = 512) ~name () =
+  let counters = Dip_obs.Metrics.create () in
   {
     name;
     v4_routes = Dip_tables.Fib.V4.create ();
@@ -61,7 +91,8 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
     node_id = 0;
     queue_depth = (fun () -> 0);
     guard = (match guard with Some g -> g | None -> Guard.create ());
-    counters = Dip_netsim.Stats.Counters.create ();
+    counters;
+    counts = register_counts counters;
     scratch = { opt_key = None; emit = [] };
     prog_cache = Progcache.create ~capacity:prog_cache_capacity ();
     custody = None;
@@ -94,9 +125,7 @@ let cache_insert t h v =
   match t.cache with Some c -> Dip_tables.Lru.insert c h v | None -> ()
 
 let publish_cache_stats t =
-  Dip_netsim.Stats.Counters.set t.counters "progcache.hit"
-    (Progcache.hits t.prog_cache);
-  Dip_netsim.Stats.Counters.set t.counters "progcache.miss"
-    (Progcache.misses t.prog_cache);
-  Dip_netsim.Stats.Counters.set t.counters "progcache.evict"
-    (Progcache.evictions t.prog_cache)
+  let c = t.counts and pc = t.prog_cache in
+  Dip_obs.Metrics.Counter.set c.pc_hit (Progcache.hits pc);
+  Dip_obs.Metrics.Counter.set c.pc_miss (Progcache.misses pc);
+  Dip_obs.Metrics.Counter.set c.pc_evict (Progcache.evictions pc)

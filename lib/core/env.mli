@@ -29,6 +29,25 @@ type scratch = {
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
+(** Handles into [counters], registered by {!create}: what the
+    engine's per-packet path counts ({!Engine.actions_of_verdict},
+    {!publish_cache_stats}, F_cust's ACK) is a field store through
+    one of these. {!Custody} and {!Control} register their
+    ["custody.*"] / ["control.*"] handles in the same registry when
+    they are wired to the node. *)
+type counts = {
+  forwarded : Dip_obs.Metrics.counter;  (** ["dip.forwarded"] *)
+  delivered : Dip_obs.Metrics.counter;  (** ["dip.delivered"] *)
+  responded : Dip_obs.Metrics.counter;  (** ["dip.responded"] *)
+  quiet : Dip_obs.Metrics.counter;  (** ["dip.quiet"] *)
+  dropped : Dip_obs.Metrics.family;  (** ["dip.drop.<reason>"] *)
+  unsupported : Dip_obs.Metrics.family;  (** ["dip.unsupported.<F_key>"] *)
+  pc_hit : Dip_obs.Metrics.counter;  (** ["progcache.hit"] *)
+  pc_miss : Dip_obs.Metrics.counter;  (** ["progcache.miss"] *)
+  pc_evict : Dip_obs.Metrics.counter;  (** ["progcache.evict"] *)
+  custody_ack : Dip_obs.Metrics.counter;  (** ["custody.ack"] *)
+}
+
 type t = {
   name : string;
   (* IP state (F_32_match / F_128_match): the at-scale LPM engines —
@@ -68,7 +87,10 @@ type t = {
   mutable queue_depth : unit -> int;
   (* §2.4 security guard: hard limits on per-packet work/state. *)
   guard : Guard.t;
+  (* This node's counter registry, read through the
+     {!Dip_netsim.Stats.Counters} view, and the handles into it. *)
   counters : Dip_netsim.Stats.Counters.t;
+  counts : counts;
   (* Hot-path state: the reused per-packet scratch and the
      decoded-FN-program cache. *)
   scratch : scratch;
@@ -128,6 +150,7 @@ val cache_insert : t -> int32 -> string -> unit
 val publish_cache_stats : t -> unit
 (** Copy the program-cache hit/miss/evict totals into
     {!field-counters} as ["progcache.hit"] / ["progcache.miss"] /
-    ["progcache.evict"], the per-node simulator stats. The engine's
-    simulator handlers do this after every packet; call it manually
-    when driving {!Engine.process} directly. *)
+    ["progcache.evict"]: three stores through the {!counts} handles,
+    no name lookup. The engine's simulator handlers do this after
+    every packet; call it manually when driving {!Engine.process}
+    directly. *)

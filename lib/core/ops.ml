@@ -349,7 +349,7 @@ let f_cust ctx =
     let ack_upstream () =
       ctx.scratch.emit <-
         (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
-      Dip_netsim.Stats.Counters.incr ctx.env.Env.counters "custody.ack"
+      Dip_obs.Metrics.Counter.incr ctx.env.Env.counts.custody_ack
     in
     if flags land Custody.flag_ack <> 0 then begin
       (* Hop-local custody ACK: downstream holds the bundle now. *)

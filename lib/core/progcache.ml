@@ -111,11 +111,6 @@ let note_evict t =
 let size t = Lru.size t.table
 let capacity t = Lru.capacity t.table
 
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
 let arm h key e =
   h.hkey <- key;
   h.hentry <- Some e

@@ -52,7 +52,6 @@ val evictions : t -> int
     evict rate means the working set of distinct programs exceeds
     the cache — the signal the observability layer watches. *)
 
-val reset_counters : t -> unit
 val size : t -> int
 val capacity : t -> int
 

@@ -4,7 +4,6 @@ module Env = Dip_core.Env
 module Obs = Dip_core.Obs
 module Progcache = Dip_core.Progcache
 module Metrics = Dip_obs.Metrics
-module Counters = Dip_netsim.Stats.Counters
 module F = Dip_obs.Flight
 
 type item = { now : float; ingress : Env.port; pkt : Bitbuf.t }
@@ -90,7 +89,7 @@ type t = {
   (* Counters/metrics of retired epochs, absorbed at publish time so
      a configuration swap does not silently zero the pool's history
      (the epoch's envs die with it otherwise). *)
-  acc_counters : Counters.t;
+  acc_counters : Metrics.t;
   acc_metrics : Metrics.t option;
   (* Flight lanes (see the ring-layout comment above); all [None]
      when the recorder is off, so the hot paths pay one array read. *)
@@ -248,7 +247,7 @@ let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
       obs_sample_every;
       spin = spin_budget ~domains;
       free_tickets = [];
-      acc_counters = Counters.create ();
+      acc_counters = Metrics.create ();
       acc_metrics;
       fl_rings;
       pub_counter =
@@ -299,20 +298,14 @@ let epoch t = (Atomic.get t.current).snap.Snapshot.epoch
    normal control-plane case). A batch still in flight on the retiring
    epoch keeps executing it (jobs pin their world) but increments it
    writes after this absorption die with the epoch. *)
+let absorb_world ~counters ~metrics pub =
+  Array.iter (fun env -> Metrics.absorb counters env.Env.counters) pub.envs;
+  Option.iter
+    (fun m -> Array.iter (Option.iter (Metrics.absorb m)) pub.metricses)
+    metrics
+
 let absorb_published t pub =
-  Array.iter
-    (fun env ->
-      List.iter
-        (fun (k, v) -> Counters.incr ~by:v t.acc_counters k)
-        (Counters.to_list env.Env.counters))
-    pub.envs;
-  match t.acc_metrics with
-  | None -> ()
-  | Some acc ->
-      Array.iter
-        (function
-          | None -> () | Some m -> Metrics.absorb acc (Metrics.snapshot m))
-        pub.metricses
+  absorb_world ~counters:t.acc_counters ~metrics:t.acc_metrics pub
 
 (* The snapshot's own gate runs first: an unsound registry never
    reaches the epoch swap, and the previous snapshot keeps serving. *)
@@ -511,34 +504,21 @@ let dispatch t ~want_actions items =
 let process_batch t items = fst (dispatch t ~want_actions:false items)
 let handle_batch t items = snd (dispatch t ~want_actions:true items)
 
-let counters t =
-  let pub = Atomic.get t.current in
-  let acc = Counters.create () in
-  List.iter
-    (fun (k, v) -> Counters.incr ~by:v acc k)
-    (Counters.to_list t.acc_counters);
-  Array.iter
-    (fun env ->
-      List.iter
-        (fun (k, v) -> Counters.incr ~by:v acc k)
-        (Counters.to_list env.Env.counters))
-    pub.envs;
-  acc
+(* The retired epochs' totals plus the current epoch's, merged into
+   fresh registries through the same fold a publish uses. *)
+let totals t ~metrics =
+  let copy m =
+    let c = Metrics.create () in
+    Metrics.absorb c m;
+    c
+  in
+  let counters = copy t.acc_counters in
+  let metrics = if metrics then Option.map copy t.acc_metrics else None in
+  absorb_world ~counters ~metrics (Atomic.get t.current);
+  (counters, metrics)
 
-let metrics t =
-  if not t.with_metrics then None
-  else begin
-    let pub = Atomic.get t.current in
-    let acc = Metrics.create () in
-    (match t.acc_metrics with
-    | None -> ()
-    | Some m -> Metrics.absorb acc (Metrics.snapshot m));
-    Array.iter
-      (function
-        | None -> () | Some m -> Metrics.absorb acc (Metrics.snapshot m))
-      pub.metricses;
-    Some acc
-  end
+let counters t = fst (totals t ~metrics:false)
+let metrics t = snd (totals t ~metrics:true)
 
 let flight_rings t =
   Array.to_list t.fl_rings |> List.filter_map (fun r -> r)

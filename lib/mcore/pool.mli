@@ -145,8 +145,11 @@ val await :
 val counters : t -> Dip_netsim.Stats.Counters.t
 (** Sum of the per-worker environment counters (forwarded/dropped
     tallies, progcache hit/miss/evict, …) under the current
-    snapshot {e plus} the absorbed totals of every retired epoch.
-    Exact when the pool is quiescent. *)
+    snapshot {e plus} the absorbed totals of every retired epoch,
+    merged into a fresh registry by {!Dip_obs.Metrics.absorb} — the
+    same fold as {!metrics}. Handles no worker ever wrote stay out of
+    {!Dip_netsim.Stats.Counters.to_list}. Exact when the pool is
+    quiescent. *)
 
 val metrics : t -> Dip_obs.Metrics.t option
 (** Per-worker metrics registries (current epoch plus retired-epoch

@@ -17,7 +17,23 @@ let spec ?(drop = 0.0) ?(corrupt = 0.0) ?(duplicate = 0.0) ?(jitter = 0.0) () =
 
 let silent = { drop = 0.0; corrupt = 0.0; duplicate = 0.0; jitter = 0.0 }
 
-type event = { time : float; kind : string; node : Sim.node_id; port : Sim.port }
+type kind = Link_down | Drop | Corrupt | Reorder | Duplicate | Node_crash
+
+(* In [kind_name] order, so {!counts} comes out sorted. *)
+let kinds = [| Corrupt; Drop; Duplicate; Link_down; Node_crash; Reorder |]
+
+let index = function
+  | Corrupt -> 0 | Drop -> 1 | Duplicate -> 2 | Link_down -> 3
+  | Node_crash -> 4 | Reorder -> 5
+
+let kind_name = function
+  | Link_down -> "link-down" | Drop -> "drop" | Corrupt -> "corrupt"
+  | Reorder -> "reorder" | Duplicate -> "duplicate" | Node_crash -> "node-crash"
+
+let flight_ids =
+  Array.map (fun k -> Dip_obs.Flight.register ("sim.fault." ^ kind_name k)) kinds
+
+type event = { time : float; kind : kind; node : Sim.node_id; port : Sim.port }
 
 (* Crash bookkeeping: overlapping and nested windows on one node must
    behave as the union of their intervals. [active] counts windows
@@ -45,43 +61,35 @@ type t = {
   (* Link-up subscribers per directed endpoint, looked up when a down
      window actually ends (so registration order doesn't matter). *)
   up_subs : (Sim.node_id * Sim.port, (float -> unit) list ref) Hashtbl.t;
-  counters : Stats.Counters.t;
-  obs_counters : (string, Dip_obs.Metrics.counter) Hashtbl.t;
-  fl_events : (string, Dip_obs.Flight.id) Hashtbl.t;
+  sim_counters : Dip_obs.Metrics.counter array; (* "fault.<kind>", by [index] *)
+  (* "sim.fault.<kind>", in the registry {!Sim.attach_metrics} last
+     installed — re-resolved when it changes. *)
+  mutable obs : (Dip_obs.Metrics.t * Dip_obs.Metrics.family) option;
   mutable events : event list; (* reversed *)
 }
 
-let record t ~kind ~node ~port =
-  Stats.Counters.incr (Sim.counters t.sim) ("fault." ^ kind);
-  Stats.Counters.incr t.counters kind;
+let record t kind ~node ~port =
+  let i = index kind in
+  Dip_obs.Metrics.Counter.incr t.sim_counters.(i);
   t.events <- { time = Sim.now t.sim; kind; node; port } :: t.events;
   (match Sim.flight t.sim with
   | None -> ()
-  | Some r ->
-      let id =
-        match Hashtbl.find_opt t.fl_events kind with
-        | Some id -> id
-        | None ->
-            let id = Dip_obs.Flight.register ("sim.fault." ^ kind) in
-            Hashtbl.replace t.fl_events kind id;
-            id
-      in
-      Dip_obs.Flight.record r id node port 0);
+  | Some r -> Dip_obs.Flight.record r flight_ids.(i) node port 0);
   match Sim.metrics t.sim with
   | None -> ()
   | Some m ->
-      let c =
-        match Hashtbl.find_opt t.obs_counters kind with
-        | Some c -> c
-        | None ->
-            let c =
-              Dip_obs.Metrics.counter m ("sim.fault." ^ kind)
+      let f =
+        match t.obs with
+        | Some (m', f) when m' == m -> f
+        | _ ->
+            let f =
+              Dip_obs.Metrics.family m "sim.fault."
                 ~help:"injected simulator faults, by kind"
             in
-            Hashtbl.replace t.obs_counters kind c;
-            c
+            t.obs <- Some (m, f);
+            f
       in
-      Dip_obs.Metrics.Counter.incr c
+      Dip_obs.Metrics.(Counter.incr (member f (kind_name kind)))
 
 let spec_for t key =
   match Hashtbl.find_opt t.link_specs key with
@@ -100,13 +108,13 @@ let is_down t key now =
 let hook t _sim ~from packet =
   let node, port = from in
   if is_down t from (Sim.now t.sim) then begin
-    record t ~kind:"link-down" ~node ~port;
+    record t Link_down ~node ~port;
     []
   end
   else begin
     let s = spec_for t from in
     if s.drop > 0.0 && Prng.float t.rng 1.0 < s.drop then begin
-      record t ~kind:"drop" ~node ~port;
+      record t Drop ~node ~port;
       []
     end
     else begin
@@ -119,7 +127,7 @@ let hook t _sim ~from packet =
           if Bitbuf.length p > 0 then
             Bitbuf.set_uint8 p i
               (Bitbuf.get_uint8 p i lxor (1 + Prng.int t.rng 255));
-          record t ~kind:"corrupt" ~node ~port;
+          record t Corrupt ~node ~port;
           p
         end
         else packet
@@ -127,14 +135,14 @@ let hook t _sim ~from packet =
       let draw_jitter () =
         if s.jitter > 0.0 then begin
           let d = Prng.float t.rng s.jitter in
-          record t ~kind:"reorder" ~node ~port;
+          record t Reorder ~node ~port;
           d
         end
         else 0.0
       in
       let first = { Sim.packet; extra_delay = draw_jitter () } in
       if s.duplicate > 0.0 && Prng.float t.rng 1.0 < s.duplicate then begin
-        record t ~kind:"duplicate" ~node ~port;
+        record t Duplicate ~node ~port;
         [
           first;
           { Sim.packet = Bitbuf.copy packet; extra_delay = draw_jitter () };
@@ -154,9 +162,11 @@ let attach ~seed sim =
       down = Hashtbl.create 8;
       crashes = Hashtbl.create 4;
       up_subs = Hashtbl.create 4;
-      counters = Stats.Counters.create ();
-      obs_counters = Hashtbl.create 8;
-      fl_events = Hashtbl.create 8;
+      sim_counters =
+        Array.map
+          (fun k -> Dip_obs.Metrics.counter (Sim.counters sim) ("fault." ^ kind_name k))
+          kinds;
+      obs = None;
       events = [];
     }
   in
@@ -219,7 +229,7 @@ let crash_node t node ~at ~until =
         c.saved <- Some (Sim.node_handler sim node);
         c.gen <- c.gen + 1;
         Sim.set_handler sim node (fun _ ~now:_ ~ingress:_ _ ->
-            record t ~kind:"node-crash" ~node ~port:(-1);
+            record t Node_crash ~node ~port:(-1);
             [ Sim.Drop "node-crash" ])
       end;
       c.active <- c.active + 1;
@@ -236,4 +246,9 @@ let crash_node t node ~at ~until =
           end))
 
 let events t = List.rev t.events
-let counts t = Stats.Counters.to_list t.counters
+let counts t =
+  Array.to_list kinds
+  |> List.filter_map (fun k ->
+         match List.length (List.filter (fun e -> e.kind = k) t.events) with
+         | 0 -> None
+         | n -> Some (kind_name k, n))

@@ -9,9 +9,10 @@
     {!attach}: because the simulator's event order is itself
     deterministic, the same seed over the same workload produces a
     byte-identical fault schedule ({!events}). Every injected fault is
-    counted in the simulator's {!Sim.counters} (["fault.<kind>"]), in
-    {!counts}, and — when {!Sim.attach_metrics} was used — as
-    ["sim.fault.<kind>"] counters in the Dip_obs registry. *)
+    counted in the simulator's {!Sim.counters} (["fault.<kind>"],
+    handles registered at {!attach}), in {!counts}, and — when
+    {!Sim.attach_metrics} was used — as ["sim.fault.<kind>"] counters
+    in whichever registry is attached at the time of the fault. *)
 
 type t
 
@@ -56,7 +57,7 @@ val on_link : t -> Sim.node_id * Sim.port -> spec -> unit
 val link_down : t -> Sim.node_id * Sim.port -> from_:float -> until:float -> unit
 (** Schedule a down window for the link wired at [(node, port)]:
     within [\[from_, until)] every transmission in {e either}
-    direction is dropped (kind ["link-down"]). Raises
+    direction is dropped ({!Link_down}). Raises
     [Invalid_argument] if the port is unwired or the window is
     empty. *)
 
@@ -70,20 +71,28 @@ val on_link_up : t -> Sim.node_id * Sim.port -> (float -> unit) -> unit
 
 val crash_node : t -> Sim.node_id -> at:float -> until:float -> unit
 (** Schedule a crash: at [at] the node's handler is replaced by a
-    black hole that drops every arrival (kind ["node-crash"]); when
+    black hole that drops every arrival ({!Node_crash}); when
     the last covering window ends the true pre-crash handler is
     restored. Any state the handler closure held survives — the
     crash models a dataplane outage, not a state wipe. Windows for
     one node may overlap or nest; the node is down for exactly the
     union of its windows. *)
 
+(** What was injected. *)
+type kind = Link_down | Drop | Corrupt | Reorder | Duplicate | Node_crash
+
+val kind_name : kind -> string
+(** ["link-down"], ["drop"], ["corrupt"], ["reorder"], ["duplicate"],
+    ["node-crash"] — the [<kind>] of the counter names. *)
+
 (** One injected fault, in injection order. [port] is [-1] for node
     faults. *)
-type event = { time : float; kind : string; node : Sim.node_id; port : Sim.port }
+type event = { time : float; kind : kind; node : Sim.node_id; port : Sim.port }
 
 val events : t -> event list
 (** Every injected fault so far, oldest first. Two runs with equal
     seeds, topology and workload yield structurally equal lists. *)
 
 val counts : t -> (string * int) list
-(** Total faults by kind, sorted by kind name. *)
+(** This layer's total faults by {!kind_name} (a tally of {!events}),
+    sorted; kinds that never fired are not listed. *)

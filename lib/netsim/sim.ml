@@ -14,7 +14,18 @@ type event =
 
 and handler = t -> now:float -> ingress:port -> Dip_bitbuf.Bitbuf.t -> action list
 
-and node = { name : string; handler : handler }
+and node = { name : string; mutable handler : handler; counts : tally }
+
+(* The rx/tx/consumed/drop handles of one node — registered in the
+   simulator's own registry at [add_node] — or, under ["sim"] in an
+   attached registry, of all nodes together. Drop reasons are
+   interned on first use. *)
+and tally = {
+  rx : Dip_obs.Metrics.counter;
+  tx : Dip_obs.Metrics.counter;
+  consumed : Dip_obs.Metrics.counter;
+  drops : Dip_obs.Metrics.family;
+}
 
 and link_end = {
   latency : float;
@@ -31,11 +42,8 @@ and link_end = {
    per-link handles are interned lazily (drops and links are few). *)
 and obs = {
   metrics : Dip_obs.Metrics.t;
-  tx : Dip_obs.Metrics.counter;
-  rx : Dip_obs.Metrics.counter;
-  consumed_c : Dip_obs.Metrics.counter;
+  all : tally;
   qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
-  drop_reasons : (string, Dip_obs.Metrics.counter) Hashtbl.t;
   link_gauges : (node_id * port, Dip_obs.Metrics.gauge) Hashtbl.t;
 }
 
@@ -44,7 +52,7 @@ and t = {
   mutable nnodes : int;
   links : (node_id * port, link_end) Hashtbl.t;
   queue : event Event_queue.t;
-  stats : Stats.Counters.t;
+  stats : Dip_obs.Metrics.t;
   mutable clock : float;
   mutable delivered : (node_id * float * Dip_bitbuf.Bitbuf.t) list; (* reversed *)
   mutable consume_hooks : (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) list;
@@ -71,7 +79,7 @@ let create () =
     nnodes = 0;
     links = Hashtbl.create 64;
     queue = Event_queue.create ();
-    stats = Stats.Counters.create ();
+    stats = Dip_obs.Metrics.create ();
     clock = 0.0;
     delivered = [];
     consume_hooks = [];
@@ -80,39 +88,36 @@ let create () =
     flight = None;
   }
 
+let tally m prefix =
+  let c suffix help = Dip_obs.Metrics.counter m (prefix ^ suffix) ~help in
+  {
+    rx = c ".rx" "packet arrivals handled";
+    tx = c ".tx" "packets transmitted onto links";
+    consumed = c ".consumed" "packets delivered locally";
+    drops = Dip_obs.Metrics.family m (prefix ^ ".drop.") ~help:"packets dropped, by reason";
+  }
+
 let attach_metrics t metrics =
-  let module M = Dip_obs.Metrics in
   t.obs <-
     Some
       {
         metrics;
-        tx = M.counter metrics "sim.tx" ~help:"packets transmitted onto links";
-        rx = M.counter metrics "sim.rx" ~help:"packet arrivals handled";
-        consumed_c =
-          M.counter metrics "sim.consumed" ~help:"packets delivered locally";
+        all = tally metrics "sim";
         qdepth =
-          M.histogram metrics "sim.link.queue_depth"
+          Dip_obs.Metrics.histogram metrics "sim.link.queue_depth"
             ~help:"egress queue depth observed at each enqueue";
-        drop_reasons = Hashtbl.create 8;
         link_gauges = Hashtbl.create 16;
       }
 
-let obs_drop t reason =
+(* One event on [node]'s tally and, when attached, on the aggregate. *)
+let count t node pick =
+  Dip_obs.Metrics.Counter.incr (pick node.counts);
   match t.obs with
   | None -> ()
-  | Some o ->
-      let c =
-        match Hashtbl.find_opt o.drop_reasons reason with
-        | Some c -> c
-        | None ->
-            let c =
-              Dip_obs.Metrics.counter o.metrics ("sim.drop." ^ reason)
-                ~help:"packets dropped, by reason"
-            in
-            Hashtbl.replace o.drop_reasons reason c;
-            c
-      in
-      Dip_obs.Metrics.Counter.incr c
+  | Some o -> Dip_obs.Metrics.Counter.incr (pick o.all)
+
+let count_drop t node reason =
+  count t node (fun c -> Dip_obs.Metrics.member c.drops reason)
 
 (* The per-link gauge tracks the live depth (updated on enqueue and
    dequeue); the histogram samples depth at enqueue only, so its
@@ -138,7 +143,7 @@ let obs_link_depth ?(enqueue = false) t ~id ~port ~name depth =
       Dip_obs.Metrics.Gauge.set g depth
 
 let add_node t ~name handler =
-  let node = { name; handler } in
+  let node = { name; handler; counts = tally t.stats name } in
   if t.nnodes = Array.length t.nodes then begin
     let nn = Array.make (max 8 (2 * t.nnodes)) node in
     Array.blit t.nodes 0 nn 0 t.nnodes;
@@ -207,22 +212,16 @@ let flight t = t.flight
 
 let set_handler t id handler =
   check_node t id;
-  t.nodes.(id) <- { t.nodes.(id) with handler }
+  t.nodes.(id).handler <- handler
 
 let node_handler t id =
   check_node t id;
   t.nodes.(id).handler
 
-let transmit_on t ~id ~port ~name l ~extra_delay packet =
-  if l.queued >= l.capacity then begin
-    Stats.Counters.incr t.stats (name ^ ".drop.queue-overflow");
-    obs_drop t "queue-overflow"
-  end
+let transmit_on t ~id ~port node l ~extra_delay packet =
+  if l.queued >= l.capacity then count_drop t node "queue-overflow"
   else begin
-    Stats.Counters.incr t.stats (name ^ ".tx");
-    (match t.obs with
-    | Some o -> Dip_obs.Metrics.Counter.incr o.tx
-    | None -> ());
+    count t node (fun c -> c.tx);
     let size = float_of_int (Dip_bitbuf.Bitbuf.length packet) in
     let dst, dport = l.peer in
     (* Serialize behind whatever is already on the wire. An
@@ -236,12 +235,12 @@ let transmit_on t ~id ~port ~name l ~extra_delay packet =
     let departure = start +. tx_time in
     l.busy_until <- departure;
     l.queued <- l.queued + 1;
-    obs_link_depth ~enqueue:true t ~id ~port ~name l.queued;
+    obs_link_depth ~enqueue:true t ~id ~port ~name:node.name l.queued;
     Event_queue.push t.queue ~time:departure
       (Timer
          (fun _ ->
            l.queued <- l.queued - 1;
-           obs_link_depth t ~id ~port ~name l.queued));
+           obs_link_depth t ~id ~port ~name:node.name l.queued));
     (* [extra_delay] models fault-layer jitter: it delays propagation
        of this one packet without holding the egress queue slot, so a
        delayed packet can be overtaken (reordering). *)
@@ -252,20 +251,18 @@ let transmit_on t ~id ~port ~name l ~extra_delay packet =
   end
 
 let transmit t ~from:(id, port) packet =
-  let name = t.nodes.(id).name in
+  let node = t.nodes.(id) in
   match Hashtbl.find_opt t.links (id, port) with
-  | None ->
-      Stats.Counters.incr t.stats (name ^ ".drop.unwired-port");
-      obs_drop t "unwired-port"
+  | None -> count_drop t node "unwired-port"
   | Some l -> (
       (* The hook runs only for wired ports: an unwired-port drop is a
          topology bug, not an injected fault. *)
       match t.egress_hook with
-      | None -> transmit_on t ~id ~port ~name l ~extra_delay:0.0 packet
+      | None -> transmit_on t ~id ~port node l ~extra_delay:0.0 packet
       | Some hook ->
           List.iter
             (fun e ->
-              transmit_on t ~id ~port ~name l ~extra_delay:e.extra_delay
+              transmit_on t ~id ~port node l ~extra_delay:e.extra_delay
                 e.packet)
             (hook t ~from:(id, port) packet))
 
@@ -275,24 +272,16 @@ let transmit t ~from:(id, port) packet =
 let apply_arrival t ~time id packet actions =
   t.clock <- time;
   let node = t.nodes.(id) in
-  Stats.Counters.incr t.stats (node.name ^ ".rx");
-  (match t.obs with
-  | Some o -> Dip_obs.Metrics.Counter.incr o.rx
-  | None -> ());
+  count t node (fun c -> c.rx);
   List.iter
     (fun action ->
       match action with
       | Forward (out, pkt) -> transmit t ~from:(id, out) pkt
       | Consume ->
-          Stats.Counters.incr t.stats (node.name ^ ".consumed");
-          (match t.obs with
-          | Some o -> Dip_obs.Metrics.Counter.incr o.consumed_c
-          | None -> ());
+          count t node (fun c -> c.consumed);
           t.delivered <- (id, t.clock, packet) :: t.delivered;
           List.iter (fun f -> f id t.clock packet) t.consume_hooks
-      | Drop reason ->
-          Stats.Counters.incr t.stats (node.name ^ ".drop." ^ reason);
-          obs_drop t reason)
+      | Drop reason -> count_drop t node reason)
     actions
 
 type batch_item = {

@@ -28,7 +28,9 @@ type handler = t -> now:float -> ingress:port -> Dip_bitbuf.Bitbuf.t -> action l
 val create : unit -> t
 
 val add_node : t -> name:string -> handler -> node_id
-(** Register a node. Names appear in counters and traces. *)
+(** Register a node. Names appear in counters and traces: the node's
+    ["<name>.rx"/".tx"/".consumed"] handles are registered here, in
+    the simulator's own registry ({!counters}). *)
 
 val node_name : t -> node_id -> string
 val node_count : t -> int
@@ -146,8 +148,15 @@ val run_pipelined :
     sharding contract needs. *)
 
 val counters : t -> Stats.Counters.t
-(** Global counters: per node, ["<name>.rx"], ["<name>.tx"],
-    ["<name>.consumed"], ["<name>.drop.<reason>"]. *)
+(** The simulator's own counter registry, read through the view. Per
+    node: ["<name>.rx"], ["<name>.tx"], ["<name>.consumed"] and
+    ["<name>.drop.<reason>"] (each reason interned per node on first
+    use). Add-on layers register their handles here too:
+    ["fault.<kind>"] ({!Faults}) and ["custody.replay"]
+    ([Dip_core.Custody]). Every per-event write is a store through a
+    pre-registered handle; no counter name is built or hashed per
+    packet. A handle that was never written is not listed by
+    {!Stats.Counters.to_list}. *)
 
 val attach_metrics : t -> Dip_obs.Metrics.t -> unit
 (** Mirror simulator activity into a {!Dip_obs.Metrics} registry:
@@ -157,7 +166,9 @@ val attach_metrics : t -> Dip_obs.Metrics.t -> unit
     (egress depth observed at each enqueue) and per-link
     ["sim.link.<node>.p<port>.queue_depth"] gauges. The handles are
     resolved once at attach / first use, so per-event cost is an
-    integer store. Replaces any previously attached registry. *)
+    integer store. Replaces any previously attached registry; the
+    per-node totals stay in {!counters}, which is never this
+    registry. *)
 
 val consumed : t -> (node_id * float * Dip_bitbuf.Bitbuf.t) list
 (** All locally delivered packets, in delivery order, with their

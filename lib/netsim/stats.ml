@@ -1,23 +1,8 @@
 module Counters = struct
-  type t = (string, int ref) Hashtbl.t
+  type t = Dip_obs.Metrics.t
 
-  let create () : t = Hashtbl.create 16
-
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.replace t name (ref by)
-
-  let set t name v =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := v
-    | None -> Hashtbl.replace t name (ref v)
-
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let get = Dip_obs.Metrics.counter_value
+  let to_list = Dip_obs.Metrics.written_counters
 end
 
 module Series = struct

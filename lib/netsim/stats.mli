@@ -1,25 +1,23 @@
-(** Measurement collection: counters and latency/size histograms.
+(** Measurement collection: the named-counter view and latency/size
+    histograms.
 
     Every experiment harness reports through this module so output
-    formats stay uniform across the paper's figures. (Hot-path
-    per-packet instrumentation lives in {!Dip_obs.Metrics} instead —
-    this module is for experiment-level series and the simulator's
-    named counters.) *)
+    formats stay uniform across the paper's figures. Counting itself
+    happens through pre-registered {!Dip_obs.Metrics} handles;
+    {!Counters} is the read side of such a registry. *)
 
-(** A monotonically growing set of named counters. *)
+(** A read-only view of the counters in a {!Dip_obs.Metrics}
+    registry — {!Sim.counters}, [Dip_core.Env.t]'s [counters]. Writers
+    register a handle once, at setup, and count through it. *)
 module Counters : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-
-  val set : t -> string -> int -> unit
-  (** Overwrite a counter — for gauges mirrored from elsewhere (e.g.
-      per-node cache hit/miss totals). *)
+  type t = Dip_obs.Metrics.t
 
   val get : t -> string -> int
+  (** [0] for a name never registered. *)
+
   val to_list : t -> (string * int) list
-  (** Sorted by name. *)
+  (** Every counter written so far, sorted by name; a handle
+      registered but never written is not listed. *)
 end
 
 (** A bounded reservoir of float samples with summary statistics.

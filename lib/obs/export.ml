@@ -247,26 +247,7 @@ let table m =
           let summary =
             if h.M.count = 0 then "n=0"
             else
-              (* Re-derive the quantile estimates from the snapshot
-                 counts (same arithmetic as Histogram.quantile). *)
-              let quant q =
-                let rank =
-                  Stdlib.max 1
-                    (int_of_float (Float.ceil (q *. float_of_int h.M.count)))
-                in
-                let acc = ref 0 and ret = ref h.M.max_value in
-                (try
-                   Array.iteri
-                     (fun i c ->
-                       acc := !acc + c;
-                       if !acc >= rank then begin
-                         ret := Float.min (M.Histogram.bound i) h.M.max_value;
-                         raise Exit
-                       end)
-                     h.M.counts
-                 with Exit -> ());
-                !ret
-              in
+              let quant = M.snapshot_quantile h in
               Printf.sprintf "n=%d mean=%.1f p50<=%s p99<=%s max=%s" h.M.count
                 (h.M.sum /. float_of_int h.M.count)
                 (float_str (quant 0.50)) (float_str (quant 0.99))

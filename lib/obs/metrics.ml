@@ -1,4 +1,4 @@
-type counter = { mutable c : int }
+type counter = { mutable c : int; mutable written : bool }
 type gauge = { mutable g : int }
 
 let nbuckets = 40
@@ -28,19 +28,19 @@ let register ?(help = "") t name fresh =
       Hashtbl.replace t.table name (help, i);
       i
 
+let clash what name i =
+  invalid_arg
+    (Printf.sprintf "Metrics.%s: %S is already a %s" what name (kind_name i))
+
 let counter ?help t name =
-  match register ?help t name (fun () -> C { c = 0 }) with
+  match register ?help t name (fun () -> C { c = 0; written = false }) with
   | C c -> c
-  | i ->
-      invalid_arg
-        (Printf.sprintf "Metrics.counter: %S is already a %s" name (kind_name i))
+  | i -> clash "counter" name i
 
 let gauge ?help t name =
   match register ?help t name (fun () -> G { g = 0 }) with
   | G g -> g
-  | i ->
-      invalid_arg
-        (Printf.sprintf "Metrics.gauge: %S is already a %s" name (kind_name i))
+  | i -> clash "gauge" name i
 
 let histogram ?help t name =
   match
@@ -48,15 +48,41 @@ let histogram ?help t name =
         H { slots = Array.make nbuckets 0; hcount = 0; hsum = 0.0; hmax = 0.0 })
   with
   | H h -> h
-  | i ->
-      invalid_arg
-        (Printf.sprintf "Metrics.histogram: %S is already a %s" name
-           (kind_name i))
+  | i -> clash "histogram" name i
 
 module Counter = struct
-  let incr ?(by = 1) c = c.c <- c.c + by
+  let incr ?(by = 1) c =
+    c.c <- c.c + by;
+    c.written <- true
+
+  let set c v =
+    c.c <- v;
+    c.written <- true
+
   let get c = c.c
 end
+
+(* A label is looked up by a scan, not a hash: a family holds a few
+   labels (drop reasons, fault kinds), mostly string literals, which
+   [String.equal] matches on the pointer before reading any byte. *)
+type family = {
+  reg : t;
+  prefix : string;
+  fhelp : string;
+  mutable members : (string * counter) list;
+}
+
+let family ?(help = "") reg prefix = { reg; prefix; fhelp = help; members = [] }
+
+let member f label =
+  let rec find = function
+    | (l, c) :: rest -> if String.equal l label then c else find rest
+    | [] ->
+        let c = counter ~help:f.fhelp f.reg (f.prefix ^ label) in
+        f.members <- (label, c) :: f.members;
+        c
+  in
+  find f.members
 
 module Gauge = struct
   let set g v = g.g <- v
@@ -90,25 +116,29 @@ module Histogram = struct
   let mean h = if h.hcount = 0 then 0.0 else h.hsum /. float_of_int h.hcount
   let bucket_counts h = Array.copy h.slots
 
-  let quantile h q =
-    if q < 0.0 || q > 1.0 then invalid_arg "Metrics.Histogram.quantile";
-    if h.hcount = 0 then 0.0
+  (* Over bucket counts alone, so a snapshot estimates the same way. *)
+  let estimate slots ~count ~max q =
+    if count = 0 then 0.0
     else begin
       let rank =
-        Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.hcount)))
+        Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int count)))
       in
       let acc = ref 0 and idx = ref (nbuckets - 1) in
       (try
          for i = 0 to nbuckets - 1 do
-           acc := !acc + h.slots.(i);
+           acc := !acc + slots.(i);
            if !acc >= rank then begin
              idx := i;
              raise Exit
            end
          done
        with Exit -> ());
-      Float.min (bound !idx) h.hmax
+      Float.min (bound !idx) max
     end
+
+  let quantile h q =
+    if q < 0.0 || q > 1.0 then invalid_arg "Metrics.Histogram.quantile";
+    estimate h.slots ~count:h.hcount ~max:h.hmax q
 end
 
 type hsnap = {
@@ -120,21 +150,37 @@ type hsnap = {
 
 type value = Counter_v of int | Gauge_v of int | Histogram_v of hsnap
 
-let absorb t snap =
-  List.iter
-    (fun (name, help, v) ->
-      match v with
-      | Counter_v n -> Counter.incr ~by:n (counter ~help t name)
-      | Gauge_v n ->
+let snapshot_quantile s q =
+  Histogram.estimate s.counts ~count:s.count ~max:s.max_value q
+
+let absorb t src =
+  Hashtbl.iter
+    (fun name (help, i) ->
+      match i with
+      | C s ->
+          let c = counter ~help t name in
+          c.c <- c.c + s.c;
+          c.written <- c.written || s.written
+      | G s ->
           let g = gauge ~help t name in
-          Gauge.set g (Gauge.get g + n)
-      | Histogram_v s ->
+          g.g <- g.g + s.g
+      | H s ->
           let h = histogram ~help t name in
-          Array.iteri (fun i n -> h.slots.(i) <- h.slots.(i) + n) s.counts;
-          h.hcount <- h.hcount + s.count;
-          h.hsum <- h.hsum +. s.sum;
-          if s.max_value > h.hmax then h.hmax <- s.max_value)
-    snap
+          Array.iteri (fun i n -> h.slots.(i) <- h.slots.(i) + n) s.slots;
+          h.hcount <- h.hcount + s.hcount;
+          h.hsum <- h.hsum +. s.hsum;
+          if s.hmax > h.hmax then h.hmax <- s.hmax)
+    src.table
+
+let counter_value t name =
+  match Hashtbl.find_opt t.table name with Some (_, C c) -> c.c | _ -> 0
+
+let written_counters t =
+  Hashtbl.fold
+    (fun name (_, i) acc ->
+      match i with C c when c.written -> (name, c.c) :: acc | _ -> acc)
+    t.table []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let snapshot t =
   Hashtbl.fold

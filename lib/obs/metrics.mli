@@ -48,8 +48,24 @@ val histogram : ?help:string -> t -> string -> histogram
 
 module Counter : sig
   val incr : ?by:int -> counter -> unit
+
+  val set : counter -> int -> unit
+  (** Overwrite the value — for mirroring a total kept elsewhere
+      (e.g. a program cache's hit count). *)
+
   val get : counter -> int
 end
+
+type family
+(** Counters named [prefix ^ label] for an open set of labels (drop
+    reasons): each label is registered on its first use, then found
+    again without hashing or building its name. *)
+
+val family : ?help:string -> t -> string -> family
+(** [family t prefix] — registers nothing yet. *)
+
+val member : family -> string -> counter
+(** The counter for one label. *)
 
 module Gauge : sig
   val set : gauge -> int -> unit
@@ -99,14 +115,30 @@ type hsnap = {
 
 type value = Counter_v of int | Gauge_v of int | Histogram_v of hsnap
 
+val snapshot_quantile : hsnap -> float -> float
+(** {!Histogram.quantile} over a snapshot (no range check on [q]). *)
+
 val snapshot : t -> (string * string * value) list
 (** [(name, help, value)] for every registered instrument, sorted by
     name. *)
 
-val absorb : t -> (string * string * value) list -> unit
-(** Merge a {!snapshot} of another registry into [t], registering
-    instruments as needed: counters and histogram buckets (count,
-    sum, max) add; gauges add too, so a merged gauge reads as the
-    sum across the absorbed registries — the aggregation a
+val absorb : t -> t -> unit
+(** [absorb t src] merges every instrument of [src] into [t],
+    registering instruments as needed: counters and histogram buckets
+    (count, sum, max) add; gauges add too, so a merged gauge reads as
+    the sum across the absorbed registries — the aggregation a
     multi-domain data plane wants when per-worker registries are
     folded together on drain ({!Dip_mcore}). *)
+
+(** {1 The counter view}
+
+    What {!Dip_netsim.Stats.Counters} reads. A counter is {e written}
+    once {!Counter.incr} or {!Counter.set} has touched it (or it was
+    absorbed from a written one); a handle registered at setup and
+    never touched stays out of {!written_counters}. *)
+
+val counter_value : t -> string -> int
+(** The counter registered as [name]; [0] when there is none. *)
+
+val written_counters : t -> (string * int) list
+(** Every written counter with its value, sorted by name. *)

@@ -1,19 +1,13 @@
 (* A bounded custody store on the Lru spine: entry-count *and* byte
-   accounting, explicit accept/reject, and eviction counters — the
-   §2.4 state-consumption rule applied to custodial packets.
+   accounting, explicit accept/reject, and every transition reported
+   to one observer — the §2.4 state-consumption rule applied to
+   custodial packets.
 
    The store pre-evicts before every insert, so the underlying Lru
    never hits its own silent-eviction path: bytes and entry counts
    stay exact. *)
 
 type event = Take | Release | Evict | Reject
-
-type counters = {
-  takes : int;
-  releases : int;
-  evicts : int;
-  rejects : int;
-}
 
 type ('k, 'v) t = {
   lru : ('k, 'v) Lru.t;
@@ -23,10 +17,6 @@ type ('k, 'v) t = {
   mutable bytes : int;
   mutable high_water : int;
   mutable high_water_bytes : int;
-  mutable takes : int;
-  mutable releases : int;
-  mutable evicts : int;
-  mutable rejects : int;
   mutable observer : (event -> unit) option;
 }
 
@@ -41,10 +31,6 @@ let create ?hash ?equal ~capacity ~max_bytes ~size () =
     bytes = 0;
     high_water = 0;
     high_water_bytes = 0;
-    takes = 0;
-    releases = 0;
-    evicts = 0;
-    rejects = 0;
     observer = None;
   }
 
@@ -66,7 +52,6 @@ let evict_lru t =
   | Some (k, v) ->
       ignore (Lru.remove t.lru k);
       t.bytes <- t.bytes - t.size_of v;
-      t.evicts <- t.evicts + 1;
       notify t Evict;
       Some k
 
@@ -76,14 +61,12 @@ let release t k =
   | Some v ->
       ignore (Lru.remove t.lru k);
       t.bytes <- t.bytes - t.size_of v;
-      t.releases <- t.releases + 1;
       notify t Release;
       true
 
 let take t k v =
   let sz = t.size_of v in
   if sz > t.max_bytes then begin
-    t.rejects <- t.rejects + 1;
     notify t Reject;
     `Rejected
   end
@@ -100,7 +83,6 @@ let take t k v =
     done;
     Lru.insert t.lru k v;
     t.bytes <- t.bytes + sz;
-    t.takes <- t.takes + 1;
     if Lru.size t.lru > t.high_water then t.high_water <- Lru.size t.lru;
     if t.bytes > t.high_water_bytes then t.high_water_bytes <- t.bytes;
     notify t Take;
@@ -108,7 +90,3 @@ let take t k v =
   end
 
 let fold f t init = Lru.fold f t.lru init
-
-let counters t =
-  { takes = t.takes; releases = t.releases; evicts = t.evicts;
-    rejects = t.rejects }

@@ -6,20 +6,15 @@
     custody) — the silent eviction of a plain LRU cache would lose
     the only stored copy without anyone noticing. Both an entry-count
     bound and a byte bound hold at all times; admission pre-evicts
-    least-recently-used bundles (counted) until the new one fits, and
-    a bundle larger than [max_bytes] is rejected outright. *)
+    least-recently-used bundles until the new one fits, and a bundle
+    larger than [max_bytes] is rejected outright. The store keeps no
+    counters of its own: every transition goes to {!set_observer}. *)
 
 type ('k, 'v) t
 
-(** Store transitions, for wiring gauges/Flight instants. *)
+(** Store transitions, for wiring counters, gauges and Flight
+    instants. *)
 type event = Take | Release | Evict | Reject
-
-type counters = {
-  takes : int;
-  releases : int;
-  evicts : int;
-  rejects : int;
-}
 
 val create :
   ?hash:('k -> int) ->
@@ -61,15 +56,14 @@ val release : ('k, 'v) t -> 'k -> bool
     key was not held. *)
 
 val evict_lru : ('k, 'v) t -> 'k option
-(** Forcibly evict the least-recently-used bundle (counted as an
-    eviction). *)
+(** Forcibly evict the least-recently-used bundle (reported as
+    {!Evict}). *)
 
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
 (** Most recently used first. *)
 
-val counters : ('k, 'v) t -> counters
-
 val set_observer : ('k, 'v) t -> (event -> unit) -> unit
 (** Called on every transition, after the store's own accounting —
-    the hook {!Dip_core.Custody} uses for depth gauges and Flight
+    the hook {!Dip_core.Custody} counts through (the env's
+    ["custody.*"] handles) and uses for depth gauges and Flight
     instants. *)

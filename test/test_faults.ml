@@ -39,6 +39,30 @@ let test_drop_all () =
   Alcotest.(check int) "sim counter mirrors" 10
     (Stats.Counters.get (Sim.counters sim) "fault.drop")
 
+(* Fault counters follow Sim.attach_metrics: once a second registry
+   replaces the first, later faults land in the second one only (as
+   sim.rx does), not in handles cached from the first. *)
+let test_fault_counters_follow_attach () =
+  let sim, r, _ = relay_pair () in
+  let faults = Faults.attach ~seed:1L sim in
+  Faults.all_links faults (Faults.spec ~drop:1.0 ());
+  let m1 = Dip_obs.Metrics.create () and m2 = Dip_obs.Metrics.create () in
+  let get m name =
+    Dip_obs.Metrics.(Counter.get (counter m name))
+  in
+  Sim.attach_metrics sim m1;
+  Sim.inject sim ~at:0.0 ~node:r ~port:0 (packet "x");
+  Sim.run sim;
+  Sim.attach_metrics sim m2;
+  Sim.inject sim ~at:0.01 ~node:r ~port:0 (packet "y");
+  Sim.run sim;
+  Alcotest.(check (list int)) "first registry: one arrival, one drop" [ 1; 1 ]
+    [ get m1 "sim.rx"; get m1 "sim.fault.drop" ];
+  Alcotest.(check (list int)) "second registry: one arrival, one drop" [ 1; 1 ]
+    [ get m2 "sim.rx"; get m2 "sim.fault.drop" ];
+  Alcotest.(check (list (pair string int))) "per-layer total" [ ("drop", 2) ]
+    (Faults.counts faults)
+
 let test_duplicate_all () =
   let sim, r, d = relay_pair () in
   let faults = Faults.attach ~seed:1L sim in
@@ -366,6 +390,8 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "drop all" `Quick test_drop_all;
+          Alcotest.test_case "fault counters follow attach_metrics" `Quick
+            test_fault_counters_follow_attach;
           Alcotest.test_case "duplicate all" `Quick test_duplicate_all;
           Alcotest.test_case "corrupt all" `Quick test_corrupt_all;
           Alcotest.test_case "link down window" `Quick test_link_down_window;

@@ -454,17 +454,36 @@ let test_trace_journey_isolated () =
 
 (* --- Stats --- *)
 
+(* The view reads what handles wrote: sorted, 0 for a missing name,
+   and a handle registered but never written stays out of the list —
+   also after a merge through [Metrics.absorb]. *)
 let test_counters () =
-  let c = Stats.Counters.create () in
-  Stats.Counters.incr c "rx";
-  Stats.Counters.incr c "rx";
-  Stats.Counters.incr ~by:5 c "tx";
-  Alcotest.(check int) "rx" 2 (Stats.Counters.get c "rx");
-  Alcotest.(check int) "tx" 5 (Stats.Counters.get c "tx");
-  Alcotest.(check int) "missing is 0" 0 (Stats.Counters.get c "nope");
-  Alcotest.(check (list (pair string int))) "sorted listing"
-    [ ("rx", 2); ("tx", 5) ]
-    (Stats.Counters.to_list c)
+  let module M = Dip_obs.Metrics in
+  let m = M.create () in
+  let tx = M.counter m "tx" and rx = M.counter m "rx" in
+  let zero = M.counter m "zero" in
+  ignore (M.counter m "idle" : M.counter);
+  M.Counter.incr rx;
+  M.Counter.incr rx;
+  M.Counter.incr ~by:5 tx;
+  M.Counter.set zero 0;
+  let drops = M.family m "drop." in
+  M.Counter.incr (M.member drops "queue");
+  M.Counter.incr (M.member drops ("que" ^ "ue"));
+  Alcotest.(check int) "rx" 2 (Stats.Counters.get m "rx");
+  Alcotest.(check int) "tx" 5 (Stats.Counters.get m "tx");
+  Alcotest.(check int) "missing is 0" 0 (Stats.Counters.get m "nope");
+  Alcotest.(check int) "registered, unwritten is 0" 0
+    (Stats.Counters.get m "idle");
+  let expect = [ ("drop.queue", 2); ("rx", 2); ("tx", 5); ("zero", 0) ] in
+  Alcotest.(check (list (pair string int))) "sorted, written only" expect
+    (Stats.Counters.to_list m);
+  let merged = M.create () in
+  M.absorb merged m;
+  Alcotest.(check (list (pair string int))) "absorb keeps the written set"
+    expect (Stats.Counters.to_list merged);
+  Alcotest.(check bool) "unwritten handle still exported" true
+    (List.exists (fun (n, _, _) -> n = "idle") (M.snapshot merged))
 
 let test_series_summary () =
   let s = Stats.Series.create () in

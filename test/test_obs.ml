@@ -290,6 +290,58 @@ let test_sim_attach_metrics () =
        (fun (n, _, _) -> n = "sim.link.fwd.p1.queue_depth")
        (Metrics.snapshot m))
 
+(* Every exporter emits exactly the registry's name set: run a small
+   fat-tree of Engine routers with the simulator mirror, engine spans
+   and faults all reporting into one registry, then read the names
+   back out of each rendering. *)
+let test_exporters_same_names () =
+  let module Sim = Dip_netsim.Sim in
+  let module Topology = Dip_netsim.Topology in
+  let m = Metrics.create () in
+  let obs = Obs.create ~sample_every:1 m in
+  let topo = Topology.fat_tree ~latency:1e-5 4 in
+  let sim = Sim.create () in
+  Sim.attach_metrics sim m;
+  let ids =
+    Topology.instantiate topo sim ~name:(Printf.sprintf "n%d")
+      ~handler:(fun _ -> Engine.handler ~obs ~registry (fwd_env ()))
+  in
+  let faults = Dip_netsim.Faults.attach ~seed:3L sim in
+  Dip_netsim.Faults.all_links faults (Dip_netsim.Faults.spec ~drop:0.1 ());
+  for i = 0 to 19 do
+    Sim.inject sim ~at:(1e-4 *. float_of_int i) ~node:ids.(i mod 4) ~port:9
+      (ipv4_pkt ())
+  done;
+  Sim.run sim;
+  let sorted l = List.sort_uniq String.compare l in
+  let raw = sorted (List.map (fun (n, _, _) -> n) (Metrics.snapshot m)) in
+  let sanitized = sorted (List.map Export.sanitize raw) in
+  Alcotest.(check bool) "simulator, engine and fault series present" true
+    (List.for_all
+       (fun n -> List.mem n raw)
+       [ "sim.rx"; "sim.fault.drop"; "engine.packets"; "engine.verdict.forwarded" ]);
+  let lines out = String.split_on_char '\n' out in
+  let field_after prefix l =
+    let n = String.length prefix in
+    if String.length l > n && String.sub l 0 n = prefix then
+      let rest = String.sub l n (String.length l - n) in
+      Some (List.hd (String.split_on_char (if prefix = "# TYPE " then ' ' else '"') rest))
+    else None
+  in
+  Alcotest.(check (list string)) "prometheus" sanitized
+    (sorted (List.filter_map (field_after "# TYPE ") (lines (Export.prometheus m))));
+  Alcotest.(check (list string)) "json lines" raw
+    (sorted (List.filter_map (field_after "{\"name\":\"") (lines (Export.json_lines m))));
+  let table_names =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char '|' l with
+        | "" :: cell :: _ :: _ when String.trim cell <> "metric" -> Some (String.trim cell)
+        | _ -> None)
+      (lines (Export.table m))
+  in
+  Alcotest.(check (list string)) "table" raw (sorted table_names)
+
 (* --- program-cache evictions --- *)
 
 let test_progcache_evictions () =
@@ -350,7 +402,11 @@ let () =
           Alcotest.test_case "create validates" `Quick test_obs_create_validates;
         ] );
       ( "sim",
-        [ Alcotest.test_case "attach_metrics" `Quick test_sim_attach_metrics ] );
+        [
+          Alcotest.test_case "attach_metrics" `Quick test_sim_attach_metrics;
+          Alcotest.test_case "exporters emit the registry's names" `Quick
+            test_exporters_same_names;
+        ] );
       ( "progcache",
         [ Alcotest.test_case "evictions" `Quick test_progcache_evictions ] );
     ]

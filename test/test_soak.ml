@@ -14,7 +14,8 @@ let v4 = Ipaddr.V4.of_string
 
 (* Build a random connected network of DIP routers; node 0 hosts the
    destination prefix, content and OPT destination role. Returns the
-   counters after running a mixed workload. *)
+   node ids, the simulator counters, the deliveries and the routers'
+   environments after running a mixed workload. *)
 let run_network ~seed ~nodes ~packets =
   let topo = Topology.random ~seed ~nodes ~degree:3 in
   let sim = Sim.create () in
@@ -81,7 +82,7 @@ let run_network ~seed ~nodes ~packets =
       pkt
   done;
   Sim.run sim;
-  (ids, Sim.counters sim, Sim.consumed sim)
+  (ids, Sim.counters sim, Sim.consumed sim, envs)
 
 let total_with counters suffix =
   List.fold_left
@@ -97,7 +98,7 @@ let total_with counters suffix =
 
 let test_soak_conservation () =
   let packets = 300 in
-  let _, counters, consumed = run_network ~seed:1234L ~nodes:30 ~packets in
+  let _, counters, consumed, envs = run_network ~seed:1234L ~nodes:30 ~packets in
   let delivered = List.length consumed in
   let dropped =
     List.fold_left
@@ -111,15 +112,22 @@ let test_soak_conservation () =
       0
       (Dip_netsim.Stats.Counters.to_list counters)
   in
-  let quiet = total_with counters "dip.quiet" in
-  (* Every injected packet ends somewhere: delivered, dropped, or
-     silently aggregated. (Cache responses create extra packets that
-     are themselves delivered or dropped, so >= rather than =.) *)
-  Alcotest.(check bool)
+  (* [dip.quiet] is an Env counter, not a simulator one. *)
+  let quiet =
+    Array.fold_left
+      (fun acc env ->
+        acc + Dip_netsim.Stats.Counters.get env.Env.counters "dip.quiet")
+      0 envs
+  in
+  (* Every injected packet ends exactly once: delivered, dropped, or
+     silently aggregated. A cache response consumes its interest and
+     puts one reply on the wire, which in turn is delivered or dropped,
+     so the ledger is exact. *)
+  Alcotest.(check int)
     (Printf.sprintf "conservation (delivered=%d dropped=%d quiet=%d)" delivered
        dropped quiet)
-    true
-    (delivered + dropped + quiet >= packets);
+    packets
+    (delivered + dropped + quiet);
   (* The destination actually received IP traffic. *)
   Alcotest.(check bool) "node 0 delivered traffic" true
     (Dip_netsim.Stats.Counters.get counters "n0.consumed" > 0);
@@ -130,7 +138,7 @@ let test_soak_conservation () =
 
 let test_soak_deterministic () =
   let snapshot () =
-    let _, counters, consumed = run_network ~seed:77L ~nodes:20 ~packets:150 in
+    let _, counters, consumed, _ = run_network ~seed:77L ~nodes:20 ~packets:150 in
     (Dip_netsim.Stats.Counters.to_list counters, List.length consumed)
   in
   Alcotest.(check bool) "identical reruns" true (snapshot () = snapshot ())
@@ -140,7 +148,7 @@ let test_soak_seeds_vary () =
      system stays total. *)
   List.iter
     (fun seed ->
-      let _, counters, _ = run_network ~seed ~nodes:25 ~packets:100 in
+      let _, counters, _, _ = run_network ~seed ~nodes:25 ~packets:100 in
       Alcotest.(check bool)
         (Printf.sprintf "seed %Ld processed traffic" seed)
         true

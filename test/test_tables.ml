@@ -476,8 +476,17 @@ let prop_lru_most_recent_survives =
 let cust ?(capacity = 4) ?(max_bytes = 100) () =
   Custody_store.create ~capacity ~max_bytes ~size:String.length ()
 
+(* The store counts nothing itself; tally its transitions the way
+   Dip_core.Custody does, through the observer. *)
+let tally s =
+  let n = Hashtbl.create 4 in
+  Custody_store.set_observer s (fun ev ->
+      Hashtbl.replace n ev (1 + Option.value ~default:0 (Hashtbl.find_opt n ev)));
+  fun ev -> Option.value ~default:0 (Hashtbl.find_opt n ev)
+
 let test_cust_basic () =
   let s = cust () in
+  let count = tally s in
   Alcotest.(check bool) "stored" true (Custody_store.take s 1 "aaaa" = `Stored);
   Alcotest.(check bool) "stored" true (Custody_store.take s 2 "bb" = `Stored);
   Alcotest.(check int) "size" 2 (Custody_store.size s);
@@ -486,20 +495,19 @@ let test_cust_basic () =
   Alcotest.(check bool) "release" true (Custody_store.release s 1);
   Alcotest.(check bool) "release again" false (Custody_store.release s 1);
   Alcotest.(check int) "bytes refunded" 2 (Custody_store.bytes s);
-  let c = Custody_store.counters s in
-  Alcotest.(check int) "takes" 2 c.Custody_store.takes;
-  Alcotest.(check int) "releases" 1 c.Custody_store.releases
+  Alcotest.(check int) "takes" 2 (count Custody_store.Take);
+  Alcotest.(check int) "releases" 1 (count Custody_store.Release)
 
 let test_cust_capacity_evicts_lru () =
   let s = cust ~capacity:2 () in
+  let count = tally s in
   ignore (Custody_store.take s 1 "a");
   ignore (Custody_store.take s 2 "b");
   ignore (Custody_store.find s 1) (* 2 becomes LRU *);
   Alcotest.(check bool) "stored" true (Custody_store.take s 3 "c" = `Stored);
   Alcotest.(check bool) "LRU evicted" false (Custody_store.mem s 2);
   Alcotest.(check bool) "MRU kept" true (Custody_store.mem s 1);
-  Alcotest.(check int) "one eviction" 1
-    (Custody_store.counters s).Custody_store.evicts
+  Alcotest.(check int) "one eviction" 1 (count Custody_store.Evict)
 
 let test_cust_byte_bound_evicts () =
   let s = cust ~capacity:10 ~max_bytes:10 () in
@@ -513,12 +521,12 @@ let test_cust_byte_bound_evicts () =
 
 let test_cust_oversized_rejected () =
   let s = cust ~max_bytes:4 () in
+  let count = tally s in
   ignore (Custody_store.take s 1 "ab");
   Alcotest.(check bool) "rejected" true
     (Custody_store.take s 2 "too-big" = `Rejected);
   Alcotest.(check bool) "existing untouched" true (Custody_store.mem s 1);
-  Alcotest.(check int) "reject counted" 1
-    (Custody_store.counters s).Custody_store.rejects
+  Alcotest.(check int) "reject counted" 1 (count Custody_store.Reject)
 
 let test_cust_retake_replaces () =
   let s = cust () in
@@ -580,6 +588,7 @@ let prop_cust_conservation =
         Custody_store.create ~capacity:cap ~max_bytes:1000
           ~size:String.length ()
       in
+      let count = tally s in
       let stored = ref 0 in
       List.iter
         (fun (op, key) ->
@@ -593,10 +602,9 @@ let prop_cust_conservation =
               else ignore (Custody_store.take s key "pkt")
           | _ -> ignore (Custody_store.release s key))
         ops;
-      let c = Custody_store.counters s in
       !stored
-      = Custody_store.size s + c.Custody_store.releases
-        + c.Custody_store.evicts)
+      = Custody_store.size s + count Custody_store.Release
+        + count Custody_store.Evict)
 
 let prop_cs_never_exceeds_capacity =
   QCheck.Test.make ~name:"content store: size <= capacity" ~count:100
