@@ -1354,8 +1354,8 @@ let profile proto n count domains out text =
       (sample_packet ~hops:n proto)
   done;
   (* Republish every pool halfway through so the trace contains an
-     epoch swap. The timer drains the execution pipeline first, so the
-     pools are quiescent at the swap. *)
+     epoch swap. The simulator applies the pending window before the
+     timer runs, so the pools are quiescent at the swap. *)
   Dip_netsim.Sim.schedule sim
     ~at:(float_of_int (count / 2) *. 1e-6)
     (fun _ ->

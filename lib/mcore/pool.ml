@@ -8,7 +8,7 @@ module F = Dip_obs.Flight
 
 type item = { now : float; ingress : Env.port; pkt : Bitbuf.t }
 
-(* Flight event types for the hand-off pipeline. Ring layout: a pool
+(* Flight event types for the hand-off. Ring layout: a pool
    with [flight] armed owns [ndomains + 1] rings — index 0 is the
    dispatcher lane (tid 0: dispatch / await / publish), index [w + 1]
    is worker [w]'s lane (tid [w + 1]: queue-wait / execute / engine /
@@ -47,10 +47,11 @@ type completion = {
    [j_idxs.(k)] is where [j_items.(k)]'s result goes in the caller's
    arrays, so workers write results directly into caller-order slots
    and the dispatcher never reshuffles. The record and its item/index
-   arrays are persistent per-(ticket, worker) scratch — a dispatch
-   writes fields, the worker reads them, and [await] resets them for
-   reuse; nothing here is allocated per dispatch except the caller's
-   result arrays. *)
+   arrays are persistent per-worker scratch, built once at [create]
+   (at most one dispatch is ever outstanding) — a dispatch writes
+   fields, the worker reads them, and the dispatch resets them once
+   it completes; nothing here is allocated per dispatch except the
+   caller's result arrays. *)
 type job = {
   mutable j_items : item array; (* first [j_count] entries valid *)
   mutable j_idxs : int array;
@@ -60,32 +61,23 @@ type job = {
   mutable j_want_actions : bool;
   mutable j_pub : published; (* pinned at dispatch time: the RCU contract *)
   mutable j_submit_ns : int; (* flight: dispatch stamp for queue-wait *)
-  j_comp : completion;
-}
-
-(* A dispatch in flight: per-worker jobs plus the sharding scratch,
-   recycled through a free list so the hand-off hot path allocates
-   only the result arrays it must hand to the caller. *)
-type ticket = {
-  jobs : job array; (* one per worker *)
-  mutable shard_of : int array; (* scratch, grown to the batch size *)
-  counts : int array; (* per-worker item counts for this dispatch *)
-  fill : int array;
-  comp : completion;
-  mutable t_verdicts : (Engine.verdict * Engine.info) array;
-  mutable t_actions : Dip_netsim.Sim.action list array;
 }
 
 type t = {
   ndomains : int;
   current : published Atomic.t;
-  rings : job Spsc.t array;
+  rings : job Spsc.t array; (* capacity 1: one dispatch outstanding *)
   stop : bool Atomic.t;
   mutable doms : unit Domain.t array;
   with_metrics : bool;
   obs_sample_every : int option;
   spin : int; (* busy-poll budget for workers and the dispatcher *)
-  mutable free_tickets : ticket list; (* dispatcher-domain private *)
+  (* Dispatch scratch, written by the dispatcher only. *)
+  jobs : job array; (* one per worker *)
+  mutable shard_of : int array; (* grown to the batch size *)
+  counts : int array; (* per-worker item counts for this dispatch *)
+  fill : int array;
+  comp : completion; (* the outstanding dispatch's countdown *)
   (* Counters/metrics of retired epochs, absorbed at publish time so
      a configuration swap does not silently zero the pool's history
      (the epoch's envs die with it otherwise). *)
@@ -202,7 +194,7 @@ let worker t w =
            scratch — the job must not be touched again. Only the last
            job of the dispatch pays the lock/broadcast, and only to
            cover a dispatcher that gave up spinning and parked. *)
-        let comp = job.j_comp in
+        let comp = t.comp in
         if Atomic.fetch_and_add comp.pending (-1) = 1 then begin
           Mutex.lock comp.c_lock;
           Condition.broadcast comp.c_done;
@@ -219,8 +211,8 @@ let worker t w =
 let spin_budget ~domains =
   if Domain.recommended_domain_count () > domains then 4096 else 0
 
-let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
-    ?flight_capacity ~domains snap =
+let create ?(metrics = false) ?obs_sample_every ?flight ?flight_capacity
+    ~domains snap =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   (match Snapshot.validate snap with
   | Ok () -> ()
@@ -233,20 +225,38 @@ let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
             Some (F.create ?capacity:flight_capacity ~pid ~tid ()))
   in
   let acc_metrics = if metrics then Some (Metrics.create ()) else None in
+  let pub =
+    build_published ?sample_every:obs_sample_every ~metrics
+      ~flights:(Array.sub fl_rings 1 domains) snap domains
+  in
   let t =
     {
       ndomains = domains;
-      current =
-        Atomic.make
-          (build_published ?sample_every:obs_sample_every ~metrics
-             ~flights:(Array.sub fl_rings 1 domains) snap domains);
-      rings = Array.init domains (fun _ -> Spsc.create ~capacity:queue_capacity);
+      current = Atomic.make pub;
+      rings = Array.init domains (fun _ -> Spsc.create ~capacity:1);
       stop = Atomic.make false;
       doms = [||];
       with_metrics = metrics;
       obs_sample_every;
       spin = spin_budget ~domains;
-      free_tickets = [];
+      jobs =
+        Array.init domains (fun _ ->
+            {
+              j_items = [||];
+              j_idxs = [||];
+              j_count = 0;
+              j_verdicts = [||];
+              j_actions = [||];
+              j_want_actions = false;
+              j_pub = pub;
+              j_submit_ns = 0;
+            });
+      shard_of = [||];
+      counts = Array.make domains 0;
+      fill = Array.make domains 0;
+      comp =
+        { pending = Pad.atomic_int 0; c_lock = Mutex.create ();
+          c_done = Condition.create () };
       acc_counters = Metrics.create ();
       acc_metrics;
       fl_rings;
@@ -281,7 +291,7 @@ let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
   | Some g -> Metrics.Gauge.set g snap.Snapshot.epoch
   | None -> ());
   (* A 1-worker pool runs every batch on the dispatching domain (see
-     [dispatch_async]), so spawning its worker would only buy GC
+     [dispatch]), so spawning its worker would only buy GC
      synchronization: each minor collection must handshake with the
      parked domain's backup thread, which on a busy single core costs
      far more than the batch work it interrupts. No domain, no tax. *)
@@ -334,134 +344,10 @@ let nil_info =
 
 let nil_item = { now = 0.0; ingress = 0; pkt = Bitbuf.of_string "" }
 
-let new_ticket t =
-  let comp =
-    { pending = Pad.atomic_int 0; c_lock = Mutex.create ();
-      c_done = Condition.create () }
-  in
-  let pub = Atomic.get t.current in
-  {
-    jobs =
-      Array.init t.ndomains (fun _ ->
-          {
-            j_items = [||];
-            j_idxs = [||];
-            j_count = 0;
-            j_verdicts = [||];
-            j_actions = [||];
-            j_want_actions = false;
-            j_pub = pub;
-            j_submit_ns = 0;
-            j_comp = comp;
-          });
-    shard_of = [||];
-    counts = Array.make t.ndomains 0;
-    fill = Array.make t.ndomains 0;
-    comp;
-    t_verdicts = [||];
-    t_actions = [||];
-  }
-
-let take_ticket t =
-  match t.free_tickets with
-  | tk :: rest ->
-      t.free_tickets <- rest;
-      tk
-  | [] -> new_ticket t
-
-let dispatch_async t ~want_actions items =
-  let n = Array.length items in
-  let tk = take_ticket t in
-  let fl0 = t.fl_rings.(0) in
-  let d0 = match fl0 with None -> 0 | Some _ -> F.now () in
-  let verdicts = Array.make n (Engine.Quiet, nil_info) in
-  let actions = if want_actions then Array.make n [] else [||] in
-  tk.t_verdicts <- verdicts;
-  tk.t_actions <- actions;
-  if n = 0 then Atomic.set tk.comp.pending 0
-  else begin
-    (* Pin the world once for the whole dispatch: every job of this
-       batch executes this epoch, whatever publishes land before the
-       workers get to it. *)
-    let pub = Atomic.get t.current in
-    (* Shard by flow hash; stable within a worker, so per-flow
-       arrival order is preserved. *)
-    if Array.length tk.shard_of < n then tk.shard_of <- Array.make n 0;
-    let shard_of = tk.shard_of and counts = tk.counts and fill = tk.fill in
-    Array.fill counts 0 t.ndomains 0;
-    for i = 0 to n - 1 do
-      let w = Flow.shard items.(i).pkt ~workers:t.ndomains in
-      shard_of.(i) <- w;
-      counts.(w) <- counts.(w) + 1
-    done;
-    let live = ref 0 in
-    for w = 0 to t.ndomains - 1 do
-      if counts.(w) > 0 then begin
-        incr live;
-        let j = tk.jobs.(w) in
-        if Array.length j.j_items < counts.(w) then begin
-          let cap = Stdlib.max counts.(w) (2 * Array.length j.j_items) in
-          j.j_items <- Array.make cap nil_item;
-          j.j_idxs <- Array.make cap 0
-        end;
-        j.j_count <- counts.(w);
-        j.j_verdicts <- verdicts;
-        j.j_actions <- actions;
-        j.j_want_actions <- want_actions;
-        j.j_pub <- pub;
-        fill.(w) <- 0
-      end
-    done;
-    for i = 0 to n - 1 do
-      let w = shard_of.(i) in
-      let j = tk.jobs.(w) in
-      j.j_items.(fill.(w)) <- items.(i);
-      j.j_idxs.(fill.(w)) <- i;
-      fill.(w) <- fill.(w) + 1
-    done;
-    if t.ndomains = 1 then begin
-      (* Run-to-completion: a one-worker pool {e is} the dispatcher.
-         There is no parallelism to win by crossing a domain boundary,
-         only the ring transfer plus (on a box where the two domains
-         share a core) two scheduler round trips per batch — which is
-         exactly how the PR-5 pool lost to sequential at one domain.
-         The job is worker 0's, so results, counters, caching and the
-         execute span are indistinguishable from the ring path; the
-         worker domain is never spawned. *)
-      run_shard t 0 tk.jobs.(0);
-      Atomic.set tk.comp.pending 0
-    end
-    else begin
-      (* One submit stamp for the whole dispatch: each worker's
-         queue-wait span measures pop time minus this. *)
-      (match fl0 with
-      | None -> ()
-      | Some _ ->
-          let s = F.now () in
-          for w = 0 to t.ndomains - 1 do
-            if counts.(w) > 0 then tk.jobs.(w).j_submit_ns <- s
-          done);
-      (* The countdown must be armed before the first push: a fast
-         worker may finish its job before the later pushes happen. *)
-      Atomic.set tk.comp.pending !live;
-      for w = 0 to t.ndomains - 1 do
-        if counts.(w) > 0 then
-          (* The ring holds batches, not packets; it only fills if the
-             caller outruns the worker by [queue_capacity] whole
-             batches, so backing off is fine. *)
-          while not (Spsc.push t.rings.(w) tk.jobs.(w)) do
-            Domain.cpu_relax ()
-          done
-      done;
-      match fl0 with
-      | None -> ()
-      | Some r -> F.record r ev_dispatch (F.now () - d0) n !live
-    end
-  end;
-  tk
-
-let await t tk =
-  let comp = tk.comp in
+(* Block until every job of the dispatch completed: spin within the
+   machine-sized budget, then park on the completion condvar. *)
+let wait t =
+  let comp = t.comp in
   let fl0 = t.fl_rings.(0) in
   let a0 = match fl0 with None -> 0 | Some _ -> F.now () in
   let budget = ref t.spin in
@@ -477,15 +363,98 @@ let await t tk =
     done;
     Mutex.unlock comp.c_lock
   end;
-  (match fl0 with
+  match fl0 with
   | None -> ()
-  | Some r ->
-      F.record r ev_await (F.now () - a0) (if blocked then 1 else 0) 0);
-  let verdicts = tk.t_verdicts and actions = tk.t_actions in
-  (* Reset the scratch before parking the ticket: a parked ticket
-     must pin no packets, results, or retired world. *)
-  tk.t_verdicts <- [||];
-  tk.t_actions <- [||];
+  | Some r -> F.record r ev_await (F.now () - a0) (if blocked then 1 else 0) 0
+
+(* Shard the batch, pin the current epoch into its jobs, hand them to
+   the workers and wait for all of them. *)
+let dispatch t ~want_actions items =
+  (* Stopped workers would never pop the jobs: the wait below would
+     park forever. *)
+  if Atomic.get t.stop then invalid_arg "Pool: dispatch after shutdown";
+  let n = Array.length items in
+  let fl0 = t.fl_rings.(0) in
+  let d0 = match fl0 with None -> 0 | Some _ -> F.now () in
+  let verdicts = Array.make n (Engine.Quiet, nil_info) in
+  let actions = if want_actions then Array.make n [] else [||] in
+  if n > 0 then begin
+    (* Pin the world once for the whole dispatch: every job of this
+       batch executes this epoch, whatever publishes land before the
+       workers get to it. *)
+    let pub = Atomic.get t.current in
+    (* Shard by flow hash; stable within a worker, so per-flow
+       arrival order is preserved. *)
+    if Array.length t.shard_of < n then t.shard_of <- Array.make n 0;
+    let shard_of = t.shard_of and counts = t.counts and fill = t.fill in
+    Array.fill counts 0 t.ndomains 0;
+    for i = 0 to n - 1 do
+      let w = Flow.shard items.(i).pkt ~workers:t.ndomains in
+      shard_of.(i) <- w;
+      counts.(w) <- counts.(w) + 1
+    done;
+    let live = ref 0 in
+    for w = 0 to t.ndomains - 1 do
+      if counts.(w) > 0 then begin
+        incr live;
+        let j = t.jobs.(w) in
+        if Array.length j.j_items < counts.(w) then begin
+          let cap = Stdlib.max counts.(w) (2 * Array.length j.j_items) in
+          j.j_items <- Array.make cap nil_item;
+          j.j_idxs <- Array.make cap 0
+        end;
+        j.j_count <- counts.(w);
+        j.j_verdicts <- verdicts;
+        j.j_actions <- actions;
+        j.j_want_actions <- want_actions;
+        j.j_pub <- pub;
+        fill.(w) <- 0
+      end
+    done;
+    for i = 0 to n - 1 do
+      let w = shard_of.(i) in
+      let j = t.jobs.(w) in
+      j.j_items.(fill.(w)) <- items.(i);
+      j.j_idxs.(fill.(w)) <- i;
+      fill.(w) <- fill.(w) + 1
+    done;
+    if t.ndomains = 1 then
+      (* Run-to-completion: a one-worker pool {e is} the dispatcher.
+         There is no parallelism to win by crossing a domain boundary,
+         only the ring transfer plus (on a box where the two domains
+         share a core) two scheduler round trips per batch — which is
+         exactly how the PR-5 pool lost to sequential at one domain.
+         The job is worker 0's, so results, counters, caching and the
+         execute span are indistinguishable from the ring path; the
+         worker domain is never spawned. *)
+      run_shard t 0 t.jobs.(0)
+    else begin
+      (* One submit stamp for the whole dispatch: each worker's
+         queue-wait span measures pop time minus this. *)
+      (match fl0 with
+      | None -> ()
+      | Some _ ->
+          let s = F.now () in
+          for w = 0 to t.ndomains - 1 do
+            if counts.(w) > 0 then t.jobs.(w).j_submit_ns <- s
+          done);
+      (* The countdown must be armed before the first push: a fast
+         worker may finish its job before the later pushes happen. *)
+      Atomic.set t.comp.pending !live;
+      for w = 0 to t.ndomains - 1 do
+        (* The previous dispatch completed, so its jobs were popped:
+           a full ring means the one-dispatch-outstanding rule broke. *)
+        if counts.(w) > 0 && not (Spsc.push t.rings.(w) t.jobs.(w)) then
+          failwith "Pool: worker ring full"
+      done;
+      match fl0 with
+      | None -> ()
+      | Some r -> F.record r ev_dispatch (F.now () - d0) n !live
+    end
+  end;
+  wait t;
+  (* Reset the scratch: between dispatches it must pin no packets,
+     results, or retired world. *)
   let cur = Atomic.get t.current in
   Array.iter
     (fun j ->
@@ -494,12 +463,8 @@ let await t tk =
       j.j_verdicts <- [||];
       j.j_actions <- [||];
       j.j_pub <- cur)
-    tk.jobs;
-  t.free_tickets <- tk :: t.free_tickets;
+    t.jobs;
   (verdicts, actions)
-
-let dispatch t ~want_actions items =
-  await t (dispatch_async t ~want_actions items)
 
 let process_batch t items = fst (dispatch t ~want_actions:false items)
 let handle_batch t items = snd (dispatch t ~want_actions:true items)
@@ -523,7 +488,7 @@ let metrics t = snd (totals t ~metrics:true)
 let flight_rings t =
   Array.to_list t.fl_rings |> List.filter_map (fun r -> r)
 
-(* --- pipeline attribution from the flight rings -------------------- *)
+(* --- hand-off attribution from the flight rings -------------------- *)
 
 type lane_stat = { count : int; mean_ns : float; p99_ns : int; max_ns : int }
 

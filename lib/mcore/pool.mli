@@ -3,7 +3,7 @@
 
     Architecture (DESIGN.md §12):
 
-    - [N] worker domains, each fed by its own bounded {!Spsc} ring
+    - [N] worker domains, each fed by its own one-slot {!Spsc} ring
       (cache-line-padded cursors, cached opposing-cursor reads) and
       owning a private {!Dip_core.Env.t} (built from the snapshot's
       [mk_env]) plus, optionally, a private
@@ -20,22 +20,21 @@
       world is pinned into each job {e at dispatch time}: in-flight
       batches always finish on the epoch they were dispatched under,
       however the swap interleaves with worker scheduling.
-    - Dispatch state (per-worker job records, shard scratch) is
-      persistent, recycled through tickets: the hot path allocates
-      only the result arrays handed back to the caller. Completion
-      is an atomic countdown with a spin-then-block wait — no
-      per-job lock or broadcast.
+    - Dispatch state (per-worker job records, shard scratch) is built
+      once at {!create} and reused by every dispatch: the hot path
+      allocates only the result arrays handed back to the caller.
+      Completion is an atomic countdown with a spin-then-block wait
+      — no per-job lock or broadcast.
 
-    {!process_batch} and {!handle_batch} are synchronous; the
-    asynchronous pair {!dispatch_async}/{!await} additionally lets a
-    caller keep one window in flight while preparing the next
-    ({!Runner}'s pipelined mode). Results are always returned in the
-    caller's input order. All dispatching ({!process_batch},
-    {!handle_batch}, {!dispatch_async}, {!await}) must come from one
-    domain at a time — the pool is [N] workers behind {e one}
-    dispatcher, not a thread-safe job queue. Between dispatches the
-    pool is quiescent, which is when {!counters} / {!metrics}
-    snapshots are exact. *)
+    {!process_batch} and {!handle_batch} are the only entry points,
+    and both are synchronous: shard, pin the epoch, push, wait,
+    return — so at most one dispatch is ever outstanding and a ring
+    never holds more than one job. Results are returned in the
+    caller's input order. All dispatching must come from one domain
+    at a time — the pool is [N] workers behind {e one} dispatcher,
+    not a thread-safe job queue. Between dispatches the pool is
+    quiescent, which is when {!counters} / {!metrics} snapshots are
+    exact. *)
 
 type t
 
@@ -46,7 +45,6 @@ type item = {
 }
 
 val create :
-  ?queue_capacity:int ->
   ?metrics:bool ->
   ?obs_sample_every:int ->
   ?flight:int ->
@@ -55,8 +53,7 @@ val create :
   Snapshot.t ->
   t
 (** [create ~domains snap] spawns [domains] worker domains (≥ 1).
-    [queue_capacity] (default 64) bounds each worker's ring —
-    batches, not packets, occupy slots. [metrics] (default false)
+    [metrics] (default false)
     gives each worker a private metrics registry and engine observer
     (merged on {!metrics}); [obs_sample_every] tunes its span
     sampling. Call {!shutdown} when done — worker domains are not
@@ -111,36 +108,14 @@ val process_batch : t -> item array -> (Dip_core.Engine.verdict * Dip_core.Engin
 (** Execute the router-side engine over the batch, sharded across
     the workers; blocks until done. Result [i] corresponds to input
     [i]. Packets are mutated in place exactly as
-    {!Dip_core.Engine.process} would. *)
+    {!Dip_core.Engine.process} would. Raises [Invalid_argument]
+    after {!shutdown}. *)
 
 val handle_batch : t -> item array -> Dip_netsim.Sim.action list array
 (** Like {!process_batch} but additionally translates each verdict
     into simulator actions ({!Dip_core.Engine.actions_of_verdict})
     on the worker, returning the per-packet action lists — the shape
-    {!Runner} feeds to {!Dip_netsim.Sim.run_pipelined}. *)
-
-type ticket
-(** A dispatch in flight: the handle {!await} turns into results.
-    Tickets own recycled scratch — every [dispatch_async] must be
-    paired with exactly one [await], and both must run on the
-    dispatcher domain. *)
-
-val dispatch_async : t -> want_actions:bool -> item array -> ticket
-(** Shard the batch, pin the current epoch into its jobs, and
-    enqueue them on the worker rings {e without waiting}: the
-    workers execute while the caller prepares (or dispatches) the
-    next window. With [want_actions] the per-packet action lists are
-    produced worker-side as in {!handle_batch}. *)
-
-val await :
-  t ->
-  ticket ->
-  (Dip_core.Engine.verdict * Dip_core.Engine.info) array
-  * Dip_netsim.Sim.action list array
-(** Block until every job of the ticket's dispatch completed
-    (spin-then-block on the countdown) and return the caller-ordered
-    verdicts and, if requested, action lists ([[||]] otherwise). The
-    ticket is recycled; using it twice is a bug. *)
+    {!Runner} hands back to {!Dip_netsim.Sim.run_batched}. *)
 
 val counters : t -> Dip_netsim.Stats.Counters.t
 (** Sum of the per-worker environment counters (forwarded/dropped
@@ -178,8 +153,8 @@ type lane = {
 
 type summary = {
   dispatch : lane_stat;  (** shard + enqueue span on the dispatcher *)
-  await : lane_stat;  (** await-to-completion span on the dispatcher *)
-  await_blocked : int;  (** awaits that parked on the condvar *)
+  await : lane_stat;  (** wait-for-completion span on the dispatcher *)
+  await_blocked : int;  (** waits that parked on the condvar *)
   lanes : lane list;
 }
 
@@ -191,5 +166,7 @@ val timeline_summary : t -> summary option
     recent past. Quiescent-pool only, like {!flight_rings}. *)
 
 val shutdown : t -> unit
-(** Drain the rings, stop and join the worker domains. The pool must
-    not be used afterwards. Idempotent. *)
+(** Drain the rings, stop and join the worker domains. Dispatching
+    afterwards raises [Invalid_argument], whatever the domain count;
+    {!counters}, {!metrics} and the flight readers keep working.
+    Idempotent. *)

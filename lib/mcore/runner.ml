@@ -3,11 +3,10 @@ module Sim = Dip_netsim.Sim
 let run_parallel ?until ?window sim ~pools =
   let tbl = Hashtbl.create (List.length pools * 2) in
   List.iter (fun (node, pool) -> Hashtbl.replace tbl node pool) pools;
-  Sim.run_pipelined ?until ?window sim
-    ~batchable:(fun node -> Hashtbl.mem tbl node)
-    ~submit:(fun batch ->
-      (* Group the batch per node, preserving arrival order within
-         each group. *)
+  Sim.run_batched ?until ?window sim ~batchable:(Hashtbl.mem tbl)
+    ~exec:(fun batch ->
+      (* Group the window per node, preserving arrival order within
+         each group, and run each group through its node's pool. *)
       let groups = Hashtbl.create 4 in
       Array.iteri
         (fun i it ->
@@ -15,35 +14,19 @@ let run_parallel ?until ?window sim ~pools =
           let prev = Option.value (Hashtbl.find_opt groups node) ~default:[] in
           Hashtbl.replace groups node (i :: prev))
         batch;
-      (* Dispatch every node's share before awaiting any: all pools
-         chew on this window concurrently, and the window itself
-         overlaps the simulator collecting the next one (the
-         [run_pipelined] double buffer). *)
-      let dispatched =
-        Hashtbl.fold
-          (fun node rev_idxs acc ->
-            let idxs = Array.of_list (List.rev rev_idxs) in
-            let pool = Hashtbl.find tbl node in
-            let items =
-              Array.map
-                (fun i ->
-                  let it = batch.(i) in
-                  {
-                    Pool.now = it.Sim.b_time;
-                    ingress = it.Sim.b_port;
-                    pkt = it.Sim.b_packet;
-                  })
-                idxs
-            in
-            (pool, idxs, Pool.dispatch_async pool ~want_actions:true items)
-            :: acc)
-          groups []
-      in
-      fun () ->
-        let out = Array.make (Array.length batch) [] in
-        List.iter
-          (fun (pool, idxs, ticket) ->
-            let _verdicts, actions = Pool.await pool ticket in
-            Array.iteri (fun k i -> out.(i) <- actions.(k)) idxs)
-          dispatched;
-        out)
+      let out = Array.make (Array.length batch) [] in
+      Hashtbl.iter
+        (fun node rev_idxs ->
+          let idxs = Array.of_list (List.rev rev_idxs) in
+          let items =
+            Array.map
+              (fun i ->
+                let it = batch.(i) in
+                { Pool.now = it.Sim.b_time; ingress = it.Sim.b_port;
+                  pkt = it.Sim.b_packet })
+              idxs
+          in
+          let actions = Pool.handle_batch (Hashtbl.find tbl node) items in
+          Array.iteri (fun k i -> out.(i) <- actions.(k)) idxs)
+        groups;
+      out)

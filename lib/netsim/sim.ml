@@ -292,43 +292,38 @@ type batch_item = {
 }
 
 (* The event loop — {!run} is this loop with nothing batchable.
-   [submit] hands a closed window to the execution backend and
-   returns a join thunk producing the per-item action lists; [depth]
-   bounds how many submitted windows may stay {e unapplied} while the
-   loop keeps collecting. Depth 0 is the classic barrier (submit,
-   join, apply, continue); depth 1 is the double-buffered pipeline —
-   window [k] executes on the backend while window [k+1] is collected
-   and submitted, and [k] is joined only when [k+1] closes. Results
-   are always applied in batch order on the calling domain, so
-   everything a handler could observe sequentially is a function of
-   the workload and the windowing discipline only — never of backend
-   scheduling. *)
-let run_submitted ~who ?(until = Float.infinity) ?(window = 0.0) ~depth t
-    ~batchable ~submit =
-  if window < 0.0 then invalid_arg (who ^ ": negative window");
+   Consecutive arrivals at [batchable] nodes within [window] of the
+   first collect into one pending batch. When the window closes it is
+   handed to [exec] and its results applied, in arrival order on the
+   calling domain, before the loop pops another event — so everything
+   a handler could observe sequentially is a function of the workload
+   and [window] only, never of how [exec] scheduled the work. *)
+let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
+  if window < 0.0 then invalid_arg "Sim.run_batched: negative window";
   (* The pending batch, newest first, plus the time of its oldest
      member (the window anchor). *)
   let pending = ref [] in
   let npending = ref 0 in
   let anchor = ref 0.0 in
-  (* Submitted-but-unapplied windows, oldest first; never more than
-     [depth] long after a [flush]. *)
-  let inflight = Queue.create () in
   (* Window sequence number, for correlating the submit instant with
      the apply span on the flight timeline. *)
   let wseq = ref 0 in
-  let apply_oldest () =
-    let arr, seq, join = Queue.pop inflight in
+  let flush () =
+    let arr = Array.make !npending (List.hd !pending) in
+    List.iteri (fun i item -> arr.(!npending - 1 - i) <- item) !pending;
+    pending := [];
+    npending := 0;
+    let seq = !wseq in
+    incr wseq;
+    (match t.flight with
+    | None -> ()
+    | Some r -> Dip_obs.Flight.record r ev_window_submit (Array.length arr) seq 0);
+    let results = exec arr in
+    if Array.length results <> Array.length arr then
+      invalid_arg "Sim.run_batched: exec returned a mismatched array";
     let t0 =
       match t.flight with None -> 0 | Some _ -> Dip_obs.Flight.now ()
     in
-    let results = join () in
-    if Array.length results <> Array.length arr then
-      invalid_arg (who ^ ": exec returned a mismatched array");
-    (* Results are applied in arrival order, so everything a
-       handler could observe sequentially (per-link serialization,
-       counters, consume order) is independent of how the backend
-       scheduled the work. *)
     Array.iteri
       (fun i item ->
         apply_arrival t ~time:item.b_time item.b_node item.b_packet
@@ -341,96 +336,39 @@ let run_submitted ~who ?(until = Float.infinity) ?(window = 0.0) ~depth t
           (Dip_obs.Flight.now () - t0)
           (Array.length arr) seq
   in
-  let drain () =
-    while not (Queue.is_empty inflight) do
-      apply_oldest ()
-    done
-  in
-  let flush () =
-    (match !pending with
-    | [] -> ()
-    | items ->
-        let arr = Array.make !npending (List.hd items) in
-        List.iteri (fun i item -> arr.(!npending - 1 - i) <- item) items;
-        pending := [];
-        npending := 0;
-        let seq = !wseq in
-        incr wseq;
-        (match t.flight with
-        | None -> ()
-        | Some r ->
-            Dip_obs.Flight.record r ev_window_submit (Array.length arr) seq 0);
-        Queue.push (arr, seq, submit arr) inflight);
-    while Queue.length inflight > depth do
-      apply_oldest ()
-    done
-  in
-  let idle () = !npending = 0 && Queue.is_empty inflight in
   let rec loop () =
     match Event_queue.peek t.queue with
-    | Some (time, ev) when time <= until -> (
-        match ev with
-        | Arrival (id, port, packet) when batchable id ->
-            if !npending = 0 || time <= !anchor +. window then begin
-              ignore (Event_queue.pop t.queue);
-              if !npending = 0 then anchor := time;
-              pending :=
-                { b_node = id; b_port = port; b_time = time;
-                  b_packet = packet }
-                :: !pending;
-              incr npending
-            end
-            else
-              (* Window boundary at a batchable node: rotate the
-                 pipeline. The closing window is submitted and only
-                 windows beyond [depth] are joined — with depth 1 this
-                 is where the overlap happens: the arrival re-peeks and
-                 opens window [k+1] while window [k] still executes. *)
-              flush ();
-            loop ()
-        | _ when not (idle ()) ->
-            (* A timer or non-batchable arrival must observe every
-               batched effect before it runs: its handler may read
-               state the batches write, and the applications may
-               schedule earlier events than this one. Close the window,
-               drain the pipeline, re-peek. *)
-            flush ();
-            drain ();
-            loop ()
+    | Some (time, Arrival (id, port, packet))
+      when time <= until && batchable id
+           && (!npending = 0 || time <= !anchor +. window) ->
+        ignore (Event_queue.pop t.queue);
+        if !npending = 0 then anchor := time;
+        pending :=
+          { b_node = id; b_port = port; b_time = time; b_packet = packet }
+          :: !pending;
+        incr npending;
+        loop ()
+    | _ when !npending > 0 ->
+        (* The window closes: at a batchable arrival beyond its span,
+           before a timer or non-batchable arrival (whose handler may
+           read state the batch writes, and whose time the batch's
+           effects may precede), or at the end of the run (the tail's
+           effects may schedule events at or before [until]). Execute,
+           apply, re-peek. *)
+        flush ();
+        loop ()
+    | Some (time, ev) when time <= until ->
+        ignore (Event_queue.pop t.queue);
+        t.clock <- time;
+        (match ev with
         | Arrival (id, port, packet) ->
-            ignore (Event_queue.pop t.queue);
-            t.clock <- time;
             apply_arrival t ~time id packet
-              (t.nodes.(id).handler t ~now:time ~ingress:port packet);
-            loop ()
-        | Timer f ->
-            ignore (Event_queue.pop t.queue);
-            t.clock <- time;
-            f t;
-            loop ())
-    | None | Some _ ->
-        (* Queue drained or past [until]. Flushing/applying the tail
-           can schedule new events at or before [until]; re-enter so
-           they run rather than being stranded. *)
-        if not (idle ()) then begin
-          flush ();
-          drain ();
-          loop ()
-        end
+              (t.nodes.(id).handler t ~now:time ~ingress:port packet)
+        | Timer f -> f t);
+        loop ()
+    | None | Some _ -> ()
   in
   loop ()
 
 let run ?until t =
-  run_submitted ~who:"Sim.run" ?until ~depth:0 t
-    ~batchable:(fun _ -> false)
-    ~submit:(fun _ -> assert false)
-
-let run_batched ?until ?window t ~batchable ~exec =
-  run_submitted ~who:"Sim.run_batched" ?until ?window ~depth:0 t ~batchable
-    ~submit:(fun arr ->
-      let results = exec arr in
-      fun () -> results)
-
-let run_pipelined ?until ?window t ~batchable ~submit =
-  run_submitted ~who:"Sim.run_pipelined" ?until ?window ~depth:1 t ~batchable
-    ~submit
+  run_batched ?until t ~batchable:(fun _ -> false) ~exec:(fun _ -> assert false)

@@ -108,44 +108,16 @@ val run_batched :
     [batchable] nodes spanning at most [window] seconds (default 0 —
     same-instant arrivals only) are collected and handed to [exec]
     as one batch instead of going through the nodes' handlers. This
-    is the hook a domain-parallel data plane ({!Dip_mcore}) plugs
-    into: [exec] may compute the per-packet action lists on worker
-    domains, but the results are {e applied} on the calling domain,
-    in arrival order, before any later event runs — so the schedule
-    (and hence delivery counts and counters) is a function of
-    [window] and the workload only, never of how many domains [exec]
-    used. Timer events and arrivals at non-batchable nodes flush the
-    pending batch and run normally. [exec] must return exactly one
-    action list per item; it must not touch the simulator. *)
-
-val run_pipelined :
-  ?until:float ->
-  ?window:float ->
-  t ->
-  batchable:(node_id -> bool) ->
-  submit:(batch_item array -> unit -> action list array) ->
-  unit
-(** {!run_batched} with a double-buffered execution pipeline.
-    [submit] hands a window to an asynchronous backend and returns
-    the join thunk that blocks for (and yields) its action lists;
-    one submitted window may stay in flight while the loop collects
-    the next, so with {!Dip_mcore.Pool.dispatch_async} the workers
-    chew on window [k] while the dispatcher shards and enqueues
-    window [k+1] — the per-window full barrier of {!run_batched}
-    becomes a one-window-deep pipeline.
-
-    Scheduling stays deterministic: windows close at the same points
-    as {!run_batched} (window span, timers, non-batchable arrivals —
-    the latter two also drain the pipeline), results are applied in
-    batch order on the calling domain, and none of it depends on
-    backend timing. The observable difference from {!run_batched} is
-    one window of extra staleness: actions of window [k] are applied
-    (and the arrivals they schedule become visible) only after
-    window [k+1] closes, so a packet forwarded between two batchable
-    nodes joins a window one rotation later than under the barrier
-    discipline. Per-flow order at a node is preserved for flows that
-    enter the batched set at one point, which is what the flow-hash
-    sharding contract needs. *)
+    is the hook a domain-parallel data plane ({!Dip_mcore.Runner})
+    plugs into: [exec] may compute the per-packet action lists on
+    worker domains, but the results are {e applied} on the calling
+    domain, in arrival order, before the loop pops any later event —
+    so the schedule (and hence delivery counts and counters) is a
+    function of [window] and the workload only, never of how many
+    domains [exec] used. Timer events and arrivals at non-batchable
+    nodes close the pending batch and run normally. [exec] must
+    return exactly one action list per item; it must not touch the
+    simulator. *)
 
 val counters : t -> Stats.Counters.t
 (** The simulator's own counter registry, read through the view. Per
@@ -200,11 +172,12 @@ val clear_egress_hook : t -> unit
 
 val set_flight : t -> Dip_obs.Flight.ring option -> unit
 (** Arm (or disarm) a flight-recorder ring for simulator-side events,
-    written from the domain driving the simulator: per window,
-    ["sim.window.submit"] instants (a0 = items, a1 = window sequence
-    number) and ["sim.window.apply"] spans (a0 = join+apply ns,
-    a1 = items, a2 = window sequence number) from
-    {!run_batched} / {!run_pipelined}; {!Faults} additionally records
-    ["sim.fault.<kind>"] instants into the same ring. *)
+    written from the domain driving the simulator: per
+    {!run_batched} window, a ["sim.window.submit"] instant as it is
+    handed to [exec] (a0 = items, a1 = window sequence number) and a
+    ["sim.window.apply"] span once [exec] returned (a0 = ns spent
+    applying the results, a1 = items, a2 = window sequence number);
+    {!Faults} additionally records ["sim.fault.<kind>"] instants into
+    the same ring. *)
 
 val flight : t -> Dip_obs.Flight.ring option

@@ -450,7 +450,9 @@ let test_pit_fanout_independent_copies () =
    sender/receiver pair hung off two edge switches, over links that
    lose 5% of transmissions: delivery, departure and retransmit timers
    interleave with router arrivals. Returns the simulator, the router
-   predicate and the sender. *)
+   predicate, the sender, and a factory building a fresh copy of a
+   node's environment (by simulator id) — what a pool's snapshot needs
+   to run that node's worker environments. *)
 let lossy_fat_tree () =
   let module Topology = Dip_netsim.Topology in
   let module Reliable = Host.Reliable in
@@ -459,7 +461,9 @@ let lossy_fat_tree () =
   let is_host u = List.length (Topology.neighbors topo u) = 1 in
   let hosts = List.filter is_host (List.init n Fun.id) |> Array.of_list in
   let edge_of h = List.hd (Topology.neighbors topo h) in
-  let envs = Array.init n (fun u -> Env.create ~name:(Printf.sprintf "n%d" u) ()) in
+  (* Per node, the routes (newest first) and local address its
+     environment is built with. *)
+  let routes = Array.make n [] and local = Array.make n None in
   (* Every router routes [prefix] along a BFS tree toward [node]; the
      router at [node] itself (if any) uses [last_port]. *)
   let route_toward ~node ?last_port prefix =
@@ -471,29 +475,36 @@ let lossy_fat_tree () =
           else if pred.(r) >= 0 then Some (Topology.port_of topo r pred.(r))
           else None
         in
-        Option.iter
-          (Dip_ip.Ipv4.add_route envs.(r).Env.v4_routes
-             (Ipaddr.Prefix.of_string prefix))
-          port
+        Option.iter (fun port -> routes.(r) <- (prefix, port) :: routes.(r)) port
     done
   in
   let host_addr i = Printf.sprintf "10.0.%d.1" i in
   Array.iteri
     (fun i h ->
       route_toward ~node:h (Printf.sprintf "10.0.%d.0/24" i);
-      envs.(h).Env.local_v4 <- Some (v4 (host_addr i)))
+      local.(h) <- Some (v4 (host_addr i)))
     hosts;
   let spare = 50 in
   let edge_s = edge_of hosts.(0) and edge_r = edge_of hosts.(15) in
   route_toward ~node:edge_s ~last_port:spare "10.9.0.2/32";
   route_toward ~node:edge_r ~last_port:spare "10.9.0.1/32";
+  let mk_env u =
+    let env = Env.create ~name:(Printf.sprintf "n%d" u) () in
+    List.iter
+      (fun (prefix, port) ->
+        Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string prefix)
+          port)
+      (List.rev routes.(u));
+    env.Env.local_v4 <- local.(u);
+    env
+  in
   let sim = Sim.create () in
   let ids =
     Topology.instantiate topo sim
       ~name:(Printf.sprintf "n%d")
       ~handler:(fun u ->
-        if is_host u then Engine.host_handler ~registry envs.(u)
-        else Engine.handler ~registry envs.(u))
+        if is_host u then Engine.host_handler ~registry (mk_env u)
+        else Engine.handler ~registry (mk_env u))
   in
   let sender =
     Reliable.add_sender sim ~name:"snd" ~seed:5L ~src:(v4 "10.9.0.2")
@@ -522,10 +533,17 @@ let lossy_fat_tree () =
       ~payload:(Printf.sprintf "r%d" j)
   done;
   let routers = Array.make (Sim.node_count sim) false in
-  Array.iteri (fun u id -> if not (is_host u) then routers.(id) <- true) ids;
-  (sim, (fun id -> routers.(id)), sender)
+  let topo_of = Array.make (Sim.node_count sim) (-1) in
+  Array.iteri
+    (fun u id ->
+      topo_of.(id) <- u;
+      if not (is_host u) then routers.(id) <- true)
+    ids;
+  (sim, (fun id -> routers.(id)), sender, fun id -> mk_env topo_of.(id))
 
-let test_run_equals_run_batched () =
+(* Two runs of [lossy_fat_tree] agree on every delivery (node, time
+   and bytes), every counter and the final clock. *)
+let check_same_outcome label a b =
   let outcome sim =
     ( List.map
         (fun (node, time, pkt) -> (node, time, Bitbuf.to_string pkt))
@@ -533,12 +551,22 @@ let test_run_equals_run_batched () =
       Dip_netsim.Stats.Counters.to_list (Sim.counters sim),
       Sim.now sim )
   in
-  let seq_sim, _, sender = lossy_fat_tree () in
+  let consumed, counters, now = outcome a in
+  let b_consumed, b_counters, b_now = outcome b in
+  Alcotest.(check bool) "traffic delivered" true (List.length consumed > 200);
+  Alcotest.(check (list (triple int (float 0.0) string)))
+    (label ^ ": same deliveries") consumed b_consumed;
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": same counters") counters b_counters;
+  Alcotest.(check (float 0.0)) (label ^ ": same final clock") now b_now
+
+let test_run_equals_run_batched () =
+  let seq_sim, _, sender, _ = lossy_fat_tree () in
   Sim.run seq_sim;
   let stats = Host.Reliable.sender_stats sender in
   Alcotest.(check bool) "losses forced retransmissions" true
     (stats.Host.Reliable.transmissions > stats.Host.Reliable.sent);
-  let bat_sim, batchable, _ = lossy_fat_tree () in
+  let bat_sim, batchable, _, _ = lossy_fat_tree () in
   let widest = ref 0 in
   Sim.run_batched ~window:0.0 bat_sim ~batchable ~exec:(fun items ->
       widest := max !widest (Array.length items);
@@ -548,13 +576,38 @@ let test_run_equals_run_batched () =
             ~ingress:it.Sim.b_port it.Sim.b_packet)
         items);
   Alcotest.(check bool) "windows held several arrivals" true (!widest > 1);
-  let consumed, counters, now = outcome seq_sim in
-  let b_consumed, b_counters, b_now = outcome bat_sim in
-  Alcotest.(check bool) "traffic delivered" true (List.length consumed > 200);
-  Alcotest.(check (list (triple int (float 0.0) string)))
-    "same deliveries" consumed b_consumed;
-  Alcotest.(check (list (pair string int))) "same counters" counters b_counters;
-  Alcotest.(check (float 0.0)) "same final clock" now b_now
+  check_same_outcome "run_batched" seq_sim bat_sim
+
+(* The same differential with every router behind a worker pool built
+   from the router's own environment: [Runner.run_parallel
+   ~window:0.0] is [Sim.run], at one domain and across domains. *)
+let test_run_equals_run_parallel () =
+  let seq_sim, _, _, _ = lossy_fat_tree () in
+  Sim.run seq_sim;
+  List.iter
+    (fun domains ->
+      let sim, is_router, _, mk_env = lossy_fat_tree () in
+      let pools =
+        List.filter_map
+          (fun id ->
+            if is_router id then
+              Some
+                ( id,
+                  Dip_mcore.Pool.create ~domains
+                    (Dip_mcore.Snapshot.v ~registry
+                       ~mk_env:(fun _ -> mk_env id)
+                       ()) )
+            else None)
+          (List.init (Sim.node_count sim) Fun.id)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun (_, pool) -> Dip_mcore.Pool.shutdown pool) pools)
+        (fun () -> Dip_mcore.Runner.run_parallel ~window:0.0 sim ~pools);
+      check_same_outcome
+        (Printf.sprintf "run_parallel at %d domain(s)" domains)
+        seq_sim sim)
+    [ 1; 2 ]
 
 let prop_compiled_interpreter_parity =
   (* Randomized destinations through both engines must agree. *)
@@ -597,6 +650,8 @@ let () =
             test_pit_fanout_independent_copies;
           Alcotest.test_case "Sim.run ≡ run_batched on a lossy fat-tree"
             `Quick test_run_equals_run_batched;
+          Alcotest.test_case "Sim.run ≡ run_parallel on a lossy fat-tree"
+            `Quick test_run_equals_run_parallel;
         ] );
       ( "fuzz",
         [

@@ -543,28 +543,44 @@ let test_pool_counters_survive_publish () =
 (* Regression (PR 7): workers used to read the published world at
    job-pop time, so a publish landing between dispatch and execution
    retargeted an in-flight batch — the RCU contract says a batch runs
-   on the epoch it was dispatched under. The pin is per-job state
-   written before the ring push, so this holds under {e any} worker
-   scheduling: the assertion below is race-free even though the
-   publish deliberately races the workers. *)
-let test_pool_epoch_pinned_at_dispatch () =
-  let snap0 = Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) () in
-  let pool = Mcore.Pool.create ~domains:2 snap0 in
+   on the epoch it was dispatched under. The old snapshot's verify
+   hook holds the batch on its first call until a helper domain has
+   published the new epoch, so the rest of the batch deliberately
+   executes after the swap; it must still run on the world pinned
+   into its jobs. *)
+let epoch_pinned_at_dispatch ~domains =
+  let started = Atomic.make false and published = Atomic.make false in
+  let verify _ =
+    if Atomic.compare_and_set started false true then
+      while not (Atomic.get published) do
+        Domain.cpu_relax ()
+      done;
+    Ok ()
+  in
+  let snap0 = Mcore.Snapshot.v ~verify ~registry ~mk_env:(fun w -> mk_env w) () in
+  let pool = Mcore.Pool.create ~domains snap0 in
   let items =
     Array.init 24 (fun i ->
         { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 i })
   in
-  let ticket = Mcore.Pool.dispatch_async pool ~want_actions:false items in
-  (* Swap the config while the batch is (potentially) still queued:
-     old epoch routes 10/8 to port 1, new epoch to port 7. *)
-  (match
-     Mcore.Pool.publish pool
-       (Mcore.Snapshot.next ~mk_env:(fun w -> mk_env ~v4_port:7 w) snap0)
-   with
+  (* Old epoch routes 10/8 to port 1, the new one to port 7. *)
+  let helper =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let r =
+          Mcore.Pool.publish pool
+            (Mcore.Snapshot.next ~mk_env:(fun w -> mk_env ~v4_port:7 w) snap0)
+        in
+        Atomic.set published true;
+        r)
+  in
+  let verdicts = Mcore.Pool.process_batch pool items in
+  (match Domain.join helper with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));
   Alcotest.(check int) "epoch bumped" 1 (Mcore.Pool.epoch pool);
-  let verdicts, _ = Mcore.Pool.await pool ticket in
   Array.iter
     (fun (v, _) ->
       match v with
@@ -574,12 +590,45 @@ let test_pool_epoch_pinned_at_dispatch () =
             (verdict_summary v))
     verdicts;
   (* A batch dispatched after the swap runs on the new epoch. *)
-  let out = Mcore.Pool.process_batch pool items in
-  (match out.(0) with
-  | Engine.Forwarded [ 7 ], _ -> ()
-  | v, _ -> Alcotest.failf "post-publish batch on old epoch: %s"
-              (verdict_summary v));
+  Array.iter
+    (fun (v, _) ->
+      match v with
+      | Engine.Forwarded [ 7 ] -> ()
+      | v ->
+          Alcotest.failf "post-publish batch on old epoch: %s"
+            (verdict_summary v))
+    (Mcore.Pool.process_batch pool items);
   Mcore.Pool.shutdown pool
+
+(* At two domains, whether the other worker starts its job before or
+   after the swap is the scheduler's choice, so that case runs several
+   rounds. *)
+let test_pool_epoch_pinned_at_dispatch () =
+  epoch_pinned_at_dispatch ~domains:1;
+  for _ = 1 to 20 do
+    epoch_pinned_at_dispatch ~domains:2
+  done
+
+(* Regression: a multi-domain pool used after [shutdown] pushed its
+   jobs onto the rings of exited workers and parked on the completion
+   forever. Dispatch must refuse, whatever the domain count. *)
+let test_pool_dispatch_after_shutdown () =
+  List.iter
+    (fun domains ->
+      let pool =
+        Mcore.Pool.create ~domains
+          (Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) ())
+      in
+      let batch () =
+        Mcore.Pool.process_batch pool
+          [| { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 0 } |]
+      in
+      ignore (batch ());
+      Mcore.Pool.shutdown pool;
+      match batch () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%d-domain pool dispatched after shutdown" domains)
+    [ 1; 2 ]
 
 (* Hand-off sanity: a 1-domain pool must stay in the same ballpark as
    the plain sequential fold (the bench asserts the real >= 0.9x
@@ -766,6 +815,8 @@ let () =
             test_pool_counters_survive_publish;
           Alcotest.test_case "epoch pinned at dispatch" `Quick
             test_pool_epoch_pinned_at_dispatch;
+          Alcotest.test_case "dispatch after shutdown raises" `Quick
+            test_pool_dispatch_after_shutdown;
           Alcotest.test_case "1-domain throughput sanity" `Quick
             test_pool_throughput_sanity;
         ] );
