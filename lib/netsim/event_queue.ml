@@ -1,110 +1,158 @@
-(* Slots are a variant rather than bare cells so that vacated heap
-   positions can be reset to [Empty]: a popped cell left reachable at
-   t.heap.(t.len) would pin its payload (a whole packet buffer) until
-   some later push overwrites the slot — a space leak on long soak
-   runs. The inline record keeps a push at one allocation, same as
-   the previous bare-record representation. *)
-type 'a slot =
-  | Empty
-  | Cell of { time : float; seq : int; payload : 'a }
+(* A binary min-heap stored as a struct of arrays. Heap position [i]
+   holds the key [(times.(i), seqs.(i))] and the index [slots.(i)] of
+   its payload in [payloads]; a sift moves those three unboxed words
+   and never the payload, so it does no allocation and hits no write
+   barrier. A payload is written once, into a free slot, at push and
+   overwritten with [filler] at [drop_min].
 
+   [free] is the stack of vacant slots. Every slot is either vacant or
+   referenced by exactly one live heap position, so the stack holds
+   [capacity - len] entries and its top is [free.(capacity - len - 1)];
+   it needs no separate depth. *)
 type 'a t = {
-  mutable heap : 'a slot array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable payloads : 'a array;
+  mutable free : int array;
   mutable len : int;
   mutable next_seq : int;
-  (* [peek]'s answer, kept until the next push or pop: the simulator
-     peeks at every event before popping it, and the pop then hands
-     back the same block instead of allocating a second one. *)
-  mutable head : (float * 'a) option;
+  filler : 'a;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0; head = None }
+let create ~filler =
+  {
+    times = [||];
+    seqs = [||];
+    slots = [||];
+    payloads = [||];
+    free = [||];
+    len = 0;
+    next_seq = 0;
+    filler;
+  }
+
 let size t = t.len
 let is_empty t = t.len = 0
 
-let earlier a b =
-  match (a, b) with
-  | Cell a, Cell b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
-  | Empty, _ | _, Empty -> invalid_arg "Event_queue: empty slot in heap"
+(* Drop every array, so a drained queue holds nothing between bursts. *)
+let release t =
+  t.times <- [||];
+  t.seqs <- [||];
+  t.slots <- [||];
+  t.payloads <- [||];
+  t.free <- [||];
+  t.len <- 0
 
+(* Called when every slot is live (the free stack is empty): double
+   the capacity and stack the new slots, lowest on top. *)
 let grow t =
-  let cap = Array.length t.heap in
-  if t.len = cap then begin
-    let nh = Array.make (max 16 (2 * cap)) Empty in
-    Array.blit t.heap 0 nh 0 t.len;
-    t.heap <- nh
-  end
+  let cap = Array.length t.times in
+  let ncap = max 16 (2 * cap) in
+  let extend a fill =
+    let na = Array.make ncap fill in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.payloads <- extend t.payloads t.filler;
+  t.free <- Array.init ncap (fun k -> ncap - 1 - k)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+(* The sifts move a hole rather than swapping, and compare and move
+   keys inline: a helper taking a [float] would box it at every call
+   that is not inlined. *)
+
+(* Sift the key [(time, seq, slot)] into the hole at [i] toward the
+   root: parents later than it move down into the hole. *)
+let sift_up t i ~time ~seq ~slot =
+  let i = ref i and fin = ref false in
+  while (not !fin) && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = t.times.(p) in
+    if time < tp || (time = tp && seq < t.seqs.(p)) then begin
+      t.times.(!i) <- tp;
+      t.seqs.(!i) <- t.seqs.(p);
+      t.slots.(!i) <- t.slots.(p);
+      i := p
     end
-  end
+    else fin := true
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.slots.(!i) <- slot
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.len && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+(* Sift the key at position [t.len] (just past the live heap) into the
+   hole at the root toward the leaves: the earlier child moves up into
+   the hole while it is earlier than the key. *)
+let sift_down_last t =
+  let last = t.len in
+  let time = t.times.(last) and seq = t.seqs.(last) and slot = t.slots.(last) in
+  let i = ref 0 and fin = ref false in
+  while not !fin do
+    let l = (2 * !i) + 1 in
+    if l >= t.len then fin := true
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < t.len then
+          let tl = t.times.(l) and tr = t.times.(r) in
+          if tr < tl || (tr = tl && t.seqs.(r) < t.seqs.(l)) then r else l
+        else l
+      in
+      let tc = t.times.(c) in
+      if tc < time || (tc = time && t.seqs.(c) < seq) then begin
+        t.times.(!i) <- tc;
+        t.seqs.(!i) <- t.seqs.(c);
+        t.slots.(!i) <- t.slots.(c);
+        i := c
+      end
+      else fin := true
+    end
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.slots.(!i) <- slot
 
 let push t ~time payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.push: time must be finite";
   if time < 0.0 then invalid_arg "Event_queue.push: negative time";
-  let c = Cell { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  t.head <- None;
-  grow t;
-  t.heap.(t.len) <- c;
+  if t.len = Array.length t.times then grow t;
+  let slot = t.free.(Array.length t.times - t.len - 1) in
+  t.payloads.(slot) <- payload;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  sift_up t (t.len - 1) ~time ~seq ~slot
 
-let peek t =
-  match t.head with
-  | Some _ as h -> h
-  | None ->
-      if t.len = 0 then None
-      else (
-        match t.heap.(0) with
-        | Empty -> None
-        | Cell c ->
-            let h = Some (c.time, c.payload) in
-            t.head <- h;
-            h)
+let check_nonempty t fn =
+  if t.len = 0 then invalid_arg ("Event_queue." ^ fn ^ ": empty queue")
 
-let pop t =
-  match peek t with
-  | None -> None
-  | Some _ as h ->
-      t.head <- None;
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.heap.(0) <- t.heap.(t.len);
-        t.heap.(t.len) <- Empty;
-        sift_down t 0
-      end
-      else t.heap.(0) <- Empty;
-      h
+let min_time t =
+  check_nonempty t "min_time";
+  t.times.(0)
+
+let min_payload t =
+  check_nonempty t "min_payload";
+  t.payloads.(t.slots.(0))
+
+let drop_min t =
+  check_nonempty t "drop_min";
+  let slot = t.slots.(0) in
+  t.payloads.(slot) <- t.filler;
+  t.free.(Array.length t.times - t.len) <- slot;
+  t.len <- t.len - 1;
+  if t.len = 0 then release t else sift_down_last t
 
 let vacant_slots_cleared t =
-  let ok = ref true in
-  for i = t.len to Array.length t.heap - 1 do
-    match t.heap.(i) with Empty -> () | Cell _ -> ok := false
+  let live = Array.make (Array.length t.payloads) false in
+  for i = 0 to t.len - 1 do
+    live.(t.slots.(i)) <- true
   done;
+  let ok = ref true in
+  Array.iteri
+    (fun s p -> if (not live.(s)) && p != t.filler then ok := false)
+    t.payloads;
   !ok
-
-let clear t =
-  t.heap <- [||];
-  t.len <- 0;
-  t.head <- None

@@ -3,29 +3,51 @@
     testbed (see DESIGN.md §2).
 
     Ordering is by time, ties broken by insertion order so that the
-    simulation is fully deterministic. *)
+    simulation is fully deterministic.
+
+    {b Layout.} A binary heap stored as a struct of arrays: the keys
+    sit in an unboxed [float array] of times and an [int array] of
+    insertion sequence numbers, beside an [int array] mapping each heap
+    position to the slot that holds its payload. A sift moves only
+    those three unboxed words. Each payload is written once, into a
+    slot taken from a free-slot stack, at {!push}, and the slot is
+    reset to the queue's [filler] at {!drop_min}, so a popped payload
+    is never retained.
+
+    {b Allocation.} Once the queue has reached its working capacity,
+    {!push} and {!drop_min} allocate nothing. The arrays double when
+    full; when the queue drains to empty they are released, so an idle
+    queue holds no storage.
+
+    {b Reading the head.} The run loop reads the earliest event with
+    {!min_time} and {!min_payload}, then removes it with {!drop_min};
+    none of them builds an option or a tuple. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> 'a t
+(** An empty queue. [filler] is the value vacant payload slots hold;
+    it is never returned. *)
+
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule an event. [time] must be finite and non-negative. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event. *)
+val min_time : 'a t -> float
+(** Time of the earliest event. Raises [Invalid_argument] if the queue
+    is empty. *)
 
-val peek : 'a t -> (float * 'a) option
-(** The earliest event without removing it — what the simulator's
-    run loop inspects to decide whether the head runs now, joins the
-    current batch, or waits past [until]. A {!pop} straight after a
-    [peek] returns the same value without allocating again. *)
+val min_payload : 'a t -> 'a
+(** Payload of the earliest event. Raises [Invalid_argument] if the
+    queue is empty. *)
+
+val drop_min : 'a t -> unit
+(** Remove the earliest event. Raises [Invalid_argument] if the queue
+    is empty. *)
 
 val vacant_slots_cleared : 'a t -> bool
-(** [true] iff no slot beyond the live heap still holds a popped
-    event. Always [true] for a correct implementation — exposed so
+(** [true] iff every payload slot not referenced by a live event holds
+    the filler. Always [true] for a correct implementation — exposed so
     tests can assert that popping does not retain dead payloads. *)
-
-val clear : 'a t -> unit

@@ -11,10 +11,20 @@ type egress = { packet : Dip_bitbuf.Bitbuf.t; extra_delay : float }
 type event =
   | Arrival of node_id * port * Dip_bitbuf.Bitbuf.t
   | Timer of (t -> unit)
+  (* A packet finishes serializing onto the link: its queue slot
+     frees. *)
+  | Depart of link_end
 
 and handler = t -> now:float -> ingress:port -> Dip_bitbuf.Bitbuf.t -> action list
 
-and node = { name : string; mutable handler : handler; counts : tally }
+(* [ports.(p)] is the egress end of the link wired to port [p]; the
+   array grows at [connect] and a port past its end is unwired. *)
+and node = {
+  name : string;
+  mutable handler : handler;
+  counts : tally;
+  mutable ports : link_end option array;
+}
 
 (* The rx/tx/consumed/drop handles of one node — registered in the
    simulator's own registry at [add_node] — or, under ["sim"] in an
@@ -28,6 +38,7 @@ and tally = {
 }
 
 and link_end = {
+  from : node_id * port;
   latency : float;
   bandwidth : float;
   capacity : int;
@@ -35,6 +46,9 @@ and link_end = {
   (* Egress serialization state for this direction. *)
   mutable busy_until : float;
   mutable queued : int;
+  (* This direction's ["sim.link.<node>.p<port>.queue_depth"] gauge in
+     the attached registry, registered on first use. *)
+  mutable gauge : Dip_obs.Metrics.gauge option;
 }
 
 (* Optional Dip_obs instrumentation: pre-resolved handles so the
@@ -44,13 +58,11 @@ and obs = {
   metrics : Dip_obs.Metrics.t;
   all : tally;
   qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
-  link_gauges : (node_id * port, Dip_obs.Metrics.gauge) Hashtbl.t;
 }
 
 and t = {
   mutable nodes : node array;
   mutable nnodes : int;
-  links : (node_id * port, link_end) Hashtbl.t;
   queue : event Event_queue.t;
   stats : Dip_obs.Metrics.t;
   mutable clock : float;
@@ -77,8 +89,7 @@ let create () =
   {
     nodes = [||];
     nnodes = 0;
-    links = Hashtbl.create 64;
-    queue = Event_queue.create ();
+    queue = Event_queue.create ~filler:(Timer ignore);
     stats = Dip_obs.Metrics.create ();
     clock = 0.0;
     delivered = [];
@@ -98,6 +109,10 @@ let tally m prefix =
   }
 
 let attach_metrics t metrics =
+  (* Link gauges belong to the registry they were registered in. *)
+  for id = 0 to t.nnodes - 1 do
+    Array.iter (Option.iter (fun l -> l.gauge <- None)) t.nodes.(id).ports
+  done;
   t.obs <-
     Some
       {
@@ -106,7 +121,6 @@ let attach_metrics t metrics =
         qdepth =
           Dip_obs.Metrics.histogram metrics "sim.link.queue_depth"
             ~help:"egress queue depth observed at each enqueue";
-        link_gauges = Hashtbl.create 16;
       }
 
 (* One event on [node]'s tally and, when attached, on the aggregate. *)
@@ -122,28 +136,30 @@ let count_drop t node reason =
 (* The per-link gauge tracks the live depth (updated on enqueue and
    dequeue); the histogram samples depth at enqueue only, so its
    count stays one-per-transmission. *)
-let obs_link_depth ?(enqueue = false) t ~id ~port ~name depth =
+let obs_link_depth ?(enqueue = false) t l =
   match t.obs with
   | None -> ()
   | Some o ->
       if enqueue then
-        Dip_obs.Metrics.Histogram.observe o.qdepth (float_of_int depth);
+        Dip_obs.Metrics.Histogram.observe o.qdepth (float_of_int l.queued);
       let g =
-        match Hashtbl.find_opt o.link_gauges (id, port) with
+        match l.gauge with
         | Some g -> g
         | None ->
+            let id, port = l.from in
             let g =
               Dip_obs.Metrics.gauge o.metrics
-                (Printf.sprintf "sim.link.%s.p%d.queue_depth" name port)
+                (Printf.sprintf "sim.link.%s.p%d.queue_depth"
+                   t.nodes.(id).name port)
                 ~help:"packets queued or serializing on this egress"
             in
-            Hashtbl.replace o.link_gauges (id, port) g;
+            l.gauge <- Some g;
             g
       in
-      Dip_obs.Metrics.Gauge.set g depth
+      Dip_obs.Metrics.Gauge.set g l.queued
 
 let add_node t ~name handler =
-  let node = { name; handler; counts = tally t.stats name } in
+  let node = { name; handler; counts = tally t.stats name; ports = [||] } in
   if t.nnodes = Array.length t.nodes then begin
     let nn = Array.make (max 8 (2 * t.nnodes)) node in
     Array.blit t.nodes 0 nn 0 t.nnodes;
@@ -162,43 +178,66 @@ let node_name t id =
 
 let node_count t = t.nnodes
 
+(* The link end wired to [port] of [node], if any. *)
+let link_at node port =
+  if port >= 0 && port < Array.length node.ports then node.ports.(port)
+  else None
+
+let link t id port =
+  if id < 0 || id >= t.nnodes then None else link_at t.nodes.(id) port
+
 let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
     ?(queue_capacity = max_int) (a, pa) (b, pb) =
   check_node t a;
   check_node t b;
+  if pa < 0 || pb < 0 then invalid_arg "Sim.connect: negative port";
   if latency < 0.0 then invalid_arg "Sim.connect: negative latency";
   if bandwidth <= 0.0 then invalid_arg "Sim.connect: non-positive bandwidth";
   if queue_capacity < 1 then invalid_arg "Sim.connect: queue capacity";
-  if Hashtbl.mem t.links (a, pa) then
-    invalid_arg
-      (Printf.sprintf "Sim.connect: port %d of %s already wired" pa
-         t.nodes.(a).name);
-  if Hashtbl.mem t.links (b, pb) then
-    invalid_arg
-      (Printf.sprintf "Sim.connect: port %d of %s already wired" pb
-         t.nodes.(b).name);
-  let mk peer =
-    { latency; bandwidth; capacity = queue_capacity; peer;
-      busy_until = 0.0; queued = 0 }
+  let check_free (id, port) =
+    if Option.is_some (link_at t.nodes.(id) port) then
+      invalid_arg
+        (Printf.sprintf "Sim.connect: port %d of %s already wired" port
+           t.nodes.(id).name)
   in
-  Hashtbl.replace t.links (a, pa) (mk (b, pb));
-  Hashtbl.replace t.links (b, pb) (mk (a, pa))
+  check_free (a, pa);
+  check_free (b, pb);
+  let wire ((id, port) as from) peer =
+    let node = t.nodes.(id) in
+    let n = Array.length node.ports in
+    if port >= n then begin
+      let ports = Array.make (max (port + 1) (2 * n)) None in
+      Array.blit node.ports 0 ports 0 n;
+      node.ports <- ports
+    end;
+    node.ports.(port) <-
+      Some
+        { from; latency; bandwidth; capacity = queue_capacity; peer;
+          busy_until = 0.0; queued = 0; gauge = None }
+  in
+  wire (a, pa) (b, pb);
+  wire (b, pb) (a, pa)
 
 let queue_depth t id port =
-  match Hashtbl.find_opt t.links (id, port) with
-  | Some l -> l.queued
-  | None -> 0
+  match link t id port with Some l -> l.queued | None -> 0
 
 let neighbor t id port =
-  match Hashtbl.find_opt t.links (id, port) with
-  | Some l -> Some l.peer
-  | None -> None
+  match link t id port with Some l -> Some l.peer | None -> None
+
+(* An event queued before the current instant would run after events
+   later than it and set the clock back. *)
+let push_event t fn ~at ev =
+  if at < t.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.%s: time %g is before the current time %g" fn at
+         t.clock);
+  Event_queue.push t.queue ~time:at ev
 
 let inject t ~at ~node ~port packet =
   check_node t node;
-  Event_queue.push t.queue ~time:at (Arrival (node, port, packet))
+  push_event t "inject" ~at (Arrival (node, port, packet))
 
-let schedule t ~at f = Event_queue.push t.queue ~time:at (Timer f)
+let schedule t ~at f = push_event t "schedule" ~at (Timer f)
 
 let now t = t.clock
 let counters t = t.stats
@@ -218,7 +257,7 @@ let node_handler t id =
   check_node t id;
   t.nodes.(id).handler
 
-let transmit_on t ~id ~port node l ~extra_delay packet =
+let transmit_on t node l ~extra_delay packet =
   if l.queued >= l.capacity then count_drop t node "queue-overflow"
   else begin
     count t node (fun c -> c.tx);
@@ -235,12 +274,8 @@ let transmit_on t ~id ~port node l ~extra_delay packet =
     let departure = start +. tx_time in
     l.busy_until <- departure;
     l.queued <- l.queued + 1;
-    obs_link_depth ~enqueue:true t ~id ~port ~name:node.name l.queued;
-    Event_queue.push t.queue ~time:departure
-      (Timer
-         (fun _ ->
-           l.queued <- l.queued - 1;
-           obs_link_depth t ~id ~port ~name:node.name l.queued));
+    obs_link_depth ~enqueue:true t l;
+    Event_queue.push t.queue ~time:departure (Depart l);
     (* [extra_delay] models fault-layer jitter: it delays propagation
        of this one packet without holding the egress queue slot, so a
        delayed packet can be overtaken (reordering). *)
@@ -250,39 +285,39 @@ let transmit_on t ~id ~port node l ~extra_delay packet =
       (Arrival (dst, dport, packet))
   end
 
-let transmit t ~from:(id, port) packet =
-  let node = t.nodes.(id) in
-  match Hashtbl.find_opt t.links (id, port) with
+let transmit t node port packet =
+  match link_at node port with
   | None -> count_drop t node "unwired-port"
   | Some l -> (
       (* The hook runs only for wired ports: an unwired-port drop is a
          topology bug, not an injected fault. *)
       match t.egress_hook with
-      | None -> transmit_on t ~id ~port node l ~extra_delay:0.0 packet
+      | None -> transmit_on t node l ~extra_delay:0.0 packet
       | Some hook ->
           List.iter
-            (fun e ->
-              transmit_on t ~id ~port node l ~extra_delay:e.extra_delay
-                e.packet)
-            (hook t ~from:(id, port) packet))
+            (fun e -> transmit_on t node l ~extra_delay:e.extra_delay e.packet)
+            (hook t ~from:l.from packet))
 
 (* One arrival's effects, whoever computed its actions (the node's
    handler inline, or a batch backend): the clock to the arrival
    instant, rx accounting, then the actions. *)
-let apply_arrival t ~time id packet actions =
-  t.clock <- time;
-  let node = t.nodes.(id) in
-  count t node (fun c -> c.rx);
-  List.iter
-    (fun action ->
-      match action with
-      | Forward (out, pkt) -> transmit t ~from:(id, out) pkt
+let rec apply_actions t id node packet = function
+  | [] -> ()
+  | action :: rest ->
+      (match action with
+      | Forward (out, pkt) -> transmit t node out pkt
       | Consume ->
           count t node (fun c -> c.consumed);
           t.delivered <- (id, t.clock, packet) :: t.delivered;
           List.iter (fun f -> f id t.clock packet) t.consume_hooks
-      | Drop reason -> count_drop t node reason)
-    actions
+      | Drop reason -> count_drop t node reason);
+      apply_actions t id node packet rest
+
+let apply_arrival t ~time id packet actions =
+  t.clock <- time;
+  let node = t.nodes.(id) in
+  count t node (fun c -> c.rx);
+  apply_actions t id node packet actions
 
 type batch_item = {
   b_node : node_id;
@@ -336,37 +371,53 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
           (Dip_obs.Flight.now () - t0)
           (Array.length arr) seq
   in
+  let q = t.queue in
   let rec loop () =
-    match Event_queue.peek t.queue with
-    | Some (time, Arrival (id, port, packet))
-      when time <= until && batchable id
-           && (!npending = 0 || time <= !anchor +. window) ->
-        ignore (Event_queue.pop t.queue);
-        if !npending = 0 then anchor := time;
-        pending :=
-          { b_node = id; b_port = port; b_time = time; b_packet = packet }
-          :: !pending;
-        incr npending;
-        loop ()
-    | _ when !npending > 0 ->
-        (* The window closes: at a batchable arrival beyond its span,
-           before a timer or non-batchable arrival (whose handler may
-           read state the batch writes, and whose time the batch's
-           effects may precede), or at the end of the run (the tail's
-           effects may schedule events at or before [until]). Execute,
-           apply, re-peek. *)
-        flush ();
-        loop ()
-    | Some (time, ev) when time <= until ->
-        ignore (Event_queue.pop t.queue);
-        t.clock <- time;
-        (match ev with
-        | Arrival (id, port, packet) ->
-            apply_arrival t ~time id packet
-              (t.nodes.(id).handler t ~now:time ~ingress:port packet)
-        | Timer f -> f t);
-        loop ()
-    | None | Some _ -> ()
+    if Event_queue.is_empty q then close ()
+    else
+      (* The head's time is boxed once, by [min_time], and the clock
+         keeps its old box while the instant does not change: the
+         clock, the handler's [~now], any delivery record and any
+         event scheduled at [now t] share one box per instant. *)
+      let time = Event_queue.min_time q in
+      if not (time <= until) then close ()
+      else
+        match Event_queue.min_payload q with
+        | Arrival (id, port, packet)
+          when batchable id && (!npending = 0 || time <= !anchor +. window) ->
+            Event_queue.drop_min q;
+            if !npending = 0 then anchor := time;
+            pending :=
+              { b_node = id; b_port = port; b_time = time; b_packet = packet }
+              :: !pending;
+            incr npending;
+            loop ()
+        | _ when !npending > 0 ->
+            (* The window closes at a batchable arrival beyond its
+               span, and before a timer or non-batchable arrival: its
+               handler may read state the batch writes, and the
+               batch's effects may precede its time. *)
+            flush ();
+            loop ()
+        | ev ->
+            Event_queue.drop_min q;
+            if time <> t.clock then t.clock <- time;
+            (match ev with
+            | Arrival (id, port, packet) ->
+                apply_arrival t ~time:t.clock id packet
+                  (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
+            | Timer f -> f t
+            | Depart l ->
+                l.queued <- l.queued - 1;
+                obs_link_depth t l);
+            loop ()
+  (* The window also closes at the end of the run: the tail's effects
+     may schedule events at or before [until]. *)
+  and close () =
+    if !npending > 0 then begin
+      flush ();
+      loop ()
+    end
   in
   loop ()
 

@@ -62,13 +62,18 @@ val connect :
     and the in-flight count apply to infinite-bandwidth links too: a
     packet occupies its queue slot from transmit until its departure
     instant (zero serialization time, but same-instant bursts still
-    accumulate depth and can overflow). Connecting an already-wired
-    port raises [Invalid_argument]. *)
+    accumulate depth and can overflow).
+
+    Ports are numbered from 0: each node keeps its links in an array
+    indexed by port, grown to the highest port wired, so keep port
+    numbers small and dense. A negative port, or one already wired,
+    raises [Invalid_argument]. *)
 
 val queue_depth : t -> node_id -> port -> int
 (** Packets currently queued or serializing on the egress direction
-    of a port (0 for unwired ports) — what an {i F_tel}-style
-    telemetry hook reports. *)
+    of a port (0 for unwired ports, including any port number past
+    the node's highest wired one) — what an {i F_tel}-style telemetry
+    hook reports. *)
 
 val neighbor : t -> node_id -> port -> (node_id * port) option
 (** The far end of a link, if wired. *)
@@ -76,10 +81,13 @@ val neighbor : t -> node_id -> port -> (node_id * port) option
 val inject : t -> at:float -> node:node_id -> port:port -> Dip_bitbuf.Bitbuf.t -> unit
 (** Present a packet to [node] as if it arrived on [port] at [at].
     [port] does not need to be wired — hosts inject on a virtual
-    port. *)
+    port. [at] must not be before {!now}: an earlier time raises
+    [Invalid_argument], so the clock never runs backwards. *)
 
 val schedule : t -> at:float -> (t -> unit) -> unit
-(** Run a callback at simulated time [at]. *)
+(** Run a callback at simulated time [at], which must not be before
+    {!now} (else [Invalid_argument]). An event at exactly [now t]
+    runs after every event already queued for that instant. *)
 
 val now : t -> float
 (** Current simulated time (0 before the first event). *)

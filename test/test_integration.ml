@@ -609,6 +609,48 @@ let test_run_equals_run_parallel () =
         seq_sim sim)
     [ 1; 2 ]
 
+(* The event order, pinned across revisions of the simulator: an FNV-1a
+   hash over every delivery (node, time bits, bytes), every counter and
+   the final clock of one [lossy_fat_tree] run. A change to the event
+   queue or the link model that reorders same-instant events, moves a
+   timestamp by one ulp or changes a counter changes the hash. The
+   constant was computed before the event heap moved to
+   struct-of-arrays storage and has held since. *)
+let event_order_hash sim =
+  let h = ref 0xcbf29ce484222325L in
+  let byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
+  in
+  let int64 x =
+    for i = 0 to 7 do
+      byte (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+    done
+  in
+  let int x = int64 (Int64.of_int x) in
+  let string s =
+    int (String.length s);
+    String.iter (fun c -> byte (Char.code c)) s
+  in
+  List.iter
+    (fun (node, time, pkt) ->
+      int node;
+      int64 (Int64.bits_of_float time);
+      string (Bitbuf.to_string pkt))
+    (Sim.consumed sim);
+  List.iter
+    (fun (name, v) ->
+      string name;
+      int v)
+    (Dip_netsim.Stats.Counters.to_list (Sim.counters sim));
+  int64 (Int64.bits_of_float (Sim.now sim));
+  Printf.sprintf "%016Lx" !h
+
+let test_event_order_pinned () =
+  let sim, _, _, _ = lossy_fat_tree () in
+  Sim.run sim;
+  Alcotest.(check string)
+    "event-order hash" "5627019c13faa0f2" (event_order_hash sim)
+
 let prop_compiled_interpreter_parity =
   (* Randomized destinations through both engines must agree. *)
   let env = Env.create ~name:"par" () in
@@ -652,6 +694,8 @@ let () =
             `Quick test_run_equals_run_batched;
           Alcotest.test_case "Sim.run ≡ run_parallel on a lossy fat-tree"
             `Quick test_run_equals_run_parallel;
+          Alcotest.test_case "event order pinned on a lossy fat-tree" `Quick
+            test_event_order_pinned;
         ] );
       ( "fuzz",
         [

@@ -6,12 +6,22 @@ module Bitbuf = Dip_bitbuf.Bitbuf
 
 (* --- Event queue --- *)
 
+(* The head as an option, and a pop built from the accessors. *)
+let peek q =
+  if Event_queue.is_empty q then None
+  else Some (Event_queue.min_time q, Event_queue.min_payload q)
+
+let pop q =
+  let h = peek q in
+  if Option.is_some h then Event_queue.drop_min q;
+  h
+
 let test_eq_ordering () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:"" in
   Event_queue.push q ~time:3.0 "c";
   Event_queue.push q ~time:1.0 "a";
   Event_queue.push q ~time:2.0 "b";
-  let pop () = match Event_queue.pop q with Some (_, x) -> x | None -> "?" in
+  let pop () = match pop q with Some (_, x) -> x | None -> "?" in
   let first = pop () in
   let second = pop () in
   let third = pop () in
@@ -20,31 +30,38 @@ let test_eq_ordering () =
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
 
 let test_eq_fifo_ties () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:(-1) in
   for i = 0 to 9 do
     Event_queue.push q ~time:1.0 i
   done;
   let order = List.init 10 (fun _ ->
-      match Event_queue.pop q with Some (_, x) -> x | None -> -1)
+      match pop q with Some (_, x) -> x | None -> -1)
   in
   Alcotest.(check (list int)) "insertion order on ties" (List.init 10 Fun.id) order
 
 let test_eq_peek () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:"" in
   let head = Alcotest.(option (pair (float 0.0) string)) in
-  Alcotest.check head "empty" None (Event_queue.peek q);
+  Alcotest.check head "empty" None (peek q);
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "min_time on empty raises" true
+    (raises (fun () -> ignore (Event_queue.min_time q)));
+  Alcotest.(check bool) "min_payload on empty raises" true
+    (raises (fun () -> ignore (Event_queue.min_payload q)));
+  Alcotest.(check bool) "drop_min on empty raises" true
+    (raises (fun () -> Event_queue.drop_min q));
   Event_queue.push q ~time:5.0 "e";
-  Alcotest.check head "peek" (Some (5.0, "e")) (Event_queue.peek q);
+  Alcotest.check head "peek" (Some (5.0, "e")) (peek q);
   Alcotest.(check int) "size" 1 (Event_queue.size q);
-  (* A push after a peek must not leave the old head visible. *)
+  (* A push after reading the head must not leave the old head visible. *)
   Event_queue.push q ~time:2.0 "b";
-  Alcotest.check head "earlier push" (Some (2.0, "b")) (Event_queue.peek q);
-  Alcotest.check head "pop = peek" (Some (2.0, "b")) (Event_queue.pop q);
-  Alcotest.check head "next" (Some (5.0, "e")) (Event_queue.peek q);
+  Alcotest.check head "earlier push" (Some (2.0, "b")) (peek q);
+  Alcotest.check head "pop = peek" (Some (2.0, "b")) (pop q);
+  Alcotest.check head "next" (Some (5.0, "e")) (peek q);
   Alcotest.(check int) "size after pop" 1 (Event_queue.size q)
 
 let test_eq_invalid_times () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:() in
   Alcotest.(check bool) "nan rejected" true
     (try Event_queue.push q ~time:Float.nan (); false
      with Invalid_argument _ -> true);
@@ -53,12 +70,12 @@ let test_eq_invalid_times () =
      with Invalid_argument _ -> true)
 
 let test_eq_many_random () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:() in
   let g = Dip_stdext.Prng.create 3L in
   let times = List.init 1000 (fun _ -> Dip_stdext.Prng.float g 100.0) in
   List.iter (fun t -> Event_queue.push q ~time:t ()) times;
   let rec drain last acc =
-    match Event_queue.pop q with
+    match pop q with
     | None -> acc
     | Some (t, ()) ->
         Alcotest.(check bool) "monotone" true (t >= last);
@@ -76,11 +93,11 @@ let prop_eq_fifo_ties_and_cleared_slots =
     ~count:300
     QCheck.(list (int_bound 7))
     (fun raw ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~filler:(-1) in
       let pushed = List.mapi (fun i t -> (float_of_int t, i)) raw in
       List.iter (fun (t, i) -> Event_queue.push q ~time:t i) pushed;
       let rec drain acc cleared =
-        match Event_queue.pop q with
+        match pop q with
         | None -> (List.rev acc, cleared)
         | Some (t, i) ->
             drain ((t, i) :: acc)
@@ -91,6 +108,86 @@ let prop_eq_fifo_ties_and_cleared_slots =
         List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) pushed
       in
       cleared && popped = expected)
+
+(* Model check: random interleavings of push and pop, with timestamps
+   from a tiny range so ties abound, against a list kept sorted by
+   (time, insertion order). After every operation the head and size
+   agree with the model and no vacant slot holds a payload; once
+   drained, nothing the queue can reach is a payload. *)
+let prop_eq_model =
+  QCheck.Test.make ~name:"model: push/pop interleavings match a sorted list"
+    ~count:300
+    QCheck.(list (option (int_bound 5)))
+    (fun ops ->
+      let filler = Bytes.empty in
+      let q = Event_queue.create ~filler in
+      (* (time, seq, payload), ascending. *)
+      let model = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iteri
+        (fun seq op ->
+          (match op with
+          | Some t ->
+              let time = float_of_int t in
+              let payload = Bytes.of_string (string_of_int seq) in
+              Event_queue.push q ~time payload;
+              let later (t', _, _) = t' > time in
+              let before, after =
+                List.partition (fun e -> not (later e)) !model
+              in
+              model := before @ ((time, seq, payload) :: after)
+          | None -> (
+              match (pop q, !model) with
+              | None, [] -> ()
+              | Some (time, p), (time', _, p') :: rest ->
+                  expect (time = time' && p == p');
+                  model := rest
+              | _ -> expect false));
+          expect (Event_queue.size q = List.length !model);
+          expect (Event_queue.vacant_slots_cleared q);
+          match (peek q, !model) with
+          | None, [] -> ()
+          | Some (time, p), (time', _, p') :: _ ->
+              expect (time = time' && p == p')
+          | _ -> expect false)
+        ops;
+      List.iter
+        (fun (time, _, p) ->
+          match pop q with
+          | Some (time', p') -> expect (time = time' && p == p')
+          | None -> expect false)
+        !model;
+      expect (Event_queue.is_empty q);
+      expect
+        (Obj.reachable_words (Obj.repr q)
+        = Obj.reachable_words (Obj.repr (Event_queue.create ~filler)));
+      !ok)
+
+(* At working capacity, a push/drop pair allocates nothing: the keys
+   go into unboxed arrays and the payload into a recycled slot. The
+   times are boxed once, in a static list, as the run loop's are. *)
+let test_eq_push_drop_no_alloc () =
+  let q = Event_queue.create ~filler:"" in
+  let payload = "p" in
+  let times = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0; 5.0; 3.0 ] in
+  for i = 1 to 15 do
+    Event_queue.push q ~time:(float_of_int i) payload
+  done;
+  let rec pairs n = function
+    | _ when n = 0 -> ()
+    | [] -> pairs n times
+    | time :: rest ->
+        Event_queue.push q ~time payload;
+        Event_queue.drop_min q;
+        pairs (n - 1) rest
+  in
+  pairs 16 times;
+  let w0 = Gc.minor_words () in
+  pairs 10_000 times;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words for 10k push/drop pairs" 0.0 words;
+  Alcotest.(check int) "size held" 15 (Event_queue.size q)
 
 (* --- Sim core --- *)
 
@@ -169,8 +266,52 @@ let test_sim_double_wire_rejected () =
   let b = Sim.add_node sim ~name:"b" consume_handler in
   let c = Sim.add_node sim ~name:"c" consume_handler in
   Sim.connect sim (a, 0) (b, 0);
+  let rejected f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "rewiring rejected" true
-    (try Sim.connect sim (a, 0) (c, 0); false with Invalid_argument _ -> true)
+    (rejected (fun () -> Sim.connect sim (a, 0) (c, 0)));
+  Alcotest.(check bool) "negative port rejected" true
+    (rejected (fun () -> Sim.connect sim (a, -1) (c, 0)));
+  Alcotest.(check bool) "negative far port rejected" true
+    (rejected (fun () -> Sim.connect sim (c, 0) (a, -1)));
+  Alcotest.(check bool) "rejected wiring left c unwired" true
+    (Sim.neighbor sim c 0 = None);
+  (* A port past every wired one (and a negative one) reads as
+     unwired... *)
+  Alcotest.(check int) "depth beyond wired ports" 0 (Sim.queue_depth sim a 7);
+  Alcotest.(check bool) "no neighbor beyond wired ports" true
+    (Sim.neighbor sim a 7 = None);
+  Alcotest.(check bool) "no neighbor on a negative port" true
+    (Sim.neighbor sim a (-1) = None);
+  (* ...and transmitting on it is an unwired-port drop. *)
+  let r =
+    Sim.add_node sim ~name:"r" (fun _ ~now:_ ~ingress:_ pkt ->
+        [ Sim.Forward (7, pkt); Sim.Forward (-1, pkt) ])
+  in
+  Sim.connect sim (r, 0) (c, 0);
+  Sim.inject sim ~at:0.0 ~node:r ~port:3 (packet "x");
+  Sim.run sim;
+  Alcotest.(check int) "unwired-port drops" 2
+    (Stats.Counters.get (Sim.counters sim) "r.drop.unwired-port")
+
+(* Regression: an event scheduled before the current instant used to
+   run, setting the clock back. *)
+let test_sim_no_past_events () =
+  let sim = Sim.create () in
+  let a = Sim.add_node sim ~name:"a" consume_handler in
+  let rejected f = try f (); false with Invalid_argument _ -> true in
+  let outcome = ref [] in
+  Sim.schedule sim ~at:5.0 (fun s ->
+      outcome :=
+        [
+          rejected (fun () -> Sim.schedule s ~at:3.0 (fun _ -> ()));
+          rejected (fun () -> Sim.inject s ~at:3.0 ~node:a ~port:0 (packet "x"));
+          rejected (fun () -> Sim.schedule s ~at:5.0 (fun _ -> ()));
+        ]);
+  Sim.run sim;
+  Alcotest.(check (list bool)) "past rejected, present accepted"
+    [ true; true; false ] !outcome;
+  Alcotest.(check (float 0.0)) "clock never ran backwards" 5.0 (Sim.now sim);
+  Alcotest.(check int) "nothing delivered" 0 (List.length (Sim.consumed sim))
 
 let test_sim_timer () =
   let sim = Sim.create () in
@@ -623,6 +764,9 @@ let () =
           Alcotest.test_case "invalid times" `Quick test_eq_invalid_times;
           Alcotest.test_case "random stress" `Quick test_eq_many_random;
           QCheck_alcotest.to_alcotest prop_eq_fifo_ties_and_cleared_slots;
+          QCheck_alcotest.to_alcotest prop_eq_model;
+          Alcotest.test_case "push/drop allocation-free" `Quick
+            test_eq_push_drop_no_alloc;
         ] );
       ( "sim",
         [
@@ -633,6 +777,8 @@ let () =
           Alcotest.test_case "bandwidth delay" `Quick test_sim_bandwidth_delay;
           Alcotest.test_case "double wire rejected" `Quick test_sim_double_wire_rejected;
           Alcotest.test_case "timer" `Quick test_sim_timer;
+          Alcotest.test_case "no events in the past" `Quick
+            test_sim_no_past_events;
           Alcotest.test_case "run until" `Quick test_sim_run_until;
           Alcotest.test_case "consume hook" `Quick test_sim_on_consume_hook;
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
