@@ -33,150 +33,132 @@ let ginv a =
 
 let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xFF
 
+(* Both tables are built eagerly at module initialisation: a [lazy]
+   table raises [CamlinternalLazy.Undefined] when two domains force it
+   at once. *)
 let sbox =
-  lazy
-    (Array.init 256 (fun x ->
-         let b = ginv x in
-         b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4
-         lxor 0x63))
+  Array.init 256 (fun x ->
+      let b = ginv x in
+      b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
 let inv_sbox =
-  lazy
-    (let s = Lazy.force sbox in
-     let inv = Array.make 256 0 in
-     Array.iteri (fun i v -> inv.(v) <- i) s;
-     inv)
+  let inv = Array.make 256 0 in
+  Array.iteri (fun i v -> inv.(v) <- i) sbox;
+  inv
 
-type key = { round_keys : int array array (* 11 round keys of 16 bytes *) }
+(* The 11 round keys of 16 bytes, back to back. *)
+type key = Bytes.t
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1B; 0x36 |]
 
+let byte b i = Char.code (Bytes.get b i)
+let set_byte b i v = Bytes.set b i (Char.unsafe_chr v)
+
+(* AES-128 expands 4 key words into 44; word i is bytes [4i, 4i+4). *)
 let expand_key raw =
   if String.length raw <> key_size then
     invalid_arg "Aes128.expand_key: need a 16-byte key";
-  let s = Lazy.force sbox in
-  (* Words are 4 bytes; AES-128 expands 4 key words into 44. *)
-  let w = Array.make_matrix 44 4 0 in
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      w.(i).(j) <- Char.code raw.[(4 * i) + j]
-    done
-  done;
+  let w = Bytes.create 176 in
+  Bytes.blit_string raw 0 w 0 16;
   for i = 4 to 43 do
-    let temp = Array.copy w.(i - 1) in
-    let temp =
-      if i mod 4 = 0 then begin
-        (* RotWord then SubWord then Rcon. *)
-        let t = [| temp.(1); temp.(2); temp.(3); temp.(0) |] in
-        let t = Array.map (fun b -> s.(b)) t in
-        t.(0) <- t.(0) lxor rcon.((i / 4) - 1);
-        t
-      end
-      else temp
-    in
+    let prev = 4 * (i - 1) in
     for j = 0 to 3 do
-      w.(i).(j) <- w.(i - 4).(j) lxor temp.(j)
+      let t =
+        if i mod 4 <> 0 then byte w (prev + j)
+        else
+          (* RotWord then SubWord then Rcon. *)
+          let s = sbox.(byte w (prev + ((j + 1) mod 4))) in
+          if j = 0 then s lxor rcon.((i / 4) - 1) else s
+      in
+      set_byte w ((4 * i) + j) (byte w ((4 * (i - 4)) + j) lxor t)
     done
   done;
-  let round_keys =
-    Array.init 11 (fun r ->
-        Array.init 16 (fun k -> w.((4 * r) + (k / 4)).(k mod 4)))
-  in
-  { round_keys }
+  w
 
-let add_round_key state rk =
-  for i = 0 to 15 do
-    state.(i) <- state.(i) lxor rk.(i)
+(* The state is the 16 bytes of the block at [o], in input order: row
+   r, column c is byte o + 4c + r. Every step works on it in place. *)
+
+let add_round_key b o k r = Block.xor_into b o k (16 * r)
+
+let sub_bytes box b o =
+  for i = o to o + 15 do
+    set_byte b i box.(byte b i)
   done
 
-let sub_bytes box state =
-  for i = 0 to 15 do
-    state.(i) <- box.(state.(i))
+(* b.(i) <- b.(j) <- b.(k) <- b.(l) <- b.(i): one row rotation. *)
+let cycle b i j k l =
+  let t = Bytes.get b i in
+  Bytes.set b i (Bytes.get b j);
+  Bytes.set b j (Bytes.get b k);
+  Bytes.set b k (Bytes.get b l);
+  Bytes.set b l t
+
+let swap b i j =
+  let t = Bytes.get b i in
+  Bytes.set b i (Bytes.get b j);
+  Bytes.set b j t
+
+(* Row r moves r columns left; row 2 is two swaps. *)
+let shift_rows b o =
+  cycle b (o + 1) (o + 5) (o + 9) (o + 13);
+  swap b (o + 2) (o + 10);
+  swap b (o + 6) (o + 14);
+  cycle b (o + 15) (o + 11) (o + 7) (o + 3)
+
+let inv_shift_rows b o =
+  cycle b (o + 13) (o + 9) (o + 5) (o + 1);
+  swap b (o + 2) (o + 10);
+  swap b (o + 6) (o + 14);
+  cycle b (o + 3) (o + 7) (o + 11) (o + 15)
+
+let mix_columns b o =
+  for c = 0 to 3 do
+    let i = o + (4 * c) in
+    let a0 = byte b i and a1 = byte b (i + 1) in
+    let a2 = byte b (i + 2) and a3 = byte b (i + 3) in
+    let d0 = xtime a0 and d1 = xtime a1 and d2 = xtime a2 and d3 = xtime a3 in
+    set_byte b i (d0 lxor d1 lxor a1 lxor a2 lxor a3);
+    set_byte b (i + 1) (a0 lxor d1 lxor d2 lxor a2 lxor a3);
+    set_byte b (i + 2) (a0 lxor a1 lxor d2 lxor d3 lxor a3);
+    set_byte b (i + 3) (d0 lxor a0 lxor a1 lxor a2 lxor d3)
   done
 
-(* State is stored in input order: state.(r + 4c) would be the FIPS
-   column-major layout; we keep the flat input order state.(4c + r)
-   and express row shifts on that layout. Byte index of row r,
-   column c is 4c + r. *)
-
-let shift_rows state =
-  let g r c = state.((4 * c) + r) in
-  let out = Array.make 16 0 in
+let inv_mix_columns b o =
   for c = 0 to 3 do
-    for r = 0 to 3 do
-      out.((4 * c) + r) <- g r ((c + r) mod 4)
-    done
-  done;
-  Array.blit out 0 state 0 16
-
-let inv_shift_rows state =
-  let g r c = state.((4 * c) + r) in
-  let out = Array.make 16 0 in
-  for c = 0 to 3 do
-    for r = 0 to 3 do
-      out.((4 * c) + r) <- g r ((c - r + 4) mod 4)
-    done
-  done;
-  Array.blit out 0 state 0 16
-
-let mix_columns state =
-  for c = 0 to 3 do
-    let b = 4 * c in
-    let a0 = state.(b) and a1 = state.(b + 1) in
-    let a2 = state.(b + 2) and a3 = state.(b + 3) in
-    state.(b) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    state.(b + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    state.(b + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    state.(b + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
+    let i = o + (4 * c) in
+    let a0 = byte b i and a1 = byte b (i + 1) in
+    let a2 = byte b (i + 2) and a3 = byte b (i + 3) in
+    set_byte b i (gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9);
+    set_byte b (i + 1) (gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13);
+    set_byte b (i + 2) (gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11);
+    set_byte b (i + 3) (gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14)
   done
 
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let b = 4 * c in
-    let a0 = state.(b) and a1 = state.(b + 1) in
-    let a2 = state.(b + 2) and a3 = state.(b + 3) in
-    state.(b) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.(b + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.(b + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.(b + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let check_block b =
-  if String.length b <> block_size then invalid_arg "Aes128: block must be 16 bytes"
-
-let state_of_string s = Array.init 16 (fun i -> Char.code s.[i])
-
-let string_of_state st =
-  String.init 16 (fun i -> Char.chr (st.(i) land 0xFF))
-
-let encrypt_block k block =
-  check_block block;
-  let s = Lazy.force sbox in
-  let st = state_of_string block in
-  add_round_key st k.round_keys.(0);
+let encrypt_into k b o =
+  Block.check_into "Aes128" b o;
+  add_round_key b o k 0;
   for r = 1 to 9 do
-    sub_bytes s st;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st k.round_keys.(r)
+    sub_bytes sbox b o;
+    shift_rows b o;
+    mix_columns b o;
+    add_round_key b o k r
   done;
-  sub_bytes s st;
-  shift_rows st;
-  add_round_key st k.round_keys.(10);
-  string_of_state st
+  sub_bytes sbox b o;
+  shift_rows b o;
+  add_round_key b o k 10
 
-let decrypt_block k block =
-  check_block block;
-  let s = Lazy.force inv_sbox in
-  let st = state_of_string block in
-  add_round_key st k.round_keys.(10);
-  inv_shift_rows st;
-  sub_bytes s st;
+let decrypt_into k b o =
+  Block.check_into "Aes128" b o;
+  add_round_key b o k 10;
+  inv_shift_rows b o;
+  sub_bytes inv_sbox b o;
   for r = 9 downto 1 do
-    add_round_key st k.round_keys.(r);
-    inv_mix_columns st;
-    inv_shift_rows st;
-    sub_bytes s st
+    add_round_key b o k r;
+    inv_mix_columns b o;
+    inv_shift_rows b o;
+    sub_bytes inv_sbox b o
   done;
-  add_round_key st k.round_keys.(0);
-  string_of_state st
+  add_round_key b o k 0
+
+let encrypt_block k block = Block.on_copy "Aes128" encrypt_into k block
+let decrypt_block k block = Block.on_copy "Aes128" decrypt_into k block

@@ -16,33 +16,48 @@ let rc =
     0xD1310BA698DFB5ACL; 0x2FFD72DBD01ADFB7L; 0xB8E1AFED6A267E96L;
   |]
 
-(* One SPECK-like round: invertible because every step is. *)
-let round i (a, b) =
-  let a = Int64.add (rotr a 8) b in
-  let a = Int64.logxor a rc.(i) in
-  let b = Int64.logxor (rotl b 3) a in
-  (a, b)
+(* One SPECK-like round per iteration: invertible because every step
+   is. The lanes live in local refs initialised straight from the
+   byte loads, which ocamlopt keeps unboxed in registers, so a whole
+   permutation allocates nothing. *)
+let forward_into b off =
+  Block.check_into "Arx_perm" b off;
+  let hi = ref (Bytes.get_int64_be b off) in
+  let lo = ref (Bytes.get_int64_be b (off + 8)) in
+  for i = 0 to rounds - 1 do
+    let a = Int64.logxor (Int64.add (rotr !hi 8) !lo) (Array.unsafe_get rc i) in
+    hi := a;
+    lo := Int64.logxor (rotl !lo 3) a
+  done;
+  Bytes.set_int64_be b off !hi;
+  Bytes.set_int64_be b (off + 8) !lo
 
-let unround i (a, b) =
-  let b = rotr (Int64.logxor b a) 3 in
-  let a = Int64.logxor a rc.(i) in
-  let a = rotl (Int64.sub a b) 8 in
-  (a, b)
-
-let forward blk =
-  let rec go i blk = if i = rounds then blk else go (i + 1) (round i blk) in
-  go 0 blk
-
-let backward blk =
-  let rec go i blk = if i < 0 then blk else go (i - 1) (unround i blk) in
-  go (rounds - 1) blk
-
-let of_string s =
-  if String.length s <> 16 then invalid_arg "Arx_perm.of_string: need 16 bytes";
-  (String.get_int64_be s 0, String.get_int64_be s 8)
+let backward_into b off =
+  Block.check_into "Arx_perm" b off;
+  let hi = ref (Bytes.get_int64_be b off) in
+  let lo = ref (Bytes.get_int64_be b (off + 8)) in
+  for i = rounds - 1 downto 0 do
+    let l = rotr (Int64.logxor !lo !hi) 3 in
+    hi := rotl (Int64.sub (Int64.logxor !hi (Array.unsafe_get rc i)) l) 8;
+    lo := l
+  done;
+  Bytes.set_int64_be b off !hi;
+  Bytes.set_int64_be b (off + 8) !lo
 
 let to_string (hi, lo) =
   let b = Bytes.create 16 in
   Bytes.set_int64_be b 0 hi;
   Bytes.set_int64_be b 8 lo;
   Bytes.unsafe_to_string b
+
+let of_string s =
+  if String.length s <> 16 then invalid_arg "Arx_perm.of_string: need 16 bytes";
+  (String.get_int64_be s 0, String.get_int64_be s 8)
+
+let via f blk =
+  let b = Bytes.unsafe_of_string (to_string blk) in
+  f b 0;
+  of_string (Bytes.unsafe_to_string b)
+
+let forward = via forward_into
+let backward = via backward_into

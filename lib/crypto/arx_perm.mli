@@ -5,7 +5,11 @@
     construction (see {!Even_mansour}). It is deliberately simple —
     ARX rounds map directly onto a programmable-switch ALU, which is
     the property that made 2EM attractive on Tofino in the paper's
-    prototype (§4.1). *)
+    prototype (§4.1).
+
+    The rounds run in place on 16 bytes of a buffer ({!forward_into},
+    {!backward_into}) and allocate nothing; the tuple functions are
+    wrappers over them. *)
 
 type block = int64 * int64
 (** A 128-bit block as two big-endian 64-bit lanes: [(hi, lo)] where
@@ -13,6 +17,14 @@ type block = int64 * int64
 
 val rounds : int
 (** Number of ARX rounds applied (12). *)
+
+val forward_into : Bytes.t -> int -> unit
+(** [forward_into b off] applies the permutation in place to the 16
+    bytes of [b] at [off] (big-endian lanes, as {!block}). Raises
+    [Invalid_argument] if they are not all inside [b]. *)
+
+val backward_into : Bytes.t -> int -> unit
+(** Inverse of {!forward_into}, in place. *)
 
 val forward : block -> block
 (** Apply the permutation. *)

@@ -4,31 +4,32 @@ module Make (C : Block.S) = struct
   let expand_key = C.expand_key
   let passes = C.passes
 
-  let xor_into dst src =
-    for i = 0 to Bytes.length dst - 1 do
-      Bytes.set dst i (Char.chr (Char.code (Bytes.get dst i) lxor Char.code src.[i]))
-    done
-
-  (* Length block: 64-bit big-endian byte count, zero padded to a full
-     block. Prefixing (not suffixing) the length makes the encoding
-     prefix-free, which is what CBC-MAC needs for variable lengths. *)
-  let length_block n =
-    let b = Bytes.make C.block_size '\000' in
-    Bytes.set_int64_be b (C.block_size - 8) (Int64.of_int n);
-    Bytes.unsafe_to_string b
-
+  (* One block-sized state, owned by this call, is enciphered in place
+     and returned as the tag. It starts as the length block: a 64-bit
+     big-endian byte count, zero padded in front to a full block.
+     Prefixing (not suffixing) the length makes the encoding
+     prefix-free, which is what CBC-MAC needs for variable lengths.
+     Each message block is XORed into the state a 64-bit lane at a
+     time (the message is only read); the final partial block byte by
+     byte, which zero-pads it. *)
   let mac k msg =
-    let bs = C.block_size in
-    let state = ref (C.encrypt_block k (length_block (String.length msg))) in
-    let nblocks = (String.length msg + bs - 1) / bs in
-    for i = 0 to nblocks - 1 do
-      let chunk = Bytes.make bs '\000' in
-      let len = min bs (String.length msg - (i * bs)) in
-      Bytes.blit_string msg (i * bs) chunk 0 len;
-      xor_into chunk !state;
-      state := C.encrypt_block k (Bytes.unsafe_to_string chunk)
+    let bs = C.block_size and n = String.length msg in
+    let st = Bytes.make bs '\000' in
+    Bytes.set_int64_be st (bs - 8) (Int64.of_int n);
+    C.encrypt_into k st 0;
+    let full = n / bs in
+    for blk = 0 to full - 1 do
+      Block.xor_into st 0 (Bytes.unsafe_of_string msg) (blk * bs);
+      C.encrypt_into k st 0
     done;
-    !state
+    let pos = full * bs in
+    if pos < n then begin
+      for i = 0 to n - pos - 1 do
+        Bytes.set st i (Char.unsafe_chr (Char.code (Bytes.get st i) lxor Char.code msg.[pos + i]))
+      done;
+      C.encrypt_into k st 0
+    end;
+    Bytes.unsafe_to_string st
 
   let mac_truncated k n msg =
     if n < 1 || n > C.block_size then

@@ -7,7 +7,13 @@
     Plain CBC-MAC is only secure for fixed-length messages; we
     prepend the message length as the first block (the standard
     prefix-free encoding), so tags over different-length inputs are
-    domain-separated. Tags may be truncated; OPT uses 128-bit tags. *)
+    domain-separated. Tags may be truncated; OPT uses 128-bit tags.
+
+    {!Make.mac} runs in place: one block-sized state per call, each
+    message block XORed into it and the state enciphered with
+    {!Block.S.encrypt_into}. The returned tag is that state, and the
+    only allocation. No buffer is shared between calls, so MACs may
+    run on several domains at once. *)
 
 module Make (C : Block.S) : sig
   type key

@@ -1,18 +1,18 @@
+(* Built eagerly at module initialisation: a [lazy] table raises
+   [CamlinternalLazy.Undefined] when two domains force it at once. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let update crc byte =
-  let t = Lazy.force table in
   Int32.logxor
-    t.(Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int byte)) 0xFFl))
+    table.(Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int byte)) 0xFFl))
     (Int32.shift_right_logical crc 8)
 
 let run init get len =

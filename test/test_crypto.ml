@@ -192,6 +192,112 @@ let test_siphash_hash32 () =
   Alcotest.(check int32) "stable fold" h
     (Siphash.hash32 Siphash.default_key "hotnets.org")
 
+(* Known-answer vectors. Every constant below was computed with the
+   first (tuple-and-chunk) implementation of the ARX permutation, 2EM
+   and the CBC-MAC; the in-place kernels must reproduce them bit for
+   bit, and so must everything keyed through them. *)
+
+let hexs = Dip_stdext.Hex.encode
+
+(* A fixed, non-repeating message of [n] bytes. *)
+let kat_msg n = String.init n (fun i -> Char.chr (((i * 37) + 11) land 0xFF))
+
+let test_kat_arx () =
+  let hi, lo = Arx_perm.forward (0x0123456789ABCDEFL, 0xFEDCBA9876543210L) in
+  Alcotest.(check int64) "hi" 0x705d30290c44156fL hi;
+  Alcotest.(check int64) "lo" 0x99a1f0f63556c640L lo
+
+let test_kat_em () =
+  Alcotest.(check string) "encrypt" "3ed8641eab52c32aba247902da14510d"
+    (hexs (Even_mansour.encrypt_block em_key "0123456789abcdef"));
+  Alcotest.(check string) "decrypt" "38d46f50304e1f9a2a3a656fe0214115"
+    (hexs (Even_mansour.decrypt_block em_key "0123456789abcdef"))
+
+let kat_macs =
+  [
+    (0, "d65050907cac89cc10d807434156fbae", "b656048f311ba4049dd68faa16b7d75a");
+    (1, "f577210b3ab49140c9f91f1d58792970", "0eb9aca0b1868ef22d4fac6ca6a33b1f");
+    (15, "f2d33718a167a35e6fc9342c6c713978", "1d81d267a07d55a89094a42a78d910b1");
+    (16, "6f944116955eaddee6c62a9a619dcf99", "99f1108223f73d3d07adc219a7b5d1af");
+    (17, "c46ad5c7fa59a493c35500ed4a47fa06", "2e06f60f77770b596a230f5c33ef7253");
+    (52, "f1b5b07c81cc8c0313a1640865446369", "b30fdc39ff7e1ac99d0efc0343655d91");
+    (100, "bbc10fb3481804ca85251849ff8c0487", "5eb0f9025485461d5361592ccbf5635f");
+  ]
+
+let test_kat_mac () =
+  let ka = MacAes.expand_key "mac-master-key-1" in
+  List.iter
+    (fun (n, em, aes) ->
+      Alcotest.(check string) (Printf.sprintf "2EM, %d bytes" n) em
+        (hexs (Mac2em.mac mac_key (kat_msg n)));
+      Alcotest.(check string) (Printf.sprintf "AES, %d bytes" n) aes
+        (hexs (MacAes.mac ka (kat_msg n))))
+    kat_macs
+
+let kat_session = 0x1122334455667788L
+let kat_secret = Dip_opt.Drkey.secret_of_string "router-secret-00"
+
+let test_kat_derivations () =
+  Alcotest.(check string) "Prf.derive" "e712fd62af48f6a94de08ed62c64d6ae"
+    (hexs (Prf.derive (Prf.key_of_string "prf-master-key-0") ~label:"pvf" "session-1"));
+  Alcotest.(check string) "Drkey.derive" "027f678a158f276fbb91560d917f2a32"
+    (hexs (Dip_opt.Drkey.derive kat_secret ~session_id:kat_session));
+  Alcotest.(check string) "EPIC derive_key" "2c601b258968a005e71b56b01a0fdace"
+    (hexs (Dip_epic.Protocol.derive_key kat_secret ~src:0x0A000001l ~timestamp:1234l))
+
+let test_kat_opt_router_update () =
+  let module H = Dip_opt.Header in
+  let buf = Dip_bitbuf.Bitbuf.create (H.size_bytes ~hops:1) in
+  let dest_key =
+    Dip_opt.Drkey.derive
+      (Dip_opt.Drkey.secret_of_string "router-secret-01")
+      ~session_id:kat_session
+  in
+  Dip_opt.Protocol.source_init buf ~base:0 ~hops:1 ~session_id:kat_session
+    ~timestamp:123456l ~dest_key ~payload:"the data";
+  Dip_opt.Protocol.router_update buf ~base:0 ~hop:1
+    ~key:(Dip_opt.Drkey.derive kat_secret ~session_id:kat_session);
+  Alcotest.(check string) "OPV" "54d9b3de0bc5156580fe13f96388217f"
+    (hexs (H.get_opv buf ~base:0 1));
+  Alcotest.(check string) "PVF" "0fbf1d95d3d5e022283f8e36a636ff3a"
+    (hexs (H.get_pvf buf ~base:0))
+
+(* Allocation. Minor-heap words per call, averaged over [n] calls with
+   the key already expanded. The lanes of the ARX rounds only stay
+   unboxed while ocamlopt can see that their refs start from a
+   primitive result; a compiler that stops unboxing them fails here. *)
+
+let words_per_call ?(n = 1000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words label ~max w =
+  Alcotest.(check bool) (Printf.sprintf "%s: %.2f words/call <= %d" label w max) true
+    (w <= float_of_int max)
+
+let test_alloc_permutation () =
+  let b = Bytes.of_string "0123456789abcdef" in
+  (* A fraction of a word per call would mean some calls allocate. *)
+  check_words "forward_into" ~max:0 (words_per_call (fun () -> Arx_perm.forward_into b 0));
+  check_words "backward_into" ~max:0 (words_per_call (fun () -> Arx_perm.backward_into b 0))
+
+let test_alloc_encrypt_into () =
+  let b = Bytes.of_string "0123456789abcdef" in
+  check_words "2EM encrypt_into" ~max:0
+    (words_per_call (fun () -> Even_mansour.encrypt_into em_key b 0));
+  let ka = Aes128.expand_key "mac-master-key-1" in
+  check_words "AES encrypt_into" ~max:0 (words_per_call (fun () -> Aes128.encrypt_into ka b 0))
+
+let test_alloc_mac () =
+  (* The tag (a 16-byte string: 4 words with its header) is the only
+     allocation. *)
+  let m = kat_msg 52 in
+  check_words "52-byte 2EM MAC" ~max:8 (words_per_call (fun () -> ignore (Mac2em.mac mac_key m)))
+
 (* QCheck properties. *)
 
 let prop_em_roundtrip =
@@ -213,6 +319,37 @@ let prop_mac_verify_accepts =
     QCheck.small_string
     (fun m -> Mac2em.verify mac_key ~tag:(Mac2em.mac mac_key m) m)
 
+let key16 = QCheck.(string_of_size (QCheck.Gen.return 16))
+let msg0_200 = QCheck.(string_of_size (QCheck.Gen.int_range 0 200))
+
+module Ref2em = Cbc_mac_ref.Make (Cbc_mac_ref.Em2)
+module RefAes = Cbc_mac_ref.Make (Aes128)
+
+let prop_mac_matches_reference_2em =
+  QCheck.Test.make ~name:"cbc-mac: 2EM kernel = tuple-and-chunk reference" ~count:500
+    QCheck.(pair key16 msg0_200)
+    (fun (raw, m) ->
+      Mac2em.mac (Mac2em.expand_key raw) m
+      = Ref2em.mac (Cbc_mac_ref.Em2.expand_key raw) m)
+
+let prop_mac_matches_reference_aes =
+  QCheck.Test.make ~name:"cbc-mac: AES kernel = chunked reference" ~count:200
+    QCheck.(pair key16 msg0_200)
+    (fun (raw, m) ->
+      MacAes.mac (MacAes.expand_key raw) m = RefAes.mac (Aes128.expand_key raw) m)
+
+let prop_arx_in_place_inverse =
+  QCheck.Test.make ~name:"arx: backward_into . forward_into = id" ~count:300
+    QCheck.(pair (int_range 0 8) key16)
+    (fun (off, blk) ->
+      let b = Bytes.make (off + 20) '\x5a' in
+      Bytes.blit_string blk 0 b off 16;
+      let before = Bytes.copy b in
+      Arx_perm.forward_into b off;
+      let moved = not (Bytes.equal b before) in
+      Arx_perm.backward_into b off;
+      moved && Bytes.equal b before)
+
 let () =
   Alcotest.run "crypto"
     [
@@ -222,6 +359,7 @@ let () =
           Alcotest.test_case "not identity" `Quick test_arx_not_identity;
           Alcotest.test_case "string roundtrip" `Quick test_arx_string_roundtrip;
           Alcotest.test_case "diffusion" `Quick test_arx_diffusion;
+          QCheck_alcotest.to_alcotest prop_arx_in_place_inverse;
         ] );
       ( "even-mansour",
         [
@@ -249,12 +387,28 @@ let () =
           Alcotest.test_case "ciphers disagree" `Quick test_mac_ciphers_disagree;
           QCheck_alcotest.to_alcotest prop_mac_injective_on_samples;
           QCheck_alcotest.to_alcotest prop_mac_verify_accepts;
+          QCheck_alcotest.to_alcotest prop_mac_matches_reference_2em;
+          QCheck_alcotest.to_alcotest prop_mac_matches_reference_aes;
         ] );
       ( "prf",
         [
           Alcotest.test_case "derivation" `Quick test_prf_derivation;
           Alcotest.test_case "label framing" `Quick test_prf_label_framing;
           Alcotest.test_case "int input" `Quick test_prf_int;
+        ] );
+      ( "known-answer",
+        [
+          Alcotest.test_case "arx forward" `Quick test_kat_arx;
+          Alcotest.test_case "2EM blocks" `Quick test_kat_em;
+          Alcotest.test_case "cbc-mac lengths" `Quick test_kat_mac;
+          Alcotest.test_case "prf, drkey, epic" `Quick test_kat_derivations;
+          Alcotest.test_case "opt router_update" `Quick test_kat_opt_router_update;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "in-place permutation" `Quick test_alloc_permutation;
+          Alcotest.test_case "encrypt_into" `Quick test_alloc_encrypt_into;
+          Alcotest.test_case "52-byte mac" `Quick test_alloc_mac;
         ] );
       ( "siphash",
         [

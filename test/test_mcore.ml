@@ -373,6 +373,88 @@ let prop_pool_equals_fold =
           seq = pool)
         capacities)
 
+(* --- pool ≡ sequential fold on MAC-bound traffic --- *)
+
+(* OPT, NDN+OPT data and EPIC packets rewrite their tags in place
+   (OPV and PVF, HVF) with the 2EM CBC-MAC on whichever worker domain
+   they land. Verdicts and every rewritten byte must match the
+   sequential fold: a MAC kernel that shared a scratch buffer across
+   calls would corrupt tags here. *)
+
+let mac_secret = Dip_opt.Drkey.secret_of_string "mcore-router-key"
+let mac_host = Dip_opt.Drkey.secret_of_string "mcore-host-key-0"
+let mac_rogue = Dip_opt.Drkey.secret_of_string "mcore-rogue-key0"
+
+let mk_mac_env w =
+  let env = mk_env w in
+  Env.set_opt_identity env ~secret:mac_secret ~hop:1;
+  env
+
+(* Each spec makes one or two packets: an OPT packet, an NDN+OPT
+   interest then its data, an EPIC packet, or an EPIC packet keyed
+   by the wrong secret (which the router must reject). Each comes
+   paired with whether the router rewrites a tag in it. *)
+let mk_mac_packets (kind, flow) =
+  let session_id = Int64.of_int (100 + flow) in
+  let timestamp = Int32.of_int (1 + flow) in
+  let dest_key = Dip_opt.Drkey.derive mac_host ~session_id in
+  let payload = Printf.sprintf "mac-bound payload %d" flow in
+  let epic secret =
+    Realize.epic ~hops:1 ~src_id:7l ~timestamp
+      ~hop_keys:[ Dip_epic.Protocol.derive_key secret ~src:7l ~timestamp ]
+      ~src:(v4 "192.0.2.1")
+      ~dst:(v4 (Printf.sprintf "10.0.0.%d" (1 + flow)))
+      ~payload ()
+  in
+  match kind with
+  | 0 -> [ (Realize.opt ~hops:1 ~session_id ~timestamp ~dest_key ~payload (), true) ]
+  | 1 ->
+      let name = Name.of_string (Printf.sprintf "/mcore/f%d" flow) in
+      [
+        (Realize.ndn_opt_interest ~name ~payload:"" (), false);
+        ( Realize.ndn_opt_data ~hops:1 ~session_id ~timestamp ~dest_key ~name
+            ~content:payload (),
+          true );
+      ]
+  | 2 -> [ (epic mac_secret, true) ]
+  | _ -> [ (epic mac_rogue, false) ]
+
+let prop_pool_mac_traffic =
+  QCheck.Test.make
+    ~name:"pool: 2-domain OPT/NDN+OPT/EPIC ≡ sequential fold, bytes included"
+    ~count:20
+    QCheck.(
+      list_of_size (Gen.int_range 1 24) (pair (int_range 0 3) (int_range 0 15)))
+    (fun specs ->
+      let pkts, tagged = List.split (List.concat_map mk_mac_packets specs) in
+      let seq = List.map Bitbuf.copy pkts in
+      let env = mk_mac_env 0 in
+      let seq_verdicts =
+        List.map
+          (fun p -> verdict_summary (fst (Engine.process ~registry env ~now:0.0 ~ingress:0 p)))
+          seq
+      in
+      let pool =
+        Mcore.Pool.create ~domains:2 (Mcore.Snapshot.v ~registry ~mk_env:mk_mac_env ())
+      in
+      let items =
+        Array.of_list
+          (List.map
+             (fun p -> { Mcore.Pool.now = 0.0; ingress = 0; pkt = Bitbuf.copy p })
+             pkts)
+      in
+      let out = Mcore.Pool.process_batch pool items in
+      Mcore.Pool.shutdown pool;
+      let pool_verdicts = Array.to_list (Array.map (fun (v, _) -> verdict_summary v) out) in
+      seq_verdicts = pool_verdicts
+      && List.for_all2
+           (fun a it -> Bitbuf.to_string a = Bitbuf.to_string it.Mcore.Pool.pkt)
+           seq (Array.to_list items)
+      (* The tags were really rewritten. *)
+      && List.for_all2
+           (fun (p, tagged) a -> (not tagged) || Bitbuf.to_string p <> Bitbuf.to_string a)
+           (List.combine pkts tagged) seq)
+
 (* --- pool: snapshot publication --- *)
 
 let test_pool_publish () =
@@ -806,6 +888,7 @@ let () =
       ( "pool",
         [
           QCheck_alcotest.to_alcotest prop_pool_equals_fold;
+          QCheck_alcotest.to_alcotest prop_pool_mac_traffic;
           Alcotest.test_case "publish" `Quick test_pool_publish;
           Alcotest.test_case "publish gate rejects" `Quick
             test_pool_publish_gate_rejects;
