@@ -83,14 +83,22 @@ val process :
     tallies and (sampled) execution spans are recorded through it
     ({!Obs}); without it the loop stays allocation- and clock-free.
 
-    Parsing and verification go through the node's
-    {!Env.prog_cache}: packets whose basic-header + FN-definition
-    prefix was seen before reuse the decoded program and the memoized
-    verify verdict (so [verify] is called at most once per cached
-    program — it must be a pure function of the FN program, which
-    {!Dip_analysis.verifier} is). Disable the cache
-    ([Progcache.set_enabled], or [Env.create ~prog_cache_capacity:0])
-    to force cold parsing. *)
+    Algorithm 1 runs staged. The node's {!Env.prog_cache} keys the
+    packet's basic-header + FN-definition prefix; the first packet of
+    a program compiles it once against [registry] and the side it
+    runs on — each FN's operation module resolved (or a skip decided:
+    a tag mismatch, or an uninstalled key that may be ignored), its
+    absolute target slice computed, an [Unsupported] verdict fixed —
+    and every later packet runs that compiled array through one
+    reused {!Env.ctx}. A program is recompiled when it meets a
+    different registry, or the same one after an {!Registry.install}
+    or {!Registry.uninstall}, so a direct registry change reaches the
+    next packet. [verify] is called at most once per compiled program
+    and hook: it must be a pure function of the FN program and the
+    registry, which {!Dip_analysis.verifier} is. With the cache off
+    ([Progcache.set_enabled], or [Env.create ~prog_cache_capacity:0]),
+    or for a packet too short to key, each packet compiles a
+    throwaway program and runs the same loop. *)
 
 val host_process :
   ?obs:Obs.t ->

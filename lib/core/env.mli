@@ -14,9 +14,9 @@ type port = Dip_netsim.Sim.port
 
 (** Per-packet scratch shared between the FNs of one packet (F_parm
     deposits the derived OPT key, F_MAC/F_mark consume it). Owned by
-    the environment so the engine reuses one record per node instead
-    of allocating per packet; {!Dip_core.Engine} resets it before
-    each run.
+    the environment's {!ctx} so the engine reuses one record per node
+    instead of allocating per packet; {!Dip_core.Engine} resets it
+    before each run.
 
     [emit] is the auxiliary-transmission channel: an operation that
     must put an {e extra} packet on the wire without deciding the
@@ -48,7 +48,22 @@ type counts = {
   custody_ack : Dip_obs.Metrics.counter;  (** ["custody.ack"] *)
 }
 
-type t = {
+(** The context an operation module runs against — {!Registry.ctx},
+    which documents the fields. Each node owns one, created with it;
+    {!Dip_core.Engine} rewrites the mutable fields per FN instead of
+    allocating a record per FN. *)
+type ctx = {
+  env : t;
+  mutable view : Packet.view;
+  mutable fn : Fn.t;
+  mutable target : Dip_bitbuf.Field.t;
+  mutable ingress : port;
+  mutable now : float;
+  scratch : scratch;
+  budget : Guard.budget;
+}
+
+and t = {
   name : string;
   (* IP state (F_32_match / F_128_match): the at-scale LPM engines —
      DIR-24-8 flat arrays for v4, a compressed multibit trie for v6
@@ -91,9 +106,10 @@ type t = {
      {!Dip_netsim.Stats.Counters} view, and the handles into it. *)
   counters : Dip_netsim.Stats.Counters.t;
   counts : counts;
-  (* Hot-path state: the reused per-packet scratch and the
-     decoded-FN-program cache. *)
-  scratch : scratch;
+  (* Hot-path state: the reused operation context (which carries the
+     per-packet scratch and guard budget) and the decoded-FN-program
+     cache. *)
+  ctx : ctx;
   prog_cache : Progcache.t;
   (* Custody transfer (F_cust, key 16): the bounded per-router bundle
      store, keyed by bundle id. [None] (default) means this node

@@ -10,6 +10,10 @@ type budget = { limits : t; mutable ops : int; mutable state : int }
 
 let start limits = { limits; ops = 0; state = 0 }
 
+let restart b =
+  b.ops <- 0;
+  b.state <- 0
+
 let charge_op b =
   b.ops <- b.ops + 1;
   b.ops <= b.limits.max_ops

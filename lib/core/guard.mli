@@ -20,6 +20,10 @@ type budget
 
 val start : t -> budget
 
+val restart : budget -> unit
+(** Give a budget its full allowance back: the engine keeps one per
+    node and restarts it per packet. *)
+
 val charge_op : budget -> bool
 (** Account one executed operation; [false] means the limit is
     exceeded and the packet must be dropped. *)

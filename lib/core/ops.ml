@@ -6,16 +6,29 @@ open Registry
 
 (* --- IP forwarding (keys 1-3) --- *)
 
+(* A route to one port is the common outcome; for ports below 256 it
+   is shared instead of allocated per packet. *)
+let one_port = Array.init 256 (fun p -> Set_route [ p ])
+let route_to p = if p >= 0 && p < 256 then one_port.(p) else Set_route [ p ]
+
+(* The 32-bit target, boxed once: a byte-aligned one (every
+   realization's) is a single load. *)
+let[@inline never] read_v4 (ctx : ctx) =
+  let off = ctx.target.Field.off_bits in
+  if off land 7 = 0 then Bitbuf.get_uint32 ctx.view.Packet.buf (off lsr 3)
+  else Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target)
+
 let f_32_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 32 then Abort "f32: field must be 32 bits"
   else
-    let dst = Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target) in
-    if ctx.env.Env.local_v4 = Some dst then Deliver_local
-    else
-      (* DIR-24-8 fast path: id-based lookup is allocation-free. *)
-      let id = Dip_tables.Fib.V4.lookup_id ctx.env.Env.v4_routes dst in
-      if id < 0 then Abort "no-route"
-      else Set_route [ Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id ]
+    let dst = read_v4 ctx in
+    match ctx.env.Env.local_v4 with
+    | Some a when Int32.equal a dst -> Deliver_local
+    | _ ->
+        (* DIR-24-8 fast path: id-based lookup is allocation-free. *)
+        let id = Dip_tables.Fib.V4.lookup_id ctx.env.Env.v4_routes dst in
+        if id < 0 then Abort "no-route"
+        else route_to (Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id)
 
 let f_128_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 128 then
@@ -45,12 +58,13 @@ let read_name_hash ctx =
 
 (* A content-store hit turns the interest into a data packet sent
    back out of the ingress port: same 32-bit name in the locations,
-   F_PIT replacing F_FIB, cached bytes as payload. *)
+   F_PIT replacing F_FIB, cached bytes as payload, the interest's
+   live hop limit (byte 2 of the packet, see {!Registry.ctx}). *)
 let data_packet_for ctx ~hash ~content =
   let loc = Bytes.create 4 in
   Bytes.set_int32_be loc 0 hash;
   Packet.build
-    ~hop_limit:ctx.view.Packet.header.Header.hop_limit
+    ~hop_limit:(Bitbuf.get_uint8 ctx.view.Packet.buf 2)
     ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_pit ]
     ~locations:(Bytes.to_string loc) ~payload:content ()
 

@@ -6,13 +6,13 @@ type outcome =
   | Silent
   | Abort of string
 
-type ctx = {
+type ctx = Env.ctx = {
   env : Env.t;
-  view : Packet.view;
-  fn : Fn.t;
-  target : Dip_bitbuf.Field.t;
-  ingress : Env.port;
-  now : float;
+  mutable view : Packet.view;
+  mutable fn : Fn.t;
+  mutable target : Dip_bitbuf.Field.t;
+  mutable ingress : Env.port;
+  mutable now : float;
   scratch : scratch;
   budget : Guard.budget;
 }
@@ -129,13 +129,22 @@ let resolve_span ~(field : Dip_bitbuf.Field.t) ~region_bits s =
   if len <= 0 || off < 0 then None
   else Some (Dip_bitbuf.Field.v ~off_bits:off ~len_bits:len)
 
-type t = (Opkey.t, impl) Hashtbl.t
+(* Dense by key: a lookup is one array load. [generation] counts the
+   installs and uninstalls, so a program compiled against this
+   registry can tell that it changed since. *)
+type t = { impls : impl option array; mutable generation : int }
 
-let empty () : t = Hashtbl.create 16
-let install t key impl = Hashtbl.replace t key impl
-let uninstall t key = Hashtbl.remove t key
-let find t key = Hashtbl.find_opt t key
-let supports t key = Hashtbl.mem t key
+let empty () = { impls = Array.make (Opkey.max_key + 1) None; generation = 0 }
+
+let set t key v =
+  t.impls.(Opkey.to_int key) <- v;
+  t.generation <- t.generation + 1
+
+let install t key impl = set t key (Some impl)
+let uninstall t key = set t key None
+let find t key = t.impls.(Opkey.to_int key)
+let supports t key = Option.is_some (find t key)
+let generation t = t.generation
 
 let supported t =
   List.filter (fun k -> supports t k) Opkey.all

@@ -82,7 +82,7 @@ let run t env ~now ~ingress buf =
       }
     in
     let budget = Guard.start env.Env.guard in
-    let scratch = env.Env.scratch in
+    let scratch = env.Env.ctx.Env.scratch in
     scratch.Registry.opt_key <- None;
     let route = ref None in
     let rec loop = function

@@ -212,14 +212,42 @@ let test_parser_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* The DIP-32 parse graph (Realize.ipv4's layout: 6-byte basic header,
+   two FN triples, then dst and src at byte 18): FN_Num selects the
+   shape, anything else is rejected. *)
+let dip32_parser () =
+  let f ~off ~len = Dip_bitbuf.Field.v ~off_bits:off ~len_bits:len in
+  Parser.build ~start:"start"
+    [
+      {
+        Parser.name = "start";
+        extracts = [ { Parser.container = "fn_num"; field = f ~off:8 ~len:8 } ];
+        transition = Parser.Select ("fn_num", [ (2L, "dip32") ], "reject");
+      };
+      {
+        Parser.name = "dip32";
+        extracts =
+          [
+            { Parser.container = "dip32_dst"; field = f ~off:(8 * 18) ~len:32 };
+            { Parser.container = "dip32_src"; field = f ~off:(8 * 22) ~len:32 };
+          ];
+        transition = Parser.Accept;
+      };
+      {
+        Parser.name = "reject";
+        extracts = [];
+        transition = Parser.Reject "unsupported shape (preset slices)";
+      };
+    ]
+
 let test_parser_truncated_packet () =
-  let p = Dip_program.parser () in
+  let p = dip32_parser () in
   match Parser.run p (Bitbuf.create 8) with
   | Error e -> Alcotest.(check bool) "clean error" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "truncated packet must not parse"
 
 let test_parser_shape_select () =
-  let p = Dip_program.parser () in
+  let p = dip32_parser () in
   (* The DIP-32 shape parses… *)
   (match Parser.run p (ip_pkt ()) with
   | Ok phv -> Alcotest.(check int64) "dst slice" 0x0A010203L (Phv.get phv "dip32_dst")
@@ -272,70 +300,33 @@ let test_table_kind_guards () =
     (try Table.add_lpm t ~value:0L ~prefix_len:8 ~width:32 ~name:"x" (fun _ -> ()); false
      with Invalid_argument _ -> true)
 
-(* --- Pipeline + the §4.1 DIP program --- *)
+(* --- Pipeline --- *)
 
-let routes () =
-  [
-    (Dip_tables.Ipaddr.Prefix.of_string "10.0.0.0/8", 1);
-    (Dip_tables.Ipaddr.Prefix.of_string "10.1.0.0/16", 2);
-  ]
-
-let test_dip_program_forwards () =
-  let p = Dip_program.parser () in
-  let pl = Dip_program.pipeline ~routes:(routes ()) () in
-  (match Dip_program.process p pl (ip_pkt ~dst:"10.1.2.3" ()) with
-  | Dip_program.Forward 2, Some r ->
-      Alcotest.(check int) "single pass" 1 r.Pipeline.passes;
-      Alcotest.(check int) "four tables" 4 r.Pipeline.tables_applied
-  | Dip_program.Forward p', _ -> Alcotest.failf "wrong port %d" p'
-  | Dip_program.Drop e, _ -> Alcotest.failf "dropped: %s" e);
-  match Dip_program.process p pl (ip_pkt ~dst:"10.9.9.9" ()) with
-  | Dip_program.Forward 1, _ -> ()
-  | _ -> Alcotest.fail "coarse route expected"
-
-let test_dip_program_parity_with_engine () =
-  let p = Dip_program.parser () in
-  let pl = Dip_program.pipeline ~routes:(routes ()) () in
-  let env = Env.create ~name:"e" in
-  let env = env () in
-  List.iter
-    (fun (prefix, port) -> Dip_ip.Ipv4.add_route env.Env.v4_routes prefix port)
-    (routes ());
-  List.iter
-    (fun dst ->
-      let a = ip_pkt ~dst () and b = ip_pkt ~dst () in
-      let engine_verdict, _ = Engine.process ~registry:reg env ~now:0.0 ~ingress:0 a in
-      let pipeline_verdict, _ = Dip_program.process p pl b in
-      let same =
-        match (engine_verdict, pipeline_verdict) with
-        | Engine.Forwarded [ x ], Dip_program.Forward y -> x = y
-        | Engine.Dropped _, Dip_program.Drop _ -> true
-        | _ -> false
-      in
-      Alcotest.(check bool) ("parity for " ^ dst) true same)
-    [ "10.1.2.3"; "10.200.1.1"; "192.0.2.55" ]
-
-let test_dip_program_hop_expiry () =
-  let p = Dip_program.parser () in
-  let pl = Dip_program.pipeline ~routes:(routes ()) () in
-  let pkt =
-    Realize.ipv4 ~hop_limit:1 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3")
-      ~payload:"xx" ()
+(* A stylized multi-pass MAC: each pass completes one "round" and
+   resubmits until [rounds] are done -- the AES pattern of §4.1. The
+   round counter lives in PHV metadata, surviving resubmission like
+   Tofino's resubmit metadata. *)
+let resubmit_pipeline ~rounds =
+  let mac =
+    Table.create
+      ~default:
+        ( "mac_round",
+          fun phv ->
+            let done_ = Phv.get_meta phv "mac_rounds" in
+            if Int64.to_int done_ + 1 >= rounds then begin
+              Phv.set_meta phv "mac_rounds" (Int64.of_int rounds);
+              Phv.set_egress phv 1
+            end
+            else begin
+              Phv.set_meta phv "mac_rounds" (Int64.add done_ 1L);
+              Phv.request_resubmit phv
+            end )
+      ~name:"mac" ~key:"hop_limit" Table.Exact
   in
-  match Dip_program.process p pl pkt with
-  | Dip_program.Drop "hop-limit-expired", _ -> ()
-  | _ -> Alcotest.fail "hop expiry in the ternary stage"
-
-let test_dip_program_decrements_wire () =
-  let p = Dip_program.parser () in
-  let pl = Dip_program.pipeline ~routes:(routes ()) () in
-  let pkt = ip_pkt ~dst:"10.1.2.3" () in
-  ignore (Dip_program.process p pl pkt);
-  Alcotest.(check int) "hop byte decremented on the wire" 63
-    (Bitbuf.get_uint8 pkt 2)
+  Pipeline.build [ { Pipeline.label = "mac"; tables = [ mac ] } ]
 
 let test_pipeline_resubmit_accounting () =
-  let pl = Dip_program.demo_resubmit_pipeline ~rounds:5 in
+  let pl = resubmit_pipeline ~rounds:5 in
   let pkt = ip_pkt () in
   let phv = Phv.create pkt in
   Phv.bind phv "hop_limit" (Dip_bitbuf.Field.v ~off_bits:16 ~len_bits:8);
@@ -344,7 +335,7 @@ let test_pipeline_resubmit_accounting () =
   Alcotest.(check (option int)) "eventually egresses" (Some 1) r.Pipeline.egress
 
 let test_pipeline_resubmit_cap () =
-  let pl = Dip_program.demo_resubmit_pipeline ~rounds:100 in
+  let pl = resubmit_pipeline ~rounds:100 in
   let pkt = ip_pkt () in
   let phv = Phv.create pkt in
   Phv.bind phv "hop_limit" (Dip_bitbuf.Field.v ~off_bits:16 ~len_bits:8);
@@ -392,10 +383,6 @@ let () =
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "DIP-32 program forwards" `Quick test_dip_program_forwards;
-          Alcotest.test_case "parity with engine" `Quick test_dip_program_parity_with_engine;
-          Alcotest.test_case "hop expiry" `Quick test_dip_program_hop_expiry;
-          Alcotest.test_case "decrements wire" `Quick test_dip_program_decrements_wire;
           Alcotest.test_case "resubmit accounting" `Quick test_pipeline_resubmit_accounting;
           Alcotest.test_case "resubmit cap" `Quick test_pipeline_resubmit_cap;
           Alcotest.test_case "build guards" `Quick test_pipeline_build_guards;

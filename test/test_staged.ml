@@ -1,0 +1,404 @@
+(* The staged engine against the literal Algorithm 1 interpreter
+   (Algorithm1_ref). Two identically configured nodes receive the same
+   packets, one through Engine.process / Engine.host_process, the other
+   through the oracle, and after every packet the harness requires the
+   same verdict, the same [info], the same packet bytes, the same
+   simulator actions, the same node counters and, with [?obs], the same
+   per-opkey run/skip/error and verdict counts. It runs every Realize
+   program, seeded random programs and byte-level mutations of both, on
+   router and host nodes, with the full and restricted registries, with
+   the program cache on, off and under eviction pressure, and with and
+   without a [?verify] hook and an observer. The engine must never
+   raise. *)
+
+open Dip_core
+module Bitbuf = Dip_bitbuf.Bitbuf
+module Ipaddr = Dip_tables.Ipaddr
+module Name = Dip_tables.Name
+module Prng = Dip_stdext.Prng
+module Drkey = Dip_opt.Drkey
+module Xid = Dip_xia.Xid
+module Metrics = Dip_obs.Metrics
+
+let master = Ops.default_registry ()
+let v4 = Ipaddr.V4.of_string
+let v6 = Ipaddr.V6.of_string
+let secret = Drkey.secret_of_string "staged-router-00"
+let dst_secret = Drkey.secret_of_string "staged-dest-0000"
+let pass_key = Dip_crypto.Siphash.key_of_string "staged-pass-key!"
+let dest_ad = Xid.of_name Xid.AD "staged-as"
+let names = [| Name.of_string "/a"; Name.of_string "/b/c"; Name.of_string "/d" |]
+let session_id = 4242L
+let dest_key = Drkey.derive dst_secret ~session_id
+
+(* --- the two nodes ---------------------------------------------------- *)
+
+let router ~cache =
+  let env =
+    Env.create ~cache_capacity:4 ~prog_cache_capacity:cache ~name:"r" ()
+  in
+  Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
+  Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "0.0.0.0/1") 5;
+  Dip_ip.Ipv6.add_route env.Env.v6_routes (Ipaddr.Prefix.of_string "2001:db8::/32") 2;
+  Array.iteri
+    (fun i n -> if i < 2 then Dip_tables.Name_fib.insert env.Env.fib n 3)
+    names;
+  Env.set_opt_identity env ~secret ~hop:1;
+  Dip_xia.Router.add_route env.Env.xia dest_ad 4;
+  Env.set_telemetry_identity env ~node_id:7 ~queue_depth:(fun () -> 3);
+  Env.enable_pass env ~key:pass_key;
+  Env.set_netfence env
+    (Dip_netfence.Policer.create ~key:(Dip_crypto.Prf.key_of_string "staged-netfence!") ());
+  ignore (Custody.enable env);
+  env
+
+let host ~cache =
+  let env = Env.create ~prog_cache_capacity:cache ~name:"h" () in
+  env.Env.local_v4 <- Some (v4 "10.0.0.1");
+  env.Env.local_v6 <- Some (v6 "2001:db8::1");
+  Env.register_opt_session env ~session_id
+    ~session_keys:(Drkey.session_keys [ secret ] ~session_id)
+    ~dest_key;
+  env
+
+(* --- the packets ------------------------------------------------------ *)
+
+let realized () =
+  let epic_keys =
+    [ Dip_epic.Protocol.derive_key secret ~src:9l ~timestamp:5l ]
+  in
+  let custody =
+    let loc = Bytes.make (Custody.region_bytes + 8) '\000' in
+    Custody.set_region loc ~off:0 ~flags:Custody.flag_request ~bundle:77l;
+    Bytes.blit_string (Ipaddr.V4.to_wire (v4 "10.2.3.4")) 0 loc Custody.region_bytes 4;
+    Packet.build
+      ~fns:
+        [
+          Custody.fn_at ~loc:0;
+          Fn.v ~loc:(Custody.region_bits) ~len:32 Opkey.F_32_match;
+          Fn.v ~loc:(Custody.region_bits + 32) ~len:32 Opkey.F_source;
+        ]
+      ~locations:(Bytes.to_string loc) ~payload:"bundle" ()
+  in
+  [
+    Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" ();
+    Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.0.0.1") ~payload:"x" ();
+    Realize.ipv4 ~hop_limit:1 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"" ();
+    Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "172.16.0.1") ~payload:"" ();
+    Realize.ipv6 ~src:(v6 "::1") ~dst:(v6 "2001:db8::9") ~payload:"x" ();
+    Realize.ipv6 ~src:(v6 "::1") ~dst:(v6 "2001:db8::1") ~payload:"x" ();
+    Realize.ndn_interest ~name:names.(0) ~payload:"" ();
+    Realize.ndn_interest ~name:names.(2) ~payload:"" ();
+    Realize.ndn_interest ~pass:pass_key ~name:names.(1) ~payload:"" ();
+    Realize.ndn_data ~name:names.(0) ~content:"hello" ();
+    Realize.ndn_interest ~name:names.(0) ~payload:"" ();
+    Realize.opt ~hops:1 ~session_id ~timestamp:3l ~dest_key ~payload:"p" ();
+    Realize.opt ~hops:2 ~session_id ~timestamp:3l ~dest_key ~payload:"p" ();
+    Realize.ndn_opt_interest ~name:names.(1) ~payload:"" ();
+    Realize.ndn_opt_data ~hops:1 ~session_id ~timestamp:3l ~dest_key
+      ~name:names.(1) ~content:"c" ();
+    Realize.xia ~dag:(Dip_xia.Dag.fallback ~intent:(Xid.of_name Xid.SID "svc")
+                        ~via:[ dest_ad; Xid.of_name Xid.HID "h" ])
+      ~payload:"x" ();
+    Realize.xia ~dag:(Dip_xia.Dag.direct (Xid.of_name Xid.SID "nowhere")) ~payload:"" ();
+    Realize.netfence ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~sender:1l
+      ~rate:1e6 ~timestamp:1l ~payload:"x" ();
+    Realize.ipv4_telemetry ~max_hops:2 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3")
+      ~payload:"x" ();
+    Realize.epic ~hops:1 ~src_id:9l ~timestamp:5l ~hop_keys:epic_keys
+      ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" ();
+    Realize.epic ~hops:1 ~src_id:9l ~timestamp:5l
+      ~hop_keys:[ String.make 16 'z' ] ~src:(v4 "192.0.2.1")
+      ~dst:(v4 "10.1.2.3") ~payload:"x" ();
+    custody;
+  ]
+  |> List.map Bitbuf.to_string
+
+(* Field widths the operations expect, plus a few they reject. *)
+let widths = [| 8; 16; 32; 32; 32; 40; 64; 128; 128; 288; 416; 96; 12 |]
+
+(* A random FN program over a 64-byte locations region: keys from
+   Table 1 (half the programs lead with a key whose declared transfer
+   matches a route, so most of them reach a forwarding decision),
+   router or host tags, widths from [widths] or random, byte-aligned
+   or not, and a random parallel flag. *)
+let random_program g =
+  let region = 64 in
+  let keys = Array.of_list Opkey.all in
+  let matching =
+    Array.of_list
+      (List.filter (fun k -> (Registry.transfer k).Registry.t_match) Opkey.all)
+  in
+  let nfns = 1 + Prng.int g 6 in
+  let fn i =
+    let key =
+      if i = 0 && Prng.int g 2 = 0 then matching.(Prng.int g (Array.length matching))
+      else keys.(Prng.int g (Array.length keys))
+    in
+    let len =
+      if Prng.int g 4 = 0 then 1 + Prng.int g 200
+      else widths.(Prng.int g (Array.length widths))
+    in
+    let len = min len (8 * region) in
+    let room = (8 * region) - len in
+    let loc = Prng.int g (room + 1) in
+    let loc = if Prng.int g 4 = 0 then loc else loc land lnot 7 in
+    let tag = if Prng.int g 4 = 0 then Fn.Host else Fn.Router in
+    Fn.v ~tag ~loc ~len key
+  in
+  let fns = List.init nfns fn in
+  let locations = String.init region (fun _ -> Char.chr (Prng.int g 256)) in
+  let locations =
+    (* Give the common 32-bit slots a routable address now and then. *)
+    if Prng.int g 2 = 0 then
+      Ipaddr.V4.to_wire (v4 "10.9.8.7") ^ String.sub locations 4 (region - 4)
+    else locations
+  in
+  Bitbuf.to_string
+    (Packet.build ~parallel:(Prng.int g 2 = 0)
+       ~hop_limit:(1 + Prng.int g 8) ~fns ~locations
+       ~payload:(String.make (Prng.int g 20) 'p') ())
+
+(* Byte-level damage to the header and FN triples (and, now and then,
+   anywhere or a truncation). *)
+let mutate g s =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  for _ = 1 to 1 + Prng.int g 3 do
+    let hot = min n (6 + (6 * Char.code (Bytes.get b 1)) + 2) in
+    let i = if Prng.int g 4 = 0 then Prng.int g n else Prng.int g (max 1 hot) in
+    Bytes.set b i (Char.chr (Prng.int g 256))
+  done;
+  let s = Bytes.to_string b in
+  if Prng.int g 5 = 0 then String.sub s 0 (Prng.int g (n + 1)) else s
+
+(* --- one side of the comparison -------------------------------------- *)
+
+type side = {
+  env : Env.t;
+  obs : Obs.t option;
+  metrics : Metrics.t;
+}
+
+let make_side ~host:is_host ~cache ~observed =
+  let env = if is_host then host ~cache else router ~cache in
+  let metrics = Metrics.create () in
+  let obs = if observed then Some (Obs.create ~sample_every:3 metrics) else None in
+  { env; obs; metrics }
+
+let show_verdict = function
+  | Engine.Forwarded ps ->
+      "forwarded " ^ String.concat "," (List.map string_of_int ps)
+  | Engine.Delivered -> "delivered"
+  | Engine.Responded b -> "responded " ^ Dip_stdext.Hex.encode (Bitbuf.to_string b)
+  | Engine.Quiet -> "quiet"
+  | Engine.Dropped r -> "dropped " ^ r
+  | Engine.Unsupported k -> "unsupported " ^ Opkey.name k
+
+let show_action = function
+  | Dip_netsim.Sim.Forward (p, b) ->
+      Printf.sprintf "forward %d %s" p (Dip_stdext.Hex.encode (Bitbuf.to_string b))
+  | Dip_netsim.Sim.Drop r -> "drop " ^ r
+  | Dip_netsim.Sim.Consume -> "consume"
+
+let show_info (i : Engine.info) =
+  Printf.sprintf "run %d skipped %d state %d depth %d" i.Engine.ops_run
+    i.Engine.ops_skipped i.Engine.state_bytes i.Engine.parallel_depth
+
+(* How often each verdict class came out, over the whole run: the
+   last test checks that the comparisons were not all of one kind. *)
+let seen = Hashtbl.create 8
+
+let tally v =
+  let k = List.hd (String.split_on_char ' ' (show_verdict v)) in
+  Hashtbl.replace seen k (1 + Option.value ~default:0 (Hashtbl.find_opt seen k))
+
+(* Everything observable after one packet, as strings. *)
+let observe s ~verdict ~info ~buf ~actions =
+  Engine.publish s.obs s.env;
+  let counts =
+    List.filter
+      (fun (n, _) -> not (String.ends_with ~suffix:".ns" n))
+      (Metrics.written_counters s.metrics)
+  in
+  [
+    ("verdict", show_verdict verdict);
+    ("info", show_info info);
+    ("bytes", Dip_stdext.Hex.encode (Bitbuf.to_string buf));
+    ("actions", String.concat "; " (List.map show_action actions));
+    ( "env counters",
+      String.concat "; "
+        (List.map
+           (fun (n, v) -> Printf.sprintf "%s=%d" n v)
+           (Dip_netsim.Stats.Counters.to_list s.env.Env.counters)) );
+    ( "obs counters",
+      String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) counts) );
+  ]
+
+type config = {
+  is_host : bool;
+  cache : int;
+  observed : bool;
+  registry : Registry.t;
+  verified : bool;
+}
+
+let show_config c =
+  Printf.sprintf "%s, cache %d, %s, %d ops%s" (if c.is_host then "host" else "router")
+    c.cache (if c.observed then "obs" else "no obs")
+    (List.length (Registry.supported c.registry))
+    (if c.verified then ", verify" else "")
+
+(* A staged node and an oracle node configured alike, fed packet by
+   packet: the feed fails at the first packet on which anything
+   differs. *)
+let pair c =
+  let staged = make_side ~host:c.is_host ~cache:c.cache ~observed:c.observed in
+  let oracle = make_side ~host:c.is_host ~cache:c.cache ~observed:c.observed in
+  let verify =
+    if c.verified then Some (Dip_analysis.verifier ~registry:c.registry ()) else None
+  in
+  let count = ref 0 in
+  fun raw ->
+      let i = !count in
+      incr count;
+      let now = 0.25 *. float_of_int i in
+      let ingress = i mod 3 in
+      let a = Bitbuf.of_string raw and b = Bitbuf.of_string raw in
+      let run_staged () =
+        let go = if c.is_host then Engine.host_process else Engine.process in
+        go ?obs:staged.obs ?verify ~registry:c.registry staged.env ~now ~ingress a
+      in
+      let va, ia =
+        try run_staged ()
+        with e ->
+          Alcotest.failf "[%s] packet %d (%s): the staged engine raised %s"
+            (show_config c) i (Dip_stdext.Hex.encode raw) (Printexc.to_string e)
+      in
+      let go =
+        if c.is_host then Algorithm1_ref.host_process else Algorithm1_ref.process
+      in
+      let vb, ib = go ?obs:oracle.obs ?verify ~registry:c.registry oracle.env ~now ~ingress b in
+      tally va;
+      let aa = Engine.actions_of_verdict staged.env ~ingress a va in
+      let ab = Engine.actions_of_verdict oracle.env ~ingress b vb in
+      let got = observe staged ~verdict:va ~info:ia ~buf:a ~actions:aa in
+      let want = observe oracle ~verdict:vb ~info:ib ~buf:b ~actions:ab in
+      List.iter2
+        (fun (what, g) (_, w) ->
+          if g <> w then
+            Alcotest.failf "[%s] packet %d (%s): %s differ\n  staged: %s\n  oracle: %s"
+              (show_config c) i (Dip_stdext.Hex.encode raw) what g w)
+        got want
+
+let differential c packets = List.iter (pair c) packets
+
+let registries g =
+  let some =
+    Registry.restrict master (List.filter (fun _ -> Prng.int g 2 = 0) Opkey.all)
+  in
+  [ master; some; Registry.restrict master [ Opkey.F_32_match; Opkey.F_fib ] ]
+
+let configs g =
+  List.concat_map
+    (fun registry ->
+      List.concat_map
+        (fun is_host ->
+          List.concat_map
+            (fun cache ->
+              List.map
+                (fun observed ->
+                  { is_host; cache; observed; registry; verified = Prng.int g 3 = 0 })
+                [ false; true ])
+            [ 512; 0; 3 ])
+        [ false; true ])
+    (registries g)
+
+(* --- properties ---------------------------------------------------- *)
+
+(* Every realization, twice (the second pass hits the cache), each
+   also with its parallel flag set. *)
+let test_realized () =
+  let g = Prng.create 11L in
+  let base = realized () in
+  let parallel =
+    List.map
+      (fun s ->
+        let b = Bytes.of_string s in
+        Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lor 1));
+        Bytes.to_string b)
+      base
+  in
+  let packets = base @ parallel @ base @ parallel in
+  List.iter (fun c -> differential c packets) (configs g)
+
+let test_random_programs () =
+  let g = Prng.create 12L in
+  List.iter
+    (fun c ->
+      (* A pool smaller than the run, so programs repeat and hit. *)
+      let pool = Array.init 12 (fun _ -> random_program g) in
+      differential c (List.init 60 (fun _ -> pool.(Prng.int g 12))))
+    (configs g)
+
+let test_mutations () =
+  let g = Prng.create 13L in
+  let base = Array.of_list (realized ()) in
+  List.iter
+    (fun c ->
+      let packets =
+        List.init 80 (fun i ->
+            let s =
+              if i mod 2 = 0 then base.(Prng.int g (Array.length base))
+              else random_program g
+            in
+            (* Repeat a mutant now and then so damaged programs also
+               reach the cache. *)
+            if Prng.int g 3 = 0 then s else mutate g s)
+      in
+      differential c (packets @ packets))
+    (configs g)
+
+(* Direct registry changes between packets of one cached program: the
+   staged engine must recompile, and its verify memo re-check, exactly
+   where the oracle decides afresh. *)
+let test_registry_change () =
+  let registry = Registry.restrict master Opkey.all in
+  let pkt = List.hd (realized ()) in
+  List.iter
+    (fun verified ->
+      let registry = Registry.restrict registry Opkey.all in
+      let feed =
+        pair { is_host = false; cache = 512; observed = true; registry; verified }
+      in
+      feed pkt;
+      feed pkt;
+      Registry.install registry Opkey.F_32_match (fun _ -> Registry.Abort "replaced");
+      feed pkt;
+      Registry.uninstall registry Opkey.F_source;
+      feed pkt;
+      Registry.uninstall registry Opkey.F_32_match;
+      feed pkt;
+      Registry.install registry Opkey.F_32_match (Option.get (Registry.find master Opkey.F_32_match));
+      feed pkt)
+    [ false; true ]
+
+let test_coverage () =
+  List.iter
+    (fun k ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt seen k) in
+      if n = 0 then Alcotest.failf "no packet was %s" k)
+    [ "forwarded"; "delivered"; "responded"; "quiet"; "dropped"; "unsupported" ]
+
+let () =
+  Alcotest.run "staged"
+    [
+      ( "staged = algorithm 1",
+        [
+          Alcotest.test_case "every realization" `Quick test_realized;
+          Alcotest.test_case "random programs" `Quick test_random_programs;
+          Alcotest.test_case "byte mutations never raise" `Quick test_mutations;
+          Alcotest.test_case "direct registry change" `Quick test_registry_change;
+          Alcotest.test_case "every verdict class compared" `Quick test_coverage;
+        ] );
+    ]
