@@ -1,5 +1,5 @@
-(* Tests for Dip_mcore, the domain-parallel batched data plane: the
-   SPSC rings, flow-hash sharding, batch ≡ sequential-fold
+(* Tests for Dip_mcore, the domain-parallel batched data plane:
+   flow-hash sharding, the dispatch barrier, batch ≡ sequential-fold
    equivalence (engine-level and pool-level), snapshot publication,
    per-worker metrics merging, and the headline determinism property:
    an N-domain simulator run delivers exactly what the single-domain
@@ -15,112 +15,6 @@ module Name = Dip_tables.Name
 let v4 = Ipaddr.V4.of_string
 let v6 = Ipaddr.V6.of_string
 let registry = Ops.default_registry ()
-
-(* --- Spsc --- *)
-
-let test_spsc_fifo () =
-  let q = Mcore.Spsc.create ~capacity:8 in
-  Alcotest.(check int) "rounded capacity" 8 (Mcore.Spsc.capacity q);
-  Alcotest.(check bool) "empty" true (Mcore.Spsc.is_empty q);
-  for i = 1 to 8 do
-    Alcotest.(check bool) "push" true (Mcore.Spsc.push q i)
-  done;
-  Alcotest.(check bool) "full push rejected" false (Mcore.Spsc.push q 9);
-  Alcotest.(check int) "size" 8 (Mcore.Spsc.size q);
-  for i = 1 to 8 do
-    Alcotest.(check (option int)) "fifo order" (Some i) (Mcore.Spsc.pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Mcore.Spsc.pop q);
-  (* Wrap around the ring a few times. *)
-  for round = 0 to 5 do
-    for i = 0 to 5 do
-      ignore (Mcore.Spsc.push q ((round * 10) + i))
-    done;
-    for i = 0 to 5 do
-      Alcotest.(check (option int)) "wrapped fifo"
-        (Some ((round * 10) + i))
-        (Mcore.Spsc.pop q)
-    done
-  done
-
-let test_spsc_cross_domain () =
-  (* One producer domain, one consumer domain, blocking consumption:
-     every item arrives exactly once, in order, and the stop flag
-     lets the consumer drain before exiting. *)
-  let q = Mcore.Spsc.create ~capacity:4 in
-  let n = 500 in
-  let stop = Atomic.make false in
-  let consumer =
-    Domain.spawn (fun () ->
-        let got = ref [] in
-        let rec loop () =
-          match Mcore.Spsc.pop_wait q ~stop:(fun () -> Atomic.get stop) with
-          | Some v ->
-              got := v :: !got;
-              loop ()
-          | None -> List.rev !got
-        in
-        loop ())
-  in
-  for i = 1 to n do
-    while not (Mcore.Spsc.push q i) do
-      Domain.cpu_relax ()
-    done
-  done;
-  Atomic.set stop true;
-  Mcore.Spsc.wake q;
-  let got = Domain.join consumer in
-  Alcotest.(check (list int)) "all items, in order" (List.init n (fun i -> i + 1)) got
-
-let test_spsc_capacity_guard () =
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Spsc.create: capacity must be >= 1") (fun () ->
-      ignore (Mcore.Spsc.create ~capacity:0))
-
-(* Regression (PR 7): [size] used to load tail before head, so a pop
-   landing between the two loads made it return a negative count.
-   Sample it from both ring ends and a third observer domain while a
-   push/pop storm runs: every sample must stay within [0, capacity]. *)
-let prop_spsc_size_bounded =
-  QCheck.Test.make
-    ~name:"spsc: size in [0, capacity] under concurrent push/pop" ~count:15
-    QCheck.(pair (int_range 1 8) (int_range 0 250))
-    (fun (capacity, n) ->
-      let q = Mcore.Spsc.create ~capacity in
-      let cap = Mcore.Spsc.capacity q in
-      let ok = Atomic.make true in
-      let finished = Atomic.make false in
-      let check () =
-        let s = Mcore.Spsc.size q in
-        if s < 0 || s > cap then Atomic.set ok false
-      in
-      let observer =
-        Domain.spawn (fun () ->
-            while not (Atomic.get finished) do
-              check ();
-              Domain.cpu_relax ()
-            done)
-      in
-      let producer =
-        Domain.spawn (fun () ->
-            for i = 1 to n do
-              check ();
-              while not (Mcore.Spsc.push q i) do
-                Domain.cpu_relax ()
-              done
-            done)
-      in
-      let popped = ref 0 in
-      while !popped < n do
-        check ();
-        match Mcore.Spsc.pop q with
-        | Some _ -> incr popped
-        | None -> Domain.cpu_relax ()
-      done;
-      Domain.join producer;
-      Atomic.set finished true;
-      Domain.join observer;
-      Atomic.get ok && Mcore.Spsc.size q = 0)
 
 (* --- Flow --- *)
 
@@ -712,6 +606,120 @@ let test_pool_dispatch_after_shutdown () =
       | _ -> Alcotest.failf "%d-domain pool dispatched after shutdown" domains)
     [ 1; 2 ]
 
+(* The barrier under churn: 3 domains, more than a 2-core box has, so
+   the spawned workers park between dispatches. 500 back-to-back
+   dispatches mix empty batches, single packets, batches that all hash
+   to one spawned worker (the dispatcher's own shard is empty) and
+   mixed batches. Every dispatch must equal the sequential fold over
+   one environment, verdicts and packet bytes alike; afterwards
+   shutdown must return, and a second shutdown must be a no-op. *)
+let test_pool_barrier_stress () =
+  let domains = 3 in
+  let rng = Random.State.make [| 19 |] in
+  let spec () = (Random.State.int rng 3, Random.State.int rng 16) in
+  let specs_of_worker =
+    let all = List.concat (List.init 3 (fun p -> List.init 16 (fun f -> (p, f)))) in
+    Array.init domains (fun w ->
+        Array.of_list
+          (List.filter
+             (fun s -> Mcore.Flow.shard (mk_packet s) ~workers:domains = w)
+             all))
+  in
+  Array.iteri
+    (fun w a ->
+      if Array.length a = 0 then Alcotest.failf "no test flow hashes to worker %d" w)
+    specs_of_worker;
+  let batch d =
+    match d mod 4 with
+    | 0 -> []
+    | 1 -> [ spec () ]
+    | 2 ->
+        let own = specs_of_worker.(1 + (d / 4 mod 2)) in
+        List.init
+          (1 + Random.State.int rng 16)
+          (fun _ -> own.(Random.State.int rng (Array.length own)))
+    | _ -> List.init (Random.State.int rng 32) (fun _ -> spec ())
+  in
+  let env = mk_env 0 in
+  let pool =
+    Mcore.Pool.create ~domains
+      (Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) ())
+  in
+  for d = 1 to 500 do
+    let pkts = List.map mk_packet (batch d) in
+    let seq = List.map Bitbuf.copy pkts in
+    let want =
+      List.map
+        (fun p ->
+          result_summary (Engine.process ~registry env ~now:0.0 ~ingress:0 p))
+        seq
+    in
+    let items =
+      Array.of_list
+        (List.map (fun pkt -> { Mcore.Pool.now = 0.0; ingress = 0; pkt }) pkts)
+    in
+    let got = Mcore.Pool.process_batch pool items in
+    Alcotest.(check (list string))
+      (Printf.sprintf "dispatch %d verdicts" d)
+      want
+      (Array.to_list (Array.map result_summary got));
+    Alcotest.(check (list string))
+      (Printf.sprintf "dispatch %d bytes" d)
+      (List.map Bitbuf.to_string seq)
+      (List.map Bitbuf.to_string pkts)
+  done;
+  Mcore.Pool.shutdown pool;
+  Mcore.Pool.shutdown pool
+
+(* Worker 0's shard runs on the dispatching domain, so an exception
+   there (here from a verify hook) leaves [process_batch]. It must not
+   leave before the spawned worker is done with that dispatch: worker
+   1's shard is held back 50 ms, and the next dispatch must still
+   equal the sequential fold rather than meet a countdown the stale
+   worker already spent. *)
+let test_pool_dispatcher_raise () =
+  let dispatcher = Domain.self () in
+  let armed = Atomic.make true and held = Atomic.make false in
+  let verify _ =
+    if Domain.self () = dispatcher then (if Atomic.get armed then raise Exit)
+    else if Atomic.compare_and_set held false true then Unix.sleepf 0.05;
+    Ok ()
+  in
+  let pool =
+    Mcore.Pool.create ~domains:2
+      (Mcore.Snapshot.v ~verify ~registry ~mk_env:(fun w -> mk_env w) ())
+  in
+  let pkts () = List.init 16 (fun i -> mk_ipv4 i) in
+  List.iter
+    (fun w ->
+      if
+        not
+          (List.exists
+             (fun p -> Mcore.Flow.shard p ~workers:2 = w)
+             (pkts ()))
+      then Alcotest.failf "no test flow hashes to worker %d" w)
+    [ 0; 1 ];
+  let items () =
+    Array.of_list
+      (List.map (fun pkt -> { Mcore.Pool.now = 0.0; ingress = 0; pkt }) (pkts ()))
+  in
+  (match Mcore.Pool.process_batch pool (items ()) with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "the dispatcher's verify hook did not raise");
+  Atomic.set armed false;
+  let env = mk_env 0 in
+  let want =
+    List.map
+      (fun p ->
+        verdict_summary (fst (Engine.process ~registry env ~now:0.0 ~ingress:0 p)))
+      (pkts ())
+  in
+  let got = Mcore.Pool.process_batch pool (items ()) in
+  Alcotest.(check (list string))
+    "next dispatch ≡ sequential fold" want
+    (Array.to_list (Array.map (fun (v, _) -> verdict_summary v) got));
+  Mcore.Pool.shutdown pool
+
 (* Hand-off sanity: a 1-domain pool must stay in the same ballpark as
    the plain sequential fold (the bench asserts the real >= 0.9x
    floor; here a generous 0.4x bound just catches the PR-5 class of
@@ -865,13 +873,6 @@ let test_run_batched_tail_flush () =
 let () =
   Alcotest.run "dip_mcore"
     [
-      ( "spsc",
-        [
-          Alcotest.test_case "fifo + capacity" `Quick test_spsc_fifo;
-          Alcotest.test_case "cross-domain" `Quick test_spsc_cross_domain;
-          Alcotest.test_case "capacity guard" `Quick test_spsc_capacity_guard;
-          QCheck_alcotest.to_alcotest prop_spsc_size_bounded;
-        ] );
       ( "flow",
         [
           Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
@@ -900,6 +901,10 @@ let () =
             test_pool_epoch_pinned_at_dispatch;
           Alcotest.test_case "dispatch after shutdown raises" `Quick
             test_pool_dispatch_after_shutdown;
+          Alcotest.test_case "barrier stress at 3 domains" `Quick
+            test_pool_barrier_stress;
+          Alcotest.test_case "dispatcher raise waits for workers" `Quick
+            test_pool_dispatcher_raise;
           Alcotest.test_case "1-domain throughput sanity" `Quick
             test_pool_throughput_sanity;
         ] );
