@@ -265,6 +265,18 @@ let skipped i fn =
     st_missing_scratch = [];
   }
 
+let scratch_step producers i (tr : Registry.transfer) =
+  let deps, missing =
+    List.partition_map
+      (fun c ->
+        match Hashtbl.find_opt producers c with
+        | Some p -> Either.Left (c, p)
+        | None -> Either.Right c)
+      tr.Registry.t_consumes
+  in
+  List.iter (fun c -> Hashtbl.replace producers c i) tr.Registry.t_produces;
+  (deps, missing)
+
 let exec ?registry ?store:init_store ?bytes ~side ~region_bits program =
   let store =
     ref
@@ -296,14 +308,7 @@ let exec ?registry ?store:init_store ?bytes ~side ~region_bits program =
           let value =
             match reads with f :: _ -> Some (read !store f) | [] -> None
           in
-          let deps = ref [] and missing = ref [] in
-          List.iter
-            (fun c ->
-              match Hashtbl.find_opt scratch c with
-              | Some p -> deps := (c, p) :: !deps
-              | None -> missing := c :: !missing)
-            tr.Registry.t_consumes;
-          List.iter (fun c -> Hashtbl.replace scratch c i) tr.Registry.t_produces;
+          let deps, missing = scratch_step scratch i tr in
           List.iter
             (fun (f, k) ->
               store := write !store f (Abs (kind_of_written k, [ i ])))
@@ -317,8 +322,8 @@ let exec ?registry ?store:init_store ?bytes ~side ~region_bits program =
             st_writes = writes;
             st_read_writers = read_writers;
             st_value = value;
-            st_scratch_deps = List.rev !deps;
-            st_missing_scratch = List.rev !missing;
+            st_scratch_deps = deps;
+            st_missing_scratch = missing;
           }
         end)
       program

@@ -95,6 +95,20 @@ val resolved :
 (** The FN's declared reads and writes resolved against its concrete
     target field and clipped to the region. *)
 
+val scratch_step :
+  (string, int) Hashtbl.t ->
+  int ->
+  Dip_core.Registry.transfer ->
+  (string * int) list * string list
+(** [scratch_step producers i tr] is the scratch bookkeeping of FN
+    [i], with transfer [tr], executing on one side. [producers] maps
+    each cell produced so far on that side to its latest producer.
+    The result is the consumed cells that have a producer (paired
+    with it) and those that have none, both in declaration order;
+    then [i] becomes the producer of every cell it produces. {!exec}
+    runs this on every step it executes, and the Dependency check
+    runs it alone, without the store. *)
+
 val exec :
   ?registry:Dip_core.Registry.t ->
   ?store:store ->

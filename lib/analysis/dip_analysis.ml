@@ -205,26 +205,33 @@ let ordering_hazard_diags ?registry ~parallel ~region_bits indexed =
 (* Scratch-mediated dataflow must respect program order per execution
    side: the engine skips host-tagged FNs on routers and vice versa
    (Algorithm 1 line 5), so a producer only counts for a consumer
-   with the same tag. The abstract execution reports exactly the
-   consumers whose cells no earlier same-side FN produced. *)
-let dependency_diags ~region_bits indexed =
-  let run side = (Absint.exec ~side ~region_bits indexed).Absint.steps in
-  List.concat_map
-    (fun (s : Absint.step) ->
-      List.map
-        (fun c ->
-          Report.error ~fn_index:s.Absint.st_index
-            ~field:s.Absint.st_fn.Fn.field Report.Dependency
-            (Printf.sprintf
-               "%s consumes scratch.%s but no preceding %s-tagged producer \
-                provides it"
-               (Opkey.name s.Absint.st_fn.Fn.key)
-               c
-               (match s.Absint.st_fn.Fn.tag with
-               | Fn.Router -> "router"
-               | Fn.Host -> "host")))
-        s.Absint.st_missing_scratch)
-    (run Absint.Router @ run Absint.Host)
+   with the same tag. Scratch cells are named, not sliced, so this
+   needs only the scratch bookkeeping of the abstract execution
+   (Absint.scratch_step), not its store. *)
+let dependency_diags indexed =
+  let missing side =
+    let producers = Hashtbl.create 4 in
+    List.concat_map
+      (fun (i, (fn : Fn.t)) ->
+        if Absint.side_of_tag fn.Fn.tag <> side then []
+        else
+          let _, missing =
+            Absint.scratch_step producers i (Registry.transfer fn.Fn.key)
+          in
+          List.map
+            (fun c ->
+              Report.error ~fn_index:i ~field:fn.Fn.field Report.Dependency
+                (Printf.sprintf
+                   "%s consumes scratch.%s but no preceding %s-tagged \
+                    producer provides it"
+                   (Opkey.name fn.Fn.key) c
+                   (match fn.Fn.tag with
+                   | Fn.Router -> "router"
+                   | Fn.Host -> "host")))
+            missing)
+      indexed
+  in
+  missing Absint.Router @ missing Absint.Host
 
 (* The mcore sharding invariant: Dip_mcore.Flow hashes the bytes of
    the first forwarding FN's target, so per-flow worker affinity (and
@@ -272,7 +279,7 @@ let sharding_diags ?registry ~region_bits indexed =
               writes)
         indexed
 
-let key_diags ~registry indexed =
+let key_diags ~errors_only ~registry indexed =
   List.filter_map
     (fun (i, (fn : Fn.t)) ->
       if Registry.supports registry fn.Fn.key then None
@@ -283,6 +290,7 @@ let key_diags ~registry indexed =
                 "mandatory %s is not installed: the node would answer \
                  FN-unsupported"
                 (Opkey.name fn.Fn.key)))
+      else if errors_only then None
       else
         Some
           (Report.warning ~fn_index:i Report.Key
@@ -303,22 +311,49 @@ let tag_diags indexed =
       else None)
     indexed
 
-let check_indexed ?registry ~parallel ~loc_len_bits ~fn_count indexed =
-  let fns = Array.of_list (List.map snd indexed) in
-  let region_bits = loc_len_bits in
-  let diags =
-    bounds_diags ~loc_len_bits indexed
-    @ (if parallel then race_diags ~region_bits indexed else [])
-    @ ordering_hazard_diags ?registry ~parallel ~region_bits indexed
-    @ dependency_diags ~region_bits indexed
-    @ sharding_diags ?registry ~region_bits indexed
-    @ (match registry with
-      | Some r -> key_diags ~registry:r indexed
-      | None -> [])
-    @ tag_diags indexed
-  in
+(* What every pass sees. The verifier sets [errors_only]: it reports
+   only the first Error, so a pass may then leave out anything that
+   can only be a Warning. *)
+type ctx = {
+  registry : Registry.t option;
+  parallel : bool;
+  region_bits : int;
+  indexed : (int * Fn.t) list;
+  errors_only : bool;
+}
+
+(* The checks, in report order. A report concatenates them all; the
+   verifier stops at the first pass with an Error, which is therefore
+   the report's first Error too. *)
+let passes =
+  [
+    (fun c -> bounds_diags ~loc_len_bits:c.region_bits c.indexed);
+    (fun c ->
+      if c.parallel then race_diags ~region_bits:c.region_bits c.indexed
+      else []);
+    (* Without the parallel flag an ordering hazard is only a Warning. *)
+    (fun c ->
+      if c.errors_only && not c.parallel then []
+      else
+        ordering_hazard_diags ?registry:c.registry ~parallel:c.parallel
+          ~region_bits:c.region_bits c.indexed);
+    (fun c -> dependency_diags c.indexed);
+    (fun c ->
+      sharding_diags ?registry:c.registry ~region_bits:c.region_bits c.indexed);
+    (fun c ->
+      match c.registry with
+      | Some r -> key_diags ~errors_only:c.errors_only ~registry:r c.indexed
+      | None -> []);
+    (fun c -> if c.errors_only then [] else tag_diags c.indexed);
+  ]
+
+let ctx ?registry ?(errors_only = false) ~parallel ~loc_len indexed =
+  { registry; parallel; region_bits = 8 * loc_len; indexed; errors_only }
+
+let check_indexed ~fn_count c =
+  let fns = Array.of_list (List.map snd c.indexed) in
   {
-    Report.diags;
+    Report.diags = List.concat_map (fun pass -> pass c) passes;
     fn_count;
     depth = depth_of_array fns;
     engine_depth = Engine.critical_path fns;
@@ -326,17 +361,17 @@ let check_indexed ?registry ~parallel ~loc_len_bits ~fn_count indexed =
 
 let analyze ?registry ?(parallel = false) ~loc_len fns =
   let indexed = List.mapi (fun i fn -> (i, fn)) fns in
-  check_indexed ?registry ~parallel ~loc_len_bits:(8 * loc_len)
-    ~fn_count:(List.length fns) indexed
+  check_indexed ~fn_count:(List.length fns)
+    (ctx ?registry ~parallel ~loc_len indexed)
+
+let view_ctx ?registry ?errors_only (view : Packet.view) =
+  let h = view.Packet.header in
+  ctx ?registry ?errors_only ~parallel:h.Header.parallel
+    ~loc_len:h.Header.fn_loc_len
+    (List.mapi (fun i fn -> (i, fn)) (Array.to_list view.Packet.fns))
 
 let analyze_view ?registry (view : Packet.view) =
-  let indexed =
-    List.mapi (fun i fn -> (i, fn)) (Array.to_list view.Packet.fns)
-  in
-  check_indexed ?registry ~parallel:view.Packet.header.Header.parallel
-    ~loc_len_bits:(8 * view.Packet.header.Header.fn_loc_len)
-    ~fn_count:(Array.length view.Packet.fns)
-    indexed
+  check_indexed ~fn_count:(Array.length view.Packet.fns) (view_ctx ?registry view)
 
 let analyze_packet ?registry buf =
   match Header.decode buf with
@@ -374,9 +409,9 @@ let analyze_packet ?registry buf =
             else indexed := (i, Fn.v ~tag ~loc ~len key) :: !indexed
       done;
       let r =
-        check_indexed ?registry ~parallel:h.Header.parallel
-          ~loc_len_bits:(8 * h.Header.fn_loc_len) ~fn_count:h.Header.fn_num
-          !indexed
+        check_indexed ~fn_count:h.Header.fn_num
+          (ctx ?registry ~parallel:h.Header.parallel
+             ~loc_len:h.Header.fn_loc_len !indexed)
       in
       { r with Report.diags = !parse_diags @ r.Report.diags }
 
@@ -428,9 +463,17 @@ let check_deployment ~topology ~registry_at ~src ~dst fns =
         mandatory
 
 let verifier ?registry () view =
-  match Report.first_error (analyze_view ?registry view) with
-  | None -> Ok ()
-  | Some msg -> Error msg
+  let c = view_ctx ?registry ~errors_only:true view in
+  let rec first = function
+    | [] -> Ok ()
+    | pass :: rest -> (
+        match
+          List.find_opt (fun d -> d.Report.severity = Report.Error) (pass c)
+        with
+        | Some d -> Error (Format.asprintf "%a" Report.pp_diag d)
+        | None -> first rest)
+  in
+  first passes
 
 let registry_gate ~programs registry =
   let rec go i = function

@@ -11,9 +11,10 @@
       may race on overlapping bits (classified write-write or
       read-write from the declared {!Dip_core.Registry.access}
       modes), and no scratch-mediated dependency may escape the
-      engine's overlap-based serialization. The hazard-aware
-      critical-path depth is always computed and cross-checked
-      against {!Dip_core.Engine.critical_path};
+      engine's overlap-based serialization. Every report carries
+      the hazard-aware critical-path depth next to
+      {!Dip_core.Engine.critical_path}'s estimate, for
+      cross-checking; {!verifier} computes neither;
     - {b dependency order} — scratch consumers (F_MAC, F_mark) must
       be preceded by a producer (F_parm) visible on the same
       execution side;
@@ -92,10 +93,21 @@ val verifier :
   (unit, string) result
 (** The static checker in the shape of the engine's [?verify] hook:
     [Ok ()] when {!analyze_view} finds no [Error] diagnostics,
-    otherwise the first error rendered as one line. The engine
-    memoizes verdicts per cached program keyed on the hook's physical
-    identity, so build the hook once and reuse it rather than making
-    a closure per packet. *)
+    otherwise its first error rendered as one line (the string
+    {!Report.first_error} gives).
+
+    It runs on every program-cache miss, so it computes only the
+    verdict. It runs the report's passes in the report's order and
+    stops at the first pass with an [Error]. It skips what can only
+    warn: ordering hazards without the parallel flag, the tag check
+    and the warnings for missing ignorable keys. It computes no
+    depth. A [Warning] never changes the verdict, and the passes
+    are ordered as in the report, so the verdict and the reason are
+    those of the full {!analyze_view}.
+
+    The engine memoizes verdicts per cached program keyed on the
+    hook's physical identity, so build the hook once and reuse it
+    rather than making a closure per packet. *)
 
 val registry_gate :
   programs:Dip_bitbuf.Bitbuf.t list ->
