@@ -31,8 +31,7 @@ type verdict =
       (** a mandatory FN this node does not support; the caller
           should return {!Errors.fn_unsupported} to the source *)
 
-(** Execution accounting, consumed by the PISA cost model and the
-    parallelism ablation. *)
+(** Execution accounting, read by the parallelism ablation. *)
 type info = {
   ops_run : int;  (** router FNs actually executed *)
   ops_skipped : int;  (** host-tagged or unsupported-but-ignorable *)

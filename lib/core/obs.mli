@@ -59,9 +59,7 @@ val publish_cache : t -> Progcache.t -> unit
 
 (** {1 Engine-facing recording}
 
-    These are called by {!Engine}; they are exposed so alternative
-    execution engines (e.g. {!Dip_pisa.Compile}) can report through
-    the same instruments. *)
+    These are called by {!Engine}. *)
 
 val begin_packet : t -> bool
 (** Count one run; [true] when this run should be span-timed. *)

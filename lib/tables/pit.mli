@@ -16,7 +16,8 @@ type port = int
 type 'k t
 
 val create : ?capacity:int -> unit -> 'k t
-(** [capacity] bounds live entries (default 65536). *)
+(** [capacity] bounds live entries (default 65536). A full table
+    reclaims its expired entries before it rejects an insert. *)
 
 val size : 'k t -> int
 

@@ -335,7 +335,15 @@ let test_pit_capacity () =
   ignore (Pit.insert pit ~key:2l ~port:0 ~now:0.0 ~lifetime:10.0);
   Alcotest.(check bool) "full table rejects" true
     (Pit.insert pit ~key:3l ~port:0 ~now:0.0 ~lifetime:10.0 = Pit.Rejected);
-  Alcotest.(check int) "size bounded" 2 (Pit.size pit)
+  Alcotest.(check int) "size bounded" 2 (Pit.size pit);
+  (* Unanswered interests that expired must not hold capacity: the
+     full table reclaims them instead of rejecting forever. *)
+  let pit = Pit.create ~capacity:2 () in
+  ignore (Pit.insert pit ~key:1l ~port:0 ~now:0.0 ~lifetime:1.0);
+  ignore (Pit.insert pit ~key:2l ~port:0 ~now:0.0 ~lifetime:1.0);
+  Alcotest.(check bool) "expired entries reclaimed" true
+    (Pit.insert pit ~key:3l ~port:0 ~now:100.0 ~lifetime:1.0 = Pit.Forwarded);
+  Alcotest.(check int) "only the new entry" 1 (Pit.size pit)
 
 let test_pit_purge () =
   let pit = Pit.create () in
