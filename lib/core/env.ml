@@ -1,7 +1,8 @@
 type port = Dip_netsim.Sim.port
 
 type scratch = {
-  mutable opt_key : Dip_opt.Drkey.session_key option;
+  mutable opt_key : Dip_opt.Protocol.key option;
+  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
@@ -131,7 +132,7 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
       target = idle_fn.Fn.field;
       ingress = 0;
       now = 0.0;
-      scratch = { opt_key = None; emit = [] };
+      scratch = { opt_key = None; dag = None; emit = [] };
       budget = Guard.start guard;
     }
   in

@@ -13,10 +13,14 @@
 type port = Dip_netsim.Sim.port
 
 (** Per-packet scratch shared between the FNs of one packet (F_parm
-    deposits the derived OPT key, F_MAC/F_mark consume it). Owned by
+    deposits the derived OPT key, expanded once, and F_MAC/F_mark
+    consume it; F_dag leaves in [dag] its decoded DAG with the target
+    bytes after the pointer byte it was decoded from, and F_intent
+    reuses the DAG only while its own target bytes after the pointer
+    byte equal those). Owned by
     the environment's {!ctx} so the engine reuses one record per node
     instead of allocating per packet; {!Dip_core.Engine} resets it
-    before each run.
+    before each run, so nothing in it outlives a packet.
 
     [emit] is the auxiliary-transmission channel: an operation that
     must put an {e extra} packet on the wire without deciding the
@@ -25,7 +29,8 @@ type port = Dip_netsim.Sim.port
     {!Dip_core.Engine.actions_of_verdict} drains it into leading
     [Forward] actions. *)
 type scratch = {
-  mutable opt_key : Dip_opt.Drkey.session_key option;
+  mutable opt_key : Dip_opt.Protocol.key option;
+  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 

@@ -127,8 +127,8 @@ let f_parm ctx =
             let session_id =
               Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base
             in
-            ctx.scratch.opt_key <-
-              Some (Dip_opt.Drkey.derive secret ~session_id);
+            let key = Dip_opt.Drkey.derive secret ~session_id in
+            ctx.scratch.opt_key <- Some (Dip_opt.Protocol.expand ~alg:ctx.env.Env.opt_alg key);
             Continue)
 
 let f_mac ctx =
@@ -149,8 +149,7 @@ let f_mac ctx =
             in
             if opv_end_bits > region_bits then Abort "opv-slot-out-of-range"
             else begin
-              Dip_opt.Protocol.mac_update ~alg:ctx.env.Env.opt_alg
-                ctx.view.Packet.buf ~base ~hop ~key;
+              Dip_opt.Protocol.mac_update ctx.view.Packet.buf ~base ~hop ~key;
               Continue
             end)
 
@@ -164,8 +163,7 @@ let f_mark ctx =
         match fn_location_base ctx.view ctx.fn ~span_off_bits:288 with
         | Error e -> Abort ("mark: " ^ e)
         | Ok base ->
-            Dip_opt.Protocol.mark_update ~alg:ctx.env.Env.opt_alg
-              ctx.view.Packet.buf ~base ~key;
+            Dip_opt.Protocol.mark_update ctx.view.Packet.buf ~base ~key;
             Continue)
 
 let f_ver ctx =
@@ -196,11 +194,15 @@ let f_ver ctx =
 
 (* --- XIA (keys 10-11) --- *)
 
-let read_xia ctx =
-  let bytes = Bitbuf.get_field ctx.view.Packet.buf ctx.target in
-  match Dip_xia.Router.decode_packet (Bitbuf.of_string bytes) with
-  | Ok (dag, ptr, _) -> Ok (dag, ptr)
-  | Error e -> Error e
+(* Run [f ctx b pos len] on the target's bytes: the packet's own
+   when the target is byte-aligned (every realization's), else an
+   MSB-aligned copy. [f] is a toplevel function, so no closure. *)
+let on_target (ctx : ctx) f =
+  let t = ctx.target and buf = ctx.view.Packet.buf in
+  if Field.is_byte_aligned t then f ctx (Bitbuf.to_bytes buf) (t.off_bits / 8) (t.len_bits / 8)
+  else
+    let s = Bitbuf.get_field buf t in
+    f ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let write_xia_ptr ctx ptr =
   (* The pointer is the first byte of the target field. *)
@@ -208,10 +210,13 @@ let write_xia_ptr ctx ptr =
     (Field.v ~off_bits:ctx.target.Field.off_bits ~len_bits:8)
     (Int64.of_int ptr)
 
-let f_dag ctx =
-  match read_xia ctx with
+let dag_on ctx b pos len =
+  match Dip_xia.Router.decode_slice b ~pos ~len with
   | Error e -> Abort ("dag: " ^ e)
-  | Ok (dag, ptr) -> (
+  | Ok (dag, ptr, _) -> (
+      (* Leave the decode for F_intent, keyed by the bytes it came
+         from; the pointer byte is not part of the key. *)
+      ctx.scratch.dag <- Some (Bytes.sub_string b (pos + 1) (len - 1), dag);
       match Dip_xia.Router.step ctx.env.Env.xia dag ~ptr with
       | Dip_xia.Router.Forward (port, ptr') ->
           write_xia_ptr ctx ptr';
@@ -223,15 +228,32 @@ let f_dag ctx =
           Continue
       | Dip_xia.Router.Discard reason -> Abort ("dag: " ^ reason))
 
-let f_intent ctx =
-  match read_xia ctx with
-  | Error e -> Abort ("intent: " ^ e)
-  | Ok (dag, ptr) ->
-      if ptr = Dip_xia.Dag.intent_index dag then
-        if Dip_xia.Router.is_local ctx.env.Env.xia (Dip_xia.Dag.intent dag) then
-          Deliver_local
-        else Abort "intent-not-local"
-      else Continue
+let f_dag ctx = on_target ctx dag_on
+
+(* Whether the bytes of [b] from [pos + i] on continue [w] from [i]. *)
+let rec equal_at b pos w i =
+  i = String.length w || (Bytes.get b (pos + i) = w.[i] && equal_at b pos w (i + 1))
+
+let intent_at ctx dag ptr =
+  if ptr > Dip_xia.Dag.node_count dag then Abort "intent: bad pointer"
+  else if ptr = Dip_xia.Dag.intent_index dag then
+    if Dip_xia.Router.is_local ctx.env.Env.xia (Dip_xia.Dag.intent dag) then
+      Deliver_local
+    else Abort "intent-not-local"
+  else Continue
+
+(* F_dag's DAG is reused while the target bytes after the pointer
+   byte are the ones it was decoded from; the pointer is re-read. *)
+let intent_on ctx b pos len =
+  match ctx.scratch.dag with
+  | Some (wire, dag) when len - 1 = String.length wire && equal_at b (pos + 1) wire 0 ->
+      intent_at ctx dag (Bytes.get_uint8 b pos)
+  | _ -> (
+      match Dip_xia.Router.decode_slice b ~pos ~len with
+      | Error e -> Abort ("intent: " ^ e)
+      | Ok (dag, ptr, _) -> intent_at ctx dag ptr)
+
+let f_intent ctx = on_target ctx intent_on
 
 (* --- F_pass (key 12, §2.4) --- *)
 

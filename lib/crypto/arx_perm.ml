@@ -8,7 +8,7 @@ let rotr x n = Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x (
 (* Round constants break the symmetry between rounds so that
    [forward] has no fixed structure an attacker could slide. They are
    the first digits of pi interpreted as 64-bit words. *)
-let rc =
+let round_constants =
   [|
     0x243F6A8885A308D3L; 0x13198A2E03707344L; 0xA4093822299F31D0L;
     0x082EFA98EC4E6C89L; 0x452821E638D01377L; 0xBE5466CF34E90C6CL;
@@ -25,7 +25,7 @@ let forward_into b off =
   let hi = ref (Bytes.get_int64_be b off) in
   let lo = ref (Bytes.get_int64_be b (off + 8)) in
   for i = 0 to rounds - 1 do
-    let a = Int64.logxor (Int64.add (rotr !hi 8) !lo) (Array.unsafe_get rc i) in
+    let a = Int64.logxor (Int64.add (rotr !hi 8) !lo) (Array.unsafe_get round_constants i) in
     hi := a;
     lo := Int64.logxor (rotl !lo 3) a
   done;
@@ -38,7 +38,7 @@ let backward_into b off =
   let lo = ref (Bytes.get_int64_be b (off + 8)) in
   for i = rounds - 1 downto 0 do
     let l = rotr (Int64.logxor !lo !hi) 3 in
-    hi := rotl (Int64.sub (Int64.logxor !hi (Array.unsafe_get rc i)) l) 8;
+    hi := rotl (Int64.sub (Int64.logxor !hi (Array.unsafe_get round_constants i)) l) 8;
     lo := l
   done;
   Bytes.set_int64_be b off !hi;

@@ -18,6 +18,10 @@ type block = int64 * int64
 val rounds : int
 (** Number of ARX rounds applied (12). *)
 
+val round_constants : int64 array
+(** The [rounds] round constants, in order, for kernels that run the
+    rounds inline ({!Mac2em}). Must not be mutated. *)
+
 val forward_into : Bytes.t -> int -> unit
 (** [forward_into b off] applies the permutation in place to the 16
     bytes of [b] at [off] (big-endian lanes, as {!block}). Raises

@@ -2,7 +2,6 @@ module Make (C : Block.S) = struct
   type key = C.key
 
   let expand_key = C.expand_key
-  let passes = C.passes
 
   (* One block-sized state, owned by this call, is enciphered in place
      and returned as the tag. It starts as the length block: a 64-bit
@@ -31,20 +30,6 @@ module Make (C : Block.S) = struct
     end;
     Bytes.unsafe_to_string st
 
-  let mac_truncated k n msg =
-    if n < 1 || n > C.block_size then
-      invalid_arg "Cbc_mac.mac_truncated: bad tag length";
-    String.sub (mac k msg) 0 n
-
-  let verify k ~tag msg =
-    let n = String.length tag in
-    if n < 1 || n > C.block_size then false
-    else
-      let expected = String.sub (mac k msg) 0 n in
-      (* Constant-time fold over all bytes; no early exit. *)
-      let diff = ref 0 in
-      for i = 0 to n - 1 do
-        diff := !diff lor (Char.code tag.[i] lxor Char.code expected.[i])
-      done;
-      !diff = 0
+  let mac_into k src ~off ~len dst ~dst_off =
+    Bytes.blit_string (mac k (Bytes.sub_string src off len)) 0 dst dst_off C.block_size
 end

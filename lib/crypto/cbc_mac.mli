@@ -7,13 +7,16 @@
     Plain CBC-MAC is only secure for fixed-length messages; we
     prepend the message length as the first block (the standard
     prefix-free encoding), so tags over different-length inputs are
-    domain-separated. Tags may be truncated; OPT uses 128-bit tags.
+    domain-separated. OPT uses full 128-bit tags.
 
     {!Make.mac} runs in place: one block-sized state per call, each
     message block XORed into it and the state enciphered with
     {!Block.S.encrypt_into}. The returned tag is that state, and the
     only allocation. No buffer is shared between calls, so MACs may
-    run on several domains at once. *)
+    run on several domains at once.
+
+    The functor serves AES (ablation A2). The 2EM MAC is the fused
+    kernel {!Mac2em}, which gives the same tags. *)
 
 module Make (C : Block.S) : sig
   type key
@@ -25,14 +28,8 @@ module Make (C : Block.S) : sig
   (** [mac k msg] is the full [C.block_size]-byte tag over [msg]
       (any length, including empty). *)
 
-  val mac_truncated : key -> int -> string -> string
-  (** [mac_truncated k n msg] keeps the first [n] bytes of the tag.
-      Raises [Invalid_argument] if [n] is not in [\[1, block_size\]]. *)
-
-  val verify : key -> tag:string -> string -> bool
-  (** Constant-time comparison of [tag] (possibly truncated) against
-      the recomputed tag. *)
-
-  val passes : int
-  (** Pipeline passes per block, inherited from the cipher. *)
+  val mac_into : key -> Bytes.t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
+  (** [mac_into k src ~off ~len dst ~dst_off] writes the tag over the
+      [len] bytes of [src] at [off] into [dst] at [dst_off], as
+      {!Mac2em.mac_into} does. *)
 end

@@ -12,4 +12,6 @@
     alternation with two permutation calls is provably secure up to
     ~2^(2n/3) queries (Bogdanov et al., EUROCRYPT 2012). *)
 
-include Block.S
+include Block.S with type key = private Bytes.t
+(** A key is its three 16-byte round keys back to back (k1, k2, k3);
+    {!Mac2em} reads them. *)

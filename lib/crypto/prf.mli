@@ -5,7 +5,7 @@
     that derivation: a PRF keyed with the router's local secret,
     applied to the session identifier (plus a context label for
     domain separation). Built as a CBC-MAC over 2EM, so a derivation
-    is exactly the primitive the dataplane already has. *)
+    is exactly the primitive the dataplane already has ({!Mac2em}). *)
 
 type key
 

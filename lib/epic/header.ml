@@ -27,5 +27,3 @@ let hvf_field base i =
 let get_hvf buf ~base i = Int64.to_int32 (Bitbuf.get_uint buf (hvf_field base i))
 let set_hvf buf ~base i v =
   Bitbuf.set_uint buf (hvf_field base i) (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL)
-
-let origin_field = Field.v ~off_bits:0 ~len_bits:192

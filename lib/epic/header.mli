@@ -33,6 +33,3 @@ val set_payload_hash : Dip_bitbuf.Bitbuf.t -> base:int -> string -> unit
 val get_hvf : Dip_bitbuf.Bitbuf.t -> base:int -> int -> int32
 val set_hvf : Dip_bitbuf.Bitbuf.t -> base:int -> int -> int32 -> unit
 (** 1-based hop index. *)
-
-val origin_field : Dip_bitbuf.Field.t
-(** Bits [0,192) relative to the region — what every HVF covers. *)

@@ -35,7 +35,8 @@ type router_verdict = Forwarded | Rejected
 
 val router_check : Dip_bitbuf.Bitbuf.t -> base:int -> hop:int -> key:Dip_opt.Drkey.session_key -> router_verdict
 (** Verify-and-update hop [hop]'s HVF. [Rejected] means the router
-    must drop the packet. *)
+    must drop the packet. The key is expanded once for both MACs, and
+    the origin MAC reads its bits straight from the buffer. *)
 
 val verify_delivery :
   Dip_bitbuf.Bitbuf.t ->
@@ -45,4 +46,5 @@ val verify_delivery :
   (unit, int) result
 (** Destination check: every HVF must be in verified form (and the
     payload hash must match, when given — payload failures report hop
-    0). [Error i] names the first offending hop. *)
+    0). [Error i] names the first offending hop. Each hop key is
+    expanded once for both of its MACs. *)

@@ -1,28 +1,30 @@
 module Bitbuf = Dip_bitbuf.Bitbuf
-module Mac2em = Dip_crypto.Cbc_mac.Make (Dip_crypto.Even_mansour)
+module Mac2em = Dip_crypto.Mac2em
 module MacAes = Dip_crypto.Cbc_mac.Make (Dip_crypto.Aes128)
 
 type alg = EM2 | AES
+type key = Em2 of Mac2em.key | Aes of MacAes.key
 
-let mac ?(alg = EM2) ~key msg =
+let expand ?(alg = EM2) raw =
   match alg with
-  | EM2 -> Mac2em.mac (Mac2em.expand_key key) msg
-  | AES -> MacAes.mac (MacAes.expand_key key) msg
+  | EM2 -> Em2 (Mac2em.expand_key raw)
+  | AES -> Aes (MacAes.expand_key raw)
+
+let mac_into key src ~off ~len dst ~dst_off =
+  match key with
+  | Em2 k -> Mac2em.mac_into k src ~off ~len dst ~dst_off
+  | Aes k -> MacAes.mac_into k src ~off ~len dst ~dst_off
+
+let mac key msg =
+  let tag = Bytes.create 16 in
+  mac_into key (Bytes.unsafe_of_string msg) ~off:0 ~len:(String.length msg) tag ~dst_off:0;
+  Bytes.unsafe_to_string tag
 
 (* A fixed public key turns the MAC into an unkeyed compression
    function standing in for a hash; see DESIGN.md substitutions. *)
-let hash_key = "opt-data-hash-k0"
+let hash_key = expand "opt-data-hash-k0"
 
-let hash_payload payload = mac ~alg:EM2 ~key:hash_key payload
-
-(* The 52-byte F_MAC input: bits [0,416) of the OPT region. *)
-let mac_span buf ~base =
-  Bitbuf.get_field buf
-    (Dip_bitbuf.Field.v ~off_bits:(8 * base) ~len_bits:416)
-
-let mac_span_with_pvf buf ~base ~pvf =
-  let s = mac_span buf ~base in
-  String.sub s 0 36 ^ pvf
+let hash_payload payload = mac hash_key payload
 
 let source_init ?alg buf ~base ~hops ~session_id ~timestamp ~dest_key ~payload =
   Header.set_data_hash buf ~base (hash_payload payload);
@@ -33,20 +35,27 @@ let source_init ?alg buf ~base ~hops ~session_id ~timestamp ~dest_key ~payload =
     (String.make 8 '\000');
   Header.set_session_id buf ~base session_id;
   Header.set_timestamp buf ~base timestamp;
-  Header.set_pvf buf ~base (mac ?alg ~key:dest_key (Header.get_data_hash buf ~base));
+  Header.set_pvf buf ~base (mac (expand ?alg dest_key) (Header.get_data_hash buf ~base));
   for i = 1 to hops do
     Header.set_opv buf ~base i (String.make 16 '\000')
   done
 
-let mac_update ?alg buf ~base ~hop ~key =
-  Header.set_opv buf ~base hop (mac ?alg ~key (mac_span buf ~base))
+(* Both router steps read their input from the packet and write the
+   tag back into it: no span copy, no tag string. F_MAC reads bytes
+   [0,52) of the region, the PVF is bytes [36,52). *)
+let mac_update buf ~base ~hop ~key =
+  let b = Bitbuf.to_bytes buf in
+  let opv = (Header.opv_field hop).Dip_bitbuf.Field.off_bits / 8 in
+  mac_into key b ~off:base ~len:52 b ~dst_off:(base + opv)
 
-let mark_update ?alg buf ~base ~key =
-  Header.set_pvf buf ~base (mac ?alg ~key (Header.get_pvf buf ~base))
+let mark_update buf ~base ~key =
+  let b = Bitbuf.to_bytes buf in
+  mac_into key b ~off:(base + 36) ~len:16 b ~dst_off:(base + 36)
 
 let router_update ?alg buf ~base ~hop ~key =
-  mac_update ?alg buf ~base ~hop ~key;
-  mark_update ?alg buf ~base ~key
+  let key = expand ?alg key in
+  mac_update buf ~base ~hop ~key;
+  mark_update buf ~base ~key
 
 type failure = Bad_data_hash | Bad_opv of int | Bad_pvf
 
@@ -55,14 +64,6 @@ let pp_failure fmt = function
   | Bad_opv i -> Format.fprintf fmt "OPV %d mismatch" i
   | Bad_pvf -> Format.pp_print_string fmt "PVF mismatch"
 
-let ct_equal a b =
-  String.length a = String.length b
-  && begin
-       let diff = ref 0 in
-       String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code b.[i])) a;
-       !diff = 0
-     end
-
 let verify ?alg buf ~base ~hops ~session_keys ~dest_key ~payload =
   if List.length session_keys <> hops then
     invalid_arg "Opt.Protocol.verify: need one session key per hop";
@@ -70,20 +71,22 @@ let verify ?alg buf ~base ~hops ~session_keys ~dest_key ~payload =
   let payload_ok =
     match payload with
     | None -> true
-    | Some p -> ct_equal data_hash (hash_payload p)
+    | Some p -> Mac2em.tags_equal data_hash (hash_payload p)
   in
   if not payload_ok then Error Bad_data_hash
   else begin
-    (* Replay the chain from the seed PVF. *)
+    (* Replay the chain from the seed PVF over one copy of the span,
+       whose PVF bytes carry each hop's incoming PVF in turn. *)
+    let span = Bitbuf.sub_bytes buf ~pos:base ~len:52 in
     let rec go hop pvf = function
-      | [] -> if ct_equal pvf (Header.get_pvf buf ~base) then Ok () else Error Bad_pvf
+      | [] -> if Mac2em.tags_equal pvf (Header.get_pvf buf ~base) then Ok () else Error Bad_pvf
       | key :: rest ->
-          let expected_opv =
-            mac ?alg ~key (mac_span_with_pvf buf ~base ~pvf)
-          in
-          if not (ct_equal expected_opv (Header.get_opv buf ~base hop)) then
+          let key = expand ?alg key in
+          Bytes.blit_string pvf 0 span 36 16;
+          let expected_opv = mac key (Bytes.to_string span) in
+          if not (Mac2em.tags_equal expected_opv (Header.get_opv buf ~base hop)) then
             Error (Bad_opv hop)
-          else go (hop + 1) (mac ?alg ~key pvf) rest
+          else go (hop + 1) (mac key pvf) rest
     in
-    go 1 (mac ?alg ~key:dest_key data_hash) session_keys
+    go 1 (mac (expand ?alg dest_key) data_hash) session_keys
   end

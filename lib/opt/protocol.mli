@@ -20,13 +20,19 @@
     operations, so the DIP realization reuses these functions
     verbatim. All operations work in place on a buffer region
     starting at byte [base], with the cipher selectable for the
-    2EM-vs-AES ablation. *)
+    2EM-vs-AES ablation. A router step takes its key expanded
+    ({!key}): F_parm expands the derived key once and both F_MAC and
+    F_mark use that schedule. *)
 
 type alg = EM2 | AES
 (** MAC cipher choice; the prototype uses 2EM (§4.1). *)
 
-val mac : ?alg:alg -> key:string -> string -> string
-(** The 16-byte tag primitive used by every step below. *)
+type key
+(** A session key with its cipher's key schedule expanded. *)
+
+val expand : ?alg:alg -> Drkey.session_key -> key
+(** Expand a 16-byte session key for [alg] (default 2EM). Raises
+    [Invalid_argument] unless the key is 16 bytes. *)
 
 val hash_payload : string -> string
 (** The 128-bit data hash bound into the tags. Implemented as a
@@ -54,15 +60,16 @@ val router_update :
   hop:int ->
   key:Drkey.session_key ->
   unit
-(** The hop-[hop] router's work (1-based): write OPV then fold the
-    PVF. *)
+(** The hop-[hop] router's work (1-based): expand [key] once, write
+    the OPV, then fold the PVF. *)
 
-val mark_update : ?alg:alg -> Dip_bitbuf.Bitbuf.t -> base:int -> key:Drkey.session_key -> unit
-(** Just the PVF fold ({i F_mark}) — exposed separately for the DIP
-    engine. *)
+val mark_update : Dip_bitbuf.Bitbuf.t -> base:int -> key:key -> unit
+(** Just the PVF fold ({i F_mark}), in place — exposed separately for
+    the DIP engine. *)
 
-val mac_update : ?alg:alg -> Dip_bitbuf.Bitbuf.t -> base:int -> hop:int -> key:Drkey.session_key -> unit
-(** Just the OPV computation ({i F_MAC}). *)
+val mac_update : Dip_bitbuf.Bitbuf.t -> base:int -> hop:int -> key:key -> unit
+(** Just the OPV computation ({i F_MAC}): the MAC reads the 52-byte
+    span from the buffer and writes the tag into OPV slot [hop]. *)
 
 type failure =
   | Bad_data_hash
@@ -79,7 +86,8 @@ val verify :
   payload:string option ->
   (unit, failure) result
 (** Destination check ({i F_ver}): recompute the PVF/OPV chains from
-    [session_keys] (path order) and compare every tag; optionally
-    also re-hash the payload. First failure wins. *)
+    [session_keys] (path order), expanding each key once, and compare
+    every tag; optionally also re-hash the payload. First failure
+    wins. *)
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -60,40 +60,20 @@ let encode_packet dag ~ptr ~payload =
     invalid_arg "Xia.Router.encode_packet: bad pointer";
   Bitbuf.of_string (String.make 1 (Char.chr ptr) ^ wire ^ payload)
 
-let dag_wire_length s pos =
-  (* Mirror of Dag.of_wire's framing: node count, nodes, successor
-     lists for source + nodes. *)
-  if pos >= String.length s then None
+let decode_slice b ~pos ~len =
+  if len < 1 then Error "empty packet"
   else
-    let n = Char.code s.[pos] in
-    if n = 0 then None
-    else
-      let off = ref (pos + 1 + (21 * n)) in
-      let ok = ref true in
-      for _ = 0 to n do
-        if !ok then
-          if !off >= String.length s then ok := false
-          else begin
-            let d = Char.code s.[!off] in
-            off := !off + 1 + d
-          end
-      done;
-      if !ok && !off <= String.length s then Some (!off - pos) else None
+    match Dag.decode b ~pos:(pos + 1) ~limit:(pos + len) with
+    | exception Invalid_argument _ -> Error "malformed DAG"
+    | dag, stop ->
+        let ptr = Bytes.get_uint8 b pos in
+        if ptr > Dag.node_count dag then Error "bad pointer" else Ok (dag, ptr, stop)
 
 let decode_packet buf =
-  let s = Bitbuf.to_string buf in
-  if String.length s < 1 then Error "empty packet"
-  else
-    let ptr = Char.code s.[0] in
-    match dag_wire_length s 1 with
-    | None -> Error "malformed DAG"
-    | Some dl -> (
-        try
-          let dag = Dag.of_wire (String.sub s 1 dl) in
-          if ptr > Dag.node_count dag then Error "bad pointer"
-          else
-            Ok (dag, ptr, String.sub s (1 + dl) (String.length s - 1 - dl))
-        with Invalid_argument _ -> Error "malformed DAG")
+  let b = Bitbuf.to_bytes buf in
+  match decode_slice b ~pos:0 ~len:(Bytes.length b) with
+  | Error e -> Error e
+  | Ok (dag, ptr, stop) -> Ok (dag, ptr, Bytes.sub_string b stop (Bytes.length b - stop))
 
 let set_ptr buf ptr = Bitbuf.set_uint8 buf 0 ptr
 

@@ -41,7 +41,17 @@ val step : t -> Dag.t -> ptr:int -> verdict
 (** {1 Native packet form} *)
 
 val encode_packet : Dag.t -> ptr:int -> payload:string -> Dip_bitbuf.Bitbuf.t
+
+val decode_slice : Bytes.t -> pos:int -> len:int -> (Dag.t * int * int, string) result
+(** [decode_slice b ~pos ~len] decodes the [len] bytes of [b] at [pos]
+    as [ptr byte ∥ DAG ∥ …] in place: [Ok (dag, ptr, stop)] with
+    [stop] the position just past the DAG, or ["empty packet"],
+    ["malformed DAG"], ["bad pointer"]. *)
+
 val decode_packet : Dip_bitbuf.Bitbuf.t -> (Dag.t * int * string, string) result
+(** {!decode_slice} over the whole packet, with the bytes after the
+    DAG as the payload. *)
+
 val set_ptr : Dip_bitbuf.Bitbuf.t -> int -> unit
 
 val process : t -> Dip_bitbuf.Bitbuf.t -> verdict

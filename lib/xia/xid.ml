@@ -43,11 +43,14 @@ let hash t = Hashtbl.hash (kind_to_int t.kind, t.id)
 
 let to_wire t = String.make 1 (Char.chr (kind_to_int t.kind)) ^ t.id
 
+let read b pos =
+  match kind_of_int (Bytes.get_uint8 b pos) with
+  | None -> invalid_arg "Xid.of_wire: unknown kind"
+  | Some kind -> { kind; id = Bytes.sub_string b (pos + 1) 20 }
+
 let of_wire s =
   if String.length s <> 21 then invalid_arg "Xid.of_wire: need 21 bytes";
-  match kind_of_int (Char.code s.[0]) with
-  | None -> invalid_arg "Xid.of_wire: unknown kind"
-  | Some kind -> { kind; id = String.sub s 1 20 }
+  read (Bytes.unsafe_of_string s) 0
 
 let pp fmt t =
   Format.fprintf fmt "%s:%s" (kind_label t.kind)

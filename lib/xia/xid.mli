@@ -35,5 +35,10 @@ val to_wire : t -> string
 val of_wire : string -> t
 (** Raises [Invalid_argument] on bad length or unknown kind. *)
 
+val read : Bytes.t -> int -> t
+(** [read b pos] decodes the 21 wire bytes of [b] at [pos], as
+    {!of_wire} does. Raises [Invalid_argument] on an unknown kind or
+    if they are not all inside [b]. *)
+
 val pp : Format.formatter -> t -> unit
 (** e.g. [HID:1a2b3c4d…] (first 8 hex digits). *)

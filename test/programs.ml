@@ -74,6 +74,43 @@ let realized () =
   ]
   |> List.map Bitbuf.to_string
 
+(* The realizations whose operations parse regions of their own: OPT
+   and NDN+OPT (MAC spans and tags), EPIC (the HVFs) and XIA (the
+   DAG). *)
+let region_parsers () =
+  let dag = Dip_xia.Dag.fallback ~intent:(Xid.of_name Xid.SID "svc") ~via:[ dest_ad ] in
+  [
+    Realize.opt ~hops:1 ~session_id ~timestamp:3l ~dest_key ~payload:"p" ();
+    Realize.opt ~hops:2 ~session_id ~timestamp:3l ~dest_key ~payload:"p" ();
+    Realize.ndn_opt_data ~hops:1 ~session_id ~timestamp:3l ~dest_key ~name:names.(1)
+      ~content:"c" ();
+    Realize.epic ~hops:1 ~src_id:9l ~timestamp:5l
+      ~hop_keys:[ Dip_epic.Protocol.derive_key secret ~src:9l ~timestamp:5l ]
+      ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" ();
+    Realize.xia ~dag ~payload:"x" ();
+  ]
+  |> List.map Bitbuf.to_string
+
+(* A seeded mutation of one of them: one to three random bytes in the
+   basic header and FN definitions, in the locations and payload (the
+   spans, tags and DAG), or anywhere; then, one time in four, a
+   truncation. *)
+let adversarial g s =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  let defs = min n (6 + (6 * Char.code (Bytes.get b 1))) in
+  for _ = 1 to 1 + Prng.int g 3 do
+    let i =
+      match Prng.int g 3 with
+      | 0 -> Prng.int g defs
+      | 1 -> defs + Prng.int g (max 1 (n - defs))
+      | _ -> Prng.int g n
+    in
+    if i < n then Bytes.set b i (Char.chr (Prng.int g 256))
+  done;
+  let s = Bytes.to_string b in
+  if Prng.int g 4 = 0 then String.sub s 0 (Prng.int g (n + 1)) else s
+
 (* Field widths the operations expect, plus a few they reject. *)
 let widths = [| 8; 16; 32; 32; 32; 40; 64; 128; 128; 288; 416; 96; 12 |]
 

@@ -524,6 +524,89 @@ let test_engine_xia_dead_end () =
       Alcotest.(check string) "dead end" "dag: dead-end" r
   | _ -> Alcotest.fail "unroutable DAG must drop"
 
+(* F_dag leaves its decoded DAG for F_intent, which reuses it only
+   while the target bytes after the pointer byte are unchanged. The
+   packets below run F_dag, then an op standing in for any FN that
+   rewrites the same target, then F_intent. *)
+
+let memo_svc = Dip_xia.Xid.of_name Dip_xia.Xid.SID "memo-svc"
+let memo_ad = Dip_xia.Xid.of_name Dip_xia.Xid.AD "memo-ad"
+let memo_wire = "\x00" ^ Dip_xia.Dag.to_wire (Dip_xia.Dag.fallback ~intent:memo_svc ~via:[ memo_ad ])
+
+(* The intent owner, with [rewrite] installed as F_tel. *)
+let memo_owner rewrite =
+  let env = Env.create ~name:"owner" () in
+  Dip_xia.Router.add_local env.Env.xia memo_ad;
+  Dip_xia.Router.add_local env.Env.xia memo_svc;
+  let r = Registry.restrict reg Opkey.all in
+  Registry.install r Opkey.F_tel (fun ctx ->
+      rewrite ctx.Registry.view.Packet.buf (ctx.Registry.target.Field.off_bits / 8);
+      Registry.Continue);
+  (env, r)
+
+let memo_packet ?(wire = memo_wire) keys =
+  let len = 8 * String.length wire in
+  Packet.build ~fns:(List.map (fun k -> Fn.v ~loc:0 ~len k) keys) ~locations:wire
+    ~payload:"" ()
+
+let memo_verdict ?wire ?(rewrite = fun _ _ -> ()) keys =
+  let env, registry = memo_owner rewrite in
+  fst (Engine.process ~registry env ~now:0.0 ~ingress:0 (memo_packet ?wire keys))
+
+let check_dropped what want = function
+  | Engine.Dropped r -> Alcotest.(check string) what want r
+  | _ -> Alcotest.failf "%s: expected a drop (%s)" what want
+
+let test_xia_memo_rewrite () =
+  let keys = [ Opkey.F_dag; Opkey.F_tel; Opkey.F_intent ] in
+  (match memo_verdict keys with
+  | Engine.Delivered -> ()
+  | _ -> Alcotest.fail "unchanged DAG: the owner delivers");
+  (* One byte of the intent's identifier (node 2: after the pointer,
+     the node count and node 1). *)
+  let flip b off =
+    let i = off + 1 + 1 + 21 + 5 in
+    Bitbuf.set_uint8 b i (Bitbuf.get_uint8 b i lxor 1)
+  in
+  check_dropped "F_intent acts on the rewritten DAG" "intent-not-local"
+    (memo_verdict ~rewrite:flip keys);
+  (* A rewritten pointer byte is re-read and bounds-checked. *)
+  check_dropped "pointer re-read" "intent: bad pointer"
+    (memo_verdict ~rewrite:(fun b off -> Bitbuf.set_uint8 b off 200) keys)
+
+let test_xia_memo_local_intent () =
+  let env, registry = memo_owner (fun _ _ -> ()) in
+  let pkt = memo_packet [ Opkey.F_dag; Opkey.F_intent ] in
+  (match Engine.process ~registry env ~now:0.0 ~ingress:0 pkt with
+  | Engine.Delivered, _ -> ()
+  | _ -> Alcotest.fail "F_dag advanced to a local intent: delivered");
+  let loc = (Packet.parse pkt |> Result.get_ok).Packet.loc_base in
+  Alcotest.(check int) "pointer at the intent" 2 (Bitbuf.get_uint8 pkt loc)
+
+let test_xia_drop_reasons () =
+  let dag_only = [ Opkey.F_dag; Opkey.F_intent ] and intent_only = [ Opkey.F_intent ] in
+  let wire_with f =
+    let b = Bytes.of_string memo_wire in
+    f b;
+    Bytes.to_string b
+  in
+  let bad_ptr = wire_with (fun b -> Bytes.set_uint8 b 0 9) in
+  let no_nodes = wire_with (fun b -> Bytes.set_uint8 b 1 0) in
+  let bad_kind = wire_with (fun b -> Bytes.set_uint8 b 2 7) in
+  let truncated = String.sub memo_wire 0 (String.length memo_wire - 3) in
+  List.iter
+    (fun (what, wire, keys, want) ->
+      check_dropped what want (memo_verdict ~wire keys))
+    [
+      ("bad pointer", bad_ptr, dag_only, "dag: bad pointer");
+      ("no nodes", no_nodes, dag_only, "dag: malformed DAG");
+      ("unknown XID kind", bad_kind, dag_only, "dag: malformed DAG");
+      ("truncated", truncated, dag_only, "dag: malformed DAG");
+      ("pointer byte only", "\x00", dag_only, "dag: malformed DAG");
+      ("intent: bad pointer", bad_ptr, intent_only, "intent: bad pointer");
+      ("intent: truncated", truncated, intent_only, "intent: malformed DAG");
+    ]
+
 (* --- §2.4: guard --- *)
 
 let test_engine_guard_ops_limit () =
@@ -1085,6 +1168,52 @@ let test_alloc_engine_dip32 () =
   if words > 16.0 then Alcotest.failf "%.1f words per cached DIP-32 packet (> 16)" words;
   Alcotest.(check int) "one miss" 1 (Progcache.misses env.Env.prog_cache)
 
+(* Cached router hops of the protocols whose operation bodies run
+   MACs or decode a DAG. Each step restores the packet's bytes and
+   processes it again, so every hop does the full work on a cache hit.
+   The ceilings are the words measured with one key schedule per key,
+   in-place tags and one DAG decode per packet. *)
+let alloc_secret = Dip_opt.Drkey.secret_of_string "alloc-router-key"
+let alloc_ad = Dip_xia.Xid.of_name Dip_xia.Xid.AD "alloc-as"
+
+let check_hop_words name ~max pkt ok =
+  let env = mk_cached_env () in
+  Env.set_opt_identity env ~secret:alloc_secret ~hop:1;
+  Dip_xia.Router.add_route env.Env.xia alloc_ad 4;
+  let orig = Bitbuf.copy pkt in
+  let restore () = Bitbuf.blit ~src:orig ~src_off:0 ~dst:pkt ~dst_off:0 ~len:(Bitbuf.length pkt) in
+  restore ();
+  if not (ok (fst (Engine.process ~registry:reg env ~now:0.0 ~ingress:0 pkt))) then
+    Alcotest.failf "%s: unexpected verdict" name;
+  let step () =
+    restore ();
+    ignore (Sys.opaque_identity (Engine.process ~registry:reg env ~now:0.0 ~ingress:0 pkt))
+  in
+  let words = words_per_call 2_000 step in
+  if words > max then Alcotest.failf "%.1f words per cached %s hop (> %.0f)" words name max
+
+let test_alloc_opt_hop () =
+  check_hop_words "OPT" ~max:45.0
+    (Realize.opt ~hops:1 ~session_id:9L ~timestamp:3l ~dest_key:(String.make 16 'd')
+       ~payload:"p" ())
+    (( = ) (Engine.Dropped "no-forwarding-decision"))
+
+let test_alloc_epic_hop () =
+  let key = Dip_epic.Protocol.derive_key alloc_secret ~src:9l ~timestamp:5l in
+  check_hop_words "EPIC" ~max:77.0
+    (Realize.epic ~hops:1 ~src_id:9l ~timestamp:5l ~hop_keys:[ key ] ~src:(v4 "192.0.2.1")
+       ~dst:(v4 "10.1.2.3") ~payload:"x" ())
+    (( = ) (Engine.Forwarded [ 1 ]))
+
+let test_alloc_xia_hop () =
+  let dag =
+    Dip_xia.Dag.fallback
+      ~intent:(Dip_xia.Xid.of_name Dip_xia.Xid.SID "alloc-svc")
+      ~via:[ alloc_ad; Dip_xia.Xid.of_name Dip_xia.Xid.HID "alloc-host" ]
+  in
+  check_hop_words "XIA" ~max:206.0 (Realize.xia ~dag ~payload:"x" ())
+    (( = ) (Engine.Forwarded [ 4 ]))
+
 (* --- bootstrap --- *)
 
 let test_bootstrap_local_offer () =
@@ -1525,6 +1654,9 @@ let () =
         [
           Alcotest.test_case "forward and deliver" `Quick test_engine_xia_forward_and_deliver;
           Alcotest.test_case "dead end" `Quick test_engine_xia_dead_end;
+          Alcotest.test_case "memo: rewritten DAG" `Quick test_xia_memo_rewrite;
+          Alcotest.test_case "memo: local intent" `Quick test_xia_memo_local_intent;
+          Alcotest.test_case "drop reasons" `Quick test_xia_drop_reasons;
         ] );
       ( "guard",
         [
@@ -1578,6 +1710,9 @@ let () =
         [
           Alcotest.test_case "probe: LRU hit" `Quick test_alloc_probe_lru_hit;
           Alcotest.test_case "engine: cached DIP-32" `Quick test_alloc_engine_dip32;
+          Alcotest.test_case "engine: cached OPT hop" `Quick test_alloc_opt_hop;
+          Alcotest.test_case "engine: cached EPIC hop" `Quick test_alloc_epic_hop;
+          Alcotest.test_case "engine: cached XIA hop" `Quick test_alloc_xia_hop;
         ] );
       ( "bootstrap",
         [

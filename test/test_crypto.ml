@@ -100,7 +100,8 @@ let test_aes_roundtrip () =
 let test_aes_multi_pass () =
   Alcotest.(check bool) "AES needs resubmission on PISA" true (Aes128.passes > 1)
 
-module Mac2em = Cbc_mac.Make (Even_mansour)
+(* Mac2em is the library's one 2EM MAC, the kernel Prf, OPT and EPIC
+   call; AES goes through the per-block functor. *)
 module MacAes = Cbc_mac.Make (Aes128)
 
 let mac_key = Mac2em.expand_key "mac-master-key-1"
@@ -332,6 +333,52 @@ let prop_mac_matches_reference_2em =
       Mac2em.mac (Mac2em.expand_key raw) m
       = Ref2em.mac (Cbc_mac_ref.Em2.expand_key raw) m)
 
+(* Every length from 0 to 80 bytes (every partial-block length, up to
+   five full blocks) under several keys, against the reference. *)
+let test_mac_every_length () =
+  let g = Dip_stdext.Prng.create 14L in
+  for _ = 1 to 6 do
+    let raw = Bytes.to_string (Dip_stdext.Prng.bytes g 16) in
+    let k = Mac2em.expand_key raw and kr = Cbc_mac_ref.Em2.expand_key raw in
+    for n = 0 to 80 do
+      let m = Bytes.to_string (Dip_stdext.Prng.bytes g n) in
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) (hexs (Ref2em.mac kr m))
+        (hexs (Mac2em.mac k m))
+    done
+  done
+
+(* The kernel reads a span inside a larger buffer and may write its
+   tag over that span. *)
+let prop_mac_into_span =
+  QCheck.Test.make ~name:"cbc-mac: 2EM mac_into = mac on the span" ~count:300
+    QCheck.(triple key16 msg0_200 (pair (int_range 0 40) (int_range 0 40)))
+    (fun (raw, m, (pre, post)) ->
+      let k = Mac2em.expand_key raw in
+      let b = Bytes.make (pre + String.length m + post + 16) '\xa5' in
+      Bytes.blit_string m 0 b pre (String.length m);
+      Mac2em.mac_into k b ~off:pre ~len:(String.length m) b ~dst_off:pre;
+      Bytes.sub_string b pre 16 = Mac2em.mac k m)
+
+(* Prf.derive frames its input as (32-bit label length, label, input);
+   the reference builds that framing with a Buffer and MACs it with the
+   reference CBC-MAC. *)
+let ref_derive raw ~label input =
+  let b = Buffer.create 64 in
+  Buffer.add_int32_be b (Int32.of_int (String.length label));
+  Buffer.add_string b label;
+  Buffer.add_string b input;
+  Ref2em.mac (Cbc_mac_ref.Em2.expand_key raw) (Buffer.contents b)
+
+let prop_prf_matches_reference =
+  QCheck.Test.make ~name:"prf: derive, derive_int = reference framing" ~count:300
+    QCheck.(quad key16 small_string msg0_200 int64)
+    (fun (raw, label, input, v) ->
+      let k = Prf.key_of_string raw in
+      let v8 = Bytes.create 8 in
+      Bytes.set_int64_be v8 0 v;
+      Prf.derive k ~label input = ref_derive raw ~label input
+      && Prf.derive_int k ~label v = ref_derive raw ~label (Bytes.to_string v8))
+
 let prop_mac_matches_reference_aes =
   QCheck.Test.make ~name:"cbc-mac: AES kernel = chunked reference" ~count:200
     QCheck.(pair key16 msg0_200)
@@ -389,12 +436,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_mac_verify_accepts;
           QCheck_alcotest.to_alcotest prop_mac_matches_reference_2em;
           QCheck_alcotest.to_alcotest prop_mac_matches_reference_aes;
+          Alcotest.test_case "2EM kernel, every length to 80" `Quick test_mac_every_length;
+          QCheck_alcotest.to_alcotest prop_mac_into_span;
         ] );
       ( "prf",
         [
           Alcotest.test_case "derivation" `Quick test_prf_derivation;
           Alcotest.test_case "label framing" `Quick test_prf_label_framing;
           Alcotest.test_case "int input" `Quick test_prf_int;
+          QCheck_alcotest.to_alcotest prop_prf_matches_reference;
         ] );
       ( "known-answer",
         [

@@ -253,6 +253,43 @@ let test_mutations () =
       differential c (packets @ packets))
     (configs g)
 
+(* Adversarial inputs for the operation bodies that parse their own
+   regions: 10k seeded mutations of OPT, NDN+OPT, EPIC and XIA packets
+   (FN definitions, locations, truncations), each through
+   Engine.process on a router and Engine.host_process on a host.
+   Neither may raise, and each gives the oracle's verdict and bytes
+   (the full [pair] comparison is too slow for 20k runs). *)
+let test_adversarial () =
+  let g = Prng.create 14L in
+  let base = Array.of_list (region_parsers ()) in
+  let packets =
+    List.init 10_000 (fun _ -> adversarial g base.(Prng.int g (Array.length base)))
+  in
+  List.iter
+    (fun is_host ->
+      let node () = if is_host then host ~cache:512 else router ~cache:512 in
+      let staged = node () and oracle = node () in
+      let go = if is_host then Engine.host_process else Engine.process in
+      let go_ref = if is_host then Algorithm1_ref.host_process else Algorithm1_ref.process in
+      List.iteri
+        (fun i raw ->
+          let a = Bitbuf.of_string raw and b = Bitbuf.of_string raw in
+          let now = 0.25 *. float_of_int i and ingress = i mod 3 in
+          let va, _ =
+            try go ~registry:master staged ~now ~ingress a
+            with e ->
+              Alcotest.failf "packet %d (%s): %s raised %s" i (Dip_stdext.Hex.encode raw)
+                (if is_host then "host_process" else "process")
+                (Printexc.to_string e)
+          in
+          let vb, _ = go_ref ~registry:master oracle ~now ~ingress b in
+          tally va;
+          if show_verdict va <> show_verdict vb || not (Bitbuf.equal a b) then
+            Alcotest.failf "packet %d (%s): %s vs oracle %s" i (Dip_stdext.Hex.encode raw)
+              (show_verdict va) (show_verdict vb))
+        packets)
+    [ false; true ]
+
 (* Direct registry changes between packets of one cached program: the
    staged engine must recompile, and its verify memo re-check, exactly
    where the oracle decides afresh. *)
@@ -292,6 +329,7 @@ let () =
           Alcotest.test_case "every realization" `Quick test_realized;
           Alcotest.test_case "random programs" `Quick test_random_programs;
           Alcotest.test_case "byte mutations never raise" `Quick test_mutations;
+          Alcotest.test_case "MAC and DAG regions, 10k mutations" `Quick test_adversarial;
           Alcotest.test_case "direct registry change" `Quick test_registry_change;
           Alcotest.test_case "every verdict class compared" `Quick test_coverage;
         ] );

@@ -192,6 +192,39 @@ let prop_dag_wire_roundtrip =
            (fun i -> Dag.successors d i = Dag.successors d' i)
            (List.init (Dag.node_count d + 1) Fun.id))
 
+(* The slice decoder is total on any bytes at any position: random
+   bytes, or a real DAG with one byte overwritten and junk after it,
+   are decoded or refused, never raised on. *)
+let prop_decode_slice_total =
+  QCheck.Test.make ~name:"xia: slice decoder never raises" ~count:1000
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) small_nat (int_range 0 3))
+    (fun (junk, cut, k) ->
+      let via = List.init k (fun i -> hid (string_of_int i)) in
+      let wire = "\x01" ^ Dag.to_wire (Dag.fallback ~intent:(sid "s") ~via) in
+      let b = Bytes.of_string (if cut mod 3 = 0 then junk else wire ^ junk) in
+      let n = Bytes.length b in
+      if n > 0 && junk <> "" then Bytes.set b (cut mod n) junk.[0];
+      let pos = cut mod (n + 1) in
+      match Router.decode_slice b ~pos ~len:(n - pos) with
+      | Ok (d, ptr, stop) -> ptr <= Dag.node_count d && stop <= n
+      | Error _ -> true)
+
+let prop_decode_slice_roundtrip =
+  QCheck.Test.make ~name:"xia: slice decode (encode dag) roundtrip" ~count:300
+    QCheck.(quad (int_range 0 6) (int_range 0 40) (int_range 0 40) (int_range 0 7))
+    (fun (k, pre, post, ptr) ->
+      let via = List.init k (fun i -> if i mod 2 = 0 then ad (string_of_int i) else hid (string_of_int i)) in
+      let d = Dag.fallback ~intent:(cid "c") ~via in
+      let ptr = min ptr (Dag.node_count d) in
+      let wire = String.make 1 (Char.chr ptr) ^ Dag.to_wire d in
+      let b = Bytes.of_string (String.make pre '\xee' ^ wire ^ String.make post '\xee') in
+      match Router.decode_slice b ~pos:pre ~len:(String.length wire + post) with
+      | Ok (d', ptr', stop) ->
+          ptr' = ptr
+          && stop = pre + String.length wire
+          && Dag.to_wire d' = Dag.to_wire d
+      | Error _ -> false)
+
 let () =
   Alcotest.run "xia"
     [
@@ -210,6 +243,8 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_dag_wire_roundtrip;
           Alcotest.test_case "wire rejects garbage" `Quick test_dag_wire_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_dag_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_slice_total;
+          QCheck_alcotest.to_alcotest prop_decode_slice_roundtrip;
         ] );
       ( "router",
         [
