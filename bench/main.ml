@@ -968,7 +968,9 @@ let bench_obs ?(smoke = false) () =
   let obs = Obs.create ~sample_every:1 m in
   let env = dip_env () in
   for _ = 1 to 10 do
-    run ~obs env
+    Bitbuf.set_uint8 pkt 2 64;
+    let v, _ = Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 pkt in
+    ignore (Engine.actions_of_verdict env ~ingress:0 pkt v)
   done;
   let counted name =
     match
@@ -978,7 +980,7 @@ let bench_obs ?(smoke = false) () =
     | Some (_, _, Dip_obs.Metrics.Histogram_v h) -> h.Dip_obs.Metrics.count
     | _ -> 0
   in
-  let packets = counted "engine.packets"
+  let packets = Dip_netsim.Stats.Counters.get env.Env.counters "dip.forwarded"
   and runs = counted "engine.op.F_32_match.run"
   and spans = counted "engine.process_ns" in
   Printf.printf

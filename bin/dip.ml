@@ -387,9 +387,8 @@ let demo_parallel proto n count no_cache metrics domains flight =
   | Some fmt, Some m ->
       List.iter
         (fun pool ->
-          match Dip_mcore.Pool.metrics pool with
-          | Some pm -> Dip_obs.Metrics.absorb m pm
-          | None -> ())
+          Dip_obs.Metrics.absorb m (Dip_mcore.Pool.counters pool);
+          Option.iter (Dip_obs.Metrics.absorb m) (Dip_mcore.Pool.metrics pool))
         pools;
       print_newline ();
       export_metrics fmt m;
@@ -443,17 +442,20 @@ let demo proto n count no_cache metrics domains flight =
   in
   Dip_netsim.Sim.set_flight sim ring;
   (* With --metrics, every router reports through one shared Obs (so
-     per-opkey counters aggregate across the chain) and the simulator
-     mirrors link activity into the same registry. sample_every:1
-     because a short demo run wants every packet timed. *)
-  let obs =
+     per-opkey counters aggregate across the chain), the simulator
+     mirrors link activity into the same registry, and the export
+     absorbs every router's own dip.* and progcache.* counters.
+     sample_every:1 because a short demo run wants every packet
+     timed. *)
+  let m =
     match (metrics, ring) with
     | None, None -> None
     | _ ->
         let m = Dip_obs.Metrics.create () in
         if metrics <> None then Dip_netsim.Sim.attach_metrics sim m;
-        Some (Obs.create ~sample_every:1 ?flight:ring m)
+        Some m
   in
+  let obs = Option.map (Obs.create ~sample_every:1 ?flight:ring) m in
   let mk_router i =
     let env = mk_chain_router ~no_cache i in
     Progcache.set_flight env.Env.prog_cache ring;
@@ -509,10 +511,11 @@ let demo proto n count no_cache metrics domains flight =
           (Dip_netsim.Stats.Counters.get env.Env.counters "progcache.hit")
           (Dip_netsim.Stats.Counters.get env.Env.counters "progcache.miss"))
       routers;
-  (match (metrics, obs) with
-  | Some fmt, Some o ->
+  (match (metrics, m) with
+  | Some fmt, Some m ->
+      List.iter (fun env -> Dip_obs.Metrics.absorb m env.Env.counters) routers;
       print_newline ();
-      export_metrics fmt (Obs.metrics o)
+      export_metrics fmt m
   | _ -> ());
   (match (flight, ring) with
   | Some path, Some r ->

@@ -90,10 +90,13 @@ let run ?metrics ?flight cfg =
      replay path out of port 1, the data direction); [cust_routers]
      keeps the handles for link-up hooks and the aggregate report. *)
   let cust_routers = Array.make cfg.routers None in
+  let envs =
+    Array.init cfg.routers (fun i -> Env.create ~name:(Printf.sprintf "r%d" (i + 1)) ())
+  in
   let routers =
-    Array.init cfg.routers (fun i ->
-        let name = Printf.sprintf "r%d" (i + 1) in
-        let env = Env.create ~name () in
+    Array.mapi
+      (fun i env ->
+        let name = env.Env.name in
         Progcache.set_flight env.Env.prog_cache flight;
         Dip_ip.Ipv4.add_route env.Env.v4_routes
           (Ipaddr.Prefix.of_string "10.0.0.0/8")
@@ -110,6 +113,7 @@ let run ?metrics ?flight cfg =
             cust_routers.(i) <- Some r;
             Custody.node r
         | None -> Sim.add_node sim ~name (Engine.handler ?obs ~registry env))
+      envs
   in
   let sender =
     Reliable.add_sender ~config:cfg.reliable
@@ -156,6 +160,11 @@ let run ?metrics ?flight cfg =
       ~payload:(payload_for cfg i)
   done;
   Sim.run sim;
+  (* The export carries each router's own dip.* / progcache.* /
+     custody.* counters, summed over the chain. *)
+  Option.iter
+    (fun m -> Array.iter (fun env -> Dip_obs.Metrics.absorb m env.Env.counters) envs)
+    metrics;
   let ss = Reliable.sender_stats sender in
   let lat = Stats.Series.create () in
   List.iter

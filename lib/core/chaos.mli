@@ -66,7 +66,10 @@ val run :
   ?metrics:Dip_obs.Metrics.t -> ?flight:Dip_obs.Flight.ring -> config -> report
 (** Build the network, inject the workload, drain the simulator and
     summarize. [metrics] additionally mirrors simulator and fault
-    activity into a Dip_obs registry ([sim.*], [sim.fault.*]).
+    activity into a Dip_obs registry ([sim.*], [sim.fault.*]), with
+    custody's depth gauges and replays, and at the end absorbs every
+    router's own counters into it ([dip.*], [progcache.*],
+    [custody.*]), summed over the chain.
     [flight] records the whole experiment — engine spans (unsampled),
     program-cache traffic, window lifecycle and fault injections —
     into one caller-owned ring (everything runs on the simulator's

@@ -66,18 +66,25 @@ let default_config =
   { capacity = 1024; max_bytes = 1 lsl 20; retry = 0.5;
     retry_until = Float.infinity }
 
-(* Flight instants: a0 = node id, a1 = store depth after the event. *)
-let ev_take = Dip_obs.Flight.register "custody.take"
-let ev_release = Dip_obs.Flight.register "custody.release"
-let ev_evict = Dip_obs.Flight.register "custody.evict"
-let ev_reject = Dip_obs.Flight.register "custody.reject"
-let ev_replay = Dip_obs.Flight.register "custody.replay"
+(* The store transitions by index, each under one name: its counter
+   in the env's registry, its flight instant (a0 = node id, a1 = store
+   depth after the event) and its {!stats} key after "custody.". *)
+let kinds = [| "take"; "release"; "evict"; "reject" |]
 
-let event_id = function
-  | Custody_store.Take -> ev_take
-  | Custody_store.Release -> ev_release
-  | Custody_store.Evict -> ev_evict
-  | Custody_store.Reject -> ev_reject
+let index = function
+  | Custody_store.Take -> 0
+  | Custody_store.Release -> 1
+  | Custody_store.Evict -> 2
+  | Custody_store.Reject -> 3
+
+let names = Array.map (( ^ ) "custody.") kinds
+let flight_ids = Array.map (fun n -> Dip_obs.Flight.register n) names
+
+(* Replays: counted in the simulator's registry (and mirrored into
+   [add_router]'s [metrics]) and recorded as a flight instant (a0 =
+   node id, a1 = bundles put back on the wire). *)
+let replay_name = "custody.replay"
+let ev_replay = Dip_obs.Flight.register replay_name
 
 let make_store cfg =
   if cfg.retry < 0.0 then invalid_arg "Custody: negative retry interval";
@@ -85,26 +92,20 @@ let make_store cfg =
     ~size:Bitbuf.length ()
 
 (* Count store transitions in the env's registry (so chaos/bench
-   reports see custody.{take,release,evict,reject} next to the dip.*
-   counters; the handles are registered here, once per store), plus
-   an optional depth gauge and optional Flight instants. *)
+   reports see them next to the dip.* counters; the handles are
+   registered here, once per store), plus an optional depth gauge and
+   optional Flight instants. *)
 let observe ?gauge ?flight ~env ~store ~node =
-  let c = Dip_obs.Metrics.counter env.Env.counters in
-  let take = c "custody.take" and release = c "custody.release" in
-  let evict = c "custody.evict" and reject = c "custody.reject" in
+  let counters = Array.map (Dip_obs.Metrics.counter env.Env.counters) names in
   fun ev ->
-    Dip_obs.Metrics.Counter.incr
-      (match ev with
-      | Custody_store.Take -> take
-      | Custody_store.Release -> release
-      | Custody_store.Evict -> evict
-      | Custody_store.Reject -> reject);
+    let i = index ev in
+    Dip_obs.Metrics.Counter.incr counters.(i);
     (match gauge with
     | Some g -> Dip_obs.Metrics.Gauge.set g (Custody_store.size store)
     | None -> ());
     match flight with
     | Some r ->
-        Dip_obs.Flight.record r (event_id ev) node (Custody_store.size store) 0
+        Dip_obs.Flight.record r flight_ids.(i) node (Custody_store.size store) 0
     | None -> ()
 
 let enable ?(config = default_config) env =
@@ -123,7 +124,7 @@ type router = {
   mutable node : Sim.node_id;
   mutable armed : bool;
   flight : Dip_obs.Flight.ring option;
-  replayed : Dip_obs.Metrics.counter; (* the Sim's "custody.replay" *)
+  replayed : Dip_obs.Metrics.counter list; (* [replay_name] per registry *)
 }
 
 let node t = t.node
@@ -144,7 +145,7 @@ let rec replay t =
       t.store 0
   in
   if n > 0 then begin
-    Dip_obs.Metrics.Counter.incr ~by:n t.replayed;
+    List.iter (Dip_obs.Metrics.Counter.incr ~by:n) t.replayed;
     (match t.flight with
     | Some r -> Dip_obs.Flight.record r ev_replay t.node n 0
     | None -> ())
@@ -174,7 +175,10 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
   let t =
     { sim; env; store; cfg = config; out_port; node = -1; armed = false;
       flight;
-      replayed = Dip_obs.Metrics.counter (Sim.counters sim) "custody.replay" }
+      replayed =
+        List.map
+          (fun m -> Dip_obs.Metrics.counter m replay_name)
+          (Sim.counters sim :: Option.to_list metrics) }
   in
   t.node <-
     Sim.add_node sim ~name (fun sim ~now ~ingress packet ->
@@ -200,8 +204,8 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
   t
 
 let stats t =
-  let get k = Dip_netsim.Stats.Counters.get t.env.Env.counters ("custody." ^ k) in
-  List.map (fun k -> (k, get k)) [ "take"; "release"; "evict"; "reject" ]
+  let get i = Dip_netsim.Stats.Counters.get t.env.Env.counters names.(i) in
+  Array.to_list (Array.mapi (fun i k -> (k, get i)) kinds)
   @ [
     ("held", Custody_store.size t.store);
     ("high-water", Custody_store.high_water t.store);

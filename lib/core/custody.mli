@@ -88,12 +88,14 @@ val add_router :
   router
 (** Add a custodial router node: the full engine handler plus a
     custody store on [env], a replay path out of [out_port], and the
-    periodic safety sweep. [metrics] adds a ["custody.<name>.depth"]
-    gauge; store transitions and replays land in [flight] as
-    instants ([custody.take/release/evict/reject/replay]), the
-    transitions in the env's counters and the replays in the
+    periodic safety sweep. Store transitions and replays land in
+    [flight] as instants ([custody.take/release/evict/reject/replay]),
+    the transitions in the env's counters and the replays in the
     simulator's ({!Dip_netsim.Sim.counters}) under the same names,
-    through handles registered here. *)
+    through handles registered here. [metrics] adds a
+    ["custody.<name>.depth"] gauge and a ["custody.replay"] counter,
+    so an export that absorbs the env's counters into it carries
+    every custody name. *)
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t

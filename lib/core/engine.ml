@@ -51,13 +51,14 @@ let critical_path fns = critical_path_over fns ~included:(fun _ -> true)
 
 let no_info = { ops_run = 0; ops_skipped = 0; state_bytes = 0; parallel_depth = 0 }
 
+(* The verdict class an [engine.process] flight span carries (Obs). *)
 let verdict_class = function
-  | Forwarded _ -> `Forwarded
-  | Delivered -> `Delivered
-  | Responded _ -> `Responded
-  | Quiet -> `Quiet
-  | Dropped _ -> `Dropped
-  | Unsupported _ -> `Unsupported
+  | Forwarded _ -> 0
+  | Delivered -> 1
+  | Responded _ -> 2
+  | Quiet -> 3
+  | Dropped _ -> 4
+  | Unsupported _ -> 5
 
 (* --- compiled programs ------------------------------------------------ *)
 
@@ -258,10 +259,9 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   (* Neither the program nor the node keeps the packet alive. *)
   view.Packet.buf <- released;
   (match obs with
-  | None -> ()
-  | Some o ->
-      Obs.verdict o (verdict_class verdict);
-      if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start));
+  | Some o when sampled ->
+      Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+  | _ -> ());
   ( verdict,
     {
       ops_run = !ops_run;
@@ -272,12 +272,12 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
     } )
 
 let drop ?obs ~sampled ~t_start reason =
+  let verdict = Dropped reason in
   (match obs with
-  | None -> ()
-  | Some o ->
-      Obs.verdict o `Dropped;
-      if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start));
-  (Dropped reason, no_info)
+  | Some o when sampled ->
+      Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+  | _ -> ());
+  (verdict, no_info)
 
 (* Verify, then execute. *)
 let run_program ?obs ?verify ~memo ~sampled ~t_start p view env ~now ~ingress buf =
@@ -373,22 +373,14 @@ let actions_of_verdict env ~ingress buf verdict =
   | [] -> verdict_actions env ~ingress buf verdict
   | aux -> aux @ verdict_actions env ~ingress buf verdict
 
-(* The deferred per-node accounting: progcache counters into [env]'s
-   counters and, with [obs], the cache gauges. *)
-let publish obs env =
-  Env.publish_cache_stats env;
-  match obs with
-  | None -> ()
-  | Some o -> Obs.publish_cache o env.Env.prog_cache
-
 let process_batch ?obs ?verify ~registry env ~now ~ingress bufs =
   let out = Array.map (process ?obs ?verify ~registry env ~now ~ingress) bufs in
-  publish obs env;
+  Env.publish_cache_stats env;
   out
 
 let handle ~side ?obs ?verify ~registry env ~now ~ingress packet =
   let verdict, _info = run ?obs ?verify ~registry ~side env ~now ~ingress packet in
-  publish obs env;
+  Env.publish_cache_stats env;
   actions_of_verdict env ~ingress packet verdict
 
 let handler ?obs ?verify ~registry env _sim ~now ~ingress packet =

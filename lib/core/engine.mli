@@ -78,9 +78,10 @@ val process :
     [Dip_analysis.verifier] to statically reject malformed FN
     programs.
 
-    When [obs] is given, per-opkey run/skip/error counts, verdict
-    tallies and (sampled) execution spans are recorded through it
-    ({!Obs}); without it the loop stays allocation- and clock-free.
+    When [obs] is given, per-opkey run/skip/error counts and
+    (sampled) execution spans are recorded through it ({!Obs});
+    without it the loop stays allocation- and clock-free. Verdicts
+    are counted by {!actions_of_verdict}, not here.
 
     Algorithm 1 runs staged. The node's {!Env.prog_cache} keys the
     packet's basic-header + FN-definition prefix; the first packet of
@@ -121,18 +122,12 @@ val actions_of_verdict :
     applies: [Forwarded] becomes per-port transmissions (with fan-out
     buffer copies), [Unsupported] becomes the §2.3 FN-unsupported
     notification plus a drop, and so on. Counts the verdict through
-    [env]'s pre-registered [dip.*] handles ({!Env.counts}). Also drains the auxiliary-transmission channel
+    [env]'s pre-registered [dip.*] handles ({!Env.counts}), the one
+    place a verdict is counted. Also drains the auxiliary-transmission channel
     ([scratch.emit] — custody ACKs pushed by F_cust during the
     preceding [process]) into leading [Forward] actions. Exposed so
     batched dispatchers ({!Dip_mcore.Pool}) can produce action lists
     off the handler path. *)
-
-val publish : Obs.t option -> Env.t -> unit
-(** The deferred per-node accounting {!handler} runs after each
-    packet: [env]'s program-cache totals into its [progcache.*]
-    handles ({!Env.publish_cache_stats}) and, with [obs], the
-    [engine.progcache.*] gauges. A caller driving {!process} itself
-    ({!process_batch}, {!Dip_mcore.Pool}) publishes once per batch. *)
 
 val process_batch :
   ?obs:Obs.t ->
@@ -143,7 +138,8 @@ val process_batch :
   ingress:Env.port ->
   Dip_bitbuf.Bitbuf.t array ->
   (verdict * info) array
-(** {!process} over every buffer, then one {!publish}. A run of
+(** {!process} over every buffer, then one
+    {!Env.publish_cache_stats}. A run of
     same-program packets is served by the program cache's inline
     hint, as it is for {!process}. *)
 
@@ -155,9 +151,10 @@ val handler :
   Dip_netsim.Sim.handler
 (** A DIP router as a simulator node. Unsupported-FN verdicts send
     an {!Errors.fn_unsupported} notification back out the ingress
-    port. With [obs], the handler additionally mirrors the node's
-    program-cache totals into the [engine.progcache.*] gauges after
-    every packet. *)
+    port. After every packet it copies the node's program-cache
+    totals into [env]'s [progcache.*] counters
+    ({!Env.publish_cache_stats}) and counts the verdict
+    ({!actions_of_verdict}). *)
 
 val host_handler :
   ?obs:Obs.t ->

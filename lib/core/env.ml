@@ -69,9 +69,9 @@ let register_counts m =
     quiet = c "dip.quiet";
     dropped = Dip_obs.Metrics.family m "dip.drop.";
     unsupported = Dip_obs.Metrics.family m "dip.unsupported.";
-    pc_hit = c "progcache.hit";
-    pc_miss = c "progcache.miss";
-    pc_evict = c "progcache.evict";
+    pc_hit = c (Progcache.stat_name Hit);
+    pc_miss = c (Progcache.stat_name Miss);
+    pc_evict = c (Progcache.stat_name Evict);
     custody_ack = c "custody.ack";
   }
 

@@ -37,9 +37,10 @@ type scratch = {
 (** Handles into [counters], registered by {!create}: what the
     engine's per-packet path counts ({!Engine.actions_of_verdict},
     {!publish_cache_stats}, F_cust's ACK) is a field store through
-    one of these. {!Custody} and {!Control} register their
-    ["custody.*"] / ["control.*"] handles in the same registry when
-    they are wired to the node. *)
+    one of these, and each fact has this one handle — an {!Obs}
+    observer counts none of them again. {!Custody} and {!Control}
+    register their ["custody.*"] / ["control.*"] handles in the same
+    registry when they are wired to the node. *)
 type counts = {
   forwarded : Dip_obs.Metrics.counter;  (** ["dip.forwarded"] *)
   delivered : Dip_obs.Metrics.counter;  (** ["dip.delivered"] *)
@@ -47,7 +48,8 @@ type counts = {
   quiet : Dip_obs.Metrics.counter;  (** ["dip.quiet"] *)
   dropped : Dip_obs.Metrics.family;  (** ["dip.drop.<reason>"] *)
   unsupported : Dip_obs.Metrics.family;  (** ["dip.unsupported.<F_key>"] *)
-  pc_hit : Dip_obs.Metrics.counter;  (** ["progcache.hit"] *)
+  pc_hit : Dip_obs.Metrics.counter;
+      (** ["progcache.hit"], {!Progcache.stat_name}, as are the next two *)
   pc_miss : Dip_obs.Metrics.counter;  (** ["progcache.miss"] *)
   pc_evict : Dip_obs.Metrics.counter;  (** ["progcache.evict"] *)
   custody_ack : Dip_obs.Metrics.counter;  (** ["custody.ack"] *)
@@ -172,6 +174,8 @@ val publish_cache_stats : t -> unit
 (** Copy the program-cache hit/miss/evict totals into
     {!field-counters} as ["progcache.hit"] / ["progcache.miss"] /
     ["progcache.evict"]: three stores through the {!counts} handles,
-    no name lookup. The engine's simulator handlers do this after
-    every packet; call it manually when driving {!Engine.process}
+    no name lookup. The only place those totals reach a registry:
+    {!Engine.handler} and {!Engine.host_handler} call it after every
+    packet, {!Engine.process_batch} and {!Dip_mcore.Pool} once per
+    batch; call it manually when driving {!Engine.process}
     directly. *)

@@ -7,9 +7,16 @@ module F = Dip_obs.Flight
    evictions are rare and recorded unconditionally. Operand a0
    carries the running total so a sampled stream still reconstructs
    exact counts. *)
-let ev_hit = F.register "progcache.hit"
-let ev_miss = F.register "progcache.miss"
-let ev_evict = F.register "progcache.evict"
+type stat = Hit | Miss | Evict
+
+let stat_name = function
+  | Hit -> "progcache.hit"
+  | Miss -> "progcache.miss"
+  | Evict -> "progcache.evict"
+
+let ev_hit = F.register (stat_name Hit)
+let ev_miss = F.register (stat_name Miss)
+let ev_evict = F.register (stat_name Evict)
 let fl_sample_every = 16
 
 type program = ..
@@ -135,7 +142,6 @@ let evictions t = t.evictions
 let size t = t.count
 let capacity t = t.cap
 let set_flight t r = t.flight <- r
-let flight t = t.flight
 
 let note_hit t =
   t.hits <- t.hits + 1;

@@ -59,6 +59,14 @@ val evictions : t -> int
     evict rate means the working set of distinct programs exceeds
     the cache — the signal the observability layer watches. *)
 
+(** The cache's three totals. *)
+type stat = Hit | Miss | Evict
+
+val stat_name : stat -> string
+(** ["progcache.hit"] / ["progcache.miss"] / ["progcache.evict"]: the
+    one name of each total, under which {!set_flight}'s ring records
+    its events and {!Env.publish_cache_stats} its counter. *)
+
 val size : t -> int
 val capacity : t -> int
 
@@ -68,8 +76,6 @@ val set_flight : t -> Dip_obs.Flight.ring option -> unit
     ["progcache.miss"] and ["progcache.evict"] instants (every one,
     a0 = running total). The ring must belong to the domain whose
     engine owns this cache. *)
-
-val flight : t -> Dip_obs.Flight.ring option
 
 val key_of : Dip_bitbuf.Bitbuf.t -> string option
 (** The raw basic-header + FN-definition prefix with the hop-limit

@@ -110,30 +110,6 @@ let forward ?local table buf =
         | Some (_, port) ->
             if decrement_ttl buf then Forward port else Discard "ttl-expired")
 
-(* The binary-trie path survives as the correctness oracle and the
-   bench baseline, on the direct int32 fast path (no closure per
-   bit). *)
-type trie_table = Dip_netsim.Sim.port Dip_tables.Lpm_trie.t
-
-let add_route_trie table prefix port =
-  match prefix.Ipaddr.Prefix.addr with
-  | Ipaddr.Prefix.V4 a ->
-      Dip_tables.Lpm_trie.insert table ~bits:(Ipaddr.V4.bit a)
-        ~len:prefix.Ipaddr.Prefix.len port
-  | Ipaddr.Prefix.V6 _ ->
-      invalid_arg "Ipv4.add_route_trie: v6 prefix in v4 table"
-
-let forward_trie ?local table buf =
-  match decode buf with
-  | Error e -> Discard e
-  | Ok h -> (
-      if local = Some h.dst then Deliver
-      else
-        match Dip_tables.Lpm_trie.lookup_ipv4 table h.dst with
-        | None -> Discard "no-route"
-        | Some (_, port) ->
-            if decrement_ttl buf then Forward port else Discard "ttl-expired")
-
 let handler ?local table _sim ~now:_ ~ingress:_ packet =
   match forward ?local table packet with
   | Forward port -> [ Dip_netsim.Sim.Forward (port, packet) ]

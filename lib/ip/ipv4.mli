@@ -51,17 +51,5 @@ val forward :
     LPM, TTL decrement (mutating the packet). This is the function
     the Figure 2 baseline benchmarks. *)
 
-type trie_table = Dip_netsim.Sim.port Dip_tables.Lpm_trie.t
-(** The pre-Fib binary-trie table, kept as the correctness oracle
-    and the `bench fib` baseline. *)
-
-val add_route_trie :
-  trie_table -> Dip_tables.Ipaddr.Prefix.t -> Dip_netsim.Sim.port -> unit
-
-val forward_trie :
-  ?local:Dip_tables.Ipaddr.V4.t -> trie_table -> Dip_bitbuf.Bitbuf.t -> verdict
-(** {!forward} against the trie, on the {!Dip_tables.Lpm_trie.lookup_ipv4}
-    fast path. *)
-
 val handler : ?local:Dip_tables.Ipaddr.V4.t -> route_table -> Dip_netsim.Sim.handler
 (** Wrap {!forward} as a simulator node. *)

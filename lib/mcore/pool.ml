@@ -164,7 +164,7 @@ let run_shard t w job =
     end
   done;
   if !count > 0 then begin
-    Engine.publish obs env;
+    Env.publish_cache_stats env;
     (match fl with
     | None -> ()
     | Some r -> F.record r ev_execute (F.now () - x0) !count 0);

@@ -124,8 +124,9 @@ val handle_batch : t -> item array -> Dip_netsim.Sim.action list array
     {!Runner} hands back to {!Dip_netsim.Sim.run_batched}. *)
 
 val counters : t -> Dip_netsim.Stats.Counters.t
-(** Sum of the per-worker environment counters (forwarded/dropped
-    tallies, progcache hit/miss/evict, …) under the current
+(** Sum of the per-worker environment counters (the [dip.*] verdict
+    tallies {!handle_batch} counts, progcache hit/miss/evict, …)
+    under the current
     snapshot {e plus} the absorbed totals of every retired epoch,
     merged into a fresh registry by {!Dip_obs.Metrics.absorb} — the
     same fold as {!metrics}. Handles no worker ever wrote stay out of

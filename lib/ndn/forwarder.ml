@@ -2,12 +2,12 @@ module Bitbuf = Dip_bitbuf.Bitbuf
 module Name = Dip_tables.Name
 module Name_fib = Dip_tables.Name_fib
 module Pit = Dip_tables.Pit
-module Content_store = Dip_tables.Content_store
+module Lru = Dip_tables.Lru
 
 type t = {
   fib : Dip_netsim.Sim.port Name_fib.t;
   pit : string Pit.t; (* keyed by canonical name *)
-  cache : string Content_store.t option;
+  cache : (string, string) Lru.t option; (* content by canonical name *)
   interest_lifetime : float;
 }
 
@@ -17,7 +17,7 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
     fib = Name_fib.create ();
     pit = Pit.create ~capacity:pit_capacity ();
     cache =
-      (if cache_capacity > 0 then Some (Content_store.create ~capacity:cache_capacity)
+      (if cache_capacity > 0 then Some (Lru.create ~capacity:cache_capacity ())
        else None);
     interest_lifetime;
   }
@@ -35,15 +35,13 @@ let process t ~now ~ingress buf =
   match Packet.decode buf with
   | Error e -> Discard e
   | Ok (Packet.Interest { name; _ }) -> (
+      let key = Name.to_string name in
       let cached =
-        match t.cache with
-        | Some cs -> Content_store.find cs name
-        | None -> None
+        match t.cache with Some cs -> Lru.find cs key | None -> None
       in
       match cached with
       | Some content -> Reply (Packet.encode (Packet.data name content))
       | None -> (
-          let key = Name.to_string name in
           match
             Pit.insert t.pit ~key ~port:ingress ~now
               ~lifetime:t.interest_lifetime
@@ -63,9 +61,7 @@ let process t ~now ~ingress buf =
       match Pit.consume t.pit ~key ~now with
       | [] -> Discard "unsolicited-data"
       | ports ->
-          (match t.cache with
-          | Some cs -> Content_store.insert cs name content
-          | None -> ());
+          (match t.cache with Some cs -> Lru.insert cs key content | None -> ());
           Forward ports)
 
 let handler t _sim ~now ~ingress packet =

@@ -30,8 +30,11 @@ let kind_name = function
   | Link_down -> "link-down" | Drop -> "drop" | Corrupt -> "corrupt"
   | Reorder -> "reorder" | Duplicate -> "duplicate" | Node_crash -> "node-crash"
 
-let flight_ids =
-  Array.map (fun k -> Dip_obs.Flight.register ("sim.fault." ^ kind_name k)) kinds
+(* Each kind's one name, by [index]: its flight instant (a0 = node,
+   a1 = port) and its counter in the simulator's registry and in the
+   attached one. *)
+let names = Array.map (fun k -> "sim.fault." ^ kind_name k) kinds
+let flight_ids = Array.map (fun n -> Dip_obs.Flight.register n) names
 
 type event = { time : float; kind : kind; node : Sim.node_id; port : Sim.port }
 
@@ -61,10 +64,10 @@ type t = {
   (* Link-up subscribers per directed endpoint, looked up when a down
      window actually ends (so registration order doesn't matter). *)
   up_subs : (Sim.node_id * Sim.port, (float -> unit) list ref) Hashtbl.t;
-  sim_counters : Dip_obs.Metrics.counter array; (* "fault.<kind>", by [index] *)
-  (* "sim.fault.<kind>", in the registry {!Sim.attach_metrics} last
-     installed — re-resolved when it changes. *)
-  mutable obs : (Dip_obs.Metrics.t * Dip_obs.Metrics.family) option;
+  sim_counters : Dip_obs.Metrics.counter array; (* [names], by [index] *)
+  (* [names] in the registry {!Sim.attach_metrics} last installed —
+     re-resolved when it changes. *)
+  mutable obs : (Dip_obs.Metrics.t * Dip_obs.Metrics.counter array) option;
   mutable events : event list; (* reversed *)
 }
 
@@ -78,18 +81,19 @@ let record t kind ~node ~port =
   match Sim.metrics t.sim with
   | None -> ()
   | Some m ->
-      let f =
+      let cs =
         match t.obs with
-        | Some (m', f) when m' == m -> f
+        | Some (m', cs) when m' == m -> cs
         | _ ->
-            let f =
-              Dip_obs.Metrics.family m "sim.fault."
-                ~help:"injected simulator faults, by kind"
+            let cs =
+              Array.map
+                (Dip_obs.Metrics.counter m ~help:"injected simulator faults, by kind")
+                names
             in
-            t.obs <- Some (m, f);
-            f
+            t.obs <- Some (m, cs);
+            cs
       in
-      Dip_obs.Metrics.(Counter.incr (member f (kind_name kind)))
+      Dip_obs.Metrics.Counter.incr cs.(i)
 
 let spec_for t key =
   match Hashtbl.find_opt t.link_specs key with
@@ -162,10 +166,7 @@ let attach ~seed sim =
       down = Hashtbl.create 8;
       crashes = Hashtbl.create 4;
       up_subs = Hashtbl.create 4;
-      sim_counters =
-        Array.map
-          (fun k -> Dip_obs.Metrics.counter (Sim.counters sim) ("fault." ^ kind_name k))
-          kinds;
+      sim_counters = Array.map (Dip_obs.Metrics.counter (Sim.counters sim)) names;
       obs = None;
       events = [];
     }

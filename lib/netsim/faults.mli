@@ -8,11 +8,13 @@
     All randomness comes from one {!Dip_stdext.Prng} stream seeded at
     {!attach}: because the simulator's event order is itself
     deterministic, the same seed over the same workload produces a
-    byte-identical fault schedule ({!events}). Every injected fault is
-    counted in the simulator's {!Sim.counters} (["fault.<kind>"],
-    handles registered at {!attach}), in {!counts}, and — when
-    {!Sim.attach_metrics} was used — as ["sim.fault.<kind>"] counters
-    in whichever registry is attached at the time of the fault. *)
+    byte-identical fault schedule ({!events}). Every injected fault
+    has one name, ["sim.fault.<kind>"]: it is counted under it in the
+    simulator's {!Sim.counters} (handles registered at {!attach}) and
+    — when {!Sim.attach_metrics} was used — in whichever registry is
+    attached at the time of the fault, recorded under it in the
+    simulator's flight ring ({!Sim.set_flight}; a0 = node, a1 =
+    port), and tallied by kind in {!counts}. *)
 
 type t
 

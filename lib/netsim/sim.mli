@@ -132,7 +132,7 @@ val counters : t -> Stats.Counters.t
     node: ["<name>.rx"], ["<name>.tx"], ["<name>.consumed"] and
     ["<name>.drop.<reason>"] (each reason interned per node on first
     use). Add-on layers register their handles here too:
-    ["fault.<kind>"] ({!Faults}) and ["custody.replay"]
+    ["sim.fault.<kind>"] ({!Faults}) and ["custody.replay"]
     ([Dip_core.Custody]). Every per-event write is a store through a
     pre-registered handle; no counter name is built or hashed per
     packet. A handle that was never written is not listed by

@@ -1,9 +1,10 @@
 (** A generic bounded LRU map.
 
-    The backing store for every cache in the repository whose key is
-    not a content {!Name} (those use {!Content_store}): the DIP
-    engine's hashed-name content store, and any per-flow state that
-    must stay bounded per the §2.4 state-consumption rule. *)
+    The backing store for every cache in the repository: the DIP
+    engine's hashed-name content store, the native NDN forwarder's
+    content store (keyed by canonical name), the custody store, and
+    any per-flow state that must stay bounded per the §2.4
+    state-consumption rule. *)
 
 type ('k, 'v) t
 

@@ -9,13 +9,14 @@
 open Dip_core
 module Bitbuf = Dip_bitbuf.Bitbuf
 
+(* The class Obs records as an [engine.process] span's a1. *)
 let verdict_class = function
-  | Engine.Forwarded _ -> `Forwarded
-  | Engine.Delivered -> `Delivered
-  | Engine.Responded _ -> `Responded
-  | Engine.Quiet -> `Quiet
-  | Engine.Dropped _ -> `Dropped
-  | Engine.Unsupported _ -> `Unsupported
+  | Engine.Forwarded _ -> 0
+  | Engine.Delivered -> 1
+  | Engine.Responded _ -> 2
+  | Engine.Quiet -> 3
+  | Engine.Dropped _ -> 4
+  | Engine.Unsupported _ -> 5
 
 let no_info =
   { Engine.ops_run = 0; ops_skipped = 0; state_bytes = 0; parallel_depth = 0 }
@@ -33,10 +34,9 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   in
   let observe verdict =
     match obs with
-    | None -> ()
-    | Some o ->
-        Obs.verdict o (verdict_class verdict);
-        if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start)
+    | Some o when sampled ->
+        Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+    | _ -> ()
   in
   let checked =
     match parsed with

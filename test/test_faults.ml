@@ -37,7 +37,7 @@ let test_drop_all () =
   Alcotest.(check (list (pair string int))) "all counted" [ ("drop", 10) ]
     (Faults.counts faults);
   Alcotest.(check int) "sim counter mirrors" 10
-    (Stats.Counters.get (Sim.counters sim) "fault.drop")
+    (Stats.Counters.get (Sim.counters sim) "sim.fault.drop")
 
 (* Fault counters follow Sim.attach_metrics: once a second registry
    replaces the first, later faults land in the second one only (as

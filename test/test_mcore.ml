@@ -456,27 +456,33 @@ let test_pool_counters_and_metrics () =
   let items =
     Array.init n (fun i -> { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 i })
   in
-  let out = Mcore.Pool.process_batch pool items in
+  let out = Mcore.Pool.handle_batch pool items in
   Array.iter
-    (fun (v, _) ->
-      match v with
-      | Engine.Forwarded [ 1 ] -> ()
-      | v -> Alcotest.failf "unexpected verdict %s" (verdict_summary v))
+    (function
+      | [ Dip_netsim.Sim.Forward (1, _) ] -> ()
+      | _ -> Alcotest.fail "every packet must be forwarded out port 1")
     out;
   (* Counters merge across the 3 worker envs: every packet either hit
-     or missed each worker's program cache. *)
+     or missed each worker's program cache, and each verdict is
+     counted once, in its worker's dip.* counters. *)
   let c = Mcore.Pool.counters pool in
   Alcotest.(check int) "cache hits+misses = packets" n
     (Dip_netsim.Stats.Counters.get c "progcache.hit"
     + Dip_netsim.Stats.Counters.get c "progcache.miss");
+  Alcotest.(check (list (pair string int)))
+    "dip.* sums the workers"
+    [ ("dip.forwarded", n) ]
+    (List.filter
+       (fun (k, _) -> String.starts_with ~prefix:"dip." k)
+       (Dip_netsim.Stats.Counters.to_list c));
   (* Metrics merge across the per-worker registries. *)
   (match Mcore.Pool.metrics pool with
   | None -> Alcotest.fail "metrics expected"
   | Some m ->
       Alcotest.(check (option (pair string int)))
-        "engine.packets sums the workers"
-        (Some ("engine.packets", n))
-        (List.find_opt (fun (k, _) -> k = "engine.packets") (obs_counts m)));
+        "engine.op.F_32_match.run sums the workers"
+        (Some ("engine.op.F_32_match.run", n))
+        (List.find_opt (fun (k, _) -> k = "engine.op.F_32_match.run") (obs_counts m)));
   Mcore.Pool.shutdown pool;
   (* Shutdown is idempotent. *)
   Mcore.Pool.shutdown pool
@@ -490,7 +496,7 @@ let test_pool_counters_survive_publish () =
   let pool = Mcore.Pool.create ~domains:2 ~metrics:true snap0 in
   let batch n =
     ignore
-      (Mcore.Pool.process_batch pool
+      (Mcore.Pool.handle_batch pool
          (Array.init n (fun i ->
               { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 i })))
   in
@@ -507,13 +513,15 @@ let test_pool_counters_survive_publish () =
   Alcotest.(check int) "progcache traffic spans both epochs" (n1 + n2)
     (Dip_netsim.Stats.Counters.get c "progcache.hit"
     + Dip_netsim.Stats.Counters.get c "progcache.miss");
+  Alcotest.(check int) "dip.forwarded spans both epochs" (n1 + n2)
+    (Dip_netsim.Stats.Counters.get c "dip.forwarded");
   (match Mcore.Pool.metrics pool with
   | None -> Alcotest.fail "metrics expected"
   | Some m ->
       Alcotest.(check (option (pair string int)))
-        "engine.packets spans both epochs"
-        (Some ("engine.packets", n1 + n2))
-        (List.find_opt (fun (k, _) -> k = "engine.packets") (obs_counts m)));
+        "engine.op.F_32_match.run spans both epochs"
+        (Some ("engine.op.F_32_match.run", n1 + n2))
+        (List.find_opt (fun (k, _) -> k = "engine.op.F_32_match.run") (obs_counts m)));
   Mcore.Pool.shutdown pool
 
 (* Regression (PR 7): workers used to read the published world at

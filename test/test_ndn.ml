@@ -120,6 +120,24 @@ let test_forwarder_cache_hit () =
       | _ -> Alcotest.fail "reply must be data")
   | _ -> Alcotest.fail "expected a content-store reply"
 
+(* The content store is bounded: at capacity 1, caching a second
+   name evicts the first, whose next interest goes back upstream. *)
+let test_forwarder_cache_bounded () =
+  let f = fwd ~cache_capacity:1 () in
+  let fetch ~now name body =
+    ignore (Forwarder.process f ~now ~ingress:1 (Packet.encode (Packet.interest name)));
+    ignore (Forwarder.process f ~now ~ingress:7 (Packet.encode (Packet.data name body)))
+  in
+  let a = n "/video/a" and b = n "/video/b" in
+  fetch ~now:0.0 a "A";
+  fetch ~now:0.1 b "B";
+  (match Forwarder.process f ~now:0.2 ~ingress:3 (Packet.encode (Packet.interest b)) with
+  | Forwarder.Reply _ -> ()
+  | _ -> Alcotest.fail "the newest name must be cached");
+  match Forwarder.process f ~now:0.3 ~ingress:3 (Packet.encode (Packet.interest a)) with
+  | Forwarder.Forward [ 7 ] -> ()
+  | _ -> Alcotest.fail "the evicted name must go back through the FIB"
+
 let test_forwarder_no_cache_by_default () =
   let f = fwd () in
   Alcotest.(check bool) "prototype default: no cache (4.1 fn.2)" false
@@ -246,6 +264,7 @@ let () =
           Alcotest.test_case "data follows PIT" `Quick test_forwarder_data_follows_pit;
           Alcotest.test_case "PIT expiry" `Quick test_forwarder_pit_expiry;
           Alcotest.test_case "cache hit" `Quick test_forwarder_cache_hit;
+          Alcotest.test_case "cache bounded" `Quick test_forwarder_cache_bounded;
           Alcotest.test_case "no cache by default" `Quick test_forwarder_no_cache_by_default;
         ] );
       ( "end-to-end",

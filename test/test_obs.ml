@@ -177,30 +177,45 @@ let fwd_env () =
 let ipv4_pkt () =
   Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" ()
 
+(* Algorithm 1 plus the verdict's actions, as a simulator handler
+   runs them: the verdict is counted in the node's dip.* counters. *)
+let run_counted ?obs ?(registry = registry) env pkt =
+  let v, _ = Engine.process ?obs ~registry env ~now:0.0 ~ingress:0 pkt in
+  ignore (Engine.actions_of_verdict env ~ingress:0 pkt v);
+  v
+
+let node_count env name = Dip_netsim.Stats.Counters.get env.Env.counters name
+
+(* Every verdict the node counted, whatever its class. *)
+let verdicts env =
+  List.fold_left
+    (fun acc (n, v) -> if String.starts_with ~prefix:"dip." n then acc + v else acc)
+    0
+    (Dip_netsim.Stats.Counters.to_list env.Env.counters)
+
 let test_engine_counts () =
   let m = Metrics.create () in
   let obs = Obs.create ~sample_every:1 m in
   let env = fwd_env () in
   for _ = 1 to 5 do
-    match Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 (ipv4_pkt ()) with
-    | Engine.Forwarded _, _ -> ()
-    | v, _ ->
+    match run_counted ~obs env (ipv4_pkt ()) with
+    | Engine.Forwarded _ -> ()
+    | v ->
         Alcotest.failf "unexpected verdict %s"
           (match v with Engine.Dropped r -> r | _ -> "?")
   done;
-  Alcotest.(check int) "packets" 5 (counted m "engine.packets");
+  Alcotest.(check int) "packets" 5 (verdicts env);
   Alcotest.(check int) "F_32_match runs" 5 (counted m "engine.op.F_32_match.run");
   Alcotest.(check int) "F_source runs" 5 (counted m "engine.op.F_source.run");
   Alcotest.(check int) "no F_FIB runs" 0 (counted m "engine.op.F_FIB.run");
-  Alcotest.(check int) "forwarded verdicts" 5
-    (counted m "engine.verdict.forwarded");
+  Alcotest.(check int) "forwarded verdicts" 5 (node_count env "dip.forwarded");
   Alcotest.(check int) "latency spans" 5 (hsnap m "engine.process_ns").Metrics.count;
   Alcotest.(check bool) "sampled nanos accumulated" true
     (counted m "engine.op.F_32_match.ns" > 0);
-  (* The handle mirror of the program cache. *)
-  Obs.publish_cache obs env.Env.prog_cache;
-  Alcotest.(check int) "cache hits" 4 (gauged m "engine.progcache.hit");
-  Alcotest.(check int) "cache misses" 1 (gauged m "engine.progcache.miss")
+  (* The node's counters carry the program cache's totals. *)
+  Env.publish_cache_stats env;
+  Alcotest.(check int) "cache hits" 4 (node_count env "progcache.hit");
+  Alcotest.(check int) "cache misses" 1 (node_count env "progcache.miss")
 
 let test_engine_sampling () =
   (* sample_every:4 over 8 packets: every packet counted, packets 4
@@ -209,9 +224,9 @@ let test_engine_sampling () =
   let obs = Obs.create ~sample_every:4 m in
   let env = fwd_env () in
   for _ = 1 to 8 do
-    ignore (Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 (ipv4_pkt ()))
+    ignore (run_counted ~obs env (ipv4_pkt ()))
   done;
-  Alcotest.(check int) "all packets counted" 8 (counted m "engine.packets");
+  Alcotest.(check int) "all packets counted" 8 (verdicts env);
   Alcotest.(check int) "all runs counted" 8 (counted m "engine.op.F_32_match.run");
   Alcotest.(check int) "two spans" 2 (hsnap m "engine.process_ns").Metrics.count
 
@@ -227,31 +242,26 @@ let test_engine_skips_and_unsupported () =
     Realize.opt ~hops:1 ~session_id:7L ~timestamp:1l
       ~dest_key:(String.make 16 'd') ~payload:"x" ()
   in
-  ignore (Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 (opt_pkt ()));
+  ignore (run_counted ~obs env (opt_pkt ()));
   Alcotest.(check int) "F_ver tag-skipped" 1 (counted m "engine.op.F_ver.skip");
   Alcotest.(check int) "F_mac ran" 1 (counted m "engine.op.F_MAC.run");
   (* A registry without the mandatory F_parm yields Unsupported. *)
   let minimal = Registry.restrict registry [ Opkey.F_32_match; Opkey.F_source ] in
-  (match
-     Engine.process ~obs ~registry:minimal env ~now:0.0 ~ingress:0 (opt_pkt ())
-   with
-  | Engine.Unsupported k, _ ->
-      Alcotest.(check string) "key" "F_parm" (Opkey.name k)
+  (match run_counted ~obs ~registry:minimal env (opt_pkt ()) with
+  | Engine.Unsupported k -> Alcotest.(check string) "key" "F_parm" (Opkey.name k)
   | _ -> Alcotest.fail "expected Unsupported");
   Alcotest.(check int) "unsupported verdict" 1
-    (counted m "engine.verdict.unsupported")
+    (node_count env "dip.unsupported.F_parm")
 
 let test_engine_drop_counted () =
   let m = Metrics.create () in
   let obs = Obs.create ~sample_every:1 m in
   let env = Env.create ~name:"r" () in
   (* No route installed: F_32_match aborts the run. *)
-  (match
-     Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 (ipv4_pkt ())
-   with
-  | Engine.Dropped "no-route", _ -> ()
+  (match run_counted ~obs env (ipv4_pkt ()) with
+  | Engine.Dropped "no-route" -> ()
   | _ -> Alcotest.fail "expected drop");
-  Alcotest.(check int) "dropped verdict" 1 (counted m "engine.verdict.dropped");
+  Alcotest.(check int) "dropped verdict" 1 (node_count env "dip.drop.no-route");
   Alcotest.(check int) "abort charged to the FN" 1
     (counted m "engine.op.F_32_match.error");
   Alcotest.(check int) "span still recorded" 1
@@ -292,8 +302,9 @@ let test_sim_attach_metrics () =
 
 (* Every exporter emits exactly the registry's name set: run a small
    fat-tree of Engine routers with the simulator mirror, engine spans
-   and faults all reporting into one registry, then read the names
-   back out of each rendering. *)
+   and faults all reporting into one registry, absorb every router's
+   own counters into it, then read the names back out of each
+   rendering. *)
 let test_exporters_same_names () =
   let module Sim = Dip_netsim.Sim in
   let module Topology = Dip_netsim.Topology in
@@ -302,9 +313,13 @@ let test_exporters_same_names () =
   let topo = Topology.fat_tree ~latency:1e-5 4 in
   let sim = Sim.create () in
   Sim.attach_metrics sim m;
+  let envs = ref [] in
   let ids =
     Topology.instantiate topo sim ~name:(Printf.sprintf "n%d")
-      ~handler:(fun _ -> Engine.handler ~obs ~registry (fwd_env ()))
+      ~handler:(fun _ ->
+        let env = fwd_env () in
+        envs := env :: !envs;
+        Engine.handler ~obs ~registry env)
   in
   let faults = Dip_netsim.Faults.attach ~seed:3L sim in
   Dip_netsim.Faults.all_links faults (Dip_netsim.Faults.spec ~drop:0.1 ());
@@ -313,13 +328,15 @@ let test_exporters_same_names () =
       (ipv4_pkt ())
   done;
   Sim.run sim;
+  List.iter (fun env -> Metrics.absorb m env.Env.counters) !envs;
   let sorted l = List.sort_uniq String.compare l in
   let raw = sorted (List.map (fun (n, _, _) -> n) (Metrics.snapshot m)) in
   let sanitized = sorted (List.map Export.sanitize raw) in
-  Alcotest.(check bool) "simulator, engine and fault series present" true
+  Alcotest.(check bool) "simulator, engine, node and fault series present" true
     (List.for_all
        (fun n -> List.mem n raw)
-       [ "sim.rx"; "sim.fault.drop"; "engine.packets"; "engine.verdict.forwarded" ]);
+       [ "sim.rx"; "sim.fault.drop"; "engine.op.F_32_match.run"; "dip.forwarded";
+         "progcache.hit" ]);
   let lines out = String.split_on_char '\n' out in
   let field_after prefix l =
     let n = String.length prefix in
@@ -341,6 +358,115 @@ let test_exporters_same_names () =
       (lines (Export.table m))
   in
   Alcotest.(check (list string)) "table" raw (sorted table_names)
+
+(* One name per fact, end to end: a k=4 fat-tree whose switches are
+   custodians, under a fault spec, with a flight ring and an observer
+   armed. Every flight event the program cache, custody and the fault
+   layer record is named after a written counter of the exported
+   registry (the attached one, with every switch's own counters
+   absorbed), and nothing registers the series the Env owns under a
+   second name. *)
+let test_flight_names_are_counters () =
+  let module Sim = Dip_netsim.Sim in
+  let module Topology = Dip_netsim.Topology in
+  let module Faults = Dip_netsim.Faults in
+  let module Flight = Dip_obs.Flight in
+  let module Reliable = Host.Reliable in
+  let m = Metrics.create () in
+  let ring = Flight.create ~pid:0 ~tid:0 () in
+  let obs = Obs.create ~sample_every:1 ~flight:ring m in
+  let topo = Topology.fat_tree ~latency:1e-5 4 in
+  let n = topo.Topology.node_count in
+  let is_host u = List.length (Topology.neighbors topo u) = 1 in
+  let hosts = List.filter is_host (List.init n Fun.id) |> Array.of_list in
+  let edge_of h = List.hd (Topology.neighbors topo h) in
+  (* The reliable pair hangs off two edge switches' spare ports; each
+     switch's port toward either end follows a BFS tree. *)
+  let spare = 50 in
+  let edge_s = edge_of hosts.(0) and edge_r = edge_of hosts.(15) in
+  let toward node =
+    let pred = Topology.shortest_paths topo ~src:node in
+    fun u -> if u = node then spare else Topology.port_of topo u pred.(u)
+  in
+  let to_r = toward edge_r and to_s = toward edge_s in
+  let sim = Sim.create () in
+  Sim.attach_metrics sim m;
+  Sim.set_flight sim (Some ring);
+  (* The receiver never ACKs custody, so the last custodian's sweep
+     needs a deadline for the run to end. *)
+  let config = { Custody.default_config with retry_until = 3.0 } in
+  let envs = ref [] in
+  let ids =
+    Array.init n (fun u ->
+        let name = Printf.sprintf "n%d" u in
+        if is_host u then Sim.add_node sim ~name (fun _ ~now:_ ~ingress:_ _ -> [])
+        else begin
+          let env = Env.create ~name () in
+          Dip_ip.Ipv4.add_route env.Env.v4_routes
+            (Ipaddr.Prefix.of_string "10.9.0.1/32") (to_r u);
+          Dip_ip.Ipv4.add_route env.Env.v4_routes
+            (Ipaddr.Prefix.of_string "10.9.0.2/32") (to_s u);
+          Progcache.set_flight env.Env.prog_cache (Some ring);
+          envs := env :: !envs;
+          Custody.node
+            (Custody.add_router ~obs ~metrics:m ~flight:ring ~config sim ~registry
+               ~env ~name ~out_port:(to_r u) ())
+        end)
+  in
+  List.iter
+    (fun (e : Topology.edge) ->
+      Sim.connect sim ~latency:e.Topology.latency
+        (ids.(e.Topology.u), Topology.port_of topo e.Topology.u e.Topology.v)
+        (ids.(e.Topology.v), Topology.port_of topo e.Topology.v e.Topology.u))
+    topo.Topology.edges;
+  let sender =
+    Reliable.add_sender ~custody:true sim ~name:"snd" ~seed:5L ~src:(v4 "10.9.0.2")
+      ~dst:(v4 "10.9.0.1") ~out_port:0
+  in
+  let _recv, recv_node = Reliable.add_receiver sim ~name:"rcv" in
+  Sim.connect sim ~latency:1e-5 (Reliable.sender_node sender, 0) (ids.(edge_s), spare);
+  Sim.connect sim ~latency:1e-5 (recv_node, 0) (ids.(edge_r), spare);
+  let faults = Faults.attach ~seed:11L sim in
+  Faults.all_links faults (Faults.spec ~drop:0.05 ());
+  for j = 0 to 39 do
+    Reliable.send sender ~at:(5e-4 *. float_of_int j) ~payload:(Printf.sprintf "r%d" j)
+  done;
+  Sim.run sim;
+  List.iter (fun env -> Metrics.absorb m env.Env.counters) !envs;
+  let written = List.map fst (Metrics.written_counters m) in
+  let layers = [ "progcache."; "custody."; "sim.fault." ] in
+  let emitted =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun e ->
+           let name = Flight.id_name e.Flight.ev_id in
+           if List.exists (fun prefix -> String.starts_with ~prefix name) layers
+           then Some name
+           else None)
+         (Flight.events ring))
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the ring holds %s events" prefix)
+        true
+        (List.exists (String.starts_with ~prefix) emitted))
+    layers;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "flight event %s is a written counter" name)
+        true (List.mem name written))
+    emitted;
+  List.iter
+    (fun (name, _, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s duplicates an Env series" name)
+        false
+        (String.starts_with ~prefix:"engine.verdict." name
+        || String.starts_with ~prefix:"engine.progcache." name
+        || name = "engine.packets"))
+    (Metrics.snapshot m)
 
 (* --- program-cache evictions --- *)
 
@@ -406,6 +532,8 @@ let () =
           Alcotest.test_case "attach_metrics" `Quick test_sim_attach_metrics;
           Alcotest.test_case "exporters emit the registry's names" `Quick
             test_exporters_same_names;
+          Alcotest.test_case "flight events are named after counters" `Quick
+            test_flight_names_are_counters;
         ] );
       ( "progcache",
         [ Alcotest.test_case "evictions" `Quick test_progcache_evictions ] );

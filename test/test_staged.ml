@@ -109,7 +109,7 @@ let tally v =
 
 (* Everything observable after one packet, as strings. *)
 let observe s ~verdict ~info ~buf ~actions =
-  Engine.publish s.obs s.env;
+  Env.publish_cache_stats s.env;
   let counts =
     List.filter
       (fun (n, _) -> not (String.ends_with ~suffix:".ns" n))

@@ -359,55 +359,6 @@ let test_pit_expired_slot_reusable () =
     (Pit.insert pit ~key:1l ~port:5 ~now:2.0 ~lifetime:1.0 = Pit.Forwarded);
   Alcotest.(check (list int)) "new ports only" [ 5 ] (Pit.pending pit ~key:1l ~now:2.5)
 
-(* --- Content store --- *)
-
-let test_cs_basic () =
-  let cs = Content_store.create ~capacity:2 in
-  let a = Name.of_string "/a" and b = Name.of_string "/b" in
-  Content_store.insert cs a "A";
-  Content_store.insert cs b "B";
-  Alcotest.(check (option string)) "hit" (Some "A") (Content_store.find cs a);
-  Alcotest.(check int) "hits counted" 1 (Content_store.hits cs);
-  Alcotest.(check (option string)) "miss" None
-    (Content_store.find cs (Name.of_string "/c"));
-  Alcotest.(check int) "misses counted" 1 (Content_store.misses cs)
-
-let test_cs_lru_eviction () =
-  let cs = Content_store.create ~capacity:2 in
-  let a = Name.of_string "/a" and b = Name.of_string "/b" in
-  let c = Name.of_string "/c" in
-  Content_store.insert cs a "A";
-  Content_store.insert cs b "B";
-  (* Touch /a so /b becomes LRU, then insert /c. *)
-  ignore (Content_store.find cs a);
-  Content_store.insert cs c "C";
-  Alcotest.(check bool) "b evicted" false (Content_store.mem cs b);
-  Alcotest.(check bool) "a kept" true (Content_store.mem cs a);
-  Alcotest.(check bool) "c present" true (Content_store.mem cs c);
-  Alcotest.(check int) "size bounded" 2 (Content_store.size cs)
-
-let test_cs_update_refreshes () =
-  let cs = Content_store.create ~capacity:2 in
-  let a = Name.of_string "/a" and b = Name.of_string "/b" in
-  let c = Name.of_string "/c" in
-  Content_store.insert cs a "A";
-  Content_store.insert cs b "B";
-  Content_store.insert cs a "A2";
-  Content_store.insert cs c "C";
-  Alcotest.(check (option string)) "updated value survives" (Some "A2")
-    (Content_store.find cs a);
-  Alcotest.(check bool) "b was evicted" false (Content_store.mem cs b)
-
-let test_cs_remove_and_clear () =
-  let cs = Content_store.create ~capacity:4 in
-  let a = Name.of_string "/a" in
-  Content_store.insert cs a "A";
-  Alcotest.(check bool) "remove" true (Content_store.remove cs a);
-  Alcotest.(check bool) "remove again" false (Content_store.remove cs a);
-  Content_store.insert cs a "A";
-  Content_store.clear cs;
-  Alcotest.(check int) "cleared" 0 (Content_store.size cs)
-
 (* --- generic LRU --- *)
 
 let test_lru_basic () =
@@ -614,16 +565,6 @@ let prop_cust_conservation =
       = Custody_store.size s + count Custody_store.Release
         + count Custody_store.Evict)
 
-let prop_cs_never_exceeds_capacity =
-  QCheck.Test.make ~name:"content store: size <= capacity" ~count:100
-    QCheck.(pair (int_range 1 8) (small_list (int_range 0 20)))
-    (fun (cap, keys) ->
-      let cs = Content_store.create ~capacity:cap in
-      List.iter
-        (fun k -> Content_store.insert cs (Name.of_string (Printf.sprintf "/k%d" k)) k)
-        keys;
-      Content_store.size cs <= cap)
-
 let () =
   Alcotest.run "tables"
     [
@@ -686,14 +627,6 @@ let () =
           Alcotest.test_case "custom equality" `Quick test_lru_custom_equality;
           QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest prop_lru_most_recent_survives;
-        ] );
-      ( "content-store",
-        [
-          Alcotest.test_case "basic" `Quick test_cs_basic;
-          Alcotest.test_case "lru eviction" `Quick test_cs_lru_eviction;
-          Alcotest.test_case "update refreshes" `Quick test_cs_update_refreshes;
-          Alcotest.test_case "remove/clear" `Quick test_cs_remove_and_clear;
-          QCheck_alcotest.to_alcotest prop_cs_never_exceeds_capacity;
         ] );
       ( "custody-store",
         [
