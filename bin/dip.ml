@@ -543,6 +543,8 @@ let trace proto n =
     exit 1
   end;
   let sim = Dip_netsim.Sim.create () in
+  let delivered = ref [] in
+  Dip_netsim.Sim.on_consume sim (fun node time pkt -> delivered := (node, time, pkt) :: !delivered);
   (* The engine rewrites the packet in flight (hop limit, telemetry
      appends), so the default CRC fingerprint would change per hop;
      there is only one packet, give it a constant identity. *)
@@ -609,7 +611,7 @@ let trace proto n =
                   (Telemetry.read p ~base:view.Packet.loc_base
                      ~region_bytes:(Telemetry.region_size ~max_hops:n))
             | Error _ -> None)
-          (Dip_netsim.Sim.consumed sim)
+          (List.rev !delivered)
       with
       | None -> []
       | Some (records, overflow) ->

@@ -38,6 +38,8 @@ let () =
   (* --- Tunneling across the legacy domain --- *)
   print_endline "\n== DIP-in-IPv4 tunnel across the legacy core ==";
   let sim = Sim.create () in
+  let delivered = ref [] in
+  Sim.on_consume sim (fun node time pkt -> delivered := (node, time, pkt) :: !delivered);
 
   (* Left DIP border router: encapsulates toward the right border. *)
   let left_tunnel_src = v4 "198.51.100.1" in
@@ -82,7 +84,7 @@ let () =
   Sim.inject sim ~at:0.0 ~node:lb ~port:0 dip_packet;
   Sim.run sim;
 
-  (match Sim.consumed sim with
+  (match List.rev !delivered with
   | [ (node, _, pkt) ] ->
       Printf.printf "inner DIP packet delivered at %s; payload %S\n"
         (Sim.node_name sim node)

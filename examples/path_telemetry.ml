@@ -20,6 +20,8 @@ let hops = 4
 let () =
   let registry = Ops.default_registry () in
   let sim = Sim.create () in
+  let delivered = ref [] in
+  Sim.on_consume sim (fun node time pkt -> delivered := (node, time, pkt) :: !delivered);
 
   (* Routers forward 10.0.0.0/8 down the chain and stamp telemetry
      with their *live* egress queue depth. *)
@@ -79,7 +81,7 @@ let () =
             let region_bytes = Telemetry.region_size ~max_hops:hops in
             Some (fst (Telemetry.read pkt ~base:view.Packet.loc_base ~region_bytes))
         | _ -> None)
-      (Sim.consumed sim)
+      (List.rev !delivered)
   in
   match probe_records with
   | None -> failwith "probe never arrived"

@@ -19,6 +19,8 @@ let () =
   (* Three routers, each with a route for the destination prefix
      pointing at its "right-hand" port 1. *)
   let sim = Sim.create () in
+  let delivered = ref [] in
+  Sim.on_consume sim (fun node time pkt -> delivered := (node, time, pkt) :: !delivered);
   let router i =
     let env = Env.create ~name:(Printf.sprintf "r%d" i) () in
     Dip_ip.Ipv4.add_route env.Env.v4_routes
@@ -52,7 +54,7 @@ let () =
   Sim.inject sim ~at:0.0 ~node:r1 ~port:0 packet;
   Sim.run sim;
 
-  (match Sim.consumed sim with
+  (match List.rev !delivered with
   | [ (node, time, pkt) ] ->
       let view = Result.get_ok (Packet.parse pkt) in
       Printf.printf

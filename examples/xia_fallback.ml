@@ -31,6 +31,8 @@ let () =
     (List.init (Dag.node_count dag + 1) (Dag.successors dag));
 
   let sim = Sim.create () in
+  let delivered = ref [] in
+  Sim.on_consume sim (fun node time pkt -> delivered := (node, time, pkt) :: !delivered);
 
   (* Transit: routes ADs only — the fallback case. *)
   let transit = Env.create ~name:"transit" () in
@@ -58,7 +60,7 @@ let () =
   Sim.inject sim ~at:0.0 ~node:t ~port:0 pkt;
   Sim.run sim;
 
-  (match Sim.consumed sim with
+  (match List.rev !delivered with
   | [ (node, _, _) ] ->
       Printf.printf "delivered at %s via fallback (transit knew only the AD)\n"
         (Sim.node_name sim node);

@@ -210,7 +210,7 @@ module Reliable : sig
 
   val add_receiver : Sim.t -> name:string -> receiver * Sim.node_id
   (** Create the receiving endpoint as a simulator node. Valid new
-      data is [Consume]d (so it appears in {!Sim.consumed}) and
+      data is [Consume]d (so {!Sim.on_consume} hooks see it) and
       ACKed out the ingress port; duplicates are re-ACKed and counted;
       CRC failures drop with {!Errors.integrity_reason}. *)
 

@@ -52,18 +52,29 @@ type crash = {
   mutable saved : Sim.handler option;
 }
 
+(* What the layer knows about one directed egress. *)
+type link = {
+  mutable spec : spec option;  (* override of [t.default] *)
+  (* Down windows, unordered; the hook scans them (links have few
+     windows). *)
+  mutable down : (float * float) list;
+  (* Link-up subscribers, newest first, read when a down window
+     actually ends (so registration order doesn't matter). *)
+  mutable up_subs : (float -> unit) list;
+}
+
+(* The state of every egress nothing was configured on; never
+   written. *)
+let unset = { spec = None; down = []; up_subs = [] }
+
 type t = {
   sim : Sim.t;
   rng : Prng.t;
   mutable default : spec;
-  link_specs : (Sim.node_id * Sim.port, spec) Hashtbl.t;
-  (* Down windows per directed egress, unordered; the hook scans them
-     (links have few windows). *)
-  down : (Sim.node_id * Sim.port, (float * float) list) Hashtbl.t;
+  (* By node, then port: a transmit finds its egress with two array
+     reads, no hashing. Unconfigured slots hold [unset]. *)
+  mutable links : link array array;
   crashes : (Sim.node_id, crash) Hashtbl.t;
-  (* Link-up subscribers per directed endpoint, looked up when a down
-     window actually ends (so registration order doesn't matter). *)
-  up_subs : (Sim.node_id * Sim.port, (float -> unit) list ref) Hashtbl.t;
   sim_counters : Dip_obs.Metrics.counter array; (* [names], by [index] *)
   (* [names] in the registry {!Sim.attach_metrics} last installed —
      re-resolved when it changes. *)
@@ -95,15 +106,24 @@ let record t kind ~node ~port =
       in
       Dip_obs.Metrics.Counter.incr cs.(i)
 
-let spec_for t key =
-  match Hashtbl.find_opt t.link_specs key with
-  | Some s -> s
-  | None -> t.default
+let find t (node, port) =
+  if node >= Array.length t.links || port >= Array.length t.links.(node) then unset
+  else t.links.(node).(port)
 
-let is_down t key now =
-  match Hashtbl.find_opt t.down key with
-  | None -> false
-  | Some windows -> List.exists (fun (a, b) -> now >= a && now < b) windows
+let grow a i fill =
+  if i < Array.length a then a
+  else Array.append a (Array.make (i + 1 - Array.length a) fill)
+
+(* [key]'s own record, made on first use. *)
+let link t ((node, port) as key) =
+  if node < 0 || port < 0 then invalid_arg "Faults: negative node or port";
+  t.links <- grow t.links node [||];
+  t.links.(node) <- grow t.links.(node) port unset;
+  if find t key == unset then
+    t.links.(node).(port) <- { spec = None; down = []; up_subs = [] };
+  find t key
+
+let is_down l now = List.exists (fun (a, b) -> now >= a && now < b) l.down
 
 (* Draws happen in a fixed order (drop, corrupt, jitter, duplicate,
    duplicate-jitter) and only for enabled fault kinds, so the stream
@@ -111,12 +131,13 @@ let is_down t key now =
    function of (seed, spec, packet sequence). *)
 let hook t _sim ~from packet =
   let node, port = from in
-  if is_down t from (Sim.now t.sim) then begin
+  let l = find t from in
+  if is_down l (Sim.now t.sim) then begin
     record t Link_down ~node ~port;
     []
   end
   else begin
-    let s = spec_for t from in
+    let s = match l.spec with Some s -> s | None -> t.default in
     if s.drop > 0.0 && Prng.float t.rng 1.0 < s.drop then begin
       record t Drop ~node ~port;
       []
@@ -162,10 +183,8 @@ let attach ~seed sim =
       sim;
       rng = Prng.create seed;
       default = silent;
-      link_specs = Hashtbl.create 8;
-      down = Hashtbl.create 8;
+      links = [||];
       crashes = Hashtbl.create 4;
-      up_subs = Hashtbl.create 4;
       sim_counters = Array.map (Dip_obs.Metrics.counter (Sim.counters sim)) names;
       obs = None;
       events = [];
@@ -176,27 +195,15 @@ let attach ~seed sim =
 
 let detach t = Sim.clear_egress_hook t.sim
 let all_links t s = t.default <- s
-let on_link t key s = Hashtbl.replace t.link_specs key s
+let on_link t key s = (link t key).spec <- Some s
 
 let add_window t key w =
-  let ws = Option.value ~default:[] (Hashtbl.find_opt t.down key) in
-  Hashtbl.replace t.down key (w :: ws)
+  let l = link t key in
+  l.down <- w :: l.down
 
 let on_link_up t key f =
-  let subs =
-    match Hashtbl.find_opt t.up_subs key with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.up_subs key l;
-        l
-  in
-  subs := f :: !subs
-
-let fire_link_up t key now =
-  match Hashtbl.find_opt t.up_subs key with
-  | None -> ()
-  | Some subs -> List.iter (fun f -> f now) (List.rev !subs)
+  let l = link t key in
+  l.up_subs <- f :: l.up_subs
 
 let link_down t (node, port) ~from_ ~until =
   if until <= from_ then invalid_arg "Faults.link_down: empty window";
@@ -211,7 +218,10 @@ let link_down t (node, port) ~from_ ~until =
       Sim.schedule t.sim ~at:until (fun sim ->
           let now = Sim.now sim in
           List.iter
-            (fun key -> if not (is_down t key now) then fire_link_up t key now)
+            (fun key ->
+              let l = find t key in
+              if not (is_down l now) then
+                List.iter (fun f -> f now) (List.rev l.up_subs))
             [ (node, port); peer ])
 
 let crash_state t node =

@@ -54,7 +54,8 @@ val all_links : t -> spec -> unit
 
 val on_link : t -> Sim.node_id * Sim.port -> spec -> unit
 (** Override the spec for one {e directed} egress (packets leaving
-    [node] via [port]). *)
+    [node] via [port]). Raises [Invalid_argument] on a negative node
+    or port. *)
 
 val link_down : t -> Sim.node_id * Sim.port -> from_:float -> until:float -> unit
 (** Schedule a down window for the link wired at [(node, port)]:
@@ -69,7 +70,8 @@ val on_link_up : t -> Sim.node_id * Sim.port -> (float -> unit) -> unit
     [(node, port)] ends and no other window still covers it.
     Subscribers registered after the window was scheduled still
     fire — lookup happens at window end. Multiple subscribers fire
-    in registration order. *)
+    in registration order. Raises [Invalid_argument] on a negative
+    node or port. *)
 
 val crash_node : t -> Sim.node_id -> at:float -> until:float -> unit
 (** Schedule a crash: at [at] the node's handler is replaced by a

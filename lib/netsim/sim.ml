@@ -79,7 +79,6 @@ and t = {
   queue : event Event_queue.t;
   stats : Dip_obs.Metrics.t;
   mutable clock : float;
-  mutable delivered : (node_id * float * Dip_bitbuf.Bitbuf.t) list; (* reversed *)
   mutable consume_hooks : (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) list;
   mutable obs : obs option;
   (* Consulted on every transmission over a wired link; lets a fault
@@ -113,7 +112,6 @@ let create () =
     queue = Event_queue.create ~filler:(Timer ignore);
     stats = Dip_obs.Metrics.create ();
     clock = 0.0;
-    delivered = [];
     consume_hooks = [];
     obs = None;
     egress_hook = None;
@@ -291,7 +289,6 @@ let schedule t ~at f = push_event t "schedule" ~at (Timer f)
 
 let now t = t.clock
 let counters t = t.stats
-let consumed t = List.rev t.delivered
 let on_consume t f = t.consume_hooks <- f :: t.consume_hooks
 let metrics t = Option.map (fun o -> o.metrics) t.obs
 let set_egress_hook t hook = t.egress_hook <- Some hook
@@ -358,7 +355,6 @@ let rec apply_actions t id node packet = function
       | Forward (out, pkt) -> transmit t node out pkt
       | Consume ->
           count t node (fun c -> c.consumed);
-          t.delivered <- (id, t.clock, packet) :: t.delivered;
           List.iter (fun f -> f id t.clock packet) t.consume_hooks
       | Drop reason -> count_drop t node reason);
       apply_actions t id node packet rest

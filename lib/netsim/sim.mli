@@ -150,12 +150,11 @@ val attach_metrics : t -> Dip_obs.Metrics.t -> unit
     per-node totals stay in {!counters}, which is never this
     registry. *)
 
-val consumed : t -> (node_id * float * Dip_bitbuf.Bitbuf.t) list
-(** All locally delivered packets, in delivery order, with their
-    delivery times. *)
-
 val on_consume : t -> (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) -> unit
-(** Additional hook invoked at each local delivery. *)
+(** Add a hook invoked at each local delivery with the node, the
+    delivery time and the packet. The simulator keeps no log of
+    deliveries (a long run would hold every packet it delivered): a
+    caller that wants one records it here. *)
 
 val metrics : t -> Dip_obs.Metrics.t option
 (** The registry passed to {!attach_metrics}, if any — lets add-on

@@ -1,22 +1,29 @@
 type edge = { u : int; v : int; latency : float; bandwidth : float }
-type t = { node_count : int; edges : edge list }
+type t = { node_count : int; edges : edge list; adj : int array array }
+
+(* Each node's row is built once, sorted and deduplicated; every
+   query below reads it. *)
+let make ~node_count edges =
+  let rows = Array.make node_count [] in
+  let add x y =
+    if x < 0 || x >= node_count then
+      invalid_arg "Topology.make: endpoint out of range";
+    rows.(x) <- y :: rows.(x)
+  in
+  List.iter (fun e -> add e.u e.v; add e.v e.u) edges;
+  let sorted l = Array.of_list (List.sort_uniq Int.compare l) in
+  { node_count; edges; adj = Array.map sorted rows }
 
 let mk_edge ?(latency = 1e-6) ?(bandwidth = Float.infinity) u v =
   { u; v; latency; bandwidth }
 
 let linear ?latency ?bandwidth n =
   if n < 1 then invalid_arg "Topology.linear: need at least one node";
-  {
-    node_count = n;
-    edges = List.init (n - 1) (fun i -> mk_edge ?latency ?bandwidth i (i + 1));
-  }
+  make ~node_count:n (List.init (n - 1) (fun i -> mk_edge ?latency ?bandwidth i (i + 1)))
 
 let star ?latency ?bandwidth k =
   if k < 1 then invalid_arg "Topology.star: need at least one leaf";
-  {
-    node_count = k + 1;
-    edges = List.init k (fun i -> mk_edge ?latency ?bandwidth 0 (i + 1));
-  }
+  make ~node_count:(k + 1) (List.init k (fun i -> mk_edge ?latency ?bandwidth 0 (i + 1)))
 
 let dumbbell ?latency ?bandwidth l r =
   if l < 1 || r < 1 then invalid_arg "Topology.dumbbell: need hosts on both sides";
@@ -24,7 +31,7 @@ let dumbbell ?latency ?bandwidth l r =
   let left = List.init l (fun i -> mk_edge ?latency ?bandwidth i ls) in
   let right = List.init r (fun i -> mk_edge ?latency ?bandwidth rs (l + 2 + i)) in
   let middle = [ mk_edge ?latency ?bandwidth ls rs ] in
-  { node_count = l + r + 2; edges = left @ middle @ right }
+  make ~node_count:(l + r + 2) (left @ middle @ right)
 
 let random ~seed ~nodes ~degree =
   if nodes < 2 then invalid_arg "Topology.random: need at least two nodes";
@@ -49,7 +56,7 @@ let random ~seed ~nodes ~degree =
     incr attempts;
     add (Dip_stdext.Prng.int g nodes) (Dip_stdext.Prng.int g nodes)
   done;
-  { node_count = nodes; edges = List.rev !edges }
+  make ~node_count:nodes (List.rev !edges)
 
 let fat_tree ?latency ?bandwidth k =
   if k < 2 || k mod 2 <> 0 then
@@ -81,7 +88,7 @@ let fat_tree ?latency ?bandwidth k =
       done
     done
   done;
-  { node_count = cores + (k * pod_size); edges = List.rev !edges }
+  make ~node_count:(cores + (k * pod_size)) (List.rev !edges)
 
 let wan ~seed ~sites ~chords =
   if sites < 3 then invalid_arg "Topology.wan: need at least three sites";
@@ -115,23 +122,23 @@ let wan ~seed ~sites ~chords =
         (Dip_stdext.Prng.int g sites)
     then incr added
   done;
-  { node_count = sites; edges = List.rev !edges }
+  make ~node_count:sites (List.rev !edges)
 
 let neighbors t u =
-  List.filter_map
-    (fun e ->
-      if e.u = u then Some e.v else if e.v = u then Some e.u else None)
-    t.edges
-  |> List.sort_uniq compare
+  if u < 0 || u >= t.node_count then [] else Array.to_list t.adj.(u)
 
+(* [v]'s index in [u]'s sorted row, by binary search. *)
 let port_of t u v =
-  let ns = neighbors t u in
-  let rec idx i = function
-    | [] -> raise Not_found
-    | x :: _ when x = v -> i
-    | _ :: rest -> idx (i + 1) rest
+  let row = if u < 0 || u >= t.node_count then [||] else t.adj.(u) in
+  let rec go lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      if row.(mid) = v then mid
+      else if row.(mid) < v then go (mid + 1) hi
+      else go lo mid
   in
-  idx 0 ns
+  go 0 (Array.length row)
 
 let shortest_paths t ~src =
   if src < 0 || src >= t.node_count then invalid_arg "Topology.shortest_paths";
@@ -142,14 +149,14 @@ let shortest_paths t ~src =
   Queue.add src q;
   while not (Queue.is_empty q) do
     let u = Queue.take q in
-    List.iter
+    Array.iter
       (fun v ->
         if not seen.(v) then begin
           seen.(v) <- true;
           pred.(v) <- u;
           Queue.add v q
         end)
-      (neighbors t u)
+      t.adj.(u)
   done;
   pred
 
@@ -160,21 +167,11 @@ let path t ~src ~dst =
     let pred = shortest_paths t ~src in
     if pred.(dst) = -1 then None
     else
-      let rec back v acc =
-        if v = src then v :: acc else back pred.(v) (v :: acc)
-      in
+      let rec back v acc = if v = src then v :: acc else back pred.(v) (v :: acc) in
       Some (back dst [])
 
 let next_hop t ~src ~dst =
-  if src = dst then None
-  else
-    let pred = shortest_paths t ~src in
-    if dst < 0 || dst >= t.node_count || pred.(dst) = -1 then None
-    else
-      (* Walk back from dst to src; the node whose predecessor is src
-         is the first hop. *)
-      let rec back v = if pred.(v) = src then Some v else back pred.(v) in
-      back dst
+  match path t ~src ~dst with Some (_ :: hop :: _) -> Some hop | _ -> None
 
 let instantiate t sim ~name ~handler =
   let ids = Array.init t.node_count (fun i -> Sim.add_node sim ~name:(name i) (handler i)) in

@@ -9,11 +9,26 @@
     parameters) and then {e instantiated} onto a {!Sim.t} once the
     caller has chosen a handler per node. Port numbers are assigned
     deterministically: node [u]'s port to neighbor [v] is the index
-    of [v] in [u]'s sorted adjacency list. *)
+    of [v] in [u]'s sorted adjacency list.
+
+    That adjacency is built once, by {!make}, when the topology is
+    made: [adj.(u)] is [u]'s neighbours, sorted and without
+    duplicates, so port [p] of [u] leads to [adj.(u).(p)]. Every
+    query below reads it — {!port_of} in O(log degree), a BFS in
+    O(nodes + edges) — and none rescans the edge list. *)
 
 type edge = { u : int; v : int; latency : float; bandwidth : float }
 
-type t = { node_count : int; edges : edge list }
+type t = private {
+  node_count : int;
+  edges : edge list;
+  adj : int array array;  (** Read-only: per node, its sorted neighbours. *)
+}
+
+val make : node_count:int -> edge list -> t
+(** A topology of nodes [0 .. node_count - 1] over [edges] (either
+    direction; a repeated edge counts once). Raises
+    [Invalid_argument] on an endpoint outside that range. *)
 
 val linear : ?latency:float -> ?bandwidth:float -> int -> t
 (** [linear n] is a chain of [n] nodes ([n >= 1]):
@@ -51,7 +66,7 @@ val port_of : t -> int -> int -> int
     Raises [Not_found] if the edge does not exist. *)
 
 val neighbors : t -> int -> int list
-(** Sorted adjacency list. *)
+(** Sorted adjacency list ([[]] for a node out of range). *)
 
 val shortest_paths : t -> src:int -> int array
 (** BFS hop-count predecessor array: [pred.(v)] is the previous hop
@@ -60,7 +75,7 @@ val shortest_paths : t -> src:int -> int array
 
 val next_hop : t -> src:int -> dst:int -> int option
 (** First hop on a shortest path from [src] to [dst]; [None] if
-    unreachable or [src = dst]. *)
+    unreachable, out of range or [src = dst]. *)
 
 val path : t -> src:int -> dst:int -> int list option
 (** The full node sequence [src; …; dst] of a shortest path, [None]

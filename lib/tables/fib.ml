@@ -46,35 +46,45 @@ module V4 = struct
      length" bytes (255 = empty) drive the classic incremental
      update: an insert of /L only overwrites slots whose current
      owner is shorter, a withdrawal re-covers exactly the slots the
-     dead route owned from the per-length side store.
+     dead route owned from the side store.
 
      The 16.7M-slot table is split into 1024 chunks of 16384 slots,
-     materialized on first write; unmaterialized chunks share a zero
-     sentinel plus a packed whole-chunk cover word (for /0../10
-     routes, which cover whole chunks), so an empty table costs KBs,
-     not 48 MB, and a default route costs 1024 words, not 16M slot
-     writes. *)
+     materialized on first write; unmaterialized chunks point at one
+     zero chunk shared by every table, plus a packed whole-chunk
+     cover word (for /0../10 routes, which cover whole chunks), and a
+     default route costs 1024 words, not 16M slot writes. Until its
+     first write a table also shares the three chunk arrays, so an
+     empty table is a few words (DESIGN.md §16). The shared chunks
+     and arrays are never written and are compared only by identity.
+
+     The side store is one table keyed by [side_key len prefix]. *)
 
   let chunk_bits = 14
   let chunk_slots = 1 lsl chunk_bits
   let chunk_mask = chunk_slots - 1
   let n_chunks = 1 lsl (24 - chunk_bits)
 
+  (* Read-only, shared by every table. *)
+  let zero_ent = Bytes.make (chunk_slots * 2) '\000'
+  let empty_len = Bytes.make chunk_slots '\xff'
+  let shared_ent24 = Array.make n_chunks zero_ent
+  let shared_len24 = Array.make n_chunks empty_len
+  let shared_cover = Array.make n_chunks 0
+
+  module Side = Hashtbl.Make (Int)
+
   type 'a t = {
-    ent24 : Bytes.t array;  (* per chunk: 16-bit LE entries *)
-    len24 : Bytes.t array;  (* per chunk: owner length bytes *)
-    zero_ent : Bytes.t;  (* sentinel for unmaterialized chunks *)
-    empty_len : Bytes.t;
-    cover_chunk : int array;
-        (* per *sentinel* chunk: (owner_len lsl 16) lor entry, 0 = none *)
+    mutable ent24 : Bytes.t array;  (* per chunk: 16-bit LE entries *)
+    mutable len24 : Bytes.t array;  (* per chunk: owner length bytes *)
+    mutable cover_chunk : int array;
+        (* per [zero_ent] chunk: (owner_len lsl 16) lor entry, 0 = none *)
     mutable spill_ent : Bytes.t;
     mutable spill_len : Bytes.t;
     mutable spill_deep : int array;  (* per block: entries owned by /25+ *)
     mutable blocks : int;
     mutable free : int list;
     pool : 'a Pool.t;
-    by_len : (int32, int) Hashtbl.t array;  (* 33: masked addr -> id *)
-    mutable count : int;
+    side : int Side.t;  (* side_key len prefix -> id *)
   }
 
   let get16 b i = Bytes.get_uint16_le b (i lsl 1)
@@ -84,31 +94,37 @@ module V4 = struct
   let mask len a =
     if len = 0 then 0l else Int32.logand a (Int32.shift_left (-1l) (32 - len))
 
+  (* [a] already masked to [len] bits. *)
+  let side_key len a = (len lsl 32) lor u32 a
+
   let create () =
-    let zero_ent = Bytes.make (chunk_slots * 2) '\000' in
-    let empty_len = Bytes.make chunk_slots '\xff' in
     {
-      ent24 = Array.make n_chunks zero_ent;
-      len24 = Array.make n_chunks empty_len;
-      zero_ent;
-      empty_len;
-      cover_chunk = Array.make n_chunks 0;
-      spill_ent = Bytes.create 0;
-      spill_len = Bytes.create 0;
+      ent24 = shared_ent24;
+      len24 = shared_len24;
+      cover_chunk = shared_cover;
+      spill_ent = Bytes.empty;
+      spill_len = Bytes.empty;
       spill_deep = [||];
       blocks = 0;
       free = [];
       pool = Pool.create ();
-      by_len = Array.init 33 (fun _ -> Hashtbl.create 16);
-      count = 0;
+      side = Side.create 8;
     }
 
-  let size t = t.count
+  (* Before a table's first write: its own chunk arrays. *)
+  let own t =
+    if t.cover_chunk == shared_cover then begin
+      t.ent24 <- Array.copy shared_ent24;
+      t.len24 <- Array.copy shared_len24;
+      t.cover_chunk <- Array.make n_chunks 0
+    end
+
+  let size t = Side.length t.side
   let value t id = Pool.get t.pool id
 
   let materialize t c =
     let ent = t.ent24.(c) in
-    if ent != t.zero_ent then ent
+    if ent != zero_ent then ent
     else begin
       let ent = Bytes.make (chunk_slots * 2) '\000' in
       let len = Bytes.make chunk_slots '\xff' in
@@ -177,7 +193,7 @@ module V4 = struct
     let rec go l =
       if l < 0 then (0, 0xFF)
       else
-        match Hashtbl.find_opt t.by_len.(l) (mask l a) with
+        match Side.find_opt t.side (side_key l (mask l a)) with
         | Some id -> (id + 1, l)
         | None -> go (l - 1)
     in
@@ -232,15 +248,15 @@ module V4 = struct
     if len < 0 || len > 32 then invalid_arg "Fib.V4.insert: len in [0,32]";
     let a = mask len a in
     let id = Pool.intern t.pool ~limit:0x7FFE v in
-    if not (Hashtbl.mem t.by_len.(len) a) then t.count <- t.count + 1;
-    Hashtbl.replace t.by_len.(len) a id;
+    own t;
+    Side.replace t.side (side_key len a) id;
     let e = id + 1 in
     if len <= 24 - chunk_bits then begin
       (* covers whole chunks *)
       let c0 = u32 a lsr (8 + chunk_bits) in
       let nc = 1 lsl (24 - chunk_bits - len) in
       for c = c0 to c0 + nc - 1 do
-        if t.ent24.(c) == t.zero_ent then begin
+        if t.ent24.(c) == zero_ent then begin
           let cc = t.cover_chunk.(c) in
           let ccl = if cc = 0 then -1 else cc lsr 16 in
           if ccl <= len then t.cover_chunk.(c) <- (len lsl 16) lor e
@@ -279,15 +295,15 @@ module V4 = struct
   let remove t a ~len =
     if len < 0 || len > 32 then invalid_arg "Fib.V4.remove: len in [0,32]";
     let a = mask len a in
-    if not (Hashtbl.mem t.by_len.(len) a) then false
+    let key = side_key len a in
+    if not (Side.mem t.side key) then false
     else begin
-      Hashtbl.remove t.by_len.(len) a;
-      t.count <- t.count - 1;
+      Side.remove t.side key;
       if len <= 24 - chunk_bits then begin
         let c0 = u32 a lsr (8 + chunk_bits) in
         let nc = 1 lsl (24 - chunk_bits - len) in
         for c = c0 to c0 + nc - 1 do
-          if t.ent24.(c) == t.zero_ent then begin
+          if t.ent24.(c) == zero_ent then begin
             let cc = t.cover_chunk.(c) in
             if cc <> 0 && cc lsr 16 = len then begin
               let e', l' =
@@ -347,7 +363,7 @@ module V4 = struct
 
   let find_exact t a ~len =
     if len < 0 || len > 32 then invalid_arg "Fib.V4.find_exact: len in [0,32]";
-    match Hashtbl.find_opt t.by_len.(len) (mask len a) with
+    match Side.find_opt t.side (side_key len (mask len a)) with
     | Some id -> Some (Pool.get t.pool id)
     | None -> None
 
@@ -386,14 +402,11 @@ module V4 = struct
     end
 
   let fold f t init =
-    let acc = ref init in
-    Array.iteri
-      (fun len tbl ->
-        Hashtbl.iter
-          (fun a id -> acc := f a len (Pool.get t.pool id) !acc)
-          tbl)
-      t.by_len;
-    !acc
+    Side.fold
+      (fun key id acc ->
+        let a = Int32.of_int (key land 0xFFFFFFFF) in
+        f a (key lsr 32) (Pool.get t.pool id) acc)
+      t.side init
 
   type stats = {
     routes : int;
@@ -404,25 +417,24 @@ module V4 = struct
     total_bytes : int;
   }
 
+  (* The shared chunks and, until the first write, the shared chunk
+     arrays are charged to no table. *)
   let stats t =
     let chunks = ref 0 in
-    Array.iter (fun c -> if c != t.zero_ent then incr chunks) t.ent24;
+    Array.iter (fun c -> if c != zero_ent then incr chunks) t.ent24;
+    let owned = if t.cover_chunk == shared_cover then 0 else 3 * n_chunks in
     let lookup_bytes =
       (!chunks * 3 * chunk_slots)
       + Bytes.length t.spill_ent + Bytes.length t.spill_len
-      + 8
-        * (Array.length t.spill_deep + n_chunks (* cover words *)
-          + (2 * n_chunks) (* chunk pointer arrays *)
-          + Array.length t.pool.Pool.vals)
-      + Bytes.length t.zero_ent + Bytes.length t.empty_len (* sentinels *)
+      + 8 * (Array.length t.spill_deep + owned + Array.length t.pool.Pool.vals)
     in
     let side =
-      (* rough control-plane accounting: a per-length hashtable
-         binding is ~4 words of buckets plus a boxed int32 key *)
-      (t.count * 48) + (33 * 64) + (Hashtbl.length t.pool.Pool.ids * 48)
+      (* rough control-plane accounting: a side-table binding is a
+         4-word cell plus its bucket slots *)
+      (size t * 48) + (Hashtbl.length t.pool.Pool.ids * 48)
     in
     {
-      routes = t.count;
+      routes = size t;
       next_hops = t.pool.Pool.n;
       chunks = !chunks;
       spill_blocks = t.blocks - List.length t.free;
@@ -431,6 +443,13 @@ module V4 = struct
     }
 
   let memory_bytes t = (stats t).total_bytes
+
+  let shared_pristine () =
+    Bytes.for_all (( = ) '\000') zero_ent
+    && Bytes.for_all (( = ) '\xff') empty_len
+    && Array.for_all (( == ) zero_ent) shared_ent24
+    && Array.for_all (( == ) empty_len) shared_len24
+    && Array.for_all (( = ) 0) shared_cover
 end
 
 module V6 = struct
@@ -472,8 +491,7 @@ module V6 = struct
     root : node;
     mutable default : int;  (* id + 1 for the /0 route, 0 = none *)
     pool : 'a Pool.t;
-    by_len : (Ipaddr.V6.t, int) Hashtbl.t array;  (* 129 *)
-    mutable count : int;
+    side : (int * Ipaddr.V6.t, int) Hashtbl.t;  (* (len, masked prefix) -> id *)
   }
 
   let create () =
@@ -481,11 +499,10 @@ module V6 = struct
       root = sparse ();
       default = 0;
       pool = Pool.create ();
-      by_len = Array.init 129 (fun _ -> Hashtbl.create 16);
-      count = 0;
+      side = Hashtbl.create 8;
     }
 
-  let size t = t.count
+  let size t = Hashtbl.length t.side
   let value t id = Pool.get t.pool id
 
   let byte_at hi lo d =
@@ -578,8 +595,7 @@ module V6 = struct
     if len < 0 || len > 128 then invalid_arg "Fib.V6.insert: len in [0,128]";
     let (hi, lo) = mask6 addr len in
     let id = Pool.intern t.pool ~limit:(max_int - 1) v in
-    if not (Hashtbl.mem t.by_len.(len) (hi, lo)) then t.count <- t.count + 1;
-    Hashtbl.replace t.by_len.(len) (hi, lo) id;
+    Hashtbl.replace t.side (len, (hi, lo)) id;
     if len = 0 then t.default <- id + 1
     else begin
       let d = (len - 1) / 8 in
@@ -623,7 +639,7 @@ module V6 = struct
     let rec go l =
       if l <= floor then (0, -1)
       else
-        match Hashtbl.find_opt t.by_len.(l) (mask6 (hi_b, lo_b) l) with
+        match Hashtbl.find_opt t.side (l, mask6 (hi_b, lo_b) l) with
         | Some id -> (id + 1, l)
         | None -> go (l - 1)
     in
@@ -632,10 +648,10 @@ module V6 = struct
   let remove t addr ~len =
     if len < 0 || len > 128 then invalid_arg "Fib.V6.remove: len in [0,128]";
     let (hi, lo) = mask6 addr len in
-    if not (Hashtbl.mem t.by_len.(len) (hi, lo)) then false
+    let key = (len, (hi, lo)) in
+    if not (Hashtbl.mem t.side key) then false
     else begin
-      Hashtbl.remove t.by_len.(len) (hi, lo);
-      t.count <- t.count - 1;
+      Hashtbl.remove t.side key;
       if len = 0 then t.default <- 0
       else begin
         let d = (len - 1) / 8 in
@@ -671,7 +687,7 @@ module V6 = struct
 
   let find_exact t addr ~len =
     if len < 0 || len > 128 then invalid_arg "Fib.V6.find_exact: len in [0,128]";
-    match Hashtbl.find_opt t.by_len.(len) (mask6 addr len) with
+    match Hashtbl.find_opt t.side (len, mask6 addr len) with
     | Some id -> Some (Pool.get t.pool id)
     | None -> None
 
@@ -719,14 +735,7 @@ module V6 = struct
     if !best < 0 then None else Some (!best_len, Pool.get t.pool !best)
 
   let fold f t init =
-    let acc = ref init in
-    Array.iteri
-      (fun len tbl ->
-        Hashtbl.iter
-          (fun a id -> acc := f a len (Pool.get t.pool id) !acc)
-          tbl)
-      t.by_len;
-    !acc
+    Hashtbl.fold (fun (len, a) id acc -> f a len (Pool.get t.pool id) acc) t.side init
 
   type stats = {
     routes : int;
@@ -754,11 +763,12 @@ module V6 = struct
     go t.root;
     let lookup_bytes = !bytes + (8 * Array.length t.pool.Pool.vals) in
     let side =
-      (* tuple-of-boxed-int64 keys are ~9 words per binding *)
-      (t.count * 96) + (129 * 64) + (Hashtbl.length t.pool.Pool.ids * 48)
+      (* a (len, (hi, lo)) key of boxed int64s is ~12 words, plus the
+         binding's cell and bucket slots *)
+      (size t * 144) + (Hashtbl.length t.pool.Pool.ids * 48)
     in
     {
-      routes = t.count;
+      routes = size t;
       next_hops = t.pool.Pool.n;
       nodes = !nodes;
       dense_nodes = !dense;

@@ -18,8 +18,8 @@
     Both engines intern next-hop values (a production FIB has
     millions of routes but only a handful of distinct next hops), do
     {e incremental} insert/remove (only the covered slots are
-    touched, with an authoritative per-length side store to re-cover
-    slots on withdrawal), and account their own memory so the bench
+    touched, with an authoritative side store keyed by (length,
+    masked prefix) to re-cover slots on withdrawal), and account their own memory so the bench
     can report bytes/route. The binary trie stays as the correctness
     oracle (see [test_fib.ml]). *)
 
@@ -27,9 +27,11 @@ module V4 : sig
   type 'a t
 
   val create : unit -> 'a t
-  (** An empty table. Allocation is lazy: an empty table costs a few
-      KB, and the /24 table materializes in 16k-slot chunks as routes
-      arrive, so per-node [Env]s stay cheap. *)
+  (** An empty table. Allocation is lazy: an empty table is a few
+      words (it shares its chunks and chunk arrays with every other
+      table until its first insert), and the /24 table materializes
+      in 16k-slot chunks as routes arrive, so per-node [Env]s stay
+      cheap. *)
 
   val size : 'a t -> int
   (** Number of installed prefixes. *)
@@ -74,10 +76,18 @@ module V4 : sig
             footprint a line card would hold) *)
     total_bytes : int;
         (** [lookup_bytes] plus an estimate of the control-plane side
-            store (per-length hash tables, interned values) *)
+            store (the side table, interned values). The chunks and
+            arrays an empty table shares are charged to no table. *)
   }
 
   val stats : 'a t -> stats
+
+  val shared_pristine : unit -> bool
+  (** Whether the read-only zero chunk, empty-length chunk and chunk
+      arrays that tables share until their first write still hold
+      their initial contents (all zero, all 0xFF, sentinels only, no
+      cover words). Always [true] unless a write path wrote through
+      a shared structure; a check for tests. *)
 
   val memory_bytes : 'a t -> int
   (** [= (stats t).total_bytes]. *)

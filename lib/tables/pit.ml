@@ -13,7 +13,7 @@ type 'k t = {
 
 let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Pit.create: capacity must be positive";
-  { table = Hashtbl.create 256; capacity; earliest = Float.infinity }
+  { table = Hashtbl.create 16; capacity; earliest = Float.infinity }
 
 let size t = Hashtbl.length t.table
 

@@ -255,7 +255,7 @@ let test_deployment_gap () =
   Alcotest.(check int) "full deployment is clean" 0 (List.length clean)
 
 let test_deployment_unreachable () =
-  let topo = { Topology.node_count = 2; edges = [] } in
+  let topo = Topology.make ~node_count:2 [] in
   match
     Dip_analysis.check_deployment ~topology:topo ~registry_at:(fun _ -> reg)
       ~src:0 ~dst:1 opt_fns

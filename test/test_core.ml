@@ -1154,6 +1154,14 @@ let test_alloc_probe_lru_hit () =
   Alcotest.(check (float 0.0)) "minor words per two LRU-hit probes" 0.0 words;
   Alcotest.(check int) "two misses" 2 (Progcache.misses pc)
 
+(* A node's environment before it holds a route, a program or a PIT
+   entry: its FIBs share their chunks and chunk arrays, so what is
+   left is a few small tables and registered counters (~820 words;
+   4754 when every FIB owned 33 + 129 per-length tables). *)
+let test_alloc_env_create () =
+  let words = words_per_call 200 (fun () -> ignore (Sys.opaque_identity (Env.create ~name:"n" ()))) in
+  if words > 1000.0 then Alcotest.failf "%.0f minor words per Env.create (> 1000)" words
+
 let test_alloc_engine_dip32 () =
   (* A cached DIP-32 packet forwarded by Engine.process: what remains
      is the (verdict, info) result, the Forwarded block and the boxed
@@ -1709,6 +1717,7 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "probe: LRU hit" `Quick test_alloc_probe_lru_hit;
+          Alcotest.test_case "Env.create" `Quick test_alloc_env_create;
           Alcotest.test_case "engine: cached DIP-32" `Quick test_alloc_engine_dip32;
           Alcotest.test_case "engine: cached OPT hop" `Quick test_alloc_opt_hop;
           Alcotest.test_case "engine: cached EPIC hop" `Quick test_alloc_epic_hop;

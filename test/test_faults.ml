@@ -27,13 +27,14 @@ let relay_pair () =
 
 let test_drop_all () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.all_links faults (Faults.spec ~drop:1.0 ());
   for i = 0 to 9 do
     Sim.inject sim ~at:(0.001 *. float_of_int i) ~node:r ~port:0 (packet "x")
   done;
   Sim.run sim;
-  Alcotest.(check int) "nothing delivered" 0 (List.length (Sim.consumed sim));
+  Alcotest.(check int) "nothing delivered" 0 (List.length (delivered ()));
   Alcotest.(check (list (pair string int))) "all counted" [ ("drop", 10) ]
     (Faults.counts faults);
   Alcotest.(check int) "sim counter mirrors" 10
@@ -65,6 +66,7 @@ let test_fault_counters_follow_attach () =
 
 let test_duplicate_all () =
   let sim, r, d = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.all_links faults (Faults.spec ~duplicate:1.0 ());
   for i = 0 to 4 do
@@ -72,20 +74,21 @@ let test_duplicate_all () =
   done;
   Sim.run sim;
   Alcotest.(check int) "every packet doubled" 10
-    (List.length (Sim.consumed sim));
+    (List.length (delivered ()));
   Alcotest.(check bool) "all at d" true
-    (List.for_all (fun (n, _, _) -> n = d) (Sim.consumed sim));
+    (List.for_all (fun (n, _, _) -> n = d) (delivered ()));
   Alcotest.(check (option int)) "duplicates counted" (Some 5)
     (List.assoc_opt "duplicate" (Faults.counts faults))
 
 let test_corrupt_all () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.all_links faults (Faults.spec ~corrupt:1.0 ());
   let original = "corrupt-me" in
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (packet original);
   Sim.run sim;
-  (match Sim.consumed sim with
+  (match delivered () with
   | [ (_, _, pkt) ] ->
       let s = Bitbuf.to_string pkt in
       Alcotest.(check int) "length unchanged" (String.length original)
@@ -97,12 +100,13 @@ let test_corrupt_all () =
 
 let test_link_down_window () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.link_down faults (r, 1) ~from_:0.0 ~until:0.1;
   Sim.inject sim ~at:0.05 ~node:r ~port:0 (packet "lost");
   Sim.inject sim ~at:0.2 ~node:r ~port:0 (packet "alive");
   Sim.run sim;
-  (match Sim.consumed sim with
+  (match delivered () with
   | [ (_, _, pkt) ] ->
       Alcotest.(check string) "only the post-window packet" "alive"
         (Bitbuf.to_string pkt)
@@ -112,12 +116,13 @@ let test_link_down_window () =
 
 let test_node_crash_and_restart () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.crash_node faults r ~at:0.0 ~until:1.0;
   Sim.inject sim ~at:0.5 ~node:r ~port:0 (packet "blackholed");
   Sim.inject sim ~at:1.5 ~node:r ~port:0 (packet "recovered");
   Sim.run sim;
-  (match Sim.consumed sim with
+  (match delivered () with
   | [ (_, _, pkt) ] ->
       Alcotest.(check string) "handler restored after the window"
         "recovered" (Bitbuf.to_string pkt)
@@ -133,13 +138,14 @@ let test_node_crash_and_restart () =
    node must be down for exactly the union of its windows. *)
 let test_crash_overlapping_windows () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.crash_node faults r ~at:0.0 ~until:1.0;
   Faults.crash_node faults r ~at:0.5 ~until:1.5;
   Sim.inject sim ~at:1.2 ~node:r ~port:0 (packet "in-union");
   Sim.inject sim ~at:2.0 ~node:r ~port:0 (packet "after-union");
   Sim.run sim;
-  (match Sim.consumed sim with
+  (match delivered () with
   | [ (_, _, pkt) ] ->
       Alcotest.(check string) "true handler restored at union end"
         "after-union" (Bitbuf.to_string pkt)
@@ -151,13 +157,14 @@ let test_crash_overlapping_windows () =
    handler when the inner window ends. *)
 let test_crash_nested_windows () =
   let sim, r, _ = relay_pair () in
+  let delivered = Deliveries.record sim in
   let faults = Faults.attach ~seed:1L sim in
   Faults.crash_node faults r ~at:0.0 ~until:2.0;
   Faults.crash_node faults r ~at:0.5 ~until:1.0;
   Sim.inject sim ~at:1.5 ~node:r ~port:0 (packet "still-down");
   Sim.inject sim ~at:2.5 ~node:r ~port:0 (packet "back-up");
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (_, _, pkt) ] ->
       Alcotest.(check string) "outer window governs" "back-up"
         (Bitbuf.to_string pkt)

@@ -424,8 +424,8 @@ let test_wan () =
 let test_v4_memory_accounting () =
   let t = Fib.V4.create () in
   let empty = (Fib.V4.stats t).Fib.V4.lookup_bytes in
-  (* An empty table holds only the shared sentinel chunks: well under
-     a million bytes, not the 48 MB of a materialized table. *)
+  (* An empty table shares its chunks: well under a million bytes,
+     not the 48 MB of a materialized table. *)
   if empty > 1_000_000 then
     Alcotest.failf "empty table costs %d bytes" empty;
   let ps = Workload.v4_prefixes ~seed:8L ~count:10_000 in
@@ -438,6 +438,84 @@ let test_v4_memory_accounting () =
   Alcotest.(check int) "memory_bytes = total"
     st.Fib.V4.total_bytes (Fib.V4.memory_bytes t)
 
+(* --- shared chunks --------------------------------------------------- *)
+
+(* Tables share one zero chunk, one empty-length chunk and three chunk
+   arrays until their first write. Drive every write path on several
+   tables at once -- whole-chunk covers (/0../10), /11../24 slot
+   ranges, /25+ spills and their compaction, withdrawals that re-cover
+   -- against one trie each, and count a fresh table's hits. *)
+let churn_tables seed =
+  let g = Prng.create seed in
+  let n = 4 in
+  let fibs = Array.init n (fun _ -> Fib.V4.create ()) in
+  let tries = Array.init n (fun _ -> Trie.create ()) in
+  (* Prefixes nest inside 10.1.2.0/24 and its covers, so covers,
+     slots and spills interact. *)
+  let base = v4 "10.1.2.0" in
+  let lens = [| 0; 1; 4; 8; 10; 11; 16; 20; 24; 25; 26; 28; 30; 32 |] in
+  let prefix () =
+    let len = lens.(Prng.int g (Array.length lens)) in
+    let a = Int32.logor base (Int32.of_int (Prng.int g 256)) in
+    (Int32.logand a (mask32 len), len)
+  in
+  let probes = List.init 64 (fun _ -> Int32.logor base (Int32.of_int (Prng.int g 256))) in
+  let probes = v4 "10.0.0.1" :: v4 "10.200.0.1" :: v4 "192.0.2.1" :: probes in
+  for step = 0 to 3_999 do
+    let i = Prng.int g n in
+    let a, len = prefix () in
+    if Prng.int g 3 = 0 then begin
+      let r1 = Fib.V4.remove fibs.(i) a ~len in
+      let r2 = Trie.remove tries.(i) ~bits:(Ipaddr.V4.bit a) ~len in
+      if r1 <> r2 then Alcotest.failf "seed %Ld step %d: remove results diverge" seed step
+    end
+    else begin
+      Fib.V4.insert fibs.(i) a ~len step;
+      Trie.insert tries.(i) ~bits:(Ipaddr.V4.bit a) ~len step
+    end;
+    if step mod 97 = 0 then
+      Array.iteri
+        (fun j fib ->
+          if not (List.for_all (check_agree_v4 fib tries.(j)) probes) then
+            Alcotest.failf "seed %Ld step %d: table %d diverges from its trie" seed step j)
+        fibs
+  done;
+  (* Withdraw everything: the spill blocks compact away. *)
+  Array.iteri
+    (fun j fib ->
+      Fib.V4.fold (fun a len _ acc -> (a, len) :: acc) fib []
+      |> List.iter (fun (a, len) ->
+             ignore (Fib.V4.remove fib a ~len);
+             ignore (Trie.remove tries.(j) ~bits:(Ipaddr.V4.bit a) ~len));
+      if Fib.V4.size fib <> 0 || (Fib.V4.stats fib).Fib.V4.spill_blocks <> 0 then
+        Alcotest.failf "seed %Ld: table %d not empty after withdrawing all" seed j)
+    fibs;
+  let fresh = Fib.V4.create () in
+  List.filter (fun q -> Fib.V4.lookup_id fresh q >= 0) probes |> List.length
+
+let check_pristine label =
+  Alcotest.(check bool) (label ^ ": shared chunks and arrays untouched") true
+    (Fib.V4.shared_pristine ())
+
+let test_v4_shared_one_domain () =
+  let empty = Fib.V4.create () in
+  let st = Fib.V4.stats empty in
+  (* Charged for its own few words, not for the 48 KB of shared
+     chunks or the 24 KB of shared arrays. *)
+  if st.Fib.V4.total_bytes > 1024 then
+    Alcotest.failf "an empty table is charged %d bytes" st.Fib.V4.total_bytes;
+  Alcotest.(check int) "fresh table sees no route" 0 (churn_tables 11L);
+  Alcotest.(check int) "the empty table still sees none" (-1)
+    (Fib.V4.lookup_id empty (v4 "10.1.2.3"));
+  check_pristine "one domain"
+
+let test_v4_shared_two_domains () =
+  let other = Domain.spawn (fun () -> churn_tables 12L) in
+  let here = churn_tables 13L in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "fresh tables see no route" (0, 0) (here, there);
+  check_pristine "two domains"
+
 let () =
   Alcotest.run "fib"
     [
@@ -448,6 +526,8 @@ let () =
           Alcotest.test_case "withdraw re-covers" `Quick test_v4_withdraw_recovers;
           Alcotest.test_case "replacement" `Quick test_v4_replace;
           Alcotest.test_case "memory accounting" `Quick test_v4_memory_accounting;
+          Alcotest.test_case "shared chunks: one domain" `Quick test_v4_shared_one_domain;
+          Alcotest.test_case "shared chunks: two domains" `Quick test_v4_shared_two_domains;
           QCheck_alcotest.to_alcotest prop_v4_oracle;
           QCheck_alcotest.to_alcotest prop_v4_oracle_with_removals;
         ] );

@@ -104,6 +104,7 @@ let test_unsupported_notification_returns_to_source () =
 
 let test_tunnel_across_legacy_core () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let left _sim ~now:_ ~ingress:_ pkt =
     [ Sim.Forward
         (1, Compat.encapsulate_ipv4 ~src:(v4 "198.51.100.1") ~dst:(v4 "198.51.100.2") pkt);
@@ -130,7 +131,7 @@ let test_tunnel_across_legacy_core () =
   Sim.inject sim ~at:0.0 ~node:lb ~port:0
     (Realize.ipv4 ~src:(v4 "10.1.0.1") ~dst:(v4 "10.7.7.7") ~payload:"tunneled" ());
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (node, _, pkt) ] ->
       Alcotest.(check int) "server got it" server node;
       Alcotest.(check string) "payload survives both hops" "tunneled"
@@ -263,6 +264,7 @@ let test_opt_verifies_after_cache_hit () =
 
 let test_telemetry_reports_real_queue () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let env = Env.create ~name:"r" () in
   Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
   let r_id = ref (-1) in
@@ -295,7 +297,7 @@ let test_telemetry_reports_real_queue () =
             | [ rec1 ], _ -> Some rec1.Telemetry.queue_depth
             | _ -> None)
         | Error _ -> None)
-      (Sim.consumed sim)
+      (delivered ())
   in
   Alcotest.(check int) "all delivered with telemetry" 20 (List.length depths);
   Alcotest.(check bool)
@@ -567,13 +569,14 @@ let lossy_fat_tree () =
     ids;
   (sim, (fun id -> routers.(id)), sender, fun id -> mk_env topo_of.(id))
 
-(* Two runs of [lossy_fat_tree] agree on every delivery (node, time
-   and bytes), every counter and the final clock. *)
+(* Two runs of [lossy_fat_tree], each with its recorded deliveries,
+   agree on every delivery (node, time and bytes), every counter and
+   the final clock. *)
 let check_same_outcome label a b =
-  let outcome sim =
+  let outcome (sim, delivered) =
     ( List.map
         (fun (node, time, pkt) -> (node, time, Bitbuf.to_string pkt))
-        (Sim.consumed sim),
+        (delivered ()),
       Dip_netsim.Stats.Counters.to_list (Sim.counters sim),
       Sim.now sim )
   in
@@ -588,11 +591,13 @@ let check_same_outcome label a b =
 
 let test_run_equals_run_batched () =
   let seq_sim, _, sender, _ = lossy_fat_tree () in
+  let seq_delivered = Deliveries.record seq_sim in
   Sim.run seq_sim;
   let stats = Host.Reliable.sender_stats sender in
   Alcotest.(check bool) "losses forced retransmissions" true
     (stats.Host.Reliable.transmissions > stats.Host.Reliable.sent);
   let bat_sim, batchable, _, _ = lossy_fat_tree () in
+  let bat_delivered = Deliveries.record bat_sim in
   let widest = ref 0 in
   Sim.run_batched ~window:0.0 bat_sim ~batchable ~exec:(fun items ->
       widest := max !widest (Array.length items);
@@ -602,17 +607,19 @@ let test_run_equals_run_batched () =
             ~ingress:it.Sim.b_port it.Sim.b_packet)
         items);
   Alcotest.(check bool) "windows held several arrivals" true (!widest > 1);
-  check_same_outcome "run_batched" seq_sim bat_sim
+  check_same_outcome "run_batched" (seq_sim, seq_delivered) (bat_sim, bat_delivered)
 
 (* The same differential with every router behind a worker pool built
    from the router's own environment: [Runner.run_parallel
    ~window:0.0] is [Sim.run], at one domain and across domains. *)
 let test_run_equals_run_parallel () =
   let seq_sim, _, _, _ = lossy_fat_tree () in
+  let seq_delivered = Deliveries.record seq_sim in
   Sim.run seq_sim;
   List.iter
     (fun domains ->
       let sim, is_router, _, mk_env = lossy_fat_tree () in
+      let delivered = Deliveries.record sim in
       let pools =
         List.filter_map
           (fun id ->
@@ -632,7 +639,7 @@ let test_run_equals_run_parallel () =
         (fun () -> Dip_mcore.Runner.run_parallel ~window:0.0 sim ~pools);
       check_same_outcome
         (Printf.sprintf "run_parallel at %d domain(s)" domains)
-        seq_sim sim)
+        (seq_sim, seq_delivered) (sim, delivered))
     [ 1; 2 ]
 
 (* The event order, pinned across revisions of the simulator: an FNV-1a
@@ -645,7 +652,7 @@ let test_run_equals_run_parallel () =
    layer's counters were renamed from fault.<kind> to
    sim.fault.<kind>: with the old names (re-sorted) the same run
    hashes to the earlier constant, 5627019c13faa0f2. *)
-let event_order_hash sim =
+let event_order_hash sim delivered =
   let h = ref 0xcbf29ce484222325L in
   let byte b =
     h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
@@ -665,7 +672,7 @@ let event_order_hash sim =
       int node;
       int64 (Int64.bits_of_float time);
       string (Bitbuf.to_string pkt))
-    (Sim.consumed sim);
+    delivered;
   List.iter
     (fun (name, v) ->
       string name;
@@ -676,9 +683,10 @@ let event_order_hash sim =
 
 let test_event_order_pinned () =
   let sim, _, _, _ = lossy_fat_tree () in
+  let delivered = Deliveries.record sim in
   Sim.run sim;
   Alcotest.(check string)
-    "event-order hash" "3e99039d2421084b" (event_order_hash sim)
+    "event-order hash" "3e99039d2421084b" (event_order_hash sim (delivered ()))
 
 let nested_v4_router ?prog_cache_capacity name =
   let env = Env.create ?prog_cache_capacity ~name () in

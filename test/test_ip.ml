@@ -156,6 +156,7 @@ let test_v4_chain_simulation () =
   (* h0 -- r1 -- r2 -- h3: a packet addressed to h3 crosses both
      routers, losing two TTL steps. *)
   let sim = Dip_netsim.Sim.create () in
+  let delivered = Deliveries.record sim in
   let dst_addr = v4 "10.3.0.1" in
   let host_handler = Ipv4.handler ~local:dst_addr (Dip_tables.Fib.V4.create ()) in
   let mk_router_table port =
@@ -175,7 +176,7 @@ let test_v4_chain_simulation () =
   in
   Dip_netsim.Sim.inject sim ~at:0.0 ~node:r1 ~port:0 pkt;
   Dip_netsim.Sim.run sim;
-  match Dip_netsim.Sim.consumed sim with
+  match delivered () with
   | [ (node, _, delivered) ] ->
       Alcotest.(check int) "reached h3" h3 node;
       (match Ipv4.decode delivered with

@@ -202,6 +202,7 @@ let consume_handler _sim ~now:_ ~ingress:_ _pkt = [ Sim.Consume ]
 
 let test_sim_linear_delivery () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let a = Sim.add_node sim ~name:"a" consume_handler in
   let r = Sim.add_node sim ~name:"r" relay_handler in
   let b = Sim.add_node sim ~name:"b" consume_handler in
@@ -210,7 +211,7 @@ let test_sim_linear_delivery () =
   (* Inject at r as if coming from a: r must relay to b. *)
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (packet "hello");
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (node, time, pkt) ] ->
       Alcotest.(check int) "delivered to b" b node;
       Alcotest.(check bool) "after one link latency" true (time >= 1e-3);
@@ -249,13 +250,14 @@ let test_sim_unwired_port () =
 
 let test_sim_bandwidth_delay () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let r = Sim.add_node sim ~name:"r" relay_handler in
   let b = Sim.add_node sim ~name:"b" consume_handler in
   (* 1000 B/s: a 100-byte packet takes 0.1 s of serialization. *)
   Sim.connect sim ~latency:0.0 ~bandwidth:1000.0 (r, 1) (b, 0);
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100);
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (_, time, _) ] ->
       Alcotest.(check (float 1e-9)) "serialization delay" 0.1 time
   | _ -> Alcotest.fail "expected one delivery"
@@ -297,6 +299,7 @@ let test_sim_double_wire_rejected () =
    run, setting the clock back. *)
 let test_sim_no_past_events () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let a = Sim.add_node sim ~name:"a" consume_handler in
   let rejected f = try f (); false with Invalid_argument _ -> true in
   let outcome = ref [] in
@@ -311,7 +314,7 @@ let test_sim_no_past_events () =
   Alcotest.(check (list bool)) "past rejected, present accepted"
     [ true; true; false ] !outcome;
   Alcotest.(check (float 0.0)) "clock never ran backwards" 5.0 (Sim.now sim);
-  Alcotest.(check int) "nothing delivered" 0 (List.length (Sim.consumed sim))
+  Alcotest.(check int) "nothing delivered" 0 (List.length (delivered ()))
 
 let test_sim_timer () =
   let sim = Sim.create () in
@@ -343,6 +346,7 @@ let test_sim_on_consume_hook () =
 let test_sim_deterministic () =
   let run_once () =
     let sim = Sim.create () in
+    let delivered = Deliveries.record sim in
     let r = Sim.add_node sim ~name:"r" relay_handler in
     let b = Sim.add_node sim ~name:"b" consume_handler in
     Sim.connect sim ~latency:1e-4 (r, 1) (b, 0);
@@ -352,7 +356,7 @@ let test_sim_deterministic () =
           (packet (string_of_int a.index)))
       (Workload.poisson_arrivals ~seed:7L ~rate:100.0 ~count:50);
     Sim.run sim;
-    List.map (fun (_, t, p) -> (t, Bitbuf.to_string p)) (Sim.consumed sim)
+    List.map (fun (_, t, p) -> (t, Bitbuf.to_string p)) (delivered ())
   in
   Alcotest.(check bool) "identical reruns" true (run_once () = run_once ())
 
@@ -361,13 +365,14 @@ let test_sim_serialization_queueing () =
   (* Two back-to-back packets on a 1000 B/s link: the second waits
      for the first to finish serializing. *)
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let r = Sim.add_node sim ~name:"r" relay_handler in
   let b = Sim.add_node sim ~name:"b" consume_handler in
   Sim.connect sim ~latency:0.0 ~bandwidth:1000.0 (r, 1) (b, 0);
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100);
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100);
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (_, t1, _); (_, t2, _) ] ->
       Alcotest.(check (float 1e-9)) "first at 0.1" 0.1 t1;
       Alcotest.(check (float 1e-9)) "second serialized behind it" 0.2 t2
@@ -375,6 +380,7 @@ let test_sim_serialization_queueing () =
 
 let test_sim_queue_overflow () =
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let r = Sim.add_node sim ~name:"r" relay_handler in
   let b = Sim.add_node sim ~name:"b" consume_handler in
   Sim.connect sim ~latency:0.0 ~bandwidth:1000.0 ~queue_capacity:2 (r, 1) (b, 0);
@@ -382,7 +388,7 @@ let test_sim_queue_overflow () =
     Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100)
   done;
   Sim.run sim;
-  Alcotest.(check int) "two delivered" 2 (List.length (Sim.consumed sim));
+  Alcotest.(check int) "two delivered" 2 (List.length (delivered ()));
   Alcotest.(check int) "three drop-tailed" 3
     (Stats.Counters.get (Sim.counters sim) "r.drop.queue-overflow")
 
@@ -391,6 +397,7 @@ let test_sim_queue_overflow_infinite_bw () =
      accounting entirely, so queue_capacity never bound and every
      packet of a burst got through. *)
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let r = Sim.add_node sim ~name:"r" relay_handler in
   let b = Sim.add_node sim ~name:"b" consume_handler in
   Sim.connect sim ~latency:1e-3 ~queue_capacity:2 (r, 1) (b, 0);
@@ -398,7 +405,7 @@ let test_sim_queue_overflow_infinite_bw () =
     Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100)
   done;
   Sim.run sim;
-  Alcotest.(check int) "capacity binds" 2 (List.length (Sim.consumed sim));
+  Alcotest.(check int) "capacity binds" 2 (List.length (delivered ()));
   Alcotest.(check int) "rest drop-tailed" 3
     (Stats.Counters.get (Sim.counters sim) "r.drop.queue-overflow");
   Alcotest.(check int) "only accepted packets counted as tx" 2
@@ -412,6 +419,7 @@ let test_sim_counters_infinite_bw_in_flight () =
      an F_tel-style hook observes. The handler transmits its burst
      one action at a time, so capacity 3 admits exactly 3 of 5. *)
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let burst _sim ~now:_ ~ingress:_ pkt =
     List.init 5 (fun _ -> Sim.Forward (1, pkt))
   in
@@ -420,7 +428,7 @@ let test_sim_counters_infinite_bw_in_flight () =
   Sim.connect sim ~latency:1e-3 ~queue_capacity:3 (r, 1) (b, 0);
   Sim.inject sim ~at:0.0 ~node:r ~port:0 (packet "go");
   Sim.run sim;
-  Alcotest.(check int) "three admitted" 3 (List.length (Sim.consumed sim));
+  Alcotest.(check int) "three admitted" 3 (List.length (delivered ()));
   Alcotest.(check int) "two overflowed" 2
     (Stats.Counters.get (Sim.counters sim) "r.drop.queue-overflow")
 
@@ -502,12 +510,13 @@ let test_topo_next_hop () =
 let test_topo_instantiate () =
   let t = Topology.linear 3 in
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let relay i = if i = 1 then relay_handler else consume_handler in
   let ids = Topology.instantiate t sim ~name:(Printf.sprintf "n%d") ~handler:relay in
   (* Node 0 sends through 1 to 2. *)
   Sim.inject sim ~at:0.0 ~node:ids.(1) ~port:0 (packet "via");
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (node, _, _) ] -> Alcotest.(check int) "reached n2" ids.(2) node
   | _ -> Alcotest.fail "expected delivery"
 

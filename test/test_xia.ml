@@ -160,6 +160,7 @@ let test_xia_end_to_end () =
   let svc = sid "the-service" in
   let dag = Dag.fallback ~intent:svc ~via:[ ad "dest-ad"; hid "dest-host" ] in
   let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
   let transit = Router.create () in
   Router.add_route transit (ad "dest-ad") 1;
   let border = Router.create () in
@@ -176,7 +177,7 @@ let test_xia_end_to_end () =
   Sim.inject sim ~at:0.0 ~node:t ~port:0
     (Router.encode_packet dag ~ptr:0 ~payload:"request");
   Sim.run sim;
-  match Sim.consumed sim with
+  match delivered () with
   | [ (node, _, _) ] -> Alcotest.(check int) "delivered at host" h node
   | l -> Alcotest.failf "expected 1 delivery, got %d" (List.length l)
 
