@@ -32,15 +32,16 @@
                        + corruption + duplication + link flap; asserts
                        100% deduplicated delivery with retransmission,
                        at least one fault of each enabled kind, and a
-                       seed-reproducible fault schedule
+                       seed-reproducible report
      mcore             domain-parallel batched data plane: throughput
                        scaling at 1/2/4/8 worker domains vs the
-                       sequential engine (writes BENCH_PR5.json in the
+                       sequential engine (writes BENCH_PR7.json in the
                        current directory)
      mcore-smoke       quick CI variant of mcore: verifies batch
-                       results, and on machines with >= 4 cores
-                       asserts >= 1.5x throughput at 4 domains vs 1
-                       (skips the ratio check on smaller machines)
+                       results; on machines with fewer than 4 cores
+                       asserts the 1-domain pool runs at >= 0.9x of
+                       the sequential fold, otherwise >= 2.0x at 4
+                       domains
      flight            Dip_obs.Flight recorder overhead: uninstrumented
                        vs obs vs obs+ring on the cached hot path
                        (writes BENCH_PR8.json in the current directory)
@@ -1105,8 +1106,10 @@ let bench_faults ?(smoke = false) () =
     in
     let r = Chaos.run cfg in
     let r2 = Chaos.run cfg in
-    if r.Chaos.events <> r2.Chaos.events then begin
-      prerr_endline "SMOKE FAIL: same seed produced different fault schedules";
+    (* The whole report: deliveries with their times, faults by
+       kind, simulator counters and custody totals. *)
+    if r <> r2 then begin
+      prerr_endline "SMOKE FAIL: same seed produced different reports";
       exit 1
     end;
     if r.Chaos.delivered <> r.Chaos.sent then begin
@@ -1126,7 +1129,7 @@ let bench_faults ?(smoke = false) () =
       [ "drop"; "corrupt"; "duplicate"; "link-down" ];
     Printf.printf
       "smoke ok: %d/%d delivered (%d duplicates deduped, %d integrity drops, \
-       %d faults injected), schedule reproducible\n"
+       %d faults injected), report reproducible\n"
       r.Chaos.delivered r.Chaos.sent r.Chaos.duplicates r.Chaos.rejected
       (List.fold_left (fun a (_, n) -> a + n) 0 r.Chaos.faults)
   end;

@@ -230,6 +230,37 @@ let preinstall_pit proto routers =
         routers
   | Dip32 | Dip128 | Ndn | Opt | Xia | Epic -> ()
 
+(* The chain that demo, profile and trace run: each [(name, handler)]
+   router's port 1 is wired to the next one's port 0, and the last
+   router's to a sink that consumes everything. [wrap] sees every
+   node's handler, the sink's included. Returns the routers' node
+   ids, first router first, and the sink's delivery count. *)
+let chain ?(wrap = fun ~name:_ h -> h) sim routers =
+  let add (name, h) = Dip_netsim.Sim.add_node sim ~name (wrap ~name h) in
+  let ids = List.map add routers in
+  let consumed = ref 0 in
+  let sink =
+    add
+      ( "sink",
+        fun _ ~now:_ ~ingress:_ _ ->
+          incr consumed;
+          [ Dip_netsim.Sim.Consume ] )
+  in
+  List.iter2
+    (fun a b -> Dip_netsim.Sim.connect sim (a, 1) (b, 0))
+    ids
+    (List.tl ids @ [ sink ]);
+  (ids, consumed)
+
+(* A chain router served by a worker pool. The batched run loop hands
+   every arrival at it to the pool; the handler only runs for
+   arrivals the loop does not batch (none in the chain, but the
+   simulator requires one), as a one-item batch. *)
+let pool_router i pool =
+  ( Printf.sprintf "r%d" (i + 1),
+    fun _sim ~now ~ingress pkt ->
+      (Dip_mcore.Pool.handle_batch pool [| { Dip_mcore.Pool.now; ingress; pkt } |]).(0) )
+
 (* --- demo --- *)
 
 type metrics_fmt = Fmt_table | Fmt_json | Fmt_prom
@@ -302,14 +333,6 @@ let print_timeline_summary label (s : Dip_mcore.Pool.summary) =
    results in arrival order). *)
 let demo_parallel proto n count no_cache metrics domains flight =
   let sim = Dip_netsim.Sim.create () in
-  let m =
-    match metrics with
-    | None -> None
-    | Some _ ->
-        let m = Dip_obs.Metrics.create () in
-        Dip_netsim.Sim.attach_metrics sim m;
-        Some m
-  in
   (* The recorder is armed for --flight, and also for --metrics=table
      because the table surfaces the hand-off latency summary, which is
      digested from flight events. *)
@@ -330,34 +353,7 @@ let demo_parallel proto n count no_cache metrics domains flight =
           ?flight:(if with_flight then Some (i + 1) else None)
           (Dip_mcore.Snapshot.v ~registry ~mk_env:(mk_env i) ()))
   in
-  let sink_consumed = ref 0 in
-  let sink _sim ~now:_ ~ingress:_ _pkt =
-    incr sink_consumed;
-    [ Dip_netsim.Sim.Consume ]
-  in
-  (* The per-node handler only runs for arrivals the batched loop does
-     not route to the pool (there are none in this topology, but the
-     simulator API requires one); a one-item batch keeps it honest. *)
-  let handler_of pool _sim ~now ~ingress pkt =
-    (Dip_mcore.Pool.handle_batch pool [| { Dip_mcore.Pool.now; ingress; pkt } |]).(0)
-  in
-  let ids =
-    List.mapi
-      (fun i pool ->
-        Dip_netsim.Sim.add_node sim
-          ~name:(Printf.sprintf "r%d" (i + 1))
-          (handler_of pool))
-      pools
-  in
-  let sink_id = Dip_netsim.Sim.add_node sim ~name:"sink" sink in
-  let rec wire = function
-    | a :: (b :: _ as rest) ->
-        Dip_netsim.Sim.connect sim (a, 1) (b, 0);
-        wire rest
-    | [ last ] -> Dip_netsim.Sim.connect sim (last, 1) (sink_id, 0)
-    | [] -> ()
-  in
-  wire ids;
+  let ids, sink_consumed = chain sim (List.mapi pool_router pools) in
   for k = 0 to count - 1 do
     Dip_netsim.Sim.inject sim ~at:(float_of_int k *. 1e-6) ~node:(List.hd ids)
       ~port:0
@@ -383,8 +379,10 @@ let demo_parallel proto n count no_cache metrics domains flight =
           (Dip_netsim.Stats.Counters.get c "progcache.hit")
           (Dip_netsim.Stats.Counters.get c "progcache.miss"))
       pools;
-  (match (metrics, m) with
-  | Some fmt, Some m ->
+  (match metrics with
+  | Some fmt ->
+      let m = Dip_obs.Metrics.create () in
+      Dip_obs.Metrics.absorb m (Dip_netsim.Sim.counters sim);
       List.iter
         (fun pool ->
           Dip_obs.Metrics.absorb m (Dip_mcore.Pool.counters pool);
@@ -401,7 +399,7 @@ let demo_parallel proto n count no_cache metrics domains flight =
                 print_timeline_summary (Printf.sprintf "r%d" (i + 1)) s
             | None -> ())
           pools
-  | _ -> ());
+  | None -> ());
   (match flight with
   | Some path ->
       let rings =
@@ -442,18 +440,14 @@ let demo proto n count no_cache metrics domains flight =
   in
   Dip_netsim.Sim.set_flight sim ring;
   (* With --metrics, every router reports through one shared Obs (so
-     per-opkey counters aggregate across the chain), the simulator
-     mirrors link activity into the same registry, and the export
-     absorbs every router's own dip.* and progcache.* counters.
-     sample_every:1 because a short demo run wants every packet
-     timed. *)
+     per-opkey counters aggregate across the chain), and the export
+     absorbs the simulator's registry and every router's own dip.* and
+     progcache.* counters. sample_every:1 because a short demo run
+     wants every packet timed. *)
   let m =
     match (metrics, ring) with
     | None, None -> None
-    | _ ->
-        let m = Dip_obs.Metrics.create () in
-        if metrics <> None then Dip_netsim.Sim.attach_metrics sim m;
-        Some m
+    | _ -> Some (Dip_obs.Metrics.create ())
   in
   let obs = Option.map (Obs.create ~sample_every:1 ?flight:ring) m in
   let mk_router i =
@@ -461,32 +455,17 @@ let demo proto n count no_cache metrics domains flight =
     Progcache.set_flight env.Env.prog_cache ring;
     env
   in
-  let sink_consumed = ref 0 in
-  let sink _sim ~now:_ ~ingress:_ _pkt =
-    incr sink_consumed;
-    [ Dip_netsim.Sim.Consume ]
-  in
   let routers = List.init n mk_router in
   (* OPT alone carries no forwarding FN (the paper pairs it with a
      path-aware substrate); the demo composes it with DIP-32
      forwarding. *)
   preinstall_pit proto routers;
-  let ids =
-    List.map
-      (fun env ->
-        Dip_netsim.Sim.add_node sim ~name:env.Env.name
-          (Engine.handler ?obs ~registry env))
-      routers
+  let ids, sink_consumed =
+    chain sim
+      (List.map
+         (fun env -> (env.Env.name, Engine.handler ?obs ~registry env))
+         routers)
   in
-  let sink_id = Dip_netsim.Sim.add_node sim ~name:"sink" sink in
-  let rec wire = function
-    | a :: (b :: _ as rest) ->
-        Dip_netsim.Sim.connect sim (a, 1) (b, 0);
-        wire rest
-    | [ last ] -> Dip_netsim.Sim.connect sim (last, 1) (sink_id, 0)
-    | [] -> ()
-  in
-  wire ids;
   (* EPIC hop indices follow the chain: router i is hop i+1, which
      matches how mk_router assigns opt_hop. The engine mutates
      packets in flight, so each injection builds a fresh one — which
@@ -513,6 +492,7 @@ let demo proto n count no_cache metrics domains flight =
       routers;
   (match (metrics, m) with
   | Some fmt, Some m ->
+      Dip_obs.Metrics.absorb m (Dip_netsim.Sim.counters sim);
       List.iter (fun env -> Dip_obs.Metrics.absorb m env.Env.counters) routers;
       print_newline ();
       export_metrics fmt m
@@ -551,12 +531,9 @@ let trace proto n =
   let tr = Trace.attach ~fingerprint:(fun _ -> 1l) sim in
   let routers = List.init n (fun i -> mk_chain_router i) in
   preinstall_pit proto routers;
-  let ids =
-    List.map
-      (fun env ->
-        Dip_netsim.Sim.add_node sim ~name:env.Env.name
-          (Trace.wrap tr ~name:env.Env.name (Engine.handler ~registry env)))
-      routers
+  let ids, _ =
+    chain ~wrap:(Trace.wrap tr) sim
+      (List.map (fun env -> (env.Env.name, Engine.handler ~registry env)) routers)
   in
   (* Telemetry identity needs the node ids: router i reports node_id
      i+1 and its live egress-queue depth. *)
@@ -566,19 +543,6 @@ let trace proto n =
       Env.set_telemetry_identity env ~node_id:(i + 1)
         ~queue_depth:(fun () -> Dip_netsim.Sim.queue_depth sim node 1))
     routers;
-  let sink_id =
-    Dip_netsim.Sim.add_node sim ~name:"sink"
-      (Trace.wrap tr ~name:"sink" (fun _ ~now:_ ~ingress:_ _ ->
-           [ Dip_netsim.Sim.Consume ]))
-  in
-  let rec wire = function
-    | a :: (b :: _ as rest) ->
-        Dip_netsim.Sim.connect sim (a, 1) (b, 0);
-        wire rest
-    | [ last ] -> Dip_netsim.Sim.connect sim (last, 1) (sink_id, 0)
-    | [] -> ()
-  in
-  wire ids;
   let telemetry = proto = Dip32 in
   let pkt =
     if telemetry then
@@ -1328,31 +1292,7 @@ let profile proto n count domains out text =
           ~flight:(i + 1) snap)
       snaps
   in
-  let sink_consumed = ref 0 in
-  let sink _sim ~now:_ ~ingress:_ _pkt =
-    incr sink_consumed;
-    [ Dip_netsim.Sim.Consume ]
-  in
-  let handler_of pool _sim ~now ~ingress pkt =
-    (Dip_mcore.Pool.handle_batch pool [| { Dip_mcore.Pool.now; ingress; pkt } |]).(0)
-  in
-  let ids =
-    List.mapi
-      (fun i pool ->
-        Dip_netsim.Sim.add_node sim
-          ~name:(Printf.sprintf "r%d" (i + 1))
-          (handler_of pool))
-      pools
-  in
-  let sink_id = Dip_netsim.Sim.add_node sim ~name:"sink" sink in
-  let rec wire = function
-    | a :: (b :: _ as rest) ->
-        Dip_netsim.Sim.connect sim (a, 1) (b, 0);
-        wire rest
-    | [ last ] -> Dip_netsim.Sim.connect sim (last, 1) (sink_id, 0)
-    | [] -> ()
-  in
-  wire ids;
+  let ids, sink_consumed = chain sim (List.mapi pool_router pools) in
   for k = 0 to count - 1 do
     Dip_netsim.Sim.inject sim ~at:(float_of_int k *. 1e-6) ~node:(List.hd ids)
       ~port:0

@@ -48,7 +48,6 @@ type report = {
   latency_p50 : float;
   latency_p99 : float;
   faults : (string * int) list;
-  events : Faults.event list;
   counters : (string * int) list;
   custody : (string * int) list;
   deliveries : (int32 * float) list;
@@ -71,7 +70,6 @@ let run ?metrics ?flight cfg =
   if cfg.packets < 0 then invalid_arg "Chaos.run: negative packet count";
   if cfg.interval <= 0.0 then invalid_arg "Chaos.run: non-positive interval";
   let sim = Sim.create () in
-  (match metrics with Some m -> Sim.attach_metrics sim m | None -> ());
   Sim.set_flight sim flight;
   (* Everything runs on the simulator's domain, so one ring carries
      engine, progcache, window and fault events alike; sample_every:1
@@ -107,7 +105,7 @@ let run ?metrics ?flight cfg =
         match cfg.custody with
         | Some ccfg ->
             let r =
-              Custody.add_router ?obs ?metrics ?flight ~config:ccfg sim
+              Custody.add_router ?obs ?flight ~config:ccfg sim
                 ~registry ~env ~name ~out_port:1 ()
             in
             cust_routers.(i) <- Some r;
@@ -160,20 +158,33 @@ let run ?metrics ?flight cfg =
       ~payload:(payload_for cfg i)
   done;
   Sim.run sim;
-  (* The export carries each router's own dip.* / progcache.* /
+  (* The export carries the simulator's per-node, fault, replay and
+     queue-depth series and each router's own dip.* / progcache.* /
      custody.* counters, summed over the chain. *)
   Option.iter
-    (fun m -> Array.iter (fun env -> Dip_obs.Metrics.absorb m env.Env.counters) envs)
+    (fun m ->
+      Dip_obs.Metrics.absorb m (Sim.counters sim);
+      Array.iter (fun env -> Dip_obs.Metrics.absorb m env.Env.counters) envs)
     metrics;
   let ss = Reliable.sender_stats sender in
-  let lat = Stats.Series.create () in
-  List.iter
-    (fun (seq, t) ->
-      Stats.Series.add lat
-        (t -. (float_of_int (Int32.to_int seq) *. cfg.interval)))
-    (Reliable.deliveries recv);
+  let lat =
+    List.map
+      (fun (seq, t) -> t -. (float_of_int (Int32.to_int seq) *. cfg.interval))
+      (Reliable.deliveries recv)
+  in
+  let sorted = Array.of_list lat in
+  let n = Array.length sorted in
+  Array.sort Float.compare sorted;
+  (* Linear interpolation between order statistics (Hyndman–Fan type
+     7, the R/NumPy default): with k samples a nearest-rank rule would
+     report the maximum for every p ≥ 100·(k−1)/k. *)
   let pct p =
-    if Stats.Series.count lat = 0 then 0.0 else Stats.Series.percentile lat p
+    if n = 0 then 0.0
+    else
+      let h = float_of_int (n - 1) *. p /. 100.0 in
+      let lo = int_of_float h in
+      let hi = min (n - 1) (lo + 1) in
+      sorted.(lo) +. ((h -. float_of_int lo) *. (sorted.(hi) -. sorted.(lo)))
   in
   let delivered = Reliable.delivered recv in
   let custody =
@@ -202,11 +213,11 @@ let run ?metrics ?flight cfg =
     delivery_rate =
       (if ss.Reliable.sent = 0 then 1.0
        else float_of_int delivered /. float_of_int ss.Reliable.sent);
-    latency_mean = Stats.Series.mean lat;
+    latency_mean =
+      (if n = 0 then 0.0 else List.fold_left ( +. ) 0.0 lat /. float_of_int n);
     latency_p50 = pct 50.0;
     latency_p99 = pct 99.0;
     faults = Faults.counts faults;
-    events = Faults.events faults;
     counters = Stats.Counters.to_list (Sim.counters sim);
     custody;
     deliveries = Reliable.deliveries recv;

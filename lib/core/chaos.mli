@@ -52,7 +52,6 @@ type report = {
   latency_p50 : float;
   latency_p99 : float;
   faults : (string * int) list;  (** injected faults by kind *)
-  events : Dip_netsim.Faults.event list;  (** full fault schedule *)
   counters : (string * int) list;  (** simulator counters *)
   custody : (string * int) list;
       (** custody-store counters summed over all routers
@@ -65,11 +64,12 @@ type report = {
 val run :
   ?metrics:Dip_obs.Metrics.t -> ?flight:Dip_obs.Flight.ring -> config -> report
 (** Build the network, inject the workload, drain the simulator and
-    summarize. [metrics] additionally mirrors simulator and fault
-    activity into a Dip_obs registry ([sim.*], [sim.fault.*]), with
-    custody's depth gauges and replays, and at the end absorbs every
-    router's own counters into it ([dip.*], [progcache.*],
-    [custody.*]), summed over the chain.
+    summarize. [metrics] receives the engine's per-opkey series during
+    the run and, at the end, absorbs the simulator's registry
+    ({!Dip_netsim.Sim.counters}: per-node, [sim.fault.*],
+    [custody.replay], [sim.link.queue_depth]) and every router's own
+    counters ([dip.*], [progcache.*], [custody.*]), summed over the
+    chain.
     [flight] records the whole experiment — engine spans (unsampled),
     program-cache traffic, window lifecycle and fault injections —
     into one caller-owned ring (everything runs on the simulator's

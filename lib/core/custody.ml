@@ -80,9 +80,9 @@ let index = function
 let names = Array.map (( ^ ) "custody.") kinds
 let flight_ids = Array.map (fun n -> Dip_obs.Flight.register n) names
 
-(* Replays: counted in the simulator's registry (and mirrored into
-   [add_router]'s [metrics]) and recorded as a flight instant (a0 =
-   node id, a1 = bundles put back on the wire). *)
+(* Replays: counted once, in the simulator's registry, and recorded as
+   a flight instant (a0 = node id, a1 = bundles put back on the
+   wire). *)
 let replay_name = "custody.replay"
 let ev_replay = Dip_obs.Flight.register replay_name
 
@@ -93,16 +93,12 @@ let make_store cfg =
 
 (* Count store transitions in the env's registry (so chaos/bench
    reports see them next to the dip.* counters; the handles are
-   registered here, once per store), plus an optional depth gauge and
-   optional Flight instants. *)
-let observe ?gauge ?flight ~env ~store ~node =
+   registered here, once per store), plus optional Flight instants. *)
+let observe ?flight ~env ~store ~node =
   let counters = Array.map (Dip_obs.Metrics.counter env.Env.counters) names in
   fun ev ->
     let i = index ev in
     Dip_obs.Metrics.Counter.incr counters.(i);
-    (match gauge with
-    | Some g -> Dip_obs.Metrics.Gauge.set g (Custody_store.size store)
-    | None -> ());
     match flight with
     | Some r ->
         Dip_obs.Flight.record r flight_ids.(i) node (Custody_store.size store) 0
@@ -112,7 +108,7 @@ let enable ?(config = default_config) env =
   let store = make_store config in
   env.Env.custody <- Some store;
   Custody_store.set_observer store
-    (observe ?gauge:None ?flight:None ~env ~store ~node:0);
+    (observe ?flight:None ~env ~store ~node:0);
   store
 
 type router = {
@@ -124,7 +120,7 @@ type router = {
   mutable node : Sim.node_id;
   mutable armed : bool;
   flight : Dip_obs.Flight.ring option;
-  replayed : Dip_obs.Metrics.counter list; (* [replay_name] per registry *)
+  replayed : Dip_obs.Metrics.counter; (* [replay_name] *)
 }
 
 let node t = t.node
@@ -145,7 +141,7 @@ let rec replay t =
       t.store 0
   in
   if n > 0 then begin
-    List.iter (Dip_obs.Metrics.Counter.incr ~by:n) t.replayed;
+    Dip_obs.Metrics.Counter.incr ~by:n t.replayed;
     (match t.flight with
     | Some r -> Dip_obs.Flight.record r ev_replay t.node n 0
     | None -> ())
@@ -168,17 +164,14 @@ and maybe_arm t =
         then replay t)
   end
 
-let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
-    ~env ~name ~out_port () =
+let add_router ?obs ?flight ?(config = default_config) sim ~registry ~env
+    ~name ~out_port () =
   let store = make_store config in
   env.Env.custody <- Some store;
   let t =
     { sim; env; store; cfg = config; out_port; node = -1; armed = false;
       flight;
-      replayed =
-        List.map
-          (fun m -> Dip_obs.Metrics.counter m replay_name)
-          (Sim.counters sim :: Option.to_list metrics) }
+      replayed = Dip_obs.Metrics.counter (Sim.counters sim) replay_name }
   in
   t.node <-
     Sim.add_node sim ~name (fun sim ~now ~ingress packet ->
@@ -190,17 +183,7 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
           maybe_arm t;
           actions
         end);
-  let gauge =
-    match metrics with
-    | Some m ->
-        Some
-          (Dip_obs.Metrics.gauge m
-             (Printf.sprintf "custody.%s.depth" name)
-             ~help:"bundles currently held in this router's custody store")
-    | None -> None
-  in
-  Custody_store.set_observer store
-    (observe ?gauge ?flight ~env ~store ~node:t.node);
+  Custody_store.set_observer store (observe ?flight ~env ~store ~node:t.node);
   t
 
 let stats t =

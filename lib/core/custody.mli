@@ -76,7 +76,6 @@ type router
 
 val add_router :
   ?obs:Obs.t ->
-  ?metrics:Dip_obs.Metrics.t ->
   ?flight:Dip_obs.Flight.ring ->
   ?config:config ->
   Dip_netsim.Sim.t ->
@@ -92,10 +91,8 @@ val add_router :
     [flight] as instants ([custody.take/release/evict/reject/replay]),
     the transitions in the env's counters and the replays in the
     simulator's ({!Dip_netsim.Sim.counters}) under the same names,
-    through handles registered here. [metrics] adds a
-    ["custody.<name>.depth"] gauge and a ["custody.replay"] counter,
-    so an export that absorbs the env's counters into it carries
-    every custody name. *)
+    through handles registered here. Each is counted once; an export
+    that absorbs both registries carries every custody name. *)
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t

@@ -73,7 +73,7 @@ let op_ns t k ns =
   | Some r -> F.record r ev_op ns (Opkey.to_int k) 0
 
 let process_ns t ns cls =
-  M.Histogram.observe t.latency (float_of_int ns);
+  M.Histogram.observe t.latency ns;
   match t.flight with
   | None -> ()
   | Some r -> F.record r ev_process ns cls 0

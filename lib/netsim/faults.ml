@@ -31,12 +31,9 @@ let kind_name = function
   | Reorder -> "reorder" | Duplicate -> "duplicate" | Node_crash -> "node-crash"
 
 (* Each kind's one name, by [index]: its flight instant (a0 = node,
-   a1 = port) and its counter in the simulator's registry and in the
-   attached one. *)
+   a1 = port) and its counter in the simulator's registry. *)
 let names = Array.map (fun k -> "sim.fault." ^ kind_name k) kinds
 let flight_ids = Array.map (fun n -> Dip_obs.Flight.register n) names
-
-type event = { time : float; kind : kind; node : Sim.node_id; port : Sim.port }
 
 (* Crash bookkeeping: overlapping and nested windows on one node must
    behave as the union of their intervals. [active] counts windows
@@ -75,36 +72,15 @@ type t = {
      reads, no hashing. Unconfigured slots hold [unset]. *)
   mutable links : link array array;
   crashes : (Sim.node_id, crash) Hashtbl.t;
-  sim_counters : Dip_obs.Metrics.counter array; (* [names], by [index] *)
-  (* [names] in the registry {!Sim.attach_metrics} last installed —
-     re-resolved when it changes. *)
-  mutable obs : (Dip_obs.Metrics.t * Dip_obs.Metrics.counter array) option;
-  mutable events : event list; (* reversed *)
+  counters : Dip_obs.Metrics.counter array; (* [names], by [index] *)
 }
 
 let record t kind ~node ~port =
   let i = index kind in
-  Dip_obs.Metrics.Counter.incr t.sim_counters.(i);
-  t.events <- { time = Sim.now t.sim; kind; node; port } :: t.events;
-  (match Sim.flight t.sim with
+  Dip_obs.Metrics.Counter.incr t.counters.(i);
+  match Sim.flight t.sim with
   | None -> ()
-  | Some r -> Dip_obs.Flight.record r flight_ids.(i) node port 0);
-  match Sim.metrics t.sim with
-  | None -> ()
-  | Some m ->
-      let cs =
-        match t.obs with
-        | Some (m', cs) when m' == m -> cs
-        | _ ->
-            let cs =
-              Array.map
-                (Dip_obs.Metrics.counter m ~help:"injected simulator faults, by kind")
-                names
-            in
-            t.obs <- Some (m, cs);
-            cs
-      in
-      Dip_obs.Metrics.Counter.incr cs.(i)
+  | Some r -> Dip_obs.Flight.record r flight_ids.(i) node port 0
 
 let find t (node, port) =
   if node >= Array.length t.links || port >= Array.length t.links.(node) then unset
@@ -185,9 +161,11 @@ let attach ~seed sim =
       default = silent;
       links = [||];
       crashes = Hashtbl.create 4;
-      sim_counters = Array.map (Dip_obs.Metrics.counter (Sim.counters sim)) names;
-      obs = None;
-      events = [];
+      counters =
+        Array.map
+          (Dip_obs.Metrics.counter (Sim.counters sim)
+             ~help:"injected simulator faults, by kind")
+          names;
     }
   in
   Sim.set_egress_hook sim (hook t);
@@ -256,10 +234,9 @@ let crash_node t node ~at ~until =
             end
           end))
 
-let events t = List.rev t.events
 let counts t =
   Array.to_list kinds
   |> List.filter_map (fun k ->
-         match List.length (List.filter (fun e -> e.kind = k) t.events) with
+         match Dip_obs.Metrics.Counter.get t.counters.(index k) with
          | 0 -> None
          | n -> Some (kind_name k, n))

@@ -7,14 +7,13 @@
 
     All randomness comes from one {!Dip_stdext.Prng} stream seeded at
     {!attach}: because the simulator's event order is itself
-    deterministic, the same seed over the same workload produces a
-    byte-identical fault schedule ({!events}). Every injected fault
-    has one name, ["sim.fault.<kind>"]: it is counted under it in the
-    simulator's {!Sim.counters} (handles registered at {!attach}) and
-    — when {!Sim.attach_metrics} was used — in whichever registry is
-    attached at the time of the fault, recorded under it in the
-    simulator's flight ring ({!Sim.set_flight}; a0 = node, a1 =
-    port), and tallied by kind in {!counts}. *)
+    deterministic, the same seed over the same workload produces an
+    identical fault schedule. Every injected fault has one name,
+    ["sim.fault.<kind>"]: it is counted once under it, in the
+    simulator's {!Sim.counters} (handles registered at {!attach};
+    {!counts} reads them), and recorded under it in the simulator's
+    flight ring ({!Sim.set_flight}; a0 = node, a1 = port). The layer
+    keeps no log of the faults it injected. *)
 
 type t
 
@@ -89,14 +88,7 @@ val kind_name : kind -> string
 (** ["link-down"], ["drop"], ["corrupt"], ["reorder"], ["duplicate"],
     ["node-crash"] — the [<kind>] of the counter names. *)
 
-(** One injected fault, in injection order. [port] is [-1] for node
-    faults. *)
-type event = { time : float; kind : kind; node : Sim.node_id; port : Sim.port }
-
-val events : t -> event list
-(** Every injected fault so far, oldest first. Two runs with equal
-    seeds, topology and workload yield structurally equal lists. *)
-
 val counts : t -> (string * int) list
-(** This layer's total faults by {!kind_name} (a tally of {!events}),
-    sorted; kinds that never fired are not listed. *)
+(** Faults injected so far by {!kind_name} — the simulator's
+    ["sim.fault.<kind>"] counters — sorted; kinds that never fired
+    are not listed. *)

@@ -34,10 +34,9 @@ and node = {
   mutable ports : link_end option array;
 }
 
-(* The rx/tx/consumed/drop handles of one node — registered in the
-   simulator's own registry at [add_node] — or, under ["sim"] in an
-   attached registry, of all nodes together. Drop reasons are
-   interned on first use. *)
+(* The rx/tx/consumed/drop handles of one node, registered in the
+   simulator's registry at [add_node]. Drop reasons are interned on
+   first use. *)
 and tally = {
   rx : Dip_obs.Metrics.counter;
   tx : Dip_obs.Metrics.counter;
@@ -59,18 +58,6 @@ and link_end = {
      it instead of allocating one. *)
   depart : event;
   mutable queued : int;
-  (* This direction's ["sim.link.<node>.p<port>.queue_depth"] gauge in
-     the attached registry, registered on first use. *)
-  mutable gauge : Dip_obs.Metrics.gauge option;
-}
-
-(* Optional Dip_obs instrumentation: pre-resolved handles so the
-   per-event cost is a couple of field stores; per-reason and
-   per-link handles are interned lazily (drops and links are few). *)
-and obs = {
-  metrics : Dip_obs.Metrics.t;
-  all : tally;
-  qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
 }
 
 and t = {
@@ -78,9 +65,9 @@ and t = {
   mutable nnodes : int;
   queue : event Event_queue.t;
   stats : Dip_obs.Metrics.t;
+  qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
   mutable clock : float;
   mutable consume_hooks : (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) list;
-  mutable obs : obs option;
   (* Consulted on every transmission over a wired link; lets a fault
      layer drop / mangle / duplicate / delay packets without the
      simulator knowing anything about fault policy. *)
@@ -106,14 +93,17 @@ let ev_window_apply =
 let max_spare = 64
 
 let create () =
+  let stats = Dip_obs.Metrics.create () in
   {
     nodes = [||];
     nnodes = 0;
     queue = Event_queue.create ~filler:(Timer ignore);
-    stats = Dip_obs.Metrics.create ();
+    stats;
+    qdepth =
+      Dip_obs.Metrics.histogram stats "sim.link.queue_depth"
+        ~help:"egress queue depth observed at each enqueue";
     clock = 0.0;
     consume_hooks = [];
-    obs = None;
     egress_hook = None;
     flight = None;
     spare = Array.make max_spare (Timer ignore);
@@ -129,55 +119,8 @@ let tally m prefix =
     drops = Dip_obs.Metrics.family m (prefix ^ ".drop.") ~help:"packets dropped, by reason";
   }
 
-let attach_metrics t metrics =
-  (* Link gauges belong to the registry they were registered in. *)
-  for id = 0 to t.nnodes - 1 do
-    Array.iter (Option.iter (fun l -> l.gauge <- None)) t.nodes.(id).ports
-  done;
-  t.obs <-
-    Some
-      {
-        metrics;
-        all = tally metrics "sim";
-        qdepth =
-          Dip_obs.Metrics.histogram metrics "sim.link.queue_depth"
-            ~help:"egress queue depth observed at each enqueue";
-      }
-
-(* One event on [node]'s tally and, when attached, on the aggregate. *)
-let count t node pick =
-  Dip_obs.Metrics.Counter.incr (pick node.counts);
-  match t.obs with
-  | None -> ()
-  | Some o -> Dip_obs.Metrics.Counter.incr (pick o.all)
-
-let count_drop t node reason =
-  count t node (fun c -> Dip_obs.Metrics.member c.drops reason)
-
-(* The per-link gauge tracks the live depth (updated on enqueue and
-   dequeue); the histogram samples depth at enqueue only, so its
-   count stays one-per-transmission. *)
-let obs_link_depth ?(enqueue = false) t l =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      if enqueue then
-        Dip_obs.Metrics.Histogram.observe o.qdepth (float_of_int l.queued);
-      let g =
-        match l.gauge with
-        | Some g -> g
-        | None ->
-            let id, port = l.from in
-            let g =
-              Dip_obs.Metrics.gauge o.metrics
-                (Printf.sprintf "sim.link.%s.p%d.queue_depth"
-                   t.nodes.(id).name port)
-                ~help:"packets queued or serializing on this egress"
-            in
-            l.gauge <- Some g;
-            g
-      in
-      Dip_obs.Metrics.Gauge.set g l.queued
+let count_drop node reason =
+  Dip_obs.Metrics.Counter.incr (Dip_obs.Metrics.member node.counts.drops reason)
 
 let add_node t ~name handler =
   let node = { name; handler; counts = tally t.stats name; ports = [||] } in
@@ -233,8 +176,7 @@ let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
     end;
     let rec l =
       { from; latency; bandwidth; capacity = queue_capacity; peer;
-        wire = { busy_until = 0.0 }; depart = Depart l; queued = 0;
-        gauge = None }
+        wire = { busy_until = 0.0 }; depart = Depart l; queued = 0 }
     in
     node.ports.(port) <- Some l
   in
@@ -290,7 +232,6 @@ let schedule t ~at f = push_event t "schedule" ~at (Timer f)
 let now t = t.clock
 let counters t = t.stats
 let on_consume t f = t.consume_hooks <- f :: t.consume_hooks
-let metrics t = Option.map (fun o -> o.metrics) t.obs
 let set_egress_hook t hook = t.egress_hook <- Some hook
 let clear_egress_hook t = t.egress_hook <- None
 let set_flight t r = t.flight <- r
@@ -305,9 +246,9 @@ let node_handler t id =
   t.nodes.(id).handler
 
 let transmit_on t node l ~extra_delay packet =
-  if l.queued >= l.capacity then count_drop t node "queue-overflow"
+  if l.queued >= l.capacity then count_drop node "queue-overflow"
   else begin
-    count t node (fun c -> c.tx);
+    Dip_obs.Metrics.Counter.incr node.counts.tx;
     let size = float_of_int (Dip_bitbuf.Bitbuf.length packet) in
     let dst, dport = l.peer in
     (* Serialize behind whatever is already on the wire. An
@@ -321,7 +262,7 @@ let transmit_on t node l ~extra_delay packet =
     let departure = start +. tx_time in
     l.wire.busy_until <- departure;
     l.queued <- l.queued + 1;
-    obs_link_depth ~enqueue:true t l;
+    Dip_obs.Metrics.Histogram.observe t.qdepth l.queued;
     Event_queue.push t.queue ~time:departure l.depart;
     (* [extra_delay] models fault-layer jitter: it delays propagation
        of this one packet without holding the egress queue slot, so a
@@ -334,7 +275,7 @@ let transmit_on t node l ~extra_delay packet =
 
 let transmit t node port packet =
   match link_at node port with
-  | None -> count_drop t node "unwired-port"
+  | None -> count_drop node "unwired-port"
   | Some l -> (
       (* The hook runs only for wired ports: an unwired-port drop is a
          topology bug, not an injected fault. *)
@@ -354,15 +295,15 @@ let rec apply_actions t id node packet = function
       (match action with
       | Forward (out, pkt) -> transmit t node out pkt
       | Consume ->
-          count t node (fun c -> c.consumed);
+          Dip_obs.Metrics.Counter.incr node.counts.consumed;
           List.iter (fun f -> f id t.clock packet) t.consume_hooks
-      | Drop reason -> count_drop t node reason);
+      | Drop reason -> count_drop node reason);
       apply_actions t id node packet rest
 
 let apply_arrival t ~time id packet actions =
   t.clock <- time;
   let node = t.nodes.(id) in
-  count t node (fun c -> c.rx);
+  Dip_obs.Metrics.Counter.incr node.counts.rx;
   apply_actions t id node packet actions
 
 type batch_item = {
@@ -456,9 +397,7 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
                 apply_arrival t ~time:t.clock id packet
                   (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
             | Timer f -> f t
-            | Depart l ->
-                l.queued <- l.queued - 1;
-                obs_link_depth t l);
+            | Depart l -> l.queued <- l.queued - 1);
             loop ()
   (* The window also closes at the end of the run: the tail's effects
      may schedule events at or before [until]. *)

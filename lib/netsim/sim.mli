@@ -128,37 +128,23 @@ val run_batched :
     simulator. *)
 
 val counters : t -> Stats.Counters.t
-(** The simulator's own counter registry, read through the view. Per
+(** The simulator's registry, where it counts each fact once. Per
     node: ["<name>.rx"], ["<name>.tx"], ["<name>.consumed"] and
     ["<name>.drop.<reason>"] (each reason interned per node on first
-    use). Add-on layers register their handles here too:
-    ["sim.fault.<kind>"] ({!Faults}) and ["custody.replay"]
-    ([Dip_core.Custody]). Every per-event write is a store through a
-    pre-registered handle; no counter name is built or hashed per
-    packet. A handle that was never written is not listed by
-    {!Stats.Counters.to_list}. *)
-
-val attach_metrics : t -> Dip_obs.Metrics.t -> unit
-(** Mirror simulator activity into a {!Dip_obs.Metrics} registry:
-    counters ["sim.tx"] / ["sim.rx"] / ["sim.consumed"] and
-    ["sim.drop.<reason>"] (aggregated across nodes — per-node totals
-    stay in {!counters}), the ["sim.link.queue_depth"] histogram
-    (egress depth observed at each enqueue) and per-link
-    ["sim.link.<node>.p<port>.queue_depth"] gauges. The handles are
-    resolved once at attach / first use, so per-event cost is an
-    integer store. Replaces any previously attached registry; the
-    per-node totals stay in {!counters}, which is never this
-    registry. *)
+    use); for all links, the ["sim.link.queue_depth"] histogram
+    (egress depth observed at each enqueue). Add-on layers register
+    their handles here too: ["sim.fault.<kind>"] ({!Faults}) and
+    ["custody.replay"] ([Dip_core.Custody]). Every per-event write is
+    a store through a pre-registered handle; no counter name is built
+    or hashed per packet. A handle that was never written is not
+    listed by {!Stats.Counters.to_list}. An exporter
+    {!Dip_obs.Metrics.absorb}s this registry into its own. *)
 
 val on_consume : t -> (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) -> unit
 (** Add a hook invoked at each local delivery with the node, the
     delivery time and the packet. The simulator keeps no log of
     deliveries (a long run would hold every packet it delivered): a
     caller that wants one records it here. *)
-
-val metrics : t -> Dip_obs.Metrics.t option
-(** The registry passed to {!attach_metrics}, if any — lets add-on
-    layers (e.g. {!Faults}) export into the same registry. *)
 
 type egress = { packet : Dip_bitbuf.Bitbuf.t; extra_delay : float }
 (** One transmission produced by an egress hook: the (possibly

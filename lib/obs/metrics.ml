@@ -3,11 +3,12 @@ type gauge = { mutable g : int }
 
 let nbuckets = 40
 
+(* All-int fields: an observation stores without boxing a float. *)
 type histogram = {
   slots : int array; (* length nbuckets *)
   mutable hcount : int;
-  mutable hsum : float;
-  mutable hmax : float;
+  mutable hsum : int;
+  mutable hmax : int;
 }
 
 type instrument = C of counter | G of gauge | H of histogram
@@ -45,7 +46,7 @@ let gauge ?help t name =
 let histogram ?help t name =
   match
     register ?help t name (fun () ->
-        H { slots = Array.make nbuckets 0; hcount = 0; hsum = 0.0; hmax = 0.0 })
+        H { slots = Array.make nbuckets 0; hcount = 0; hsum = 0; hmax = 0 })
   with
   | H h -> h
   | i -> clash "histogram" name i
@@ -95,25 +96,22 @@ module Histogram = struct
   let bound i =
     if i >= nbuckets - 1 then Float.infinity else Float.of_int (1 lsl i)
 
-  (* Bucket 0: v < 1; bucket i: 2^(i-1) <= v < 2^i; last bucket:
-     everything beyond. frexp gives the binary exponent directly. *)
-  let index v =
-    if v < 1.0 then 0
-    else
-      let e = snd (Float.frexp v) in
-      Stdlib.min e (nbuckets - 1)
+  (* Bucket 0: v = 0; bucket i: 2^(i-1) <= v < 2^i, i.e. v's bit
+     length; last bucket: everything beyond. *)
+  let rec index v i =
+    if v = 0 || i = nbuckets - 1 then i else index (v lsr 1) (i + 1)
 
   let observe h v =
-    let v = if v < 0.0 then 0.0 else v in
-    h.slots.(index v) <- h.slots.(index v) + 1;
+    let v = if v < 0 then 0 else v in
+    let i = index v 0 in
+    h.slots.(i) <- h.slots.(i) + 1;
     h.hcount <- h.hcount + 1;
-    h.hsum <- h.hsum +. v;
+    h.hsum <- h.hsum + v;
     if v > h.hmax then h.hmax <- v
 
   let count h = h.hcount
   let sum h = h.hsum
   let max_value h = h.hmax
-  let mean h = if h.hcount = 0 then 0.0 else h.hsum /. float_of_int h.hcount
   let bucket_counts h = Array.copy h.slots
 
   (* Over bucket counts alone, so a snapshot estimates the same way. *)
@@ -138,7 +136,7 @@ module Histogram = struct
 
   let quantile h q =
     if q < 0.0 || q > 1.0 then invalid_arg "Metrics.Histogram.quantile";
-    estimate h.slots ~count:h.hcount ~max:h.hmax q
+    estimate h.slots ~count:h.hcount ~max:(float_of_int h.hmax) q
 end
 
 type hsnap = {
@@ -168,7 +166,7 @@ let absorb t src =
           let h = histogram ~help t name in
           Array.iteri (fun i n -> h.slots.(i) <- h.slots.(i) + n) s.slots;
           h.hcount <- h.hcount + s.hcount;
-          h.hsum <- h.hsum +. s.hsum;
+          h.hsum <- h.hsum + s.hsum;
           if s.hmax > h.hmax then h.hmax <- s.hmax)
     src.table
 
@@ -194,8 +192,8 @@ let snapshot t =
               {
                 counts = Array.copy h.slots;
                 count = h.hcount;
-                sum = h.hsum;
-                max_value = h.hmax;
+                sum = float_of_int h.hsum;
+                max_value = float_of_int h.hmax;
               }
       in
       (name, help, v) :: acc)

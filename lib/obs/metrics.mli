@@ -11,12 +11,11 @@
     pays a few nanoseconds per event.
 
     Histograms use fixed power-of-two buckets (log scale), not
-    reservoirs: observing a value is "find the exponent, bump a slot
-    of an int array". Quantiles read from a histogram are therefore
-    {e estimates} with one-bucket (2x) resolution — the right
-    trade-off for latency distributions on the hot path, where
-    {!Dip_netsim.Stats.Series} reservoir sampling would allocate and
-    resample per packet. *)
+    reservoirs: observing a value is "find its bit length, bump a
+    slot of an int array", with no allocation. Quantiles read from a
+    histogram are therefore {e estimates} with one-bucket (2x)
+    resolution — the right trade-off for latency distributions and
+    queue depths on the hot path. *)
 
 type t
 (** A registry: a mutable set of named instruments. *)
@@ -28,8 +27,8 @@ type gauge
 (** Integer that can go up and down (queue depth, cache size). *)
 
 type histogram
-(** Log-scale distribution of non-negative values (latency in ns,
-    sizes in bytes). *)
+(** Log-scale distribution of non-negative integers (latency in ns,
+    sizes in bytes, queue depths). *)
 
 val create : unit -> t
 
@@ -74,7 +73,7 @@ end
 
 module Histogram : sig
   val buckets : int
-  (** Number of buckets. Bucket [0] holds values [< 1]; bucket [i]
+  (** Number of buckets. Bucket [0] holds [0]; bucket [i]
       ([1 <= i < buckets-1]) holds values in [[2{^i-1}, 2{^i})]; the
       last bucket holds everything larger. *)
 
@@ -82,16 +81,14 @@ module Histogram : sig
   (** [bound i] is the exclusive upper bound of bucket [i]
       ([infinity] for the last). *)
 
-  val observe : histogram -> float -> unit
-  (** Record one value. Negative values count as 0. *)
+  val observe : histogram -> int -> unit
+  (** Record one value; allocates nothing. Negative values count as
+      0. *)
 
   val count : histogram -> int
-  val sum : histogram -> float
-  val max_value : histogram -> float
-  (** Largest value observed; [0.] when empty. *)
-
-  val mean : histogram -> float
-  (** [0.] when empty. *)
+  val sum : histogram -> int
+  val max_value : histogram -> int
+  (** Largest value observed; [0] when empty. *)
 
   val bucket_counts : histogram -> int array
   (** A copy of the per-bucket counts (length {!buckets}). *)

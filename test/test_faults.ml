@@ -40,30 +40,6 @@ let test_drop_all () =
   Alcotest.(check int) "sim counter mirrors" 10
     (Stats.Counters.get (Sim.counters sim) "sim.fault.drop")
 
-(* Fault counters follow Sim.attach_metrics: once a second registry
-   replaces the first, later faults land in the second one only (as
-   sim.rx does), not in handles cached from the first. *)
-let test_fault_counters_follow_attach () =
-  let sim, r, _ = relay_pair () in
-  let faults = Faults.attach ~seed:1L sim in
-  Faults.all_links faults (Faults.spec ~drop:1.0 ());
-  let m1 = Dip_obs.Metrics.create () and m2 = Dip_obs.Metrics.create () in
-  let get m name =
-    Dip_obs.Metrics.(Counter.get (counter m name))
-  in
-  Sim.attach_metrics sim m1;
-  Sim.inject sim ~at:0.0 ~node:r ~port:0 (packet "x");
-  Sim.run sim;
-  Sim.attach_metrics sim m2;
-  Sim.inject sim ~at:0.01 ~node:r ~port:0 (packet "y");
-  Sim.run sim;
-  Alcotest.(check (list int)) "first registry: one arrival, one drop" [ 1; 1 ]
-    [ get m1 "sim.rx"; get m1 "sim.fault.drop" ];
-  Alcotest.(check (list int)) "second registry: one arrival, one drop" [ 1; 1 ]
-    [ get m2 "sim.rx"; get m2 "sim.fault.drop" ];
-  Alcotest.(check (list (pair string int))) "per-layer total" [ ("drop", 2) ]
-    (Faults.counts faults)
-
 let test_duplicate_all () =
   let sim, r, d = relay_pair () in
   let delivered = Deliveries.record sim in
@@ -230,18 +206,15 @@ let test_reliable_full_recovery () =
         | None -> false))
     [ "drop"; "corrupt"; "duplicate"; "link-down" ]
 
+(* The whole report reproduces from the seed: deliveries with their
+   times, faults by kind, simulator counters and custody totals. *)
 let test_same_seed_same_schedule () =
   let a = Chaos.run chaos_cfg in
   let b = Chaos.run chaos_cfg in
-  Alcotest.(check bool) "schedules non-trivial" true
-    (List.length a.Chaos.events > 0);
-  Alcotest.(check bool) "fault schedules identical" true
-    (a.Chaos.events = b.Chaos.events);
-  Alcotest.(check int) "deliveries identical" a.Chaos.delivered
-    b.Chaos.delivered;
+  Alcotest.(check bool) "faults injected" true (a.Chaos.faults <> []);
+  Alcotest.(check bool) "reports identical" true (a = b);
   let c = Chaos.run { chaos_cfg with Chaos.seed = 8L } in
-  Alcotest.(check bool) "a different seed reschedules" true
-    (a.Chaos.events <> c.Chaos.events)
+  Alcotest.(check bool) "a different seed changes the report" true (a <> c)
 
 let test_no_retransmit_loses_packets () =
   let r =
@@ -368,12 +341,7 @@ let test_custody_rides_out_long_outage () =
 let test_custody_deterministic () =
   let a = Chaos.run custody_cfg in
   let b = Chaos.run custody_cfg in
-  Alcotest.(check bool) "delivery order and times identical" true
-    (a.Chaos.deliveries = b.Chaos.deliveries);
-  Alcotest.(check bool) "fault schedules identical" true
-    (a.Chaos.events = b.Chaos.events);
-  Alcotest.(check bool) "custody counters identical" true
-    (a.Chaos.custody = b.Chaos.custody)
+  Alcotest.(check bool) "reports identical" true (a = b)
 
 let test_custody_survives_lossy_acks () =
   (* Random drops can eat custody ACKs; the periodic replay sweep
@@ -397,8 +365,6 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "drop all" `Quick test_drop_all;
-          Alcotest.test_case "fault counters follow attach_metrics" `Quick
-            test_fault_counters_follow_attach;
           Alcotest.test_case "duplicate all" `Quick test_duplicate_all;
           Alcotest.test_case "corrupt all" `Quick test_corrupt_all;
           Alcotest.test_case "link down window" `Quick test_link_down_window;

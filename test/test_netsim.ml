@@ -449,27 +449,6 @@ let test_sim_queue_depth_observable () =
     true (!observed >= 3);
   Alcotest.(check int) "drains to zero" 0 (Sim.queue_depth sim r 1)
 
-let test_sim_depth_gauge_drains () =
-  (* Regression: the per-link depth gauge in an attached metrics
-     registry was written only on enqueue, so after the queue drained
-     it kept reading the last enqueue-time depth instead of 0. *)
-  let sim = Sim.create () in
-  let m = Dip_obs.Metrics.create () in
-  Sim.attach_metrics sim m;
-  let r = Sim.add_node sim ~name:"r" relay_handler in
-  let b = Sim.add_node sim ~name:"b" consume_handler in
-  Sim.connect sim ~latency:1e-3 ~bandwidth:1000.0 (r, 1) (b, 0);
-  for _ = 1 to 4 do
-    Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100)
-  done;
-  Sim.run sim;
-  (* Registering an existing name returns the same handle. *)
-  let g = Dip_obs.Metrics.gauge m "sim.link.r.p1.queue_depth" in
-  Alcotest.(check int) "gauge drained with the queue" 0
-    (Dip_obs.Metrics.Gauge.get g);
-  Alcotest.(check int) "matches the simulator's own view" 0
-    (Sim.queue_depth sim r 1)
-
 (* --- Topology --- *)
 
 let test_topo_linear () =
@@ -635,97 +614,6 @@ let test_counters () =
   Alcotest.(check bool) "unwritten handle still exported" true
     (List.exists (fun (n, _, _) -> n = "idle") (M.snapshot merged))
 
-let test_series_summary () =
-  let s = Stats.Series.create () in
-  List.iter (Stats.Series.add s) [ 4.0; 1.0; 3.0; 2.0; 5.0 ];
-  Alcotest.(check int) "count" 5 (Stats.Series.count s);
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.Series.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.Series.min s);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.Series.max s);
-  Alcotest.(check (float 1e-9)) "p50" 3.0 (Stats.Series.percentile s 50.0);
-  Alcotest.(check (float 1e-9)) "p100" 5.0 (Stats.Series.percentile s 100.0);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Stats.Series.stddev s)
-
-let test_series_guards () =
-  let s = Stats.Series.create () in
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 (Stats.Series.mean s);
-  Alcotest.(check bool) "empty percentile raises" true
-    (try ignore (Stats.Series.percentile s 50.0); false
-     with Invalid_argument _ -> true);
-  Stats.Series.add s 1.0;
-  Alcotest.(check bool) "p out of range" true
-    (try ignore (Stats.Series.percentile s 101.0); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "summary non-empty" true
-    (String.length (Stats.Series.summary s) > 0)
-
-let test_series_reservoir_cap () =
-  (* Beyond capacity the streaming stats stay exact while percentiles
-     degrade to reservoir estimates — and memory stays bounded. *)
-  let s = Stats.Series.create ~capacity:16 () in
-  Alcotest.(check int) "capacity" 16 (Stats.Series.capacity s);
-  for i = 1 to 1000 do
-    Stats.Series.add s (float_of_int i)
-  done;
-  Alcotest.(check int) "count covers the whole stream" 1000
-    (Stats.Series.count s);
-  Alcotest.(check (float 1e-9)) "min exact" 1.0 (Stats.Series.min s);
-  Alcotest.(check (float 1e-9)) "max exact" 1000.0 (Stats.Series.max s);
-  Alcotest.(check (float 1e-6)) "mean exact" 500.5 (Stats.Series.mean s);
-  let p50 = Stats.Series.percentile s 50.0 in
-  Alcotest.(check bool) "p50 is an in-range estimate" true
-    (p50 >= 1.0 && p50 <= 1000.0);
-  (* Within capacity percentiles are exact even after many adds. *)
-  let exact = Stats.Series.create ~capacity:16 () in
-  List.iter (Stats.Series.add exact) [ 9.0; 7.0; 8.0 ];
-  Alcotest.(check (float 1e-9)) "exact under capacity" 8.0
-    (Stats.Series.percentile exact 50.0);
-  Alcotest.(check int) "default capacity" Stats.Series.default_capacity
-    (Stats.Series.capacity (Stats.Series.create ()))
-
-let test_series_tiny_reservoir_percentiles () =
-  (* Regression: the old ceiling-rank rule returned the max for every
-     quantile once the reservoir held fewer than ~4 samples, so a
-     2-sample latency series reported p50 = p99 = max. Type-7
-     interpolation keeps small reservoirs informative. *)
-  let of_list l =
-    let s = Stats.Series.create () in
-    List.iter (Stats.Series.add s) l;
-    s
-  in
-  let two = of_list [ 10.0; 20.0 ] in
-  Alcotest.(check (float 1e-9)) "n=2 p50 interpolates" 15.0
-    (Stats.Series.percentile two 50.0);
-  Alcotest.(check (float 1e-9)) "n=2 p0" 10.0 (Stats.Series.percentile two 0.0);
-  Alcotest.(check (float 1e-9)) "n=2 p100" 20.0
-    (Stats.Series.percentile two 100.0);
-  Alcotest.(check (float 1e-9)) "n=2 p99 below max" 19.9
-    (Stats.Series.percentile two 99.0);
-  let one = of_list [ 7.0 ] in
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "n=1 p%.0f" p)
-        7.0
-        (Stats.Series.percentile one p))
-    [ 0.0; 50.0; 99.0; 100.0 ];
-  let three = of_list [ 30.0; 10.0; 20.0 ] in
-  Alcotest.(check (float 1e-9)) "n=3 p50 is the median" 20.0
-    (Stats.Series.percentile three 50.0);
-  Alcotest.(check (float 1e-9)) "n=3 p25" 15.0
-    (Stats.Series.percentile three 25.0);
-  Alcotest.(check (float 1e-9)) "n=3 p75" 25.0
-    (Stats.Series.percentile three 75.0)
-
-let test_series_empty_and_capacity_guard () =
-  let s = Stats.Series.create () in
-  Alcotest.(check (float 0.0)) "empty min" 0.0 (Stats.Series.min s);
-  Alcotest.(check (float 0.0)) "empty max" 0.0 (Stats.Series.max s);
-  Alcotest.(check (float 0.0)) "empty stddev" 0.0 (Stats.Series.stddev s);
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Stats.Series.create: capacity must be >= 1") (fun () ->
-      ignore (Stats.Series.create ~capacity:0 ()))
-
 (* --- Workload --- *)
 
 let test_workload_sizes () =
@@ -798,7 +686,6 @@ let () =
           Alcotest.test_case "in-flight count infinite bw" `Quick
             test_sim_counters_infinite_bw_in_flight;
           Alcotest.test_case "queue depth observable" `Quick test_sim_queue_depth_observable;
-          Alcotest.test_case "depth gauge drains" `Quick test_sim_depth_gauge_drains;
         ] );
       ( "topology",
         [
@@ -820,13 +707,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "series summary" `Quick test_series_summary;
-          Alcotest.test_case "series guards" `Quick test_series_guards;
-          Alcotest.test_case "reservoir cap" `Quick test_series_reservoir_cap;
-          Alcotest.test_case "tiny reservoir percentiles" `Quick
-            test_series_tiny_reservoir_percentiles;
-          Alcotest.test_case "empty + capacity guard" `Quick
-            test_series_empty_and_capacity_guard;
         ] );
       ( "workload",
         [

@@ -1,6 +1,7 @@
 (* Tests for the unified observability layer: the Dip_obs metrics
    registry and exporters, the engine span recorder (Dip_core.Obs),
-   the simulator mirror, and the program-cache eviction counter. *)
+   the simulator's registry as exporters absorb it, and the
+   program-cache eviction counter. *)
 
 open Dip_core
 module Metrics = Dip_obs.Metrics
@@ -70,22 +71,24 @@ let test_histogram_buckets () =
   let h = Metrics.histogram m "lat" in
   List.iter
     (Metrics.Histogram.observe h)
-    [ 0.25; 1.0; 3.0; 1000.0; -5.0 (* clamps to 0 *) ];
+    [ 0; 1; 3; 1000; -5 (* clamps to 0 *) ];
   Alcotest.(check int) "count" 5 (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 1004.25 (Metrics.Histogram.sum h);
-  Alcotest.(check (float 1e-9)) "max" 1000.0 (Metrics.Histogram.max_value h);
-  Alcotest.(check (float 1e-9)) "mean" (1004.25 /. 5.0) (Metrics.Histogram.mean h);
+  Alcotest.(check int) "sum" 1004 (Metrics.Histogram.sum h);
+  Alcotest.(check int) "max" 1000 (Metrics.Histogram.max_value h);
   let counts = Metrics.Histogram.bucket_counts h in
-  Alcotest.(check int) "bucket 0 (v < 1)" 2 counts.(0);
+  Alcotest.(check int) "bucket 0 (v = 0)" 2 counts.(0);
   Alcotest.(check int) "bucket 1 ([1,2))" 1 counts.(1);
   Alcotest.(check int) "bucket 2 ([2,4))" 1 counts.(2);
-  Alcotest.(check int) "bucket 10 ([512,1024))" 1 counts.(10)
+  Alcotest.(check int) "bucket 10 ([512,1024))" 1 counts.(10);
+  Metrics.Histogram.observe h max_int;
+  Alcotest.(check int) "last bucket takes the rest" 1
+    (Metrics.Histogram.bucket_counts h).(Metrics.Histogram.buckets - 1)
 
 let test_histogram_quantiles () =
   let m = Metrics.create () in
   let h = Metrics.histogram m "q" in
   Alcotest.(check (float 0.0)) "empty -> 0" 0.0 (Metrics.Histogram.quantile h 0.5);
-  List.iter (Metrics.Histogram.observe h) [ 2.0; 2.0; 2.0; 1000.0 ];
+  List.iter (Metrics.Histogram.observe h) [ 2; 2; 2; 1000 ];
   (* Estimates carry one-bucket (2x) resolution: the p50 of three 2s
      is reported as its bucket's upper bound. *)
   Alcotest.(check (float 1e-9)) "p50 bucket bound" 4.0
@@ -95,6 +98,21 @@ let test_histogram_quantiles () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Metrics.Histogram.quantile") (fun () ->
       ignore (Metrics.Histogram.quantile h 1.5))
+
+(* Recording is a store through a handle: the all-int histogram
+   boxes no float. *)
+let test_histogram_observe_alloc () =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  for v = 0 to 15 do
+    Metrics.Histogram.observe h v
+  done;
+  let w0 = Gc.minor_words () in
+  for v = 0 to 9_999 do
+    Metrics.Histogram.observe h (v * 977)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words for 10k observations" 0.0 words;
+  Alcotest.(check int) "all counted" 10_016 (Metrics.Histogram.count h)
 
 (* --- exporters --- *)
 
@@ -115,7 +133,7 @@ let sample_registry () =
   let g = Metrics.gauge m "q.depth" in
   Metrics.Gauge.set g 7;
   let h = Metrics.histogram m "lat.ns" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 3.0; 1000.0 ];
+  List.iter (Metrics.Histogram.observe h) [ 0; 3; 1000 ];
   m
 
 let test_export_prometheus () =
@@ -126,13 +144,13 @@ let test_export_prometheus () =
   check_contains "prom" out "# TYPE q_depth gauge";
   check_contains "prom" out "q_depth 7";
   check_contains "prom" out "# TYPE lat_ns histogram";
-  (* Cumulative buckets: 0.5 <= 1, 3.0 <= 4, 1000 <= 1024. *)
+  (* Cumulative buckets: 0 <= 1, 3 <= 4, 1000 <= 1024. *)
   check_contains "prom" out "lat_ns_bucket{le=\"1\"} 1";
   check_contains "prom" out "lat_ns_bucket{le=\"4\"} 2";
   check_contains "prom" out "lat_ns_bucket{le=\"1024\"} 3";
   check_contains "prom" out "lat_ns_bucket{le=\"+Inf\"} 3";
   check_contains "prom" out "lat_ns_count 3";
-  check_contains "prom" out "lat_ns_sum 1003.5"
+  check_contains "prom" out "lat_ns_sum 1003"
 
 let test_export_json_lines () =
   let out = Export.json_lines (sample_registry ()) in
@@ -272,39 +290,45 @@ let test_obs_create_validates () =
     (Invalid_argument "Obs.create: sample_every must be >= 1") (fun () ->
       ignore (Obs.create ~sample_every:0 (Metrics.create ())))
 
-(* --- simulator mirror --- *)
+(* --- the simulator's registry, absorbed --- *)
 
-let test_sim_attach_metrics () =
-  let m = Metrics.create () in
+(* The simulator counts each fact once, per node, in its own
+   registry; an exporter absorbs that registry into its own. *)
+let test_sim_counters_absorbed () =
   let sim = Dip_netsim.Sim.create () in
-  Dip_netsim.Sim.attach_metrics sim m;
   let fwd = Dip_netsim.Sim.add_node sim ~name:"fwd" (fun _ ~now:_ ~ingress:_ p ->
       [ Dip_netsim.Sim.Forward (1, p) ]) in
   let sink = Dip_netsim.Sim.add_node sim ~name:"sink" (fun _ ~now:_ ~ingress:_ _ ->
       [ Dip_netsim.Sim.Consume ]) in
-  let dropper = Dip_netsim.Sim.add_node sim ~name:"drop" (fun _ ~now:_ ~ingress:_ _ ->
+  let dropper = Dip_netsim.Sim.add_node sim ~name:"dropper" (fun _ ~now:_ ~ingress:_ _ ->
       [ Dip_netsim.Sim.Drop "policy" ]) in
   Dip_netsim.Sim.connect sim (fwd, 1) (sink, 0);
   let pkt () = Dip_bitbuf.Bitbuf.create 8 in
   Dip_netsim.Sim.inject sim ~at:0.0 ~node:fwd ~port:0 (pkt ());
   Dip_netsim.Sim.inject sim ~at:0.0 ~node:dropper ~port:0 (pkt ());
   Dip_netsim.Sim.run sim;
-  Alcotest.(check int) "tx" 1 (counted m "sim.tx");
-  Alcotest.(check int) "rx" 3 (counted m "sim.rx");
-  Alcotest.(check int) "consumed" 1 (counted m "sim.consumed");
-  Alcotest.(check int) "drop reason" 1 (counted m "sim.drop.policy");
+  let m = Metrics.create () in
+  Metrics.absorb m (Dip_netsim.Sim.counters sim);
+  Alcotest.(check (list int)) "rx per node" [ 1; 1; 1 ]
+    (List.map (counted m) [ "fwd.rx"; "sink.rx"; "dropper.rx" ]);
+  Alcotest.(check int) "tx" 1 (counted m "fwd.tx");
+  Alcotest.(check int) "consumed" 1 (counted m "sink.consumed");
+  Alcotest.(check int) "drop reason" 1 (counted m "dropper.drop.policy");
   Alcotest.(check int) "queue-depth samples" 1
     (hsnap m "sim.link.queue_depth").Metrics.count;
-  Alcotest.(check bool) "per-link gauge present" true
-    (List.exists
-       (fun (n, _, _) -> n = "sim.link.fwd.p1.queue_depth")
+  Alcotest.(check (list string)) "no aggregate or per-link series" []
+    (List.filter_map
+       (fun (n, _, _) ->
+         if String.starts_with ~prefix:"sim." n && n <> "sim.link.queue_depth"
+         then Some n
+         else None)
        (Metrics.snapshot m))
 
 (* Every exporter emits exactly the registry's name set: run a small
-   fat-tree of Engine routers with the simulator mirror, engine spans
-   and faults all reporting into one registry, absorb every router's
-   own counters into it, then read the names back out of each
-   rendering. *)
+   fat-tree of Engine routers under faults with engine spans
+   reporting into one registry, absorb the simulator's registry and
+   every router's own counters into it, then read the names back out
+   of each rendering. *)
 let test_exporters_same_names () =
   let module Sim = Dip_netsim.Sim in
   let module Topology = Dip_netsim.Topology in
@@ -312,7 +336,6 @@ let test_exporters_same_names () =
   let obs = Obs.create ~sample_every:1 m in
   let topo = Topology.fat_tree ~latency:1e-5 4 in
   let sim = Sim.create () in
-  Sim.attach_metrics sim m;
   let envs = ref [] in
   let ids =
     Topology.instantiate topo sim ~name:(Printf.sprintf "n%d")
@@ -328,6 +351,7 @@ let test_exporters_same_names () =
       (ipv4_pkt ())
   done;
   Sim.run sim;
+  Metrics.absorb m (Sim.counters sim);
   List.iter (fun env -> Metrics.absorb m env.Env.counters) !envs;
   let sorted l = List.sort_uniq String.compare l in
   let raw = sorted (List.map (fun (n, _, _) -> n) (Metrics.snapshot m)) in
@@ -335,8 +359,8 @@ let test_exporters_same_names () =
   Alcotest.(check bool) "simulator, engine, node and fault series present" true
     (List.for_all
        (fun n -> List.mem n raw)
-       [ "sim.rx"; "sim.fault.drop"; "engine.op.F_32_match.run"; "dip.forwarded";
-         "progcache.hit" ]);
+       [ "n0.rx"; "sim.link.queue_depth"; "sim.fault.drop"; "engine.op.F_32_match.run";
+         "dip.forwarded"; "progcache.hit" ]);
   let lines out = String.split_on_char '\n' out in
   let field_after prefix l =
     let n = String.length prefix in
@@ -363,7 +387,7 @@ let test_exporters_same_names () =
    custodians, under a fault spec, with a flight ring and an observer
    armed. Every flight event the program cache, custody and the fault
    layer record is named after a written counter of the exported
-   registry (the attached one, with every switch's own counters
+   registry (the simulator's and every switch's own counters,
    absorbed), and nothing registers the series the Env owns under a
    second name. *)
 let test_flight_names_are_counters () =
@@ -390,7 +414,6 @@ let test_flight_names_are_counters () =
   in
   let to_r = toward edge_r and to_s = toward edge_s in
   let sim = Sim.create () in
-  Sim.attach_metrics sim m;
   Sim.set_flight sim (Some ring);
   (* The receiver never ACKs custody, so the last custodian's sweep
      needs a deadline for the run to end. *)
@@ -409,7 +432,7 @@ let test_flight_names_are_counters () =
           Progcache.set_flight env.Env.prog_cache (Some ring);
           envs := env :: !envs;
           Custody.node
-            (Custody.add_router ~obs ~metrics:m ~flight:ring ~config sim ~registry
+            (Custody.add_router ~obs ~flight:ring ~config sim ~registry
                ~env ~name ~out_port:(to_r u) ())
         end)
   in
@@ -432,6 +455,7 @@ let test_flight_names_are_counters () =
     Reliable.send sender ~at:(5e-4 *. float_of_int j) ~payload:(Printf.sprintf "r%d" j)
   done;
   Sim.run sim;
+  Metrics.absorb m (Sim.counters sim);
   List.iter (fun env -> Metrics.absorb m env.Env.counters) !envs;
   let written = List.map fst (Metrics.written_counters m) in
   let layers = [ "progcache."; "custody."; "sim.fault." ] in
@@ -511,6 +535,11 @@ let () =
           Alcotest.test_case "histogram quantiles" `Quick
             test_histogram_quantiles;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Histogram.observe" `Quick
+            test_histogram_observe_alloc;
+        ] );
       ( "export",
         [
           Alcotest.test_case "prometheus" `Quick test_export_prometheus;
@@ -529,7 +558,7 @@ let () =
         ] );
       ( "sim",
         [
-          Alcotest.test_case "attach_metrics" `Quick test_sim_attach_metrics;
+          Alcotest.test_case "counters absorbed" `Quick test_sim_counters_absorbed;
           Alcotest.test_case "exporters emit the registry's names" `Quick
             test_exporters_same_names;
           Alcotest.test_case "flight events are named after counters" `Quick

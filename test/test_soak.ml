@@ -162,8 +162,10 @@ let test_soak_seeds_vary () =
    live heap after round 20 is the live heap after round 2, within
    64 KB. A per-delivery log kept by the simulator adds some 16 words
    for each of the 18 000 deliveries in between (283 547 words when
-   [Sim] kept one). *)
-let test_fat_tree_heap_flat () =
+   [Sim] kept one). With [drop] > 0 a fault layer drops that share of
+   every link's transmissions; a log of injected faults adds some 10
+   words for each of the thousands of drops in between. *)
+let fat_tree_heap_flat ~drop () =
   let topo = Topology.fat_tree ~latency:1e-5 ~bandwidth:1.25e7 4 in
   let n = topo.Topology.node_count in
   let is_host u = List.length (Topology.neighbors topo u) = 1 in
@@ -188,6 +190,8 @@ let test_fat_tree_heap_flat () =
   in
   let delivered = ref 0 in
   Sim.on_consume sim (fun _ _ _ -> incr delivered);
+  let faults = Dip_netsim.Faults.attach ~seed:22L sim in
+  Dip_netsim.Faults.all_links faults (Dip_netsim.Faults.spec ~drop ());
   let g = Dip_stdext.Prng.create 21L in
   let per_round = 1_000 in
   let pairs =
@@ -219,8 +223,13 @@ let test_fat_tree_heap_flat () =
   done;
   let after20 = live () in
   (* The network must stay reachable through both measurements. *)
-  ignore (Sys.opaque_identity (sim, envs));
-  Alcotest.(check int) "every packet delivered" (20 * per_round) !delivered;
+  ignore (Sys.opaque_identity (sim, envs, faults));
+  let dropped =
+    Option.value ~default:0 (List.assoc_opt "drop" (Dip_netsim.Faults.counts faults))
+  in
+  Alcotest.(check bool) "faults dropped packets iff enabled" (drop > 0.0) (dropped > 0);
+  Alcotest.(check int) "every packet delivered or dropped" (20 * per_round)
+    (!delivered + dropped);
   if abs (after20 - after2) > 8192 then
     Alcotest.failf "live heap moved by %d words from round 2 to round 20 (%d -> %d)"
       (after20 - after2) after2 after20
@@ -235,5 +244,10 @@ let () =
           Alcotest.test_case "seed sweep" `Quick test_soak_seeds_vary;
         ] );
       ( "memory",
-        [ Alcotest.test_case "fat-tree live heap flat over 20 rounds" `Quick test_fat_tree_heap_flat ] );
+        [
+          Alcotest.test_case "fat-tree live heap flat over 20 rounds" `Quick
+            (fat_tree_heap_flat ~drop:0.0);
+          Alcotest.test_case "lossy fat-tree live heap flat over 20 rounds" `Quick
+            (fat_tree_heap_flat ~drop:0.05);
+        ] );
     ]
