@@ -375,12 +375,52 @@ module Reliable = struct
       in_flight = Hashtbl.length s.pending;
     }
 
+  (* Every first delivery is kept for the receiver's life, so it is
+     kept unboxed: [seen] is an open-addressing set of the sequences
+     accepted (linear probing, at most half full, [vacant] in a free
+     slot), and [seqs]/[times] hold the (seq, time) pairs in delivery
+     order, [count] long. All three grow with deliveries; a sequence
+     read off the wire sizes nothing. *)
   type receiver = {
-    seen : (int32, unit) Hashtbl.t;
-    mutable deliveries : (int32 * float) list; (* reversed *)
+    mutable seen : int array;
+    mutable seqs : int array;
+    mutable times : float array;
+    mutable count : int;
     mutable r_dups : int;
     mutable r_rejected : int;
   }
+
+  (* [Int32.to_int] never yields it. *)
+  let vacant = min_int
+
+  (* The slot holding [k] in [seen], or the vacant slot it would take. *)
+  let slot seen k =
+    let mask = Array.length seen - 1 in
+    let rec probe i =
+      if seen.(i) = k || seen.(i) = vacant then i else probe ((i + 1) land mask)
+    in
+    probe (Hashtbl.hash k land mask)
+
+  let accepted r seq = r.count > 0 && r.seen.(slot r.seen seq) = seq
+
+  let accept r seq now =
+    if 2 * (r.count + 1) > Array.length r.seen then begin
+      let seen = Array.make (max 16 (2 * Array.length r.seen)) vacant in
+      Array.iter (fun k -> if k <> vacant then seen.(slot seen k) <- k) r.seen;
+      r.seen <- seen
+    end;
+    r.seen.(slot r.seen seq) <- seq;
+    if r.count = Array.length r.seqs then begin
+      let n = max 16 (2 * r.count) in
+      let seqs = Array.make n 0 and times = Array.make n 0.0 in
+      Array.blit r.seqs 0 seqs 0 r.count;
+      Array.blit r.times 0 times 0 r.count;
+      r.seqs <- seqs;
+      r.times <- times
+    end;
+    r.seqs.(r.count) <- seq;
+    r.times.(r.count) <- now;
+    r.count <- r.count + 1
 
   let receiver_handler r _sim ~now ~ingress packet =
     match classify packet with
@@ -403,13 +443,13 @@ module Reliable = struct
               ]
           | None -> [ Sim.Forward (ingress, ack) ]
         in
-        if Hashtbl.mem r.seen frame.seq then begin
+        let seq = Int32.to_int frame.seq in
+        if accepted r seq then begin
           r.r_dups <- r.r_dups + 1;
           acks @ [ Sim.Drop "reliable-duplicate" ]
         end
         else begin
-          Hashtbl.replace r.seen frame.seq ();
-          r.deliveries <- (frame.seq, now) :: r.deliveries;
+          accept r seq now;
           acks @ [ Sim.Consume ]
         end
     | `Corrupt ->
@@ -420,15 +460,22 @@ module Reliable = struct
 
   let add_receiver sim ~name =
     let r =
-      { seen = Hashtbl.create 64; deliveries = []; r_dups = 0; r_rejected = 0 }
+      {
+        seen = [||];
+        seqs = [||];
+        times = [||];
+        count = 0;
+        r_dups = 0;
+        r_rejected = 0;
+      }
     in
     let node = Sim.add_node sim ~name (fun sim ~now ~ingress packet ->
         receiver_handler r sim ~now ~ingress packet)
     in
     (r, node)
 
-  let deliveries r = List.rev r.deliveries
-  let delivered r = Hashtbl.length r.seen
+  let deliveries r = List.init r.count (fun i -> (Int32.of_int r.seqs.(i), r.times.(i)))
+  let delivered r = r.count
   let duplicates r = r.r_dups
   let rejected r = r.r_rejected
 end

@@ -35,14 +35,14 @@ let create ~filler =
 let size t = t.len
 let is_empty t = t.len = 0
 
-(* Drop every array, so a drained queue holds nothing between bursts. *)
 let release t =
-  t.times <- [||];
-  t.seqs <- [||];
-  t.slots <- [||];
-  t.payloads <- [||];
-  t.free <- [||];
-  t.len <- 0
+  if t.len = 0 then begin
+    t.times <- [||];
+    t.seqs <- [||];
+    t.slots <- [||];
+    t.payloads <- [||];
+    t.free <- [||]
+  end
 
 (* Called when every slot is live (the free stack is empty): double
    the capacity and stack the new slots, lowest on top. *)
@@ -115,6 +115,11 @@ let sift_down_last t =
   t.seqs.(!i) <- seq;
   t.slots.(!i) <- slot
 
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
 let push t ~time payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.push: time must be finite";
@@ -122,8 +127,7 @@ let push t ~time payload =
   if t.len = Array.length t.times then grow t;
   let slot = t.free.(Array.length t.times - t.len - 1) in
   t.payloads.(slot) <- payload;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+  let seq = reserve_seq t in
   t.len <- t.len + 1;
   sift_up t (t.len - 1) ~time ~seq ~slot
 
@@ -133,6 +137,10 @@ let check_nonempty t fn =
 let min_time t =
   check_nonempty t "min_time";
   t.times.(0)
+
+let min_seq t =
+  check_nonempty t "min_seq";
+  t.seqs.(0)
 
 let min_payload t =
   check_nonempty t "min_payload";
@@ -144,7 +152,7 @@ let drop_min t =
   t.payloads.(slot) <- t.filler;
   t.free.(Array.length t.times - t.len) <- slot;
   t.len <- t.len - 1;
-  if t.len = 0 then release t else sift_down_last t
+  if t.len > 0 then sift_down_last t
 
 let vacant_slots_cleared t =
   let live = Array.make (Array.length t.payloads) false in

@@ -16,12 +16,15 @@
 
     {b Allocation.} Once the queue has reached its working capacity,
     {!push} and {!drop_min} allocate nothing. The arrays double when
-    full; when the queue drains to empty they are released, so an idle
-    queue holds no storage.
+    full and stay at that size while the queue runs empty and refills,
+    so a queue that keeps draining and refilling (one packet in flight)
+    does not regrow them each time. {!release} drops them; the
+    simulator calls it when a run returns with the queue empty.
 
     {b Reading the head.} The run loop reads the earliest event with
     {!min_time} and {!min_payload}, then removes it with {!drop_min};
-    none of them builds an option or a tuple. *)
+    none of them builds an option or a tuple. {!min_seq} reads the
+    head's insertion sequence number, the tie-break half of its key. *)
 
 type 'a t
 
@@ -35,6 +38,12 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule an event. [time] must be finite and non-negative. *)
 
+val reserve_seq : 'a t -> int
+(** Take the next insertion sequence number without pushing an event.
+    A key [(time, reserve_seq q)] orders against the queued events
+    exactly as a {!push} made at that moment would: the simulator keys
+    a link's departures this way without queueing them. *)
+
 val min_time : 'a t -> float
 (** Time of the earliest event. Raises [Invalid_argument] if the queue
     is empty. *)
@@ -43,9 +52,18 @@ val min_payload : 'a t -> 'a
 (** Payload of the earliest event. Raises [Invalid_argument] if the
     queue is empty. *)
 
+val min_seq : 'a t -> int
+(** Insertion sequence number of the earliest event. Raises
+    [Invalid_argument] if the queue is empty. *)
+
 val drop_min : 'a t -> unit
 (** Remove the earliest event. Raises [Invalid_argument] if the queue
     is empty. *)
+
+val release : 'a t -> unit
+(** Drop an empty queue's arrays, so an idle queue holds no storage;
+    a non-empty queue is left as it is. The sequence counter is kept:
+    keys stay ordered across a release. *)
 
 val vacant_slots_cleared : 'a t -> bool
 (** [true] iff every payload slot not referenced by a live event holds

@@ -17,9 +17,6 @@ type event =
       (* recycled through [t.spare] once popped: a transmit reuses a
          spent arrival instead of allocating one *)
   | Timer of (t -> unit)
-  (* A packet finishes serializing onto the link: its queue slot
-     frees. *)
-  | Depart of link_end
 
 and wire = { mutable busy_until : float }
 
@@ -54,9 +51,15 @@ and link_end = {
      frees, in a float-only record so the per-transmit store is
      unboxed. *)
   wire : wire;
-  (* This direction's departure event, made once: a transmit pushes
-     it instead of allocating one. *)
-  depart : event;
+  (* This direction's pending departures, oldest first: a ring of
+     [queued] (time, seq) keys from [dhead], power-of-two sized. The
+     seq is reserved from the event queue's counter at transmit, so a
+     key orders against events exactly as a departure event pushed
+     then would. A departure is not an event: it is retired when a
+     reader of [queued] runs at a later key (see [retire]). *)
+  mutable dtimes : float array;
+  mutable dseqs : int array;
+  mutable dhead : int;
   mutable queued : int;
 }
 
@@ -67,6 +70,9 @@ and t = {
   stats : Dip_obs.Metrics.t;
   qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
   mutable clock : float;
+  (* The insertion sequence number of the event in progress: with
+     [clock], the key before which a link's departures are over. *)
+  mutable seq : int;
   mutable consume_hooks : (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) list;
   (* Consulted on every transmission over a wired link; lets a fault
      layer drop / mangle / duplicate / delay packets without the
@@ -103,6 +109,7 @@ let create () =
       Dip_obs.Metrics.histogram stats "sim.link.queue_depth"
         ~help:"egress queue depth observed at each enqueue";
     clock = 0.0;
+    seq = 0;
     consume_hooks = [];
     egress_hook = None;
     flight = None;
@@ -174,17 +181,53 @@ let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
       Array.blit node.ports 0 ports 0 n;
       node.ports <- ports
     end;
-    let rec l =
-      { from; latency; bandwidth; capacity = queue_capacity; peer;
-        wire = { busy_until = 0.0 }; depart = Depart l; queued = 0 }
-    in
-    node.ports.(port) <- Some l
+    node.ports.(port) <-
+      Some
+        { from; latency; bandwidth; capacity = queue_capacity; peer;
+          wire = { busy_until = 0.0 }; dtimes = [||]; dseqs = [||]; dhead = 0;
+          queued = 0 }
   in
   wire (a, pa) (b, pb);
   wire (b, pb) (a, pa)
 
+(* The oldest departure is over: its queue slot frees. *)
+let drop_departure l =
+  l.dhead <- (l.dhead + 1) land (Array.length l.dtimes - 1);
+  l.queued <- l.queued - 1
+
+(* Free the queue slots of the departures ordered before the event in
+   progress, key [(t.clock, t.seq)] — those an event-per-departure
+   loop would have popped by now. A departure at the current instant
+   keeps its slot for events queued before its transmit. *)
+let retire t l =
+  let fin = ref false in
+  while (not !fin) && l.queued > 0 do
+    let d = l.dtimes.(l.dhead) in
+    if d < t.clock || (d = t.clock && l.dseqs.(l.dhead) < t.seq) then
+      drop_departure l
+    else fin := true
+  done
+
+(* Called when the ring is full: double it, oldest entry first. *)
+let grow_departures l =
+  let n = Array.length l.dtimes in
+  let ncap = max 8 (2 * n) in
+  let times = Array.make ncap 0.0 and seqs = Array.make ncap 0 in
+  for k = 0 to l.queued - 1 do
+    let j = (l.dhead + k) land (n - 1) in
+    times.(k) <- l.dtimes.(j);
+    seqs.(k) <- l.dseqs.(j)
+  done;
+  l.dtimes <- times;
+  l.dseqs <- seqs;
+  l.dhead <- 0
+
 let queue_depth t id port =
-  match link t id port with Some l -> l.queued | None -> 0
+  match link t id port with
+  | Some l ->
+      retire t l;
+      l.queued
+  | None -> 0
 
 let neighbor t id port =
   match link t id port with Some l -> Some l.peer | None -> None
@@ -201,7 +244,7 @@ let arrival t node port packet =
         a.node <- node;
         a.port <- port;
         a.packet <- packet
-    | Timer _ | Depart _ -> assert false);
+    | Timer _ -> assert false);
     ev
   end
 
@@ -212,7 +255,7 @@ let recycle t ev =
       a.packet <- no_packet;
       t.spare.(t.nspare) <- ev;
       t.nspare <- t.nspare + 1
-  | Arrival _ | Timer _ | Depart _ -> ()
+  | Arrival _ | Timer _ -> ()
 
 (* An event queued before the current instant would run after events
    later than it and set the clock back. *)
@@ -246,6 +289,7 @@ let node_handler t id =
   t.nodes.(id).handler
 
 let transmit_on t node l ~extra_delay packet =
+  retire t l;
   if l.queued >= l.capacity then count_drop node "queue-overflow"
   else begin
     Dip_obs.Metrics.Counter.incr node.counts.tx;
@@ -261,9 +305,12 @@ let transmit_on t node l ~extra_delay packet =
     let start = Float.max t.clock l.wire.busy_until in
     let departure = start +. tx_time in
     l.wire.busy_until <- departure;
+    if l.queued = Array.length l.dtimes then grow_departures l;
+    let i = (l.dhead + l.queued) land (Array.length l.dtimes - 1) in
+    l.dtimes.(i) <- departure;
+    l.dseqs.(i) <- Event_queue.reserve_seq t.queue;
     l.queued <- l.queued + 1;
     Dip_obs.Metrics.Histogram.observe t.qdepth l.queued;
-    Event_queue.push t.queue ~time:departure l.depart;
     (* [extra_delay] models fault-layer jitter: it delays propagation
        of this one packet without holding the egress queue slot, so a
        delayed packet can be overtaken (reordering). *)
@@ -306,6 +353,33 @@ let apply_arrival t ~time id packet actions =
   Dip_obs.Metrics.Counter.incr node.counts.rx;
   apply_actions t id node packet actions
 
+(* The run returns: bring every link to where an event-per-departure
+   loop would have left it. Drained, every departure has been passed
+   by its own arrival, so all are retired, and the rings and the event
+   queue drop their storage. Stopped at [until], the departures at or
+   before [until] are retired, and the clock moves to the last of them
+   when it is later than the last event: that loop would have popped
+   it last. *)
+let settle t ~until =
+  let drained = Event_queue.is_empty t.queue in
+  Event_queue.release t.queue;
+  for id = 0 to t.nnodes - 1 do
+    Array.iter
+      (function
+        | None -> ()
+        | Some l when drained ->
+            l.dtimes <- [||];
+            l.dseqs <- [||];
+            l.dhead <- 0;
+            l.queued <- 0
+        | Some l ->
+            while l.queued > 0 && l.dtimes.(l.dhead) <= until do
+              if l.dtimes.(l.dhead) > t.clock then t.clock <- l.dtimes.(l.dhead);
+              drop_departure l
+            done)
+      t.nodes.(id).ports
+  done
+
 type batch_item = {
   b_node : node_id;
   b_port : port;
@@ -323,9 +397,12 @@ type batch_item = {
 let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
   if window < 0.0 then invalid_arg "Sim.run_batched: negative window";
   (* The pending batch, newest first, plus the time of its oldest
-     member (the window anchor). *)
+     member (the window anchor). [seqs.(i)] is the insertion sequence
+     number of the batch's [i]th arrival: applied, it is the event in
+     progress that the links' departures are retired against. *)
   let pending = ref [] in
   let npending = ref 0 in
+  let seqs = ref [||] in
   let anchor = ref 0.0 in
   (* Window sequence number, for correlating the submit instant with
      the apply span on the flight timeline. *)
@@ -348,6 +425,7 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
     in
     Array.iteri
       (fun i item ->
+        t.seq <- !seqs.(i);
         apply_arrival t ~time:item.b_time item.b_node item.b_packet
           results.(i))
       arr;
@@ -372,6 +450,12 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
         match Event_queue.min_payload q with
         | Arrival a as ev
           when batchable a.node && (!npending = 0 || time <= !anchor +. window) ->
+            if !npending = Array.length !seqs then begin
+              let grown = Array.make (max 8 (2 * !npending)) 0 in
+              Array.blit !seqs 0 grown 0 !npending;
+              seqs := grown
+            end;
+            !seqs.(!npending) <- Event_queue.min_seq q;
             Event_queue.drop_min q;
             if !npending = 0 then anchor := time;
             pending :=
@@ -388,6 +472,7 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
             flush ();
             loop ()
         | ev ->
+            t.seq <- Event_queue.min_seq q;
             Event_queue.drop_min q;
             if time <> t.clock then t.clock <- time;
             (match ev with
@@ -396,8 +481,7 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
                 recycle t ev;
                 apply_arrival t ~time:t.clock id packet
                   (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
-            | Timer f -> f t
-            | Depart l -> l.queued <- l.queued - 1);
+            | Timer f -> f t);
             loop ()
   (* The window also closes at the end of the run: the tail's effects
      may schedule events at or before [until]. *)
@@ -406,6 +490,7 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
       flush ();
       loop ()
     end
+    else settle t ~until
   in
   loop ()
 

@@ -62,7 +62,9 @@ val connect :
     and the in-flight count apply to infinite-bandwidth links too: a
     packet occupies its queue slot from transmit until its departure
     instant (zero serialization time, but same-instant bursts still
-    accumulate depth and can overflow).
+    accumulate depth and can overflow). At the departure instant
+    itself the slot is taken for events queued before the transmit
+    and free for events queued after it.
 
     Ports are numbered from 0: each node keeps its links in an array
     indexed by port, grown to the highest port wired, so keep port
@@ -94,7 +96,10 @@ val now : t -> float
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or the clock
-    passes [until]. There is one event loop: [run] is
+    passes [until]. A run stopped at [until] leaves every link as if
+    each departure at or before [until] had been an event: their
+    slots are free, and the clock is at the latest of them when that
+    is later than the last event. There is one event loop: [run] is
     {!run_batched} with no batchable node, so every arrival goes
     through its node's handler the moment it is popped. *)
 
@@ -123,9 +128,11 @@ val run_batched :
     so the schedule (and hence delivery counts and counters) is a
     function of [window] and the workload only, never of how many
     domains [exec] used. Timer events and arrivals at non-batchable
-    nodes close the pending batch and run normally. [exec] must
-    return exactly one action list per item; it must not touch the
-    simulator. *)
+    nodes close the pending batch and run normally. Departures are
+    not events — each link keeps its own FIFO of departure keys,
+    retired when its depth is read — so they never close a window.
+    [exec] must return exactly one action list per item; it must not
+    touch the simulator. *)
 
 val counters : t -> Stats.Counters.t
 (** The simulator's registry, where it counts each fact once. Per

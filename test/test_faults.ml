@@ -359,6 +359,33 @@ let test_custody_survives_lossy_acks () =
     r.Chaos.delivered;
   Alcotest.(check int) "no copies stranded" 0 (List.assoc "held" r.Chaos.custody)
 
+(* The receiver keeps every first delivery for its life, unboxed: a
+   duplicate of each of 300 bundles is re-ACKed, not redelivered, the
+   deliveries come back in delivery order, and the whole record costs
+   at most 10 words per bundle (a boxed table and (seq, time) list
+   cost about 16). *)
+let test_receiver_record () =
+  let sim, sender, recv = reliable_pair () in
+  let faults = Faults.attach ~seed:4L sim in
+  Faults.all_links faults (Faults.spec ~duplicate:1.0 ());
+  let n = 300 in
+  for i = 0 to n - 1 do
+    Reliable.send sender ~at:(1e-3 *. float_of_int i) ~payload:(string_of_int i)
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "every bundle delivered once" n (Reliable.delivered recv);
+  Alcotest.(check bool) "duplicates counted" true (Reliable.duplicates recv >= n);
+  let d = Reliable.deliveries recv in
+  Alcotest.(check int) "one record per bundle" n
+    (List.length (List.sort_uniq compare (List.map fst d)));
+  Alcotest.(check bool) "in delivery order" true
+    (List.for_all2 (fun (_, a) (_, b) -> a <= b)
+       (List.filteri (fun i _ -> i < n - 1) d) (List.tl d));
+  let words = Obj.reachable_words (Obj.repr recv) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d bundles" words n)
+    true (words <= 10 * n)
+
 let () =
   Alcotest.run "faults"
     [
@@ -390,6 +417,7 @@ let () =
           Alcotest.test_case "rto_max clamps backoff" `Quick
             test_rto_max_clamps_backoff;
           Alcotest.test_case "rto_max validated" `Quick test_rto_max_validated;
+          Alcotest.test_case "receiver record compact" `Quick test_receiver_record;
         ] );
       ( "custody",
         [

@@ -113,7 +113,7 @@ let prop_eq_fifo_ties_and_cleared_slots =
    from a tiny range so ties abound, against a list kept sorted by
    (time, insertion order). After every operation the head and size
    agree with the model and no vacant slot holds a payload; once
-   drained, nothing the queue can reach is a payload. *)
+   drained and released, nothing the queue can reach is a payload. *)
 let prop_eq_model =
   QCheck.Test.make ~name:"model: push/pop interleavings match a sorted list"
     ~count:300
@@ -159,6 +159,7 @@ let prop_eq_model =
           | None -> expect false)
         !model;
       expect (Event_queue.is_empty q);
+      Event_queue.release q;
       expect
         (Obj.reachable_words (Obj.repr q)
         = Obj.reachable_words (Obj.repr (Event_queue.create ~filler)));
@@ -188,6 +189,22 @@ let test_eq_push_drop_no_alloc () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.0)) "minor words for 10k push/drop pairs" 0.0 words;
   Alcotest.(check int) "size held" 15 (Event_queue.size q)
+
+(* A reserved seq is the one a push at that moment would have taken:
+   the next push skips it, and the head reports its own. [release]
+   leaves a non-empty queue as it is. *)
+let test_eq_reserve_seq () =
+  let q = Event_queue.create ~filler:"" in
+  Event_queue.push q ~time:1.0 "a";
+  let r = Event_queue.reserve_seq q in
+  Event_queue.push q ~time:1.0 "b";
+  Alcotest.(check int) "head seq" (r - 1) (Event_queue.min_seq q);
+  Event_queue.release q;
+  Event_queue.drop_min q;
+  Alcotest.(check int) "next push took the following seq" (r + 1)
+    (Event_queue.min_seq q);
+  Alcotest.(check string) "release kept the live event" "b"
+    (Event_queue.min_payload q)
 
 (* --- Sim core --- *)
 
@@ -449,6 +466,174 @@ let test_sim_queue_depth_observable () =
     true (!observed >= 3);
   Alcotest.(check int) "drains to zero" 0 (Sim.queue_depth sim r 1)
 
+(* --- Departures: a link's FIFO of (time, seq) keys --- *)
+
+(* On an infinite-bandwidth link a packet departs at the instant it is
+   sent. A timer queued before that transmit, at the same instant,
+   still sees the packet's slot taken; a timer queued after it sees it
+   free — the tie-break of an event-per-departure loop. *)
+let test_departure_tie_order () =
+  let sim = Sim.create () in
+  let r = Sim.add_node sim ~name:"r" relay_handler in
+  let b = Sim.add_node sim ~name:"b" consume_handler in
+  Sim.connect sim ~latency:1e-3 (r, 1) (b, 0);
+  Sim.inject sim ~at:1.0 ~node:r ~port:0 (packet "x");
+  let before = ref (-1) and after = ref (-1) in
+  Sim.schedule sim ~at:1.0 (fun s ->
+      before := Sim.queue_depth s r 1;
+      Sim.schedule s ~at:1.0 (fun s -> after := Sim.queue_depth s r 1));
+  Sim.run sim;
+  Alcotest.(check int) "timer queued before the transmit" 1 !before;
+  Alcotest.(check int) "timer queued after the transmit" 0 !after
+
+(* A 100-byte packet on a 1000 B/s link with 1 s of latency departs at
+   0.1 and arrives at 1.1. A run stopped between the two leaves the
+   clock at the departure and the slot free, as a loop that popped a
+   departure event would. *)
+let test_departure_run_until () =
+  let sim = Sim.create () in
+  let delivered = Deliveries.record sim in
+  let r = Sim.add_node sim ~name:"r" relay_handler in
+  let b = Sim.add_node sim ~name:"b" consume_handler in
+  Sim.connect sim ~latency:1.0 ~bandwidth:1000.0 (r, 1) (b, 0);
+  Sim.inject sim ~at:0.0 ~node:r ~port:0 (Bitbuf.create 100);
+  Sim.run ~until:0.05 sim;
+  Alcotest.(check (float 0.0)) "before the departure: clock" 0.0 (Sim.now sim);
+  Alcotest.(check int) "before the departure: serializing" 1
+    (Sim.queue_depth sim r 1);
+  Sim.run ~until:0.5 sim;
+  Alcotest.(check (float 0.0)) "after the departure: clock" 0.1 (Sim.now sim);
+  Alcotest.(check int) "after the departure: slot free" 0 (Sim.queue_depth sim r 1);
+  Alcotest.(check int) "not yet delivered" 0 (List.length (delivered ()));
+  Sim.run sim;
+  Alcotest.(check (float 0.0)) "drained: clock at the arrival" 1.1 (Sim.now sim);
+  Alcotest.(check int) "delivered" 1 (List.length (delivered ()))
+
+(* The simulator on a Sim_ref scenario, observed as the reference
+   loop observes itself. *)
+let run_scenario (s : Sim_ref.scenario) =
+  let sim = Sim.create () in
+  let deliveries = ref [] in
+  Sim.on_consume sim (fun node time pkt ->
+      deliveries := (node, time, Bitbuf.get_uint16 pkt 0) :: !deliveries);
+  let handler node _sim ~now:_ ~ingress pkt =
+    match Sim_ref.route ~node ~ingress ~size:(Bitbuf.length pkt) with
+    | [] -> [ Sim.Consume ]
+    | ports -> List.map (fun p -> Sim.Forward (p, pkt)) ports
+  in
+  let ids = List.init 3 (fun i -> Sim.add_node sim ~name:(Printf.sprintf "n%d" i) (handler i)) in
+  let connect (l : Sim_ref.link) a b =
+    Sim.connect sim ~latency:l.latency ~bandwidth:l.bandwidth
+      ~queue_capacity:l.capacity a b
+  in
+  connect (fst s.links) (0, 1) (1, 0);
+  connect (snd s.links) (1, 1) (2, 0);
+  List.iteri
+    (fun id (at, node, port, size) ->
+      let pkt = Bitbuf.create size in
+      Bitbuf.set_uint16 pkt 0 id;
+      Sim.inject sim ~at ~node:(List.nth ids node) ~port pkt)
+    s.injects;
+  let depths () = List.map (fun (n, p) -> Sim.queue_depth sim n p) Sim_ref.ends in
+  let probes = ref [] in
+  List.iter
+    (fun at ->
+      Sim.schedule sim ~at (fun sim ->
+          probes := (Sim.now sim, 1, depths ()) :: !probes;
+          Sim.schedule sim ~at:(Sim.now sim) (fun sim ->
+              probes := (Sim.now sim, 2, depths ()) :: !probes)))
+    s.probes;
+  let at_until =
+    Option.map
+      (fun until ->
+        Sim.run ~until sim;
+        (Sim.now sim, depths ()))
+      s.until
+  in
+  Sim.run sim;
+  {
+    Sim_ref.probes = List.rev !probes;
+    deliveries = List.rev !deliveries;
+    overflows =
+      List.init 3 (fun i ->
+          Stats.Counters.get (Sim.counters sim)
+            (Printf.sprintf "n%d.drop.queue-overflow" i));
+    at_until;
+    final_clock = Sim.now sim;
+  }
+
+(* Times on a quarter-second grid, sizes of 2-6 bytes and bandwidths
+   of 1-8 B/s: every departure lands on the grid, so bursts tie,
+   probes fall on departure instants and [until] can stop exactly at
+   one. *)
+let gen_scenario =
+  let open QCheck.Gen in
+  let grid n = map (fun k -> 0.25 *. float_of_int k) (int_bound n) in
+  let link =
+    map3
+      (fun latency bandwidth capacity -> { Sim_ref.latency; bandwidth; capacity })
+      (oneofl [ 0.0; 0.25; 1.0; 1.5 ])
+      (oneofl [ Float.infinity; 1.0; 2.0; 4.0; 8.0 ])
+      (oneofl [ 1; 2; 3; max_int ])
+  in
+  let inject =
+    map3
+      (fun at (node, port) size -> (at, node, port, size))
+      (grid 16)
+      (oneofl [ (0, 0); (1, 0); (2, 1); (1, 1) ])
+      (int_range 2 6)
+  in
+  map4
+    (fun links injects probes until -> { Sim_ref.links; injects; probes; until })
+    (pair link link)
+    (list_size (int_range 1 24) inject)
+    (list_size (int_bound 12) (grid 40))
+    (opt (grid 40))
+
+let print_scenario (s : Sim_ref.scenario) =
+  let link (l : Sim_ref.link) =
+    Printf.sprintf "{lat %g; bw %g; cap %d}" l.latency l.bandwidth l.capacity
+  in
+  Printf.sprintf "links %s %s; injects [%s]; probes [%s]; until %s"
+    (link (fst s.links)) (link (snd s.links))
+    (String.concat "; "
+       (List.map
+          (fun (at, n, p, size) -> Printf.sprintf "%g@n%d:%d/%dB" at n p size)
+          s.injects))
+    (String.concat "; " (List.map string_of_float s.probes))
+    (match s.until with None -> "-" | Some u -> string_of_float u)
+
+let prop_departures_match_reference =
+  QCheck.Test.make ~name:"FIFO departures = event-per-departure loop" ~count:500
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun s -> run_scenario s = Sim_ref.run s)
+
+(* --- Allocation --- *)
+
+(* One packet bouncing between two nodes: the event queue runs empty
+   at every arrival. The handler returns a prebuilt action list, so
+   what is counted is the simulator's own work per arrival. *)
+let test_ping_pong_alloc () =
+  let sim = Sim.create () in
+  let pkt = Bitbuf.create 64 in
+  let bounce = [ Sim.Forward (0, pkt) ] and stop = [ Sim.Consume ] in
+  let arrivals = ref 0 and limit = 20_000 in
+  let handler _sim ~now:_ ~ingress:_ _ =
+    incr arrivals;
+    if !arrivals < limit then bounce else stop
+  in
+  let a = Sim.add_node sim ~name:"a" handler in
+  let b = Sim.add_node sim ~name:"b" handler in
+  Sim.connect sim (a, 0) (b, 0);
+  Sim.inject sim ~at:0.0 ~node:a ~port:0 pkt;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let per_arrival = (Gc.minor_words () -. w0) /. float_of_int !arrivals in
+  Alcotest.(check int) "arrivals" limit !arrivals;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per arrival (at most 8)" per_arrival)
+    true (per_arrival <= 8.0)
+
 (* --- Topology --- *)
 
 let test_topo_linear () =
@@ -664,6 +849,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_eq_model;
           Alcotest.test_case "push/drop allocation-free" `Quick
             test_eq_push_drop_no_alloc;
+          Alcotest.test_case "reserve_seq and min_seq" `Quick test_eq_reserve_seq;
         ] );
       ( "sim",
         [
@@ -686,6 +872,18 @@ let () =
           Alcotest.test_case "in-flight count infinite bw" `Quick
             test_sim_counters_infinite_bw_in_flight;
           Alcotest.test_case "queue depth observable" `Quick test_sim_queue_depth_observable;
+        ] );
+      ( "departures",
+        [
+          Alcotest.test_case "tie order at the departure instant" `Quick
+            test_departure_tie_order;
+          Alcotest.test_case "run until between departure and arrival" `Quick
+            test_departure_run_until;
+          QCheck_alcotest.to_alcotest prop_departures_match_reference;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "one-packet ping-pong" `Quick test_ping_pong_alloc;
         ] );
       ( "topology",
         [
