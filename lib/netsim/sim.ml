@@ -14,11 +14,9 @@ type event =
       mutable port : port;
       mutable packet : Dip_bitbuf.Bitbuf.t;
     }
-      (* recycled through [t.spare] once popped: a transmit reuses a
-         spent arrival instead of allocating one *)
+      (* an injection, or a packet the egress hook delayed; recycled
+         through [t.spare] once popped, for the next one to reuse *)
   | Timer of (t -> unit)
-
-and wire = { mutable busy_until : float }
 
 and handler = t -> now:float -> ingress:port -> Dip_bitbuf.Bitbuf.t -> action list
 
@@ -47,26 +45,50 @@ and link_end = {
   bandwidth : float;
   capacity : int;
   peer : node_id * port;
-  (* Egress serialization state for this direction: when the wire
-     frees, in a float-only record so the per-transmit store is
-     unboxed. *)
-  wire : wire;
-  (* This direction's pending departures, oldest first: a ring of
-     [queued] (time, seq) keys from [dhead], power-of-two sized. The
-     seq is reserved from the event queue's counter at transmit, so a
-     key orders against events exactly as a departure event pushed
-     then would. A departure is not an event: it is retired when a
-     reader of [queued] runs at a later key (see [retire]). *)
-  mutable dtimes : float array;
-  mutable dseqs : int array;
+  (* This direction's transmissions, oldest first, from transmit until
+     both their departure and their arrival are over: a ring,
+     power-of-two sized, of departure keys — the time at [keys.(2i)]
+     and the seq at [keys.(2i + 1)], as a float (exact below 2^53) —
+     and the packets in flight. Positions count up from 0 and index
+     the ring modulo its size; the ring holds
+     [min ahead dhead .. tail - 1].
+
+     [dhead .. tail - 1] are the departures not yet retired: the
+     queue. A departure's seq is reserved from the event queue's
+     counter at transmit, so its key orders against events exactly as
+     a departure event pushed then would. A departure is not an event:
+     it is retired when a reader of the queue runs at a later key (see
+     [retire]).
+
+     [ahead] is the oldest entry whose packet has not arrived, or
+     [tail]. An arrival's key is its departure's time plus [latency]
+     and the seq after its departure's, reserved with it; departures
+     are in key order and the latency is constant, so the link is one
+     sorted stream of arrivals (see [busy]). A packet the egress hook
+     delays may be overtaken: its arrival is an event, and its entry
+     holds [no_packet] and only a departure. *)
+  mutable keys : float array;
+  mutable packets : Dip_bitbuf.Bitbuf.t array;
+  mutable ahead : int;
   mutable dhead : int;
-  mutable queued : int;
+  mutable tail : int;
 }
 
 and t = {
   mutable nodes : node array;
   mutable nnodes : int;
   queue : event Event_queue.t;
+  (* The time of the queue's head while the queue is not empty, in
+     the box [Event_queue.min_time] returned (or the pushed time that
+     became the head): the loop compares it with the busy links' head
+     without boxing it again. *)
+  mutable qtime : float;
+  (* The links with a packet in flight ([ahead < tail]), ordered by the
+     key of that packet's arrival, each link by its slot in
+     [busy_links]. A vacant slot may still name a link: links live as
+     long as the simulator. *)
+  busy : Event_queue.Keys.t;
+  mutable busy_links : link_end array;
   stats : Dip_obs.Metrics.t;
   qdepth : Dip_obs.Metrics.histogram; (* egress depth at each enqueue *)
   mutable clock : float;
@@ -94,9 +116,13 @@ let ev_window_submit = Dip_obs.Flight.register "sim.window.submit"
 let ev_window_apply =
   Dip_obs.Flight.register ~kind:Dip_obs.Flight.Span "sim.window.apply"
 
-(* In steady state every popped arrival is soon taken by the transmit
-   it causes, so the pool only has to absorb short-term swings. *)
+(* Arrival events are injections and delayed packets, which a run
+   pops as later ones are queued (a handler's inject or replay, a
+   faulty link's jitter), so the pool only has to absorb short-term
+   swings. *)
 let max_spare = 64
+
+let no_packet = Dip_bitbuf.Bitbuf.create 0
 
 let create () =
   let stats = Dip_obs.Metrics.create () in
@@ -104,6 +130,9 @@ let create () =
     nodes = [||];
     nnodes = 0;
     queue = Event_queue.create ~filler:(Timer ignore);
+    qtime = 0.0;
+    busy = Event_queue.Keys.create ();
+    busy_links = [||];
     stats;
     qdepth =
       Dip_obs.Metrics.histogram stats "sim.link.queue_depth"
@@ -162,7 +191,8 @@ let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
   check_node t a;
   check_node t b;
   if pa < 0 || pb < 0 then invalid_arg "Sim.connect: negative port";
-  if latency < 0.0 then invalid_arg "Sim.connect: negative latency";
+  if not (latency >= 0.0 && Float.is_finite latency) then
+    invalid_arg "Sim.connect: latency must be finite and non-negative";
   if bandwidth <= 0.0 then invalid_arg "Sim.connect: non-positive bandwidth";
   if queue_capacity < 1 then invalid_arg "Sim.connect: queue capacity";
   let check_free (id, port) =
@@ -183,56 +213,100 @@ let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
     end;
     node.ports.(port) <-
       Some
-        { from; latency; bandwidth; capacity = queue_capacity; peer;
-          wire = { busy_until = 0.0 }; dtimes = [||]; dseqs = [||]; dhead = 0;
-          queued = 0 }
+        { from; latency; bandwidth; capacity = queue_capacity; peer; keys = [||];
+          packets = [||]; ahead = 0; dhead = 0; tail = 0 }
   in
   wire (a, pa) (b, pb);
   wire (b, pb) (a, pa)
 
-(* The oldest departure is over: its queue slot frees. *)
-let drop_departure l =
-  l.dhead <- (l.dhead + 1) land (Array.length l.dtimes - 1);
-  l.queued <- l.queued - 1
+(* --- The busy links' heap --- *)
+
+module Keys = Event_queue.Keys
+
+(* Write the key of [l]'s next arrival into position [i], straight
+   from its ring, so the time is never boxed on the way. *)
+let busy_key (b : Keys.t) i l =
+  let j = l.ahead land (Array.length l.packets - 1) in
+  b.times.(i) <- l.keys.(2 * j) +. l.latency;
+  b.seqs.(i) <- int_of_float l.keys.((2 * j) + 1) + 1
+
+(* [l] has a packet in flight and is not in the heap: add it. *)
+let busy_push t l =
+  let b = t.busy in
+  if Keys.ensure b then t.busy_links <- Keys.fit b t.busy_links l;
+  busy_key b b.len l;
+  t.busy_links.(Keys.add b) <- l
+
+(* The root link's arrival was taken: re-key it by its next one, or
+   drop it from the heap when it has none. *)
+let busy_next t l =
+  if l.ahead < l.tail then begin
+    busy_key t.busy 0 l;
+    Keys.sift_down t.busy ~from:0
+  end
+  else Keys.remove_min t.busy
+
+(* --- A link's ring --- *)
+
+let ring_start l = if l.ahead < l.dhead then l.ahead else l.dhead
 
 (* Free the queue slots of the departures ordered before the event in
    progress, key [(t.clock, t.seq)] — those an event-per-departure
    loop would have popped by now. A departure at the current instant
    keeps its slot for events queued before its transmit. *)
 let retire t l =
+  let mask = Array.length l.packets - 1 and seq = Float.of_int t.seq in
   let fin = ref false in
-  while (not !fin) && l.queued > 0 do
-    let d = l.dtimes.(l.dhead) in
-    if d < t.clock || (d = t.clock && l.dseqs.(l.dhead) < t.seq) then
-      drop_departure l
+  while (not !fin) && l.dhead < l.tail do
+    let j = 2 * (l.dhead land mask) in
+    let d = l.keys.(j) in
+    if d < t.clock || (d = t.clock && l.keys.(j + 1) < seq) then
+      l.dhead <- l.dhead + 1
     else fin := true
   done
 
 (* Called when the ring is full: double it, oldest entry first. *)
-let grow_departures l =
-  let n = Array.length l.dtimes in
+let grow_ring l =
+  let n = Array.length l.packets and start = ring_start l in
   let ncap = max 8 (2 * n) in
-  let times = Array.make ncap 0.0 and seqs = Array.make ncap 0 in
-  for k = 0 to l.queued - 1 do
-    let j = (l.dhead + k) land (n - 1) in
-    times.(k) <- l.dtimes.(j);
-    seqs.(k) <- l.dseqs.(j)
+  let keys = Array.make (2 * ncap) 0.0 and packets = Array.make ncap no_packet in
+  for k = 0 to l.tail - start - 1 do
+    let j = (start + k) land (n - 1) in
+    keys.(2 * k) <- l.keys.(2 * j);
+    keys.((2 * k) + 1) <- l.keys.((2 * j) + 1);
+    packets.(k) <- l.packets.(j)
   done;
-  l.dtimes <- times;
-  l.dseqs <- seqs;
-  l.dhead <- 0
+  l.keys <- keys;
+  l.packets <- packets;
+  l.ahead <- l.ahead - start;
+  l.dhead <- l.dhead - start;
+  l.tail <- l.tail - start
+
+(* Take the packet at [l]'s arrival head, the busy heap's root, and
+   re-key the root. Its departure is left to [retire]: a batch takes
+   its arrivals before it applies the earlier ones, which must still
+   see that departure's slot taken if it is later than them. *)
+let take_arrival t l =
+  let mask = Array.length l.packets - 1 and k = l.ahead in
+  let packet = l.packets.(k land mask) in
+  l.packets.(k land mask) <- no_packet;
+  let k = ref (k + 1) in
+  while !k < l.tail && l.packets.(!k land mask) == no_packet do
+    incr k
+  done;
+  l.ahead <- !k;
+  busy_next t l;
+  packet
 
 let queue_depth t id port =
   match link t id port with
   | Some l ->
       retire t l;
-      l.queued
+      l.tail - l.dhead
   | None -> 0
 
 let neighbor t id port =
   match link t id port with Some l -> Some l.peer | None -> None
-
-let no_packet = Dip_bitbuf.Bitbuf.create 0
 
 let arrival t node port packet =
   if t.nspare = 0 then Arrival { node; port; packet }
@@ -257,6 +331,13 @@ let recycle t ev =
       t.nspare <- t.nspare + 1
   | Arrival _ | Timer _ -> ()
 
+(* Every push goes through here, to keep [t.qtime]: a pushed event
+   takes the newest seq, so it is the head only if it is earlier than
+   the old one. Not inlined, so [at] is boxed once, at the call. *)
+let[@inline never] enqueue t ~at ev =
+  Event_queue.push t.queue ~time:at ev;
+  if Event_queue.size t.queue = 1 || at < t.qtime then t.qtime <- at
+
 (* An event queued before the current instant would run after events
    later than it and set the clock back. *)
 let push_event t fn ~at ev =
@@ -264,7 +345,7 @@ let push_event t fn ~at ev =
     invalid_arg
       (Printf.sprintf "Sim.%s: time %g is before the current time %g" fn at
          t.clock);
-  Event_queue.push t.queue ~time:at ev
+  enqueue t ~at ev
 
 let inject t ~at ~node ~port packet =
   check_node t node;
@@ -290,34 +371,46 @@ let node_handler t id =
 
 let transmit_on t node l ~extra_delay packet =
   retire t l;
-  if l.queued >= l.capacity then count_drop node "queue-overflow"
+  if l.tail - l.dhead >= l.capacity then count_drop node "queue-overflow"
   else begin
     Dip_obs.Metrics.Counter.incr node.counts.tx;
     let size = float_of_int (Dip_bitbuf.Bitbuf.length packet) in
-    let dst, dport = l.peer in
-    (* Serialize behind whatever is already on the wire. An
-       infinite-bandwidth link serializes in zero time but still
-       occupies a queue slot until its departure instant, so the
-       capacity check above binds on both kinds of link. *)
+    (* Serialize behind whatever is already on the wire: the ring's
+       last departure, if it holds one; an empty ring's departures are
+       all over. An infinite-bandwidth link serializes in zero time
+       but still occupies a queue slot until its departure instant, so
+       the capacity check above binds on both kinds of link. *)
     let tx_time =
       if Float.is_finite l.bandwidth then size /. l.bandwidth else 0.0
     in
-    let start = Float.max t.clock l.wire.busy_until in
-    let departure = start +. tx_time in
-    l.wire.busy_until <- departure;
-    if l.queued = Array.length l.dtimes then grow_departures l;
-    let i = (l.dhead + l.queued) land (Array.length l.dtimes - 1) in
-    l.dtimes.(i) <- departure;
-    l.dseqs.(i) <- Event_queue.reserve_seq t.queue;
-    l.queued <- l.queued + 1;
-    Dip_obs.Metrics.Histogram.observe t.qdepth l.queued;
+    if l.tail - ring_start l = Array.length l.packets then grow_ring l;
+    let mask = Array.length l.packets - 1 in
+    let start =
+      if l.tail > ring_start l then
+        Float.max t.clock l.keys.(2 * ((l.tail - 1) land mask))
+      else t.clock
+    in
+    let k = l.tail and j = 2 * (l.tail land mask) in
+    l.keys.(j) <- start +. tx_time;
+    l.keys.(j + 1) <- Float.of_int (Event_queue.reserve_seq t.queue);
+    l.tail <- k + 1;
+    Dip_obs.Metrics.Histogram.observe t.qdepth (l.tail - l.dhead);
     (* [extra_delay] models fault-layer jitter: it delays propagation
        of this one packet without holding the egress queue slot, so a
-       delayed packet can be overtaken (reordering). *)
+       delayed packet can be overtaken (reordering) and its arrival is
+       an event. Otherwise the arrival is the ring's, under the seq
+       reserved next, as a push would take it. *)
     let delay = Float.max 0.0 extra_delay in
-    Event_queue.push t.queue
-      ~time:(departure +. l.latency +. delay)
-      (arrival t dst dport packet)
+    if delay = 0.0 then begin
+      ignore (Event_queue.reserve_seq t.queue);
+      l.packets.(k land mask) <- packet;
+      if l.ahead = k then busy_push t l
+    end
+    else begin
+      if l.ahead = k then l.ahead <- k + 1;
+      let dst, dport = l.peer in
+      enqueue t ~at:(l.keys.(j) +. l.latency +. delay) (arrival t dst dport packet)
+    end
   end
 
 let transmit t node port packet =
@@ -335,7 +428,8 @@ let transmit t node port packet =
 
 (* One arrival's effects, whoever computed its actions (the node's
    handler inline, or a batch backend): the clock to the arrival
-   instant, rx accounting, then the actions. *)
+   instant unless it is already later, rx accounting, then the
+   actions. *)
 let rec apply_actions t id node packet = function
   | [] -> ()
   | action :: rest ->
@@ -343,39 +437,58 @@ let rec apply_actions t id node packet = function
       | Forward (out, pkt) -> transmit t node out pkt
       | Consume ->
           Dip_obs.Metrics.Counter.incr node.counts.consumed;
-          List.iter (fun f -> f id t.clock packet) t.consume_hooks
+          consumed t id packet t.consume_hooks
       | Drop reason -> count_drop node reason);
       apply_actions t id node packet rest
 
+(* A loop rather than [List.iter], which would allocate a closure per
+   delivery. *)
+and consumed t id packet = function
+  | [] -> ()
+  | f :: rest ->
+      f id t.clock packet;
+      consumed t id packet rest
+
 let apply_arrival t ~time id packet actions =
-  t.clock <- time;
+  if time > t.clock then t.clock <- time;
   let node = t.nodes.(id) in
   Dip_obs.Metrics.Counter.incr node.counts.rx;
   apply_actions t id node packet actions
 
-(* The run returns: bring every link to where an event-per-departure
-   loop would have left it. Drained, every departure has been passed
-   by its own arrival, so all are retired, and the rings and the event
-   queue drop their storage. Stopped at [until], the departures at or
-   before [until] are retired, and the clock moves to the last of them
-   when it is later than the last event: that loop would have popped
-   it last. *)
+(* The run returns: bring every link to where an event-per-hop loop
+   would have left it. Drained, every departure has been passed by its
+   own arrival, so all are retired, and the rings, the busy heap and
+   the event queue drop their storage. Stopped at [until], the
+   departures at or before [until] are retired, and the clock moves to
+   the last of them when it is later than the last event: that loop
+   would have popped it last. *)
 let settle t ~until =
-  let drained = Event_queue.is_empty t.queue in
+  let drained = Event_queue.is_empty t.queue && t.busy.len = 0 in
   Event_queue.release t.queue;
+  if drained then begin
+    Keys.release t.busy;
+    t.busy_links <- [||]
+  end;
   for id = 0 to t.nnodes - 1 do
     Array.iter
       (function
         | None -> ()
         | Some l when drained ->
-            l.dtimes <- [||];
-            l.dseqs <- [||];
+            l.keys <- [||];
+            l.packets <- [||];
+            l.ahead <- 0;
             l.dhead <- 0;
-            l.queued <- 0
+            l.tail <- 0
         | Some l ->
-            while l.queued > 0 && l.dtimes.(l.dhead) <= until do
-              if l.dtimes.(l.dhead) > t.clock then t.clock <- l.dtimes.(l.dhead);
-              drop_departure l
+            let mask = Array.length l.packets - 1 in
+            let fin = ref false in
+            while (not !fin) && l.dhead < l.tail do
+              let d = l.keys.(2 * (l.dhead land mask)) in
+              if d <= until then begin
+                if d > t.clock then t.clock <- d;
+                l.dhead <- l.dhead + 1
+              end
+              else fin := true
             done)
       t.nodes.(id).ports
   done
@@ -387,23 +500,32 @@ type batch_item = {
   b_packet : Dip_bitbuf.Bitbuf.t;
 }
 
-(* The event loop — {!run} is this loop with nothing batchable.
-   Consecutive arrivals at [batchable] nodes within [window] of the
-   first collect into one pending batch. When the window closes it is
-   handed to [exec] and its results applied, in arrival order on the
-   calling domain, before the loop pops another event — so everything
-   a handler could observe sequentially is a function of the workload
-   and [window] only, never of how [exec] scheduled the work. *)
+(* The event loop — {!run} is this loop with nothing batchable. The
+   next event is the earlier, by key, of the event queue's head and
+   the busy links' head arrival. Consecutive arrivals at [batchable]
+   nodes within [window] of the first collect into one pending batch.
+   When the window closes it is handed to [exec] and its results
+   applied, in arrival order on the calling domain, before the loop
+   pops another event — so everything a handler could observe
+   sequentially is a function of the workload and [window] only,
+   never of how [exec] scheduled the work.
+
+   The clock never decreases: every assignment takes the later time.
+   A batch member's effects can fall before a later member's time (a
+   window wider than a link's latency), and the loop pops them after
+   the window was applied: they run at the clock, the last member's
+   time. *)
 let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
   if window < 0.0 then invalid_arg "Sim.run_batched: negative window";
   (* The pending batch, newest first, plus the time of its oldest
-     member (the window anchor). [seqs.(i)] is the insertion sequence
-     number of the batch's [i]th arrival: applied, it is the event in
-     progress that the links' departures are retired against. *)
+     member (the window anchor, unboxed in a float array). [seqs.(i)]
+     is the insertion sequence number of the batch's [i]th arrival:
+     applied, it is the event in progress that the links' departures
+     are retired against. *)
   let pending = ref [] in
   let npending = ref 0 in
   let seqs = ref [||] in
-  let anchor = ref 0.0 in
+  let anchor = [| 0.0 |] in
   (* Window sequence number, for correlating the submit instant with
      the apply span on the flight timeline. *)
   let wseq = ref 0 in
@@ -436,53 +558,92 @@ let run_batched ?(until = Float.infinity) ?(window = 0.0) t ~batchable ~exec =
           (Dip_obs.Flight.now () - t0)
           (Array.length arr) seq
   in
-  let q = t.queue in
+  (* Add an arrival with key [(time, seq)] to the pending batch. *)
+  let collect ~node ~port ~time ~seq packet =
+    if !npending = Array.length !seqs then begin
+      let grown = Array.make (max 8 (2 * !npending)) 0 in
+      Array.blit !seqs 0 grown 0 !npending;
+      seqs := grown
+    end;
+    !seqs.(!npending) <- seq;
+    if !npending = 0 then anchor.(0) <- time;
+    pending := { b_node = node; b_port = port; b_time = time; b_packet = packet } :: !pending;
+    incr npending
+  in
+  let q = t.queue and b = t.busy in
   let rec loop () =
-    if Event_queue.is_empty q then close ()
+    if
+      b.len > 0
+      && (Event_queue.is_empty q
+         ||
+         let lt = b.times.(0) and qt = t.qtime in
+         lt < qt || (lt = qt && b.seqs.(0) < Event_queue.min_seq q))
+    then link_arrival ()
+    else if Event_queue.is_empty q then close ()
+    else queued_event ()
+  (* The head is a link's arrival: its time stays unboxed until the
+     clock or a batch item takes it. *)
+  and link_arrival () =
+    let time = b.times.(0) in
+    if not (time <= until) then close ()
     else
-      (* The head's time is boxed once, by [min_time], and the clock
-         keeps its old box while the instant does not change: the
-         clock, the handler's [~now], any delivery record and any
-         event scheduled at [now t] share one box per instant. *)
-      let time = Event_queue.min_time q in
-      if not (time <= until) then close ()
-      else
-        match Event_queue.min_payload q with
-        | Arrival a as ev
-          when batchable a.node && (!npending = 0 || time <= !anchor +. window) ->
-            if !npending = Array.length !seqs then begin
-              let grown = Array.make (max 8 (2 * !npending)) 0 in
-              Array.blit !seqs 0 grown 0 !npending;
-              seqs := grown
-            end;
-            !seqs.(!npending) <- Event_queue.min_seq q;
-            Event_queue.drop_min q;
-            if !npending = 0 then anchor := time;
-            pending :=
-              { b_node = a.node; b_port = a.port; b_time = time; b_packet = a.packet }
-              :: !pending;
-            recycle t ev;
-            incr npending;
-            loop ()
-        | _ when !npending > 0 ->
-            (* The window closes at a batchable arrival beyond its
-               span, and before a timer or non-batchable arrival: its
-               handler may read state the batch writes, and the
-               batch's effects may precede its time. *)
-            flush ();
-            loop ()
-        | ev ->
-            t.seq <- Event_queue.min_seq q;
-            Event_queue.drop_min q;
-            if time <> t.clock then t.clock <- time;
-            (match ev with
-            | Arrival a ->
-                let id = a.node and port = a.port and packet = a.packet in
-                recycle t ev;
-                apply_arrival t ~time:t.clock id packet
-                  (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
-            | Timer f -> f t);
-            loop ()
+      let l = t.busy_links.(b.slots.(0)) in
+      let dst, dport = l.peer in
+      if batchable dst && (!npending = 0 || time <= anchor.(0) +. window) then begin
+        let seq = b.seqs.(0) in
+        collect ~node:dst ~port:dport ~time ~seq (take_arrival t l);
+        loop ()
+      end
+      else if !npending > 0 then begin
+        flush ();
+        loop ()
+      end
+      else begin
+        t.seq <- b.seqs.(0);
+        if time > t.clock then t.clock <- time;
+        let packet = take_arrival t l in
+        apply_arrival t ~time:t.clock dst packet
+          (t.nodes.(dst).handler t ~now:t.clock ~ingress:dport packet);
+        loop ()
+      end
+  (* The head is the queue's: [t.qtime] is its time, boxed once, and
+     the clock keeps its old box while the instant does not change:
+     the clock, the handler's [~now], any delivery record and any
+     event scheduled at [now t] share one box per instant. *)
+  and queued_event () =
+    let time = t.qtime in
+    if not (time <= until) then close ()
+    else
+      match Event_queue.min_payload q with
+      | Arrival a as ev
+        when batchable a.node && (!npending = 0 || time <= anchor.(0) +. window) ->
+          collect ~node:a.node ~port:a.port ~time ~seq:(Event_queue.min_seq q)
+            a.packet;
+          pop ();
+          recycle t ev;
+          loop ()
+      | _ when !npending > 0 ->
+          (* The window closes at a batchable arrival beyond its span,
+             and before a timer or non-batchable arrival: its handler
+             may read state the batch writes, and the batch's effects
+             may precede its time. *)
+          flush ();
+          loop ()
+      | ev ->
+          t.seq <- Event_queue.min_seq q;
+          pop ();
+          if time > t.clock then t.clock <- time;
+          (match ev with
+          | Arrival a ->
+              let id = a.node and port = a.port and packet = a.packet in
+              recycle t ev;
+              apply_arrival t ~time:t.clock id packet
+                (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
+          | Timer f -> f t);
+          loop ()
+  and pop () =
+    Event_queue.drop_min q;
+    if not (Event_queue.is_empty q) then t.qtime <- Event_queue.min_time q
   (* The window also closes at the end of the run: the tail's effects
      may schedule events at or before [until]. *)
   and close () =

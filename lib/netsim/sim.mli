@@ -64,7 +64,15 @@ val connect :
     instant (zero serialization time, but same-instant bursts still
     accumulate depth and can overflow). At the departure instant
     itself the slot is taken for events queued before the transmit
-    and free for events queued after it.
+    and free for events queued after it. [latency] must be finite and
+    non-negative, else [Invalid_argument].
+
+    Each direction keeps its packets from transmit until arrival in
+    its own FIFO: departures are in transmit order and the latency is
+    constant, so they arrive in that order too, and neither their
+    departures nor their arrivals are events in the event queue. A
+    packet that an egress hook delays ({!set_egress_hook}) may be
+    overtaken, so its arrival is queued as an event instead.
 
     Ports are numbered from 0: each node keeps its links in an array
     indexed by port, grown to the highest port wired, so keep port
@@ -95,11 +103,16 @@ val now : t -> float
 (** Current simulated time (0 before the first event). *)
 
 val run : ?until:float -> t -> unit
-(** Process events in order until the queue drains or the clock
-    passes [until]. A run stopped at [until] leaves every link as if
-    each departure at or before [until] had been an event: their
+(** Process events in order until nothing is pending or the next
+    event is after [until]. The next event is the earliest, by time
+    and then by the order it was scheduled in, of the event queue's
+    head (injections, timers, delayed packets) and the links' oldest
+    packets in flight; a link's packet takes its place in that order
+    when it is transmitted. A run stopped at [until] leaves every link
+    as if each departure at or before [until] had been an event: their
     slots are free, and the clock is at the latest of them when that
-    is later than the last event. There is one event loop: [run] is
+    is later than the last event; packets still in flight stay on
+    their links for the next run. There is one event loop: [run] is
     {!run_batched} with no batchable node, so every arrival goes
     through its node's handler the moment it is popped. *)
 
@@ -128,11 +141,19 @@ val run_batched :
     so the schedule (and hence delivery counts and counters) is a
     function of [window] and the workload only, never of how many
     domains [exec] used. Timer events and arrivals at non-batchable
-    nodes close the pending batch and run normally. Departures are
+    nodes close the pending batch and run normally. Arrivals from a
+    link's FIFO join windows as queued arrivals do. Departures are
     not events — each link keeps its own FIFO of departure keys,
     retired when its depth is read — so they never close a window.
     [exec] must return exactly one action list per item; it must not
-    touch the simulator. *)
+    touch the simulator.
+
+    The clock never decreases within a run. A window wider than a
+    link's latency can schedule, while it is applied, an arrival
+    earlier than its last member: that arrival runs after the window,
+    with {!now} still at the last member's time, and its handler sees
+    that time as [~now]. At [~window:0.0] no effect precedes its
+    cause, and the run is exactly {!run}'s. *)
 
 val counters : t -> Stats.Counters.t
 (** The simulator's registry, where it counts each fact once. Per

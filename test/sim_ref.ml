@@ -1,9 +1,9 @@
 (* A reference for the simulator's link model: the event loop with one
-   explicit departure event per transmission, over a sorted list.
-   Dip_netsim.Sim keeps each link's departures in a FIFO of
-   (time, seq) keys instead and retires them when a link's depth is
-   read; test_netsim checks the two against each other on random
-   scenarios.
+   explicit departure event and one arrival event per transmission,
+   over a sorted list. Dip_netsim.Sim keeps each link's transmissions
+   in a FIFO of (time, seq) departure keys instead, retires departures
+   when a link's depth is read and pops arrivals from the link's head;
+   test_netsim checks the two against each other on random scenarios.
 
    A scenario is a line of three nodes, 0 -(1:0)- 1 -(1:0)- 2, and a
    fixed forwarding rule: a packet entering on port 0 travels toward
@@ -12,7 +12,11 @@
    event can transmit twice on the same link. Injections and probes
    are the scenario's; a probe at [t] reads every link end's depth,
    then schedules a second probe at [t] that reads them again — after
-   anything the first one's instant transmitted. *)
+   anything the first one's instant transmitted. With [jitter], each
+   transmission attempt draws an extra propagation delay from a seeded
+   stream, in attempt order (the order an egress hook sees them): a
+   delayed packet holds its queue slot only until its departure and
+   may be overtaken. *)
 
 type link = {
   latency : float;
@@ -26,7 +30,18 @@ type scenario = {
       (** at, node, ingress port, packet size (≥ 2 bytes) *)
   probes : float list;
   until : float option;  (** a first [run ~until] before draining *)
+  jitter : int option;  (** seed of the per-transmission extra delays *)
 }
+
+(* The extra delay of each transmission attempt, in attempt order: on
+   the quarter-second grid, none for half of them. *)
+let delays s =
+  match s.jitter with
+  | None -> fun () -> 0.0
+  | Some seed ->
+      let g = Dip_stdext.Prng.create (Int64.of_int seed) in
+      fun () ->
+        [| 0.0; 0.0; 0.0; 0.0; 0.25; 0.5; 1.0; 1.75 |].(Dip_stdext.Prng.int g 8)
 
 (* The link ends, in the order a probe reads them. *)
 let ends = [ (0, 1); (1, 0); (1, 1); (2, 0) ]
@@ -86,8 +101,10 @@ let run s =
   let probes = ref [] and deliveries = ref [] in
   let overflows = Array.make 3 0 in
   let depths () = List.map (fun (_, w) -> w.queued) wires in
+  let delay = delays s in
   let transmit node port id size =
     let w = List.assoc (node, port) wires in
+    let extra = delay () in
     if w.queued >= w.l.capacity then overflows.(node) <- overflows.(node) + 1
     else begin
       let tx =
@@ -99,7 +116,7 @@ let run s =
       w.queued <- w.queued + 1;
       push departure (Depart w);
       let dst, dport = w.dst in
-      push (departure +. w.l.latency +. 0.0) (Arrival (dst, dport, id, size))
+      push (departure +. w.l.latency +. extra) (Arrival (dst, dport, id, size))
     end
   in
   List.iteri (fun id (at, node, port, size) -> push at (Arrival (node, port, id, size)))

@@ -110,10 +110,17 @@ let prop_eq_fifo_ties_and_cleared_slots =
       cleared && popped = expected)
 
 (* Model check: random interleavings of push and pop, with timestamps
-   from a tiny range so ties abound, against a list kept sorted by
-   (time, insertion order). After every operation the head and size
-   agree with the model and no vacant slot holds a payload; once
-   drained and released, nothing the queue can reach is a payload. *)
+   from a tiny range so ties abound, against a map ordered by (time,
+   insertion order). After every operation the head and size agree
+   with the model and no vacant slot holds a payload; once drained and
+   released, nothing the queue can reach is a payload. *)
+module Model = Map.Make (struct
+  type t = float * int
+
+  let compare (t1, s1) (t2, s2) =
+    match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
 let prop_eq_model =
   QCheck.Test.make ~name:"model: push/pop interleavings match a sorted list"
     ~count:300
@@ -121,8 +128,8 @@ let prop_eq_model =
     (fun ops ->
       let filler = Bytes.empty in
       let q = Event_queue.create ~filler in
-      (* (time, seq, payload), ascending. *)
-      let model = ref [] in
+      (* (time, seq) -> payload, and its cardinal. *)
+      let model = ref Model.empty and size = ref 0 in
       let ok = ref true in
       let expect b = if not b then ok := false in
       List.iteri
@@ -132,28 +139,26 @@ let prop_eq_model =
               let time = float_of_int t in
               let payload = Bytes.of_string (string_of_int seq) in
               Event_queue.push q ~time payload;
-              let later (t', _, _) = t' > time in
-              let before, after =
-                List.partition (fun e -> not (later e)) !model
-              in
-              model := before @ ((time, seq, payload) :: after)
+              model := Model.add (time, seq) payload !model;
+              incr size
           | None -> (
-              match (pop q, !model) with
-              | None, [] -> ()
-              | Some (time, p), (time', _, p') :: rest ->
+              match (pop q, Model.min_binding_opt !model) with
+              | None, None -> ()
+              | Some (time, p), Some (((time', _) as key), p') ->
                   expect (time = time' && p == p');
-                  model := rest
+                  model := Model.remove key !model;
+                  decr size
               | _ -> expect false));
-          expect (Event_queue.size q = List.length !model);
+          expect (Event_queue.size q = !size);
           expect (Event_queue.vacant_slots_cleared q);
-          match (peek q, !model) with
-          | None, [] -> ()
-          | Some (time, p), (time', _, p') :: _ ->
+          match (peek q, Model.min_binding_opt !model) with
+          | None, None -> ()
+          | Some (time, p), Some ((time', _), p') ->
               expect (time = time' && p == p')
           | _ -> expect false)
         ops;
-      List.iter
-        (fun (time, _, p) ->
+      Model.iter
+        (fun (time, _) p ->
           match pop q with
           | Some (time', p') -> expect (time = time' && p == p')
           | None -> expect false)
@@ -509,9 +514,71 @@ let test_departure_run_until () =
   Alcotest.(check (float 0.0)) "drained: clock at the arrival" 1.1 (Sim.now sim);
   Alcotest.(check int) "delivered" 1 (List.length (delivered ()))
 
+(* Regression: a batching window wider than a link's latency used to
+   run the clock backwards. r1 -> r2 -> sink over 1 us links, five
+   injections 1 us apart, all in one 1 s window at r1: applied, it
+   leaves the clock at 4 us, and its transmits reach r2 at 1-5 us.
+   Those arrivals ran with the clock set back to each one's time. Now
+   every clock assignment takes the later time: each handler, in the
+   loop or the batch backend, and each delivery sees a non-decreasing
+   [Sim.now]. At [~window:0.0] the same network gives what [Sim.run]
+   gives. *)
+let test_batched_clock_monotone () =
+  let chain ~run =
+    let sim = Sim.create () in
+    let seen = ref [] in
+    let note sim = seen := Sim.now sim :: !seen in
+    let relay sim ~now:_ ~ingress:_ pkt =
+      note sim;
+      [ Sim.Forward (1, pkt) ]
+    in
+    let sink sim ~now:_ ~ingress:_ _ =
+      note sim;
+      [ Sim.Consume ]
+    in
+    let r1 = Sim.add_node sim ~name:"r1" relay in
+    let r2 = Sim.add_node sim ~name:"r2" relay in
+    let s = Sim.add_node sim ~name:"sink" sink in
+    Sim.connect sim ~latency:1e-6 (r1, 1) (r2, 0);
+    Sim.connect sim ~latency:1e-6 (r2, 1) (s, 0);
+    let delivered = ref [] in
+    Sim.on_consume sim (fun _ time pkt ->
+        seen := time :: !seen;
+        delivered := (time, Bitbuf.to_string pkt) :: !delivered);
+    for k = 0 to 4 do
+      Sim.inject sim ~at:(float_of_int k *. 1e-6) ~node:r1 ~port:0
+        (packet (string_of_int k))
+    done;
+    run sim ~batchable:(fun id -> id = r1 || id = r2) ~relay;
+    (List.rev !seen, List.rev !delivered, Sim.now sim)
+  in
+  let batched window sim ~batchable ~relay =
+    Sim.run_batched ~window sim ~batchable
+      ~exec:
+        (Array.map (fun (it : Sim.batch_item) ->
+             relay sim ~now:it.b_time ~ingress:it.b_port it.b_packet))
+  in
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> a <= b && monotone rest
+    | _ -> true
+  in
+  let seen, delivered, _ = chain ~run:(batched 1.0) in
+  Alcotest.(check int) "five delivered" 5 (List.length delivered);
+  Alcotest.(check bool)
+    (Printf.sprintf "Sim.now non-decreasing: %s"
+       (String.concat " " (List.map (Printf.sprintf "%g") seen)))
+    true (monotone seen);
+  let plain = chain ~run:(fun sim ~batchable:_ ~relay:_ -> Sim.run sim) in
+  let _, d0, c0 = chain ~run:(batched 0.0) and _, d, c = plain in
+  Alcotest.(check (list (pair (float 0.0) string))) "window 0 = run: deliveries" d d0;
+  Alcotest.(check (float 0.0)) "window 0 = run: clock" c c0
+
 (* The simulator on a Sim_ref scenario, observed as the reference
-   loop observes itself. *)
-let run_scenario (s : Sim_ref.scenario) =
+   loop observes itself: by [Sim.run], or with [~batched] by
+   [Sim.run_batched ~window:0.0] with every node batchable and its
+   handler as the batch backend. The scenario's jitter is an egress
+   hook, so a delayed packet's arrival is an event. *)
+let run_scenario ?(batched = false) (s : Sim_ref.scenario) =
   let sim = Sim.create () in
   let deliveries = ref [] in
   Sim.on_consume sim (fun node time pkt ->
@@ -528,6 +595,20 @@ let run_scenario (s : Sim_ref.scenario) =
   in
   connect (fst s.links) (0, 1) (1, 0);
   connect (snd s.links) (1, 1) (2, 0);
+  if Option.is_some s.jitter then begin
+    let delay = Sim_ref.delays s in
+    Sim.set_egress_hook sim (fun _ ~from:_ packet ->
+        [ { Sim.packet; extra_delay = delay () } ])
+  end;
+  let run ?until () =
+    if batched then
+      Sim.run_batched ?until ~window:0.0 sim
+        ~batchable:(fun _ -> true)
+        ~exec:
+          (Array.map (fun (it : Sim.batch_item) ->
+               handler it.b_node sim ~now:it.b_time ~ingress:it.b_port it.b_packet))
+    else Sim.run ?until sim
+  in
   List.iteri
     (fun id (at, node, port, size) ->
       let pkt = Bitbuf.create size in
@@ -546,11 +627,11 @@ let run_scenario (s : Sim_ref.scenario) =
   let at_until =
     Option.map
       (fun until ->
-        Sim.run ~until sim;
+        run ~until ();
         (Sim.now sim, depths ()))
       s.until
   in
-  Sim.run sim;
+  run ();
   {
     Sim_ref.probes = List.rev !probes;
     deliveries = List.rev !deliveries;
@@ -565,7 +646,8 @@ let run_scenario (s : Sim_ref.scenario) =
 (* Times on a quarter-second grid, sizes of 2-6 bytes and bandwidths
    of 1-8 B/s: every departure lands on the grid, so bursts tie,
    probes fall on departure instants and [until] can stop exactly at
-   one. *)
+   one. Half the scenarios delay some transmissions by a grid step or
+   more, so later packets overtake them. *)
 let gen_scenario =
   let open QCheck.Gen in
   let grid n = map (fun k -> 0.25 *. float_of_int k) (int_bound n) in
@@ -583,18 +665,20 @@ let gen_scenario =
       (oneofl [ (0, 0); (1, 0); (2, 1); (1, 1) ])
       (int_range 2 6)
   in
-  map4
-    (fun links injects probes until -> { Sim_ref.links; injects; probes; until })
+  map5
+    (fun links injects probes until jitter ->
+      { Sim_ref.links; injects; probes; until; jitter })
     (pair link link)
     (list_size (int_range 1 24) inject)
     (list_size (int_bound 12) (grid 40))
     (opt (grid 40))
+    (opt ~ratio:0.5 (int_bound 1_000_000))
 
 let print_scenario (s : Sim_ref.scenario) =
   let link (l : Sim_ref.link) =
     Printf.sprintf "{lat %g; bw %g; cap %d}" l.latency l.bandwidth l.capacity
   in
-  Printf.sprintf "links %s %s; injects [%s]; probes [%s]; until %s"
+  Printf.sprintf "links %s %s; injects [%s]; probes [%s]; until %s; jitter %s"
     (link (fst s.links)) (link (snd s.links))
     (String.concat "; "
        (List.map
@@ -602,11 +686,14 @@ let print_scenario (s : Sim_ref.scenario) =
           s.injects))
     (String.concat "; " (List.map string_of_float s.probes))
     (match s.until with None -> "-" | Some u -> string_of_float u)
+    (match s.jitter with None -> "-" | Some seed -> string_of_int seed)
 
 let prop_departures_match_reference =
   QCheck.Test.make ~name:"FIFO departures = event-per-departure loop" ~count:500
     (QCheck.make ~print:print_scenario gen_scenario)
-    (fun s -> run_scenario s = Sim_ref.run s)
+    (fun s ->
+      let reference = Sim_ref.run s in
+      run_scenario s = reference && run_scenario ~batched:true s = reference)
 
 (* --- Allocation --- *)
 
@@ -632,6 +719,41 @@ let test_ping_pong_alloc () =
   Alcotest.(check int) "arrivals" limit !arrivals;
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per arrival (at most 8)" per_arrival)
+    true (per_arrival <= 8.0)
+
+(* Many packets queued on one link: a burst of 64 back-to-back
+   packets on a finite-bandwidth link, so the ring holds them all
+   while the first ones arrive. After a warm-up burst has grown the
+   ring and the busy heap, an arrival costs the simulator no more than
+   the ping-pong's. *)
+let test_queued_link_alloc () =
+  let sim = Sim.create () in
+  let pkt = Bitbuf.create 64 in
+  let burst = List.init 64 (fun _ -> Sim.Forward (1, pkt)) and stop = [ Sim.Consume ] in
+  let arrivals = ref 0 in
+  let source _sim ~now:_ ~ingress:_ _ = burst in
+  let sink _sim ~now:_ ~ingress:_ _ =
+    incr arrivals;
+    stop
+  in
+  let a = Sim.add_node sim ~name:"a" source in
+  let b = Sim.add_node sim ~name:"b" sink in
+  Sim.connect sim ~latency:1e-3 ~bandwidth:1e6 (a, 1) (b, 0);
+  let round k =
+    for i = 0 to 99 do
+      Sim.inject sim ~at:(float_of_int ((100 * k) + i)) ~node:a ~port:0 pkt
+    done;
+    Sim.run ~until:(float_of_int ((100 * k) + 99)) sim
+  in
+  round 0;
+  let before = !arrivals in
+  let w0 = Gc.minor_words () in
+  round 1;
+  let n = !arrivals - before in
+  let per_arrival = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "arrivals" true (n >= 99 * 64);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per arrival (at most 8)" per_arrival)
     true (per_arrival <= 8.0)
 
 (* --- Topology --- *)
@@ -872,6 +994,8 @@ let () =
           Alcotest.test_case "in-flight count infinite bw" `Quick
             test_sim_counters_infinite_bw_in_flight;
           Alcotest.test_case "queue depth observable" `Quick test_sim_queue_depth_observable;
+          Alcotest.test_case "batched window keeps the clock monotone" `Quick
+            test_batched_clock_monotone;
         ] );
       ( "departures",
         [
@@ -884,6 +1008,8 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "one-packet ping-pong" `Quick test_ping_pong_alloc;
+          Alcotest.test_case "many packets queued on one link" `Quick
+            test_queued_link_alloc;
         ] );
       ( "topology",
         [
