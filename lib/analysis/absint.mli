@@ -18,8 +18,6 @@
     kinds. *)
 type kind = K_step | K_node | K_data | K_top
 
-val kind_of_written : Dip_core.Registry.written_kind -> kind
-val join_kind : kind -> kind -> kind
 val kind_name : kind -> string
 
 type value =
@@ -30,9 +28,6 @@ type value =
       (** abstractly known: the kind of write and the sorted FN
           indices that may have produced it (empty for the initial
           unknown region) *)
-
-val writers_of : value -> int list
-val join_value : value -> value -> value
 
 type store
 (** Disjoint sorted slices covering the whole locations region. *)
@@ -46,7 +41,6 @@ val read : store -> Dip_bitbuf.Field.t -> value
     boundaries when possible. Out-of-region bits read as unknown. *)
 
 val write : store -> Dip_bitbuf.Field.t -> value -> store
-val writers_in : store -> Dip_bitbuf.Field.t -> int list
 val join : store -> store -> store
 val equal : store -> store -> bool
 

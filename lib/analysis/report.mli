@@ -79,7 +79,6 @@ val check_of_name : string -> check option
     corpus runner, whose bad-program files are named
     [<check>--<name>.hex]. *)
 
-val diag_to_json : diag -> string
 val to_json : ?label:string -> t -> string
 (** Machine-readable report ([dip lint --json]): one JSON object with
     [label], [fn_count], [depth], [engine_depth], [errors],

@@ -4,7 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitbuf.create: negative size";
   { data = Bytes.make n '\000' }
 
-let of_bytes data = { data }
 let of_string s = { data = Bytes.of_string s }
 let to_bytes t = t.data
 let to_string t = Bytes.to_string t.data
@@ -103,8 +102,6 @@ let set_uint16 t off v = Bytes.set_uint16_be t.data off v
 
 let get_uint32 t off = Bytes.get_int32_be t.data off
 let set_uint32 t off v = Bytes.set_int32_be t.data off v
-let get_uint64 t off = Bytes.get_int64_be t.data off
-let set_uint64 t off v = Bytes.set_int64_be t.data off v
 
 let field_byte_width (f : Field.t) = (f.len_bits + 7) / 8
 
@@ -149,22 +146,5 @@ let set_field t (f : Field.t) v =
       set_bit t (f.off_bits + j) bit
     done
 
-let xor_field t (f : Field.t) v =
-  check_bits t f.off_bits f.len_bits;
-  check_field_value f v;
-  if Field.is_byte_aligned f then begin
-    let base = f.off_bits / 8 in
-    for j = 0 to (f.len_bits / 8) - 1 do
-      let b = Char.code (Bytes.get t.data (base + j)) lxor Char.code v.[j] in
-      Bytes.set t.data (base + j) (Char.chr b)
-    done
-  end
-  else
-    for j = 0 to f.len_bits - 1 do
-      let bit = Char.code v.[j / 8] land (0x80 lsr (j mod 8)) <> 0 in
-      if bit then set_bit t (f.off_bits + j) (not (get_bit t (f.off_bits + j)))
-    done
-
-let equal_field t f v = String.equal (get_field t f) v
 let equal a b = Bytes.equal a.data b.data
 let pp fmt t = Dip_stdext.Hex.dump fmt (to_string t)

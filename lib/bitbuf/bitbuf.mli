@@ -15,9 +15,6 @@ type t
 val create : int -> t
 (** [create n] is an [n]-byte buffer of zeros. *)
 
-val of_bytes : bytes -> t
-(** Wrap (not copy) an existing byte buffer. *)
-
 val of_string : string -> t
 (** Copy a string into a fresh buffer. *)
 
@@ -38,19 +35,11 @@ val sub_bytes : t -> pos:int -> len:int -> bytes
 val length : t -> int
 (** Length in bytes. *)
 
-val bit_length : t -> int
-(** Length in bits. *)
-
 val copy : t -> t
 (** Deep copy. *)
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Byte-level blit ([len] bytes). *)
-
-(** {1 Single bits} *)
-
-val get_bit : t -> int -> bool
-val set_bit : t -> int -> bool -> unit
 
 (** {1 Fixed-width integer fields}
 
@@ -72,8 +61,6 @@ val get_uint16 : t -> int -> int
 val set_uint16 : t -> int -> int -> unit
 val get_uint32 : t -> int -> int32
 val set_uint32 : t -> int -> int32 -> unit
-val get_uint64 : t -> int -> int64
-val set_uint64 : t -> int -> int64 -> unit
 (** Byte-offset big-endian accessors for the common aligned cases. *)
 
 (** {1 Arbitrary-width fields}
@@ -88,13 +75,6 @@ val get_field : t -> Field.t -> string
 val set_field : t -> Field.t -> string -> unit
 (** [set_field t f v] requires [String.length v = ceil(f.len_bits/8)]
     and, for unaligned widths, zero padding bits. *)
-
-val xor_field : t -> Field.t -> string -> unit
-(** XOR a value into a field in place — the workhorse of the MAC tag
-    update operations. Same width contract as {!set_field}. *)
-
-val equal_field : t -> Field.t -> string -> bool
-(** Constant-shape comparison of a field against an expected value. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

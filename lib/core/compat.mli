@@ -6,7 +6,7 @@
       One could use tunneling technology to build an end-to-end path
       across DIP-agnostic domains." {!encapsulate_ipv4} wraps a DIP
       packet in a plain IPv4 header (IANA-style protocol number
-      {!dip_protocol_number}) so legacy routers forward it; the far
+      0xFD, from the experimentation range) so legacy routers forward it; the far
       border router {!decapsulate_ipv4}s.
 
     - {b Header strip/restore}: "the existing network protocol header
@@ -17,10 +17,6 @@
       domain, the inbound border router needs to add back the DIP
       basic header and FN definitions." {!strip} emits
       locations ∥ payload; {!restore} re-frames them. *)
-
-val dip_protocol_number : int
-(** The IPv4 protocol number used for DIP-in-IPv4 tunnels (0xFD,
-    from the experimentation range). *)
 
 val encapsulate_ipv4 :
   src:Dip_tables.Ipaddr.V4.t ->

@@ -8,7 +8,6 @@ type command =
   | Policer_mode_mark
   | Policer_mode_police
 
-let equal_command a b = a = b
 
 let pp_command fmt = function
   | Enable_op k -> Format.fprintf fmt "enable %s" (Opkey.name k)
@@ -73,7 +72,6 @@ let encode ~key ~seq cmd =
 type state = { mutable last : int64 }
 
 let initial_state () = { last = Int64.min_int }
-let last_seq s = s.last
 
 let ct_equal a b =
   String.length a = String.length b

@@ -24,7 +24,6 @@ type command =
   | Policer_mode_mark
   | Policer_mode_police  (** NetFence attack mode *)
 
-val equal_command : command -> command -> bool
 val pp_command : Format.formatter -> command -> unit
 
 val next_header_value : int
@@ -39,7 +38,6 @@ type state
 (** Per-router anti-replay state. *)
 
 val initial_state : unit -> state
-val last_seq : state -> int64
 
 val apply :
   key:Dip_crypto.Prf.key ->

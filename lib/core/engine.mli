@@ -96,7 +96,7 @@ val process :
     next packet. [verify] is called at most once per compiled program
     and hook: it must be a pure function of the FN program and the
     registry, which {!Dip_analysis.verifier} is. With the cache off
-    ([Progcache.set_enabled], or [Env.create ~prog_cache_capacity:0]),
+    ([Env.create ~prog_cache_capacity:0]),
     or for a packet too short to key, each packet compiles a
     throwaway program and runs the same loop. *)
 

@@ -4,7 +4,6 @@ let create ?(max_ops = 32) ?(max_state_bytes = 256) () =
   if max_ops < 1 || max_state_bytes < 0 then invalid_arg "Guard.create";
   { max_ops; max_state_bytes }
 
-let unlimited () = { max_ops = max_int; max_state_bytes = max_int }
 
 type budget = { limits : t; mutable ops : int; mutable state : int }
 
@@ -22,5 +21,4 @@ let charge_state b ~bytes =
   b.state <- b.state + bytes;
   b.state <= b.limits.max_state_bytes
 
-let ops_used b = b.ops
 let state_used b = b.state

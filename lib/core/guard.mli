@@ -12,9 +12,6 @@ type t
 val create : ?max_ops:int -> ?max_state_bytes:int -> unit -> t
 (** Defaults: 32 operations, 256 state bytes per packet. *)
 
-val unlimited : unit -> t
-(** No limits (for ablation baselines). *)
-
 type budget
 (** The remaining allowance of one packet. *)
 
@@ -31,5 +28,4 @@ val charge_op : budget -> bool
 val charge_state : budget -> bytes:int -> bool
 (** Account new router state (e.g. a PIT insertion). *)
 
-val ops_used : budget -> int
 val state_used : budget -> int

@@ -1,103 +1,3 @@
-type t = {
-  env : Env.t;
-  mutable offer : Opkey.t list option;
-  sessions : (int64, Dip_opt.Drkey.session_key) Hashtbl.t;
-      (* session id → this source's destination key, for seeding the
-         PVF when sending (the verification keys live in env). *)
-}
-
-let create ?offer ~name () =
-  { env = Env.create ~name (); offer; sessions = Hashtbl.create 4 }
-
-let env t = t.env
-
-let attach t world ~as_id = t.offer <- Some (Bootstrap.local_offer world as_id)
-
-let attach_path t world ~src ~dst =
-  match Bootstrap.path_supported world ~src ~dst with
-  | Some keys ->
-      t.offer <- Some keys;
-      Ok ()
-  | None -> Error (Printf.sprintf "no AS path from %d to %d" src dst)
-
-let offer t = t.offer
-
-let check t required =
-  match t.offer with
-  | None -> Ok ()
-  | Some offered -> Bootstrap.plan ~required ~offered
-
-type 'a construction = ('a, Opkey.t list) result
-
-let construct t ~required f =
-  match check t required with Ok () -> Ok (f ()) | Error missing -> Error missing
-
-let send_ipv4 t ?hop_limit ~src ~dst ~payload () =
-  construct t
-    ~required:[ Opkey.F_32_match; Opkey.F_source ]
-    (fun () -> Realize.ipv4 ?hop_limit ~src ~dst ~payload ())
-
-let send_ipv6 t ?hop_limit ~src ~dst ~payload () =
-  construct t
-    ~required:[ Opkey.F_128_match; Opkey.F_source ]
-    (fun () -> Realize.ipv6 ?hop_limit ~src ~dst ~payload ())
-
-let send_interest t ?hop_limit ?pass ~name ~payload () =
-  let required =
-    Opkey.F_fib :: (match pass with Some _ -> [ Opkey.F_pass ] | None -> [])
-  in
-  construct t ~required (fun () ->
-      Realize.ndn_interest ?hop_limit ?pass ~name ~payload ())
-
-let send_data t ?hop_limit ?pass ~name ~content () =
-  let required =
-    Opkey.F_pit :: (match pass with Some _ -> [ Opkey.F_pass ] | None -> [])
-  in
-  construct t ~required (fun () ->
-      Realize.ndn_data ?hop_limit ?pass ~name ~content ())
-
-let send_xia t ?hop_limit ~dag ~payload () =
-  construct t
-    ~required:[ Opkey.F_dag; Opkey.F_intent ]
-    (fun () -> Realize.xia ?hop_limit ~dag ~payload ())
-
-let send_epic t ?hop_limit ~src_id ~timestamp ~path_secrets ~src ~dst ~payload () =
-  let hop_keys =
-    List.map
-      (fun s -> Dip_epic.Protocol.derive_key s ~src:src_id ~timestamp)
-      path_secrets
-  in
-  construct t
-    ~required:[ Opkey.F_hvf; Opkey.F_32_match; Opkey.F_source ]
-    (fun () ->
-      Realize.epic ?hop_limit ~hops:(List.length path_secrets) ~src_id
-        ~timestamp ~hop_keys ~src ~dst ~payload ())
-
-let open_opt_session t ~session_id ~path_secrets ~dst_secret =
-  let session_keys = Dip_opt.Drkey.session_keys path_secrets ~session_id in
-  let dest_key = Dip_opt.Drkey.derive dst_secret ~session_id in
-  Env.register_opt_session t.env ~session_id ~session_keys ~dest_key;
-  Hashtbl.replace t.sessions session_id dest_key
-
-let send_opt t ?hop_limit ~session_id ~timestamp ~payload () =
-  let dest_key =
-    match Hashtbl.find_opt t.sessions session_id with
-    | Some k -> k
-    | None -> raise Not_found
-  in
-  let hops =
-    match Hashtbl.find_opt t.env.Env.opt_sessions session_id with
-    | Some (keys, _) -> List.length keys
-    | None -> raise Not_found
-  in
-  construct t
-    ~required:[ Opkey.F_parm; Opkey.F_mac; Opkey.F_mark; Opkey.F_ver ]
-    (fun () ->
-      Realize.opt ?hop_limit ~hops ~session_id ~timestamp ~dest_key ~payload ())
-
-let receive t ~registry ~now packet =
-  fst (Engine.host_process ~registry t.env ~now ~ingress:0 packet)
-
 module Reliable = struct
   module Sim = Dip_netsim.Sim
   module Bitbuf = Dip_bitbuf.Bitbuf

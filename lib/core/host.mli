@@ -1,131 +1,8 @@
-(** The host side of DIP — §2.3 "Host Constructions".
-
-    "Before sending the data packets, the host needs to formulate
-    appropriate FNs in the packet header considering both the
-    required network services and the supported FNs."
-
-    A {!t} bundles a host's environment (its {!Env.t}, used by the
-    host-tagged operations such as {i F_ver}) with the set of FNs its
-    attachment point offers (learned via {!Bootstrap}); every [send_*]
-    constructor first checks its requirements against that offer and
-    refuses with the missing keys instead of emitting a packet the
-    network cannot process. *)
-
-type t
-
-val create : ?offer:Opkey.t list -> name:string -> unit -> t
-(** A host. Without [offer] every operation is assumed available
-    (an all-DIP network, the §2.3 simplification). *)
-
-val env : t -> Env.t
-(** The host's environment (session table, local addresses, …). *)
-
-val attach : t -> Bootstrap.t -> as_id:int -> unit
-(** DHCP-style bootstrap: adopt the access AS's offer (§2.3). Raises
-    [Not_found] for an unknown AS. *)
-
-val attach_path : t -> Bootstrap.t -> src:int -> dst:int -> (unit, string) result
-(** BGP-community-style bootstrap: adopt the intersection of support
-    along the AS path — the safe set for all-path operations. *)
-
-val offer : t -> Opkey.t list option
-(** Currently known offer ([None] = everything). *)
-
-val check : t -> Opkey.t list -> (unit, Opkey.t list) result
-(** Which of the required keys the network cannot serve. *)
-
-type 'a construction = ('a, Opkey.t list) result
-(** Either the packet, or the operation keys the attachment point
-    lacks. *)
-
-val send_ipv4 :
-  t ->
-  ?hop_limit:int ->
-  src:Dip_tables.Ipaddr.V4.t ->
-  dst:Dip_tables.Ipaddr.V4.t ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-
-val send_ipv6 :
-  t ->
-  ?hop_limit:int ->
-  src:Dip_tables.Ipaddr.V6.t ->
-  dst:Dip_tables.Ipaddr.V6.t ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-
-val send_interest :
-  t ->
-  ?hop_limit:int ->
-  ?pass:Dip_crypto.Siphash.key ->
-  name:Dip_tables.Name.t ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-
-val open_opt_session :
-  t ->
-  session_id:int64 ->
-  path_secrets:Dip_opt.Drkey.secret list ->
-  dst_secret:Dip_opt.Drkey.secret ->
-  unit
-(** Model of OPT key negotiation: derive and store the session keys
-    of every on-path router plus the destination key, so incoming
-    packets can be verified by {i F_ver}. The transport of the
-    negotiation is elided (DESIGN.md §2). *)
-
-val send_opt :
-  t ->
-  ?hop_limit:int ->
-  session_id:int64 ->
-  timestamp:int32 ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-(** Build an OPT packet for a previously opened session. Raises
-    [Not_found] if the session is unknown. *)
-
-val send_data :
-  t ->
-  ?hop_limit:int ->
-  ?pass:Dip_crypto.Siphash.key ->
-  name:Dip_tables.Name.t ->
-  content:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-(** An NDN data packet (producer side). *)
-
-val send_xia :
-  t ->
-  ?hop_limit:int ->
-  dag:Dip_xia.Dag.t ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-
-val send_epic :
-  t ->
-  ?hop_limit:int ->
-  src_id:int32 ->
-  timestamp:int32 ->
-  path_secrets:Dip_opt.Drkey.secret list ->
-  src:Dip_tables.Ipaddr.V4.t ->
-  dst:Dip_tables.Ipaddr.V4.t ->
-  payload:string ->
-  unit ->
-  Dip_bitbuf.Bitbuf.t construction
-(** EPIC composed with DIP-32 forwarding; hop keys are derived from
-    the path secrets obtained at setup (DRKey model). *)
-
-val receive :
-  t ->
-  registry:Registry.t ->
-  now:float ->
-  Dip_bitbuf.Bitbuf.t ->
-  Engine.verdict
-(** Run the host side of Algorithm 1 (host-tagged FNs only). *)
+(** The host side of DIP beyond a single packet. A host builds its
+    packets with {!Realize}, checks them against its attachment
+    point's offer with {!Bootstrap.plan} and runs its host-tagged FNs
+    with {!Engine.host_process}; what is left here is state that
+    spans packets. *)
 
 (** A minimal reliable transport over DIP-32 forwarding, built for
     the fault-injection experiments ({!Dip_netsim.Faults}).
@@ -142,17 +19,6 @@ val receive :
     deterministic per seed. *)
 module Reliable : sig
   module Sim = Dip_netsim.Sim
-
-  val data_next_header : int
-  (** 0xFD — reliable data. *)
-
-  val ack_next_header : int
-  (** 0xFC — reliable ACK. *)
-
-  val self_port : Sim.port
-  (** The virtual ingress the sender self-injects (re)transmissions
-      on (timers cannot return [Forward] actions). Must not be wired
-      on a sender node. *)
 
   type config = {
     rto : float;  (** initial retransmit timeout, seconds *)
@@ -183,7 +49,9 @@ module Reliable : sig
     sender
   (** Create the sending endpoint as a simulator node. Wire its
       [out_port] toward the network; ACKs are accepted on any wired
-      ingress. With [~custody:true] every data packet carries the
+      ingress. Timers cannot return [Forward] actions, so the sender
+      self-injects every (re)transmission on port 99: leave that
+      port unwired on a sender node. With [~custody:true] every data packet carries the
       F_cust custody-request FN ({!Custody}): custodian routers along
       the path may take over delivery, in which case the sender stops
       retransmitting as soon as the first hop-local custody ACK

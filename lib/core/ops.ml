@@ -18,6 +18,8 @@ let[@inline never] read_v4 (ctx : ctx) =
   if off land 7 = 0 then Bitbuf.get_uint32 ctx.view.Packet.buf (off lsr 3)
   else Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target)
 
+(* Key 1: 32-bit destination match against the v4 LPM table; local
+   address → delivery. *)
 let f_32_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 32 then Abort "f32: field must be 32 bits"
   else
@@ -30,6 +32,7 @@ let f_32_match ctx =
         if id < 0 then Abort "no-route"
         else route_to (Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id)
 
+(* Key 2: 128-bit destination match against the v6 LPM table. *)
 let f_128_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 128 then
     Abort "f128: field must be 128 bits"
@@ -42,6 +45,7 @@ let f_128_match ctx =
       if id < 0 then Abort "no-route"
       else Set_route [ Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id ]
 
+(* Key 3: names where the source lives (32 or 128 bits). *)
 let f_source ctx =
   (* The source field only needs to be well-formed; routers do not
      act on it. *)
@@ -68,6 +72,10 @@ let data_packet_for ctx ~hash ~content =
     ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_pit ]
     ~locations:(Bytes.to_string loc) ~payload:content ()
 
+(* Key 4: content-name FIB match for interest packets — records the
+   receiving port in the PIT, then forwards on the FIB hit (§3,
+   NDN). With a content store configured, a cache hit answers
+   directly (§4.1 footnote 2). *)
 let f_fib ctx =
   match read_name_hash ctx with
   | None -> Abort "fib: field must be 32 bits"
@@ -94,6 +102,8 @@ let f_fib ctx =
                     ignore (Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now);
                     Abort "no-fib-entry")))
 
+(* Key 5: PIT match for data packets — forward to the recorded
+   request ports, or discard on a miss (§3, NDN). *)
 let f_pit ctx =
   match read_name_hash ctx with
   | None -> Abort "pit: field must be 32 bits"
@@ -114,6 +124,8 @@ let fn_location_base view (fn : Fn.t) ~span_off_bits =
   else if rel mod 8 <> 0 then Error "region not byte aligned"
   else Ok (view.Packet.loc_base + (rel / 8))
 
+(* Key 6: derive the dynamic OPT key from the session id in the
+   target field with the router's local secret (§3, OPT). *)
 let f_parm ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 128 then
     Abort "parm: field must be 128 bits"
@@ -131,6 +143,8 @@ let f_parm ctx =
             ctx.scratch.opt_key <- Some (Dip_opt.Protocol.expand ~alg:ctx.env.Env.opt_alg key);
             Continue)
 
+(* Key 7: MAC over the target span, deposited in this router's OPV
+   slot. Requires {i F_parm} to have run first. *)
 let f_mac ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 416 then
     Abort "mac: field must be 416 bits"
@@ -153,6 +167,7 @@ let f_mac ctx =
               Continue
             end)
 
+(* Key 8: fold the router's key into the PVF (the mark update). *)
 let f_mark ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 128 then
     Abort "mark: field must be 128 bits"
@@ -166,6 +181,8 @@ let f_mark ctx =
             Dip_opt.Protocol.mark_update ctx.view.Packet.buf ~base ~key;
             Continue)
 
+(* Key 9: host-side verification of source and path over the whole
+   OPT span; delivers on success. *)
 let f_ver ctx =
   let len = ctx.fn.Fn.field.Field.len_bits in
   if len < 544 || (len - 416) mod 128 <> 0 then
@@ -228,6 +245,8 @@ let dag_on ctx b pos len =
           Continue
       | Dip_xia.Router.Discard reason -> Abort ("dag: " ^ reason))
 
+(* Key 10: parse the XIA DAG in the target field and forward by
+   fallback, updating the address pointer in place. *)
 let f_dag ctx = on_target ctx dag_on
 
 (* Whether the bytes of [b] from [pos + i] on continue [w] from [i]. *)
@@ -253,6 +272,8 @@ let intent_on ctx b pos len =
       | Error e -> Abort ("intent: " ^ e)
       | Ok (dag, ptr, _) -> intent_at ctx dag ptr)
 
+(* Key 11: handle the intent — deliver when the pointer has reached
+   an intent this node owns. *)
 let f_intent ctx = on_target ctx intent_on
 
 (* --- F_pass (key 12, §2.4) --- *)
@@ -269,6 +290,8 @@ let compute_pass_label key ~locations ~label_field =
     invalid_arg "compute_pass_label: label must be 32 bits";
   Dip_crypto.Siphash.hash32 key (label_input ~locations ~label_field)
 
+(* Key 12 (§2.4): verify the source label over the FN-locations
+   region; drops forged packets when enabled, free when disabled. *)
 let f_pass ctx =
   if not ctx.env.Env.pass_enabled then Continue
   else if ctx.fn.Fn.field.Field.len_bits <> 32 then
@@ -291,6 +314,8 @@ let f_pass ctx =
 
 (* --- F_cc (key 13): NetFence-style congestion policing --- *)
 
+(* Enforce the per-sender token bucket at bottleneck routers, mark
+   or drop over-rate packets, and MAC-stamp the feedback. *)
 let f_cc ctx =
   if ctx.fn.Fn.field.Field.len_bits <> Dip_netfence.Header.size_bits then
     Abort "cc: field must be a NetFence header"
@@ -312,6 +337,8 @@ let f_cc ctx =
 
 (* --- F_tel (key 14): in-band telemetry --- *)
 
+(* Append this node's telemetry record to the packet's telemetry
+   region (best-effort, never blocks). *)
 let f_tel ctx =
   match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
   | Error e -> Abort ("tel: " ^ e)
@@ -334,6 +361,9 @@ let f_tel ctx =
 
 (* --- F_hvf (key 15): EPIC per-hop validation --- *)
 
+(* Check this hop's HVF against the key derived from (source,
+   timestamp), dropping the packet on mismatch, and replace it with
+   its verified form. *)
 let f_hvf ctx =
   let len = ctx.fn.Fn.field.Field.len_bits in
   if len < 224 || (len - 192) mod 32 <> 0 then

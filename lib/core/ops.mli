@@ -1,81 +1,11 @@
 (** The operation modules of Table 1 (plus {i F_pass}), implemented
     against {!Env} state.
 
-    Each function is a {!Registry.impl}; {!default_registry} is a
-    node with every module pre-written on its dataplane (the §4.1
-    prototype configuration). Heterogeneous ASes (§2.4) install
-    subsets via {!Registry.restrict}. *)
-
-val f_32_match : Registry.impl
-(** Key 1: 32-bit destination match against the v4 LPM table; local
-    address → delivery. *)
-
-val f_128_match : Registry.impl
-(** Key 2: 128-bit destination match against the v6 LPM table. *)
-
-val f_source : Registry.impl
-(** Key 3: the source-address field. Routers take no action; the
-    field merely names where the source lives (32 or 128 bits). *)
-
-val f_fib : Registry.impl
-(** Key 4: content-name FIB match for interest packets — records the
-    receiving port in the PIT, then forwards on the FIB hit (§3,
-    NDN). With a content store configured, a cache hit answers
-    directly (§4.1 footnote 2). *)
-
-val f_pit : Registry.impl
-(** Key 5: PIT match for data packets — forward to the recorded
-    request ports, or discard on a miss (§3, NDN). *)
-
-val f_parm : Registry.impl
-(** Key 6: derive the dynamic OPT key from the session id in the
-    target field with the router's local secret (§3, OPT). *)
-
-val f_mac : Registry.impl
-(** Key 7: MAC over the target span, deposited in this router's OPV
-    slot. Requires {i F_parm} to have run first. *)
-
-val f_mark : Registry.impl
-(** Key 8: fold the router's key into the PVF (the mark update). *)
-
-val f_ver : Registry.impl
-(** Key 9: host-side verification of source and path over the whole
-    OPT span; delivers on success. *)
-
-val f_dag : Registry.impl
-(** Key 10: parse the XIA DAG in the target field and forward by
-    fallback, updating the address pointer in place. *)
-
-val f_intent : Registry.impl
-(** Key 11: handle the intent — deliver when the pointer has reached
-    an intent this node owns. *)
-
-val f_pass : Registry.impl
-(** Key 12 (§2.4): verify the source label over the FN-locations
-    region; drops forged packets when enabled, free when disabled. *)
-
-val f_cc : Registry.impl
-(** Key 13 (extension): NetFence-style congestion policing — enforce
-    the per-sender token bucket at bottleneck routers, mark or drop
-    over-rate packets, and MAC-stamp the feedback. *)
-
-val f_tel : Registry.impl
-(** Key 14 (extension): append this node's telemetry record to the
-    packet's telemetry region (best-effort, never blocks). *)
-
-val f_hvf : Registry.impl
-(** Key 15 (extension): EPIC-style hop validation — check this hop's
-    HVF against the key derived from (source, timestamp), dropping
-    the packet on mismatch, and replace it with its verified form. *)
-
-val f_cust : Registry.impl
-(** Key 16 (extension): DTN custody transfer (see {!Custody}). On a
-    custodian (an {!Env.t} with a custody store): store a copy of a
-    custody-requested packet, set the in-custody bit, push a
-    hop-local custody ACK upstream via [scratch.emit], and keep
-    forwarding; release the stored copy when the matching custody
-    ACK arrives. Without a store the FN is a no-op — ignorable per
-    §2.4. *)
+    Each module is a {!Registry.impl} installed under its
+    {!Opkey.t}; {!default_registry} is a node with every module
+    pre-written on its dataplane (the §4.1 prototype configuration).
+    Heterogeneous ASes (§2.4) install subsets via
+    {!Registry.restrict}. *)
 
 val compute_pass_label :
   Dip_crypto.Siphash.key ->
@@ -87,9 +17,3 @@ val compute_pass_label :
 
 val default_registry : unit -> Registry.t
 (** All operation modules installed. *)
-
-val fn_location_base : Packet.view -> Fn.t -> span_off_bits:int -> (int, string) result
-(** Resolve the byte offset (within the whole packet) of a protocol
-    region from an FN whose target starts [span_off_bits] into that
-    region — e.g. {i F_mark}'s target starts 288 bits into the OPT
-    region. Exposed for the engine tests. *)

@@ -91,7 +91,6 @@ let locations_field view (fn : Fn.t) =
     ~len_bits:fn.Fn.field.Field.len_bits
 
 let get_target view fn = Bitbuf.get_field view.buf (locations_field view fn)
-let set_target view fn v = Bitbuf.set_field view.buf (locations_field view fn) v
 
 let payload view =
   let off = Header.payload_offset view.header in

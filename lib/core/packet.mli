@@ -54,8 +54,5 @@ val locations_field : view -> Fn.t -> Dip_bitbuf.Field.t
 val get_target : view -> Fn.t -> string
 (** Read an FN's target field bytes. *)
 
-val set_target : view -> Fn.t -> string -> unit
-(** Overwrite an FN's target field. *)
-
 val payload : view -> string
 (** Bytes after the DIP header. *)

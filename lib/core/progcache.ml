@@ -69,7 +69,7 @@ let hint () = { last = absent; last_key = "" }
    of slots. *)
 type t = {
   cap : int;
-  mutable enabled : bool;
+  enabled : bool;
   mutable entries : entry array;
   mutable keys : string array;
   mutable links : int array;
@@ -135,7 +135,6 @@ let create ?(capacity = 512) () =
   }
 
 let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

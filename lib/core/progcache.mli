@@ -48,9 +48,8 @@ val create : ?capacity:int -> unit -> t
     programs. [capacity = 0] creates a disabled cache. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-(** The [--no-program-cache] escape hatch: a disabled cache makes
-    {!Engine} fall back to cold parsing. *)
+(** [false] for a cache created with [capacity = 0]: {!Engine} then
+    parses every packet cold. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -92,8 +92,6 @@ let opt ?hop_limit ?alg ~hops ~session_id ~timestamp ~dest_key ~payload () =
 let ndn_opt_interest ?hop_limit ~name ~payload () =
   ndn_interest ?hop_limit ~name ~payload ()
 
-let ndn_opt_name_loc ~hops = Dip_opt.Header.size_bits ~hops
-
 let ndn_opt_data ?hop_limit ?alg ~hops ~session_id ~timestamp ~dest_key ~name
     ~content () =
   Packet.build ?hop_limit

@@ -96,10 +96,6 @@ val xia :
   ?hop_limit:int -> dag:Dip_xia.Dag.t -> payload:string -> unit -> Dip_bitbuf.Bitbuf.t
 (** XIA over DIP: pointer + DAG in the FN locations. *)
 
-val ndn_opt_name_loc : hops:int -> int
-(** Bit offset of the content name in an NDN+OPT locations region
-    (544 at one hop). *)
-
 val netfence :
   ?hop_limit:int ->
   src:Dip_tables.Ipaddr.V4.t ->

@@ -19,9 +19,6 @@
 
 type flag = No_congestion | Congestion | Attack
 
-val flag_to_int : flag -> int
-val flag_of_int : int -> flag option
-
 val size_bytes : int
 (** 21. *)
 
@@ -39,12 +36,9 @@ val set_flag : Dip_bitbuf.Bitbuf.t -> base:int -> flag -> unit
 val get_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 
-val feedback_mac :
-  key:Dip_crypto.Prf.key -> Dip_bitbuf.Bitbuf.t -> base:int -> int64
-(** MAC over (sender, flag, timestamp) with the router's secret. *)
-
 val stamp : key:Dip_crypto.Prf.key -> Dip_bitbuf.Bitbuf.t -> base:int -> unit
-(** Write the feedback MAC field. *)
+(** Write the feedback MAC field: a MAC over (sender, flag,
+    timestamp) with the router's secret. *)
 
 val verify : key:Dip_crypto.Prf.key -> Dip_bitbuf.Bitbuf.t -> base:int -> bool
 (** Check the MAC field against the current header contents. *)

@@ -51,7 +51,6 @@ type crash = {
 
 (* What the layer knows about one directed egress. *)
 type link = {
-  mutable spec : spec option;  (* override of [t.default] *)
   (* Down windows, unordered; the hook scans them (links have few
      windows). *)
   mutable down : (float * float) list;
@@ -62,7 +61,7 @@ type link = {
 
 (* The state of every egress nothing was configured on; never
    written. *)
-let unset = { spec = None; down = []; up_subs = [] }
+let unset = { down = []; up_subs = [] }
 
 type t = {
   sim : Sim.t;
@@ -96,7 +95,7 @@ let link t ((node, port) as key) =
   t.links <- grow t.links node [||];
   t.links.(node) <- grow t.links.(node) port unset;
   if find t key == unset then
-    t.links.(node).(port) <- { spec = None; down = []; up_subs = [] };
+    t.links.(node).(port) <- { down = []; up_subs = [] };
   find t key
 
 let is_down l now = List.exists (fun (a, b) -> now >= a && now < b) l.down
@@ -113,7 +112,7 @@ let hook t _sim ~from packet =
     []
   end
   else begin
-    let s = match l.spec with Some s -> s | None -> t.default in
+    let s = t.default in
     if s.drop > 0.0 && Prng.float t.rng 1.0 < s.drop then begin
       record t Drop ~node ~port;
       []
@@ -171,9 +170,7 @@ let attach ~seed sim =
   Sim.set_egress_hook sim (hook t);
   t
 
-let detach t = Sim.clear_egress_hook t.sim
 let all_links t s = t.default <- s
-let on_link t key s = (link t key).spec <- Some s
 
 let add_window t key w =
   let l = link t key in

@@ -43,18 +43,8 @@ val attach : seed:int64 -> Sim.t -> t
     no specs or windows configured it passes every packet through
     untouched. *)
 
-val detach : t -> unit
-(** Remove the egress hook. Scheduled windows already in the event
-    queue still fire (restoring handlers), but stop injecting. *)
-
 val all_links : t -> spec -> unit
-(** Set the default spec applied to every wired egress without a
-    per-link override. *)
-
-val on_link : t -> Sim.node_id * Sim.port -> spec -> unit
-(** Override the spec for one {e directed} egress (packets leaving
-    [node] via [port]). Raises [Invalid_argument] on a negative node
-    or port. *)
+(** Set the spec applied to every wired egress. *)
 
 val link_down : t -> Sim.node_id * Sim.port -> from_:float -> until:float -> unit
 (** Schedule a down window for the link wired at [(node, port)]:

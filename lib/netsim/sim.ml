@@ -357,7 +357,6 @@ let now t = t.clock
 let counters t = t.stats
 let on_consume t f = t.consume_hooks <- f :: t.consume_hooks
 let set_egress_hook t hook = t.egress_hook <- Some hook
-let clear_egress_hook t = t.egress_hook <- None
 let set_flight t r = t.flight <- r
 let flight t = t.flight
 

@@ -189,8 +189,6 @@ val set_egress_hook :
     it. Normal queue accounting (capacity, serialization, tx counters)
     applies to each returned entry. Replaces any previous hook. *)
 
-val clear_egress_hook : t -> unit
-
 val set_flight : t -> Dip_obs.Flight.ring option -> unit
 (** Arm (or disarm) a flight-recorder ring for simulator-side events,
     written from the domain driving the simulator: per

@@ -21,18 +21,6 @@ let linear ?latency ?bandwidth n =
   if n < 1 then invalid_arg "Topology.linear: need at least one node";
   make ~node_count:n (List.init (n - 1) (fun i -> mk_edge ?latency ?bandwidth i (i + 1)))
 
-let star ?latency ?bandwidth k =
-  if k < 1 then invalid_arg "Topology.star: need at least one leaf";
-  make ~node_count:(k + 1) (List.init k (fun i -> mk_edge ?latency ?bandwidth 0 (i + 1)))
-
-let dumbbell ?latency ?bandwidth l r =
-  if l < 1 || r < 1 then invalid_arg "Topology.dumbbell: need hosts on both sides";
-  let ls = l and rs = l + 1 in
-  let left = List.init l (fun i -> mk_edge ?latency ?bandwidth i ls) in
-  let right = List.init r (fun i -> mk_edge ?latency ?bandwidth rs (l + 2 + i)) in
-  let middle = [ mk_edge ?latency ?bandwidth ls rs ] in
-  make ~node_count:(l + r + 2) (left @ middle @ right)
-
 let random ~seed ~nodes ~degree =
   if nodes < 2 then invalid_arg "Topology.random: need at least two nodes";
   if degree < 1 then invalid_arg "Topology.random: degree must be positive";

@@ -2,8 +2,8 @@
 
     Experiments need reproducible topologies: a linear chain for the
     per-hop processing measurements (the paper evaluates OPT with one
-    hop, §4.1), a star for fan-in workloads, a dumbbell for congested
-    paths, and small random graphs for robustness tests.
+    hop, §4.1), WAN-like graphs, fat-trees, and small random graphs
+    for robustness tests.
 
     A topology is described abstractly (adjacency with link
     parameters) and then {e instantiated} onto a {!Sim.t} once the
@@ -33,14 +33,6 @@ val make : node_count:int -> edge list -> t
 val linear : ?latency:float -> ?bandwidth:float -> int -> t
 (** [linear n] is a chain of [n] nodes ([n >= 1]):
     0 – 1 – … – (n-1). *)
-
-val star : ?latency:float -> ?bandwidth:float -> int -> t
-(** [star k] is a hub (node 0) with [k] leaves (nodes 1..k). *)
-
-val dumbbell : ?latency:float -> ?bandwidth:float -> int -> int -> t
-(** [dumbbell l r]: [l] left hosts – left switch – right switch –
-    [r] right hosts. Left hosts are nodes [0..l-1], the switches are
-    [l] and [l+1], right hosts [l+2 ..]. *)
 
 val random : seed:int64 -> nodes:int -> degree:int -> t
 (** A connected random graph: a spanning backbone plus extra edges

@@ -100,13 +100,3 @@ let journey t fp =
 
 let event_count t = t.nevents
 let dropped_events t = t.dropped
-
-let pp_kind fmt = function
-  | Received p -> Format.fprintf fmt "received on port %d" p
-  | Consumed -> Format.pp_print_string fmt "consumed"
-  | Dropped r -> Format.fprintf fmt "dropped (%s)" r
-
-let pp_events fmt evs =
-  List.iter
-    (fun e -> Format.fprintf fmt "%.6fs  %-12s %a@." e.time e.node pp_kind e.kind)
-    evs

@@ -26,9 +26,6 @@ type event = { time : float; node : string; kind : event_kind }
 
 type t
 
-val default_max_events : int
-(** 1_000_000. *)
-
 val attach :
   ?fingerprint:(Dip_bitbuf.Bitbuf.t -> int32) ->
   ?max_events:int ->
@@ -36,7 +33,7 @@ val attach :
   t
 (** Start recording; local deliveries are captured automatically via
     the simulator's consume hook. Once [max_events] (default
-    {!default_max_events}, must be [>= 1]) events have been recorded,
+    1_000_000, must be [>= 1]) events have been recorded,
     further events are dropped and counted. *)
 
 val wrap : t -> name:string -> Sim.handler -> Sim.handler
@@ -57,4 +54,3 @@ val event_count : t -> int
 val dropped_events : t -> int
 (** Events discarded because the [max_events] cap was reached. *)
 
-val pp_events : Format.formatter -> event list -> unit

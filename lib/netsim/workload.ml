@@ -4,33 +4,6 @@ let payload ~seed ~size =
   let g = Dip_stdext.Prng.create seed in
   Dip_stdext.Prng.bytes g size
 
-let pad_to pkt size =
-  let len = Dip_bitbuf.Bitbuf.length pkt in
-  if len >= size then pkt
-  else begin
-    let out = Dip_bitbuf.Bitbuf.create size in
-    Dip_bitbuf.Bitbuf.blit ~src:pkt ~src_off:0 ~dst:out ~dst_off:0 ~len;
-    out
-  end
-
-type arrival = { time : float; index : int }
-
-let poisson_arrivals ~seed ~rate ~count =
-  if rate <= 0.0 then invalid_arg "Workload.poisson_arrivals: rate must be positive";
-  let g = Dip_stdext.Prng.create seed in
-  let rec go i t acc =
-    if i = count then List.rev acc
-    else
-      let t = t +. Dip_stdext.Prng.exponential g rate in
-      go (i + 1) t ({ time = t; index = i } :: acc)
-  in
-  go 0 0.0 []
-
-let constant_arrivals ~interval ~count =
-  if interval <= 0.0 then
-    invalid_arg "Workload.constant_arrivals: interval must be positive";
-  List.init count (fun i -> { time = float_of_int i *. interval; index = i })
-
 (* Satellite-pass / mobile contact schedule: the link is up only
    during periodic contact windows ("passes") and down the rest of
    the time. Returns the DOWN windows, ready to feed one by one to

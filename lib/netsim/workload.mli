@@ -2,7 +2,8 @@
 
     The paper evaluates with fixed-size packets (128, 768 and 1500
     bytes, §4.2); richer experiments in this repository additionally
-    use Poisson arrivals and Zipf-distributed content popularity.
+    use routing-table prefixes, flows and Zipf-distributed content
+    popularity.
     Every generator is deterministic in its seed. *)
 
 val paper_packet_sizes : int list
@@ -10,21 +11,6 @@ val paper_packet_sizes : int list
 
 val payload : seed:int64 -> size:int -> bytes
 (** [size] pseudo-random payload bytes. *)
-
-val pad_to : Dip_bitbuf.Bitbuf.t -> int -> Dip_bitbuf.Bitbuf.t
-(** [pad_to pkt size] extends a header buffer with zero payload up
-    to [size] bytes total (returns the input unchanged if already at
-    least that long). Models "a header plus enough payload to reach
-    the wire size". *)
-
-type arrival = { time : float; index : int }
-
-val poisson_arrivals : seed:int64 -> rate:float -> count:int -> arrival list
-(** [count] arrivals with exponential inter-arrival times at [rate]
-    packets/second, starting at time 0. *)
-
-val constant_arrivals : interval:float -> count:int -> arrival list
-(** Evenly spaced arrivals. *)
 
 val satellite_passes :
   ?start:float ->

@@ -47,14 +47,11 @@ val registered : unit -> (string * kind) list
 
 type ring
 
-val default_capacity : int
-(** 16384 events (512 KiB of payload per ring). *)
-
 val create : ?capacity:int -> pid:int -> tid:int -> unit -> ring
 (** [create ~pid ~tid ()] allocates a ring whose events carry the
     given process/thread labels (Chrome-trace convention: [pid] = a
     node or pool, [tid] = a domain within it). [capacity] (default
-    {!default_capacity}) is rounded up to a power of two, minimum
+    16384 events, 512 KiB of payload) is rounded up to a power of two, minimum
     8. *)
 
 val record : ring -> id -> int -> int -> int -> unit

@@ -29,9 +29,7 @@ val size_bytes : hops:int -> int
 val size_bits : hops:int -> int
 
 (** Field descriptors relative to the start of the region. *)
-val data_hash_field : Dip_bitbuf.Field.t
 val session_id_field : Dip_bitbuf.Field.t
-val timestamp_field : Dip_bitbuf.Field.t
 val pvf_field : Dip_bitbuf.Field.t
 val opv_field : int -> Dip_bitbuf.Field.t
 (** [opv_field i] is the i-th hop's OPV, [i >= 1]. *)

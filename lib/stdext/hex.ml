@@ -10,7 +10,6 @@ let encode s =
   done;
   Bytes.unsafe_to_string b
 
-let encode_bytes b = encode (Bytes.to_string b)
 
 let nibble c =
   match c with

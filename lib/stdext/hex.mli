@@ -5,9 +5,6 @@ val encode : string -> string
 (** [encode s] is the lowercase hex rendering of [s], two characters
     per byte. *)
 
-val encode_bytes : bytes -> string
-(** Same as {!encode} on a [bytes] value. *)
-
 val decode : string -> string
 (** [decode h] inverts {!encode}. Raises [Invalid_argument] if [h]
     has odd length or contains a non-hex character. *)

@@ -1,11 +1,9 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Sep
-
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
   arity : int;
 }
 
@@ -24,9 +22,7 @@ let create ?aligns headers =
 let add_row t cells =
   if List.length cells <> t.arity then
     invalid_arg "Tabular.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -44,12 +40,7 @@ let render t =
   let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
   List.iter
-    (function
-      | Sep -> ()
-      | Cells cs ->
-          List.iteri
-            (fun i c -> widths.(i) <- max widths.(i) (String.length c))
-            cs)
+    (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)))
     rows;
   let buf = Buffer.create 256 in
   let hline () =
@@ -75,7 +66,7 @@ let render t =
   hline ();
   line t.headers;
   hline ();
-  List.iter (function Sep -> hline () | Cells cs -> line cs) rows;
+  List.iter line rows;
   hline ();
   Buffer.contents buf
 

@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** Append a row. Raises [Invalid_argument] if the arity differs from
     the header. *)
 
-val add_sep : t -> unit
-(** Append a horizontal separator row. *)
-
 val render : t -> string
 (** Render with box-drawing in ASCII ([+---+] style). *)
 

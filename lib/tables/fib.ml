@@ -442,7 +442,6 @@ module V4 = struct
       total_bytes = lookup_bytes + side;
     }
 
-  let memory_bytes t = (stats t).total_bytes
 
   let shared_pristine () =
     Bytes.for_all (( = ) '\000') zero_ent
@@ -776,5 +775,4 @@ module V6 = struct
       total_bytes = lookup_bytes + side;
     }
 
-  let memory_bytes t = (stats t).total_bytes
 end

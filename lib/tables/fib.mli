@@ -88,9 +88,6 @@ module V4 : sig
       their initial contents (all zero, all 0xFF, sentinels only, no
       cover words). Always [true] unless a write path wrote through
       a shared structure; a check for tests. *)
-
-  val memory_bytes : 'a t -> int
-  (** [= (stats t).total_bytes]. *)
 end
 
 module V6 : sig
@@ -124,5 +121,4 @@ module V6 : sig
   }
 
   val stats : 'a t -> stats
-  val memory_bytes : 'a t -> int
 end

@@ -28,12 +28,6 @@ let prefix t k =
   if k < 1 || k > length t then invalid_arg "Name.prefix: bad length";
   List.filteri (fun i _ -> i < k) t
 
-let rec is_prefix ~prefix t =
-  match (prefix, t) with
-  | [], _ -> true
-  | _ :: _, [] -> false
-  | p :: ps, c :: cs -> String.equal p c && is_prefix ~prefix:ps cs
-
 let equal a b = List.equal String.equal a b
 let compare a b = List.compare String.compare a b
 let hash32 t = Dip_crypto.Siphash.hash32 Dip_crypto.Siphash.default_key (to_string t)

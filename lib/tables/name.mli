@@ -29,10 +29,6 @@ val append : t -> string -> t
 val prefix : t -> int -> t
 (** [prefix n k] is the first [k] components ([1 <= k <= length n]). *)
 
-val is_prefix : prefix:t -> t -> bool
-(** Component-wise prefix relation, e.g. [/a/b] is a prefix of
-    [/a/b/c] but not of [/a/bc]. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -69,4 +69,3 @@ let consume t ~key ~now =
 let pending t ~key ~now =
   match live t key now with None -> [] | Some e -> List.rev e.ports
 
-let hash32_key = Name.hash32

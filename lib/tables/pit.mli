@@ -39,7 +39,3 @@ val pending : 'k t -> key:'k -> now:float -> port list
 
 val purge_expired : 'k t -> now:float -> int
 (** Evict all expired entries; returns how many were dropped. *)
-
-val hash32_key : Name.t -> int32
-(** Convenience: the prototype keys its PIT by the 32-bit hashed
-    content name, same as the FIB. *)

@@ -52,8 +52,6 @@ val decode_packet : Dip_bitbuf.Bitbuf.t -> (Dag.t * int * string, string) result
 (** {!decode_slice} over the whole packet, with the bytes after the
     DAG as the payload. *)
 
-val set_ptr : Dip_bitbuf.Bitbuf.t -> int -> unit
-
 val process : t -> Dip_bitbuf.Bitbuf.t -> verdict
 (** Decode, {!step}, and write the updated pointer back in place. *)
 

@@ -22,9 +22,6 @@ val of_name : kind -> string -> t
     self-certifying identifiers are hashes in XIA, and this gives
     tests and examples readable constructors. *)
 
-val kind_to_int : kind -> int
-val kind_of_int : int -> kind option
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

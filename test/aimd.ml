@@ -1,3 +1,10 @@
+(* AIMD rate control, the sender's half of NetFence: congestion
+   feedback from the bottleneck (echoed by the receiver, protected by
+   the router's MAC) halves the allowed rate, and each feedback-free
+   control interval adds an increment. The rate stays within
+   [min_rate, max_rate]. test_netfence drives F_cc's feedback loop
+   with it. *)
+
 type t = {
   increase : float;
   decrease : float;
@@ -16,8 +23,6 @@ let create ?(increase = 12500.0) ?(decrease = 0.5) ?(min_rate = 1250.0)
 
 let rate t = t.rate
 
-let clamp t v = Float.max t.min_rate (Float.min t.max_rate v)
-
 let on_feedback t ~congested =
-  t.rate <-
-    clamp t (if congested then t.rate *. t.decrease else t.rate +. t.increase)
+  let v = if congested then t.rate *. t.decrease else t.rate +. t.increase in
+  t.rate <- Float.max t.min_rate (Float.min t.max_rate v)

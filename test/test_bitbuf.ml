@@ -5,6 +5,10 @@ open Dip_bitbuf
 
 let field ~off ~len = Field.v ~off_bits:off ~len_bits:len
 
+(* Bit [i] of [b], MSB-first, read as a one-bit field. *)
+let bit b i = Bitbuf.get_uint b (field ~off:i ~len:1) = 1L
+let set_bit b i = Bitbuf.set_uint b (field ~off:i ~len:1) 1L
+
 let test_field_validation () =
   Alcotest.check_raises "negative offset"
     (Invalid_argument "Field.v: negative offset") (fun () ->
@@ -40,13 +44,13 @@ let test_field_contains () =
 
 let test_bits_roundtrip () =
   let b = Bitbuf.create 4 in
-  Bitbuf.set_bit b 0 true;
-  Bitbuf.set_bit b 7 true;
-  Bitbuf.set_bit b 31 true;
-  Alcotest.(check bool) "bit 0" true (Bitbuf.get_bit b 0);
-  Alcotest.(check bool) "bit 1 untouched" false (Bitbuf.get_bit b 1);
-  Alcotest.(check bool) "bit 7" true (Bitbuf.get_bit b 7);
-  Alcotest.(check bool) "bit 31" true (Bitbuf.get_bit b 31);
+  set_bit b 0;
+  set_bit b 7;
+  set_bit b 31;
+  Alcotest.(check bool) "bit 0" true (bit b 0);
+  Alcotest.(check bool) "bit 1 untouched" false (bit b 1);
+  Alcotest.(check bool) "bit 7" true (bit b 7);
+  Alcotest.(check bool) "bit 31" true (bit b 31);
   (* MSB-first layout: bits 0 and 7 of byte 0 are 0x81. *)
   Alcotest.(check int) "byte 0" 0x81 (Bitbuf.get_uint8 b 0)
 
@@ -92,9 +96,9 @@ let test_uint64_full_width () =
 let test_byte_accessors () =
   let b = Bitbuf.create 16 in
   Bitbuf.set_uint16 b 2 0xCAFE;
-  Bitbuf.set_uint64 b 8 0x1122334455667788L;
+  Bitbuf.set_uint32 b 8 0x11223344l;
   Alcotest.(check int) "u16" 0xCAFE (Bitbuf.get_uint16 b 2);
-  Alcotest.(check int64) "u64" 0x1122334455667788L (Bitbuf.get_uint64 b 8)
+  Alcotest.(check int32) "u32" 0x11223344l (Bitbuf.get_uint32 b 8)
 
 let test_field_string_aligned () =
   let b = Bitbuf.create 16 in
@@ -116,23 +120,6 @@ let test_field_string_padding_guard () =
   Alcotest.check_raises "dirty padding"
     (Invalid_argument "Bitbuf: non-zero padding bits in unaligned field value")
     (fun () -> Bitbuf.set_field b f "\xAB\xCD\xEF")
-
-let test_xor_field () =
-  let b = Bitbuf.create 8 in
-  let f = field ~off:16 ~len:32 in
-  Bitbuf.set_field b f "\x01\x02\x03\x04";
-  Bitbuf.xor_field b f "\xFF\x00\xFF\x00";
-  Alcotest.(check string) "xored" "\xfe\x02\xfc\x04" (Bitbuf.get_field b f);
-  Bitbuf.xor_field b f "\xFF\x00\xFF\x00";
-  Alcotest.(check string) "xor is involutive" "\x01\x02\x03\x04"
-    (Bitbuf.get_field b f)
-
-let test_equal_field () =
-  let b = Bitbuf.create 4 in
-  let f = field ~off:0 ~len:32 in
-  Bitbuf.set_field b f "dip!";
-  Alcotest.(check bool) "match" true (Bitbuf.equal_field b f "dip!");
-  Alcotest.(check bool) "mismatch" false (Bitbuf.equal_field b f "dip?")
 
 let test_copy_independent () =
   let a = Bitbuf.create 4 in
@@ -181,7 +168,7 @@ let prop_uint_neighbours_untouched =
       for i = 0 to 15 do
         Bitbuf.set_uint8 b i 0x5A
       done;
-      let before = Array.init 128 (fun i -> Bitbuf.get_bit b i) in
+      let before = Array.init 128 (fun i -> bit b i) in
       let ones =
         if len = 64 then -1L else Int64.sub (Int64.shift_left 1L len) 1L
       in
@@ -189,7 +176,7 @@ let prop_uint_neighbours_untouched =
       let ok = ref true in
       for i = 0 to 127 do
         if i < off || i >= off + len then
-          if Bitbuf.get_bit b i <> before.(i) then ok := false
+          if bit b i <> before.(i) then ok := false
       done;
       !ok)
 
@@ -224,30 +211,6 @@ let prop_field_roundtrip =
       Bitbuf.set_field b f v;
       Bitbuf.get_field b f = v)
 
-let prop_xor_involutive =
-  QCheck.Test.make ~name:"bitbuf: xor_field twice = id" ~count:500
-    (arb_wide_field_in 512)
-    (fun (off, len) ->
-      let f = field ~off ~len in
-      let b = Bitbuf.create 64 in
-      let g = Dip_stdext.Prng.create (Int64.of_int ((off * 17) + len)) in
-      Bitbuf.blit
-        ~src:(Bitbuf.of_bytes (Dip_stdext.Prng.bytes g 64))
-        ~src_off:0 ~dst:b ~dst_off:0 ~len:64;
-      let width = (len + 7) / 8 in
-      let v = Bytes.of_string (Bytes.to_string (Dip_stdext.Prng.bytes g width)) in
-      let pad = (8 - (len mod 8)) mod 8 in
-      if pad > 0 then begin
-        let last = Bytes.length v - 1 in
-        Bytes.set v last
-          (Char.chr (Char.code (Bytes.get v last) land (0xFF lsl pad) land 0xFF))
-      end;
-      let v = Bytes.to_string v in
-      let before = Bitbuf.to_string b in
-      Bitbuf.xor_field b f v;
-      Bitbuf.xor_field b f v;
-      Bitbuf.to_string b = before)
-
 let () =
   Alcotest.run "bitbuf"
     [
@@ -276,11 +239,8 @@ let () =
           Alcotest.test_case "string aligned" `Quick test_field_string_aligned;
           Alcotest.test_case "string unaligned" `Quick test_field_string_unaligned;
           Alcotest.test_case "padding guard" `Quick test_field_string_padding_guard;
-          Alcotest.test_case "xor" `Quick test_xor_field;
-          Alcotest.test_case "equal_field" `Quick test_equal_field;
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "blit" `Quick test_blit_check;
           QCheck_alcotest.to_alcotest prop_field_roundtrip;
-          QCheck_alcotest.to_alcotest prop_xor_involutive;
         ] );
     ]

@@ -364,14 +364,6 @@ let prop_host_engine_never_raises =
       | _, _ -> true
       | exception _ -> false)
 
-let prop_ndn_decode_never_raises =
-  QCheck.Test.make ~name:"fuzz: NDN packet decode total" ~count:2000
-    QCheck.(string_of_size (QCheck.Gen.int_range 0 64))
-    (fun s ->
-      match Dip_ndn.Packet.decode (Bitbuf.of_string s) with
-      | Ok _ | Error _ -> true
-      | exception _ -> false)
-
 let prop_xia_decode_never_raises =
   QCheck.Test.make ~name:"fuzz: XIA packet decode total" ~count:2000
     QCheck.(string_of_size (QCheck.Gen.int_range 0 128))
@@ -795,7 +787,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_parse_never_raises;
           QCheck_alcotest.to_alcotest prop_engine_never_raises_on_corruption;
           QCheck_alcotest.to_alcotest prop_host_engine_never_raises;
-          QCheck_alcotest.to_alcotest prop_ndn_decode_never_raises;
           QCheck_alcotest.to_alcotest prop_xia_decode_never_raises;
           QCheck_alcotest.to_alcotest prop_engine_total_on_random_constructions;
           QCheck_alcotest.to_alcotest prop_cache_off_hit_parity;

@@ -45,35 +45,35 @@ let test_bucket_validation () =
 (* --- AIMD --- *)
 
 let test_aimd_additive_increase () =
-  let a = NF.Aimd.create ~increase:100.0 ~min_rate:1.0 ~initial:1000.0 () in
-  NF.Aimd.on_feedback a ~congested:false;
-  NF.Aimd.on_feedback a ~congested:false;
-  Alcotest.(check (float 1e-6)) "two increases" 1200.0 (NF.Aimd.rate a)
+  let a = Aimd.create ~increase:100.0 ~min_rate:1.0 ~initial:1000.0 () in
+  Aimd.on_feedback a ~congested:false;
+  Aimd.on_feedback a ~congested:false;
+  Alcotest.(check (float 1e-6)) "two increases" 1200.0 (Aimd.rate a)
 
 let test_aimd_multiplicative_decrease () =
-  let a = NF.Aimd.create ~decrease:0.5 ~min_rate:1.0 ~initial:1000.0 () in
-  NF.Aimd.on_feedback a ~congested:true;
-  Alcotest.(check (float 1e-6)) "halved" 500.0 (NF.Aimd.rate a)
+  let a = Aimd.create ~decrease:0.5 ~min_rate:1.0 ~initial:1000.0 () in
+  Aimd.on_feedback a ~congested:true;
+  Alcotest.(check (float 1e-6)) "halved" 500.0 (Aimd.rate a)
 
 let test_aimd_bounds () =
-  let a = NF.Aimd.create ~decrease:0.5 ~min_rate:400.0 ~max_rate:1100.0
+  let a = Aimd.create ~decrease:0.5 ~min_rate:400.0 ~max_rate:1100.0
       ~increase:1000.0 ~initial:1000.0 ()
   in
-  NF.Aimd.on_feedback a ~congested:false;
-  Alcotest.(check (float 1e-6)) "max clamp" 1100.0 (NF.Aimd.rate a);
-  NF.Aimd.on_feedback a ~congested:true;
-  NF.Aimd.on_feedback a ~congested:true;
-  NF.Aimd.on_feedback a ~congested:true;
-  Alcotest.(check (float 1e-6)) "min clamp" 400.0 (NF.Aimd.rate a)
+  Aimd.on_feedback a ~congested:false;
+  Alcotest.(check (float 1e-6)) "max clamp" 1100.0 (Aimd.rate a);
+  Aimd.on_feedback a ~congested:true;
+  Aimd.on_feedback a ~congested:true;
+  Aimd.on_feedback a ~congested:true;
+  Alcotest.(check (float 1e-6)) "min clamp" 400.0 (Aimd.rate a)
 
 let test_aimd_converges_after_congestion () =
   (* Sawtooth: repeated congestion must keep the rate bounded. *)
-  let a = NF.Aimd.create ~min_rate:1.0 ~initial:1e6 () in
+  let a = Aimd.create ~min_rate:1.0 ~initial:1e6 () in
   for _ = 1 to 100 do
-    NF.Aimd.on_feedback a ~congested:false;
-    NF.Aimd.on_feedback a ~congested:true
+    Aimd.on_feedback a ~congested:false;
+    Aimd.on_feedback a ~congested:true
   done;
-  Alcotest.(check bool) "bounded" true (NF.Aimd.rate a < 1e6)
+  Alcotest.(check bool) "bounded" true (Aimd.rate a < 1e6)
 
 (* --- NetFence header --- *)
 
@@ -232,7 +232,7 @@ let test_fcc_aimd_closed_loop () =
   Env.set_netfence env
     (NF.Policer.create ~rate_ceiling:ceiling ~burst:1500.0
        ~key:(Dip_crypto.Prf.key_of_string "bottleneck-key-1") ());
-  let aimd = NF.Aimd.create ~increase:500.0 ~min_rate:100.0 ~initial:100_000.0 () in
+  let aimd = Aimd.create ~increase:500.0 ~min_rate:100.0 ~initial:100_000.0 () in
   let size = 1000 in
   (* The sender transmits at its AIMD-allowed rate: the gap between
      packets is size / rate. Above the ceiling the bucket drains and
@@ -240,11 +240,11 @@ let test_fcc_aimd_closed_loop () =
   let clock = ref 0.0 in
   let congested_feedback = ref false in
   for _ = 1 to 400 do
-    clock := !clock +. (float_of_int size /. NF.Aimd.rate aimd);
+    clock := !clock +. (float_of_int size /. Aimd.rate aimd);
     let now = !clock in
     let pkt =
       Realize.netfence ~src:(v4 "192.0.2.1") ~dst:(v4 "10.0.0.1") ~sender:5l
-        ~rate:(NF.Aimd.rate aimd) ~timestamp:0l
+        ~rate:(Aimd.rate aimd) ~timestamp:0l
         ~payload:(String.make (size - 100) 'p') ()
     in
     (match Engine.process ~registry env ~now ~ingress:0 pkt with
@@ -254,9 +254,9 @@ let test_fcc_aimd_closed_loop () =
           NF.Header.get_flag pkt ~base:view.Packet.loc_base
           = Some NF.Header.Congestion
     | _ -> congested_feedback := true);
-    NF.Aimd.on_feedback aimd ~congested:!congested_feedback
+    Aimd.on_feedback aimd ~congested:!congested_feedback
   done;
-  let final = NF.Aimd.rate aimd in
+  let final = Aimd.rate aimd in
   Alcotest.(check bool)
     (Printf.sprintf "converged near ceiling (%.0f B/s)" final)
     true
@@ -362,11 +362,11 @@ let prop_aimd_within_bounds =
   QCheck.Test.make ~name:"aimd: rate stays within bounds" ~count:300
     QCheck.(small_list bool)
     (fun feedback ->
-      let a = NF.Aimd.create ~min_rate:10.0 ~max_rate:1000.0 ~initial:100.0 () in
+      let a = Aimd.create ~min_rate:10.0 ~max_rate:1000.0 ~initial:100.0 () in
       List.for_all
         (fun congested ->
-          NF.Aimd.on_feedback a ~congested;
-          NF.Aimd.rate a >= 10.0 && NF.Aimd.rate a <= 1000.0)
+          Aimd.on_feedback a ~congested;
+          Aimd.rate a >= 10.0 && Aimd.rate a <= 1000.0)
         feedback)
 
 let () =

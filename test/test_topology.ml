@@ -109,8 +109,8 @@ let test_generators () =
     [
       ("linear 1", Topology.linear 1);
       ("linear 7", Topology.linear 7);
-      ("star 9", Topology.star 9);
-      ("dumbbell 3 4", Topology.dumbbell 3 4);
+      ("star 9", Fixtures.star 9);
+      ("dumbbell 3 4", Fixtures.dumbbell 3 4);
       ("wan 12/6", Topology.wan ~seed:4L ~sites:12 ~chords:6);
       ("wan 40/25", Topology.wan ~seed:9L ~sites:40 ~chords:25);
     ]
