@@ -114,7 +114,7 @@ let enable ?(config = default_config) env =
 type router = {
   sim : Sim.t;
   env : Env.t;
-  store : (int32, Bitbuf.t) Custody_store.t;
+  store : (int, Bitbuf.t) Custody_store.t;
   cfg : config;
   out_port : Sim.port;
   mutable node : Sim.node_id;

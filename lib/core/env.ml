@@ -57,7 +57,7 @@ and t = {
   ctx : ctx;
   prog_cache : Progcache.t;
   mutable custody :
-    (int32, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
+    (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
 }
 
 let register_counts m =

@@ -119,10 +119,11 @@ and t = {
   ctx : ctx;
   prog_cache : Progcache.t;
   (* Custody transfer (F_cust, key 16): the bounded per-router bundle
-     store, keyed by bundle id. [None] (default) means this node
+     store, keyed by bundle id (the 32-bit id as an [int], so a probe
+     boxes nothing). [None] (default) means this node
      never takes custody — F_cust then ignores the FN per §2.4. *)
   mutable custody :
-    (int32, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
+    (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
 }
 
 val create :

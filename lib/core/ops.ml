@@ -412,6 +412,9 @@ let f_cust ctx =
     let base = ctx.target.Field.off_bits / 8 in
     let flags = Custody.read_flags buf ~base in
     let bundle = Custody.read_bundle buf ~base in
+    (* The store's key: the id as an [int], converted once here, so
+       the probes below box nothing. *)
+    let key = Int32.to_int bundle in
     let ack_upstream () =
       ctx.scratch.emit <-
         (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
@@ -420,7 +423,7 @@ let f_cust ctx =
     if flags land Custody.flag_ack <> 0 then begin
       (* Hop-local custody ACK: downstream holds the bundle now. *)
       (match ctx.env.Env.custody with
-      | Some store -> ignore (Dip_tables.Custody_store.release store bundle)
+      | Some store -> ignore (Dip_tables.Custody_store.release store key)
       | None -> ());
       Silent
     end
@@ -429,7 +432,7 @@ let f_cust ctx =
       match ctx.env.Env.custody with
       | None -> Continue (* not a custodian: forward untouched *)
       | Some store ->
-          if Dip_tables.Custody_store.mem store bundle then begin
+          if Dip_tables.Custody_store.mem store key then begin
             (* Upstream retransmitted: its custody ACK was lost.
                Re-ACK so the upstream copy is released. *)
             ack_upstream ();
@@ -438,7 +441,7 @@ let f_cust ctx =
           else begin
             Bitbuf.set_uint8 buf base (flags lor Custody.flag_in_custody);
             match
-              Dip_tables.Custody_store.take store bundle (Bitbuf.copy buf)
+              Dip_tables.Custody_store.take store key (Bitbuf.copy buf)
             with
             | `Stored ->
                 ack_upstream ();

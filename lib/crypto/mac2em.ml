@@ -11,9 +11,10 @@ let rotr x n = Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x (
    padded, is XORed into it and the state enciphered as
    P(P(x xor k1) xor k2) xor k3. The six round-key lanes and the two
    state lanes are unboxed locals for the whole message, and the ARX
-   rounds of both permutations are written out here: the library is
-   built with -opaque, so a call into Arx_perm would cost a call, a
-   store and a load per permutation. The tag is written only after the
+   rounds of both permutations are written out here: Arx_perm's rounds
+   run on a block in memory, so calling them, inlined or not, would
+   store and load the state per permutation (and a call ocamlopt does
+   not inline boxes an int64 passed to it). The tag is written only after the
    last message byte is read, so [src] and [dst] may overlap. *)
 let mac_into k src ~off ~len dst ~dst_off =
   if off < 0 || len < 0 || off > Bytes.length src - len || dst_off < 0

@@ -3,10 +3,10 @@
 
     Its tags are those of [Cbc_mac.Make (Even_mansour)] bit for bit:
     length-prefixed CBC-MAC over {!Even_mansour}. It is one fused
-    kernel rather than that functor application because the library
-    is compiled with [-opaque]: a functor body cannot inline the
-    cipher, so each block would pay calls, loads and stores that this
-    module keeps in registers (see DESIGN.md). It allocates nothing
+    kernel rather than that functor application because ocamlopt
+    (closure mode, no flambda) does not inline a functor's argument
+    into its body, so each block would pay calls, loads and stores
+    that this module keeps in registers (see DESIGN.md). It allocates nothing
     beyond the tag {!mac} returns. *)
 
 type key = Even_mansour.key

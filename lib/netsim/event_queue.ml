@@ -52,7 +52,8 @@ module Keys = struct
 
   (* The sifts move a hole rather than swapping, and read the key to
      place from the arrays: a helper taking a [float] would box it at
-     every call that is not inlined. *)
+     every call that ocamlopt does not inline (the release build
+     inlines small functions across modules, [--profile dev] none). *)
 
   (* Sift the key at position [i] toward the root: parents later than
      it move down into the hole. *)

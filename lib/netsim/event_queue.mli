@@ -33,9 +33,10 @@
     queue ({!t}) is one of these beside a payload table. The
     simulator's heap of busy links is another: it writes each key
     from a link's own ring straight into [times] and [seqs] and sifts
-    it there, since a computed [float] passed to a function in another
-    module is boxed at the call (the default build compiles each
-    module opaquely). *)
+    it there, since a computed [float] passed to a call that ocamlopt
+    does not inline is boxed (the release build inlines small
+    functions across modules, but [--profile dev] compiles each
+    module opaquely, and a function can outgrow [-inline 200]). *)
 module Keys : sig
   type t = {
     mutable times : float array;

@@ -224,7 +224,9 @@ let connect t ?(latency = 1e-6) ?(bandwidth = Float.infinity)
 module Keys = Event_queue.Keys
 
 (* Write the key of [l]'s next arrival into position [i], straight
-   from its ring, so the time is never boxed on the way. *)
+   from its ring, so the time is never boxed on the way, whether or
+   not ocamlopt inlines the heap's functions here (the release build
+   does, a [--profile dev] build does not). *)
 let busy_key (b : Keys.t) i l =
   let j = l.ahead land (Array.length l.packets - 1) in
   b.times.(i) <- l.keys.(2 * j) +. l.latency;

@@ -1,5 +1,3 @@
-module Bitbuf = Dip_bitbuf.Bitbuf
-
 module Xid_tbl = Hashtbl.Make (struct
   type t = Xid.t
 
@@ -54,12 +52,6 @@ let step t dag ~ptr =
     advance ptr
   end
 
-let encode_packet dag ~ptr ~payload =
-  let wire = Dag.to_wire dag in
-  if ptr < 0 || ptr > Dag.node_count dag then
-    invalid_arg "Xia.Router.encode_packet: bad pointer";
-  Bitbuf.of_string (String.make 1 (Char.chr ptr) ^ wire ^ payload)
-
 let decode_slice b ~pos ~len =
   if len < 1 then Error "empty packet"
   else
@@ -68,27 +60,3 @@ let decode_slice b ~pos ~len =
     | dag, stop ->
         let ptr = Bytes.get_uint8 b pos in
         if ptr > Dag.node_count dag then Error "bad pointer" else Ok (dag, ptr, stop)
-
-let decode_packet buf =
-  let b = Bitbuf.to_bytes buf in
-  match decode_slice b ~pos:0 ~len:(Bytes.length b) with
-  | Error e -> Error e
-  | Ok (dag, ptr, stop) -> Ok (dag, ptr, Bytes.sub_string b stop (Bytes.length b - stop))
-
-let set_ptr buf ptr = Bitbuf.set_uint8 buf 0 ptr
-
-let process t buf =
-  match decode_packet buf with
-  | Error e -> Discard e
-  | Ok (dag, ptr, _) -> (
-      match step t dag ~ptr with
-      | Forward (port, ptr') ->
-          set_ptr buf ptr';
-          Forward (port, ptr')
-      | (Deliver _ | Discard _) as v -> v)
-
-let handler t _sim ~now:_ ~ingress:_ packet =
-  match process t packet with
-  | Forward (port, _) -> [ Dip_netsim.Sim.Forward (port, packet) ]
-  | Deliver _ -> [ Dip_netsim.Sim.Consume ]
-  | Discard reason -> [ Dip_netsim.Sim.Drop reason ]

@@ -16,10 +16,10 @@
       XID); this is the routing half of {i F_DAG};
     + if no successor is local or routable, discard.
 
-    The packet wire format is [ptr byte ∥ DAG ∥ payload]; the DIP
-    realization instead places the same bytes in the FN locations
-    region (paper §3: "we set the header of XIA in the FN
-    locations"). *)
+    The router has no packet form of its own: the DIP realization
+    places [ptr byte ∥ DAG] in the FN locations region (paper §3: "we
+    set the header of XIA in the FN locations"), and F_DAG / F_intent
+    call {!decode_slice} and {!step} on it. *)
 
 type t
 
@@ -38,21 +38,8 @@ type verdict =
 val step : t -> Dag.t -> ptr:int -> verdict
 (** One fallback traversal step on a parsed address. *)
 
-(** {1 Native packet form} *)
-
-val encode_packet : Dag.t -> ptr:int -> payload:string -> Dip_bitbuf.Bitbuf.t
-
 val decode_slice : Bytes.t -> pos:int -> len:int -> (Dag.t * int * int, string) result
 (** [decode_slice b ~pos ~len] decodes the [len] bytes of [b] at [pos]
-    as [ptr byte ∥ DAG ∥ …] in place: [Ok (dag, ptr, stop)] with
-    [stop] the position just past the DAG, or ["empty packet"],
-    ["malformed DAG"], ["bad pointer"]. *)
-
-val decode_packet : Dip_bitbuf.Bitbuf.t -> (Dag.t * int * string, string) result
-(** {!decode_slice} over the whole packet, with the bytes after the
-    DAG as the payload. *)
-
-val process : t -> Dip_bitbuf.Bitbuf.t -> verdict
-(** Decode, {!step}, and write the updated pointer back in place. *)
-
-val handler : t -> Dip_netsim.Sim.handler
+    as [ptr byte ∥ DAG ∥ …] in place — an F_DAG / F_intent target
+    field: [Ok (dag, ptr, stop)] with [stop] the position just past
+    the DAG, or ["empty packet"], ["malformed DAG"], ["bad pointer"]. *)

@@ -368,7 +368,10 @@ let prop_xia_decode_never_raises =
   QCheck.Test.make ~name:"fuzz: XIA packet decode total" ~count:2000
     QCheck.(string_of_size (QCheck.Gen.int_range 0 128))
     (fun s ->
-      match Dip_xia.Router.decode_packet (Bitbuf.of_string s) with
+      match
+        Dip_xia.Router.decode_slice (Bytes.of_string s) ~pos:0
+          ~len:(String.length s)
+      with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 

@@ -1,5 +1,6 @@
 (* Tests for the XIA substrate: XIDs, DAG addresses and the fallback
-   router of paper §3 (F_DAG / F_intent). *)
+   router of paper §3 (F_DAG / F_intent), the packet cases through
+   the DIP engine. *)
 
 open Dip_xia
 module Sim = Dip_netsim.Sim
@@ -130,29 +131,55 @@ let test_router_dead_end () =
   | Router.Discard "dead-end" -> ()
   | _ -> Alcotest.fail "unroutable DAG must be discarded"
 
+(* The packet-level cases run the DIP realization (paper §3: pointer
+   and DAG in the FN locations, F_DAG then F_intent) through
+   Algorithm 1, with each node's XIA routes in its Env. *)
+
+let registry = Dip_core.Ops.default_registry ()
+
 let test_packet_roundtrip_and_process () =
-  let r = Router.create () in
-  Router.add_route r (ad "ad1") 3;
+  let env = Dip_core.Env.create ~name:"r" () in
+  Router.add_route env.Dip_core.Env.xia (ad "ad1") 3;
   let d = Dag.fallback ~intent:(cid "obj") ~via:[ ad "ad1" ] in
-  let pkt = Router.encode_packet d ~ptr:0 ~payload:"body" in
-  (match Router.decode_packet pkt with
-  | Ok (d', ptr, payload) ->
-      Alcotest.(check int) "ptr" 0 ptr;
-      Alcotest.(check string) "payload" "body" payload;
-      Alcotest.(check bool) "intent survives" true
-        (Xid.equal (Dag.intent d) (Dag.intent d'))
-  | Error e -> Alcotest.fail e);
-  match Router.process r pkt with
-  | Router.Forward (3, _) -> ()
+  let pkt = Dip_core.Realize.xia ~dag:d ~payload:"body" () in
+  (match Dip_core.Packet.parse pkt with
+  | Error e -> Alcotest.fail e
+  | Ok view -> (
+      Alcotest.(check string) "payload" "body" (Dip_core.Packet.payload view);
+      (* The pointer byte and DAG that F_DAG reads. *)
+      let wire = Dip_core.Packet.get_target view view.Dip_core.Packet.fns.(0) in
+      match
+        Router.decode_slice (Bytes.of_string wire) ~pos:0 ~len:(String.length wire)
+      with
+      | Ok (d', ptr, _) ->
+          Alcotest.(check int) "ptr" 0 ptr;
+          Alcotest.(check bool) "intent survives" true
+            (Xid.equal (Dag.intent d) (Dag.intent d'))
+      | Error e -> Alcotest.fail e));
+  match Dip_core.Engine.process ~registry env ~now:0.0 ~ingress:0 pkt with
+  | Dip_core.Engine.Forwarded [ 3 ], _ -> ()
   | _ -> Alcotest.fail "process must route via the packet bytes"
 
 let test_decode_rejects () =
   Alcotest.(check bool) "empty" true
-    (Router.decode_packet (Dip_bitbuf.Bitbuf.of_string "") = Error "empty packet");
+    (Router.decode_slice Bytes.empty ~pos:0 ~len:0 = Error "empty packet");
   Alcotest.(check bool) "garbage" true
-    (match Router.decode_packet (Dip_bitbuf.Bitbuf.of_string "\x00\xff\xff") with
+    (match Router.decode_slice (Bytes.of_string "\x00\xff\xff") ~pos:0 ~len:3 with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* The same bytes as an F_DAG target: the engine drops the packet. *)
+  let pkt =
+    Dip_core.Packet.build
+      ~fns:[ Dip_core.Fn.v ~loc:0 ~len:24 Dip_core.Opkey.F_dag ]
+      ~locations:"\x00\xff\xff" ~payload:"" ()
+  in
+  match
+    Dip_core.Engine.process ~registry (Dip_core.Env.create ~name:"r" ())
+      ~now:0.0 ~ingress:0 pkt
+  with
+  | Dip_core.Engine.Dropped r, _ ->
+      Alcotest.(check string) "reason" "dag: malformed DAG" r
+  | _ -> Alcotest.fail "a malformed DAG must be dropped"
 
 (* End-to-end: client → transit (routes ADs) → border (owns AD,
    routes HIDs) → host (owns HID + SID). *)
@@ -161,21 +188,19 @@ let test_xia_end_to_end () =
   let dag = Dag.fallback ~intent:svc ~via:[ ad "dest-ad"; hid "dest-host" ] in
   let sim = Sim.create () in
   let delivered = Deliveries.record sim in
-  let transit = Router.create () in
-  Router.add_route transit (ad "dest-ad") 1;
-  let border = Router.create () in
-  Router.add_local border (ad "dest-ad");
-  Router.add_route border (hid "dest-host") 1;
-  let host = Router.create () in
-  Router.add_local host (hid "dest-host");
-  Router.add_local host svc;
-  let t = Sim.add_node sim ~name:"transit" (Router.handler transit) in
-  let b = Sim.add_node sim ~name:"border" (Router.handler border) in
-  let h = Sim.add_node sim ~name:"host" (Router.handler host) in
+  let node name routes locals =
+    let env = Dip_core.Env.create ~name () in
+    List.iter (fun (x, p) -> Router.add_route env.Dip_core.Env.xia x p) routes;
+    List.iter (Router.add_local env.Dip_core.Env.xia) locals;
+    Sim.add_node sim ~name (Dip_core.Engine.handler ~registry env)
+  in
+  let t = node "transit" [ (ad "dest-ad", 1) ] [] in
+  let b = node "border" [ (hid "dest-host", 1) ] [ ad "dest-ad" ] in
+  let h = node "host" [] [ hid "dest-host"; svc ] in
   Sim.connect sim (t, 1) (b, 0);
   Sim.connect sim (b, 1) (h, 0);
   Sim.inject sim ~at:0.0 ~node:t ~port:0
-    (Router.encode_packet dag ~ptr:0 ~payload:"request");
+    (Dip_core.Realize.xia ~dag ~payload:"request" ());
   Sim.run sim;
   match delivered () with
   | [ (node, _, _) ] -> Alcotest.(check int) "delivered at host" h node
