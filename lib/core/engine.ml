@@ -49,8 +49,6 @@ let critical_path_over fns ~included = Array.fold_left max 0 (levels fns ~includ
 
 let critical_path fns = critical_path_over fns ~included:(fun _ -> true)
 
-let no_info = { ops_run = 0; ops_skipped = 0; state_bytes = 0; parallel_depth = 0 }
-
 (* The verdict class an [engine.process] flight span carries (Obs). *)
 let verdict_class = function
   | Forwarded _ -> 0
@@ -67,16 +65,16 @@ type side = Router_side | Host_side
 type hook = Packet.view -> (unit, string) result
 
 (* Algorithm 1's per-FN decisions for one program on one side of a
-   node, taken once. FN [i] runs [impls.(i)] on [targets.(i)] (its
-   absolute FN_Loc slice), unless [impls.(i)] is [skip] (a tag
+   node, taken once. FN [i] runs [ops.(i)]: its operation module
+   applied to the FN and its absolute FN_Loc slice, or [skip] (a tag
    mismatch, or an uninstalled key that may be ignored, §2.4). *)
 type compiled = {
   registry : Registry.t;
   generation : int;
   side : side;
-  impls : Registry.impl array; (* up to the first unsupported mandatory FN *)
-  targets : Field.t array;
-  unsupported : verdict option; (* what reaching the end of [impls] means *)
+  ops : (Registry.ctx -> Registry.outcome) array;
+      (* up to the first unsupported mandatory FN *)
+  unsupported : verdict option; (* what reaching the end of [ops] means *)
   depth : int array;
       (* parallel programs: [depth.(k)] is the critical path over the
          first [k] running FNs, the FNs a run that executed [k]
@@ -87,41 +85,34 @@ type compiled = {
 
 type Progcache.program += Compiled of compiled
 
-let skip : Registry.impl = fun _ -> Registry.Continue
+let skip : Registry.ctx -> Registry.outcome = fun _ -> Registry.Continue
 let no_hook : hook = fun _ -> Ok ()
 
 let compile ?(share = Fun.id) ~registry ~side (view : Packet.view) =
   let fns = view.Packet.fns in
   let n = Array.length fns in
   let unsupported = ref None and stop = ref 0 in
-  let impls = Array.make n skip in
+  let ops = Array.make n skip in
   while !stop < n && Option.is_none !unsupported do
     let fn = fns.(!stop) in
     (match (side, fn.Fn.tag) with
     | Router_side, Fn.Host | Host_side, Fn.Router -> () (* line 5 *)
     | Router_side, Fn.Router | Host_side, Fn.Host -> (
         match Registry.find registry fn.Fn.key with
-        | Some impl -> impls.(!stop) <- impl
+        | Some impl -> ops.(!stop) <- impl fn (share (Packet.locations_field view fn))
         | None ->
             (* "the router can simply ignore this FN" (§2.4), unless
                every on-path node must take part *)
             if mandatory fn.Fn.key then unsupported := Some (Unsupported fn.Fn.key)));
     if Option.is_none !unsupported then incr stop
   done;
-  let impls = Array.sub impls 0 !stop in
-  let targets =
-    Array.mapi
-      (fun i impl ->
-        if impl == skip then fns.(i).Fn.field
-        else share (Packet.locations_field view fns.(i)))
-      impls
-  in
+  let ops = Array.sub ops 0 !stop in
   let depth =
     if not view.Packet.header.Header.parallel then [||]
     else begin
       (* A level depends only on earlier running FNs, so the critical
          path over the first [k] of them is a running maximum. *)
-      let runs i = i < !stop && impls.(i) != skip in
+      let runs i = i < !stop && ops.(i) != skip in
       let level = levels fns ~included:runs in
       let depth = Array.make (!stop + 1) 0 and k = ref 0 in
       for i = 0 to !stop - 1 do
@@ -137,8 +128,7 @@ let compile ?(share = Fun.id) ~registry ~side (view : Packet.view) =
     registry;
     generation = Registry.generation registry;
     side;
-    impls;
-    targets;
+    ops;
     unsupported = !unsupported;
     depth;
     hook = no_hook;
@@ -175,6 +165,22 @@ let verify_program ?verify ~memo p view =
 
 let released = Bitbuf.create 0
 
+(* [Forwarded [p]] for a port below 256, built once per process, as
+   Ops shares [Set_route [p]]. *)
+let forwarded_to = Array.init 256 (fun p -> Forwarded [ p ])
+
+let forwarded = function
+  | [ p ] when p >= 0 && p < 256 -> forwarded_to.(p)
+  | ports -> Forwarded ports
+
+(* The run's accounting, written into the node for [process] to read:
+   a run returns only its verdict, so it allocates nothing of its
+   own. *)
+let account env ~ops_run ~ops_skipped ~parallel_depth =
+  env.Env.ops_run <- ops_run;
+  env.Env.ops_skipped <- ops_skipped;
+  env.Env.parallel_depth <- parallel_depth
+
 (* Run a compiled program on [view], which points at [buf]. Observability
    is opt-in: with [obs = None] every instrumentation point is a single
    match on an immediate -- no clock reads, no allocation. [sampled]
@@ -190,15 +196,15 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   ctx.Registry.ingress <- ingress;
   ctx.Registry.now <- now;
   let fns = view.Packet.fns in
-  let n = Array.length p.impls in
+  let n = Array.length p.ops in
   let i = ref 0 and ops_run = ref 0 and ops_skipped = ref 0 in
   (* The accumulated forwarding decision: 0 none, 1 [ports], 2 local. *)
   let route = ref 0 and ports = ref [] in
   (* A verdict decided mid-program ends the loop. *)
   let stopped = ref false and verdict = ref Quiet in
   while !i < n do
-    let fn = fns.(!i) and impl = p.impls.(!i) in
-    if impl == skip then begin
+    let fn = fns.(!i) and op = p.ops.(!i) in
+    if op == skip then begin
       incr ops_skipped;
       match obs with Some o -> Obs.op_skip o fn.Fn.key | None -> ()
     end
@@ -208,20 +214,18 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
     end
     else begin
       incr ops_run;
-      ctx.Registry.fn <- fn;
-      ctx.Registry.target <- p.targets.(!i);
       let outcome =
         match obs with
         | Some o ->
             Obs.op_run o fn.Fn.key;
             if sampled then begin
               let t0 = Dip_obs.Clock.now_ns () in
-              let r = impl ctx in
+              let r = op ctx in
               Obs.op_ns o fn.Fn.key (Dip_obs.Clock.elapsed_ns t0);
               r
             end
-            else impl ctx
-        | None -> impl ctx
+            else op ctx
+        | None -> op ctx
       in
       match outcome with
       | Registry.Continue -> ()
@@ -250,7 +254,7 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
       | None ->
           (* end processing: act on the accumulated decision *)
           if !route = 1 then
-            if Header.decrement_hop_limit buf then Forwarded !ports
+            if Header.decrement_hop_limit buf then forwarded !ports
             else Dropped "hop-limit-expired"
           else if !route = 2 then Delivered
           else if p.side == Host_side then Delivered
@@ -262,22 +266,21 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   | Some o when sampled ->
       Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
   | _ -> ());
-  ( verdict,
-    {
-      ops_run = !ops_run;
-      ops_skipped = !ops_skipped;
-      state_bytes = Guard.state_used budget;
-      parallel_depth =
-        (if Array.length p.depth = 0 then !ops_run else p.depth.(!ops_run));
-    } )
+  account env ~ops_run:!ops_run ~ops_skipped:!ops_skipped
+    ~parallel_depth:
+      (if Array.length p.depth = 0 then !ops_run else p.depth.(!ops_run));
+  verdict
 
-let drop ?obs ~sampled ~t_start reason =
+(* A packet dropped before any FN ran: nothing run, no state used. *)
+let drop ?obs ~sampled ~t_start env reason =
   let verdict = Dropped reason in
   (match obs with
   | Some o when sampled ->
       Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
   | _ -> ());
-  (verdict, no_info)
+  Guard.restart env.Env.ctx.Registry.budget;
+  account env ~ops_run:0 ~ops_skipped:0 ~parallel_depth:0;
+  verdict
 
 (* Verify, then execute. *)
 let run_program ?obs ?verify ~memo ~sampled ~t_start p view env ~now ~ingress buf =
@@ -286,7 +289,7 @@ let run_program ?obs ?verify ~memo ~sampled ~t_start p view env ~now ~ingress bu
   | Ok () -> exec ?obs ~sampled ~t_start p view env ~now ~ingress buf
   | Error e ->
       view.Packet.buf <- released;
-      drop ?obs ~sampled ~t_start ("verify: " ^ e)
+      drop ?obs ~sampled ~t_start env ("verify: " ^ e)
 
 let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
@@ -305,13 +308,23 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
         let p = compile ~registry ~side view in
         run_program ?obs ?verify ~memo:false ~sampled ~t_start p view env ~now
           ~ingress buf
-    | Error e -> drop ?obs ~sampled ~t_start ("parse: " ^ e)
+    | Error e -> drop ?obs ~sampled ~t_start env ("parse: " ^ e)
+
+(* The verdict of a run and the accounting it left in [env]. *)
+let with_info env verdict =
+  ( verdict,
+    {
+      ops_run = env.Env.ops_run;
+      ops_skipped = env.Env.ops_skipped;
+      state_bytes = Guard.state_used env.Env.ctx.Registry.budget;
+      parallel_depth = env.Env.parallel_depth;
+    } )
 
 let process ?obs ?verify ~registry env ~now ~ingress buf =
-  run ?obs ?verify ~registry ~side:Router_side env ~now ~ingress buf
+  with_info env (run ?obs ?verify ~registry ~side:Router_side env ~now ~ingress buf)
 
 let host_process ?obs ?verify ~registry env ~now ~ingress buf =
-  run ?obs ?verify ~registry ~side:Host_side env ~now ~ingress buf
+  with_info env (run ?obs ?verify ~registry ~side:Host_side env ~now ~ingress buf)
 
 module Counter = Dip_obs.Metrics.Counter
 
@@ -339,6 +352,9 @@ let drain_aux env =
 let verdict_actions env ~ingress buf verdict =
   let c = env.Env.counts in
   match verdict with
+  | Forwarded [ p ] ->
+      Counter.incr c.forwarded;
+      [ Dip_netsim.Sim.Forward (p, buf) ]
   | Forwarded ports ->
       Counter.incr c.forwarded;
       (* Fan-out copies must not share storage: every downstream hop
@@ -379,7 +395,7 @@ let process_batch ?obs ?verify ~registry env ~now ~ingress bufs =
   out
 
 let handle ~side ?obs ?verify ~registry env ~now ~ingress packet =
-  let verdict, _info = run ?obs ?verify ~registry ~side env ~now ~ingress packet in
+  let verdict = run ?obs ?verify ~registry ~side env ~now ~ingress packet in
   Env.publish_cache_stats env;
   actions_of_verdict env ~ingress packet verdict
 

@@ -86,11 +86,12 @@ val process :
     Algorithm 1 runs staged. The node's {!Env.prog_cache} keys the
     packet's basic-header + FN-definition prefix; the first packet of
     a program compiles it once against [registry] and the side it
-    runs on — each FN's operation module resolved (or a skip decided:
-    a tag mismatch, or an uninstalled key that may be ignored), its
-    absolute target slice computed, an [Unsupported] verdict fixed —
-    and every later packet runs that compiled array through one
-    reused {!Env.ctx}. A program is recompiled when it meets a
+    runs on — each FN's operation module applied to the FN and its
+    absolute target slice ({!Registry.impl}), or a skip decided (a tag
+    mismatch, or an uninstalled key that may be ignored), an
+    [Unsupported] verdict fixed — and every later packet runs that
+    compiled array through one reused {!Env.ctx}. The [info] is read
+    from the accounting the run left in the node's {!Env.t}. A program is recompiled when it meets a
     different registry, or the same one after an {!Registry.install}
     or {!Registry.uninstall}, so a direct registry change reaches the
     next packet. [verify] is called at most once per compiled program

@@ -22,8 +22,6 @@ type counts = {
 type ctx = {
   env : t;
   mutable view : Packet.view;
-  mutable fn : Fn.t;
-  mutable target : Dip_bitbuf.Field.t;
   mutable ingress : port;
   mutable now : float;
   scratch : scratch;
@@ -56,6 +54,9 @@ and t = {
   counts : counts;
   ctx : ctx;
   prog_cache : Progcache.t;
+  mutable ops_run : int;
+  mutable ops_skipped : int;
+  mutable parallel_depth : int;
   mutable custody :
     (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
 }
@@ -85,8 +86,6 @@ let idle_view =
     loc_base = 0;
     buf = Dip_bitbuf.Bitbuf.create 0;
   }
-
-let idle_fn = Fn.v ~loc:0 ~len:1 Opkey.F_source
 
 let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
     ?(interest_lifetime = 4.0) ?(opt_alg = Dip_opt.Protocol.EM2) ?guard
@@ -122,14 +121,15 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
       counts = register_counts counters;
       ctx;
       prog_cache = Progcache.create ~capacity:prog_cache_capacity ();
+      ops_run = 0;
+      ops_skipped = 0;
+      parallel_depth = 0;
       custody = None;
     }
   and ctx =
     {
       env = t;
       view = idle_view;
-      fn = idle_fn;
-      target = idle_fn.Fn.field;
       ingress = 0;
       now = 0.0;
       scratch = { opt_key = None; dag = None; emit = [] };

@@ -57,13 +57,11 @@ type counts = {
 
 (** The context an operation module runs against — {!Registry.ctx},
     which documents the fields. Each node owns one, created with it;
-    {!Dip_core.Engine} rewrites the mutable fields per FN instead of
-    allocating a record per FN. *)
+    {!Dip_core.Engine} rewrites the mutable fields per packet instead
+    of allocating a record per FN. *)
 type ctx = {
   env : t;
   mutable view : Packet.view;
-  mutable fn : Fn.t;
-  mutable target : Dip_bitbuf.Field.t;
   mutable ingress : port;
   mutable now : float;
   scratch : scratch;
@@ -118,6 +116,13 @@ and t = {
      cache. *)
   ctx : ctx;
   prog_cache : Progcache.t;
+  (* The accounting of the last packet the engine ran, written in
+     place so that running one allocates nothing: what
+     {!Dip_core.Engine.process} returns as its [info], beside the
+     budget's state bytes. *)
+  mutable ops_run : int;
+  mutable ops_skipped : int;
+  mutable parallel_depth : int;
   (* Custody transfer (F_cust, key 16): the bounded per-router bundle
      store, keyed by bundle id (the 32-bit id as an [int], so a probe
      boxes nothing). [None] (default) means this node

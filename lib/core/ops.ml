@@ -4,6 +4,22 @@ module Ipaddr = Dip_tables.Ipaddr
 module Pit = Dip_tables.Pit
 open Registry
 
+(* Each operation is staged: applied once, when a program is compiled,
+   to its FN and its absolute target, it settles every check that
+   depends only on those and returns what runs per packet. *)
+
+(* An operation whose outcome its FN and target decide. *)
+let const outcome : ctx -> outcome = fun _ -> outcome
+let abort reason = const (Abort reason)
+let continue = const Continue
+
+(* A 32-bit target's value as an unsigned [int], never boxed: a
+   byte-aligned one (every realization's) is a single load. *)
+let u32 buf (target : Field.t) =
+  let off = target.Field.off_bits in
+  if off land 7 = 0 then Int32.to_int (Bitbuf.get_uint32 buf (off lsr 3)) land 0xFFFF_FFFF
+  else Int64.to_int (Bitbuf.get_uint buf target)
+
 (* --- IP forwarding (keys 1-3) --- *)
 
 (* A route to one port is the common outcome; for ports below 256 it
@@ -11,33 +27,25 @@ open Registry
 let one_port = Array.init 256 (fun p -> Set_route [ p ])
 let route_to p = if p >= 0 && p < 256 then one_port.(p) else Set_route [ p ]
 
-(* The 32-bit target, boxed once: a byte-aligned one (every
-   realization's) is a single load. *)
-let[@inline never] read_v4 (ctx : ctx) =
-  let off = ctx.target.Field.off_bits in
-  if off land 7 = 0 then Bitbuf.get_uint32 ctx.view.Packet.buf (off lsr 3)
-  else Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target)
-
 (* Key 1: 32-bit destination match against the v4 LPM table; local
    address → delivery. *)
-let f_32_match ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 32 then Abort "f32: field must be 32 bits"
-  else
-    let dst = read_v4 ctx in
+let f_32_match (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 32 then abort "f32: field must be 32 bits"
+  else fun ctx ->
+    let dst = u32 ctx.view.Packet.buf target in
     match ctx.env.Env.local_v4 with
-    | Some a when Int32.equal a dst -> Deliver_local
+    | Some a when Int32.to_int a land 0xFFFF_FFFF = dst -> Deliver_local
     | _ ->
         (* DIR-24-8 fast path: id-based lookup is allocation-free. *)
-        let id = Dip_tables.Fib.V4.lookup_id ctx.env.Env.v4_routes dst in
+        let id = Dip_tables.Fib.V4.lookup_int ctx.env.Env.v4_routes dst in
         if id < 0 then Abort "no-route"
         else route_to (Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id)
 
 (* Key 2: 128-bit destination match against the v6 LPM table. *)
-let f_128_match ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 128 then
-    Abort "f128: field must be 128 bits"
-  else
-    let dst = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf ctx.target) in
+let f_128_match (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 128 then abort "f128: field must be 128 bits"
+  else fun ctx ->
+    let dst = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf target) in
     if ctx.env.Env.local_v6 = Some dst then Deliver_local
     else
       let hi, lo = dst in
@@ -45,20 +53,20 @@ let f_128_match ctx =
       if id < 0 then Abort "no-route"
       else Set_route [ Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id ]
 
-(* Key 3: names where the source lives (32 or 128 bits). *)
-let f_source ctx =
-  (* The source field only needs to be well-formed; routers do not
-     act on it. *)
-  match ctx.fn.Fn.field.Field.len_bits with
-  | 32 | 128 -> Continue
-  | _ -> Abort "source: field must be 32 or 128 bits"
+(* Key 3: names where the source lives (32 or 128 bits). The source
+   field only needs to be well-formed; routers do not act on it. *)
+let f_source (fn : Fn.t) _ =
+  match fn.Fn.field.Field.len_bits with
+  | 32 | 128 -> continue
+  | _ -> abort "source: field must be 32 or 128 bits"
 
 (* --- NDN (keys 4-5): the prototype forwards on 32-bit hashed
    content names (§4.1). --- *)
 
-let read_name_hash ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 32 then None
-  else Some (Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target))
+(* The name hash, boxed once, here: the PIT, the FIB and the content
+   store take it boxed, and ocamlopt would box a let-bound [int32]
+   again at each of those calls. *)
+let[@inline never] name_hash buf target = Int32.of_int (u32 buf target)
 
 (* A content-store hit turns the interest into a data packet sent
    back out of the ingress port: same 32-bit name in the locations,
@@ -76,178 +84,173 @@ let data_packet_for ctx ~hash ~content =
    receiving port in the PIT, then forwards on the FIB hit (§3,
    NDN). With a content store configured, a cache hit answers
    directly (§4.1 footnote 2). *)
-let f_fib ctx =
-  match read_name_hash ctx with
-  | None -> Abort "fib: field must be 32 bits"
-  | Some hash -> (
-      match Env.cache_find ctx.env hash with
-      | Some content -> Respond (data_packet_for ctx ~hash ~content)
-      | None -> (
-          (* Record the receiving port in the PIT (paper §3), then
-             match the FIB. A PIT entry is new router state, charged
-             against the §2.4 budget. *)
-          if not (Guard.charge_state ctx.budget ~bytes:16) then
-            Abort "guard-state-exhausted"
-          else
-            match
-              Pit.insert ctx.env.Env.pit ~key:hash ~port:ctx.ingress
-                ~now:ctx.now ~lifetime:ctx.env.Env.interest_lifetime
-            with
-            | Pit.Aggregated -> Silent
-            | Pit.Rejected -> Abort "pit-full"
-            | Pit.Forwarded -> (
-                match Dip_tables.Name_fib.lookup_hash ctx.env.Env.fib hash with
-                | Some port -> Set_route [ port ]
-                | None ->
-                    ignore (Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now);
-                    Abort "no-fib-entry")))
+let f_fib (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 32 then abort "fib: field must be 32 bits"
+  else fun ctx ->
+    let hash = name_hash ctx.view.Packet.buf target in
+    match Env.cache_find ctx.env hash with
+    | Some content -> Respond (data_packet_for ctx ~hash ~content)
+    | None -> (
+        (* Record the receiving port in the PIT (paper §3), then
+           match the FIB. A PIT entry is new router state, charged
+           against the §2.4 budget. *)
+        if not (Guard.charge_state ctx.budget ~bytes:16) then
+          Abort "guard-state-exhausted"
+        else
+          match
+            Pit.insert ctx.env.Env.pit ~key:hash ~port:ctx.ingress ~now:ctx.now
+              ~lifetime:ctx.env.Env.interest_lifetime
+          with
+          | Pit.Aggregated -> Silent
+          | Pit.Rejected -> Abort "pit-full"
+          | Pit.Forwarded -> (
+              match Dip_tables.Name_fib.lookup_hash ctx.env.Env.fib hash with
+              | Some port -> Set_route [ port ]
+              | None ->
+                  ignore (Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now);
+                  Abort "no-fib-entry"))
 
 (* Key 5: PIT match for data packets — forward to the recorded
    request ports, or discard on a miss (§3, NDN). *)
-let f_pit ctx =
-  match read_name_hash ctx with
-  | None -> Abort "pit: field must be 32 bits"
-  | Some hash -> (
-      match Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now with
-      | [] -> Abort "unsolicited-data"
-      | ports ->
-          Env.cache_insert ctx.env hash (Packet.payload ctx.view);
-          Set_route ports)
+let f_pit (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 32 then abort "pit: field must be 32 bits"
+  else fun ctx ->
+    let hash = name_hash ctx.view.Packet.buf target in
+    match Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now with
+    | [] -> Abort "unsolicited-data"
+    | ports ->
+        Env.cache_insert ctx.env hash (Packet.payload ctx.view);
+        Set_route ports
 
 (* --- OPT (keys 6-9) --- *)
 
-(* An FN's target sits [span_off_bits] into its protocol region;
-   recover the region's byte offset within the whole packet. *)
-let fn_location_base view (fn : Fn.t) ~span_off_bits =
+(* An FN's target sits [span_off_bits] into its protocol region: the
+   region's byte offset within the whole packet, or the [Abort],
+   prefixed with [what], that the operation returns instead. *)
+let region_base what (fn : Fn.t) (target : Field.t) ~span_off_bits =
   let rel = fn.Fn.field.Field.off_bits - span_off_bits in
-  if rel < 0 then Error "FN target before region start"
-  else if rel mod 8 <> 0 then Error "region not byte aligned"
-  else Ok (view.Packet.loc_base + (rel / 8))
+  if rel < 0 then Error (Abort (what ^ ": FN target before region start"))
+  else if rel mod 8 <> 0 then Error (Abort (what ^ ": region not byte aligned"))
+  else Ok ((target.Field.off_bits - span_off_bits) / 8)
 
 (* Key 6: derive the dynamic OPT key from the session id in the
    target field with the router's local secret (§3, OPT). *)
-let f_parm ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 128 then
-    Abort "parm: field must be 128 bits"
+let f_parm (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 128 then abort "parm: field must be 128 bits"
   else
-    match ctx.env.Env.opt_secret with
-    | None -> Abort "no-opt-identity"
-    | Some secret -> (
-        match fn_location_base ctx.view ctx.fn ~span_off_bits:128 with
-        | Error e -> Abort ("parm: " ^ e)
-        | Ok base ->
-            let session_id =
-              Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base
-            in
-            let key = Dip_opt.Drkey.derive secret ~session_id in
-            ctx.scratch.opt_key <- Some (Dip_opt.Protocol.expand ~alg:ctx.env.Env.opt_alg key);
-            Continue)
+    let base = region_base "parm" fn target ~span_off_bits:128 in
+    fun ctx ->
+      match (ctx.env.Env.opt_secret, base) with
+      | None, _ -> Abort "no-opt-identity"
+      | Some _, Error a -> a
+      | Some secret, Ok base ->
+          let session_id = Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base in
+          let key = Dip_opt.Drkey.derive secret ~session_id in
+          ctx.scratch.opt_key <- Some (Dip_opt.Protocol.expand ~alg:ctx.env.Env.opt_alg key);
+          Continue
 
 (* Key 7: MAC over the target span, deposited in this router's OPV
    slot. Requires {i F_parm} to have run first. *)
-let f_mac ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 416 then
-    Abort "mac: field must be 416 bits"
+let f_mac (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 416 then abort "mac: field must be 416 bits"
   else
-    match ctx.scratch.opt_key with
-    | None -> Abort "parm-not-loaded"
-    | Some key -> (
-        match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
-        | Error e -> Abort ("mac: " ^ e)
-        | Ok base ->
-            let hop = ctx.env.Env.opt_hop in
-            let opv_end_bits = 416 + (128 * hop) in
-            let region_bits =
-              8 * (ctx.view.Packet.header.Header.fn_loc_len
-                   - (base - ctx.view.Packet.loc_base))
-            in
-            if opv_end_bits > region_bits then Abort "opv-slot-out-of-range"
-            else begin
-              Dip_opt.Protocol.mac_update ctx.view.Packet.buf ~base ~hop ~key;
-              Continue
-            end)
+    let base = region_base "mac" fn target ~span_off_bits:0 in
+    (* The region runs from the target to the end of the locations. *)
+    let rel = fn.Fn.field.Field.off_bits in
+    fun ctx ->
+      match (ctx.scratch.opt_key, base) with
+      | None, _ -> Abort "parm-not-loaded"
+      | Some _, Error a -> a
+      | Some key, Ok base ->
+          let hop = ctx.env.Env.opt_hop in
+          let opv_end_bits = 416 + (128 * hop) in
+          let region_bits = (8 * ctx.view.Packet.header.Header.fn_loc_len) - rel in
+          if opv_end_bits > region_bits then Abort "opv-slot-out-of-range"
+          else begin
+            Dip_opt.Protocol.mac_update ctx.view.Packet.buf ~base ~hop ~key;
+            Continue
+          end
 
 (* Key 8: fold the router's key into the PVF (the mark update). *)
-let f_mark ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> 128 then
-    Abort "mark: field must be 128 bits"
+let f_mark (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> 128 then abort "mark: field must be 128 bits"
   else
-    match ctx.scratch.opt_key with
-    | None -> Abort "parm-not-loaded"
-    | Some key -> (
-        match fn_location_base ctx.view ctx.fn ~span_off_bits:288 with
-        | Error e -> Abort ("mark: " ^ e)
-        | Ok base ->
-            Dip_opt.Protocol.mark_update ctx.view.Packet.buf ~base ~key;
-            Continue)
+    let base = region_base "mark" fn target ~span_off_bits:288 in
+    fun ctx ->
+      match (ctx.scratch.opt_key, base) with
+      | None, _ -> Abort "parm-not-loaded"
+      | Some _, Error a -> a
+      | Some key, Ok base ->
+          Dip_opt.Protocol.mark_update ctx.view.Packet.buf ~base ~key;
+          Continue
 
 (* Key 9: host-side verification of source and path over the whole
    OPT span; delivers on success. *)
-let f_ver ctx =
-  let len = ctx.fn.Fn.field.Field.len_bits in
+let f_ver (fn : Fn.t) target =
+  let len = fn.Fn.field.Field.len_bits in
   if len < 544 || (len - 416) mod 128 <> 0 then
-    Abort "ver: field must span 416 + 128*hops bits"
+    abort "ver: field must span 416 + 128*hops bits"
   else
-    match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
-    | Error e -> Abort ("ver: " ^ e)
+    match region_base "ver" fn target ~span_off_bits:0 with
+    | Error a -> const a
     | Ok base -> (
         let hops = (len - 416) / 128 in
-        let session_id = Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base in
-        match Hashtbl.find_opt ctx.env.Env.opt_sessions session_id with
-        | None -> Abort "unknown-session"
-        | Some (session_keys, dest_key) -> (
-            if List.length session_keys <> hops then Abort "session-hop-mismatch"
-            else
-              match
-                Dip_opt.Protocol.verify ~alg:ctx.env.Env.opt_alg
-                  ctx.view.Packet.buf ~base ~hops ~session_keys ~dest_key
-                  ~payload:(Some (Packet.payload ctx.view))
-              with
-              | Ok () -> Deliver_local
-              | Error f ->
-                  Abort
-                    (Format.asprintf "opt-verify-failed: %a"
-                       Dip_opt.Protocol.pp_failure f)))
+        fun ctx ->
+          let session_id = Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base in
+          match Hashtbl.find_opt ctx.env.Env.opt_sessions session_id with
+          | None -> Abort "unknown-session"
+          | Some (session_keys, dest_key) -> (
+              if List.length session_keys <> hops then Abort "session-hop-mismatch"
+              else
+                match
+                  Dip_opt.Protocol.verify ~alg:ctx.env.Env.opt_alg ctx.view.Packet.buf
+                    ~base ~hops ~session_keys ~dest_key
+                    ~payload:(Some (Packet.payload ctx.view))
+                with
+                | Ok () -> Deliver_local
+                | Error f ->
+                    Abort
+                      (Format.asprintf "opt-verify-failed: %a"
+                         Dip_opt.Protocol.pp_failure f)))
 
 (* --- XIA (keys 10-11) --- *)
 
 (* Run [f ctx b pos len] on the target's bytes: the packet's own
    when the target is byte-aligned (every realization's), else an
-   MSB-aligned copy. [f] is a toplevel function, so no closure. *)
-let on_target (ctx : ctx) f =
-  let t = ctx.target and buf = ctx.view.Packet.buf in
-  if Field.is_byte_aligned t then f ctx (Bitbuf.to_bytes buf) (t.off_bits / 8) (t.len_bits / 8)
-  else
-    let s = Bitbuf.get_field buf t in
+   MSB-aligned copy. *)
+let on_target (target : Field.t) f =
+  if Field.is_byte_aligned target then
+    let pos = target.Field.off_bits / 8 and len = target.Field.len_bits / 8 in
+    fun ctx -> f ctx (Bitbuf.to_bytes ctx.view.Packet.buf) pos len
+  else fun ctx ->
+    let s = Bitbuf.get_field ctx.view.Packet.buf target in
     f ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let write_xia_ptr ctx ptr =
+let dag_on (target : Field.t) =
   (* The pointer is the first byte of the target field. *)
-  Bitbuf.set_uint ctx.view.Packet.buf
-    (Field.v ~off_bits:ctx.target.Field.off_bits ~len_bits:8)
-    (Int64.of_int ptr)
-
-let dag_on ctx b pos len =
-  match Dip_xia.Router.decode_slice b ~pos ~len with
-  | Error e -> Abort ("dag: " ^ e)
-  | Ok (dag, ptr, _) -> (
-      (* Leave the decode for F_intent, keyed by the bytes it came
-         from; the pointer byte is not part of the key. *)
-      ctx.scratch.dag <- Some (Bytes.sub_string b (pos + 1) (len - 1), dag);
-      match Dip_xia.Router.step ctx.env.Env.xia dag ~ptr with
-      | Dip_xia.Router.Forward (port, ptr') ->
-          write_xia_ptr ctx ptr';
-          Set_route [ port ]
-      | Dip_xia.Router.Deliver ptr' ->
-          (* Reached the intent's owner: record progress and let
-             F_intent decide delivery. *)
-          write_xia_ptr ctx ptr';
-          Continue
-      | Dip_xia.Router.Discard reason -> Abort ("dag: " ^ reason))
+  let pointer = Field.v ~off_bits:target.Field.off_bits ~len_bits:8 in
+  let write_ptr ctx ptr = Bitbuf.set_uint ctx.view.Packet.buf pointer (Int64.of_int ptr) in
+  fun ctx b pos len ->
+    match Dip_xia.Router.decode_slice b ~pos ~len with
+    | Error e -> Abort ("dag: " ^ e)
+    | Ok (dag, ptr, _) -> (
+        (* Leave the decode for F_intent, keyed by the bytes it came
+           from; the pointer byte is not part of the key. *)
+        ctx.scratch.dag <- Some (Bytes.sub_string b (pos + 1) (len - 1), dag);
+        match Dip_xia.Router.step ctx.env.Env.xia dag ~ptr with
+        | Dip_xia.Router.Forward (port, ptr') ->
+            write_ptr ctx ptr';
+            Set_route [ port ]
+        | Dip_xia.Router.Deliver ptr' ->
+            (* Reached the intent's owner: record progress and let
+               F_intent decide delivery. *)
+            write_ptr ctx ptr';
+            Continue
+        | Dip_xia.Router.Discard reason -> Abort ("dag: " ^ reason))
 
 (* Key 10: parse the XIA DAG in the target field and forward by
    fallback, updating the address pointer in place. *)
-let f_dag ctx = on_target ctx dag_on
+let f_dag _ target = on_target target (dag_on target)
 
 (* Whether the bytes of [b] from [pos + i] on continue [w] from [i]. *)
 let rec equal_at b pos w i =
@@ -274,7 +277,7 @@ let intent_on ctx b pos len =
 
 (* Key 11: handle the intent — deliver when the pointer has reached
    an intent this node owns. *)
-let f_intent ctx = on_target ctx intent_on
+let f_intent _ target = on_target target intent_on
 
 (* --- F_pass (key 12, §2.4) --- *)
 
@@ -292,61 +295,59 @@ let compute_pass_label key ~locations ~label_field =
 
 (* Key 12 (§2.4): verify the source label over the FN-locations
    region; drops forged packets when enabled, free when disabled. *)
-let f_pass ctx =
-  if not ctx.env.Env.pass_enabled then Continue
-  else if ctx.fn.Fn.field.Field.len_bits <> 32 then
-    Abort "pass: label must be 32 bits"
-  else
-    match ctx.env.Env.pass_key with
-    | None -> Abort "pass: no key configured"
-    | Some key ->
-        let loc_len = ctx.view.Packet.header.Header.fn_loc_len in
-        let locations =
-          Bitbuf.get_field ctx.view.Packet.buf
-            (Field.v ~off_bits:(8 * ctx.view.Packet.loc_base)
-               ~len_bits:(8 * loc_len))
-        in
-        let expected =
-          compute_pass_label key ~locations ~label_field:ctx.fn.Fn.field
-        in
-        let got = Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target) in
-        if Int32.equal expected got then Continue else Abort "pass-verify-failed"
+let f_pass (fn : Fn.t) target =
+  let label_field = fn.Fn.field in
+  fun ctx ->
+    if not ctx.env.Env.pass_enabled then Continue
+    else if label_field.Field.len_bits <> 32 then Abort "pass: label must be 32 bits"
+    else
+      match ctx.env.Env.pass_key with
+      | None -> Abort "pass: no key configured"
+      | Some key ->
+          let loc_len = ctx.view.Packet.header.Header.fn_loc_len in
+          let locations =
+            Bitbuf.get_field ctx.view.Packet.buf
+              (Field.v ~off_bits:(8 * ctx.view.Packet.loc_base) ~len_bits:(8 * loc_len))
+          in
+          let expected = compute_pass_label key ~locations ~label_field in
+          if Int32.to_int expected land 0xFFFF_FFFF = u32 ctx.view.Packet.buf target then
+            Continue
+          else Abort "pass-verify-failed"
 
 (* --- F_cc (key 13): NetFence-style congestion policing --- *)
 
 (* Enforce the per-sender token bucket at bottleneck routers, mark
    or drop over-rate packets, and MAC-stamp the feedback. *)
-let f_cc ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> Dip_netfence.Header.size_bits then
-    Abort "cc: field must be a NetFence header"
+let f_cc (fn : Fn.t) target =
+  if fn.Fn.field.Field.len_bits <> Dip_netfence.Header.size_bits then
+    abort "cc: field must be a NetFence header"
   else
-    match ctx.env.Env.netfence with
-    | None -> Continue (* not a bottleneck router: leave feedback alone *)
-    | Some policer -> (
-        match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
-        | Error e -> Abort ("cc: " ^ e)
-        | Ok base -> (
-            let size = Bitbuf.length ctx.view.Packet.buf in
-            match
-              Dip_netfence.Policer.police policer ctx.view.Packet.buf ~base
-                ~now:ctx.now ~size
-            with
-            | Dip_netfence.Policer.Pass | Dip_netfence.Policer.Marked ->
-                Continue
-            | Dip_netfence.Policer.Dropped -> Abort "cc-rate-exceeded"))
+    let base = region_base "cc" fn target ~span_off_bits:0 in
+    fun ctx ->
+      match (ctx.env.Env.netfence, base) with
+      | None, _ -> Continue (* not a bottleneck router: leave feedback alone *)
+      | Some _, Error a -> a
+      | Some policer, Ok base -> (
+          let size = Bitbuf.length ctx.view.Packet.buf in
+          match
+            Dip_netfence.Policer.police policer ctx.view.Packet.buf ~base ~now:ctx.now
+              ~size
+          with
+          | Dip_netfence.Policer.Pass | Dip_netfence.Policer.Marked -> Continue
+          | Dip_netfence.Policer.Dropped -> Abort "cc-rate-exceeded")
 
 (* --- F_tel (key 14): in-band telemetry --- *)
 
 (* Append this node's telemetry record to the packet's telemetry
    region (best-effort, never blocks). *)
-let f_tel ctx =
-  match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
-  | Error e -> Abort ("tel: " ^ e)
+let f_tel (fn : Fn.t) target =
+  match region_base "tel" fn target ~span_off_bits:0 with
+  | Error a -> const a
   | Ok base ->
-      let region_bytes = ctx.fn.Fn.field.Field.len_bits / 8 in
-      if ctx.fn.Fn.field.Field.len_bits mod 8 <> 0 || region_bytes < 9 then
-        Abort "tel: region must be byte-sized and hold one record"
-      else begin
+      let region_bytes = fn.Fn.field.Field.len_bits / 8 in
+      if fn.Fn.field.Field.len_bits mod 8 <> 0 || region_bytes < 9 then
+        abort "tel: region must be byte-sized and hold one record"
+      else fun ctx ->
         (* Telemetry is strictly best-effort: overflow sets a bit and
            forwarding continues. *)
         ignore
@@ -357,42 +358,38 @@ let f_tel ctx =
                queue_depth = ctx.env.Env.queue_depth ();
              });
         Continue
-      end
 
 (* --- F_hvf (key 15): EPIC per-hop validation --- *)
 
 (* Check this hop's HVF against the key derived from (source,
    timestamp), dropping the packet on mismatch, and replace it with
    its verified form. *)
-let f_hvf ctx =
-  let len = ctx.fn.Fn.field.Field.len_bits in
+let f_hvf (fn : Fn.t) target =
+  let len = fn.Fn.field.Field.len_bits in
   if len < 224 || (len - 192) mod 32 <> 0 then
-    Abort "hvf: field must span 192 + 32*hops bits"
+    abort "hvf: field must span 192 + 32*hops bits"
   else
-    match ctx.env.Env.opt_secret with
-    | None -> Abort "no-hvf-identity"
-    | Some secret -> (
-        match fn_location_base ctx.view ctx.fn ~span_off_bits:0 with
-        | Error e -> Abort ("hvf: " ^ e)
-        | Ok base ->
-            let hops = (len - 192) / 32 in
-            let hop = ctx.env.Env.opt_hop in
-            if hop > hops then Abort "hvf: hop index beyond region"
-            else
-              let key =
-                Dip_epic.Protocol.derive_key secret
-                  ~src:(Dip_epic.Header.get_src ctx.view.Packet.buf ~base)
-                  ~timestamp:
-                    (Dip_epic.Header.get_timestamp ctx.view.Packet.buf ~base)
-              in
-              (* "Every packet is checked": an invalid HVF is dropped
-                 at the router, not at the destination. *)
-              (match
-                 Dip_epic.Protocol.router_check ctx.view.Packet.buf ~base ~hop
-                   ~key
-               with
-              | Dip_epic.Protocol.Forwarded -> Continue
-              | Dip_epic.Protocol.Rejected -> Abort "hvf-rejected"))
+    let base = region_base "hvf" fn target ~span_off_bits:0 in
+    let hops = (len - 192) / 32 in
+    fun ctx ->
+      match (ctx.env.Env.opt_secret, base) with
+      | None, _ -> Abort "no-hvf-identity"
+      | Some _, Error a -> a
+      | Some secret, Ok base -> (
+          let hop = ctx.env.Env.opt_hop in
+          if hop > hops then Abort "hvf: hop index beyond region"
+          else
+            let buf = ctx.view.Packet.buf in
+            let key =
+              Dip_epic.Protocol.derive_key secret
+                ~src:(Dip_epic.Header.get_src buf ~base)
+                ~timestamp:(Dip_epic.Header.get_timestamp buf ~base)
+            in
+            (* "Every packet is checked": an invalid HVF is dropped
+               at the router, not at the destination. *)
+            match Dip_epic.Protocol.router_check buf ~base ~hop ~key with
+            | Dip_epic.Protocol.Forwarded -> Continue
+            | Dip_epic.Protocol.Rejected -> Abort "hvf-rejected")
 
 (* --- F_cust (key 16): DTN custody transfer --- *)
 
@@ -402,57 +399,53 @@ let f_hvf ctx =
    stores a copy of the whole packet, marks the in-custody bit, and
    ACKs one hop upstream through the scratch emit channel (the packet
    itself must keep forwarding, so the ACK cannot be a [Respond]). *)
-let f_cust ctx =
-  if ctx.fn.Fn.field.Field.len_bits <> Custody.region_bits then
-    Abort "cust: field must be 40 bits"
-  else if ctx.target.Field.off_bits mod 8 <> 0 then
-    Abort "cust: region not byte aligned"
-  else begin
-    let buf = ctx.view.Packet.buf in
-    let base = ctx.target.Field.off_bits / 8 in
-    let flags = Custody.read_flags buf ~base in
-    let bundle = Custody.read_bundle buf ~base in
-    (* The store's key: the id as an [int], converted once here, so
-       the probes below box nothing. *)
-    let key = Int32.to_int bundle in
-    let ack_upstream () =
-      ctx.scratch.emit <-
-        (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
-      Dip_obs.Metrics.Counter.incr ctx.env.Env.counts.custody_ack
-    in
-    if flags land Custody.flag_ack <> 0 then begin
-      (* Hop-local custody ACK: downstream holds the bundle now. *)
-      (match ctx.env.Env.custody with
-      | Some store -> ignore (Dip_tables.Custody_store.release store key)
-      | None -> ());
-      Silent
-    end
-    else if flags land Custody.flag_request = 0 then Continue
-    else
-      match ctx.env.Env.custody with
-      | None -> Continue (* not a custodian: forward untouched *)
-      | Some store ->
-          if Dip_tables.Custody_store.mem store key then begin
-            (* Upstream retransmitted: its custody ACK was lost.
-               Re-ACK so the upstream copy is released. *)
-            ack_upstream ();
-            Continue
-          end
-          else begin
-            Bitbuf.set_uint8 buf base (flags lor Custody.flag_in_custody);
-            match
-              Dip_tables.Custody_store.take store key (Bitbuf.copy buf)
-            with
-            | `Stored ->
-                ack_upstream ();
-                Continue
-            | `Rejected ->
-                (* Store bounds refuse the bundle: upstream keeps
-                   custody, we forward without taking over. *)
-                Bitbuf.set_uint8 buf base flags;
-                Continue
-          end
-  end
+let f_cust (fn : Fn.t) (target : Field.t) =
+  if fn.Fn.field.Field.len_bits <> Custody.region_bits then
+    abort "cust: field must be 40 bits"
+  else if target.Field.off_bits mod 8 <> 0 then abort "cust: region not byte aligned"
+  else
+    let base = target.Field.off_bits / 8 in
+    fun ctx ->
+      let buf = ctx.view.Packet.buf in
+      let flags = Custody.read_flags buf ~base in
+      let bundle = Custody.read_bundle buf ~base in
+      (* The store's key: the id as an [int], converted once here, so
+         the probes below box nothing. *)
+      let key = Int32.to_int bundle in
+      let ack_upstream () =
+        ctx.scratch.emit <- (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
+        Dip_obs.Metrics.Counter.incr ctx.env.Env.counts.custody_ack
+      in
+      if flags land Custody.flag_ack <> 0 then begin
+        (* Hop-local custody ACK: downstream holds the bundle now. *)
+        (match ctx.env.Env.custody with
+        | Some store -> ignore (Dip_tables.Custody_store.release store key)
+        | None -> ());
+        Silent
+      end
+      else if flags land Custody.flag_request = 0 then Continue
+      else
+        match ctx.env.Env.custody with
+        | None -> Continue (* not a custodian: forward untouched *)
+        | Some store ->
+            if Dip_tables.Custody_store.mem store key then begin
+              (* Upstream retransmitted: its custody ACK was lost.
+                 Re-ACK so the upstream copy is released. *)
+              ack_upstream ();
+              Continue
+            end
+            else begin
+              Bitbuf.set_uint8 buf base (flags lor Custody.flag_in_custody);
+              match Dip_tables.Custody_store.take store key (Bitbuf.copy buf) with
+              | `Stored ->
+                  ack_upstream ();
+                  Continue
+              | `Rejected ->
+                  (* Store bounds refuse the bundle: upstream keeps
+                     custody, we forward without taking over. *)
+                  Bitbuf.set_uint8 buf base flags;
+                  Continue
+            end
 
 let default_registry () =
   let r = Registry.empty () in

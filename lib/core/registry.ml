@@ -9,8 +9,6 @@ type outcome =
 type ctx = Env.ctx = {
   env : Env.t;
   mutable view : Packet.view;
-  mutable fn : Fn.t;
-  mutable target : Dip_bitbuf.Field.t;
   mutable ingress : Env.port;
   mutable now : float;
   scratch : scratch;
@@ -23,7 +21,7 @@ and scratch = Env.scratch = {
   mutable emit : (Env.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
-type impl = ctx -> outcome
+type impl = Fn.t -> Dip_bitbuf.Field.t -> ctx -> outcome
 
 type mode = Read | Write | Read_write
 

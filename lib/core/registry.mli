@@ -22,18 +22,17 @@ type outcome =
   | Silent  (** drop the loop without error (aggregated interest) *)
   | Abort of string  (** security/sanity failure: drop now *)
 
-(** Everything an operation sees: Algorithm 1's [target_field]
-    resolved to an absolute bit range, plus node state and per-packet
-    scratch. The engine reuses one record per node ({!Env.ctx}),
-    rewriting the mutable fields before each FN, so an operation must
-    not keep the record (or [view]) past its own call. [view] is the
-    cached program's: its [header.hop_limit] is not the packet's —
-    read the live hop limit from byte 2 of [view.buf]. *)
+(** Everything an operation sees per packet: node state, the packet
+    and per-packet scratch. Its FN and target are not here: they were
+    given to the operation when the program was compiled ({!impl}).
+    The engine reuses one record per node ({!Env.ctx}), rewriting the
+    mutable fields once per packet, so an operation must not keep the
+    record (or [view]) past its own call. [view] is the cached
+    program's: its [header.hop_limit] is not the packet's — read the
+    live hop limit from byte 2 of [view.buf]. *)
 type ctx = Env.ctx = {
   env : Env.t;
   mutable view : Packet.view;
-  mutable fn : Fn.t;
-  mutable target : Dip_bitbuf.Field.t;  (** absolute position in [view.buf] *)
   mutable ingress : Env.port;
   mutable now : float;
   scratch : scratch;
@@ -53,8 +52,15 @@ and scratch = Env.scratch = {
   mutable emit : (Env.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
-type impl = ctx -> outcome
-(** One operation module. *)
+type impl = Fn.t -> Dip_bitbuf.Field.t -> ctx -> outcome
+(** One operation module, staged. The engine applies it once per
+    compiled program, to the FN and the FN's target — Algorithm 1's
+    [target_field], resolved to an absolute bit range in the packet —
+    and keeps the [ctx -> outcome] it returns, which runs per packet.
+    Checks that depend only on the FN and its target (a length, a
+    byte alignment, a region's offset) are settled in that first
+    application; an operation that fails one returns a constant
+    [Abort] with the same reason it would give per packet. *)
 
 (** How an operation touches its target field slice. *)
 type mode = Read | Write | Read_write

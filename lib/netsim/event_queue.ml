@@ -120,22 +120,43 @@ module Keys = struct
 end
 
 (* The heap, and the payloads by slot: a payload is written once, into
-   a free slot, at push and overwritten with [filler] at [drop_min]. *)
+   a free slot, at push and overwritten with [filler] at [drop_min].
+
+   Beside it, the lane: a push no earlier than the lane's last event
+   is appended to a power-of-two ring instead of sifted into the heap.
+   Its seq is the newest, so the ring stays in key order and its head
+   is its earliest event; the queue's head is the earlier of the
+   ring's head and the heap's root. Positions count up from 0 and
+   index the ring modulo its size; it holds [lhead .. ltail - 1], and
+   every other cell holds [filler]. *)
 type 'a t = {
   keys : Keys.t;
   mutable payloads : 'a array;
   mutable next_seq : int;
   filler : 'a;
+  mutable ltimes : float array;
+  mutable lseqs : int array;
+  mutable lpayloads : 'a array;
+  mutable lhead : int;
+  mutable ltail : int;
 }
 
-let create ~filler = { keys = Keys.create (); payloads = [||]; next_seq = 0; filler }
-let size t = t.keys.len
-let is_empty t = t.keys.len = 0
+let create ~filler =
+  { keys = Keys.create (); payloads = [||]; next_seq = 0; filler; ltimes = [||];
+    lseqs = [||]; lpayloads = [||]; lhead = 0; ltail = 0 }
+
+let size t = t.keys.len + t.ltail - t.lhead
+let is_empty t = size t = 0
 
 let release t =
-  if t.keys.len = 0 then begin
+  if size t = 0 then begin
     Keys.release t.keys;
-    t.payloads <- [||]
+    t.payloads <- [||];
+    t.ltimes <- [||];
+    t.lseqs <- [||];
+    t.lpayloads <- [||];
+    t.lhead <- 0;
+    t.ltail <- 0
   end
 
 let reserve_seq t =
@@ -143,47 +164,102 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
+(* Called when the lane is full: double it, oldest event first. *)
+let grow_lane t =
+  let n = Array.length t.lpayloads in
+  let ncap = max 16 (2 * n) in
+  let times = Array.make ncap 0.0 and seqs = Array.make ncap 0 in
+  let payloads = Array.make ncap t.filler in
+  for k = 0 to n - 1 do
+    let j = (t.lhead + k) land (n - 1) in
+    times.(k) <- t.ltimes.(j);
+    seqs.(k) <- t.lseqs.(j);
+    payloads.(k) <- t.lpayloads.(j)
+  done;
+  t.ltimes <- times;
+  t.lseqs <- seqs;
+  t.lpayloads <- payloads;
+  t.lhead <- 0;
+  t.ltail <- n
+
 let push t ~time payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.push: time must be finite";
   if time < 0.0 then invalid_arg "Event_queue.push: negative time";
-  let k = t.keys in
-  if Keys.ensure k then t.payloads <- Keys.fit k t.payloads t.filler;
-  k.times.(k.len) <- time;
-  k.seqs.(k.len) <- reserve_seq t;
-  t.payloads.(Keys.add k) <- payload
+  let mask = Array.length t.lpayloads - 1 in
+  if t.ltail = t.lhead || time >= t.ltimes.((t.ltail - 1) land mask) then begin
+    if t.ltail - t.lhead = mask + 1 then grow_lane t;
+    let j = t.ltail land (Array.length t.lpayloads - 1) in
+    t.ltimes.(j) <- time;
+    t.lseqs.(j) <- reserve_seq t;
+    t.lpayloads.(j) <- payload;
+    t.ltail <- t.ltail + 1
+  end
+  else begin
+    let k = t.keys in
+    if Keys.ensure k then t.payloads <- Keys.fit k t.payloads t.filler;
+    k.times.(k.len) <- time;
+    k.seqs.(k.len) <- reserve_seq t;
+    t.payloads.(Keys.add k) <- payload
+  end
+
+(* The lane's head is the queue's: the lane holds an event and the
+   heap none earlier by key. *)
+let lane_first t =
+  t.ltail > t.lhead
+  && (t.keys.len = 0
+     ||
+     let j = t.lhead land (Array.length t.lpayloads - 1) in
+     let lt = t.ltimes.(j) and ht = t.keys.times.(0) in
+     lt < ht || (lt = ht && t.lseqs.(j) < t.keys.seqs.(0)))
 
 let check_nonempty t fn =
-  if t.keys.len = 0 then invalid_arg ("Event_queue." ^ fn ^ ": empty queue")
+  if size t = 0 then invalid_arg ("Event_queue." ^ fn ^ ": empty queue")
+
+let lane_head t = t.lhead land (Array.length t.lpayloads - 1)
 
 let min_time t =
   check_nonempty t "min_time";
-  t.keys.times.(0)
+  if lane_first t then t.ltimes.(lane_head t) else t.keys.times.(0)
 
 let min_seq t =
   check_nonempty t "min_seq";
-  t.keys.seqs.(0)
+  if lane_first t then t.lseqs.(lane_head t) else t.keys.seqs.(0)
 
 let min_payload t =
   check_nonempty t "min_payload";
-  t.payloads.(t.keys.slots.(0))
+  if lane_first t then t.lpayloads.(lane_head t) else t.payloads.(t.keys.slots.(0))
 
 let drop_min t =
   check_nonempty t "drop_min";
-  t.payloads.(t.keys.slots.(0)) <- t.filler;
-  Keys.remove_min t.keys
+  if lane_first t then begin
+    t.lpayloads.(lane_head t) <- t.filler;
+    t.lhead <- t.lhead + 1
+  end
+  else begin
+    t.payloads.(t.keys.slots.(0)) <- t.filler;
+    Keys.remove_min t.keys
+  end
 
-(* A slot is live iff a live heap position refers to it, and live
+(* A heap slot is live iff a live heap position refers to it, and live
    positions refer to distinct slots: so no vacant slot holds a
    payload iff the slots holding one are exactly as many as the live
-   positions whose slot holds one. Two counting passes, no
+   positions whose slot holds one. The lane's cells are counted the
+   same way against [lhead .. ltail - 1]. Counting passes, no
    allocation. *)
-let vacant_slots_cleared t =
-  let held = ref 0 and live = ref 0 in
-  for s = 0 to Array.length t.payloads - 1 do
-    if t.payloads.(s) != t.filler then incr held
+let held filler a =
+  let n = ref 0 in
+  for s = 0 to Array.length a - 1 do
+    if a.(s) != filler then incr n
   done;
+  !n
+
+let vacant_slots_cleared t =
+  let live = ref 0 in
   for i = 0 to t.keys.len - 1 do
     if t.payloads.(t.keys.slots.(i)) != t.filler then incr live
   done;
-  !held = !live
+  for k = t.lhead to t.ltail - 1 do
+    if t.lpayloads.(k land (Array.length t.lpayloads - 1)) != t.filler then incr live
+  done;
+  held t.filler t.payloads + held t.filler t.lpayloads = !live

@@ -14,6 +14,15 @@
     the slot is reset to the queue's [filler] at {!drop_min}, so a
     popped payload is never retained.
 
+    {b The lane.} A push no earlier than the lane's last event (any
+    push, when the lane is empty) goes to a FIFO ring instead of the
+    heap: its seq is the newest, so the ring is already in key order.
+    Events pushed in time order (a round of injections, a timer
+    rearmed from its own firing) cost O(1) to push and to pop; an
+    earlier push goes to the heap, and the head is the earlier, by
+    key, of the ring's head and the heap's root. The ring's vacated
+    cells are reset to [filler] as the heap's slots are.
+
     {b Allocation.} Once the queue has reached its working capacity,
     {!push} and {!drop_min} allocate nothing. The arrays double when
     full and stay at that size while the queue runs empty and refills,
@@ -30,10 +39,10 @@
     by slot: keys [(times.(i), seqs.(i))] and payload slots
     [slots.(i)] at heap positions [0 .. len - 1], and the stack of
     vacant slots [free.(0 .. capacity - len - 1)], its top last. A
-    queue ({!t}) is one of these beside a payload table. The
-    simulator's heap of busy links is another: it writes each key
-    from a link's own ring straight into [times] and [seqs] and sifts
-    it there, since a computed [float] passed to a call that ocamlopt
+    queue ({!t}) is one of these beside a payload table, and the
+    lane. The simulator's heap of busy links is another: it writes
+    each key from a link's own ring straight into [times] and [seqs]
+    and sifts it there, since a computed [float] passed to a call that ocamlopt
     does not inline is boxed (the release build inlines small
     functions across modules, but [--profile dev] compiles each
     module opaquely, and a function can outgrow [-inline 200]). *)
@@ -116,8 +125,9 @@ val release : 'a t -> unit
     keys stay ordered across a release. *)
 
 val vacant_slots_cleared : 'a t -> bool
-(** [true] iff every payload slot not referenced by a live event holds
-    the filler. Always [true] for a correct implementation — exposed so
-    tests can assert that popping does not retain dead payloads. It
+(** [true] iff every payload slot not referenced by a live event, in
+    the heap's slot table and in the lane's ring, holds the filler.
+    Always [true] for a correct implementation — exposed so tests can
+    assert that popping does not retain dead payloads. It
     allocates nothing and reads each slot and each live position once,
     so a test may call it after every operation. *)

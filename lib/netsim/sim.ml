@@ -335,8 +335,8 @@ let recycle t ev =
 
 (* Every push goes through here, to keep [t.qtime]: a pushed event
    takes the newest seq, so it is the head only if it is earlier than
-   the old one. Not inlined, so [at] is boxed once, at the call. *)
-let[@inline never] enqueue t ~at ev =
+   the old one. *)
+let enqueue t ~at ev =
   Event_queue.push t.queue ~time:at ev;
   if Event_queue.size t.queue = 1 || at < t.qtime then t.qtime <- at
 

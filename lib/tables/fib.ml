@@ -367,8 +367,8 @@ module V4 = struct
     | Some id -> Some (Pool.get t.pool id)
     | None -> None
 
-  let lookup_id t a =
-    let u = Int32.to_int a land 0xFFFFFFFF in
+  let lookup_int t u =
+    let u = u land 0xFFFFFFFF in
     let i = u lsr 8 in
     let c = i lsr chunk_bits in
     let e =
@@ -381,6 +381,8 @@ module V4 = struct
     else
       let k = ((e land 0x7FFF) lsl 8) lor (u land 0xFF) in
       Bytes.get_uint16_le t.spill_ent (k lsl 1) - 1
+
+  let lookup_id t a = lookup_int t (Int32.to_int a)
 
   let lookup t a =
     let u = u32 a in

@@ -58,6 +58,11 @@ module V4 : sig
       (resolve with {!value}), or [-1] when no route matches. This is
       the forwarding hot path. *)
 
+  val lookup_int : 'a t -> int -> int
+  (** {!lookup_id} on the address whose unsigned value is the low 32
+      bits of the [int]: a destination read off the wire as an [int]
+      is looked up without boxing it. *)
+
   val value : 'a t -> int -> 'a
   (** Resolve an id returned by {!lookup_id}. Raises
       [Invalid_argument] on an id never handed out. *)

@@ -2,9 +2,10 @@
    engine (Engine.process / Engine.host_process). Per packet it parses
    (through the node's program cache when that is on, so both sides
    count the same hits and misses), runs the [?verify] hook, then walks
-   the FN array, looking each operation key up in the registry and
-   building a fresh context record for every FN that runs. No compiled
-   program, no memo: everything is decided again for every packet. *)
+   the FN array, looking each operation key up in the registry,
+   applying it to the FN and its target and running the result on a
+   fresh context record, for every FN that runs. No compiled program,
+   no memo: everything is decided again for every packet. *)
 
 open Dip_core
 module Bitbuf = Dip_bitbuf.Bitbuf
@@ -114,20 +115,9 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
                 else begin
                   incr ops_run;
                   executed.(i) <- true;
-                  let ctx =
-                    {
-                      Registry.env;
-                      view;
-                      fn;
-                      target = Packet.locations_field view fn;
-                      ingress;
-                      now;
-                      scratch;
-                      budget;
-                    }
-                  in
+                  let ctx = { Registry.env; view; ingress; now; scratch; budget } in
                   (match obs with Some o -> Obs.op_run o fn.Fn.key | None -> ());
-                  match impl ctx with
+                  match impl fn (Packet.locations_field view fn) ctx with
                   | Registry.Continue -> loop (i + 1)
                   | Registry.Set_route ports ->
                       if !route = None then route := Some (`Ports ports);

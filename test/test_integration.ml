@@ -364,17 +364,6 @@ let prop_host_engine_never_raises =
       | _, _ -> true
       | exception _ -> false)
 
-let prop_xia_decode_never_raises =
-  QCheck.Test.make ~name:"fuzz: XIA packet decode total" ~count:2000
-    QCheck.(string_of_size (QCheck.Gen.int_range 0 128))
-    (fun s ->
-      match
-        Dip_xia.Router.decode_slice (Bytes.of_string s) ~pos:0
-          ~len:(String.length s)
-      with
-      | Ok _ | Error _ -> true
-      | exception _ -> false)
-
 let prop_engine_total_on_random_constructions =
   (* Arbitrary *well-formed* packets: random FN triples with random
      keys over a random locations region. Whatever nonsense the host
@@ -790,7 +779,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_parse_never_raises;
           QCheck_alcotest.to_alcotest prop_engine_never_raises_on_corruption;
           QCheck_alcotest.to_alcotest prop_host_engine_never_raises;
-          QCheck_alcotest.to_alcotest prop_xia_decode_never_raises;
           QCheck_alcotest.to_alcotest prop_engine_total_on_random_constructions;
           QCheck_alcotest.to_alcotest prop_cache_off_hit_parity;
           QCheck_alcotest.to_alcotest prop_compiled_interpreter_parity;

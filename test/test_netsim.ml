@@ -87,7 +87,9 @@ let test_eq_many_random () =
    at a live cell, so the array retained every payload ever popped
    (a space leak) — and a later heap bug could have resurfaced stale
    cells. Times are drawn from a tiny range to force plenty of
-   same-timestamp ties. *)
+   same-timestamp ties. Nothing is pushed during the drain, so a slot
+   a pop left holding its payload still holds it when the drain ends:
+   one check after the drain is as strong as one after every pop. *)
 let prop_eq_fifo_ties_and_cleared_slots =
   QCheck.Test.make ~name:"ties pop FIFO and vacated slots are cleared"
     ~count:300
@@ -96,24 +98,23 @@ let prop_eq_fifo_ties_and_cleared_slots =
       let q = Event_queue.create ~filler:(-1) in
       let pushed = List.mapi (fun i t -> (float_of_int t, i)) raw in
       List.iter (fun (t, i) -> Event_queue.push q ~time:t i) pushed;
-      let rec drain acc cleared =
+      let full = Event_queue.vacant_slots_cleared q in
+      let rec drain acc =
         match pop q with
-        | None -> (List.rev acc, cleared)
-        | Some (t, i) ->
-            drain ((t, i) :: acc)
-              (cleared && Event_queue.vacant_slots_cleared q)
+        | None -> List.rev acc
+        | Some (t, i) -> drain ((t, i) :: acc)
       in
-      let popped, cleared = drain [] (Event_queue.vacant_slots_cleared q) in
+      let popped = drain [] in
       let expected =
         List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) pushed
       in
-      cleared && popped = expected)
+      full && Event_queue.vacant_slots_cleared q && popped = expected)
 
-(* Model check: random interleavings of push and pop, with timestamps
-   from a tiny range so ties abound, against a map ordered by (time,
-   insertion order). After every operation the head and size agree
-   with the model and no vacant slot holds a payload; once drained and
-   released, nothing the queue can reach is a payload. *)
+(* Model check: interleavings of push and pop against a map ordered
+   by (time, insertion order). After every operation the head and size
+   agree with the model and no vacant slot holds a payload; once
+   drained and released, nothing the queue can reach is a payload.
+   [ops] are pushes at the given times and pops ([None]). *)
 module Model = Map.Make (struct
   type t = float * int
 
@@ -121,54 +122,78 @@ module Model = Map.Make (struct
     match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
 end)
 
+let agrees_with_model ops =
+  let filler = Bytes.empty in
+  let q = Event_queue.create ~filler in
+  (* (time, seq) -> payload, and its cardinal. *)
+  let model = ref Model.empty and size = ref 0 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iteri
+    (fun seq op ->
+      (match op with
+      | Some time ->
+          let payload = Bytes.of_string (string_of_int seq) in
+          Event_queue.push q ~time payload;
+          model := Model.add (time, seq) payload !model;
+          incr size
+      | None -> (
+          match (pop q, Model.min_binding_opt !model) with
+          | None, None -> ()
+          | Some (time, p), Some (((time', _) as key), p') ->
+              expect (time = time' && p == p');
+              model := Model.remove key !model;
+              decr size
+          | _ -> expect false));
+      expect (Event_queue.size q = !size);
+      expect (Event_queue.vacant_slots_cleared q);
+      match (peek q, Model.min_binding_opt !model) with
+      | None, None -> ()
+      | Some (time, p), Some ((time', _), p') -> expect (time = time' && p == p')
+      | _ -> expect false)
+    ops;
+  Model.iter
+    (fun (time, _) p ->
+      match pop q with
+      | Some (time', p') -> expect (time = time' && p == p')
+      | None -> expect false)
+    !model;
+  expect (Event_queue.is_empty q);
+  Event_queue.release q;
+  expect
+    (Obj.reachable_words (Obj.repr q)
+    = Obj.reachable_words (Obj.repr (Event_queue.create ~filler)));
+  !ok
+
+(* Times from a tiny range, in any order, so ties abound. *)
 let prop_eq_model =
   QCheck.Test.make ~name:"model: push/pop interleavings match a sorted list"
     ~count:300
     QCheck.(list (option (int_bound 5)))
-    (fun ops ->
-      let filler = Bytes.empty in
-      let q = Event_queue.create ~filler in
-      (* (time, seq) -> payload, and its cardinal. *)
-      let model = ref Model.empty and size = ref 0 in
-      let ok = ref true in
-      let expect b = if not b then ok := false in
-      List.iteri
-        (fun seq op ->
-          (match op with
-          | Some t ->
-              let time = float_of_int t in
-              let payload = Bytes.of_string (string_of_int seq) in
-              Event_queue.push q ~time payload;
-              model := Model.add (time, seq) payload !model;
-              incr size
-          | None -> (
-              match (pop q, Model.min_binding_opt !model) with
-              | None, None -> ()
-              | Some (time, p), Some (((time', _) as key), p') ->
-                  expect (time = time' && p == p');
-                  model := Model.remove key !model;
-                  decr size
-              | _ -> expect false));
-          expect (Event_queue.size q = !size);
-          expect (Event_queue.vacant_slots_cleared q);
-          match (peek q, Model.min_binding_opt !model) with
-          | None, None -> ()
-          | Some (time, p), Some ((time', _), p') ->
-              expect (time = time' && p == p')
-          | _ -> expect false)
-        ops;
-      Model.iter
-        (fun (time, _) p ->
-          match pop q with
-          | Some (time', p') -> expect (time = time' && p == p')
-          | None -> expect false)
-        !model;
-      expect (Event_queue.is_empty q);
-      Event_queue.release q;
-      expect
-        (Obj.reachable_words (Obj.repr q)
-        = Obj.reachable_words (Obj.repr (Event_queue.create ~filler)));
-      !ok)
+    (fun ops -> agrees_with_model (List.map (Option.map float_of_int) ops))
+
+(* Mostly monotone pushes, the lane's case, with earlier pushes
+   interleaved: a step [Some (d, false)] pushes [d] after the last
+   monotone time (ties when [d = 0]), [Some (d, true)] pushes [d]
+   before it, clamped at 0, which goes to the heap unless the lane is
+   empty. *)
+let prop_eq_model_monotone =
+  QCheck.Test.make ~name:"model: monotone runs with earlier pushes interleaved"
+    ~count:300
+    QCheck.(list (option (pair (int_bound 3) (make Gen.(map (fun n -> n = 0) (int_bound 5))))))
+    (fun steps ->
+      let last = ref 0 in
+      let ops =
+        List.map
+          (Option.map (fun (d, earlier) ->
+               if earlier then float_of_int (max 0 (!last - d))
+               else begin
+                 last := !last + d;
+                 float_of_int !last
+               end))
+          steps
+      in
+      agrees_with_model ops)
 
 (* At working capacity, a push/drop pair allocates nothing: the keys
    go into unboxed arrays and the payload into a recycled slot. The
@@ -967,6 +992,7 @@ let () =
           Alcotest.test_case "random stress" `Quick test_eq_many_random;
           QCheck_alcotest.to_alcotest prop_eq_fifo_ties_and_cleared_slots;
           QCheck_alcotest.to_alcotest prop_eq_model;
+          QCheck_alcotest.to_alcotest prop_eq_model_monotone;
           Alcotest.test_case "push/drop allocation-free" `Quick
             test_eq_push_drop_no_alloc;
           Alcotest.test_case "reserve_seq and min_seq" `Quick test_eq_reserve_seq;

@@ -304,7 +304,7 @@ let test_registry_change () =
       in
       feed pkt;
       feed pkt;
-      Registry.install registry Opkey.F_32_match (fun _ -> Registry.Abort "replaced");
+      Registry.install registry Opkey.F_32_match (fun _ _ _ -> Registry.Abort "replaced");
       feed pkt;
       Registry.uninstall registry Opkey.F_source;
       feed pkt;
