@@ -66,7 +66,7 @@ type config = {
 val default_config : config
 (** 1024 bundles / 1 MiB / 0.5 s sweep, no deadline. *)
 
-val enable : ?config:config -> Env.t -> (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t
+val enable : ?config:config -> Env.t -> Dip_bitbuf.Bitbuf.t Dip_tables.Custody_store.t
 (** Give an environment a custody store (making its F_cust take
     custody) without simulator wiring — for driving
     {!Engine.process} directly in tests. *)
@@ -96,7 +96,7 @@ val add_router :
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t
-val store : router -> (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t
+val store : router -> Dip_bitbuf.Bitbuf.t Dip_tables.Custody_store.t
 
 val replay : router -> unit
 (** Put every held bundle back on the wire now — what the

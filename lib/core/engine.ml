@@ -190,7 +190,6 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   let budget = ctx.Registry.budget and scratch = ctx.Registry.scratch in
   Guard.restart budget;
   scratch.Registry.opt_key <- None;
-  scratch.Registry.dag <- None;
   scratch.Registry.emit <- [];
   ctx.Registry.view <- view;
   ctx.Registry.ingress <- ingress;

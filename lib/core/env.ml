@@ -2,7 +2,6 @@ type port = Dip_netsim.Sim.port
 
 type scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
@@ -17,6 +16,8 @@ type counts = {
   pc_miss : Dip_obs.Metrics.counter;
   pc_evict : Dip_obs.Metrics.counter;
   custody_ack : Dip_obs.Metrics.counter;
+  pit_expired : Dip_obs.Metrics.counter;
+  pit_rejected : Dip_obs.Metrics.counter;
 }
 
 type ctx = {
@@ -35,8 +36,8 @@ and t = {
   mutable local_v4 : Dip_tables.Ipaddr.V4.t option;
   mutable local_v6 : Dip_tables.Ipaddr.V6.t option;
   fib : port Dip_tables.Name_fib.t;
-  pit : int32 Dip_tables.Pit.t;
-  cache : (int32, string) Dip_tables.Lru.t option;
+  pit : Dip_tables.Pit.t;
+  cache : string Dip_tables.Custody_store.t option;
   interest_lifetime : float;
   mutable opt_secret : Dip_opt.Drkey.secret option;
   mutable opt_hop : int;
@@ -58,7 +59,7 @@ and t = {
   mutable ops_skipped : int;
   mutable parallel_depth : int;
   mutable custody :
-    (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
+    Dip_bitbuf.Bitbuf.t Dip_tables.Custody_store.t option;
 }
 
 let register_counts m =
@@ -74,6 +75,8 @@ let register_counts m =
     pc_miss = c (Progcache.stat_name Miss);
     pc_evict = c (Progcache.stat_name Evict);
     custody_ack = c "custody.ack";
+    pit_expired = c "pit.expired";
+    pit_rejected = c "pit.rejected";
   }
 
 (* What a fresh node's [ctx] points at until its first FN runs. *)
@@ -103,7 +106,9 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
       pit = Dip_tables.Pit.create ~capacity:pit_capacity ();
       cache =
         (if cache_capacity > 0 then
-           Some (Dip_tables.Lru.create ~capacity:cache_capacity ())
+           Some
+             (Dip_tables.Custody_store.create ~capacity:cache_capacity
+                ~max_bytes:max_int ~size:String.length ())
          else None);
       interest_lifetime;
       opt_secret = None;
@@ -132,10 +137,14 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
       view = idle_view;
       ingress = 0;
       now = 0.0;
-      scratch = { opt_key = None; dag = None; emit = [] };
+      scratch = { opt_key = None; emit = [] };
       budget = Guard.start guard;
     }
   in
+  (* The PIT's rare events, counted where they happen. *)
+  Dip_tables.Pit.set_observer t.pit (function
+    | Dip_tables.Pit.Expire -> Dip_obs.Metrics.Counter.incr t.counts.pit_expired
+    | Dip_tables.Pit.Reject -> Dip_obs.Metrics.Counter.incr t.counts.pit_rejected);
   t
 
 let set_opt_identity t ~secret ~hop =
@@ -158,11 +167,13 @@ let set_telemetry_identity t ~node_id ~queue_depth =
   t.node_id <- node_id;
   t.queue_depth <- queue_depth
 
-let cache_find t h =
-  match t.cache with Some c -> Dip_tables.Lru.find c h | None -> None
+let find_content t h =
+  match t.cache with Some c -> Dip_tables.Custody_store.find c h | None -> None
 
-let cache_insert t h v =
-  match t.cache with Some c -> Dip_tables.Lru.insert c h v | None -> ()
+let store_content t h v =
+  match t.cache with
+  | Some c -> ignore (Dip_tables.Custody_store.take c h v)
+  | None -> ()
 
 let publish_cache_stats t =
   let c = t.counts and pc = t.prog_cache in

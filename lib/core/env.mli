@@ -14,11 +14,7 @@ type port = Dip_netsim.Sim.port
 
 (** Per-packet scratch shared between the FNs of one packet (F_parm
     deposits the derived OPT key, expanded once, and F_MAC/F_mark
-    consume it; F_dag leaves in [dag] its decoded DAG with the target
-    bytes after the pointer byte it was decoded from, and F_intent
-    reuses the DAG only while its own target bytes after the pointer
-    byte equal those). Owned by
-    the environment's {!ctx} so the engine reuses one record per node
+    consume it). Owned by the environment's {!ctx} so the engine reuses one record per node
     instead of allocating per packet; {!Dip_core.Engine} resets it
     before each run, so nothing in it outlives a packet.
 
@@ -30,7 +26,6 @@ type port = Dip_netsim.Sim.port
     [Forward] actions. *)
 type scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
 }
 
@@ -53,6 +48,11 @@ type counts = {
   pc_miss : Dip_obs.Metrics.counter;  (** ["progcache.miss"] *)
   pc_evict : Dip_obs.Metrics.counter;  (** ["progcache.evict"] *)
   custody_ack : Dip_obs.Metrics.counter;  (** ["custody.ack"] *)
+  pit_expired : Dip_obs.Metrics.counter;
+      (** ["pit.expired"], counted by the PIT's observer
+          ({!Dip_tables.Pit.set_observer}) as entries expire, as is
+          the next one as inserts are rejected *)
+  pit_rejected : Dip_obs.Metrics.counter;  (** ["pit.rejected"] *)
 }
 
 (** The context an operation module runs against — {!Registry.ctx},
@@ -79,11 +79,12 @@ and t = {
   mutable local_v4 : Dip_tables.Ipaddr.V4.t option;
   mutable local_v6 : Dip_tables.Ipaddr.V6.t option;
   (* NDN state (F_FIB / F_PIT); the prototype forwards on 32-bit
-     hashed content names (§4.1), so the PIT and cache are keyed by
-     the hash. *)
+     hashed content names (§4.1), so the PIT, the FIB's hash index
+     and the cache are keyed by the hash, as an unsigned [int] read
+     off the packet. *)
   fib : port Dip_tables.Name_fib.t;
-  pit : int32 Dip_tables.Pit.t;
-  cache : (int32, string) Dip_tables.Lru.t option;
+  pit : Dip_tables.Pit.t;
+  cache : string Dip_tables.Custody_store.t option;
   interest_lifetime : float;
   (* OPT state (F_parm / F_MAC / F_mark): the router's long-term
      secret and which OPV slot it fills on this path. *)
@@ -128,7 +129,7 @@ and t = {
      boxes nothing). [None] (default) means this node
      never takes custody — F_cust then ignores the FN per §2.4. *)
   mutable custody :
-    (int, Dip_bitbuf.Bitbuf.t) Dip_tables.Custody_store.t option;
+    Dip_bitbuf.Bitbuf.t Dip_tables.Custody_store.t option;
 }
 
 val create :
@@ -171,10 +172,10 @@ val set_netfence : t -> Dip_netfence.Policer.t -> unit
 val set_telemetry_identity : t -> node_id:int -> queue_depth:(unit -> int) -> unit
 (** Configure what {i F_tel} records at this node. *)
 
-val cache_find : t -> int32 -> string option
-val cache_insert : t -> int32 -> string -> unit
-(** Hashed-name content store access (no-ops when the cache is
-    disabled). *)
+val find_content : t -> int -> string option
+val store_content : t -> int -> string -> unit
+(** Hashed-name content store access, by the unsigned 32-bit name
+    hash (no-ops when the cache is disabled). *)
 
 val publish_cache_stats : t -> unit
 (** Copy the program-cache hit/miss/evict totals into

@@ -23,8 +23,9 @@ let u32 buf (target : Field.t) =
 (* --- IP forwarding (keys 1-3) --- *)
 
 (* A route to one port is the common outcome; for ports below 256 it
-   is shared instead of allocated per packet. *)
-let one_port = Array.init 256 (fun p -> Set_route [ p ])
+   is shared instead of allocated per packet, around the PIT's shared
+   one-port list. *)
+let one_port = Array.init 256 (fun p -> Set_route (Pit.singleton p))
 let route_to p = if p >= 0 && p < 256 then one_port.(p) else Set_route [ p ]
 
 (* Key 1: 32-bit destination match against the v4 LPM table; local
@@ -41,17 +42,28 @@ let f_32_match (fn : Fn.t) target =
         if id < 0 then Abort "no-route"
         else route_to (Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id)
 
-(* Key 2: 128-bit destination match against the v6 LPM table. *)
-let f_128_match (fn : Fn.t) target =
+(* Key 2: 128-bit destination match against the v6 LPM table. A
+   byte-aligned target (every realization's) is read as two 64-bit
+   halves in place. *)
+let f_128_match (fn : Fn.t) (target : Field.t) =
   if fn.Fn.field.Field.len_bits <> 128 then abort "f128: field must be 128 bits"
-  else fun ctx ->
-    let dst = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf target) in
-    if ctx.env.Env.local_v6 = Some dst then Deliver_local
-    else
-      let hi, lo = dst in
-      let id = Dip_tables.Fib.V6.lookup_id ctx.env.Env.v6_routes hi lo in
-      if id < 0 then Abort "no-route"
-      else Set_route [ Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id ]
+  else
+    let match_v6 ctx hi lo =
+      match ctx.env.Env.local_v6 with
+      | Some (h, l) when (h : int64) = hi && (l : int64) = lo -> Deliver_local
+      | _ ->
+          let id = Dip_tables.Fib.V6.lookup_id ctx.env.Env.v6_routes hi lo in
+          if id < 0 then Abort "no-route"
+          else route_to (Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id)
+    in
+    if Field.is_byte_aligned target then
+      let off = target.Field.off_bits / 8 in
+      fun ctx ->
+        let b = Bitbuf.to_bytes ctx.view.Packet.buf in
+        match_v6 ctx (Bytes.get_int64_be b off) (Bytes.get_int64_be b (off + 8))
+    else fun ctx ->
+      let hi, lo = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf target) in
+      match_v6 ctx hi lo
 
 (* Key 3: names where the source lives (32 or 128 bits). The source
    field only needs to be well-formed; routers do not act on it. *)
@@ -63,18 +75,13 @@ let f_source (fn : Fn.t) _ =
 (* --- NDN (keys 4-5): the prototype forwards on 32-bit hashed
    content names (§4.1). --- *)
 
-(* The name hash, boxed once, here: the PIT, the FIB and the content
-   store take it boxed, and ocamlopt would box a let-bound [int32]
-   again at each of those calls. *)
-let[@inline never] name_hash buf target = Int32.of_int (u32 buf target)
-
 (* A content-store hit turns the interest into a data packet sent
    back out of the ingress port: same 32-bit name in the locations,
    F_PIT replacing F_FIB, cached bytes as payload, the interest's
    live hop limit (byte 2 of the packet, see {!Registry.ctx}). *)
 let data_packet_for ctx ~hash ~content =
   let loc = Bytes.create 4 in
-  Bytes.set_int32_be loc 0 hash;
+  Bytes.set_int32_be loc 0 (Int32.of_int hash);
   Packet.build
     ~hop_limit:(Bitbuf.get_uint8 ctx.view.Packet.buf 2)
     ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_pit ]
@@ -83,12 +90,13 @@ let data_packet_for ctx ~hash ~content =
 (* Key 4: content-name FIB match for interest packets — records the
    receiving port in the PIT, then forwards on the FIB hit (§3,
    NDN). With a content store configured, a cache hit answers
-   directly (§4.1 footnote 2). *)
+   directly (§4.1 footnote 2). The PIT, the FIB's hash index and the
+   content store are keyed by the name hash as an unsigned [int]. *)
 let f_fib (fn : Fn.t) target =
   if fn.Fn.field.Field.len_bits <> 32 then abort "fib: field must be 32 bits"
   else fun ctx ->
-    let hash = name_hash ctx.view.Packet.buf target in
-    match Env.cache_find ctx.env hash with
+    let hash = u32 ctx.view.Packet.buf target in
+    match Env.find_content ctx.env hash with
     | Some content -> Respond (data_packet_for ctx ~hash ~content)
     | None -> (
         (* Record the receiving port in the PIT (paper §3), then
@@ -98,16 +106,16 @@ let f_fib (fn : Fn.t) target =
           Abort "guard-state-exhausted"
         else
           match
-            Pit.insert ctx.env.Env.pit ~key:hash ~port:ctx.ingress ~now:ctx.now
+            Pit.insert_int ctx.env.Env.pit ~key:hash ~port:ctx.ingress ~now:ctx.now
               ~lifetime:ctx.env.Env.interest_lifetime
           with
           | Pit.Aggregated -> Silent
           | Pit.Rejected -> Abort "pit-full"
           | Pit.Forwarded -> (
-              match Dip_tables.Name_fib.lookup_hash ctx.env.Env.fib hash with
-              | Some port -> Set_route [ port ]
+              match Dip_tables.Name_fib.find_hash ctx.env.Env.fib hash with
+              | Some port -> route_to port
               | None ->
-                  ignore (Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now);
+                  ignore (Pit.consume_int ctx.env.Env.pit ~key:hash ~now:ctx.now);
                   Abort "no-fib-entry"))
 
 (* Key 5: PIT match for data packets — forward to the recorded
@@ -115,12 +123,14 @@ let f_fib (fn : Fn.t) target =
 let f_pit (fn : Fn.t) target =
   if fn.Fn.field.Field.len_bits <> 32 then abort "pit: field must be 32 bits"
   else fun ctx ->
-    let hash = name_hash ctx.view.Packet.buf target in
-    match Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now with
+    let hash = u32 ctx.view.Packet.buf target in
+    match Pit.consume_int ctx.env.Env.pit ~key:hash ~now:ctx.now with
     | [] -> Abort "unsolicited-data"
     | ports ->
-        Env.cache_insert ctx.env hash (Packet.payload ctx.view);
-        Set_route ports
+        (match ctx.env.Env.cache with
+        | Some _ -> Env.store_content ctx.env hash (Packet.payload ctx.view)
+        | None -> ());
+        (match ports with [ p ] -> route_to p | _ -> Set_route ports)
 
 (* --- OPT (keys 6-9) --- *)
 
@@ -226,58 +236,57 @@ let on_target (target : Field.t) f =
     let s = Bitbuf.get_field ctx.view.Packet.buf target in
     f ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let dag_on (target : Field.t) =
-  (* The pointer is the first byte of the target field. *)
-  let pointer = Field.v ~off_bits:target.Field.off_bits ~len_bits:8 in
-  let write_ptr ctx ptr = Bitbuf.set_uint ctx.view.Packet.buf pointer (Int64.of_int ptr) in
-  fun ctx b pos len ->
-    match Dip_xia.Router.decode_slice b ~pos ~len with
-    | Error e -> Abort ("dag: " ^ e)
-    | Ok (dag, ptr, _) -> (
-        (* Leave the decode for F_intent, keyed by the bytes it came
-           from; the pointer byte is not part of the key. *)
-        ctx.scratch.dag <- Some (Bytes.sub_string b (pos + 1) (len - 1), dag);
-        match Dip_xia.Router.step ctx.env.Env.xia dag ~ptr with
-        | Dip_xia.Router.Forward (port, ptr') ->
-            write_ptr ctx ptr';
-            Set_route [ port ]
-        | Dip_xia.Router.Deliver ptr' ->
+module Router = Dip_xia.Router
+
+(* The pointer is the first byte of the target field, written as a
+   byte when the target is byte-aligned. *)
+let write_pointer (target : Field.t) =
+  if Field.is_byte_aligned target then
+    let off = target.Field.off_bits / 8 in
+    fun ctx ptr -> Bitbuf.set_uint8 ctx.view.Packet.buf off ptr
+  else
+    let pointer = Field.v ~off_bits:target.Field.off_bits ~len_bits:8 in
+    fun ctx ptr -> Bitbuf.set_uint ctx.view.Packet.buf pointer (Int64.of_int ptr)
+
+(* Key 10: walk the XIA DAG in the target field where it lies and
+   forward by fallback, updating the address pointer in place. *)
+let f_dag _ target =
+  let write_ptr = write_pointer target in
+  on_target target (fun ctx b pos len ->
+      let xia = ctx.env.Env.xia in
+      match Router.check xia b ~pos ~len with
+      | Router.Empty -> Abort "dag: empty packet"
+      | Router.Malformed -> Abort "dag: malformed DAG"
+      | Router.Bad_pointer -> Abort "dag: bad pointer"
+      | Router.Valid ->
+          let ptr = Router.advance xia b ~pos in
+          if Router.at_intent b ~pos ptr then begin
             (* Reached the intent's owner: record progress and let
                F_intent decide delivery. *)
-            write_ptr ctx ptr';
+            write_ptr ctx ptr;
             Continue
-        | Dip_xia.Router.Discard reason -> Abort ("dag: " ^ reason))
-
-(* Key 10: parse the XIA DAG in the target field and forward by
-   fallback, updating the address pointer in place. *)
-let f_dag _ target = on_target target (dag_on target)
-
-(* Whether the bytes of [b] from [pos + i] on continue [w] from [i]. *)
-let rec equal_at b pos w i =
-  i = String.length w || (Bytes.get b (pos + i) = w.[i] && equal_at b pos w (i + 1))
-
-let intent_at ctx dag ptr =
-  if ptr > Dip_xia.Dag.node_count dag then Abort "intent: bad pointer"
-  else if ptr = Dip_xia.Dag.intent_index dag then
-    if Dip_xia.Router.is_local ctx.env.Env.xia (Dip_xia.Dag.intent dag) then
-      Deliver_local
-    else Abort "intent-not-local"
-  else Continue
-
-(* F_dag's DAG is reused while the target bytes after the pointer
-   byte are the ones it was decoded from; the pointer is re-read. *)
-let intent_on ctx b pos len =
-  match ctx.scratch.dag with
-  | Some (wire, dag) when len - 1 = String.length wire && equal_at b (pos + 1) wire 0 ->
-      intent_at ctx dag (Bytes.get_uint8 b pos)
-  | _ -> (
-      match Dip_xia.Router.decode_slice b ~pos ~len with
-      | Error e -> Abort ("intent: " ^ e)
-      | Ok (dag, ptr, _) -> intent_at ctx dag ptr)
+          end
+          else
+            let port = Router.next_hop xia b ~pos ~ptr in
+            if port < 0 then Abort "dag: dead-end"
+            else begin
+              write_ptr ctx ptr;
+              route_to port
+            end)
 
 (* Key 11: handle the intent — deliver when the pointer has reached
    an intent this node owns. *)
-let f_intent _ target = on_target target intent_on
+let f_intent _ target =
+  on_target target (fun ctx b pos len ->
+      let xia = ctx.env.Env.xia in
+      match Router.check xia b ~pos ~len with
+      | Router.Empty -> Abort "intent: empty packet"
+      | Router.Malformed -> Abort "intent: malformed DAG"
+      | Router.Bad_pointer -> Abort "intent: bad pointer"
+      | Router.Valid ->
+          if not (Router.at_intent b ~pos (Bytes.get_uint8 b pos)) then Continue
+          else if Router.owns_intent xia b ~pos then Deliver_local
+          else Abort "intent-not-local")
 
 (* --- F_pass (key 12, §2.4) --- *)
 

@@ -1,5 +1,6 @@
 module Bitbuf = Dip_bitbuf.Bitbuf
 module F = Dip_obs.Flight
+module Slots = Dip_tables.Slots
 
 (* Flight-recorder event types. Hits dominate a steady-state router
    (hit rate ~0.998 on the soak workload), so they are sampled
@@ -58,28 +59,18 @@ type hint = { mutable last : entry; mutable last_key : string }
 
 let hint () = { last = absent; last_key = "" }
 
-(* The slot table. Slot [s] holds [entries.(s)], keyed by [keys.(s)]
-   (the program prefix, hop-limit byte zeroed). Its links are pairs of
-   ints: in [links], from [2 * s], the key's fingerprint and the next
-   slot in its bucket (or in the free list); in [order], from [2 * s],
-   its newer and older neighbours in recency order, apart so that the
-   LRU update of a hit touches as few cache lines as possible. -1 ends
-   every list. The arrays start at [initial_slots] and double up to
-   [cap], so a node that sees a handful of programs keeps a handful
-   of slots. *)
+(* The slot table. Slot [s] of [index] ({!Dip_tables.Slots}, keyed by
+   the prefix's fingerprint and kept in recency order) holds
+   [entries.(s)], keyed by [keys.(s)] (the program prefix, hop-limit
+   byte zeroed). The table starts at a handful of slots and doubles
+   only when full, to at most the power of two at or above [cap], so
+   a node that sees a handful of programs keeps a handful of slots. *)
 type t = {
   cap : int;
   enabled : bool;
+  mutable index : Slots.t;
   mutable entries : entry array;
   mutable keys : string array;
-  mutable links : int array;
-  mutable order : int array;
-  mutable buckets : int array; (* power of two, twice the slots *)
-  mutable mru : int;
-  mutable lru : int;
-  mutable free : int; (* slots freed by invalidation, through [chain] *)
-  mutable used : int; (* slots [used..] have never held an entry *)
-  mutable count : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -105,24 +96,14 @@ type t = {
   mutable fl_tick : int;
 }
 
-let initial_slots = 8
-
 let create ?(capacity = 512) () =
-  let cap = max 1 capacity in
-  let n = min cap initial_slots in
+  let index = Slots.create ~ordered:true in
   {
-    cap;
+    cap = max 1 capacity;
     enabled = capacity > 0;
-    entries = Array.make n absent;
-    keys = Array.make n "";
-    links = Array.make (2 * n) (-1);
-    order = Array.make (2 * n) (-1);
-    buckets = Array.make (2 * n) (-1);
-    mru = -1;
-    lru = -1;
-    free = -1;
-    used = 0;
-    count = 0;
+    index;
+    entries = Array.make (Slots.slots index) absent;
+    keys = Array.make (Slots.slots index) "";
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -138,7 +119,7 @@ let enabled t = t.enabled
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let size t = t.count
+let size t = Slots.count t.index
 let capacity t = t.cap
 let set_flight t r = t.flight <- r
 
@@ -257,101 +238,26 @@ let key_of buf =
 
 (* --- the slot table -------------------------------------------------- *)
 
-let fp t s = t.links.(2 * s)
-let chain t s = t.links.((2 * s) + 1)
-let newer t s = t.order.(2 * s)
-let older t s = t.order.((2 * s) + 1)
-let set_fp t s v = t.links.(2 * s) <- v
-let set_chain t s v = t.links.((2 * s) + 1) <- v
-let set_newer t s v = t.order.(2 * s) <- v
-let set_older t s v = t.order.((2 * s) + 1) <- v
-let bucket t fp = fp land (Array.length t.buckets - 1)
-
 let lookup t d kh =
-  let s = ref t.buckets.(bucket t kh) in
-  while !s >= 0 && not (fp t !s = kh && same_prefix d t.keys.(!s)) do
-    s := chain t !s
+  let s = ref (Slots.find t.index kh) in
+  while !s >= 0 && not (same_prefix d t.keys.(!s)) do
+    s := Slots.next t.index !s
   done;
   !s
 
-let unlink t s =
-  let n = newer t s and o = older t s in
-  if n >= 0 then set_older t n o else t.mru <- o;
-  if o >= 0 then set_newer t o n else t.lru <- n
-
-let push_mru t s =
-  set_newer t s (-1);
-  set_older t s t.mru;
-  if t.mru >= 0 then set_newer t t.mru s else t.lru <- s;
-  t.mru <- s
-
-let touch t s =
-  if t.mru <> s then begin
-    unlink t s;
-    push_mru t s
-  end
-
-let unchain t s =
-  let b = bucket t (fp t s) in
-  if t.buckets.(b) = s then t.buckets.(b) <- chain t s
-  else begin
-    let p = ref t.buckets.(b) in
-    while chain t !p <> s do
-      p := chain t !p
-    done;
-    set_chain t !p (chain t s)
-  end
-
-let rechain t s =
-  let b = bucket t (fp t s) in
-  set_chain t s t.buckets.(b);
-  t.buckets.(b) <- s
-
-(* Double every array (up to [cap]) and rebucket the live slots. *)
-let grow t =
-  let n = Array.length t.entries in
-  let m = min t.cap (2 * n) in
-  let extend a stride fill =
-    let b = Array.make (stride * m) fill in
-    Array.blit a 0 b 0 (stride * n);
-    b
-  in
-  t.entries <- extend t.entries 1 absent;
-  t.keys <- extend t.keys 1 "";
-  t.links <- extend t.links 2 (-1);
-  t.order <- extend t.order 2 (-1);
-  t.buckets <- Array.make (2 * m) (-1);
-  let s = ref t.lru in
-  while !s >= 0 do
-    rechain t !s;
-    s := newer t !s
-  done
-
-(* A slot for a new entry: the LRU victim when the table is full,
-   else a freed slot, else a fresh one. *)
-let take_slot t =
-  if t.count = t.cap then begin
+(* A slot for a new entry, the LRU victim's when the table is full. *)
+let take_slot t kh =
+  if Slots.count t.index = t.cap then begin
     note_evict t;
     (* The victim could be the hinted entry: it must not serve an
        entry whose verdict a later re-insert could contradict. *)
     drop_hint t;
-    let s = t.lru in
-    unlink t s;
-    unchain t s;
-    t.count <- t.count - 1;
-    s
-  end
-  else if t.free >= 0 then begin
-    let s = t.free in
-    t.free <- chain t s;
-    s
-  end
-  else begin
-    if t.used = Array.length t.entries then grow t;
-    let s = t.used in
-    t.used <- s + 1;
-    s
-  end
+    Slots.remove t.index (Slots.lru t.index)
+  end;
+  let s = Slots.add t.index kh in
+  t.entries <- Slots.fit t.entries t.index absent;
+  t.keys <- Slots.fit t.keys t.index "";
+  s
 
 let shared t table k v =
   match Shared.find_opt table k with
@@ -395,35 +301,22 @@ let insert t h d n kh view =
   let key = Bytes.sub d 0 n in
   Bytes.set key 2 '\000';
   let e = { view; program = Uncompiled } in
-  let s = take_slot t in
+  let s = take_slot t kh in
   t.entries.(s) <- e;
   t.keys.(s) <- Bytes.unsafe_to_string key;
   arm h e t.keys.(s);
-  set_fp t s kh;
-  rechain t s;
-  push_mru t s;
-  t.count <- t.count + 1;
   e
 
 let remove t s =
-  unlink t s;
-  unchain t s;
+  Slots.remove t.index s;
   t.entries.(s) <- absent;
-  t.keys.(s) <- "";
-  set_chain t s t.free;
-  t.free <- s;
-  t.count <- t.count - 1
+  t.keys.(s) <- ""
 
 let clear t =
   drop_hint t;
+  t.index <- Slots.create ~ordered:true;
   Array.fill t.entries 0 (Array.length t.entries) absent;
-  Array.fill t.keys 0 (Array.length t.keys) "";
-  Array.fill t.buckets 0 (Array.length t.buckets) (-1);
-  t.mru <- -1;
-  t.lru <- -1;
-  t.free <- -1;
-  t.used <- 0;
-  t.count <- 0
+  Array.fill t.keys 0 (Array.length t.keys) ""
 
 (* --- the probe ------------------------------------------------------- *)
 
@@ -459,7 +352,7 @@ let find t h buf =
       let kh = fingerprint d n in
       let s = lookup t d kh in
       if s >= 0 then begin
-        touch t s;
+        Slots.touch t.index s;
         served t h s buf
       end
       else begin
@@ -492,15 +385,13 @@ let parse t buf = parse_hinted t t.inline buf
 
 let invalidate_key t key =
   let dropped = ref 0 in
-  let s = ref t.mru in
-  while !s >= 0 do
-    let next = older t !s in
-    if Array.exists (fun fn -> Opkey.equal fn.Fn.key key) t.entries.(!s).view.Packet.fns
-    then begin
-      remove t !s;
-      incr dropped
-    end;
-    s := next
-  done;
+  Slots.iter
+    (fun s ->
+      if Array.exists (fun fn -> Opkey.equal fn.Fn.key key) t.entries.(s).view.Packet.fns
+      then begin
+        remove t s;
+        incr dropped
+      end)
+    t.index;
   if !dropped > 0 then drop_hint t;
   !dropped

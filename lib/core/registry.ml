@@ -17,7 +17,6 @@ type ctx = Env.ctx = {
 
 and scratch = Env.scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Env.port * Dip_bitbuf.Bitbuf.t) list;
 }
 

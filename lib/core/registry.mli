@@ -40,15 +40,13 @@ type ctx = Env.ctx = {
 }
 
 (** Per-packet scratch shared between the FNs of one packet: F_parm
-    deposits the expanded OPT key here, F_MAC/F_mark consume it,
-    F_dag leaves its decoded DAG for F_intent (see {!Env.scratch}), and
+    deposits the expanded OPT key here, F_MAC/F_mark consume it, and
     F_cust pushes auxiliary transmissions (custody ACKs) onto [emit]
     for {!Engine.actions_of_verdict} to drain. The engine reuses the
     node's one record (in {!Env.ctx}) rather than allocating per
     packet. *)
 and scratch = Env.scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable dag : (string * Dip_xia.Dag.t) option;
   mutable emit : (Env.port * Dip_bitbuf.Bitbuf.t) list;
 }
 

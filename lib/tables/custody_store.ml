@@ -1,16 +1,15 @@
-(* A bounded custody store on the Lru spine: entry-count *and* byte
-   accounting, explicit accept/reject, and every transition reported
-   to one observer — the §2.4 state-consumption rule applied to
-   custodial packets.
-
-   The store pre-evicts before every insert, so the underlying Lru
-   never hits its own silent-eviction path: bytes and entry counts
-   stay exact. *)
+(* A bounded custody store on an int-keyed slot table in recency
+   order: entry-count *and* byte accounting, explicit accept/reject,
+   and every transition reported to one observer — the §2.4
+   state-consumption rule applied to custodial packets. *)
 
 type event = Take | Release | Evict | Reject
 
-type ('k, 'v) t = {
-  lru : ('k, 'v) Lru.t;
+(* Slot [s] of [index] holds [held.(s)], stored as an option so that
+   a hit returns it as it is. *)
+type 'v t = {
+  index : Slots.t;
+  mutable held : 'v option array;
   cap : int;
   max_bytes : int;
   size_of : 'v -> int;
@@ -20,11 +19,12 @@ type ('k, 'v) t = {
   mutable observer : (event -> unit) option;
 }
 
-let create ?hash ?equal ~capacity ~max_bytes ~size () =
+let create ~capacity ~max_bytes ~size () =
   if capacity < 1 then invalid_arg "Custody_store.create: capacity must be >= 1";
   if max_bytes < 1 then invalid_arg "Custody_store.create: max_bytes must be >= 1";
   {
-    lru = Lru.create ?hash ?equal ~capacity ();
+    index = Slots.create ~ordered:true;
+    held = [||];
     cap = capacity;
     max_bytes;
     size_of = size;
@@ -36,33 +36,43 @@ let create ?hash ?equal ~capacity ~max_bytes ~size () =
 
 let capacity t = t.cap
 let max_bytes t = t.max_bytes
-let size t = Lru.size t.lru
+let size t = Slots.count t.index
 let bytes t = t.bytes
 let high_water t = t.high_water
 let high_water_bytes t = t.high_water_bytes
-let mem t k = Lru.mem t.lru k
-let find t k = Lru.find t.lru k
+let mem t k = Slots.find t.index k >= 0
 let set_observer t f = t.observer <- Some f
+
+let find t k =
+  let s = Slots.find t.index k in
+  if s < 0 then None
+  else begin
+    Slots.touch t.index s;
+    t.held.(s)
+  end
 
 let notify t ev = match t.observer with Some f -> f ev | None -> ()
 
+(* Drop slot [s]'s bundle and refund its bytes. *)
+let drop t s =
+  (match t.held.(s) with Some v -> t.bytes <- t.bytes - t.size_of v | None -> ());
+  Slots.remove t.index s;
+  t.held.(s) <- None
+
 let evict_lru t =
-  match Lru.peek_lru t.lru with
-  | None -> None
-  | Some (k, v) ->
-      ignore (Lru.remove t.lru k);
-      t.bytes <- t.bytes - t.size_of v;
-      notify t Evict;
-      Some k
+  let s = Slots.lru t.index in
+  if s < 0 then None
+  else begin
+    let k = Slots.key t.index s in
+    drop t s;
+    notify t Evict;
+    Some k
+  end
 
 let release t k =
-  match Lru.find t.lru k with
-  | None -> false
-  | Some v ->
-      ignore (Lru.remove t.lru k);
-      t.bytes <- t.bytes - t.size_of v;
-      notify t Release;
-      true
+  let s = Slots.find t.index k in
+  if s >= 0 then (drop t s; notify t Release);
+  s >= 0
 
 let take t k v =
   let sz = t.size_of v in
@@ -73,20 +83,24 @@ let take t k v =
   else begin
     (* Re-taking a held key replaces the stored copy (an upstream
        retransmission carries the freshest bytes). *)
-    (match Lru.find t.lru k with
-    | Some old ->
-        ignore (Lru.remove t.lru k);
-        t.bytes <- t.bytes - t.size_of old
-    | None -> ());
-    while Lru.size t.lru >= t.cap || t.bytes + sz > t.max_bytes do
+    let s = Slots.find t.index k in
+    if s >= 0 then drop t s;
+    while size t >= t.cap || t.bytes + sz > t.max_bytes do
       ignore (evict_lru t)
     done;
-    Lru.insert t.lru k v;
+    let s = Slots.add t.index k in
+    t.held <- Slots.fit t.held t.index None;
+    t.held.(s) <- Some v;
     t.bytes <- t.bytes + sz;
-    if Lru.size t.lru > t.high_water then t.high_water <- Lru.size t.lru;
+    if size t > t.high_water then t.high_water <- size t;
     if t.bytes > t.high_water_bytes then t.high_water_bytes <- t.bytes;
     notify t Take;
     `Stored
   end
 
-let fold f t init = Lru.fold f t.lru init
+let fold f t init =
+  let acc = ref init in
+  Slots.iter
+    (fun s -> match t.held.(s) with Some v -> acc := f (Slots.key t.index s) v !acc | None -> ())
+    t.index;
+  !acc

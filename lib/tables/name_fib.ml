@@ -3,15 +3,22 @@ type 'a node = {
   mutable value : 'a option;
 }
 
+(* The exact-match index on hashed names: slot [s] of [by_hash] holds
+   [hashed.(s)], stored as an option so that a hit returns it as it
+   is. *)
 type 'a t = {
   root : 'a node;
-  by_hash : (int32, 'a) Hashtbl.t;
+  by_hash : Slots.t;
+  mutable hashed : 'a option array;
   mutable count : int;
 }
 
+let key32 h = Int32.to_int h land 0xFFFF_FFFF
+
 let fresh () = { children = Hashtbl.create 4; value = None }
 
-let create () = { root = fresh (); by_hash = Hashtbl.create 64; count = 0 }
+let create () =
+  { root = fresh (); by_hash = Slots.create ~ordered:false; hashed = [||]; count = 0 }
 let size t = t.count
 
 let insert t name v =
@@ -31,7 +38,11 @@ let insert t name v =
         go next rest
   in
   go t.root (Name.components name);
-  Hashtbl.replace t.by_hash (Name.hash32 name) v
+  let h = key32 (Name.hash32 name) in
+  let s = Slots.find t.by_hash h in
+  let s = if s >= 0 then s else Slots.add t.by_hash h in
+  t.hashed <- Slots.fit t.hashed t.by_hash None;
+  t.hashed.(s) <- Some v
 
 let remove t name =
   let rec go node = function
@@ -52,7 +63,12 @@ let remove t name =
             removed)
   in
   let removed = go t.root (Name.components name) in
-  if removed then Hashtbl.remove t.by_hash (Name.hash32 name);
+  (if removed then
+     let s = Slots.find t.by_hash (key32 (Name.hash32 name)) in
+     if s >= 0 then begin
+       Slots.remove t.by_hash s;
+       t.hashed.(s) <- None
+     end);
   removed
 
 let lookup t name =
@@ -75,7 +91,11 @@ let lookup t name =
   | Some (0, _) -> None (* a zero-component "name" cannot be built *)
   | Some (k, v) -> Some (Name.prefix name k, v)
 
-let lookup_hash t h = Hashtbl.find_opt t.by_hash h
+let find_hash t h =
+  let s = Slots.find t.by_hash h in
+  if s < 0 then None else t.hashed.(s)
+
+let lookup_hash t h = find_hash t (key32 h)
 
 let fold f t init =
   let rec go node path_rev acc =

@@ -24,8 +24,13 @@ val lookup : 'a t -> Name.t -> (Name.t * 'a) option
 (** Longest-prefix match: the most specific registered prefix of the
     queried name, with its value. *)
 
+val find_hash : 'a t -> int -> 'a option
+(** Exact match on the 32-bit hashed form of a registered prefix, as
+    an unsigned [int] read off the packet — the prototype's
+    forwarding path (§4.1). The index is int-keyed ({!Slots}): a hit
+    allocates nothing. *)
+
 val lookup_hash : 'a t -> int32 -> 'a option
-(** Exact match on the 32-bit hashed form of a registered prefix —
-    the prototype's forwarding path (§4.1). *)
+(** {!find_hash} on the [int32] form {!Name.hash32} returns. *)
 
 val fold : (Name.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

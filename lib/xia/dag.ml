@@ -71,36 +71,6 @@ let to_wire t =
     t.edges;
   Buffer.contents b
 
-let decode b ~pos ~limit =
-  let fail () = invalid_arg "Xia.Dag.of_wire: malformed encoding" in
-  let limit = min limit (Bytes.length b) and p = ref pos in
-  let u8 () =
-    if !p >= limit then fail ();
-    let v = Bytes.get_uint8 b !p in
-    incr p;
-    v
-  in
-  let n = u8 () in
-  if n = 0 then fail ();
-  let nodes =
-    Array.init n (fun _ ->
-        if !p + 21 > limit then fail ();
-        let x = try Xid.read b !p with Invalid_argument _ -> fail () in
-        p := !p + 21;
-        x)
-  in
-  let edges =
-    Array.init (n + 1) (fun _ ->
-        let d = u8 () in
-        List.init d (fun _ -> u8 ()))
-  in
-  (validate { nodes; edges }, !p)
-
-let of_wire s =
-  let t, stop = decode (Bytes.unsafe_of_string s) ~pos:0 ~limit:(String.length s) in
-  if stop <> String.length s then invalid_arg "Xia.Dag.of_wire: malformed encoding";
-  t
-
 let pp fmt t =
   Format.fprintf fmt "@[<h>DAG(%d nodes; intent %a)@]" (node_count t) Xid.pp
     (intent t)

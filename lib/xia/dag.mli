@@ -45,15 +45,4 @@ val intent : t -> Xid.t
 
 val to_wire : t -> string
 
-val decode : Bytes.t -> pos:int -> limit:int -> t * int
-(** [decode b ~pos ~limit] decodes the DAG whose encoding starts at
-    [pos] in [b] and ends before [limit], and returns it with the
-    position just past it. This is the only DAG decoder: it reads the
-    packet's bytes in place. Raises [Invalid_argument] on a malformed
-    or truncated encoding. *)
-
-val of_wire : string -> t
-(** {!decode} over a whole string, which must hold exactly one DAG.
-    Raises [Invalid_argument] on malformed input. *)
-
 val pp : Format.formatter -> t -> unit

@@ -18,8 +18,13 @@
 
     The router has no packet form of its own: the DIP realization
     places [ptr byte ∥ DAG] in the FN locations region (paper §3: "we
-    set the header of XIA in the FN locations"), and F_DAG / F_intent
-    call {!decode_slice} and {!step} on it. *)
+    set the header of XIA in the FN locations"), in {!Dag.to_wire}'s
+    encoding, and F_DAG / F_intent walk it where it lies: {!check}
+    validates it, then {!advance}, {!next_hop} and {!owns_intent}
+    read only the pointer node's successor lists and their XIDs. The
+    tables are keyed by an int hash of an XID's 21 wire bytes
+    ({!Dip_tables.Slots}), and a hit is checked against those bytes,
+    so a hop allocates nothing. *)
 
 type t
 
@@ -27,19 +32,34 @@ val create : unit -> t
 
 val add_route : t -> Xid.t -> Dip_netsim.Sim.port -> unit
 val add_local : t -> Xid.t -> unit
+
 val is_local : t -> Xid.t -> bool
 val route : t -> Xid.t -> Dip_netsim.Sim.port option
+(** The tables by XID value; the wire functions below look an XID up
+    by its bytes in the packet. *)
 
-type verdict =
-  | Forward of Dip_netsim.Sim.port * int  (** port, updated pointer *)
-  | Deliver of int  (** pointer reached the intent *)
-  | Discard of string
+(** The wire functions below take the bytes [b] and the position
+    [pos] of the pointer byte. *)
 
-val step : t -> Dag.t -> ptr:int -> verdict
-(** One fallback traversal step on a parsed address. *)
+type check =
+  | Valid
+  | Empty  (** no pointer byte *)
+  | Malformed  (** no nodes, truncated, an unknown XID kind, an edge
+                   that does not go forward to a node, or an
+                   unreachable intent *)
+  | Bad_pointer  (** the pointer is past the intent *)
 
-val decode_slice : Bytes.t -> pos:int -> len:int -> (Dag.t * int * int, string) result
-(** [decode_slice b ~pos ~len] decodes the [len] bytes of [b] at [pos]
-    as [ptr byte ∥ DAG ∥ …] in place — an F_DAG / F_intent target
-    field: [Ok (dag, ptr, stop)] with [stop] the position just past
-    the DAG, or ["empty packet"], ["malformed DAG"], ["bad pointer"]. *)
+val check : t -> Bytes.t -> pos:int -> len:int -> check
+(** Validate the [len] bytes at [pos] as [ptr byte ∥ DAG ∥ …]. The
+    functions below require [Valid]. *)
+
+val advance : t -> Bytes.t -> pos:int -> int
+(** The pointer after stepping through locally owned successors. *)
+
+val at_intent : Bytes.t -> pos:int -> int -> bool
+(** Whether a pointer is at the intent, the last node. *)
+
+val next_hop : t -> Bytes.t -> pos:int -> ptr:int -> int
+(** The port of [ptr]'s first routable successor, or -1: a dead end. *)
+
+val owns_intent : t -> Bytes.t -> pos:int -> bool

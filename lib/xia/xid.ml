@@ -34,23 +34,13 @@ let kind_of_int = function
 
 let equal a b = a.kind = b.kind && String.equal a.id b.id
 
-let compare a b =
-  match Int.compare (kind_to_int a.kind) (kind_to_int b.kind) with
-  | 0 -> String.compare a.id b.id
-  | c -> c
-
-let hash t = Hashtbl.hash (kind_to_int t.kind, t.id)
-
 let to_wire t = String.make 1 (Char.chr (kind_to_int t.kind)) ^ t.id
-
-let read b pos =
-  match kind_of_int (Bytes.get_uint8 b pos) with
-  | None -> invalid_arg "Xid.of_wire: unknown kind"
-  | Some kind -> { kind; id = Bytes.sub_string b (pos + 1) 20 }
 
 let of_wire s =
   if String.length s <> 21 then invalid_arg "Xid.of_wire: need 21 bytes";
-  read (Bytes.unsafe_of_string s) 0
+  match kind_of_int (Char.code s.[0]) with
+  | None -> invalid_arg "Xid.of_wire: unknown kind"
+  | Some kind -> { kind; id = String.sub s 1 20 }
 
 let pp fmt t =
   Format.fprintf fmt "%s:%s" (kind_label t.kind)

@@ -23,19 +23,12 @@ val of_name : kind -> string -> t
     tests and examples readable constructors. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val to_wire : t -> string
 (** 21 bytes: kind tag + identifier. *)
 
 val of_wire : string -> t
 (** Raises [Invalid_argument] on bad length or unknown kind. *)
-
-val read : Bytes.t -> int -> t
-(** [read b pos] decodes the 21 wire bytes of [b] at [pos], as
-    {!of_wire} does. Raises [Invalid_argument] on an unknown kind or
-    if they are not all inside [b]. *)
 
 val pp : Format.formatter -> t -> unit
 (** e.g. [HID:1a2b3c4d…] (first 8 hex digits). *)

@@ -58,7 +58,6 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
       let budget = Guard.start env.Env.guard in
       let scratch = env.Env.ctx.Env.scratch in
       scratch.Registry.opt_key <- None;
-      scratch.Registry.dag <- None;
       scratch.Registry.emit <- [];
       let ops_run = ref 0 and ops_skipped = ref 0 in
       let route = ref None in

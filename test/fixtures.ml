@@ -1,7 +1,8 @@
 (* Topology shapes, arrival processes and padding that only the tests
    use: a star and a dumbbell as extra generator cases for the
-   adjacency oracle, seeded arrival times to drive a simulator, and a
-   header padded out to a wire size. *)
+   adjacency oracle, seeded arrival times to drive a simulator, a
+   header padded out to a wire size, and a node's content store by
+   the [int32] name hash. *)
 
 module Bitbuf = Dip_bitbuf.Bitbuf
 module Topology = Dip_netsim.Topology
@@ -49,3 +50,9 @@ let pad_to pkt size =
     Bitbuf.blit ~src:pkt ~src_off:0 ~dst:out ~dst_off:0 ~len;
     out
   end
+
+(* The content store, keyed by the unsigned 32-bit name hash, by the
+   [int32] form Name.hash32 returns. *)
+let name_key h = Int32.to_int h land 0xFFFF_FFFF
+let cache_find env h = Dip_core.Env.find_content env (name_key h)
+let cache_insert env h v = Dip_core.Env.store_content env (name_key h) v

@@ -525,10 +525,10 @@ let test_engine_xia_dead_end () =
       Alcotest.(check string) "dead end" "dag: dead-end" r
   | _ -> Alcotest.fail "unroutable DAG must drop"
 
-(* F_dag leaves its decoded DAG for F_intent, which reuses it only
-   while the target bytes after the pointer byte are unchanged. The
-   packets below run F_dag, then an op standing in for any FN that
-   rewrites the same target, then F_intent. *)
+(* F_dag and F_intent each read and validate their own target where it
+   lies, so F_intent acts on the DAG as it is when it runs. The packets
+   below run F_dag, then an op standing in for any FN that rewrites
+   the same target, then F_intent. *)
 
 let memo_svc = Dip_xia.Xid.of_name Dip_xia.Xid.SID "memo-svc"
 let memo_ad = Dip_xia.Xid.of_name Dip_xia.Xid.AD "memo-ad"
@@ -1091,23 +1091,23 @@ let prop_progcache_lru_model =
           ~locations:(String.make 8 'L') ~payload:"" ()
       in
       let pc = Progcache.create ~capacity () in
-      let model = Dip_tables.Lru.create ~capacity () in
+      let model = Lru.create ~capacity () in
       let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
       List.for_all
         (fun (i, r) ->
           (if r = 0 then begin
              Progcache.clear pc;
-             Dip_tables.Lru.clear model
+             Lru.clear model
            end
            else if r = 1 then begin
              let k = keys.(i mod 3) in
              let dropped = Progcache.invalidate_key pc k in
              let victims =
-               Dip_tables.Lru.fold
+               Lru.fold
                  (fun key fns acc -> if List.mem k fns then key :: acc else acc)
                  model []
              in
-             List.iter (fun key -> ignore (Dip_tables.Lru.remove model key)) victims;
+             List.iter (fun key -> ignore (Lru.remove model key)) victims;
              assert (dropped = List.length victims)
            end
            else begin
@@ -1115,18 +1115,18 @@ let prop_progcache_lru_model =
              let e = Progcache.probe pc pkt in
              assert (e != Progcache.absent);
              let key = Option.get (Progcache.key_of pkt) in
-             match Dip_tables.Lru.find model key with
+             match Lru.find model key with
              | Some _ -> incr hits
              | None ->
                  incr misses;
-                 if Dip_tables.Lru.size model = Dip_tables.Lru.capacity model then
+                 if Lru.size model = Lru.capacity model then
                    incr evictions;
-                 Dip_tables.Lru.insert model key [ keys.(i mod 3); Opkey.F_source ]
+                 Lru.insert model key [ keys.(i mod 3); Opkey.F_source ]
            end);
           Progcache.hits pc = !hits
           && Progcache.misses pc = !misses
           && Progcache.evictions pc = !evictions
-          && Progcache.size pc = Dip_tables.Lru.size model)
+          && Progcache.size pc = Lru.size model)
         ops)
 
 (* --- allocation: the staged hot path --- *)
@@ -1169,7 +1169,7 @@ let test_alloc_probe_lru_hit () =
 
 (* A node's environment before it holds a route, a program or a PIT
    entry: its FIBs share their chunks and chunk arrays, so what is
-   left is a few small tables and registered counters (~820 words;
+   left is a few small tables and registered counters (~780 words;
    4754 when every FIB owned 33 + 129 per-length tables). *)
 let test_alloc_env_create () =
   let words = words_per_call 200 (fun () -> ignore (Sys.opaque_identity (Env.create ~name:"n" ()))) in
@@ -1210,9 +1210,11 @@ let test_alloc_handler_dip32 () =
    the packet's bytes and processes it again, so every hop does the
    full work on a cache hit. Each ceiling is the count measured at the
    release build (exact: minor words do not vary between runs), so a
-   rise of one word fails; the MAC and DAG hops' with one key schedule
-   per key, in-place tags and one DAG decode per packet. A fall is
-   kept by lowering the ceiling to it. *)
+   rise of one word fails; the MAC hops' with one key schedule per key
+   and in-place tags. The DIP-128, NDN and XIA hops read their state
+   in place and look it up in int-keyed tables, so they allocate only
+   the 8 words of a cached DIP-32 packet. A fall is kept by lowering
+   the ceiling to it. *)
 let alloc_secret = Dip_opt.Drkey.secret_of_string "alloc-router-key"
 let alloc_ad = Dip_xia.Xid.of_name Dip_xia.Xid.AD "alloc-as"
 
@@ -1251,7 +1253,7 @@ let test_alloc_epic_hop () =
     (( = ) (Engine.Forwarded [ 1 ]))
 
 let test_alloc_dip128_hop () =
-  check_hop_words "DIP-128" ~max:28.0
+  check_hop_words "DIP-128" ~max:8.0
     (Realize.ipv6 ~src:(v6 "2001:db8:1::1") ~dst:(v6 "2001:db8::7") ~payload:"x" ())
     (( = ) (Engine.Forwarded [ 3 ]))
 
@@ -1285,11 +1287,11 @@ let test_alloc_ndn_hops () =
   run "interest" (Engine.Forwarded [ 2 ]) interest ();
   run "NDN+OPT data" (Engine.Forwarded [ 6 ]) secure ();
   let ignored step () = ignore (Sys.opaque_identity (step ())) in
-  check_words "cached NDN interest hop" ~max:30.0
+  check_words "cached NDN interest hop" ~max:8.0
     (words_after 2_000 ~before:(ignored data) (ignored interest));
-  check_words "cached NDN data hop" ~max:22.0
+  check_words "cached NDN data hop" ~max:8.0
     (words_after 2_000 ~before:(ignored interest) (ignored data));
-  check_words "cached NDN+OPT data hop" ~max:48.0
+  check_words "cached NDN+OPT data hop" ~max:34.0
     (words_after 2_000 ~before:(ignored interest) (ignored secure))
 
 let test_alloc_xia_hop () =
@@ -1298,7 +1300,7 @@ let test_alloc_xia_hop () =
       ~intent:(Dip_xia.Xid.of_name Dip_xia.Xid.SID "alloc-svc")
       ~via:[ alloc_ad; Dip_xia.Xid.of_name Dip_xia.Xid.HID "alloc-host" ]
   in
-  check_hop_words "XIA" ~max:198.0 (Realize.xia ~dag ~payload:"x" ())
+  check_hop_words "XIA" ~max:8.0 (Realize.xia ~dag ~payload:"x" ())
     (( = ) (Engine.Forwarded [ 4 ]))
 
 (* --- bootstrap --- *)

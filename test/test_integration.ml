@@ -157,7 +157,7 @@ let test_fpass_enabled_on_the_fly () =
   | Engine.Forwarded _, _ -> ()
   | _ -> Alcotest.fail "phase 1: poison data follows the PIT");
   Alcotest.(check (option string)) "cache now poisoned" (Some "POISON")
-    (Env.cache_find env (Name.hash32 name));
+    (Fixtures.cache_find env (Name.hash32 name));
   (* Phase 2: the operator detects the attack and enables F_pass. *)
   Env.enable_pass env ~key;
   (match Engine.process ~registry env ~now:1.0 ~ingress:5 (Bitbuf.copy forged_interest) with

@@ -149,7 +149,7 @@ let test_forwarder_no_cache_by_default () =
   ignore (process r ~now:0.0 ~ingress:1 (interest "/video/n"));
   ignore (process r ~now:0.1 ~ingress:7 (data "/video/n" "body"));
   Alcotest.(check bool) "nothing cached" true
-    (Env.cache_find r (Name.hash32 (n "/video/n")) = None);
+    (Fixtures.cache_find r (Name.hash32 (n "/video/n")) = None);
   match process r ~now:0.2 ~ingress:3 (interest "/video/n") with
   | Engine.Forwarded [ 7 ] -> ()
   | _ -> Alcotest.fail "without a content store the interest goes upstream"

@@ -49,7 +49,7 @@ let run_network ~seed ~nodes ~packets =
         | None -> ())
     envs;
   (* Node 0 answers interests directly (producer-at-router). *)
-  Env.cache_insert envs.(0) (Name.hash32 name) "soak body";
+  Fixtures.cache_insert envs.(0) (Name.hash32 name) "soak body";
   let ids =
     (* Every router statically verifies each packet before running it
        (Dip_analysis): the mixed workload must never trip the

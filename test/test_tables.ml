@@ -364,6 +364,110 @@ let test_pit_expired_slot_reusable () =
     (Pit.insert pit ~key:1l ~port:5 ~now:2.0 ~lifetime:1.0 = Pit.Forwarded);
   Alcotest.(check (list int)) "new ports only" [ 5 ] (Pit.pending pit ~key:1l ~now:2.5)
 
+(* The PIT against test/pit_ref.ml, the Hashtbl table it replaced:
+   random inserts, consumes, pendings and purges over a few keys (the
+   int32 extremes among them) with a small capacity and lifetimes that
+   expire between steps, so entries aggregate, expire, are reclaimed
+   by a full table or rejected. Every outcome, port list (in order),
+   purge count and size must agree. *)
+type pit_op =
+  | Insert of int * int * float
+  | Consume of int
+  | Pending of int
+  | Purge
+
+let pit_keys = [| 0l; 1l; -1l; 0x7FFF_FFFFl; Int32.min_int; 42l |]
+
+let pit_op_gen =
+  QCheck.Gen.(
+    let key = int_bound (Array.length pit_keys - 1) in
+    frequency
+      [
+        (5, map3 (fun k p l -> Insert (k, p, l)) key (int_bound 3) (oneofl [ 0.5; 1.0; 3.0 ]));
+        (2, map (fun k -> Consume k) key);
+        (1, map (fun k -> Pending k) key);
+        (1, return Purge);
+      ])
+
+let prop_pit_model =
+  QCheck.Test.make ~name:"pit: slot table = Hashtbl model" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 1 4)
+            (list_size (int_range 0 60) (pair pit_op_gen (float_bound_inclusive 1.0)))))
+    (fun (capacity, ops) ->
+      let pit = Pit.create ~capacity () and model = Pit_ref.create ~capacity () in
+      let now = ref 0.0 and rejected = ref 0 and rejects = ref 0 in
+      Pit.set_observer pit (function Pit.Reject -> incr rejects | Pit.Expire -> ());
+      List.for_all
+        (fun (op, dt) ->
+          now := !now +. dt;
+          let now = !now in
+          let same =
+            match op with
+            | Insert (k, port, lifetime) -> (
+                let key = pit_keys.(k) in
+                match
+                  ( Pit.insert pit ~key ~port ~now ~lifetime,
+                    Pit_ref.insert model ~key ~port ~now ~lifetime )
+                with
+                | Pit.Forwarded, Pit_ref.Forwarded | Pit.Aggregated, Pit_ref.Aggregated -> true
+                | Pit.Rejected, Pit_ref.Rejected ->
+                    incr rejected;
+                    true
+                | _ -> false)
+            | Consume k ->
+                (* Through the int API, by the unsigned key. *)
+                let key = pit_keys.(k) in
+                Pit.consume_int pit ~key:(Int32.to_int key land 0xFFFF_FFFF) ~now
+                = Pit_ref.consume model ~key ~now
+            | Pending k ->
+                let key = pit_keys.(k) in
+                Pit.pending pit ~key ~now = Pit_ref.pending model ~key ~now
+            | Purge -> Pit.purge_expired pit ~now = Pit_ref.purge_expired model ~now
+          in
+          same && Pit.size pit = Pit_ref.size model && !rejects = !rejected)
+        ops)
+
+(* The slot table against an association list in recency order:
+   random adds (keys may repeat), removals and touches of live slots,
+   and probes. [find] and [next] must reach exactly the live slots
+   holding a key and [iter] every live slot, and an ordered table's
+   [iter] and [lru] must follow the model's recency order. *)
+let prop_slots_model =
+  QCheck.Test.make ~name:"slots: table = association-list model" ~count:300
+    QCheck.(pair bool (list_of_size (Gen.int_range 0 120) (pair (int_range 0 3) (int_range 0 7))))
+    (fun (ordered, ops) ->
+      let module S = Dip_tables.Slots in
+      let t = S.create ~ordered and live = ref [] in
+      let rec chain s = if s < 0 then [] else s :: chain (S.next t s) in
+      let nth k = List.nth_opt !live (k mod max 1 (List.length !live)) in
+      List.for_all
+        (fun (op, k) ->
+          (match (op, nth k) with
+          | (0 | 1), _ -> live := (S.add t k, k) :: !live
+          | 2, Some (s, _) ->
+              S.remove t s;
+              live := List.remove_assoc s !live
+          | _, Some (s, k) ->
+              S.touch t s;
+              live := (s, k) :: List.remove_assoc s !live
+          | _, None -> ());
+          let order = ref [] in
+          S.iter (fun s -> order := s :: !order) t;
+          S.count t = List.length !live
+          && (if ordered then List.rev !order = List.map fst !live
+              else List.sort compare !order = List.sort compare (List.map fst !live))
+          && S.lru t = (match List.rev !live with (s, _) :: _ when ordered -> s | _ -> -1)
+          && List.for_all
+               (fun k ->
+                 List.sort compare (chain (S.find t k))
+                 = List.sort compare
+                     (List.filter_map (fun (s, k') -> if k = k' then Some s else None) !live))
+               [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+        ops)
+
 (* --- generic LRU --- *)
 
 let test_lru_basic () =
@@ -622,6 +726,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_pit_capacity;
           Alcotest.test_case "purge" `Quick test_pit_purge;
           Alcotest.test_case "expired slot reusable" `Quick test_pit_expired_slot_reusable;
+        ] );
+      ( "pit-model",
+        [
+          QCheck_alcotest.to_alcotest prop_pit_model;
+          QCheck_alcotest.to_alcotest prop_slots_model;
         ] );
       ( "lru",
         [
