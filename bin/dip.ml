@@ -4,6 +4,7 @@
      dip catalog                      list the FN operation catalog (Table 1)
      dip inspect -p <protocol>        build a packet and dump header + hex
      dip sizes                        header overhead per protocol (Table 2)
+     dip figure2                      forwarding time per realization (Figure 2)
      dip demo -p <protocol> -n <N>    run an N-router chain in the simulator
                                       (--metrics[=table|json|prom] exports the
                                       unified Dip_obs registry)
@@ -63,16 +64,19 @@ let proto_arg =
     & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
         ~doc:"Protocol to realize: dip32, dip128, ndn, opt, ndn+opt, xia or epic.")
 
-let sample_packet ?(hops = 1) proto =
+(* [payload] defaults to "demo" ("" for an NDN interest). *)
+let sample_packet ?(hops = 1) ?payload proto =
   let dest_key = String.make 16 'k' in
   let name = Name.of_string "/hotnets.org/dip" in
+  let demo = Option.value payload ~default:"demo" in
   match proto with
   | Dip32 ->
-      Realize.ipv4 ~src:(v4 "192.0.2.7") ~dst:(v4 "10.9.0.42") ~payload:"demo" ()
+      Realize.ipv4 ~src:(v4 "192.0.2.7") ~dst:(v4 "10.9.0.42") ~payload:demo ()
   | Dip128 ->
       Realize.ipv6 ~src:(v6 "2001:db8::1") ~dst:(v6 "2001:db8::42")
-        ~payload:"demo" ()
-  | Ndn -> Realize.ndn_interest ~name ~payload:"" ()
+        ~payload:demo ()
+  | Ndn ->
+      Realize.ndn_interest ~name ~payload:(Option.value payload ~default:"") ()
   | Opt ->
       (* Composed with DIP-32 forwarding so routers can move it: the
          OPT region is followed by dst/src addresses in the
@@ -80,7 +84,7 @@ let sample_packet ?(hops = 1) proto =
       let opt_bits = Dip_opt.Header.size_bits ~hops in
       let region = Bitbuf.create ((opt_bits / 8) + 8) in
       Dip_opt.Protocol.source_init region ~base:0 ~hops ~session_id:0xD1AL
-        ~timestamp:1l ~dest_key ~payload:"demo";
+        ~timestamp:1l ~dest_key ~payload:demo;
       Bitbuf.blit
         ~src:
           (Bitbuf.of_string
@@ -97,10 +101,10 @@ let sample_packet ?(hops = 1) proto =
             Fn.v ~loc:opt_bits ~len:32 Opkey.F_32_match;
             Fn.v ~loc:(opt_bits + 32) ~len:32 Opkey.F_source;
           ]
-        ~locations:(Bitbuf.to_string region) ~payload:"demo" ()
+        ~locations:(Bitbuf.to_string region) ~payload:demo ()
   | Ndn_opt ->
       Realize.ndn_opt_data ~hops ~session_id:0xD1AL ~timestamp:1l ~dest_key
-        ~name ~content:"demo" ()
+        ~name ~content:demo ()
   | Xia ->
       let open Dip_xia in
       let dag =
@@ -108,7 +112,7 @@ let sample_packet ?(hops = 1) proto =
           ~intent:(Xid.of_name Xid.SID "svc")
           ~via:[ Xid.of_name Xid.AD "as1"; Xid.of_name Xid.HID "h1" ]
       in
-      Realize.xia ~dag ~payload:"demo" ()
+      Realize.xia ~dag ~payload:demo ()
   | Epic ->
       (* Hop keys derived from the same deterministic router secrets
          the demo chain installs, in path order. *)
@@ -120,7 +124,7 @@ let sample_packet ?(hops = 1) proto =
               ~src:0xD1Al ~timestamp:1l)
       in
       Realize.epic ~hops ~src_id:0xD1Al ~timestamp:1l ~hop_keys
-        ~src:(v4 "192.0.2.7") ~dst:(v4 "10.9.0.42") ~payload:"demo" ()
+        ~src:(v4 "192.0.2.7") ~dst:(v4 "10.9.0.42") ~payload:demo ()
 
 let router_keys proto =
   match proto with
@@ -173,25 +177,6 @@ let inspect proto hops =
       Printf.printf "  payload:   %d bytes\n\n"
         (String.length (Packet.payload view)));
   Format.printf "%a" Bitbuf.pp pkt;
-  0
-
-(* --- sizes --- *)
-
-let sizes () =
-  let t =
-    Dip_stdext.Tabular.create
-      ~aligns:[ Dip_stdext.Tabular.Left; Dip_stdext.Tabular.Right ]
-      [ "network function"; "total header size (B)" ]
-  in
-  List.iter
-    (fun p ->
-      Dip_stdext.Tabular.add_row t
-        [ Realize.protocol_name p; string_of_int (Realize.header_overhead p) ])
-    [
-      Realize.P_ipv6_native; Realize.P_ipv4_native; Realize.P_dip128;
-      Realize.P_dip32; Realize.P_ndn; Realize.P_opt; Realize.P_ndn_opt;
-    ];
-  Dip_stdext.Tabular.print t;
   0
 
 (* --- demo / trace: the shared router chain --- *)
@@ -689,6 +674,298 @@ let targets_of_proto ~hops proto =
   | Ndn_opt -> pick [ "ndn+opt interest"; "ndn+opt data" ]
   | Xia -> pick [ "xia" ]
   | Epic -> pick [ "epic" ]
+
+(* --- sizes --- *)
+
+(* Table 2: each realization's header against the paper's byte
+   count, then this repo's extensions, which the paper does not
+   size. *)
+let sizes () =
+  let module T = Dip_stdext.Tabular in
+  let t =
+    T.create
+      ~aligns:[ T.Left; T.Right; T.Right; T.Left ]
+      [ "network function"; "paper (B)"; "ours (B)"; "match" ]
+  in
+  List.iter
+    (fun (p, paper) ->
+      let ours = Realize.header_overhead p in
+      T.add_row t
+        [
+          Realize.protocol_name p;
+          string_of_int paper;
+          string_of_int ours;
+          (if ours = paper then "exact" else "MISMATCH");
+        ])
+    [
+      (Realize.P_ipv6_native, 40); (Realize.P_ipv4_native, 20);
+      (Realize.P_dip128, 50); (Realize.P_dip32, 26); (Realize.P_ndn, 16);
+      (Realize.P_opt, 98); (Realize.P_ndn_opt, 108);
+    ];
+  List.iter
+    (fun (label, pkt) ->
+      T.add_row t
+        [ label; "-"; string_of_int (Result.get_ok (Packet.header_size pkt)); "extension" ])
+    (extension_targets ~hops:1);
+  T.print t;
+  0
+
+(* --- figure2 --- *)
+
+(* One row of Figure 2: [hop] runs one forwarding step on the row's
+   router and returns [None] when the packet was forwarded, the drop
+   reason otherwise; [packet] builds the row's packet around a
+   payload; [restore ~pristine pkt] undoes what a hop wrote, into the
+   packet (from its unprocessed copy) or into the router's state, so
+   that every timed hop does the same work. *)
+type fig2_row = {
+  label : string;
+  hop : Bitbuf.t -> string option;
+  packet : string -> Bitbuf.t;
+  restore : pristine:Bitbuf.t -> Bitbuf.t -> unit;
+}
+
+let engine_hop env pkt =
+  match fst (Engine.process ~registry env ~now:0.0 ~ingress:0 pkt) with
+  | Engine.Forwarded _ -> None
+  | Engine.Dropped reason -> Some reason
+  | _ -> Some "not forwarded"
+
+let hop_limit ~pristine:_ pkt = Bitbuf.set_uint8 pkt 2 64
+
+(* A row of [mk_chain_router 0], which routes, names and keys every
+   sample packet, unless [env] is given. *)
+let dip_row ?(env = mk_chain_router 0) ?(restore = fun _ -> hop_limit) label
+    packet =
+  { label; hop = engine_hop env; packet; restore = restore env }
+
+let pit_key = Name.hash32 chain_name
+
+let figure2_rows () =
+  let sample proto payload = sample_packet ~payload proto in
+  let loc_base pkt = (Result.get_ok (Packet.parse pkt)).Packet.loc_base in
+  let with_env setup =
+    let env = mk_chain_router 0 in
+    setup env;
+    env
+  in
+  let table4 = Dip_tables.Fib.V4.create () and table6 = Dip_tables.Fib.V6.create () in
+  Dip_ip.Ipv4.add_route table4 (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
+  Dip_ip.Ipv6.add_route table6 (Ipaddr.Prefix.of_string "2001:db8::/32") 1;
+  let native = function
+    | Dip_ip.Ipv4.Forward _ -> None
+    | Dip_ip.Ipv4.Deliver -> Some "delivered"
+    | Dip_ip.Ipv4.Discard reason -> Some reason
+  in
+  let native6 = function
+    | Dip_ip.Ipv6.Forward _ -> None
+    | Dip_ip.Ipv6.Deliver -> Some "delivered"
+    | Dip_ip.Ipv6.Discard reason -> Some reason
+  in
+  (* NDN interests leave a PIT entry, NDN+OPT data consumes one. *)
+  let pit_consumed env ~pristine pkt =
+    hop_limit ~pristine pkt;
+    ignore (Dip_tables.Pit.consume env.Env.pit ~key:pit_key ~now:0.0)
+  and pit_pending env ~pristine pkt =
+    hop_limit ~pristine pkt;
+    ignore
+      (Dip_tables.Pit.insert env.Env.pit ~key:pit_key ~port:1 ~now:0.0
+         ~lifetime:1e9)
+  in
+  let opt_base = loc_base (sample_packet Opt) and key = String.make 16 'k' in
+  let opt_update label alg =
+    {
+      label;
+      hop =
+        (fun pkt ->
+          Dip_opt.Protocol.router_update ~alg pkt ~base:opt_base ~hop:1 ~key;
+          None);
+      packet = sample Opt;
+      restore = (fun ~pristine:_ _ -> ());
+    }
+  in
+  let netfence payload =
+    Realize.netfence ~src:(v4 "192.0.2.7") ~dst:(v4 "10.9.0.42") ~sender:5l
+      ~rate:1e9 ~timestamp:0l ~payload ()
+  in
+  let telemetry payload =
+    Realize.ipv4_telemetry ~max_hops:8 ~src:(v4 "192.0.2.7")
+      ~dst:(v4 "10.9.0.42") ~payload ()
+  in
+  let tel_base = loc_base (telemetry "") and epic_base = loc_base (sample_packet Epic) in
+  let pass = Dip_crypto.Siphash.default_key in
+  [
+    {
+      label = "IPv4 (native baseline)";
+      hop = (fun pkt -> native (Dip_ip.Ipv4.forward table4 pkt));
+      packet =
+        (fun payload ->
+          Dip_ip.Ipv4.encode
+            { Dip_ip.Ipv4.src = v4 "192.0.2.7"; dst = v4 "10.9.0.42"; ttl = 64;
+              protocol = 17; payload_len = String.length payload }
+            ~payload);
+      restore =
+        (fun ~pristine pkt ->
+          Bitbuf.set_uint16 pkt 8 (Bitbuf.get_uint16 pristine 8);
+          Bitbuf.set_uint16 pkt 10 (Bitbuf.get_uint16 pristine 10));
+    };
+    {
+      label = "IPv6 (native baseline)";
+      hop = (fun pkt -> native6 (Dip_ip.Ipv6.forward table6 pkt));
+      packet =
+        (fun payload ->
+          Dip_ip.Ipv6.encode
+            { Dip_ip.Ipv6.src = v6 "2001:db8::1"; dst = v6 "2001:db8::42";
+              hop_limit = 64; next_header = 17;
+              payload_len = String.length payload }
+            ~payload);
+      restore = (fun ~pristine:_ pkt -> Bitbuf.set_uint8 pkt 7 64);
+    };
+    dip_row "DIP-32 (IP)" (sample Dip32);
+    dip_row "DIP-128 (IP)" (sample Dip128);
+    dip_row ~restore:pit_consumed "DIP NDN" (sample Ndn);
+    (* Realize.opt carries no forwarding FN, so a router drops it
+       ("no-forwarding-decision"); the row is OPT over DIP-32, as
+       `dip inspect -p opt` builds it. *)
+    dip_row "DIP OPT (+DIP-32)" (sample Opt);
+    dip_row ~restore:pit_pending "DIP NDN+OPT" (sample Ndn_opt);
+    (* Ablations. A1: every packet cold-parsed. *)
+    dip_row ~env:(mk_chain_router ~no_cache:true 0) "A1 DIP-32, cache off"
+      (sample Dip32);
+    dip_row ~env:(mk_chain_router ~no_cache:true 0) "A1 OPT, cache off"
+      (sample Opt);
+    (* A2: OPT's router update alone, under each cipher. *)
+    opt_update "A2 OPT update, 2EM" Dip_opt.Protocol.EM2;
+    opt_update "A2 OPT update, AES" Dip_opt.Protocol.AES;
+    (* A4: F_pass verification switched on. *)
+    dip_row
+      ~env:(with_env (fun env -> Env.enable_pass env ~key:pass))
+      ~restore:pit_consumed "A4 NDN + F_pass"
+      (fun payload -> Realize.ndn_interest ~pass ~name:chain_name ~payload ());
+    (* A6: NetFence through a transit router and a bottleneck. *)
+    dip_row "A6 NetFence, transit" netfence;
+    dip_row
+      ~env:
+        (with_env (fun env ->
+             Env.set_netfence env
+               (Dip_netfence.Policer.create
+                  ~key:(Dip_crypto.Prf.key_of_string "bottleneck-key-1") ())))
+      "A6 NetFence, bottleneck" netfence;
+    (* A7: each hop appends a record; the count goes back to 0. *)
+    dip_row
+      ~env:
+        (with_env (fun env ->
+             Env.set_telemetry_identity env ~node_id:3 ~queue_depth:(fun () -> 12)))
+      ~restore:(fun _ ~pristine pkt ->
+        hop_limit ~pristine pkt;
+        Bitbuf.set_uint8 pkt tel_base 0)
+      "A7 DIP-32 + telemetry" telemetry;
+    (* A8: the router replaces the HVF; the source's goes back. *)
+    dip_row
+      ~restore:(fun _ ~pristine pkt ->
+        hop_limit ~pristine pkt;
+        Dip_epic.Header.set_hvf pkt ~base:epic_base 1
+          (Dip_epic.Header.get_hvf pristine ~base:epic_base 1))
+      "A8 EPIC (+DIP-32)" (sample Epic);
+  ]
+
+let median a =
+  let a = Array.copy a in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* "median (min-max)" of [a], to [digits] decimals. *)
+let spread ?(unit = "") digits a =
+  Printf.sprintf "%.*f%s (%.*f-%.*f)" digits (median a) unit digits
+    (Array.fold_left Float.min infinity a)
+    digits
+    (Array.fold_left Float.max neg_infinity a)
+
+(* Figure 2: ns per hop for every row at the paper's packet sizes,
+   timed in [rounds] interleaved rounds, each cell one batch of hops
+   sized to ~5 ms; a cell is the median (min-max) over the rounds. *)
+let figure2 () =
+  let rounds = 8 and batch_ns = 5_000_000 in
+  let sizes = Array.of_list Dip_netsim.Workload.paper_packet_sizes in
+  let rows = Array.of_list (figure2_rows ()) in
+  let time_hops row pkt ~pristine n =
+    let t0 = Dip_obs.Clock.now_ns () in
+    for _ = 1 to n do
+      row.restore ~pristine pkt;
+      ignore (Sys.opaque_identity (row.hop pkt))
+    done;
+    float_of_int (Dip_obs.Clock.elapsed_ns t0) /. float_of_int n
+  in
+  (* Each cell's packet, padded to its size, checked once to be
+     forwarded, and its batch length from a 1000-hop warm-up. *)
+  let cells =
+    Array.map
+      (fun row ->
+        Array.map
+          (fun size ->
+            let header = Bitbuf.length (row.packet "") in
+            let pkt = row.packet (String.make (size - header) 'x') in
+            let pristine = Bitbuf.copy pkt in
+            row.restore ~pristine pkt;
+            (match row.hop pkt with
+            | None -> ()
+            | Some reason ->
+                Printf.eprintf "figure2: %s at %d B is not forwarded (%s)\n"
+                  row.label size reason;
+                exit 1);
+            let ns = time_hops row pkt ~pristine 1000 in
+            (pkt, pristine, max 1000 (int_of_float (float_of_int batch_ns /. ns))))
+          sizes)
+      rows
+  in
+  let ns = Array.map (Array.map (fun _ -> Array.make rounds 0.0)) cells in
+  for r = 0 to rounds - 1 do
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j (pkt, pristine, n) -> ns.(i).(j).(r) <- time_hops row pkt ~pristine n)
+          cells.(i))
+      rows
+  done;
+  let module T = Dip_stdext.Tabular in
+  let t =
+    T.create
+      ~aligns:(T.Left :: Array.to_list (Array.map (fun _ -> T.Right) sizes))
+      ("ns/packet \\ size" :: Array.to_list (Array.map (Printf.sprintf "%d B") sizes))
+  in
+  Array.iteri
+    (fun i row -> T.add_row t (row.label :: Array.to_list (Array.map (spread 0) ns.(i))))
+    rows;
+  Printf.printf
+    "Figure 2: packet processing time, median (min-max) of %d interleaved rounds\n"
+    rounds;
+  T.print t;
+  (* A ratio per round, of the rows' ns summed over the sizes. *)
+  let index label =
+    let rec go i = if rows.(i).label = label then i else go (i + 1) in
+    go 0
+  in
+  let total i r = Array.fold_left (fun acc cell -> acc +. cell.(r)) 0.0 ns.(i) in
+  print_endline "\nratios, median (min-max) of the per-round ratios (paper §4.2):";
+  List.iter
+    (fun (a, b, claim) ->
+      let ia = index a and ib = index b in
+      let per_round = Array.init rounds (fun r -> total ia r /. total ib r) in
+      Printf.printf "  %-24s / %-22s %s  (paper: %s)\n" a b
+        (spread ~unit:"x" 2 per_round) claim)
+    [
+      ("DIP-32 (IP)", "IPv4 (native baseline)", "close to baseline");
+      ("DIP-128 (IP)", "IPv6 (native baseline)", "close to baseline");
+      ("DIP OPT (+DIP-32)", "DIP-32 (IP)", "more, MACs are expensive");
+      ("DIP NDN", "DIP-32 (IP)", "close to IP");
+      ("DIP NDN+OPT", "DIP NDN", "more, MACs are expensive");
+    ];
+  print_endline
+    "\nA3 is `dip estimate --parallel`, A5 perfbench's fib1m. Efficacy: A4 is\n\
+     test_core f-pass \"rejects forged\", A6 test_netfence f-cc \"drops flood\",\n\
+     A8 test_epic engine \"drops forged at router\".";
+  0
 
 (* Canned reachability models. {!Dip_analysis.Reach} only needs the
    topology for its node count; forwarding structure lives in the
@@ -1476,6 +1753,15 @@ let sizes_cmd =
   Cmd.v (Cmd.info "sizes" ~doc:"Header overhead per protocol (Table 2).")
     Term.(const sizes $ const ())
 
+let figure2_cmd =
+  Cmd.v
+    (Cmd.info "figure2"
+       ~doc:
+         "Time one forwarding hop of every Figure 2 realization and the \
+          ablation rows at 128, 768 and 1500 B (8 interleaved rounds, median \
+          and range) and print the paper's ratios.")
+    Term.(const figure2 $ const ())
+
 let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc:"Run a router-chain simulation for a protocol.")
     Term.(
@@ -1803,7 +2089,7 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            catalog_cmd; inspect_cmd; sizes_cmd; demo_cmd; profile_cmd;
+            catalog_cmd; inspect_cmd; sizes_cmd; figure2_cmd; demo_cmd; profile_cmd;
             trace_cmd; estimate_cmd; lint_cmd; chaos_cmd; control_cmd;
             fib_cmd;
           ]))

@@ -9,9 +9,8 @@
     downstream of the middle router and the optional crash window
     hits the middle router itself.
 
-    Shared by [dip chaos], [bench faults] and the test suite so that
-    all three exercise the identical recovery path. Fully
-    deterministic per [seed]. *)
+    Shared by [dip chaos] and the test suite so that both exercise
+    the identical recovery path. Fully deterministic per [seed]. *)
 
 type config = {
   routers : int;  (** chain length, ≥ 1 *)

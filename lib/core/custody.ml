@@ -91,7 +91,7 @@ let make_store cfg =
   Custody_store.create ~capacity:cfg.capacity ~max_bytes:cfg.max_bytes
     ~size:Bitbuf.length ()
 
-(* Count store transitions in the env's registry (so chaos/bench
+(* Count store transitions in the env's registry (so chaos
    reports see them next to the dip.* counters; the handles are
    registered here, once per store), plus optional Flight instants. *)
 let observe ?flight ~env ~store ~node =

@@ -220,7 +220,7 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
             if sampled then begin
               let t0 = Dip_obs.Clock.now_ns () in
               let r = op ctx in
-              Obs.op_ns o fn.Fn.key (Dip_obs.Clock.elapsed_ns t0);
+              Obs.op_ns o fn.Fn.key t0;
               r
             end
             else op ctx
@@ -263,7 +263,7 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   view.Packet.buf <- released;
   (match obs with
   | Some o when sampled ->
-      Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+      Obs.process_ns o t_start (verdict_class verdict)
   | _ -> ());
   account env ~ops_run:!ops_run ~ops_skipped:!ops_skipped
     ~parallel_depth:
@@ -275,7 +275,7 @@ let drop ?obs ~sampled ~t_start env reason =
   let verdict = Dropped reason in
   (match obs with
   | Some o when sampled ->
-      Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+      Obs.process_ns o t_start (verdict_class verdict)
   | _ -> ());
   Guard.restart env.Env.ctx.Registry.budget;
   account env ~ops_run:0 ~ops_skipped:0 ~parallel_depth:0;

@@ -66,14 +66,20 @@ let begin_packet t =
 let op_run t k = M.Counter.incr t.op_run.(Opkey.to_int k)
 let op_skip t k = M.Counter.incr t.op_skip.(Opkey.to_int k)
 let op_error t k = M.Counter.incr t.op_error.(Opkey.to_int k)
-let op_ns t k ns =
+(* A span ends at one clock reading, which also stamps its flight
+   event. *)
+let op_ns t k t0 =
+  let t1 = F.now () in
+  let ns = t1 - Int64.to_int t0 in
   M.Counter.incr ~by:ns t.op_nanos.(Opkey.to_int k);
   match t.flight with
   | None -> ()
-  | Some r -> F.record r ev_op ns (Opkey.to_int k) 0
+  | Some r -> F.record_at r ~ts:t1 ev_op ns (Opkey.to_int k) 0
 
-let process_ns t ns cls =
+let process_ns t t0 cls =
+  let t1 = F.now () in
+  let ns = t1 - Int64.to_int t0 in
   M.Histogram.observe t.latency ns;
   match t.flight with
   | None -> ()
-  | Some r -> F.record r ev_process ns cls 0
+  | Some r -> F.record_at r ~ts:t1 ev_process ns cls 0

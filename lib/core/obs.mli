@@ -32,15 +32,12 @@ type t
 val create :
   ?sample_every:int -> ?flight:Dip_obs.Flight.ring -> Dip_obs.Metrics.t -> t
 (** [create metrics] registers the engine instruments.
-    [sample_every] (default {!default_sample_every}, must be [>= 1])
+    [sample_every] (default 16, must be [>= 1])
     sets the span-timing rate; [1] times every packet. [flight] arms
     a flight-recorder ring, owned by the domain running this
     observer's engine: sampled runs additionally record
     ["engine.process"] spans (a0 = ns, a1 = verdict class) and
     ["engine.op"] spans (a0 = ns, a1 = opkey) into it. *)
-
-val default_sample_every : int
-(** 16. *)
 
 (** {1 Engine-facing recording}
 
@@ -52,11 +49,14 @@ val begin_packet : t -> bool
 val op_run : t -> Opkey.t -> unit
 val op_skip : t -> Opkey.t -> unit
 val op_error : t -> Opkey.t -> unit
-val op_ns : t -> Opkey.t -> int -> unit
-(** Add sampled execution nanoseconds to an opkey's total. *)
+val op_ns : t -> Opkey.t -> int64 -> unit
+(** [op_ns t k t0] ends a sampled execution of [k] begun at
+    {!Dip_obs.Clock.now_ns} [t0]: one clock reading both adds the
+    nanoseconds to the opkey's total and stamps the flight span. *)
 
-val process_ns : t -> int -> int -> unit
-(** [process_ns t ns cls] observes one sampled whole-run latency.
-    [cls] is the run's verdict class, the flight span's a1: 0
+val process_ns : t -> int64 -> int -> unit
+(** [process_ns t t0 cls] ends one sampled whole run begun at [t0]
+    and observes its latency, reading the clock once as {!op_ns}
+    does. [cls] is the run's verdict class, the flight span's a1: 0
     forwarded, 1 delivered, 2 responded, 3 quiet, 4 dropped, 5
     unsupported. *)

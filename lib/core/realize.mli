@@ -22,7 +22,7 @@
       XIA header (pointer + DAG) in the FN locations.
 
     With these layouts every Table 2 header size reproduces exactly
-    (see {!header_overhead} and the Table 2 bench). *)
+    (see {!header_overhead} and [dip sizes]). *)
 
 module Name = Dip_tables.Name
 

@@ -24,14 +24,6 @@ val decode : Dip_bitbuf.Bitbuf.t -> (header, string) result
 (** Parse and verify: version, header length, checksum, total
     length. Returns [Error reason] on malformed packets. *)
 
-val checksum_valid : Dip_bitbuf.Bitbuf.t -> bool
-(** Recompute the header checksum of an encoded packet. *)
-
-val decrement_ttl : Dip_bitbuf.Bitbuf.t -> bool
-(** In-place TTL decrement with the RFC 1624 incremental checksum
-    update; returns [false] (and leaves the packet unchanged) when
-    the TTL is already 0 or 1 — the packet must be dropped. *)
-
 type route_table = Dip_netsim.Sim.port Dip_tables.Fib.V4.t
 (** Routes live in the DIR-24-8 flat-array engine
     ({!Dip_tables.Fib.V4}) — what a real line card holds. *)
@@ -48,8 +40,10 @@ type verdict =
 val forward :
   ?local:Dip_tables.Ipaddr.V4.t -> route_table -> Dip_bitbuf.Bitbuf.t -> verdict
 (** One native forwarding step: validate, check for local delivery,
-    LPM, TTL decrement (mutating the packet). This is the function
-    the Figure 2 baseline benchmarks. *)
+    LPM, TTL decrement with the RFC 1624 incremental checksum update
+    (mutating the packet; a TTL of 0 or 1 is discarded as
+    ["ttl-expired"] and left unchanged). This is the function the
+    Figure 2 baseline times ([dip figure2]). *)
 
 val handler : ?local:Dip_tables.Ipaddr.V4.t -> route_table -> Dip_netsim.Sim.handler
 (** Wrap {!forward} as a simulator node. *)

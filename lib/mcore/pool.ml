@@ -40,7 +40,7 @@ type published = {
 type job = {
   items : item array;
   shard_of : Bytes.t; (* each item's worker; OCaml runs <= 128 domains *)
-  verdicts : (Engine.verdict * Engine.info) array;
+  verdicts : Engine.verdict array;
   actions : Dip_netsim.Sim.action list array; (* [||] if unwanted *)
   pub : published;
   submit_ns : int; (* flight: dispatch stamp for queue-wait *)
@@ -152,11 +152,11 @@ let run_shard t w job =
   for i = 0 to Array.length job.items - 1 do
     if Char.code (Bytes.get job.shard_of i) = w then begin
       let it = job.items.(i) in
-      let ((verdict, _) as r) =
+      let verdict, _ =
         Engine.process ?obs ?verify ~registry env ~now:it.now
           ~ingress:it.ingress it.pkt
       in
-      job.verdicts.(i) <- r;
+      job.verdicts.(i) <- verdict;
       if want_actions then
         job.actions.(i) <-
           Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict;
@@ -342,9 +342,6 @@ let publish t snap =
             retired.snap.Snapshot.epoch 0
       | None -> ())
 
-let nil_info =
-  { Engine.ops_run = 0; ops_skipped = 0; state_bytes = 0; parallel_depth = 0 }
-
 (* Shard the batch, pin the current epoch into the job, release the
    workers, run worker 0's shard here and wait for the rest. *)
 let dispatch t ~want_actions items =
@@ -367,7 +364,7 @@ let dispatch t ~want_actions items =
     {
       items;
       shard_of;
-      verdicts = Array.make n (Engine.Quiet, nil_info);
+      verdicts = Array.make n Engine.Quiet;
       actions = (if want_actions then Array.make n [] else [||]);
       (* Pinned once for the whole dispatch: every shard runs this
          epoch, whatever publishes land before a worker gets to it. *)

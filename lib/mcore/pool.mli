@@ -81,8 +81,8 @@ val create :
     With [domains:1] nothing is spawned and every batch runs on the
     dispatching domain through the same dispatch path: there is no
     parallelism to buy with a domain crossing, only hand-off
-    overhead. This is the configuration whose overhead floor the
-    [mcore] bench asserts on small machines. *)
+    overhead. This is the configuration whose overhead floor
+    test/budgets.ml asserts on small machines. *)
 
 val domains : t -> int
 
@@ -110,10 +110,12 @@ val publish : t -> Snapshot.t -> (unit, string) result
     the initial snapshot (raising [Invalid_argument], since there is
     no previous epoch to keep). *)
 
-val process_batch : t -> item array -> (Dip_core.Engine.verdict * Dip_core.Engine.info) array
+val process_batch : t -> item array -> Dip_core.Engine.verdict array
 (** Execute the router-side engine over the batch, sharded across
-    the workers; blocks until done. Result [i] corresponds to input
-    [i]. Packets are mutated in place exactly as
+    the workers; blocks until done. Result [i] is input [i]'s
+    verdict; the per-packet {!Dip_core.Engine.info} is not kept (a
+    forwarded packet's verdict is a shared value, so storing it
+    costs no remembered-set entry and no promotion). Packets are mutated in place exactly as
     {!Dip_core.Engine.process} would. Raises [Invalid_argument]
     after {!shutdown}. *)
 

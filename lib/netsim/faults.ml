@@ -126,7 +126,7 @@ let hook t _sim ~from packet =
           let i = Prng.int t.rng (max 1 (Bitbuf.length p)) in
           if Bitbuf.length p > 0 then
             Bitbuf.set_uint8 p i
-              (Bitbuf.get_uint8 p i lxor (1 + Prng.int t.rng 255));
+              (Bitbuf.get_uint8 p i lxor Prng.int_in t.rng 1 255);
           record t Corrupt ~node ~port;
           p
         end

@@ -78,40 +78,6 @@ let fat_tree ?latency ?bandwidth k =
   done;
   make ~node_count:(cores + (k * pod_size)) (List.rev !edges)
 
-let wan ~seed ~sites ~chords =
-  if sites < 3 then invalid_arg "Topology.wan: need at least three sites";
-  if chords < 0 then invalid_arg "Topology.wan: negative chord count";
-  let g = Dip_stdext.Prng.create seed in
-  let have = Hashtbl.create 64 in
-  let edges = ref [] in
-  let add ~lo ~hi u v =
-    let key = (min u v, max u v) in
-    if u <> v && not (Hashtbl.mem have key) then begin
-      Hashtbl.replace have key ();
-      let latency = lo +. Dip_stdext.Prng.float g (hi -. lo) in
-      edges := mk_edge ~latency ~bandwidth:10e9 (fst key) (snd key) :: !edges;
-      true
-    end
-    else false
-  in
-  (* Backbone ring: short regional links. *)
-  for i = 0 to sites - 1 do
-    ignore (add ~lo:0.005 ~hi:0.030 i ((i + 1) mod sites))
-  done;
-  (* Long-haul chords: seeded site pairs, intercontinental
-     latencies. *)
-  let added = ref 0 in
-  let attempts = ref 0 in
-  while !added < chords && !attempts < 50 * (chords + 1) do
-    incr attempts;
-    if
-      add ~lo:0.020 ~hi:0.080
-        (Dip_stdext.Prng.int g sites)
-        (Dip_stdext.Prng.int g sites)
-    then incr added
-  done;
-  make ~node_count:sites (List.rev !edges)
-
 let neighbors t u =
   if u < 0 || u >= t.node_count then [] else Array.to_list t.adj.(u)
 

@@ -47,12 +47,6 @@ val fat_tree : ?latency:float -> ?bandwidth:float -> int -> t
     [j]; agg and edge switches form a full bipartite mesh inside the
     pod. [fat_tree 4] has 4 cores, 16 switches, 16 hosts. *)
 
-val wan : seed:int64 -> sites:int -> chords:int -> t
-(** A B4-style inter-datacenter WAN: [sites] sites on a backbone
-    ring with regional latencies (5–30 ms) plus [chords] seeded
-    long-haul shortcuts (20–80 ms) at 10 Gb/s. Deterministic in
-    [seed]. *)
-
 val port_of : t -> int -> int -> int
 (** [port_of t u v] is the port on [u] that reaches neighbor [v].
     Raises [Not_found] if the edge does not exist. *)

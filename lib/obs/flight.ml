@@ -85,14 +85,16 @@ let create ?(capacity = default_capacity) ~pid ~tid () =
 
 let now () = Int64.to_int (Clock.now_ns ())
 
-let record t id a0 a1 a2 =
+let record_at t ~ts id a0 a1 a2 =
   let i = t.w land t.mask in
-  t.ts.(i) <- now ();
+  t.ts.(i) <- ts;
   t.ids.(i) <- id;
   t.a0.(i) <- a0;
   t.a1.(i) <- a1;
   t.a2.(i) <- a2;
   t.w <- t.w + 1
+
+let record t id a0 a1 a2 = record_at t ~ts:(now ()) id a0 a1 a2
 
 let pid t = t.r_pid
 let tid t = t.r_tid

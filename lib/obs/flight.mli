@@ -60,6 +60,11 @@ val record : ring -> id -> int -> int -> int -> unit
     Plain stores only; must be called from the ring's writer
     domain. *)
 
+val record_at : ring -> ts:int -> id -> int -> int -> int -> unit
+(** {!record} stamped [ts], a {!now} reading the caller already
+    has: a span that read the clock to end itself is recorded
+    without reading it again. *)
+
 val now : unit -> int
 (** The monotonic clock as a native int, for span bookkeeping:
     [record t id (now () - t0) a1 a2] ends a span opened at

@@ -19,7 +19,7 @@
     millions of routes but only a handful of distinct next hops), do
     {e incremental} insert/remove (only the covered slots are
     touched, with an authoritative side store keyed by (length,
-    masked prefix) to re-cover slots on withdrawal), and account their own memory so the bench
+    masked prefix) to re-cover slots on withdrawal), and account their own memory so [dip fib]
     can report bytes/route. The binary trie stays as the correctness
     oracle (see [test_fib.ml]). *)
 

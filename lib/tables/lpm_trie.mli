@@ -40,7 +40,7 @@ val lookup_ipv4 : 'a t -> int32 -> (int * 'a) option
     ~len:32] without the closure-per-bit cost: the 32 key bits are
     extracted by shifting directly, so a lookup allocates only the
     result pair. This is the hot-path entry for IPv4 tables and the
-    baseline the {!Fib} bench compares against. *)
+    baseline test/budgets.ml times {!Fib} against. *)
 
 val fold : (int * bool list -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** Fold over all bound prefixes; the key is given as

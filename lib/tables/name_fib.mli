@@ -4,7 +4,7 @@
     This is the table behind the paper's {i F_FIB} operation (key 4):
     "a forwarding information base \[that\] performs the longest
     prefix match with the content name" (§2.3). The DIP prototype
-    additionally forwards on 32-bit hashed names; {!lookup_hash}
+    additionally forwards on 32-bit hashed names; {!find_hash}
     serves that path via an exact-match index maintained alongside
     the component trie. *)
 
@@ -15,10 +15,13 @@ val size : 'a t -> int
 
 val insert : 'a t -> Name.t -> 'a -> unit
 (** Bind a name prefix; replaces an existing binding of the same
-    prefix. *)
+    prefix. Two names with the same {!Name.hash32} share one
+    {!find_hash} binding: the latest insert's. *)
 
 val remove : 'a t -> Name.t -> bool
-(** Remove an exact prefix; returns whether it was present. *)
+(** Remove an exact prefix; returns whether it was present. A
+    {!find_hash} binding it shared passes to a surviving name with
+    that hash. *)
 
 val lookup : 'a t -> Name.t -> (Name.t * 'a) option
 (** Longest-prefix match: the most specific registered prefix of the
@@ -29,8 +32,5 @@ val find_hash : 'a t -> int -> 'a option
     an unsigned [int] read off the packet — the prototype's
     forwarding path (§4.1). The index is int-keyed ({!Slots}): a hit
     allocates nothing. *)
-
-val lookup_hash : 'a t -> int32 -> 'a option
-(** {!find_hash} on the [int32] form {!Name.hash32} returns. *)
 
 val fold : (Name.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

@@ -36,7 +36,7 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   let observe verdict =
     match obs with
     | Some o when sampled ->
-        Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start) (verdict_class verdict)
+        Obs.process_ns o t_start (verdict_class verdict)
     | _ -> ()
   in
   let checked =

@@ -1,8 +1,9 @@
-(* Topology shapes, arrival processes and padding that only the tests
-   use: a star and a dumbbell as extra generator cases for the
-   adjacency oracle, seeded arrival times to drive a simulator, a
-   header padded out to a wire size, and a node's content store by
-   the [int32] name hash. *)
+(* Topology shapes, arrival processes, padding and a timer that only
+   the tests use: a star and a dumbbell as extra generator cases for
+   the adjacency oracle, seeded arrival times to drive a simulator, a
+   header padded out to a wire size, a node's content store by the
+   [int32] name hash, and the fastest-of-N timer that test_mcore's
+   sanity check and the budgets share. *)
 
 module Bitbuf = Dip_bitbuf.Bitbuf
 module Topology = Dip_netsim.Topology
@@ -56,3 +57,22 @@ let pad_to pkt size =
 let name_key h = Int32.to_int h land 0xFFFF_FFFF
 let cache_find env h = Dip_core.Env.find_content env (name_key h)
 let cache_insert env h v = Dip_core.Env.store_content env (name_key h) v
+
+(* The fastest of [n] interleaved timings of each pass, in ns: every
+   round runs [prepare] and then times each pass once, in order, so a
+   slow phase of the machine hits every pass alike; interference only
+   ever adds time, so a pass's minimum is the best estimate of its
+   cost. One untimed round warms caches first. *)
+let fastest ?(prepare = ignore) ~n passes =
+  let time pass =
+    prepare ();
+    let t0 = Dip_obs.Clock.now_ns () in
+    pass ();
+    float_of_int (Dip_obs.Clock.elapsed_ns t0)
+  in
+  List.iter (fun pass -> ignore (time pass)) passes;
+  let best = Array.make (List.length passes) infinity in
+  for _ = 1 to n do
+    List.iteri (fun i pass -> best.(i) <- Float.min best.(i) (time pass)) passes
+  done;
+  Array.to_list best

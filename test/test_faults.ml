@@ -359,6 +359,35 @@ let test_custody_survives_lossy_acks () =
     r.Chaos.delivered;
   Alcotest.(check int) "no copies stranded" 0 (List.assoc "held" r.Chaos.custody)
 
+(* A seeded satellite-pass contact plan (a 0.1 s contact every 20 s)
+   strands most of 60 bundles between passes: the end-to-end baseline
+   delivers under half, the custodians at least 99%, with nothing held
+   after the drain, each store within 3x its capacity, and the same
+   delivery order on a rerun. *)
+let test_custody_satellite_passes () =
+  let cfg =
+    {
+      Chaos.default with
+      Chaos.packets = 60;
+      schedule =
+        Workload.satellite_passes ~seed:42L ~period:20.0 ~pass:0.1 ~horizon:45.0 ();
+      custody = Some { Custody.default_config with Custody.retry_until = 105.0 };
+    }
+  in
+  let e2e = Chaos.run { cfg with Chaos.custody = None } in
+  let r = Chaos.run cfg in
+  Alcotest.(check bool)
+    (Printf.sprintf "e2e delivers under half (%d/%d)" e2e.Chaos.delivered e2e.Chaos.sent)
+    true (e2e.Chaos.delivery_rate < 0.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "custody delivers >= 99%% (%d/%d)" r.Chaos.delivered r.Chaos.sent)
+    true (r.Chaos.delivery_rate >= 0.99);
+  Alcotest.(check int) "nothing held after the drain" 0 (List.assoc "held" r.Chaos.custody);
+  Alcotest.(check bool) "store high-water within 3x capacity" true
+    (List.assoc "high-water" r.Chaos.custody <= 3 * Custody.default_config.Custody.capacity);
+  Alcotest.(check bool) "rerun delivers in the same order" true
+    ((Chaos.run cfg).Chaos.deliveries = r.Chaos.deliveries)
+
 (* The receiver keeps every first delivery for its life, unboxed: a
    duplicate of each of 300 bundles is re-ACKed, not redelivered, the
    deliveries come back in delivery order, and the whole record costs
@@ -427,5 +456,7 @@ let () =
             test_custody_deterministic;
           Alcotest.test_case "replay sweep covers lost ACKs" `Quick
             test_custody_survives_lossy_acks;
+          Alcotest.test_case "satellite passes: custody vs e2e" `Quick
+            test_custody_satellite_passes;
         ] );
     ]

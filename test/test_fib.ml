@@ -297,7 +297,7 @@ let prop_v6_oracle_with_removals =
 
 (* --- update-under-traffic determinism ------------------------------ *)
 
-(* The bench interleaves lookups with route churn; two identical
+(* Lookups interleaved with route churn: two identical
    seeded runs must produce identical verdict streams, and every
    verdict must match the trie driven through the same churn. *)
 let test_update_under_traffic_determinism () =
@@ -343,6 +343,59 @@ let test_update_under_traffic_determinism () =
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "two seeded runs agree" true (String.equal a b)
+
+(* At scale: a 50k-route BGP-shaped table agrees with the trie on a
+   Zipf traffic stream, on 20k uniform miss probes, after a seeded 2%
+   withdrawal wave and after reinstalling it; so does a 10k-route v6
+   table. *)
+let test_bgp_table_at_scale () =
+  let prefixes = Workload.v4_prefixes ~seed:42L ~count:50_000 in
+  let fib = Fib.V4.create () and trie = Trie.create () in
+  let install i (a, len) =
+    Fib.V4.insert fib a ~len (i land 15);
+    Trie.insert trie ~bits:(Ipaddr.V4.bit a) ~len (i land 15)
+  in
+  Array.iteri install prefixes;
+  let traffic =
+    Workload.v4_traffic ~seed:43L ~prefixes ~flows:20_000 ~packets:50_000 ~skew:1.05
+  in
+  let g = Prng.create 17L in
+  let probes =
+    Array.init 20_000 (fun _ -> Int32.of_int (Int64.to_int (Prng.next64 g) land 0xFFFFFFFF))
+  in
+  let check label =
+    Array.iter
+      (fun q ->
+        if not (check_agree_v4 fib trie q) then
+          Alcotest.failf "%s: fib and trie disagree on %s" label (Ipaddr.V4.to_string q))
+      (Array.append traffic probes)
+  in
+  check "installed";
+  let wave = Array.init 1_000 (fun _ -> Prng.int g 50_000) in
+  Array.iter
+    (fun i ->
+      let a, len = prefixes.(i) in
+      ignore (Fib.V4.remove fib a ~len);
+      ignore (Trie.remove trie ~bits:(Ipaddr.V4.bit a) ~len))
+    wave;
+  check "after the withdrawal wave";
+  Array.iter (fun i -> install i prefixes.(i)) wave;
+  check "reinstalled";
+  (* And v6 at 10k routes: every prefix's own address, plus uniform
+     probes. *)
+  let p6 = Workload.v6_prefixes ~seed:44L ~count:10_000 in
+  let fib6 = Fib.V6.create () and trie6 = Trie.create () in
+  Array.iteri
+    (fun i (a, len) ->
+      Fib.V6.insert fib6 a ~len (i land 15);
+      Trie.insert trie6 ~bits:(Ipaddr.V6.bit a) ~len (i land 15))
+    p6;
+  Array.iter
+    (fun q ->
+      if not (check_agree_v6 fib6 trie6 q) then
+        Alcotest.failf "v6: fib and trie disagree on %s" (Ipaddr.V6.to_string q))
+    (Array.append (Array.map fst p6)
+       (Array.init 20_000 (fun _ -> (Prng.next64 g, Prng.next64 g))))
 
 (* --- generators ----------------------------------------------------- *)
 
@@ -400,24 +453,6 @@ let test_fat_tree () =
   Alcotest.check_raises "odd k rejected"
     (Invalid_argument "Topology.fat_tree: k must be even and >= 2") (fun () ->
       ignore (Topology.fat_tree 3))
-
-let test_wan () =
-  let t = Topology.wan ~seed:4L ~sites:12 ~chords:6 in
-  Alcotest.(check int) "site count" 12 t.Topology.node_count;
-  Alcotest.(check int) "ring + chords" 18 (List.length t.Topology.edges);
-  List.iter
-    (fun e ->
-      if e.Topology.latency < 0.005 || e.Topology.latency > 0.080 then
-        Alcotest.failf "latency %.4f outside the WAN envelope" e.Topology.latency)
-    t.Topology.edges;
-  (* Connected: every site reachable from site 0. *)
-  for dst = 1 to 11 do
-    if Topology.path t ~src:0 ~dst = None then
-      Alcotest.failf "site %d unreachable" dst
-  done;
-  (* Determinism. *)
-  let t' = Topology.wan ~seed:4L ~sites:12 ~chords:6 in
-  Alcotest.(check bool) "seeded rerun identical" true (t = t')
 
 (* --- memory accounting --------------------------------------------- *)
 
@@ -542,6 +577,8 @@ let () =
         [
           Alcotest.test_case "deterministic and oracle-equal" `Quick
             test_update_under_traffic_determinism;
+          Alcotest.test_case "50k BGP-shaped table, probes, withdrawal wave"
+            `Quick test_bgp_table_at_scale;
         ] );
       ( "generators",
         [
@@ -549,6 +586,5 @@ let () =
           Alcotest.test_case "traffic hits the table" `Quick
             test_v4_traffic_matches_table;
           Alcotest.test_case "fat-tree" `Quick test_fat_tree;
-          Alcotest.test_case "b4-style wan" `Quick test_wan;
         ] );
     ]

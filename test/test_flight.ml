@@ -143,6 +143,30 @@ let test_merge_sorted () =
       last := e.Flight.ev_ts)
     merged
 
+(* An engine observer with a ring and sample_every:1 records one
+   engine.process span per packet, drained in timestamp order. *)
+let test_engine_spans_drain () =
+  let ring = Flight.create ~pid:0 ~tid:0 () in
+  let obs = Obs.create ~sample_every:1 ~flight:ring (Metrics.create ()) in
+  let env = Env.create ~name:"r" () in
+  Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
+  Progcache.set_flight env.Env.prog_cache (Some ring);
+  let pkt = Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" () in
+  for _ = 1 to 10 do
+    Dip_bitbuf.Bitbuf.set_uint8 pkt 2 64;
+    ignore (Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 pkt)
+  done;
+  let events = Flight.events ring in
+  Alcotest.(check int) "one span per packet" 10
+    (List.length
+       (List.filter (fun e -> Flight.id_name e.Flight.ev_id = "engine.process") events));
+  ignore
+    (List.fold_left
+       (fun last e ->
+         Alcotest.(check bool) "drained in timestamp order" true (e.Flight.ev_ts >= last);
+         e.Flight.ev_ts)
+       min_int events)
+
 (* --- Chrome trace export: real JSON, counts round-trip --- *)
 
 (* A small strict JSON parser — enough to validate the exporter's
@@ -495,6 +519,8 @@ let () =
             test_no_tearing;
           Alcotest.test_case "merge sorts by timestamp" `Quick
             test_merge_sorted;
+          Alcotest.test_case "engine spans drain in order" `Quick
+            test_engine_spans_drain;
         ] );
       ( "export",
         [

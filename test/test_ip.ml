@@ -29,11 +29,17 @@ let test_v4_header_size_is_paper_value () =
   (* Table 2: IPv4 forwarding header = 20 bytes. *)
   Alcotest.(check int) "Table 2 row" 20 Ipv4.header_size
 
+let default_route () =
+  let table = Dip_tables.Fib.V4.create () in
+  Ipv4.add_route table (Ipaddr.Prefix.of_string "0.0.0.0/0") 3;
+  table
+
 let test_v4_checksum_detects_corruption () =
+  let table = default_route () in
   let pkt = Ipv4.encode (v4_header ~src:"10.0.0.1" ~dst:"10.0.0.2" "") ~payload:"" in
-  Alcotest.(check bool) "valid initially" true (Ipv4.checksum_valid pkt);
   Bitbuf.set_uint8 pkt 16 99 (* corrupt dst *);
-  Alcotest.(check bool) "detects corruption" false (Ipv4.checksum_valid pkt);
+  Alcotest.(check bool) "forward rejects" true
+    (Ipv4.forward table pkt = Ipv4.Discard "bad checksum");
   match Ipv4.decode pkt with
   | Error e -> Alcotest.(check string) "decode rejects" "bad checksum" e
   | Ok _ -> Alcotest.fail "decode accepted corrupt packet"
@@ -45,18 +51,23 @@ let test_v4_decode_rejects () =
   Bitbuf.set_uint8 b 0 0x65 (* version 6 *);
   Alcotest.(check bool) "wrong version" true (Ipv4.decode b = Error "not IPv4")
 
+(* Each hop's RFC 1624 incremental update keeps the checksum valid,
+   so the next hop's forward accepts the packet again. *)
 let test_v4_ttl_decrement_preserves_checksum () =
+  let table = default_route () in
   let pkt = Ipv4.encode (v4_header ~src:"1.2.3.4" ~dst:"5.6.7.8" "x") ~payload:"x" in
-  Alcotest.(check bool) "decremented" true (Ipv4.decrement_ttl pkt);
-  Alcotest.(check bool) "incremental checksum still valid" true
-    (Ipv4.checksum_valid pkt);
+  for hop = 1 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "hop %d forwards" hop) true
+      (Ipv4.forward table pkt = Ipv4.Forward 3)
+  done;
   match Ipv4.decode pkt with
-  | Ok h -> Alcotest.(check int) "ttl 63" 63 h.Ipv4.ttl
+  | Ok h -> Alcotest.(check int) "ttl 61" 61 h.Ipv4.ttl
   | Error e -> Alcotest.fail e
 
 let test_v4_ttl_expiry () =
   let pkt = Ipv4.encode (v4_header ~ttl:1 ~src:"1.2.3.4" ~dst:"5.6.7.8" "") ~payload:"" in
-  Alcotest.(check bool) "refuses at ttl 1" false (Ipv4.decrement_ttl pkt);
+  Alcotest.(check bool) "refuses at ttl 1" true
+    (Ipv4.forward (default_route ()) pkt = Ipv4.Discard "ttl-expired");
   match Ipv4.decode pkt with
   | Ok h -> Alcotest.(check int) "unchanged" 1 h.Ipv4.ttl
   | Error e -> Alcotest.fail e

@@ -251,7 +251,7 @@ let pool_vs_fold ?prog_cache_capacity ~domains specs =
   in
   let out = Mcore.Pool.process_batch pool items in
   Mcore.Pool.shutdown pool;
-  (seq, Array.to_list (Array.map (fun (v, _) -> verdict_summary v) out))
+  (seq, Array.to_list (Array.map verdict_summary out))
 
 let prop_pool_equals_fold =
   QCheck.Test.make
@@ -339,7 +339,7 @@ let prop_pool_mac_traffic =
       in
       let out = Mcore.Pool.process_batch pool items in
       Mcore.Pool.shutdown pool;
-      let pool_verdicts = Array.to_list (Array.map (fun (v, _) -> verdict_summary v) out) in
+      let pool_verdicts = Array.to_list (Array.map verdict_summary out) in
       seq_verdicts = pool_verdicts
       && List.for_all2
            (fun a it -> Bitbuf.to_string a = Bitbuf.to_string it.Mcore.Pool.pkt)
@@ -361,10 +361,7 @@ let test_pool_publish () =
   in
   let ports out =
     Array.to_list
-      (Array.map
-         (fun (v, _) ->
-           match v with Engine.Forwarded p -> p | _ -> [])
-         out)
+      (Array.map (function Engine.Forwarded p -> p | _ -> []) out)
   in
   Alcotest.(check (list (list int)))
     "old snapshot routes to port 1"
@@ -430,7 +427,7 @@ let test_pool_publish_gate_rejects () =
       [| { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 1 } |]
   in
   (match out.(0) with
-  | Engine.Forwarded [ 1 ], _ -> ()
+  | Engine.Forwarded [ 1 ] -> ()
   | _ -> Alcotest.fail "old epoch must keep forwarding");
   Mcore.Pool.shutdown pool;
   (* and an initial snapshot failing the gate never builds a pool *)
@@ -566,8 +563,7 @@ let epoch_pinned_at_dispatch ~domains =
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));
   Alcotest.(check int) "epoch bumped" 1 (Mcore.Pool.epoch pool);
   Array.iter
-    (fun (v, _) ->
-      match v with
+    (function
       | Engine.Forwarded [ 1 ] -> ()
       | v ->
           Alcotest.failf "in-flight batch leaked onto the new epoch: %s"
@@ -575,8 +571,7 @@ let epoch_pinned_at_dispatch ~domains =
     verdicts;
   (* A batch dispatched after the swap runs on the new epoch. *)
   Array.iter
-    (fun (v, _) ->
-      match v with
+    (function
       | Engine.Forwarded [ 7 ] -> ()
       | v ->
           Alcotest.failf "post-publish batch on old epoch: %s"
@@ -659,7 +654,7 @@ let test_pool_barrier_stress () =
     let want =
       List.map
         (fun p ->
-          result_summary (Engine.process ~registry env ~now:0.0 ~ingress:0 p))
+          verdict_summary (fst (Engine.process ~registry env ~now:0.0 ~ingress:0 p)))
         seq
     in
     let items =
@@ -670,7 +665,7 @@ let test_pool_barrier_stress () =
     Alcotest.(check (list string))
       (Printf.sprintf "dispatch %d verdicts" d)
       want
-      (Array.to_list (Array.map result_summary got));
+      (Array.to_list (Array.map verdict_summary got));
     Alcotest.(check (list string))
       (Printf.sprintf "dispatch %d bytes" d)
       (List.map Bitbuf.to_string seq)
@@ -725,11 +720,11 @@ let test_pool_dispatcher_raise () =
   let got = Mcore.Pool.process_batch pool (items ()) in
   Alcotest.(check (list string))
     "next dispatch ≡ sequential fold" want
-    (Array.to_list (Array.map (fun (v, _) -> verdict_summary v) got));
+    (Array.to_list (Array.map verdict_summary got));
   Mcore.Pool.shutdown pool
 
 (* Hand-off sanity: a 1-domain pool must stay in the same ballpark as
-   the plain sequential fold (the bench asserts the real >= 0.9x
+   the plain sequential fold (test/budgets.ml asserts the real >= 0.9x
    floor; here a generous 0.4x bound just catches the PR-5 class of
    regression without becoming a flaky timing test). *)
 let test_pool_throughput_sanity () =
@@ -737,16 +732,6 @@ let test_pool_throughput_sanity () =
   let pkts = Array.init n (fun i -> mk_ipv4 (i mod 64)) in
   let items =
     Array.map (fun pkt -> { Mcore.Pool.now = 0.0; ingress = 0; pkt }) pkts
-  in
-  let reset () = Array.iter (fun p -> Bitbuf.set_uint8 p 2 64) pkts in
-  (* Fastest-of-N with interleaved sampling, as in bench_mcore:
-     interference only adds time, so minima compare the true costs
-     even when the machine is noisy. *)
-  let sample pass =
-    reset ();
-    let t0 = Unix.gettimeofday () in
-    pass ();
-    Unix.gettimeofday () -. t0
   in
   let env = mk_env 0 in
   let seq_pass () =
@@ -764,17 +749,15 @@ let test_pool_throughput_sanity () =
   let pool_pass () =
     ignore (Sys.opaque_identity (Mcore.Pool.process_batch pool items))
   in
-  ignore (sample seq_pass) (* warm caches *);
-  ignore (sample pool_pass);
-  let seq = ref infinity and par = ref infinity in
-  for _ = 1 to 20 do
-    seq := Float.min !seq (sample seq_pass);
-    par := Float.min !par (sample pool_pass)
-  done;
+  let reset () = Array.iter (fun p -> Bitbuf.set_uint8 p 2 64) pkts in
+  let times = Fixtures.fastest ~prepare:reset ~n:20 [ seq_pass; pool_pass ] in
   Mcore.Pool.shutdown pool;
-  if !par > !seq /. 0.4 then
-    Alcotest.failf "1-domain pool at %.2fx of sequential (floor 0.4x)"
-      (!seq /. !par)
+  match times with
+  | [ seq; par ] ->
+      if par > seq /. 0.4 then
+        Alcotest.failf "1-domain pool at %.2fx of sequential (floor 0.4x)"
+          (seq /. par)
+  | _ -> assert false
 
 (* --- simulator determinism across domain counts --- *)
 

@@ -288,9 +288,10 @@ let test_fib_hash_path () =
   let n = Name.of_string "/hotnets.org" in
   Name_fib.insert fib n 7;
   Alcotest.(check (option int)) "hash hit" (Some 7)
-    (Name_fib.lookup_hash fib (Name.hash32 n));
+    (Name_fib.find_hash fib (Fixtures.name_key (Name.hash32 n)));
   Alcotest.(check (option int)) "hash miss" None
-    (Name_fib.lookup_hash fib (Name.hash32 (Name.of_string "/other")))
+    (Name_fib.find_hash fib
+       (Fixtures.name_key (Name.hash32 (Name.of_string "/other"))))
 
 let test_fib_remove () =
   let fib = Name_fib.create () in
@@ -299,8 +300,41 @@ let test_fib_remove () =
   Alcotest.(check bool) "removed" true (Name_fib.remove fib n);
   Alcotest.(check bool) "gone" true (Name_fib.lookup fib n = None);
   Alcotest.(check (option int)) "hash gone" None
-    (Name_fib.lookup_hash fib (Name.hash32 n));
+    (Name_fib.find_hash fib (Fixtures.name_key (Name.hash32 n)));
   Alcotest.(check bool) "second remove false" false (Name_fib.remove fib n)
+
+(* Two names with one 32-bit hash, found by a seeded search: removing
+   either leaves the hash bound to the survivor, which the trie still
+   holds. *)
+let test_fib_hash_collision () =
+  let seen = Hashtbl.create 100_000 in
+  let rec pair i =
+    let n = Name.of_components [ "c"; string_of_int i ] in
+    let h = Name.hash32 n in
+    match Hashtbl.find_opt seen h with
+    | Some m -> (m, n, Fixtures.name_key h)
+    | None ->
+        Hashtbl.add seen h n;
+        pair (i + 1)
+  in
+  let a, b, h = pair 0 in
+  let check label ~remove ~survivor ~port =
+    let fib = Name_fib.create () in
+    Name_fib.insert fib a 1;
+    Name_fib.insert fib b 2;
+    Alcotest.(check (option int)) "latest insert bound" (Some 2)
+      (Name_fib.find_hash fib h);
+    Alcotest.(check bool) (label ^ " removed") true (Name_fib.remove fib remove);
+    Alcotest.(check (option int)) (label ^ ": survivor keeps the hash")
+      (Some port) (Name_fib.find_hash fib h);
+    Alcotest.(check bool) (label ^ ": survivor in the trie") true
+      (Name_fib.lookup fib survivor = Some (survivor, port));
+    ignore (Name_fib.remove fib survivor);
+    Alcotest.(check (option int)) (label ^ ": both gone") None
+      (Name_fib.find_hash fib h)
+  in
+  check "first" ~remove:a ~survivor:b ~port:2;
+  check "second" ~remove:b ~survivor:a ~port:1
 
 let test_fib_replace_and_size () =
   let fib = Name_fib.create () in
@@ -717,6 +751,8 @@ let () =
           Alcotest.test_case "longest prefix" `Quick test_fib_lpm;
           Alcotest.test_case "hash path" `Quick test_fib_hash_path;
           Alcotest.test_case "remove" `Quick test_fib_remove;
+          Alcotest.test_case "hash collision survives remove" `Quick
+            test_fib_hash_collision;
           Alcotest.test_case "replace/size" `Quick test_fib_replace_and_size;
         ] );
       ( "pit",
