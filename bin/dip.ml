@@ -678,8 +678,7 @@ let targets_of_proto ~hops proto =
 (* --- sizes --- *)
 
 (* Table 2: each realization's header against the paper's byte
-   count, then this repo's extensions, which the paper does not
-   size. *)
+   count. *)
 let sizes () =
   let module T = Dip_stdext.Tabular in
   let t =
@@ -702,11 +701,6 @@ let sizes () =
       (Realize.P_dip128, 50); (Realize.P_dip32, 26); (Realize.P_ndn, 16);
       (Realize.P_opt, 98); (Realize.P_ndn_opt, 108);
     ];
-  List.iter
-    (fun (label, pkt) ->
-      T.add_row t
-        [ label; "-"; string_of_int (Result.get_ok (Packet.header_size pkt)); "extension" ])
-    (extension_targets ~hops:1);
   T.print t;
   0
 

@@ -197,6 +197,9 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
   let fns = view.Packet.fns in
   let n = Array.length p.ops in
   let i = ref 0 and ops_run = ref 0 and ops_skipped = ref 0 in
+  (* A sampled run's last clock reading: it ends one op's span and
+     begins the next one's. *)
+  let mark = ref (if sampled then Dip_obs.Flight.now () else 0) in
   (* The accumulated forwarding decision: 0 none, 1 [ports], 2 local. *)
   let route = ref 0 and ports = ref [] in
   (* A verdict decided mid-program ends the loop. *)
@@ -218,9 +221,8 @@ let exec ?obs ~sampled ~t_start p view env ~now ~ingress buf =
         | Some o ->
             Obs.op_run o fn.Fn.key;
             if sampled then begin
-              let t0 = Dip_obs.Clock.now_ns () in
               let r = op ctx in
-              Obs.op_ns o fn.Fn.key t0;
+              mark := Obs.op_ns o fn.Fn.key !mark;
               r
             end
             else op ctx
@@ -292,7 +294,7 @@ let run_program ?obs ?verify ~memo ~sampled ~t_start p view env ~now ~ingress bu
 
 let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
-  let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
+  let t_start = if sampled then Dip_obs.Flight.now () else 0 in
   let pc = env.Env.prog_cache in
   let e = if Progcache.enabled pc then Progcache.probe pc buf else Progcache.absent in
   if e != Progcache.absent then

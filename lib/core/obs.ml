@@ -1,7 +1,7 @@
 module M = Dip_obs.Metrics
 module F = Dip_obs.Flight
 
-let default_sample_every = 16
+let default_sample_every = 64
 
 (* Flight-recorder event types (registered once, process-wide). Both
    spans ride the sampled path — begin_packet already decides which
@@ -67,18 +67,19 @@ let op_run t k = M.Counter.incr t.op_run.(Opkey.to_int k)
 let op_skip t k = M.Counter.incr t.op_skip.(Opkey.to_int k)
 let op_error t k = M.Counter.incr t.op_error.(Opkey.to_int k)
 (* A span ends at one clock reading, which also stamps its flight
-   event. *)
+   event and, for an op, begins the next op's span. *)
 let op_ns t k t0 =
   let t1 = F.now () in
-  let ns = t1 - Int64.to_int t0 in
+  let ns = t1 - t0 in
   M.Counter.incr ~by:ns t.op_nanos.(Opkey.to_int k);
-  match t.flight with
+  (match t.flight with
   | None -> ()
-  | Some r -> F.record_at r ~ts:t1 ev_op ns (Opkey.to_int k) 0
+  | Some r -> F.record_at r ~ts:t1 ev_op ns (Opkey.to_int k) 0);
+  t1
 
 let process_ns t t0 cls =
   let t1 = F.now () in
-  let ns = t1 - Int64.to_int t0 in
+  let ns = t1 - t0 in
   M.Histogram.observe t.latency ns;
   match t.flight with
   | None -> ()

@@ -24,7 +24,7 @@ let no_info =
 
 let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
-  let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
+  let t_start = if sampled then Dip_obs.Flight.now () else 0 in
   let parsed =
     if Progcache.enabled env.Env.prog_cache then
       Progcache.parse env.Env.prog_cache buf
