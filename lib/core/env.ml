@@ -1,5 +1,15 @@
 type port = Dip_netsim.Sim.port
 
+type opt_identity = {
+  session_frame : Dip_crypto.Prf.frame;
+  hop_frame : Dip_crypto.Prf.frame;
+  derived : Bytes.t;
+  opt_key : Dip_opt.Protocol.key;
+  opt_loaded : Dip_opt.Protocol.key option;
+  hop_key : Dip_crypto.Mac2em.key;
+  tmp : Bytes.t;
+}
+
 type scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
   mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
@@ -39,7 +49,7 @@ and t = {
   pit : Dip_tables.Pit.t;
   cache : string Dip_tables.Custody_store.t option;
   interest_lifetime : float;
-  mutable opt_secret : Dip_opt.Drkey.secret option;
+  mutable opt_identity : opt_identity option;
   mutable opt_hop : int;
   opt_alg : Dip_opt.Protocol.alg;
   opt_sessions :
@@ -111,7 +121,7 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
                 ~max_bytes:max_int ~size:String.length ())
          else None);
       interest_lifetime;
-      opt_secret = None;
+      opt_identity = None;
       opt_hop = 1;
       opt_alg;
       opt_sessions = Hashtbl.create 8;
@@ -149,7 +159,19 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
 
 let set_opt_identity t ~secret ~hop =
   if hop < 1 then invalid_arg "Env.set_opt_identity: hops are 1-based";
-  t.opt_secret <- Some secret;
+  let zero = String.make 16 '\000' in
+  let opt_key = Dip_opt.Protocol.expand ~alg:t.opt_alg zero in
+  t.opt_identity <-
+    Some
+      {
+        session_frame = Dip_opt.Drkey.session_frame secret;
+        hop_frame = Dip_epic.Protocol.hop_frame secret;
+        derived = Bytes.create 16;
+        opt_key;
+        opt_loaded = Some opt_key;
+        hop_key = Dip_crypto.Mac2em.expand_key zero;
+        tmp = Bytes.create 16;
+      };
   t.opt_hop <- hop
 
 let register_opt_session t ~session_id ~session_keys ~dest_key =

@@ -12,6 +12,28 @@
 
 type port = Dip_netsim.Sim.port
 
+(** A router's OPT/EPIC identity: its secret, settled into the
+    per-packet key state that F_parm and F_hvf rewrite in place.
+    {!set_opt_identity} builds it, once per secret; each {!t} owns
+    its own, so domains share none of it. *)
+type opt_identity = {
+  session_frame : Dip_crypto.Prf.frame;
+      (** The secret's ["opt-session"] frame ({!Dip_opt.Drkey.session_frame}):
+          F_parm copies the session id into it. *)
+  hop_frame : Dip_crypto.Prf.frame;
+      (** The secret's ["epic-hop"] frame
+          ({!Dip_epic.Protocol.hop_frame}): F_hvf copies source ∥
+          timestamp into it. *)
+  derived : Bytes.t;  (** 16 bytes: the key either frame last derived. *)
+  opt_key : Dip_opt.Protocol.key;
+      (** The schedule, for [opt_alg], that F_parm rewrites per packet. *)
+  opt_loaded : Dip_opt.Protocol.key option;
+      (** [Some opt_key], allocated once: what F_parm stores in
+          {!scratch}[.opt_key]. *)
+  hop_key : Dip_crypto.Mac2em.key;  (** The 2EM schedule F_hvf rewrites per packet. *)
+  tmp : Bytes.t;  (** 16 bytes: F_hvf's MAC scratch. *)
+}
+
 (** Per-packet scratch shared between the FNs of one packet (F_parm
     deposits the derived OPT key, expanded once, and F_MAC/F_mark
     consume it). Owned by the environment's {!ctx} so the engine reuses one record per node
@@ -86,9 +108,10 @@ and t = {
   pit : Dip_tables.Pit.t;
   cache : string Dip_tables.Custody_store.t option;
   interest_lifetime : float;
-  (* OPT state (F_parm / F_MAC / F_mark): the router's long-term
-     secret and which OPV slot it fills on this path. *)
-  mutable opt_secret : Dip_opt.Drkey.secret option;
+  (* OPT and EPIC state (F_parm / F_MAC / F_mark, F_hvf): the
+     router's identity, built from its long-term secret, and which
+     OPV (or HVF) slot it fills on this path. *)
+  mutable opt_identity : opt_identity option;
   mutable opt_hop : int;
   opt_alg : Dip_opt.Protocol.alg;
   (* Host-side OPT verification state (F_ver): session id →

@@ -144,19 +144,25 @@ let region_base what (fn : Fn.t) (target : Field.t) ~span_off_bits =
   else Ok ((target.Field.off_bits - span_off_bits) / 8)
 
 (* Key 6: derive the dynamic OPT key from the session id in the
-   target field with the router's local secret (§3, OPT). *)
+   target field with the router's local secret (§3, OPT). The id's 8
+   bytes (the field's low half) go into the identity's frame, the key
+   is derived from the frame's midstate and expanded into the
+   identity's schedule, all in place; F_MAC and F_mark read the
+   schedule through the preallocated option. *)
 let f_parm (fn : Fn.t) target =
   if fn.Fn.field.Field.len_bits <> 128 then abort "parm: field must be 128 bits"
   else
     let base = region_base "parm" fn target ~span_off_bits:128 in
     fun ctx ->
-      match (ctx.env.Env.opt_secret, base) with
+      match (ctx.env.Env.opt_identity, base) with
       | None, _ -> Abort "no-opt-identity"
       | Some _, Error a -> a
-      | Some secret, Ok base ->
-          let session_id = Dip_opt.Header.get_session_id ctx.view.Packet.buf ~base in
-          let key = Dip_opt.Drkey.derive secret ~session_id in
-          ctx.scratch.opt_key <- Some (Dip_opt.Protocol.expand ~alg:ctx.env.Env.opt_alg key);
+      | Some id, Ok base ->
+          Dip_crypto.Prf.derive_into id.Env.session_frame
+            (Bitbuf.to_bytes ctx.view.Packet.buf)
+            ~off:(base + 24) id.Env.derived ~dst_off:0;
+          Dip_opt.Protocol.expand_into id.Env.derived id.Env.opt_key;
+          ctx.scratch.opt_key <- id.Env.opt_loaded;
           Continue
 
 (* Key 7: MAC over the target span, deposited in this router's OPV
@@ -360,19 +366,19 @@ let f_tel (fn : Fn.t) target =
         (* Telemetry is strictly best-effort: overflow sets a bit and
            forwarding continues. *)
         ignore
-          (Telemetry.append ctx.view.Packet.buf ~base ~region_bytes
-             {
-               Telemetry.node_id = ctx.env.Env.node_id;
-               timestamp = Int32.of_float (ctx.now *. 1e6);
-               queue_depth = ctx.env.Env.queue_depth ();
-             });
+          (Telemetry.write ctx.view.Packet.buf ~base ~region_bytes
+             ~node_id:ctx.env.Env.node_id
+             ~timestamp:(Int32.to_int (Int32.of_float (ctx.now *. 1e6)))
+             ~queue_depth:(ctx.env.Env.queue_depth ()));
         Continue
 
 (* --- F_hvf (key 15): EPIC per-hop validation --- *)
 
 (* Check this hop's HVF against the key derived from (source,
    timestamp), dropping the packet on mismatch, and replace it with
-   its verified form. *)
+   its verified form. The region's first 8 bytes (source ∥ timestamp)
+   go into the identity's frame; the hop key is derived, expanded and
+   checked in the identity's buffers. *)
 let f_hvf (fn : Fn.t) target =
   let len = fn.Fn.field.Field.len_bits in
   if len < 224 || (len - 192) mod 32 <> 0 then
@@ -381,22 +387,20 @@ let f_hvf (fn : Fn.t) target =
     let base = region_base "hvf" fn target ~span_off_bits:0 in
     let hops = (len - 192) / 32 in
     fun ctx ->
-      match (ctx.env.Env.opt_secret, base) with
+      match (ctx.env.Env.opt_identity, base) with
       | None, _ -> Abort "no-hvf-identity"
       | Some _, Error a -> a
-      | Some secret, Ok base -> (
+      | Some id, Ok base -> (
           let hop = ctx.env.Env.opt_hop in
           if hop > hops then Abort "hvf: hop index beyond region"
           else
             let buf = ctx.view.Packet.buf in
-            let key =
-              Dip_epic.Protocol.derive_key secret
-                ~src:(Dip_epic.Header.get_src buf ~base)
-                ~timestamp:(Dip_epic.Header.get_timestamp buf ~base)
-            in
+            Dip_crypto.Prf.derive_into id.Env.hop_frame (Bitbuf.to_bytes buf) ~off:base
+              id.Env.derived ~dst_off:0;
+            Dip_crypto.Even_mansour.expand_key_into id.Env.derived id.Env.hop_key;
             (* "Every packet is checked": an invalid HVF is dropped
                at the router, not at the destination. *)
-            match Dip_epic.Protocol.router_check buf ~base ~hop ~key with
+            match Dip_epic.Protocol.router_check id.Env.hop_key id.Env.tmp buf ~base ~hop with
             | Dip_epic.Protocol.Forwarded -> Continue
             | Dip_epic.Protocol.Rejected -> Abort "hvf-rejected")
 

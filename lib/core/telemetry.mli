@@ -25,9 +25,22 @@ val init : Dip_bitbuf.Bitbuf.t -> base:int -> unit
 val capacity : region_bytes:int -> int
 (** Records that fit in a region of the given size. *)
 
+val write :
+  Dip_bitbuf.Bitbuf.t ->
+  base:int ->
+  region_bytes:int ->
+  node_id:int ->
+  timestamp:int ->
+  queue_depth:int ->
+  bool
+(** Append one record from its fields, with byte stores that
+    allocate nothing: the low 16 bits of [node_id] and [queue_depth],
+    the low 32 bits of [timestamp]. [false] (and the overflow bit)
+    when full. This is {i F_tel}'s write. *)
+
 val append :
   Dip_bitbuf.Bitbuf.t -> base:int -> region_bytes:int -> record -> bool
-(** Append one record; [false] (and the overflow bit) when full. *)
+(** {!write} of a record. *)
 
 val read : Dip_bitbuf.Bitbuf.t -> base:int -> region_bytes:int -> record list * bool
 (** All records in path order, plus the overflow flag. *)

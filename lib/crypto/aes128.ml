@@ -55,11 +55,9 @@ let byte b i = Char.code (Bytes.get b i)
 let set_byte b i v = Bytes.set b i (Char.unsafe_chr v)
 
 (* AES-128 expands 4 key words into 44; word i is bytes [4i, 4i+4). *)
-let expand_key raw =
-  if String.length raw <> key_size then
-    invalid_arg "Aes128.expand_key: need a 16-byte key";
-  let w = Bytes.create 176 in
-  Bytes.blit_string raw 0 w 0 16;
+let expand_into raw w =
+  if Bytes.length raw <> key_size then invalid_arg "Aes128.expand_into: need a 16-byte key";
+  Bytes.blit raw 0 w 0 16;
   for i = 4 to 43 do
     let prev = 4 * (i - 1) in
     for j = 0 to 3 do
@@ -72,7 +70,13 @@ let expand_key raw =
       in
       set_byte w ((4 * i) + j) (byte w ((4 * (i - 4)) + j) lxor t)
     done
-  done;
+  done
+
+let expand_key raw =
+  if String.length raw <> key_size then
+    invalid_arg "Aes128.expand_key: need a 16-byte key";
+  let w = Bytes.create 176 in
+  expand_into (Bytes.unsafe_of_string raw) w;
   w
 
 (* The state is the 16 bytes of the block at [o], in input order: row

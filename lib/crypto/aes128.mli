@@ -12,3 +12,9 @@
     vector in the test suite. *)
 
 include Block.S
+
+val expand_into : Bytes.t -> key -> unit
+(** [expand_into raw k] rewrites the 176-byte schedule [k] in place
+    for the 16-byte key [raw], allocating nothing: {!expand_key} is a
+    fresh schedule run through it. Raises [Invalid_argument] unless
+    [raw] is 16 bytes. *)

@@ -19,7 +19,7 @@
     kernel {!Mac2em}, which gives the same tags. *)
 
 module Make (C : Block.S) : sig
-  type key
+  type key = C.key
 
   val expand_key : string -> key
   (** Raises [Invalid_argument] unless the key is [C.key_size] bytes. *)

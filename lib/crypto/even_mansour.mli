@@ -15,3 +15,9 @@
 include Block.S with type key = private Bytes.t
 (** A key is its three 16-byte round keys back to back (k1, k2, k3);
     {!Mac2em} reads them. *)
+
+val expand_key_into : Bytes.t -> key -> unit
+(** [expand_key_into raw k] rewrites [k] in place with the schedule
+    of the 16-byte key [raw], allocating nothing: {!expand_key} is a
+    fresh schedule run through it. Raises [Invalid_argument] unless
+    [raw] is 16 bytes. *)

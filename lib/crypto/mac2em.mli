@@ -7,7 +7,13 @@
     (closure mode, no flambda) does not inline a functor's argument
     into its body, so each block would pay calls, loads and stores
     that this module keeps in registers (see DESIGN.md). It allocates nothing
-    beyond the tag {!mac} returns. *)
+    beyond the tag {!mac} returns.
+
+    A MAC can also start from a stored CBC state: {!midstate_into}
+    enciphers the length block once, and {!resume_into} continues
+    from it. A PRF whose input always has the same length
+    ({!Prf.frame}) pays for the length block once per key, not per
+    call. *)
 
 type key = Even_mansour.key
 
@@ -20,6 +26,21 @@ val mac_into : key -> Bytes.t -> off:int -> len:int -> Bytes.t -> dst_off:int ->
     over the [len] bytes of [src] at [off] into [dst] at [dst_off].
     The two ranges may overlap. Raises [Invalid_argument] if either
     is out of bounds. *)
+
+val midstate_into : key -> len:int -> Bytes.t -> dst_off:int -> unit
+(** [midstate_into k ~len dst ~dst_off] writes the 16-byte CBC state
+    after the length block of a [len]-byte message: the state
+    {!resume_into} continues from. Raises [Invalid_argument] if
+    [len < 0] or the state does not fit in [dst]. *)
+
+val resume_into :
+  key -> Bytes.t -> st_off:int -> Bytes.t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
+(** [resume_into k st ~st_off src ~off ~len dst ~dst_off] continues a
+    MAC from the 16-byte state of [st] at [st_off] over the [len]
+    bytes of [src] at [off], and writes the tag into [dst] at
+    [dst_off]. With the state {!midstate_into}[ k ~len] wrote, the
+    tag is {!mac_into}'s over the same bytes. The ranges may overlap.
+    Raises [Invalid_argument] if one is out of bounds. *)
 
 val mac : key -> string -> string
 (** [mac k msg] is the 16-byte tag over [msg] (any length). *)

@@ -9,7 +9,6 @@ let size_bytes ~hops = size_bits ~hops / 8
 
 let at base off len = Field.v ~off_bits:((8 * base) + off) ~len_bits:len
 
-let get_src buf ~base = Int64.to_int32 (Bitbuf.get_uint buf (at base 0 32))
 let set_src buf ~base v =
   Bitbuf.set_uint buf (at base 0 32) (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL)
 

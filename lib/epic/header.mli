@@ -23,7 +23,6 @@ val size_bytes : hops:int -> int
 
 val size_bits : hops:int -> int
 
-val get_src : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_src : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 val get_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit

@@ -20,6 +20,11 @@ val derive_key :
   Dip_opt.Drkey.secret -> src:int32 -> timestamp:int32 -> Dip_opt.Drkey.session_key
 (** The hop key a router computes on the fly from its local secret. *)
 
+val hop_frame : Dip_opt.Drkey.secret -> Dip_crypto.Prf.frame
+(** The frame {!derive_key} uses: a router builds it once with its
+    secret, and {!Dip_crypto.Prf.derive_into} over the region's first
+    8 bytes (source ∥ timestamp) then writes the hop key in place. *)
+
 val source_init :
   Dip_bitbuf.Bitbuf.t ->
   base:int ->
@@ -33,10 +38,15 @@ val source_init :
 
 type router_verdict = Forwarded | Rejected
 
-val router_check : Dip_bitbuf.Bitbuf.t -> base:int -> hop:int -> key:Dip_opt.Drkey.session_key -> router_verdict
-(** Verify-and-update hop [hop]'s HVF. [Rejected] means the router
-    must drop the packet. The key is expanded once for both MACs, and
-    the origin MAC reads its bits straight from the buffer. *)
+val router_check :
+  Dip_crypto.Mac2em.key -> Bytes.t -> Dip_bitbuf.Bitbuf.t -> base:int -> hop:int -> router_verdict
+(** [router_check k tmp buf ~base ~hop] verifies and updates hop
+    [hop]'s HVF under the expanded hop key [k], with [tmp] a 16-byte
+    scratch buffer both MACs write, and allocates nothing. [Rejected]
+    means the router must drop the packet. The origin MAC reads its
+    bits straight from the buffer, and the HVF is compared and
+    rewritten in place. Raises [Invalid_argument] if [hop < 1] or the
+    HVF is outside [buf]. *)
 
 val verify_delivery :
   Dip_bitbuf.Bitbuf.t ->

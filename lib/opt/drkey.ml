@@ -7,10 +7,11 @@ let secret_gen g =
 
 type session_key = string
 
-let derive secret ~session_id =
-  Dip_crypto.Prf.derive_int secret ~label:"opt-session" session_id
+let label = "opt-session"
 
-let derive_for secret ~label input = Dip_crypto.Prf.derive secret ~label input
+let derive secret ~session_id = Dip_crypto.Prf.derive_int secret ~label session_id
+
+let session_frame secret = Dip_crypto.Prf.frame secret ~label ~input_len:8
 
 let session_keys secrets ~session_id =
   List.map (fun s -> derive s ~session_id) secrets

@@ -12,8 +12,10 @@
     trust structure is identical, only the key-exchange transport is
     elided (see DESIGN.md §2). *)
 
-type secret
-(** A router's long-term local secret. *)
+type secret = Dip_crypto.Prf.key
+(** A router's long-term local secret: a PRF key, so protocols that
+    key on other inputs (EPIC derives per (source, timestamp)) derive
+    under their own label from the same secret. *)
 
 val secret_of_string : string -> secret
 (** 16 bytes. Raises [Invalid_argument] otherwise. *)
@@ -27,10 +29,10 @@ type session_key = string
 val derive : secret -> session_id:int64 -> session_key
 (** The dynamic key a router computes on the fast path. *)
 
-val derive_for : secret -> label:string -> string -> session_key
-(** General labelled derivation from the same local secret — used by
-    protocols that key on other inputs (e.g. EPIC derives per
-    (source, timestamp)). Distinct labels give independent keys. *)
+val session_frame : secret -> Dip_crypto.Prf.frame
+(** The frame {!derive} uses: a router builds it once with its
+    secret, and {!Dip_crypto.Prf.derive_into} over the session id's 8
+    big-endian bytes then writes the session key in place. *)
 
 val session_keys : secret list -> session_id:int64 -> session_key list
 (** What the source learns at session setup: the session key of every

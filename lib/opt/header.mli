@@ -31,8 +31,6 @@ val size_bits : hops:int -> int
 (** Field descriptors relative to the start of the region. *)
 val session_id_field : Dip_bitbuf.Field.t
 val pvf_field : Dip_bitbuf.Field.t
-val opv_field : int -> Dip_bitbuf.Field.t
-(** [opv_field i] is the i-th hop's OPV, [i >= 1]. *)
 
 val mac_span_field : Dip_bitbuf.Field.t
 (** Bits [0,416) — what {i F_MAC} reads (key 7 triple). *)

@@ -10,6 +10,10 @@ let expand ?(alg = EM2) raw =
   | EM2 -> Em2 (Mac2em.expand_key raw)
   | AES -> Aes (MacAes.expand_key raw)
 
+let expand_into raw = function
+  | Em2 k -> Dip_crypto.Even_mansour.expand_key_into raw k
+  | Aes k -> Dip_crypto.Aes128.expand_into raw k
+
 let mac_into key src ~off ~len dst ~dst_off =
   match key with
   | Em2 k -> Mac2em.mac_into k src ~off ~len dst ~dst_off
@@ -42,11 +46,12 @@ let source_init ?alg buf ~base ~hops ~session_id ~timestamp ~dest_key ~payload =
 
 (* Both router steps read their input from the packet and write the
    tag back into it: no span copy, no tag string. F_MAC reads bytes
-   [0,52) of the region, the PVF is bytes [36,52). *)
+   [0,52) of the region, OPV [hop] is bytes [36 + 16 hop, +16) and
+   the PVF bytes [36,52). *)
 let mac_update buf ~base ~hop ~key =
+  if hop < 1 then invalid_arg "Opt.Protocol.mac_update: hops are 1-based";
   let b = Bitbuf.to_bytes buf in
-  let opv = (Header.opv_field hop).Dip_bitbuf.Field.off_bits / 8 in
-  mac_into key b ~off:base ~len:52 b ~dst_off:(base + opv)
+  mac_into key b ~off:base ~len:52 b ~dst_off:(base + 36 + (16 * hop))
 
 let mark_update buf ~base ~key =
   let b = Bitbuf.to_bytes buf in

@@ -22,7 +22,8 @@
     starting at byte [base], with the cipher selectable for the
     2EM-vs-AES ablation. A router step takes its key expanded
     ({!key}): F_parm expands the derived key once and both F_MAC and
-    F_mark use that schedule. *)
+    F_mark use that schedule; a router rewrites one schedule in place
+    per packet ({!expand_into}). *)
 
 type alg = EM2 | AES
 (** MAC cipher choice; the prototype uses 2EM (§4.1). *)
@@ -33,6 +34,12 @@ type key
 val expand : ?alg:alg -> Drkey.session_key -> key
 (** Expand a 16-byte session key for [alg] (default 2EM). Raises
     [Invalid_argument] unless the key is 16 bytes. *)
+
+val expand_into : Bytes.t -> key -> unit
+(** [expand_into raw k] rewrites [k]'s schedule in place for the
+    16-byte key [raw], keeping [k]'s cipher, and allocates nothing:
+    F_parm's expansion. Raises [Invalid_argument] unless [raw] is 16
+    bytes. *)
 
 val hash_payload : string -> string
 (** The 128-bit data hash bound into the tags. Implemented as a

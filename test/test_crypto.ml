@@ -131,7 +131,7 @@ let test_mac_truncation () =
   Alcotest.(check string) "prefix" (String.sub full 0 4)
     (Mac2em.mac_truncated mac_key 4 m);
   Alcotest.check_raises "bad length"
-    (Invalid_argument "Cbc_mac.mac_truncated: bad tag length") (fun () ->
+    (Invalid_argument "Mac2em.mac_truncated: bad tag length") (fun () ->
       ignore (Mac2em.mac_truncated mac_key 17 m))
 
 let test_mac_verify () =
@@ -299,6 +299,20 @@ let test_alloc_mac () =
   let m = kat_msg 52 in
   check_words "52-byte 2EM MAC" ~max:8 (words_per_call (fun () -> ignore (Mac2em.mac mac_key m)))
 
+let test_alloc_key_work () =
+  (* What a router hop does per packet: derive from a frame, expand in
+     place, MAC a span whose partial tail is read as masked words. *)
+  let f = Prf.frame (Prf.key_of_string "prf-master-key-0") ~label:"opt-session" ~input_len:8 in
+  let src = Bytes.of_string "session!" and d = Bytes.create 16 and span = Bytes.make 64 'x' in
+  let k = Mac2em.expand_key "mac-master-key-1" and ka = Aes128.expand_key "mac-master-key-1" in
+  check_words "Prf.derive_into" ~max:0
+    (words_per_call (fun () -> Prf.derive_into f src ~off:0 d ~dst_off:0));
+  check_words "Even_mansour.expand_key_into" ~max:0
+    (words_per_call (fun () -> Even_mansour.expand_key_into d k));
+  check_words "Aes128.expand_into" ~max:0 (words_per_call (fun () -> Aes128.expand_into d ka));
+  check_words "52-byte 2EM mac_into" ~max:0
+    (words_per_call (fun () -> Mac2em.mac_into k span ~off:0 ~len:52 span ~dst_off:48))
+
 (* QCheck properties. *)
 
 let prop_em_roundtrip =
@@ -359,6 +373,60 @@ let prop_mac_into_span =
       Mac2em.mac_into k b ~off:pre ~len:(String.length m) b ~dst_off:pre;
       Bytes.sub_string b pre 16 = Mac2em.mac k m)
 
+(* Every length from 0 to 80 bytes, each with 0 to 16 bytes of the
+   buffer after the message: a partial last block is read as masked
+   words when the buffer holds 16 bytes from its start, else byte by
+   byte, so both tail paths run at every partial length. The slack is
+   filled with non-zero bytes the mask must drop. *)
+let test_mac_into_every_slack () =
+  let g = Dip_stdext.Prng.create 15L in
+  for _ = 1 to 3 do
+    let raw = Bytes.to_string (Dip_stdext.Prng.bytes g 16) in
+    let k = Mac2em.expand_key raw and kr = Cbc_mac_ref.Em2.expand_key raw in
+    for n = 0 to 80 do
+      let m = Bytes.to_string (Dip_stdext.Prng.bytes g n) in
+      let want = hexs (Ref2em.mac kr m) in
+      for slack = 0 to 16 do
+        let b = Bytes.cat (Bytes.of_string m) (Bytes.make slack '\xff') in
+        let tag = Bytes.create 16 in
+        Mac2em.mac_into k b ~off:0 ~len:n tag ~dst_off:0;
+        Alcotest.(check string) (Printf.sprintf "%d bytes, %d slack" n slack) want
+          (hexs (Bytes.to_string tag))
+      done
+    done
+  done
+
+(* A MAC resumed from the state after its length block, at any offset
+   and with the tag written over the state, is the full MAC. *)
+let prop_mac_resume =
+  QCheck.Test.make ~name:"cbc-mac: resume_into from midstate_into = mac" ~count:300
+    QCheck.(triple key16 msg0_200 (pair (int_range 0 20) (int_range 0 20)))
+    (fun (raw, m, (pre, post)) ->
+      let k = Mac2em.expand_key raw and n = String.length m in
+      let b = Bytes.make (pre + n + post) '\x3c' in
+      Bytes.blit_string m 0 b pre n;
+      let st = Bytes.make (post + 16) '\x00' in
+      Mac2em.midstate_into k ~len:n st ~dst_off:post;
+      Mac2em.resume_into k st ~st_off:post b ~off:pre ~len:n st ~dst_off:post;
+      Bytes.sub_string st post 16 = Mac2em.mac k m)
+
+(* A schedule rewritten in place, over one that held another key, is
+   the fresh schedule of the new key. *)
+let prop_expand_into =
+  QCheck.Test.make ~name:"key schedules: expand_key_into, expand_into = expand_key" ~count:200
+    QCheck.(pair key16 key16)
+    (fun (old_raw, raw) ->
+      let k = Mac2em.expand_key old_raw and ka = Aes128.expand_key old_raw in
+      Even_mansour.expand_key_into (Bytes.of_string raw) k;
+      Aes128.expand_into (Bytes.of_string raw) ka;
+      let em m = Mac2em.mac k m = Mac2em.mac (Mac2em.expand_key raw) m in
+      let aes m = MacAes.mac ka m = MacAes.mac (MacAes.expand_key raw) m in
+      Bytes.equal (k :> Bytes.t) (Even_mansour.expand_key raw :> Bytes.t)
+      && em "" && em (kat_msg 52)
+      && aes "" && aes (kat_msg 52)
+      && Aes128.encrypt_block ka "0123456789abcdef"
+         = Aes128.encrypt_block (Aes128.expand_key raw) "0123456789abcdef")
+
 (* Prf.derive frames its input as (32-bit label length, label, input);
    the reference builds that framing with a Buffer and MACs it with the
    reference CBC-MAC. *)
@@ -378,6 +446,24 @@ let prop_prf_matches_reference =
       Bytes.set_int64_be v8 0 v;
       Prf.derive k ~label input = ref_derive raw ~label input
       && Prf.derive_int k ~label v = ref_derive raw ~label (Bytes.to_string v8))
+
+(* One frame, reused: each derivation from it, of inputs read at any
+   offset, is the reference framing's. *)
+let prop_prf_frame_reuse =
+  QCheck.Test.make ~name:"prf: derive_into on a reused frame = reference framing" ~count:100
+    QCheck.(
+      triple key16 small_string
+        (pair (int_range 0 24) (list_of_size (Gen.int_range 1 5) (string_of_size (Gen.return 8)))))
+    (fun (raw, label, (off, inputs)) ->
+      let f = Prf.frame (Prf.key_of_string raw) ~label ~input_len:8 in
+      let tag = Bytes.create (off + 16) in
+      List.for_all
+        (fun input ->
+          let src = Bytes.make (off + 8) '\x77' in
+          Bytes.blit_string input 0 src off 8;
+          Prf.derive_into f src ~off tag ~dst_off:off;
+          Bytes.sub_string tag off 16 = ref_derive raw ~label input)
+        inputs)
 
 let prop_mac_matches_reference_aes =
   QCheck.Test.make ~name:"cbc-mac: AES kernel = chunked reference" ~count:200
@@ -438,6 +524,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_mac_matches_reference_aes;
           Alcotest.test_case "2EM kernel, every length to 80" `Quick test_mac_every_length;
           QCheck_alcotest.to_alcotest prop_mac_into_span;
+          Alcotest.test_case "2EM mac_into, every length and slack" `Quick
+            test_mac_into_every_slack;
+          QCheck_alcotest.to_alcotest prop_mac_resume;
+          QCheck_alcotest.to_alcotest prop_expand_into;
         ] );
       ( "prf",
         [
@@ -445,6 +535,7 @@ let () =
           Alcotest.test_case "label framing" `Quick test_prf_label_framing;
           Alcotest.test_case "int input" `Quick test_prf_int;
           QCheck_alcotest.to_alcotest prop_prf_matches_reference;
+          QCheck_alcotest.to_alcotest prop_prf_frame_reuse;
         ] );
       ( "known-answer",
         [
@@ -459,6 +550,7 @@ let () =
           Alcotest.test_case "in-place permutation" `Quick test_alloc_permutation;
           Alcotest.test_case "encrypt_into" `Quick test_alloc_encrypt_into;
           Alcotest.test_case "52-byte mac" `Quick test_alloc_mac;
+          Alcotest.test_case "in-place key work" `Quick test_alloc_key_work;
         ] );
       ( "siphash",
         [

@@ -16,7 +16,16 @@ let secrets n = List.init n (fun _ -> Dip_opt.Drkey.secret_gen g)
 let hop_keys secrets ~src ~timestamp =
   List.map (fun s -> Epic.Protocol.derive_key s ~src ~timestamp) secrets
 
+(* A router's check under a hop key given as bytes: the key expanded,
+   then the in-place check F_hvf runs. *)
+let router_check buf ~base ~hop ~key =
+  Epic.Protocol.router_check (Dip_crypto.Mac2em.expand_key key) (Bytes.create 16) buf ~base ~hop
+
 (* --- header --- *)
+
+(* The source id, bits [0,32) of the region. F_hvf reads it as bytes,
+   with the timestamp, so the library keeps no getter. *)
+let get_src buf ~base = Bitbuf.get_uint32 buf base
 
 let test_header_sizes () =
   Alcotest.(check int) "1 hop" 28 (Epic.Header.size_bytes ~hops:1);
@@ -29,7 +38,7 @@ let test_header_accessors () =
   Epic.Header.set_timestamp buf ~base:0 99l;
   Epic.Header.set_payload_hash buf ~base:0 (String.make 16 'H');
   Epic.Header.set_hvf buf ~base:0 2 0xCAFEBABEl;
-  Alcotest.(check int32) "src" 7l (Epic.Header.get_src buf ~base:0);
+  Alcotest.(check int32) "src" 7l (get_src buf ~base:0);
   Alcotest.(check int32) "ts" 99l (Epic.Header.get_timestamp buf ~base:0);
   Alcotest.(check string) "hash" (String.make 16 'H')
     (Epic.Header.get_payload_hash buf ~base:0);
@@ -51,7 +60,7 @@ let test_epic_valid_chain () =
   let buf, keys = setup ~payload () in
   List.iteri
     (fun i key ->
-      match Epic.Protocol.router_check buf ~base:0 ~hop:(i + 1) ~key with
+      match router_check buf ~base:0 ~hop:(i + 1) ~key with
       | Epic.Protocol.Forwarded -> ()
       | Epic.Protocol.Rejected -> Alcotest.failf "hop %d rejected valid HVF" (i + 1))
     keys;
@@ -63,10 +72,10 @@ let test_epic_router_rejects_forged () =
   let buf, keys = setup () in
   (* Corrupt hop 2's HVF: that router must reject the packet. *)
   Epic.Header.set_hvf buf ~base:0 2 0l;
-  (match Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key:(List.nth keys 0) with
+  (match router_check buf ~base:0 ~hop:1 ~key:(List.nth keys 0) with
   | Epic.Protocol.Forwarded -> ()
   | Epic.Protocol.Rejected -> Alcotest.fail "hop 1 should still pass");
-  match Epic.Protocol.router_check buf ~base:0 ~hop:2 ~key:(List.nth keys 1) with
+  match router_check buf ~base:0 ~hop:2 ~key:(List.nth keys 1) with
   | Epic.Protocol.Rejected -> ()
   | Epic.Protocol.Forwarded -> Alcotest.fail "forged HVF must be rejected at the router"
 
@@ -77,17 +86,17 @@ let test_epic_replay_rejected () =
   let buf, keys = setup ~hops:1 () in
   let key = List.hd keys in
   Alcotest.(check bool) "first pass" true
-    (Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key = Epic.Protocol.Forwarded);
+    (router_check buf ~base:0 ~hop:1 ~key = Epic.Protocol.Forwarded);
   Alcotest.(check bool) "replay rejected" true
-    (Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key = Epic.Protocol.Rejected)
+    (router_check buf ~base:0 ~hop:1 ~key = Epic.Protocol.Rejected)
 
 let test_epic_delivery_detects_unchecked_hop () =
   (* If a router was bypassed, its HVF stays in origin form and the
      destination notices. *)
   let buf, keys = setup () in
-  ignore (Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key:(List.nth keys 0));
+  ignore (router_check buf ~base:0 ~hop:1 ~key:(List.nth keys 0));
   (* hop 2 skipped *)
-  ignore (Epic.Protocol.router_check buf ~base:0 ~hop:3 ~key:(List.nth keys 2));
+  ignore (router_check buf ~base:0 ~hop:3 ~key:(List.nth keys 2));
   match Epic.Protocol.verify_delivery buf ~base:0 ~hop_keys:keys ~payload:None with
   | Error 2 -> ()
   | Error i -> Alcotest.failf "wrong hop reported: %d" i
@@ -95,7 +104,7 @@ let test_epic_delivery_detects_unchecked_hop () =
 
 let test_epic_payload_binding () =
   let buf, keys = setup ~hops:1 ~payload:"genuine" () in
-  ignore (Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key:(List.hd keys));
+  ignore (router_check buf ~base:0 ~hop:1 ~key:(List.hd keys));
   match Epic.Protocol.verify_delivery buf ~base:0 ~hop_keys:keys ~payload:(Some "other") with
   | Error 0 -> ()
   | _ -> Alcotest.fail "payload mismatch must be reported as hop 0"
@@ -190,11 +199,64 @@ let prop_epic_corruption_rejected =
          (corrupted) src/ts, so either hop must reject. *)
       let k1 =
         Epic.Protocol.derive_key (List.hd path)
-          ~src:(Epic.Header.get_src buf ~base:0)
+          ~src:(get_src buf ~base:0)
           ~timestamp:(Epic.Header.get_timestamp buf ~base:0)
       in
-      Epic.Protocol.router_check buf ~base:0 ~hop:1 ~key:k1
+      router_check buf ~base:0 ~hop:1 ~key:k1
       = Epic.Protocol.Rejected)
+
+(* F_hvf through Engine.process, whose hop key is derived, expanded
+   and checked in the node's identity buffers, against the reference
+   derivation of keys_ref.ml: random secrets, sources, timestamps,
+   path lengths and HVF slots (one past the path too), the node's OPT
+   cipher either way, and packets with one bit flipped in an HVF or
+   in the origin. The verdict, the Abort reason and every byte of the
+   packet must match. *)
+let prop_engine_hvf_matches_reference =
+  QCheck.Test.make ~name:"engine: F_hvf = reference derivation, bytes included"
+    ~count:300
+    QCheck.(
+      quad (string_of_size (Gen.return 16)) (pair int32 int32)
+        (pair (int_range 1 4) (int_range 1 5))
+        (triple bool (int_range 0 2) (int_range 0 1023)))
+    (fun (raw, (src_id, timestamp), (hops, hop), (aes, flip, bit)) ->
+      let secret = Dip_opt.Drkey.secret_of_string raw in
+      let keys =
+        List.init hops (fun i ->
+            if i + 1 = hop then Epic.Protocol.derive_key secret ~src:src_id ~timestamp
+            else String.make 16 (Char.chr (65 + i)))
+      in
+      let pkt =
+        Realize.epic ~hops ~src_id ~timestamp ~hop_keys:keys ~src:(v4 "192.0.2.1")
+          ~dst:(v4 "10.0.0.1") ~payload:"p" ()
+      in
+      let base = (Result.get_ok (Packet.parse pkt)).Packet.loc_base in
+      let b = Bitbuf.to_bytes pkt in
+      (* 0: no flip; 1: a bit of the HVFs; 2: a bit of source,
+         timestamp or payload hash. *)
+      let flip_bit at n =
+        let i = at + (bit mod n / 8) in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (0x80 lsr (bit mod 8)))
+      in
+      if flip = 1 then flip_bit (base + 24) (32 * hops)
+      else if flip = 2 then flip_bit base 192;
+      let env =
+        Env.create ~opt_alg:(if aes then Dip_opt.Protocol.AES else Dip_opt.Protocol.EM2)
+          ~name:"r" ()
+      in
+      Env.set_opt_identity env ~secret ~hop;
+      Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
+      let want = Bytes.copy b in
+      let want_verdict =
+        if hop > hops then Engine.Dropped "hvf: hop index beyond region"
+        else if Keys_ref.epic_hop raw want ~base ~hop then begin
+          Bytes.set_uint8 want 2 (Bytes.get_uint8 want 2 - 1);
+          Engine.Forwarded [ 1 ]
+        end
+        else Engine.Dropped "hvf-rejected"
+      in
+      let verdict, _ = Engine.process ~registry env ~now:0.0 ~ingress:0 pkt in
+      verdict = want_verdict && Bytes.equal b want)
 
 let () =
   Alcotest.run "epic"
@@ -221,5 +283,6 @@ let () =
           Alcotest.test_case "drops forged at router" `Quick
             test_engine_epic_drops_forged_at_router;
           Alcotest.test_case "all-path mandatory" `Quick test_engine_epic_mandatory;
+          QCheck_alcotest.to_alcotest prop_engine_hvf_matches_reference;
         ] );
     ]

@@ -222,6 +222,48 @@ let prop_opt_random_corruption_detected =
       | Error _ -> true
       | Ok () -> false)
 
+(* --- F_parm, F_MAC and F_mark through the engine --- *)
+
+(* A router hop through Engine.process, whose keys are derived,
+   expanded and MACed in the node's identity buffers, against the
+   reference derivation of keys_ref.ml: random secrets, session ids,
+   timestamps, path lengths and OPV slots (one past the path too),
+   under both ciphers. The OPV slots hold random bytes, as earlier
+   hops leave them, so the bytes after F_MAC's span are not zero. The
+   verdict, the Abort reason and every byte of the packet must
+   match. *)
+let engine_registry = Dip_core.Ops.default_registry ()
+
+let prop_engine_hop_matches_reference =
+  QCheck.Test.make ~name:"engine: OPT hop = reference derivation, bytes included"
+    ~count:300
+    QCheck.(
+      quad (string_of_size (Gen.return 16)) int64
+        (pair (int_range 1 4) (int_range 1 5))
+        (triple bool int32 (string_of_size (Gen.return 64))))
+    (fun (raw, session_id, (hops, hop), (aes, timestamp, opvs)) ->
+      let alg = if aes then Protocol.AES else Protocol.EM2 in
+      let pkt =
+        Dip_core.Realize.opt ~alg ~hops ~session_id ~timestamp
+          ~dest_key:(String.make 16 'd') ~payload:"payload" ()
+      in
+      let base = (Result.get_ok (Dip_core.Packet.parse pkt)).Dip_core.Packet.loc_base in
+      Bytes.blit_string opvs 0 (Bitbuf.to_bytes pkt) (base + 52) (16 * hops);
+      let env = Dip_core.Env.create ~opt_alg:alg ~name:"r" () in
+      Dip_core.Env.set_opt_identity env ~secret:(Drkey.secret_of_string raw) ~hop;
+      let want = Bytes.copy (Bitbuf.to_bytes pkt) in
+      let want_verdict =
+        if hop > hops then Dip_core.Engine.Dropped "opv-slot-out-of-range"
+        else begin
+          Keys_ref.opt_hop alg raw want ~base ~hop;
+          Dip_core.Engine.Dropped "no-forwarding-decision"
+        end
+      in
+      let verdict, _ =
+        Dip_core.Engine.process ~registry:engine_registry env ~now:0.0 ~ingress:0 pkt
+      in
+      verdict = want_verdict && Bytes.equal (Bitbuf.to_bytes pkt) want)
+
 let () =
   Alcotest.run "opt"
     [
@@ -253,4 +295,5 @@ let () =
           Alcotest.test_case "verify arity guard" `Quick test_opt_verify_arity_guard;
           QCheck_alcotest.to_alcotest prop_opt_random_corruption_detected;
         ] );
+      ("engine", [ QCheck_alcotest.to_alcotest prop_engine_hop_matches_reference ]);
     ]
