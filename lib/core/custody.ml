@@ -48,12 +48,21 @@ let set_region b ~off ~flags ~bundle =
 let read_flags buf ~base = Bitbuf.get_uint8 buf base
 let read_bundle buf ~base = Bitbuf.get_uint32 buf (base + 1)
 
-let build_ack ~bundle =
+(* Every custody ACK is this packet with its bundle id written: built
+   once, copied per ACK. *)
+let ack_template =
   let loc = Bytes.create region_bytes in
-  set_region loc ~off:0 ~flags:flag_ack ~bundle;
+  set_region loc ~off:0 ~flags:flag_ack ~bundle:0l;
   Packet.build ~next_header:ack_next_header
     ~fns:[ fn_at ~loc:0 ]
     ~locations:(Bytes.to_string loc) ~payload:"" ()
+
+let ack_base = Header.fn_offset 1
+
+let build_ack ~bundle =
+  let p = Bitbuf.copy ack_template in
+  Bitbuf.set_uint32 p (ack_base + 1) bundle;
+  p
 
 type config = {
   capacity : int;  (** max bundles held per router *)

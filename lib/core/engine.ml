@@ -336,20 +336,6 @@ let unsupported_reason =
       | Some key -> "unsupported-" ^ Opkey.name key
       | None -> "")
 
-(* Auxiliary transmissions (scratch.emit, pushed by F_cust) precede
-   the verdict's own actions: custody is taken — and ACKed — even
-   when a later decision drops the packet (hop-limit expiry), which
-   is exactly when the stored copy matters. Draining here instead of
-   threading a value through [info] keeps every call site — the sim
-   handlers, the mcore pool, direct users — correct without a
-   signature change. *)
-let drain_aux env =
-  match env.Env.ctx.Env.scratch.Registry.emit with
-  | [] -> []
-  | l ->
-      env.Env.ctx.Env.scratch.Registry.emit <- [];
-      List.rev_map (fun (p, pkt) -> Dip_netsim.Sim.Forward (p, pkt)) l
-
 let verdict_actions env ~ingress buf verdict =
   let c = env.Env.counts in
   match verdict with
@@ -385,10 +371,20 @@ let verdict_actions env ~ingress buf verdict =
         Dip_netsim.Sim.Drop unsupported_reason.(Opkey.to_int key);
       ]
 
+(* Auxiliary transmissions (scratch.emit, pushed by F_cust) precede
+   the verdict's own actions: custody is taken — and ACKed — even
+   when a later decision drops the packet (hop-limit expiry), which
+   is exactly when the stored copy matters. Draining here instead of
+   threading a value through [info] keeps every call site — the sim
+   handlers, the mcore pool, direct users — correct without a
+   signature change. *)
 let actions_of_verdict env ~ingress buf verdict =
-  match drain_aux env with
+  let scratch = env.Env.ctx.Env.scratch in
+  match scratch.Registry.emit with
   | [] -> verdict_actions env ~ingress buf verdict
-  | aux -> aux @ verdict_actions env ~ingress buf verdict
+  | aux ->
+      scratch.Registry.emit <- [];
+      List.rev_append aux (verdict_actions env ~ingress buf verdict)
 
 let process_batch ?obs ?verify ~registry env ~now ~ingress bufs =
   let out = Array.map (process ?obs ?verify ~registry env ~now ~ingress) bufs in

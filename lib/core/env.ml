@@ -12,7 +12,7 @@ type opt_identity = {
 
 type scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
+  mutable emit : Dip_netsim.Sim.action list;
 }
 
 type counts = {

@@ -43,12 +43,12 @@ type opt_identity = {
     [emit] is the auxiliary-transmission channel: an operation that
     must put an {e extra} packet on the wire without deciding the
     current packet's fate (F_cust's hop-by-hop custody ACK) pushes
-    [(egress_port, packet)] here and returns [Continue];
-    {!Dip_core.Engine.actions_of_verdict} drains it into leading
-    [Forward] actions. *)
+    its [Forward] here, newest first, and returns [Continue];
+    {!Dip_core.Engine.actions_of_verdict} drains them, oldest first,
+    ahead of the verdict's own actions. *)
 type scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable emit : (Dip_netsim.Sim.port * Dip_bitbuf.Bitbuf.t) list;
+  mutable emit : Dip_netsim.Sim.action list;
 }
 
 (** Handles into [counters], registered by {!create}: what the

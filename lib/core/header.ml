@@ -41,10 +41,10 @@ let encode t buf =
   Bitbuf.set_uint16 buf 3 (param_word t);
   Bitbuf.set_uint8 buf 5 0
 
-let announced_length buf =
-  basic_size
-  + (Bitbuf.get_uint8 buf 1 * Fn.size)
-  + ((Bitbuf.get_uint16 buf 3 lsr 1) land max_fn_loc_len)
+let wire_fn_num buf = Bitbuf.get_uint8 buf 1
+let wire_fn_loc_len buf = (Bitbuf.get_uint16 buf 3 lsr 1) land max_fn_loc_len
+let wire_locations_offset buf = fn_offset (wire_fn_num buf)
+let announced_length buf = wire_locations_offset buf + wire_fn_loc_len buf
 
 let decode buf =
   if Bitbuf.length buf < basic_size then Error "truncated basic header"

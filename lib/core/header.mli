@@ -53,6 +53,14 @@ val payload_offset : t -> int
 val encode : t -> Dip_bitbuf.Bitbuf.t -> unit
 (** Write the basic header at offset 0. *)
 
+val wire_fn_num : Dip_bitbuf.Bitbuf.t -> int
+val wire_fn_loc_len : Dip_bitbuf.Bitbuf.t -> int
+
+val wire_locations_offset : Dip_bitbuf.Bitbuf.t -> int
+(** [fn_num], [fn_loc_len] and {!locations_offset} of the basic
+    header at offset 0, read where they lie; the buffer must hold the
+    6-byte basic header. *)
+
 val announced_length : Dip_bitbuf.Bitbuf.t -> int
 (** The {!header_length} the basic header at offset 0 announces,
     read straight off the wire without building a header; the buffer

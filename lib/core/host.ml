@@ -3,7 +3,6 @@ module Reliable = struct
   module Bitbuf = Dip_bitbuf.Bitbuf
   module Prng = Dip_stdext.Prng
   module Crc32 = Dip_stdext.Crc32
-  module Ipaddr = Dip_tables.Ipaddr
 
   (* Wire format: a plain DIP-32 packet (F_32_match + F_source route
      it like any IPv4-style flow) whose locations region carries two
@@ -41,85 +40,112 @@ module Reliable = struct
       Fn.v ~loc:32 ~len:32 Opkey.F_source;
     ]
 
-  let crc_of_view (view : Packet.view) =
-    let covered = Bitbuf.sub_string view.Packet.buf ~pos:view.Packet.loc_base ~len:12 in
-    Crc32.digest ~init:(Crc32.digest covered) (Packet.payload view)
-
   (* With [custody] the locations grow by the 5-byte Custody region
      (tag + bundle id = seq) and the program gains the ignorable
      F_cust. The CRC still covers only locations[0..12) + payload, so
      custodians flipping the in-custody bit in flight don't break the
-     end-to-end integrity check. *)
-  let build ?(custody = false) ~next_header ~dst ~src ~seq ~payload () =
+     end-to-end integrity check.
+
+     Packets are not assembled FN by FN: everything before the payload
+     but the sequence number, the bundle id and the CRC is fixed per
+     (next header, custody, addresses), so each kind is a template
+     {!Packet.build} made once, copied per packet and patched. *)
+  let template ~custody ~next_header ~dst ~src =
     let n = if custody then loc_len + Custody.region_bytes else loc_len in
-    let loc = Bytes.create n in
-    Bytes.blit_string (Ipaddr.V4.to_wire dst) 0 loc 0 4;
-    Bytes.blit_string (Ipaddr.V4.to_wire src) 0 loc 4 4;
-    Bytes.set_int32_be loc 8 seq;
-    let crc =
-      Crc32.digest ~init:(Crc32.digest_sub loc ~pos:0 ~len:12) payload
-    in
-    Bytes.set_int32_be loc 12 crc;
+    let loc = Bytes.make n '\000' in
+    Bytes.set_int32_be loc 0 dst;
+    Bytes.set_int32_be loc 4 src;
     let fns =
       if custody then begin
         Custody.set_region loc ~off:loc_len ~flags:Custody.flag_request
-          ~bundle:seq;
+          ~bundle:0l;
         fns @ [ Custody.fn_at ~loc:(8 * loc_len) ]
       end
       else fns
     in
-    Packet.build ~next_header ~fns ~locations:(Bytes.to_string loc) ~payload ()
+    Packet.build ~next_header ~fns ~locations:(Bytes.to_string loc) ~payload:"" ()
 
-  (* A validated reliable-protocol packet. [custody] is the bundle id
-     when the source requested custody transfer for this packet. *)
-  type frame = {
-    f_dst : Ipaddr.V4.t;
-    f_src : Ipaddr.V4.t;
-    seq : int32;
-    custody : int32 option;
-  }
+  let loc_base = Header.wire_locations_offset
+  let loc_bytes = Header.wire_fn_loc_len
 
-  let classify packet =
-    match Packet.parse packet with
-    | Error e -> `Invalid ("parse: " ^ e)
-    | Ok view ->
-        let nh = view.Packet.header.Header.next_header in
-        if nh = Custody.ack_next_header then begin
+  (* The CRC over locations[0..12) then the payload, read in place,
+     as the unsigned value of the stored word. *)
+  let crc p ~base =
+    let b = Bitbuf.to_bytes p and pay = base + loc_bytes p in
+    Crc32.digest_sub_int
+      ~init:(Crc32.digest_sub_int ~init:0 b ~pos:base ~len:12)
+      b ~pos:pay ~len:(Bytes.length b - pay)
+
+  let set_crc p ~base = Bitbuf.set_uint32 p (base + 12) (Int32.of_int (crc p ~base))
+
+  let crc_ok p ~base =
+    Int32.to_int (Bitbuf.get_uint32 p (base + 12)) land 0xFFFFFFFF = crc p ~base
+
+  type data_template = Bitbuf.t
+
+  let data_template ~custody ~dst ~src =
+    template ~custody ~next_header:data_next_header ~dst ~src
+
+  let data tpl ~seq ~payload =
+    let h = Bitbuf.length tpl and n = String.length payload in
+    let p = Bitbuf.create (h + n) in
+    Bitbuf.blit ~src:tpl ~src_off:0 ~dst:p ~dst_off:0 ~len:h;
+    Bytes.blit_string payload 0 (Bitbuf.to_bytes p) h n;
+    let base = loc_base p in
+    Bitbuf.set_uint32 p (base + 8) seq;
+    if loc_bytes p > loc_len then Bitbuf.set_uint32 p (base + loc_len + 1) seq;
+    set_crc p ~base;
+    p
+
+  type kind = Data | Ack | Cust_ack | Other | Corrupt | Invalid of string
+
+  (* Every check reads the packet where it lies: {!Packet.check}
+     validates the header and FN triples as [Packet.parse] would,
+     without building the view. *)
+  let classify p =
+    match Packet.check p with
+    | Some e -> Invalid ("parse: " ^ e)
+    | None ->
+        let nh = Bitbuf.get_uint8 p 0 and n = loc_bytes p in
+        if nh = Custody.ack_next_header then
           (* A hop-local custody ACK that reached an endpoint: the
              first custodian is taking over from the sender. *)
-          if view.Packet.header.Header.fn_loc_len < Custody.region_bytes then
-            `Invalid "custody: short ack region"
-          else
-            `Cust_ack (Custody.read_bundle view.Packet.buf ~base:view.Packet.loc_base)
-        end
-        else if nh <> data_next_header && nh <> ack_next_header then `Other
-        else if view.Packet.header.Header.fn_loc_len < loc_len then
-          `Invalid "reliable: short locations region"
-        else begin
-          let base = view.Packet.loc_base in
-          let stored = Bitbuf.get_uint32 view.Packet.buf (base + 12) in
-          if not (Int32.equal stored (crc_of_view view)) then `Corrupt
-          else
-            let custody =
-              if
-                view.Packet.header.Header.fn_loc_len
-                >= loc_len + Custody.region_bytes
-                && Custody.read_flags view.Packet.buf ~base:(base + loc_len)
-                   land Custody.flag_request
-                   <> 0
-              then Some (Custody.read_bundle view.Packet.buf ~base:(base + loc_len))
-              else None
-            in
-            let frame =
-              {
-                f_dst = Ipaddr.V4.of_wire (Bitbuf.sub_string view.Packet.buf ~pos:base ~len:4);
-                f_src = Ipaddr.V4.of_wire (Bitbuf.sub_string view.Packet.buf ~pos:(base + 4) ~len:4);
-                seq = Bitbuf.get_uint32 view.Packet.buf (base + 8);
-                custody;
-              }
-            in
-            if nh = data_next_header then `Data frame else `Ack frame
-        end
+          if n < Custody.region_bytes then Invalid "custody: short ack region"
+          else Cust_ack
+        else if nh <> data_next_header && nh <> ack_next_header then Other
+        else if n < loc_len then Invalid "reliable: short locations region"
+        else
+          let base = loc_base p in
+          if not (crc_ok p ~base) then Corrupt
+          else if nh = data_next_header then Data
+          else Ack
+
+  let dst p = Bitbuf.get_uint32 p (loc_base p)
+  let src p = Bitbuf.get_uint32 p (loc_base p + 4)
+  let seq p = Bitbuf.get_uint32 p (loc_base p + 8)
+
+  let custody_requested p =
+    loc_bytes p >= loc_len + Custody.region_bytes
+    && Custody.read_flags p ~base:(loc_base p + loc_len) land Custody.flag_request
+       <> 0
+
+  let bundle p =
+    if Bitbuf.get_uint8 p 0 = Custody.ack_next_header then
+      Custody.read_bundle p ~base:(loc_base p)
+    else Custody.read_bundle p ~base:(loc_base p + loc_len)
+
+  (* Every receiver's ACK is this packet with its addresses, sequence
+     number and CRC written. *)
+  let ack_template =
+    template ~custody:false ~next_header:ack_next_header ~dst:0l ~src:0l
+
+  let ack_of p =
+    let a = Bitbuf.copy ack_template and base = loc_base ack_template in
+    Bitbuf.set_uint32 a base (src p);
+    Bitbuf.set_uint32 a (base + 4) (dst p);
+    Bitbuf.set_uint32 a (base + 8) (seq p);
+    set_crc a ~base;
+    a
 
   type pending = { packet : Bitbuf.t; mutable tries : int }
 
@@ -136,13 +162,13 @@ module Reliable = struct
     sim : Sim.t;
     mutable node : Sim.node_id;
     cfg : config;
-    cust : bool;
     rng : Prng.t;
-    src : Ipaddr.V4.t;
-    dst : Ipaddr.V4.t;
     out_port : Sim.port;
-    pending : (int32, pending) Hashtbl.t;
-    mutable next_seq : int32;
+    template : data_template;
+    (* By sequence number as an [int] ([Int32.to_int] of the wire
+       word), so no probe boxes its key. *)
+    pending : (int, pending) Hashtbl.t;
+    mutable next_seq : int;
     mutable s_sent : int;
     mutable s_tx : int;
     mutable s_acked : int;
@@ -191,35 +217,38 @@ module Reliable = struct
   let sender_handler s _sim ~now:_ ~ingress packet =
     if ingress = self_port then begin
       (match classify packet with
-      | `Data frame ->
-          if not (Hashtbl.mem s.pending frame.seq) then begin
-            Hashtbl.replace s.pending frame.seq
+      | Data ->
+          let seq = Int32.to_int (seq packet) in
+          if not (Hashtbl.mem s.pending seq) then begin
+            Hashtbl.replace s.pending seq
               { packet = Bitbuf.copy packet; tries = 1 };
-            if s.cfg.max_retries > 0 then arm s frame.seq
+            if s.cfg.max_retries > 0 then arm s seq
           end
-      | `Ack _ | `Cust_ack _ | `Other | `Invalid _ | `Corrupt -> ());
+      | Ack | Cust_ack | Other | Invalid _ | Corrupt -> ());
       s.s_tx <- s.s_tx + 1;
       [ Sim.Forward (s.out_port, packet) ]
     end
     else
       match classify packet with
-      | `Ack frame ->
-          if Hashtbl.mem s.pending frame.seq then begin
-            Hashtbl.remove s.pending frame.seq;
+      | Ack ->
+          let seq = Int32.to_int (seq packet) in
+          if Hashtbl.mem s.pending seq then begin
+            Hashtbl.remove s.pending seq;
             s.s_acked <- s.s_acked + 1
           end;
           [ Sim.Consume ]
-      | `Cust_ack bundle ->
+      | Cust_ack ->
           (* The first-hop custodian holds the bundle now: stop
              retransmitting end-to-end, the network owns delivery. *)
+          let bundle = Int32.to_int (bundle packet) in
           if Hashtbl.mem s.pending bundle then begin
             Hashtbl.remove s.pending bundle;
             s.s_custodied <- s.s_custodied + 1
           end;
           [ Sim.Consume ]
-      | `Corrupt -> [ Sim.Drop Errors.integrity_reason ]
-      | `Invalid e -> [ Sim.Drop e ]
-      | `Data _ | `Other -> [ Sim.Drop "reliable-unexpected" ]
+      | Corrupt -> [ Sim.Drop Errors.integrity_reason ]
+      | Invalid e -> [ Sim.Drop e ]
+      | Data | Other -> [ Sim.Drop "reliable-unexpected" ]
 
   let add_sender ?(config = default_config) ?(custody = false) sim ~name ~seed
       ~src ~dst ~out_port =
@@ -234,13 +263,11 @@ module Reliable = struct
         sim;
         node = -1;
         cfg = config;
-        cust = custody;
         rng = Prng.create seed;
-        src;
-        dst;
         out_port;
+        template = data_template ~custody ~dst ~src;
         pending = Hashtbl.create 32;
-        next_seq = 0l;
+        next_seq = 0;
         s_sent = 0;
         s_tx = 0;
         s_acked = 0;
@@ -254,14 +281,10 @@ module Reliable = struct
     s
 
   let send s ~at ~payload =
-    let seq = s.next_seq in
-    s.next_seq <- Int32.add s.next_seq 1l;
+    let seq = Int32.of_int s.next_seq in
+    s.next_seq <- s.next_seq + 1;
     s.s_sent <- s.s_sent + 1;
-    let packet =
-      build ~custody:s.cust ~next_header:data_next_header ~dst:s.dst
-        ~src:s.src ~seq ~payload ()
-    in
-    Sim.inject s.sim ~at ~node:s.node ~port:self_port packet
+    Sim.inject s.sim ~at ~node:s.node ~port:self_port (data s.template ~seq ~payload)
 
   let sender_node s = s.node
 
@@ -293,13 +316,15 @@ module Reliable = struct
   (* [Int32.to_int] never yields it. *)
   let vacant = min_int
 
-  (* The slot holding [k] in [seen], or the vacant slot it would take. *)
+  (* The slot holding [k] in [seen], or the vacant slot it would take;
+     the probe loop closes over nothing, so a lookup allocates
+     nothing. *)
+  let rec probe seen k ~mask i =
+    if seen.(i) = k || seen.(i) = vacant then i else probe seen k ~mask ((i + 1) land mask)
+
   let slot seen k =
     let mask = Array.length seen - 1 in
-    let rec probe i =
-      if seen.(i) = k || seen.(i) = vacant then i else probe ((i + 1) land mask)
-    in
-    probe (Hashtbl.hash k land mask)
+    probe seen k ~mask (Hashtbl.hash k land mask)
 
   let accepted r seq = r.count > 0 && r.seen.(slot r.seen seq) = seq
 
@@ -324,39 +349,32 @@ module Reliable = struct
 
   let receiver_handler r _sim ~now ~ingress packet =
     match classify packet with
-    | `Data frame ->
+    | Data ->
         (* ACK every valid copy — re-acking duplicates is what stops
            the sender retransmitting when the first ACK was lost. For
            custody packets also ACK the last-hop custodian so it can
            release its stored copy (again on duplicates: the replay
            that produced the duplicate re-stored the bundle). *)
-        let ack =
-          build ~next_header:ack_next_header ~dst:frame.f_src
-            ~src:frame.f_dst ~seq:frame.seq ~payload:"" ()
+        let seq = Int32.to_int (seq packet) in
+        let last =
+          if accepted r seq then begin
+            r.r_dups <- r.r_dups + 1;
+            Sim.Drop "reliable-duplicate"
+          end
+          else begin
+            accept r seq now;
+            Sim.Consume
+          end
         in
-        let acks =
-          match frame.custody with
-          | Some bundle ->
-              [
-                Sim.Forward (ingress, ack);
-                Sim.Forward (ingress, Custody.build_ack ~bundle);
-              ]
-          | None -> [ Sim.Forward (ingress, ack) ]
-        in
-        let seq = Int32.to_int frame.seq in
-        if accepted r seq then begin
-          r.r_dups <- r.r_dups + 1;
-          acks @ [ Sim.Drop "reliable-duplicate" ]
-        end
-        else begin
-          accept r seq now;
-          acks @ [ Sim.Consume ]
-        end
-    | `Corrupt ->
+        let ack = Sim.Forward (ingress, ack_of packet) in
+        if custody_requested packet then
+          [ ack; Sim.Forward (ingress, Custody.build_ack ~bundle:(bundle packet)); last ]
+        else [ ack; last ]
+    | Corrupt ->
         r.r_rejected <- r.r_rejected + 1;
         [ Sim.Drop Errors.integrity_reason ]
-    | `Invalid e -> [ Sim.Drop e ]
-    | `Ack _ | `Cust_ack _ | `Other -> [ Sim.Drop "reliable-unexpected" ]
+    | Invalid e -> [ Sim.Drop e ]
+    | Ack | Cust_ack | Other -> [ Sim.Drop "reliable-unexpected" ]
 
   let add_receiver sim ~name =
     let r =

@@ -91,4 +91,51 @@ module Reliable : sig
   val duplicates : receiver -> int
   val rejected : receiver -> int
   (** Packets dropped by the integrity check. *)
+
+  (** {2 The wire}
+
+      What the endpoints run on each packet. Every packet is a copy of
+      a template {!Packet.build} made once, with its varying bytes
+      written; every packet received is read where it lies. *)
+
+  type data_template
+  (** The bytes before the payload of one sender's data packets. *)
+
+  val data_template :
+    custody:bool ->
+    dst:Dip_tables.Ipaddr.V4.t ->
+    src:Dip_tables.Ipaddr.V4.t ->
+    data_template
+
+  val data : data_template -> seq:int32 -> payload:string -> Dip_bitbuf.Bitbuf.t
+  (** The data packet for [seq]: the template, the payload, the
+      sequence number (also the bundle id, with custody) and the
+      CRC. *)
+
+  type kind =
+    | Data
+    | Ack
+    | Cust_ack  (** a hop-local custody ACK ({!Custody.ack_next_header}) *)
+    | Other  (** another protocol's packet *)
+    | Corrupt  (** the CRC does not match *)
+    | Invalid of string  (** why the header or the region is malformed *)
+
+  val classify : Dip_bitbuf.Bitbuf.t -> kind
+
+  (** The fields of a [Data] or [Ack] packet. *)
+
+  val dst : Dip_bitbuf.Bitbuf.t -> Dip_tables.Ipaddr.V4.t
+  val src : Dip_bitbuf.Bitbuf.t -> Dip_tables.Ipaddr.V4.t
+  val seq : Dip_bitbuf.Bitbuf.t -> int32
+
+  val custody_requested : Dip_bitbuf.Bitbuf.t -> bool
+  (** Whether a [Data] or [Ack] packet carries the custody region with
+      the request bit set. *)
+
+  val bundle : Dip_bitbuf.Bitbuf.t -> int32
+  (** The bundle id of a [Cust_ack], or of the custody region of a
+      packet {!custody_requested} accepts. *)
+
+  val ack_of : Dip_bitbuf.Bitbuf.t -> Dip_bitbuf.Bitbuf.t
+  (** The receiver's end-to-end ACK of a [Data] packet. *)
 end

@@ -412,6 +412,11 @@ let f_hvf (fn : Fn.t) target =
    stores a copy of the whole packet, marks the in-custody bit, and
    ACKs one hop upstream through the scratch emit channel (the packet
    itself must keep forwarding, so the ACK cannot be a [Respond]). *)
+let ack_upstream ctx ~bundle =
+  ctx.scratch.emit <-
+    Dip_netsim.Sim.Forward (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
+  Dip_obs.Metrics.Counter.incr ctx.env.Env.counts.custody_ack
+
 let f_cust (fn : Fn.t) (target : Field.t) =
   if fn.Fn.field.Field.len_bits <> Custody.region_bits then
     abort "cust: field must be 40 bits"
@@ -425,10 +430,6 @@ let f_cust (fn : Fn.t) (target : Field.t) =
       (* The store's key: the id as an [int], converted once here, so
          the probes below box nothing. *)
       let key = Int32.to_int bundle in
-      let ack_upstream () =
-        ctx.scratch.emit <- (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
-        Dip_obs.Metrics.Counter.incr ctx.env.Env.counts.custody_ack
-      in
       if flags land Custody.flag_ack <> 0 then begin
         (* Hop-local custody ACK: downstream holds the bundle now. *)
         (match ctx.env.Env.custody with
@@ -444,14 +445,14 @@ let f_cust (fn : Fn.t) (target : Field.t) =
             if Dip_tables.Custody_store.mem store key then begin
               (* Upstream retransmitted: its custody ACK was lost.
                  Re-ACK so the upstream copy is released. *)
-              ack_upstream ();
+              ack_upstream ctx ~bundle;
               Continue
             end
             else begin
               Bitbuf.set_uint8 buf base (flags lor Custody.flag_in_custody);
               match Dip_tables.Custody_store.take store key (Bitbuf.copy buf) with
               | `Stored ->
-                  ack_upstream ();
+                  ack_upstream ctx ~bundle;
                   Continue
               | `Rejected ->
                   (* Store bounds refuse the bundle: upstream keeps

@@ -80,6 +80,35 @@ let parse ?known buf =
       | Ok fns ->
           Ok { header; fns; loc_base = Header.locations_offset header; buf })
 
+(* [check]'s view of {!Opkey.of_int}, which scans a list. *)
+let known_key =
+  Array.init (Opkey.max_key + 1) (fun i -> Option.is_some (Opkey.of_int i))
+
+(* The first of [parse_fns]'s errors among FNs [i ..], reading each
+   triple where it lies. [check] has bounded the header, so no triple
+   is truncated. *)
+let rec check_fns buf ~fn_num ~loc_bits i =
+  if i = fn_num then None
+  else
+    let pos = Header.fn_offset i in
+    let loc = Bitbuf.get_uint16 buf pos in
+    let len = Bitbuf.get_uint16 buf (pos + 2) in
+    let key = Bitbuf.get_uint16 buf (pos + 4) land 0x7FFF in
+    if len = 0 then Some (Printf.sprintf "FN %d: zero-length FN field" (i + 1))
+    else if key >= Array.length known_key || not known_key.(key) then
+      Some (Printf.sprintf "FN %d: unknown operation key %d" (i + 1) key)
+    else if loc + len > loc_bits then
+      Some (Printf.sprintf "FN %d: target exceeds locations region" (i + 1))
+    else check_fns buf ~fn_num ~loc_bits (i + 1)
+
+let check buf =
+  if Bitbuf.length buf < Header.basic_size then Some "truncated basic header"
+  else if Header.announced_length buf > Bitbuf.length buf then
+    Some "header exceeds packet bounds"
+  else
+    check_fns buf ~fn_num:(Header.wire_fn_num buf)
+      ~loc_bits:(8 * Header.wire_fn_loc_len buf) 0
+
 let header_size buf =
   match Header.decode buf with
   | Error e -> Error e

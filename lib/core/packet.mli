@@ -42,6 +42,12 @@ val parse :
     what {!Fn.decode} would. Its FNs are bounds-checked like any
     other. *)
 
+val check : Dip_bitbuf.Bitbuf.t -> string option
+(** [check buf] is [Some e] when {!parse} would return [Error e], and
+    [None] when it would succeed: the same checks in the same order,
+    made where the bytes lie. A packet that passes allocates
+    nothing. *)
+
 val header_size : Dip_bitbuf.Bitbuf.t -> (int, string) result
 (** Total DIP header length of an encoded packet — the quantity
     reported in Table 2. *)

@@ -47,7 +47,7 @@ type ctx = Env.ctx = {
     packet. *)
 and scratch = Env.scratch = {
   mutable opt_key : Dip_opt.Protocol.key option;
-  mutable emit : (Env.port * Dip_bitbuf.Bitbuf.t) list;
+  mutable emit : Dip_netsim.Sim.action list;
 }
 
 type impl = Fn.t -> Dip_bitbuf.Field.t -> ctx -> outcome

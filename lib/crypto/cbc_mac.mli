@@ -9,11 +9,11 @@
     prefix-free encoding), so tags over different-length inputs are
     domain-separated. OPT uses full 128-bit tags.
 
-    {!Make.mac} runs in place: one block-sized state per call, each
-    message block XORed into it and the state enciphered with
-    {!Block.S.encrypt_into}. The returned tag is that state, and the
-    only allocation. No buffer is shared between calls, so MACs may
-    run on several domains at once.
+    {!Make.mac_into} runs in place: one block-sized state per domain,
+    each message block XORed into it where it lies and the state
+    enciphered with {!Block.S.encrypt_into}; the tag is the state,
+    copied out, so a MAC allocates nothing. Keys hold no state, so
+    MACs may run on several domains at once.
 
     The functor serves AES (ablation A2). The 2EM MAC is the fused
     kernel {!Mac2em}, which gives the same tags. *)
@@ -31,5 +31,6 @@ module Make (C : Block.S) : sig
   val mac_into : key -> Bytes.t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
   (** [mac_into k src ~off ~len dst ~dst_off] writes the tag over the
       [len] bytes of [src] at [off] into [dst] at [dst_off], as
-      {!Mac2em.mac_into} does. *)
+      {!Mac2em.mac_into} does. The two ranges may overlap. Raises
+      [Invalid_argument] if either is out of bounds. *)
 end

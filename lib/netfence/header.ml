@@ -35,22 +35,41 @@ let get_timestamp buf ~base = Int64.to_int32 (Bitbuf.get_uint buf (at base 72 32
 let set_timestamp buf ~base v =
   Bitbuf.set_uint buf (at base 72 32) (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL)
 
-let feedback_mac ~key buf ~base =
-  let covered = Bitbuf.get_field buf (at base 0 104) in
-  let tag = Dip_crypto.Prf.derive key ~label:"netfence-feedback" covered in
-  String.get_int64_be tag 0
+(* The MAC covers bytes [0, 13) of the region (sender id ∥ rate ∥
+   flag ∥ timestamp) and its first 8 bytes fill bytes [13, 21). *)
+let covered_bytes = 13
+let mac_off = 13
 
-let mac_field base = at base 104 64
+type key = { frame : Dip_crypto.Prf.frame; tag : Bytes.t }
+
+let key secret =
+  {
+    frame =
+      Dip_crypto.Prf.frame secret ~label:"netfence-feedback" ~input_len:covered_bytes;
+    tag = Bytes.create 16;
+  }
+
+(* The tag, derived in place from the frame's stored midstate into
+   [key.tag]. *)
+let feedback_mac key buf ~base =
+  if base < 0 || base + size_bytes > Bitbuf.length buf then
+    invalid_arg "Netfence.Header: region out of bounds";
+  Dip_crypto.Prf.derive_into key.frame (Bitbuf.to_bytes buf) ~off:base key.tag
+    ~dst_off:0
 
 let stamp ~key buf ~base =
-  Bitbuf.set_uint buf (mac_field base) (feedback_mac ~key buf ~base)
+  feedback_mac key buf ~base;
+  Bytes.blit key.tag 0 (Bitbuf.to_bytes buf) (base + mac_off) 8
 
 let verify ~key buf ~base =
-  Int64.equal (Bitbuf.get_uint buf (mac_field base)) (feedback_mac ~key buf ~base)
+  feedback_mac key buf ~base;
+  Int64.equal
+    (Bytes.get_int64_be (Bitbuf.to_bytes buf) (base + mac_off))
+    (Bytes.get_int64_be key.tag 0)
 
 let init buf ~base ~sender ~rate ~timestamp =
   set_sender buf ~base sender;
   set_rate buf ~base rate;
   set_flag buf ~base No_congestion;
   set_timestamp buf ~base timestamp;
-  Bitbuf.set_uint buf (mac_field base) 0L
+  Bytes.fill (Bitbuf.to_bytes buf) (base + mac_off) 8 '\000'

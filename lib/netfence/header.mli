@@ -36,11 +36,20 @@ val set_flag : Dip_bitbuf.Bitbuf.t -> base:int -> flag -> unit
 val get_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 
-val stamp : key:Dip_crypto.Prf.key -> Dip_bitbuf.Bitbuf.t -> base:int -> unit
-(** Write the feedback MAC field: a MAC over (sender, flag,
-    timestamp) with the router's secret. *)
+type key
+(** A bottleneck's feedback key: its secret's {!Dip_crypto.Prf.frame}
+    under the feedback label, and a tag buffer. Every {!stamp} and
+    {!verify} writes it, allocating nothing: a domain needs its
+    own. *)
 
-val verify : key:Dip_crypto.Prf.key -> Dip_bitbuf.Bitbuf.t -> base:int -> bool
+val key : Dip_crypto.Prf.key -> key
+
+val stamp : key:key -> Dip_bitbuf.Bitbuf.t -> base:int -> unit
+(** Write the feedback MAC field: a MAC over (sender, flag,
+    timestamp) with the router's secret. Raises [Invalid_argument]
+    if the region does not fit in the buffer. *)
+
+val verify : key:key -> Dip_bitbuf.Bitbuf.t -> base:int -> bool
 (** Check the MAC field against the current header contents. *)
 
 val init :

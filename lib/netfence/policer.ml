@@ -4,13 +4,13 @@ type t = {
   mutable mode : mode;
   rate_ceiling : float;
   burst : float;
-  key : Dip_crypto.Prf.key;
+  key : Header.key;
   buckets : (int32, Token_bucket.t) Hashtbl.t;
 }
 
 let create ?(mode = Mark) ?(rate_ceiling = 1.25e8) ?(burst = 15000.0) ~key () =
   if rate_ceiling <= 0.0 || burst <= 0.0 then invalid_arg "Policer.create";
-  { mode; rate_ceiling; burst; key; buckets = Hashtbl.create 64 }
+  { mode; rate_ceiling; burst; key = Header.key key; buckets = Hashtbl.create 64 }
 
 let mode t = t.mode
 let set_mode t m = t.mode <- m

@@ -51,9 +51,10 @@ type crash = {
 
 (* What the layer knows about one directed egress. *)
 type link = {
-  (* Down windows, unordered; the hook scans them (links have few
-     windows). *)
-  mutable down : (float * float) list;
+  (* Down windows, unordered, as [from_; until] pairs: window [i] is
+     [\[down.(2i), down.(2i + 1))]. The hook scans them (links have
+     few windows). *)
+  mutable down : float array;
   (* Link-up subscribers, newest first, read when a down window
      actually ends (so registration order doesn't matter). *)
   mutable up_subs : (float -> unit) list;
@@ -61,7 +62,7 @@ type link = {
 
 (* The state of every egress nothing was configured on; never
    written. *)
-let unset = { down = []; up_subs = [] }
+let unset = { down = [||]; up_subs = [] }
 
 type t = {
   sim : Sim.t;
@@ -95,28 +96,44 @@ let link t ((node, port) as key) =
   t.links <- grow t.links node [||];
   t.links.(node) <- grow t.links.(node) port unset;
   if find t key == unset then
-    t.links.(node).(port) <- { down = []; up_subs = [] };
+    t.links.(node).(port) <- { down = [||]; up_subs = [] };
   find t key
 
-let is_down l now = List.exists (fun (a, b) -> now >= a && now < b) l.down
+(* A loop, not [List.exists]: the hook reads this on every
+   transmission, and a closure over [now] would be allocated each
+   time. *)
+let is_down l now =
+  let d = l.down and i = ref 0 and covered = ref false in
+  while (not !covered) && !i < Array.length d do
+    covered := now >= d.(!i) && now < d.(!i + 1);
+    i := !i + 2
+  done;
+  !covered
+
+(* One transmission, after its jitter draw. A fault-free emit passes
+   the constant 0.0, so only a drawn delay is boxed. *)
+let emit t sim ~node ~port packet =
+  let jitter = t.default.jitter in
+  if jitter > 0.0 then begin
+    let d = Prng.float t.rng jitter in
+    record t Reorder ~node ~port;
+    Sim.emit sim ~extra_delay:d packet
+  end
+  else Sim.emit sim ~extra_delay:0.0 packet
 
 (* Draws happen in a fixed order (drop, corrupt, jitter, duplicate,
    duplicate-jitter) and only for enabled fault kinds, so the stream
    consumption — hence the whole schedule — is a deterministic
-   function of (seed, spec, packet sequence). *)
-let hook t _sim ~from packet =
+   function of (seed, spec, packet sequence). Emitting the first copy
+   before the duplicate draw keeps the transmissions in the order the
+   draws made them. When no fault fires, the hook allocates nothing. *)
+let hook t sim ~from packet =
   let node, port = from in
-  let l = find t from in
-  if is_down l (Sim.now t.sim) then begin
-    record t Link_down ~node ~port;
-    []
-  end
+  if is_down (find t from) (Sim.now sim) then record t Link_down ~node ~port
   else begin
     let s = t.default in
-    if s.drop > 0.0 && Prng.float t.rng 1.0 < s.drop then begin
-      record t Drop ~node ~port;
-      []
-    end
+    if s.drop > 0.0 && Prng.float t.rng 1.0 < s.drop then
+      record t Drop ~node ~port
     else begin
       let packet =
         if s.corrupt > 0.0 && Prng.float t.rng 1.0 < s.corrupt then begin
@@ -132,23 +149,11 @@ let hook t _sim ~from packet =
         end
         else packet
       in
-      let draw_jitter () =
-        if s.jitter > 0.0 then begin
-          let d = Prng.float t.rng s.jitter in
-          record t Reorder ~node ~port;
-          d
-        end
-        else 0.0
-      in
-      let first = { Sim.packet; extra_delay = draw_jitter () } in
+      emit t sim ~node ~port packet;
       if s.duplicate > 0.0 && Prng.float t.rng 1.0 < s.duplicate then begin
         record t Duplicate ~node ~port;
-        [
-          first;
-          { Sim.packet = Bitbuf.copy packet; extra_delay = draw_jitter () };
-        ]
+        emit t sim ~node ~port (Bitbuf.copy packet)
       end
-      else [ first ]
     end
   end
 
@@ -172,9 +177,9 @@ let attach ~seed sim =
 
 let all_links t s = t.default <- s
 
-let add_window t key w =
+let add_window t key (a, b) =
   let l = link t key in
-  l.down <- w :: l.down
+  l.down <- Array.append l.down [| a; b |]
 
 let on_link_up t key f =
   let l = link t key in

@@ -6,8 +6,6 @@ type action =
   | Consume
   | Drop of string
 
-type egress = { packet : Dip_bitbuf.Bitbuf.t; extra_delay : float }
-
 type event =
   | Arrival of {
       mutable node : node_id;
@@ -100,7 +98,11 @@ and t = {
      layer drop / mangle / duplicate / delay packets without the
      simulator knowing anything about fault policy. *)
   mutable egress_hook :
-    (t -> from:node_id * port -> Dip_bitbuf.Bitbuf.t -> egress list) option;
+    (t -> from:node_id * port -> Dip_bitbuf.Bitbuf.t -> unit) option;
+  (* While the hook runs, the link it was consulted for: the same
+     [Some] block as the node's [ports] slot, so setting it allocates
+     nothing. [emit] transmits on it. *)
+  mutable emitting : link_end option;
   (* Flight recorder for simulator-side events (window lifecycle,
      fault injections) — always written from the driving domain. *)
   mutable flight : Dip_obs.Flight.ring option;
@@ -141,6 +143,7 @@ let create () =
     seq = 0;
     consume_hooks = [];
     egress_hook = None;
+    emitting = None;
     flight = None;
     spare = Array.make max_spare (Timer ignore);
     nspare = 0;
@@ -417,15 +420,20 @@ let transmit_on t node l ~extra_delay packet =
 let transmit t node port packet =
   match link_at node port with
   | None -> count_drop node "unwired-port"
-  | Some l -> (
+  | Some l as wired -> (
       (* The hook runs only for wired ports: an unwired-port drop is a
          topology bug, not an injected fault. *)
       match t.egress_hook with
       | None -> transmit_on t node l ~extra_delay:0.0 packet
       | Some hook ->
-          List.iter
-            (fun e -> transmit_on t node l ~extra_delay:e.extra_delay e.packet)
-            (hook t ~from:l.from packet))
+          t.emitting <- wired;
+          hook t ~from:l.from packet;
+          t.emitting <- None)
+
+let emit t ~extra_delay packet =
+  match t.emitting with
+  | None -> invalid_arg "Sim.emit: no egress hook is running"
+  | Some l -> transmit_on t t.nodes.(fst l.from) l ~extra_delay packet
 
 (* One arrival's effects, whoever computed its actions (the node's
    handler inline, or a batch backend): the clock to the arrival

@@ -174,20 +174,22 @@ val on_consume : t -> (node_id -> float -> Dip_bitbuf.Bitbuf.t -> unit) -> unit
     deliveries (a long run would hold every packet it delivered): a
     caller that wants one records it here. *)
 
-type egress = { packet : Dip_bitbuf.Bitbuf.t; extra_delay : float }
-(** One transmission produced by an egress hook: the (possibly
-    rewritten) packet, plus extra propagation delay in seconds
-    (clamped to ≥ 0; does not occupy the egress queue slot, so a
-    delayed packet can be overtaken — i.e. reordered). *)
-
 val set_egress_hook :
-  t -> (t -> from:node_id * port -> Dip_bitbuf.Bitbuf.t -> egress list) -> unit
+  t -> (t -> from:node_id * port -> Dip_bitbuf.Bitbuf.t -> unit) -> unit
 (** Install a hook consulted on every transmission over a {e wired}
-    link (unwired-port drops bypass it). The hook maps the outgoing
-    packet to the transmissions that actually happen: [[]] drops it,
-    one entry passes (or corrupts / delays) it, two entries duplicate
-    it. Normal queue accounting (capacity, serialization, tx counters)
-    applies to each returned entry. Replaces any previous hook. *)
+    link (unwired-port drops bypass it). The hook decides which
+    transmissions actually happen and makes each with {!emit}: none
+    drops the packet, one passes (or corrupts / delays) it, two
+    duplicate it. Normal queue accounting (capacity, serialization,
+    tx counters) applies to each. Replaces any previous hook. *)
+
+val emit : t -> extra_delay:float -> Dip_bitbuf.Bitbuf.t -> unit
+(** [emit t ~extra_delay packet], called by the egress hook, transmits
+    [packet] on the link the hook was consulted for, [extra_delay]
+    seconds later in propagation (clamped to ≥ 0; the delay does not
+    occupy the egress queue slot, so a delayed packet can be
+    overtaken — i.e. reordered). Raises [Invalid_argument] outside a
+    hook call. *)
 
 val set_flight : t -> Dip_obs.Flight.ring option -> unit
 (** Arm (or disarm) a flight-recorder ring for simulator-side events,

@@ -12,3 +12,9 @@ val digest_bytes : ?init:int32 -> bytes -> int32
 val digest_sub : ?init:int32 -> bytes -> pos:int -> len:int -> int32
 (** CRC of a slice, without copying. Raises [Invalid_argument] on an
     out-of-bounds slice. *)
+
+val digest_sub_int : init:int -> bytes -> pos:int -> len:int -> int
+(** As {!digest_sub}, with the digests as [int]s in [\[0, 2^32)] (the
+    [int32]'s bits, unsigned): no [int32] is boxed, so a digest over
+    several slices of a buffer allocates nothing. [init] is [0] for a
+    fresh digest. *)

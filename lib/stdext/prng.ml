@@ -1,5 +1,7 @@
+(* The 64-bit state lives in 8 bytes, read and written with the
+   native-int64 accessors: a draw stores no boxed [int64]. *)
 type t = {
-  mutable state : int64;
+  state : Bytes.t;
   (* Lazily built Zipf CDF cache, keyed by (n, s). A generator is
      typically used with a single popularity law, so one slot is
      enough. *)
@@ -13,17 +15,23 @@ let mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed; zipf_cache = None }
+let of_state s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 s;
+  state
+
+let create seed = { state = of_state seed; zipf_cache = None }
 
 let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+  let s = Int64.add (Bytes.get_int64_le t.state 0) golden_gamma in
+  Bytes.set_int64_le t.state 0 s;
+  mix64 s
 
 let split t =
   let seed = next64 t in
-  { state = mix64 seed; zipf_cache = None }
+  { state = of_state (mix64 seed); zipf_cache = None }
 
-let copy t = { state = t.state; zipf_cache = t.zipf_cache }
+let copy t = { state = Bytes.copy t.state; zipf_cache = t.zipf_cache }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

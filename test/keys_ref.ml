@@ -46,3 +46,12 @@ let epic_hop secret b ~base ~hop =
     Bytes.blit_string (hvf ("fwd" ^ carried)) 0 b at 4;
     true
   end
+
+(* NetFence's feedback tag as Netfence.Header first derived it: a
+   one-off Prf.derive per packet over the 13 covered bytes (sender,
+   rate, flag, timestamp) of the region at [base], its first 8
+   bytes. *)
+let netfence_tag key b ~base =
+  String.sub
+    (Dip_crypto.Prf.derive key ~label:"netfence-feedback" (Bytes.sub_string b base 13))
+    0 8

@@ -1247,6 +1247,21 @@ let test_alloc_opt_hop () =
        ~payload:"p" ())
     (( = ) (Engine.Dropped "no-forwarding-decision"))
 
+(* The same hop under AES (ablation A2): the CBC-MAC functor runs on
+   the span in place, with the state its key holds. *)
+let test_alloc_opt_aes_hop () =
+  let env = Env.create ~opt_alg:Dip_opt.Protocol.AES ~name:"aes" () in
+  Env.set_opt_identity env ~secret:alloc_secret ~hop:1;
+  let step =
+    hop env ~ingress:0
+      (Realize.opt ~hops:1 ~session_id:9L ~timestamp:3l ~dest_key:(String.make 16 'd')
+         ~payload:"p" ())
+  in
+  if step () <> Engine.Dropped "no-forwarding-decision" then
+    Alcotest.fail "AES OPT: unexpected verdict";
+  check_words "cached AES OPT hop" ~max:8.0
+    (words_per_call 2_000 (fun () -> ignore (Sys.opaque_identity (step ()))))
+
 let test_alloc_epic_hop () =
   let key = Dip_epic.Protocol.derive_key alloc_secret ~src:9l ~timestamp:5l in
   check_hop_words "EPIC" ~max:8.0
@@ -1818,6 +1833,7 @@ let () =
           Alcotest.test_case "engine: cached telemetry hop" `Quick test_alloc_telemetry_hop;
           Alcotest.test_case "engine: cached NDN hops" `Quick test_alloc_ndn_hops;
           Alcotest.test_case "engine: cached OPT hop" `Quick test_alloc_opt_hop;
+          Alcotest.test_case "engine: cached OPT hop (AES)" `Quick test_alloc_opt_aes_hop;
           Alcotest.test_case "engine: cached EPIC hop" `Quick test_alloc_epic_hop;
           Alcotest.test_case "engine: cached XIA hop" `Quick test_alloc_xia_hop;
         ] );

@@ -415,6 +415,251 @@ let test_receiver_record () =
     (Printf.sprintf "%d words for %d bundles" words n)
     true (words <= 10 * n)
 
+(* --- The wire: the in-place endpoints against their oracles --- *)
+
+(* Host.Reliable's verdict on [p] in test/reliable_ref.ml's shape,
+   every field read through the endpoints' own accessors. *)
+let observe p : Reliable_ref.result =
+  let frame p =
+    {
+      Reliable_ref.f_dst = Reliable.dst p;
+      f_src = Reliable.src p;
+      seq = Reliable.seq p;
+      custody = (if Reliable.custody_requested p then Some (Reliable.bundle p) else None);
+    }
+  in
+  match Reliable.classify p with
+  | Reliable.Data -> `Data (frame p)
+  | Reliable.Ack -> `Ack (frame p)
+  | Reliable.Cust_ack -> `Cust_ack (Reliable.bundle p)
+  | Reliable.Other -> `Other
+  | Reliable.Corrupt -> `Corrupt
+  | Reliable.Invalid e -> `Invalid e
+
+let print_packet p = Dip_stdext.Hex.encode (Bitbuf.to_string p)
+let gen_payload = QCheck.Gen.(string_size (int_bound 40))
+
+let gen_built next_header =
+  QCheck.Gen.(
+    map4
+      (fun custody (dst, src) seq payload ->
+        Reliable_ref.build ~custody ~next_header ~dst ~src ~seq ~payload ())
+      bool (pair int32 int32) int32 gen_payload)
+
+(* Valid data, ACK and custody-ACK packets; packets whose locations
+   are too short for their next header; data with a foreign next
+   header. *)
+let gen_wire =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, gen_built Reliable_ref.data_next_header);
+      (2, gen_built Reliable_ref.ack_next_header);
+      (1, map (fun bundle -> Reliable_ref.build_custody_ack ~bundle) int32);
+      ( 1,
+        map3
+          (fun next_header locations payload ->
+            Dip_core.Packet.build ~next_header ~fns:[] ~locations ~payload ())
+          (oneofl [ 0xFB; 0xFC; 0xFD ])
+          (string_size (int_bound 20))
+          gen_payload );
+      ( 1,
+        map2
+          (fun nh p ->
+            Bitbuf.set_uint8 p 0 nh;
+            p)
+          (int_bound 0xFA)
+          (gen_built Reliable_ref.data_next_header) );
+    ]
+
+(* Then left whole, cut short, or one bit flipped anywhere or past
+   the basic header. *)
+let gen_mutated =
+  QCheck.Gen.(
+    map2
+      (fun p (m, a) ->
+        let n = Bitbuf.length p in
+        let flip pos =
+          let q = Bitbuf.copy p in
+          Bitbuf.set_uint8 q pos (Bitbuf.get_uint8 q pos lxor (1 lsl (a mod 8)));
+          q
+        in
+        match m with
+        | 0 -> p
+        | 1 -> Bitbuf.of_string (Bitbuf.sub_string p ~pos:0 ~len:(a mod (n + 1)))
+        | 2 -> flip (a mod n)
+        | _ -> flip (6 + (a mod (n - 6))))
+      gen_wire
+      (pair (int_bound 3) nat))
+
+let prop_classify_oracle =
+  QCheck.Test.make ~name:"in-place classify = Packet.parse classify" ~count:3000
+    (QCheck.make ~print:print_packet gen_mutated)
+    (fun p -> observe p = Reliable_ref.classify p)
+
+(* Several packets from one template: each is the one Packet.build
+   assembles, and so are its receiver ACK and its custody ACK. *)
+let prop_templates_built =
+  QCheck.Test.make ~name:"template packets = Packet.build packets" ~count:300
+    QCheck.(
+      triple bool (pair int32 int32)
+        (small_list (pair int32 (string_gen_of_size (Gen.int_bound 40) Gen.char))))
+    (fun (custody, (dst, src), packets) ->
+      let tpl = Reliable.data_template ~custody ~dst ~src in
+      List.for_all
+        (fun (seq, payload) ->
+          let d = Reliable.data tpl ~seq ~payload in
+          Bitbuf.equal d
+            (Reliable_ref.build ~custody ~next_header:Reliable_ref.data_next_header ~dst
+               ~src ~seq ~payload ())
+          && Bitbuf.equal (Reliable.ack_of d)
+               (Reliable_ref.build ~next_header:Reliable_ref.ack_next_header ~dst:src
+                  ~src:dst ~seq ~payload:"" ())
+          && Bitbuf.equal
+               (Dip_core.Custody.build_ack ~bundle:seq)
+               (Reliable_ref.build_custody_ack ~bundle:seq))
+        packets)
+
+(* Raw headers: any next header, an FN count that may disagree with
+   the triples that follow, any locations length, triples with any
+   location, zero or non-zero lengths and known or unknown keys
+   (host bit set or not), then a tail; cut short as often. *)
+let gen_raw =
+  let open QCheck.Gen in
+  let triple_gen =
+    triple (int_bound 300) (int_bound 80)
+      (map2 (fun k host -> if host then k lor 0x8000 else k) (int_bound 20) bool)
+  in
+  map4
+    (fun (nh, skew) (loc_len, par) triples (tail, cut) ->
+      let b = Buffer.create 64 in
+      Buffer.add_uint8 b nh;
+      Buffer.add_uint8 b (max 0 (List.length triples + skew));
+      Buffer.add_uint8 b 64;
+      Buffer.add_uint16_be b ((loc_len lsl 1) lor par);
+      Buffer.add_uint8 b 0;
+      List.iter
+        (fun (loc, len, key) ->
+          Buffer.add_uint16_be b loc;
+          Buffer.add_uint16_be b len;
+          Buffer.add_uint16_be b key)
+        triples;
+      Buffer.add_string b tail;
+      let s = Buffer.contents b in
+      Bitbuf.of_string
+        (match cut with Some c -> String.sub s 0 (c mod (String.length s + 1)) | None -> s))
+    (pair (int_bound 255) (oneofl [ 0; 0; 0; -1; 1 ]))
+    (pair (int_bound 40) (int_bound 1))
+    (list_size (int_bound 5) triple_gen)
+    (pair (string_size (int_bound 40)) (opt nat))
+
+let prop_check_parse =
+  QCheck.Test.make ~name:"Packet.check = Packet.parse's error" ~count:3000
+    (QCheck.make ~print:print_packet QCheck.Gen.(oneof [ gen_raw; gen_mutated ]))
+    (fun p ->
+      Dip_core.Packet.check p
+      = match Dip_core.Packet.parse p with Ok _ -> None | Error e -> Some e)
+
+(* --- Allocation --- *)
+
+(* One packet bouncing between two nodes, as test_netsim's ping-pong,
+   with and without a fault layer whose spec only drops (at a rate
+   that never fires here) over a link with down windows that never
+   cover it. What a transmission costs is the growth between a run
+   of [limit] arrivals and one of twice as many: the windows' pending
+   end timers cost a one-off 2 words at [~until]. *)
+let ping_pong_words ~faulty ~limit =
+  let sim = Sim.create () in
+  let pkt = Bitbuf.create 64 in
+  let bounce = [ Sim.Forward (0, pkt) ] and stop = [ Sim.Consume ] in
+  let arrivals = ref 0 in
+  let handler _sim ~now:_ ~ingress:_ _ =
+    incr arrivals;
+    if !arrivals < limit then bounce else stop
+  in
+  let a = Sim.add_node sim ~name:"a" handler in
+  let b = Sim.add_node sim ~name:"b" handler in
+  Sim.connect sim (a, 0) (b, 0);
+  if faulty then begin
+    let faults = Faults.attach ~seed:3L sim in
+    Faults.all_links faults (Faults.spec ~drop:1e-12 ());
+    Faults.link_down faults (a, 0) ~from_:1e3 ~until:2e3;
+    Faults.link_down faults (a, 0) ~from_:3e3 ~until:4e3
+  end;
+  Sim.inject sim ~at:0.0 ~node:a ~port:0 pkt;
+  let w0 = Gc.minor_words () in
+  Sim.run ~until:1.0 sim;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "arrivals" limit !arrivals;
+  words
+
+let test_drop_only_alloc () =
+  let per_transmission ~faulty =
+    (ping_pong_words ~faulty ~limit:20_000 -. ping_pong_words ~faulty ~limit:10_000)
+    /. 10_000.0
+  in
+  Alcotest.(check (float 0.0)) "words per transmission a drop-only spec adds" 0.0
+    (per_transmission ~faulty:true -. per_transmission ~faulty:false)
+
+(* The benchmark's dtn-custody at its reduced scale: a sender, five
+   custodians and a receiver, 1% loss on every link and satellite
+   passes on the middle one, 400 bundles. The cap is the run's total,
+   measured at the release build on OCaml 5.1 (exact: minor words do
+   not vary between runs), so a rise of one word fails; a fall is
+   kept by lowering it. The total counts the standard library's
+   tables and buffers too, so it runs on 5.1 only. *)
+let test_custody_chain_alloc () =
+  if not (String.starts_with ~prefix:"5.1." Sys.ocaml_version) then Alcotest.skip ();
+  let open Dip_core in
+  let n = 400 and interval = 0.002 and period = 4.0 in
+  let horizon = (float_of_int n *. interval) +. (2.0 *. period) in
+  let config =
+    { Custody.capacity = n; max_bytes = 1 lsl 28; retry = 1.0;
+      retry_until = horizon +. (2.0 *. period) }
+  in
+  let registry = Ops.default_registry () in
+  let sim = Sim.create () in
+  let routers =
+    Array.init 5 (fun i ->
+        let name = Printf.sprintf "r%d" (i + 1) in
+        let env = Env.create ~name () in
+        Dip_tables.Fib.V4.insert env.Env.v4_routes (Ipaddr.V4.of_string "10.0.0.0") ~len:8 1;
+        Dip_tables.Fib.V4.insert env.Env.v4_routes (Ipaddr.V4.of_string "192.168.0.0")
+          ~len:16 0;
+        Custody.add_router ~config sim ~registry ~env ~name ~out_port:1 ())
+  in
+  let sender =
+    Reliable.add_sender ~custody:true sim ~name:"sender" ~seed:102L
+      ~src:(Ipaddr.V4.of_string "192.168.0.1") ~dst:(Ipaddr.V4.of_string "10.0.0.1")
+      ~out_port:0
+  in
+  let recv, recv_node = Reliable.add_receiver sim ~name:"receiver" in
+  let link a b = Sim.connect sim ~latency:1e-3 a b in
+  link (Reliable.sender_node sender, 0) (Custody.node routers.(0), 0);
+  for i = 0 to 3 do
+    link (Custody.node routers.(i), 1) (Custody.node routers.(i + 1), 0)
+  done;
+  link (Custody.node routers.(4), 1) (recv_node, 0);
+  let faults = Faults.attach ~seed:101L sim in
+  Faults.all_links faults (Faults.spec ~drop:0.01 ());
+  List.iter
+    (fun (a, b) -> Faults.link_down faults (Custody.node routers.(2), 1) ~from_:a ~until:b)
+    (Workload.satellite_passes ~seed:103L ~jitter:0.1 ~period ~pass:0.5 ~horizon ());
+  Array.iter
+    (fun r -> Faults.on_link_up faults (Custody.node r, 1) (fun _ -> Custody.replay r))
+    routers;
+  let payloads = Array.init n (fun i -> Printf.sprintf "bundle-%06d-%016Lx" i 101L) in
+  let w0 = Gc.minor_words () in
+  Array.iteri
+    (fun i payload -> Reliable.send sender ~at:(float_of_int i *. interval) ~payload)
+    payloads;
+  Sim.run sim;
+  let words = Gc.minor_words () -. w0 and cap = 169930.0 in
+  Alcotest.(check int) "every bundle delivered" n (Reliable.delivered recv);
+  if words > cap then
+    Alcotest.failf "%.0f words, %.4f per delivery (cap %.0f, %.4f)" words
+      (words /. float_of_int n) cap (cap /. float_of_int n)
+
 let () =
   Alcotest.run "faults"
     [
@@ -424,6 +669,8 @@ let () =
           Alcotest.test_case "duplicate all" `Quick test_duplicate_all;
           Alcotest.test_case "corrupt all" `Quick test_corrupt_all;
           Alcotest.test_case "link down window" `Quick test_link_down_window;
+          Alcotest.test_case "drop-only spec allocates nothing" `Quick
+            test_drop_only_alloc;
           Alcotest.test_case "node crash + restart" `Quick
             test_node_crash_and_restart;
           Alcotest.test_case "overlapping crash windows" `Quick
@@ -458,5 +705,13 @@ let () =
             test_custody_survives_lossy_acks;
           Alcotest.test_case "satellite passes: custody vs e2e" `Quick
             test_custody_satellite_passes;
+          Alcotest.test_case "5-custodian chain: words per delivery" `Quick
+            test_custody_chain_alloc;
+        ] );
+      ( "wire",
+        [
+          QCheck_alcotest.to_alcotest prop_classify_oracle;
+          QCheck_alcotest.to_alcotest prop_templates_built;
+          QCheck_alcotest.to_alcotest prop_check_parse;
         ] );
     ]

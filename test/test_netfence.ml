@@ -87,7 +87,7 @@ let test_nf_header_roundtrip () =
     (NF.Header.get_flag buf ~base:0 = Some NF.Header.No_congestion)
 
 let test_nf_header_mac () =
-  let key = Dip_crypto.Prf.key_of_string "bottleneck-key-1" in
+  let key = NF.Header.key (Dip_crypto.Prf.key_of_string "bottleneck-key-1") in
   let buf = Bitbuf.create NF.Header.size_bytes in
   NF.Header.init buf ~base:0 ~sender:1l ~rate:100.0 ~timestamp:9l;
   NF.Header.stamp ~key buf ~base:0;
@@ -98,6 +98,29 @@ let test_nf_header_mac () =
   NF.Header.set_flag buf ~base:0 NF.Header.No_congestion;
   Alcotest.(check bool) "forged flag detected" false
     (NF.Header.verify ~key buf ~base:0)
+
+(* One key stamps packet after packet in place: each tag is the
+   one-off derivation's (test/keys_ref.ml), wherever the region
+   lies, and verifies. *)
+let prop_nf_stamp_reference =
+  QCheck.Test.make ~name:"feedback: framed stamp = one-off derive" ~count:200
+    QCheck.(
+      pair (string_of_size (Gen.return 16))
+        (small_list
+           (quad (int_range 0 8) int32 (int_range 0 3) (pair int32 (int_range 0 100000)))))
+    (fun (secret, headers) ->
+      let prf = Dip_crypto.Prf.key_of_string secret in
+      let key = NF.Header.key prf in
+      List.for_all
+        (fun (base, sender, flag, (timestamp, rate)) ->
+          let buf = Bitbuf.create (base + NF.Header.size_bytes + 3) in
+          NF.Header.init buf ~base ~sender ~rate:(float_of_int rate) ~timestamp;
+          Bitbuf.set_uint8 buf (base + 8) flag;
+          NF.Header.stamp ~key buf ~base;
+          Bitbuf.sub_string buf ~pos:(base + 13) ~len:8
+          = Keys_ref.netfence_tag prf (Bitbuf.to_bytes buf) ~base
+          && NF.Header.verify ~key buf ~base)
+        headers)
 
 (* --- policer --- *)
 
@@ -115,7 +138,8 @@ let test_policer_pass_within_rate () =
   Alcotest.(check bool) "pass" true
     (NF.Policer.police p buf ~base:0 ~now:0.0 ~size:1000 = NF.Policer.Pass);
   Alcotest.(check bool) "feedback stamped" true
-    (NF.Header.verify ~key:(Dip_crypto.Prf.key_of_string "bottleneck-key-1")
+    (NF.Header.verify
+       ~key:(NF.Header.key (Dip_crypto.Prf.key_of_string "bottleneck-key-1"))
        buf ~base:0)
 
 let test_policer_marks_over_rate () =
@@ -392,6 +416,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_nf_header_roundtrip;
           Alcotest.test_case "feedback MAC" `Quick test_nf_header_mac;
+          QCheck_alcotest.to_alcotest prop_nf_stamp_reference;
         ] );
       ( "policer",
         [

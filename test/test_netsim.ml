@@ -622,8 +622,8 @@ let run_scenario ?(batched = false) (s : Sim_ref.scenario) =
   connect (snd s.links) (1, 1) (2, 0);
   if Option.is_some s.jitter then begin
     let delay = Sim_ref.delays s in
-    Sim.set_egress_hook sim (fun _ ~from:_ packet ->
-        [ { Sim.packet; extra_delay = delay () } ])
+    Sim.set_egress_hook sim (fun sim ~from:_ packet ->
+        Sim.emit sim ~extra_delay:(delay ()) packet)
   end;
   let run ?until () =
     if batched then

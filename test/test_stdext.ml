@@ -140,6 +140,88 @@ let test_hex_dump_format () =
   Alcotest.(check bool) "offset 16" true (contains s "00000010");
   Alcotest.(check bool) "ascii gutter" true (contains s "|0123456789ABCDEF|")
 
+(* Streams pinned when the state was a boxed int64: storing it in
+   bytes moved no draw. *)
+let test_prng_golden () =
+  let a = Prng.create 42L in
+  let next g = Prng.next64 g in
+  let a1 = next a in
+  let a2 = next a in
+  let a3 = next a in
+  Alcotest.(check (list int64)) "create 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    [ a1; a2; a3 ];
+  let b = Prng.split a in
+  let b1 = next b in
+  let b2 = next b in
+  let a4 = next a in
+  Alcotest.(check (list int64)) "split, then the parent"
+    [ -3524509440982052747L; -8948382647134174731L; 701532786141963250L ]
+    [ b1; b2; a4 ];
+  let c = Prng.copy a in
+  let c1 = next c in
+  let a5 = next a in
+  Alcotest.(check (list int64)) "copy"
+    [ -2430762948046562554L; -2430762948046562554L ]
+    [ c1; a5 ];
+  let d = Prng.create 7L in
+  let f1 = Prng.float d 1.0 in
+  let f2 = Prng.float d 1.0 in
+  let f3 = Prng.float d 0.005 in
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.8f2f879164c82p-2; 0x1.130f35fd0f18p-6; 0x1.27294852da7c6p-8 ]
+    [ f1; f2; f3 ];
+  let i1 = Prng.int d 256 in
+  let i2 = Prng.int d 1000003 in
+  let i3 = Prng.int d max_int in
+  let i4 = Prng.int_in d 1 255 in
+  Alcotest.(check (list int)) "int" [ 114; 75416; 1150299863866387076; 90 ]
+    [ i1; i2; i3; i4 ];
+  Alcotest.(check int64) "create -1" (-1956407806741107680L) (next (Prng.create (-1L)))
+
+(* The CRC register as first written: an [int32] table and an [int32]
+   register, one closure call per byte. *)
+let crc_ref_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let crc_ref ~init b ~pos ~len =
+  let crc = ref (Int32.lognot init) in
+  for i = pos to pos + len - 1 do
+    crc :=
+      Int32.logxor
+        crc_ref_table.(Int32.to_int
+                         (Int32.logand
+                            (Int32.logxor !crc (Int32.of_int (Char.code (Bytes.get b i))))
+                            0xFFl))
+        (Int32.shift_right_logical !crc 8)
+  done;
+  Int32.lognot !crc
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"crc32: every slice = int32 reference" ~count:200
+    QCheck.(pair (string_gen_of_size (Gen.int_bound 40) Gen.char) int32)
+    (fun (s, init) ->
+      let b = Bytes.of_string s and n = String.length s in
+      let unsigned x = Int32.to_int x land 0xFFFFFFFF in
+      Crc32.digest ~init s = crc_ref ~init b ~pos:0 ~len:n
+      && Crc32.digest_bytes ~init b = crc_ref ~init b ~pos:0 ~len:n
+      && List.for_all
+           (fun pos ->
+             List.for_all
+               (fun len ->
+                 let r = crc_ref ~init b ~pos ~len in
+                 Crc32.digest_sub ~init b ~pos ~len = r
+                 && Crc32.digest_sub_int ~init:(unsigned init) b ~pos ~len = unsigned r)
+               (List.init (n - pos + 1) Fun.id))
+           (List.init (n + 1) Fun.id))
+
 (* QCheck properties *)
 
 let prop_hex_roundtrip =
@@ -184,6 +266,7 @@ let () =
           Alcotest.test_case "zipf range" `Quick test_prng_zipf_range;
           Alcotest.test_case "zipf skew" `Quick test_prng_zipf_skew;
           Alcotest.test_case "exponential positive" `Quick test_prng_exponential_positive;
+          Alcotest.test_case "golden values" `Quick test_prng_golden;
           QCheck_alcotest.to_alcotest prop_prng_int_uniform_support;
         ] );
       ( "hex",
@@ -201,6 +284,7 @@ let () =
           Alcotest.test_case "sub matches whole" `Quick test_crc32_sub_matches_whole;
           Alcotest.test_case "sub bounds" `Quick test_crc32_sub_bounds;
           QCheck_alcotest.to_alcotest prop_crc32_incremental;
+          QCheck_alcotest.to_alcotest prop_crc32_reference;
         ] );
       ( "tabular",
         [
