@@ -83,12 +83,15 @@ type compiled = {
   mutable hook_verdict : (unit, string) result;
 }
 
-type Progcache.program += Compiled of compiled
+(* The entries of one FN program hold one [Compiled] cell (Progcache),
+   so a program compiled, verified or recompiled through one of them
+   is so for all. *)
+type Progcache.program += Compiled of { mutable current : compiled }
 
 let skip : Registry.ctx -> Registry.outcome = fun _ -> Registry.Continue
 let no_hook : hook = fun _ -> Ok ()
 
-let compile ?(share = Fun.id) ~registry ~side (view : Packet.view) =
+let compile ~registry ~side (view : Packet.view) =
   let fns = view.Packet.fns in
   let n = Array.length fns in
   let unsupported = ref None and stop = ref 0 in
@@ -99,7 +102,7 @@ let compile ?(share = Fun.id) ~registry ~side (view : Packet.view) =
     | Router_side, Fn.Host | Host_side, Fn.Router -> () (* line 5 *)
     | Router_side, Fn.Router | Host_side, Fn.Host -> (
         match Registry.find registry fn.Fn.key with
-        | Some impl -> ops.(!stop) <- impl fn (share (Packet.locations_field view fn))
+        | Some impl -> ops.(!stop) <- impl fn (Packet.locations_field view fn)
         | None ->
             (* "the router can simply ignore this FN" (§2.4), unless
                every on-path node must take part *)
@@ -137,16 +140,23 @@ let compile ?(share = Fun.id) ~registry ~side (view : Packet.view) =
 
 (* The entry's program, compiled on first use and again whenever the
    registry it ran under is replaced or changed. *)
-let program_of pc (e : Progcache.entry) ~registry ~side =
+let program_of (e : Progcache.entry) ~registry ~side =
   match e.Progcache.program with
-  | Compiled p
-    when p.registry == registry
-         && p.generation = Registry.generation registry
-         && p.side == side ->
-      p
+  | Compiled c ->
+      let p = c.current in
+      if
+        p.registry == registry
+        && p.generation = Registry.generation registry
+        && p.side == side
+      then p
+      else begin
+        let p = compile ~registry ~side e.Progcache.view in
+        c.current <- p;
+        p
+      end
   | _ ->
-      let p = compile ~share:(Progcache.share_field pc) ~registry ~side e.Progcache.view in
-      e.Progcache.program <- Compiled p;
+      let p = compile ~registry ~side e.Progcache.view in
+      e.Progcache.program <- Compiled { current = p };
       p
 
 (* Opt-in static pre-check (Dip_analysis.verifier): reject a
@@ -298,7 +308,7 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
   let pc = env.Env.prog_cache in
   let e = if Progcache.enabled pc then Progcache.probe pc buf else Progcache.absent in
   if e != Progcache.absent then
-    let p = program_of pc e ~registry ~side in
+    let p = program_of e ~registry ~side in
     run_program ?obs ?verify ~memo:true ~sampled ~t_start p e.Progcache.view env ~now
       ~ingress buf
   else

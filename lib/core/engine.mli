@@ -94,9 +94,11 @@ val process :
     from the accounting the run left in the node's {!Env.t}. A program is recompiled when it meets a
     different registry, or the same one after an {!Registry.install}
     or {!Registry.uninstall}, so a direct registry change reaches the
-    next packet. [verify] is called at most once per compiled program
-    and hook: it must be a pure function of the FN program and the
-    registry, which {!Dip_analysis.verifier} is. With the cache off
+    next packet. Entries that differ only in the next-header byte
+    share one compiled program ({!Progcache}), so [verify] runs once
+    per FN program and hook while the program is cached, and again
+    after a recompile: it must be a pure function of the FN program
+    and the registry, which {!Dip_analysis.verifier} is. With the cache off
     ([Env.create ~prog_cache_capacity:0]),
     or for a packet too short to key, each packet compiles a
     throwaway program and runs the same loop. *)

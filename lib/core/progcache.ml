@@ -64,13 +64,27 @@ let hint () = { last = absent; last_key = "" }
    [entries.(s)], keyed by [keys.(s)] (the program prefix, hop-limit
    byte zeroed). The table starts at a handful of slots and doubles
    only when full, to at most the power of two at or above [cap], so
-   a node that sees a handful of programs keeps a handful of slots. *)
+   a node that sees a handful of programs keeps a handful of slots.
+
+   Entries whose keys differ only in byte 0, the next header, carry
+   one FN program: the same triples, flags and locations length, so
+   the same compiled program. Slot [g] of [progs] (unordered, keyed by
+   the prefix's fingerprint with bytes 0 and 2 masked) stands for one
+   FN program while [prog_refs.(g)] > 0 entries hold it.
+   [prog_keys.(g)] is the key of the entry that made it (the same
+   string, not a copy) and [prog_entry.(g)] the entry that joined
+   last: a new entry of the FN program takes its program and its FN
+   array. *)
 type t = {
   cap : int;
   enabled : bool;
   mutable index : Slots.t;
   mutable entries : entry array;
   mutable keys : string array;
+  mutable progs : Slots.t;
+  mutable prog_keys : string array;
+  mutable prog_entry : entry array;
+  mutable prog_refs : int array;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -82,34 +96,35 @@ type t = {
      hint touched the table since: skipping the touch cannot change
      the eviction order. *)
   inline : hint;
-  (* FN definitions and target slices shared by the entries:
-     programs that differ only in their basic header carry identical
-     triples, and most of a cached program's memory is its FNs and
-     their slices. FNs are keyed by their wire bits, and a miss's
+  (* FN definitions shared by the entries: programs that differ in
+     their basic header or in some of their triples carry identical
+     FNs. FNs are keyed by their wire bits, and a miss's
      {!Packet.parse} takes the FNs the table knows instead of
-     decoding them. Each table is emptied when it outgrows
+     decoding them. The table is emptied when it outgrows
      [4 * cap]. *)
   shared_fns : Fn.t Shared.t;
-  shared_fields : Dip_bitbuf.Field.t Shared.t;
   mutable known : int; (* FNs the current miss's parse took from [shared_fns] *)
   mutable flight : F.ring option;
   mutable fl_tick : int;
 }
 
 let create ?(capacity = 512) () =
-  let index = Slots.create ~ordered:true in
+  let index = Slots.create ~ordered:true and progs = Slots.create ~ordered:false in
   {
     cap = max 1 capacity;
     enabled = capacity > 0;
     index;
     entries = Array.make (Slots.slots index) absent;
     keys = Array.make (Slots.slots index) "";
+    progs;
+    prog_keys = Array.make (Slots.slots progs) "";
+    prog_entry = Array.make (Slots.slots progs) absent;
+    prog_refs = Array.make (Slots.slots progs) 0;
     hits = 0;
     misses = 0;
     evictions = 0;
     inline = hint ();
     shared_fns = Shared.create 8;
-    shared_fields = Shared.create 8;
     known = 0;
     flight = None;
     fl_tick = 0;
@@ -178,23 +193,30 @@ external word : bytes -> int -> int64 = "%caml_bytes_get64u"
 
 let hop_mask = Int64.lognot (Int64.shift_left 0xffL (if Sys.big_endian then 40 else 16))
 
-(* Does [d]'s prefix equal [key]? Byte 1 of a prefix is FN_Num, so two
-   prefixes that agree on it have the same length. *)
-let same_prefix d key =
+(* The first word's mask for an FN program: next-header byte out too. *)
+let program_mask =
+  Int64.logand hop_mask
+    (Int64.lognot (Int64.shift_left 0xffL (if Sys.big_endian then 56 else 0)))
+
+(* Does [d]'s prefix equal [key], the bytes [mask] clears from the
+   first word aside (those below [first] too, in a prefix shorter than
+   a word)? Byte 1 of a prefix is FN_Num, so two prefixes that agree
+   on it have the same length. *)
+let[@inline] equal_under ~mask ~first d key =
   let n = String.length key in
   let k = Bytes.unsafe_of_string key in
   n > 0
   && Bytes.length d >= n
   &&
   if n < 8 then begin
-    let i = ref 0 in
+    let i = ref first in
     while !i < n && (!i = 2 || Bytes.unsafe_get d !i = Bytes.unsafe_get k !i) do
       incr i
     done;
     !i = n
   end
   else
-    (Int64.logand (word d 0) hop_mask : int64) = word k 0
+    (Int64.logand (word d 0) mask : int64) = Int64.logand (word k 0) mask
     && (word d (n - 8) : int64) = word k (n - 8)
     &&
     let i = ref 8 in
@@ -203,28 +225,40 @@ let same_prefix d key =
     done;
     !i + 8 > n
 
+let same_prefix d key = equal_under ~mask:hop_mask ~first:0 d key
+
+(* Does [d]'s FN program equal [key]'s? *)
+let same_program d key = equal_under ~mask:program_mask ~first:1 d key
+
 (* Program prefixes differ early -- FN_Num at byte 1, the first
    triple at bytes 6..11 -- so the length, the first three words and
    the last one fingerprint as well as a full hash at a fraction of
-   the cost. Collisions only cost a chain step. *)
+   the cost. Collisions only cost a chain step. [mask] is the first
+   word's and [low] the short prefix's mask of the bytes it reads. *)
 let mix h w = (h lxor w) * 0x2545F4914F6CDD1D
 
-let fingerprint d n =
+let[@inline] hash_prefix ~mask ~low d n =
   let h =
     if n < 8 then
       mix n
-        (Char.code (Bytes.unsafe_get d 0)
-        lor (Char.code (Bytes.unsafe_get d 1) lsl 8)
-        lor (Char.code (Bytes.unsafe_get d 3) lsl 24)
-        lor (Char.code (Bytes.unsafe_get d 4) lsl 32)
-        lor (Char.code (Bytes.unsafe_get d 5) lsl 40))
+        (low
+        land (Char.code (Bytes.unsafe_get d 0)
+             lor (Char.code (Bytes.unsafe_get d 1) lsl 8)
+             lor (Char.code (Bytes.unsafe_get d 3) lsl 24)
+             lor (Char.code (Bytes.unsafe_get d 4) lsl 32)
+             lor (Char.code (Bytes.unsafe_get d 5) lsl 40)))
     else
-      let h = mix n (Int64.to_int (Int64.logand (word d 0) hop_mask)) in
+      let h = mix n (Int64.to_int (Int64.logand (word d 0) mask)) in
       let h = if n >= 16 then mix h (Int64.to_int (word d 8)) else h in
       let h = if n >= 24 then mix h (Int64.to_int (word d 16)) else h in
       mix h (Int64.to_int (word d (n - 8)))
   in
   (h lxor (h lsr 29)) land max_int
+
+let fingerprint d n = hash_prefix ~mask:hop_mask ~low:(-1) d n
+
+(* The FN program's: the next-header byte read as 0 too. *)
+let program_fingerprint d n = hash_prefix ~mask:program_mask ~low:(lnot 0xff) d n
 
 let key_of buf =
   let d = Bitbuf.to_bytes buf in
@@ -245,6 +279,27 @@ let lookup t d kh =
   done;
   !s
 
+let lookup_program t d pg =
+  let g = ref (Slots.find t.progs pg) in
+  while !g >= 0 && not (same_program d t.prog_keys.(!g)) do
+    g := Slots.next t.progs !g
+  done;
+  !g
+
+(* Entry [s]'s hold on its FN program ends; so does the program when
+   no other entry holds it. Its key finds it. *)
+let release t s =
+  let key = t.keys.(s) in
+  let k = Bytes.unsafe_of_string key in
+  let g = lookup_program t k (program_fingerprint k (String.length key)) in
+  let refs = t.prog_refs.(g) - 1 in
+  t.prog_refs.(g) <- refs;
+  if refs = 0 then begin
+    Slots.remove t.progs g;
+    t.prog_keys.(g) <- "";
+    t.prog_entry.(g) <- absent
+  end
+
 (* A slot for a new entry, the LRU victim's when the table is full. *)
 let take_slot t kh =
   if Slots.count t.index = t.cap then begin
@@ -252,12 +307,24 @@ let take_slot t kh =
     (* The victim could be the hinted entry: it must not serve an
        entry whose verdict a later re-insert could contradict. *)
     drop_hint t;
-    Slots.remove t.index (Slots.lru t.index)
+    let victim = Slots.lru t.index in
+    release t victim;
+    Slots.remove t.index victim
   end;
   let s = Slots.add t.index kh in
   t.entries <- Slots.fit t.entries t.index absent;
   t.keys <- Slots.fit t.keys t.index "";
   s
+
+(* A slot for a new FN program, keyed by [key]. *)
+let add_program t pg key =
+  let g = Slots.add t.progs pg in
+  t.prog_keys <- Slots.fit t.prog_keys t.progs "";
+  t.prog_entry <- Slots.fit t.prog_entry t.progs absent;
+  t.prog_refs <- Slots.fit t.prog_refs t.progs 0;
+  t.prog_keys.(g) <- key;
+  t.prog_refs.(g) <- 1;
+  g
 
 let shared t table k v =
   match Shared.find_opt table k with
@@ -266,11 +333,6 @@ let shared t table k v =
       if Shared.length table >= 4 * t.cap then Shared.reset table;
       Shared.add table k v;
       v
-
-let field_id (f : Dip_bitbuf.Field.t) =
-  (f.Dip_bitbuf.Field.off_bits lsl 20) lor f.Dip_bitbuf.Field.len_bits
-
-let share_field t f = shared t t.shared_fields (field_id f) f
 
 (* The wire identity of the FN triple at byte [pos]: its six bytes. *)
 let fn_id d pos =
@@ -297,17 +359,26 @@ let shared_view t d (view : Packet.view) =
     done;
   { view with Packet.header = { view.Packet.header with Header.hop_limit = 0 }; buf = idle }
 
-let insert t h d n kh view =
+(* [view] becomes an entry keyed by [d]'s prefix, holding its FN
+   program [g] and the program compiled for it, or, for [g] < 0, a new
+   FN program with none. *)
+let insert t h d n kh pg g view =
   let key = Bytes.sub d 0 n in
   Bytes.set key 2 '\000';
-  let e = { view; program = Uncompiled } in
+  let key = Bytes.unsafe_to_string key in
+  (* Held before the eviction, which may take its last other entry. *)
+  if g >= 0 then t.prog_refs.(g) <- t.prog_refs.(g) + 1;
   let s = take_slot t kh in
+  let g = if g >= 0 then g else add_program t pg key in
+  let e = { view; program = t.prog_entry.(g).program } in
+  t.prog_entry.(g) <- e;
   t.entries.(s) <- e;
-  t.keys.(s) <- Bytes.unsafe_to_string key;
-  arm h e t.keys.(s);
+  t.keys.(s) <- key;
+  arm h e key;
   e
 
 let remove t s =
+  release t s;
   Slots.remove t.index s;
   t.entries.(s) <- absent;
   t.keys.(s) <- ""
@@ -315,8 +386,12 @@ let remove t s =
 let clear t =
   drop_hint t;
   t.index <- Slots.create ~ordered:true;
+  t.progs <- Slots.create ~ordered:false;
   Array.fill t.entries 0 (Array.length t.entries) absent;
-  Array.fill t.keys 0 (Array.length t.keys) ""
+  Array.fill t.keys 0 (Array.length t.keys) "";
+  Array.fill t.prog_keys 0 (Array.length t.prog_keys) "";
+  Array.fill t.prog_entry 0 (Array.length t.prog_entry) absent;
+  Array.fill t.prog_refs 0 (Array.length t.prog_refs) 0
 
 (* --- the probe ------------------------------------------------------- *)
 
@@ -355,14 +430,33 @@ let find t h buf =
         Slots.touch t.index s;
         served t h s buf
       end
-      else begin
-        t.known <- 0;
-        match Packet.parse ~known:(known_fn t) buf with
-        | Error _ -> absent
-        | Ok view ->
+      else
+        let pg = program_fingerprint d n in
+        let g = lookup_program t d pg in
+        if g >= 0 then
+          (* A known FN program under a new next header: the parse
+             would give the program's header and triples, and fails
+             only on a packet shorter than the header it announces. *)
+          if not (fits buf) then absent
+          else begin
             note_miss t;
-            insert t h d n kh (shared_view t d view)
-      end
+            let v = t.prog_entry.(g).view in
+            insert t h d n kh pg g
+              {
+                v with
+                Packet.header =
+                  { v.Packet.header with Header.next_header = Char.code (Bytes.get d 0) };
+                buf = idle;
+              }
+          end
+        else begin
+          t.known <- 0;
+          match Packet.parse ~known:(known_fn t) buf with
+          | Error _ -> absent
+          | Ok view ->
+              note_miss t;
+              insert t h d n kh pg (-1) (shared_view t d view)
+        end
 
 let probe t buf = find t t.inline buf
 

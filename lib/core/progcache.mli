@@ -16,10 +16,16 @@
     comparison computed on the packet's own bytes, so a probe that
     hits allocates nothing. The key string is made only on a miss.
     The arrays start small and double up to the capacity. Entries
-    share their FN definitions (and compiled programs their target
-    slices) through small per-cache tables; a miss's {!Packet.parse}
-    takes the FN triples the table already holds instead of decoding
-    them.
+    share their FN definitions through a small per-cache table; a
+    miss's {!Packet.parse} takes the FN triples the table already
+    holds instead of decoding them.
+
+    Entries whose prefixes differ only in the next-header byte carry
+    one FN program, and share one program: it is compiled and verified
+    once, and lives while one of them is cached. A miss whose FN
+    program is cached under another next header is not parsed: its
+    view takes that entry's FN array. So a cache of [capacity]
+    entries holds at most [capacity] programs.
 
     One cache per {!Env} (routers differ in registry, so compiled
     programs must not be shared across nodes). Control-plane FN
@@ -31,7 +37,7 @@
 type program = ..
 (** What {!Engine} stores in an entry: its compiled program. *)
 
-type program += Uncompiled  (** a fresh entry, not yet run *)
+type program += Uncompiled  (** a fresh FN program, not yet run *)
 
 type entry = {
   view : Packet.view;
@@ -39,13 +45,15 @@ type entry = {
           engine points [buf] at each packet it runs and back at an
           empty buffer after *)
   mutable program : program;
+      (** on insert, the program of the last entry of its FN program
+          that was inserted, if one is cached, else [Uncompiled] *)
 }
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** LRU-bounded cache of at most [capacity] (default 512) distinct
-    programs. [capacity = 0] creates a disabled cache. *)
+    program prefixes. [capacity = 0] creates a disabled cache. *)
 
 val enabled : t -> bool
 (** [false] for a cache created with [capacity = 0]: {!Engine} then
@@ -124,15 +132,10 @@ val parse_hinted :
     LRU; otherwise the table is probed and the hint re-armed. Hit/miss
     accounting is identical to {!parse}. *)
 
-val share_field : t -> Dip_bitbuf.Field.t -> Dip_bitbuf.Field.t
-(** The field, or an equal one this cache handed out before: the
-    engine's compiled programs share their target slices through it,
-    as the cached FN definitions share theirs. *)
-
 val clear : t -> unit
 (** Drop every entry. *)
 
 val invalidate_key : t -> Opkey.t -> int
 (** Drop the entries whose program uses the given operation key —
-    the {!Control} FN install/upgrade hook. Returns how many entries
-    were dropped. *)
+    the {!Control} FN install/upgrade hook — and so their shared
+    programs. Returns how many entries were dropped. *)

@@ -26,7 +26,8 @@ val match_field : Dip_bitbuf.Bitbuf.t -> Dip_bitbuf.Field.t option
 val hash : Dip_bitbuf.Bitbuf.t -> int
 (** [hash pkt] is a non-negative flow hash. Packets whose DIP header
     does not parse, or with no forwarding FN, hash over the whole
-    buffer (still deterministic, no sharding benefit). *)
+    buffer (still deterministic, no sharding benefit). It reads the
+    header and triples where they lie and allocates nothing. *)
 
 val shard : Dip_bitbuf.Bitbuf.t -> workers:int -> int
 (** [hash pkt mod workers] ([0] when [workers <= 1]). *)

@@ -1075,6 +1075,90 @@ let test_progcache_direct_registry_change () =
     (run () = Engine.Dropped "verify: op not installed");
   Alcotest.(check int) "one program throughout" 1 (Progcache.misses env.Env.prog_cache)
 
+(* A DIP-32 packet under next header [nh]. *)
+let dip32_under nh =
+  let pkt = dip32 () in
+  Bitbuf.set_uint8 pkt 0 nh;
+  pkt
+
+(* A copy of the default registry whose F_32_match counts the programs
+   compiled with it: a compile applies the staged operation once. *)
+let counting_registry () =
+  let registry = Registry.restrict reg Opkey.all in
+  let compiles = ref 0 in
+  let impl = Option.get (Registry.find reg Opkey.F_32_match) in
+  Registry.install registry Opkey.F_32_match (fun fn field ->
+      incr compiles;
+      impl fn field);
+  (registry, compiles)
+
+let forward_one ?verify ~registry env pkt =
+  match Engine.process ?verify ~registry env ~now:0.0 ~ingress:0 pkt with
+  | Engine.Forwarded [ 1 ], _ -> ()
+  | _ -> Alcotest.fail "expected a forward out of port 1"
+
+let test_progcache_next_header_shared () =
+  (* One FN program under 96 next headers: 96 entries, counted as 96
+     misses, run one program, compiled and verified once. *)
+  let registry, compiles = counting_registry () in
+  let env = mk_cached_env () in
+  let c = env.Env.prog_cache in
+  let verifications = ref 0 in
+  let verify _ = incr verifications; Ok () in
+  for _ = 1 to 2 do
+    for nh = 0 to 95 do
+      forward_one ~verify ~registry env (dip32_under nh)
+    done
+  done;
+  Alcotest.(check int) "96 misses" 96 (Progcache.misses c);
+  Alcotest.(check int) "96 hits" 96 (Progcache.hits c);
+  Alcotest.(check int) "96 entries" 96 (Progcache.size c);
+  Alcotest.(check int) "compiled once" 1 !compiles;
+  Alcotest.(check int) "verified once" 1 !verifications;
+  (* A registry change recompiles the program once, for every next
+     header. *)
+  Registry.install registry Opkey.F_source (Option.get (Registry.find reg Opkey.F_source));
+  for nh = 0 to 95 do
+    forward_one ~verify ~registry env (dip32_under nh)
+  done;
+  Alcotest.(check int) "recompiled once" 2 !compiles;
+  Alcotest.(check int) "re-verified once" 2 !verifications
+
+let test_progcache_program_outlives_entries () =
+  (* The shared program lives while one of its entries is cached: a
+     new next header joins it even when its insert evicts the last
+     other one. Once every entry is gone, the next miss compiles and
+     verifies again. *)
+  let registry, compiles = counting_registry () in
+  let env = mk_cached_env ~capacity:8 () in
+  let c = env.Env.prog_cache in
+  let verifications = ref 0 in
+  let verify _ = incr verifications; Ok () in
+  let other loc =
+    Packet.build ~fns:[ Fn.v ~loc ~len:32 Opkey.F_source ] ~locations:(String.make 64 'L')
+      ~payload:"" ()
+  in
+  let others first count =
+    for loc = first to first + count - 1 do
+      ignore (Engine.process ~verify ~registry env ~now:0.0 ~ingress:0 (other (32 * loc)))
+    done
+  in
+  for nh = 0 to 95 do
+    forward_one ~verify ~registry env (dip32_under nh)
+  done;
+  Alcotest.(check int) "88 evictions" 88 (Progcache.evictions c);
+  others 0 7;
+  (* Next header 95 is the program's last entry, and the LRU one. *)
+  forward_one ~verify ~registry env (dip32_under 200);
+  Alcotest.(check int) "joined, not compiled" 1 !compiles;
+  Alcotest.(check int) "7 other programs verified" 8 !verifications;
+  (* Eight more take the last one. *)
+  others 7 8;
+  forward_one ~verify ~registry env (dip32_under 0);
+  Alcotest.(check int) "compiled again" 2 !compiles;
+  Alcotest.(check int) "verified again" 17 !verifications;
+  Alcotest.(check int) "misses" (96 + 7 + 1 + 8 + 1) (Progcache.misses c)
+
 (* The slot table against a model: Dip_tables.Lru keyed by the prefix
    string. Random probes over more programs than the capacity (hop
    limits varying), with invalidations and clears mixed in, must give
@@ -1166,6 +1250,53 @@ let test_alloc_probe_lru_hit () =
   let words = words_per_call 5_000 step in
   Alcotest.(check (float 0.0)) "minor words per two LRU-hit probes" 0.0 words;
   Alcotest.(check int) "two misses" 2 (Progcache.misses pc)
+
+(* Probes that miss in turn: [pkts] cycled through a cache of one
+   entry fewer, so every probe misses and evicts the LRU entry. *)
+let missing_step f pkts =
+  let i = ref 0 in
+  fun () ->
+    f pkts.(!i);
+    i := (!i + 1) mod Array.length pkts
+
+(* A miss on a new FN program: three programs through a 2-entry
+   cache, each evicting the last entry of another. What the miss
+   keeps is its parse, the key and the entry: 70 words, as many as
+   before entries of one FN program shared its compiled program. *)
+let test_alloc_probe_new_program () =
+  (* The parse's count includes the standard library's Hashtbl. *)
+  if not (String.starts_with ~prefix:"5.1." Sys.ocaml_version) then Alcotest.skip ();
+  let pc = Progcache.create ~capacity:2 () in
+  let program loc =
+    Packet.build ~fns:[ Fn.v ~loc ~len:32 Opkey.F_source; Fn.v ~loc:0 ~len:32 Opkey.F_32_match ]
+      ~locations:(String.make 16 'L') ~payload:"" ()
+  in
+  let step =
+    missing_step
+      (fun pkt -> ignore (Sys.opaque_identity (Progcache.probe pc pkt)))
+      [| program 32; program 64; program 96 |]
+  in
+  Alcotest.(check (float 0.0)) "minor words per miss" 70.0 (words_per_call 3_000 step)
+
+(* A miss on a cached FN program under a new next header, through
+   Engine.process with a verifier: no parse, no compile, no verify.
+   It keeps a header, a view, the key and the entry, and the
+   (verdict, info) result of every packet: 28 words, 350 when each
+   next header compiled and verified its own program. *)
+let test_alloc_engine_known_program_miss () =
+  let env = mk_cached_env ~capacity:2 () in
+  let verify = Dip_analysis.verifier ~registry:reg () in
+  let pkts = Array.init 3 dip32_under in
+  let step =
+    missing_step
+      (fun pkt ->
+        Bitbuf.set_uint8 pkt 2 64;
+        ignore (Sys.opaque_identity (Engine.process ~verify ~registry:reg env ~now:0.0 ~ingress:0 pkt)))
+      pkts
+  in
+  Alcotest.(check (float 0.0)) "minor words per miss" 28.0 (words_per_call 3_000 step);
+  Alcotest.(check int) "every packet missed" (Progcache.misses env.Env.prog_cache)
+    (Progcache.evictions env.Env.prog_cache + 2)
 
 (* A node's environment before it holds a route, a program or a PIT
    entry: its FIBs share their chunks and chunk arrays, so what is
@@ -1606,7 +1737,9 @@ let prop_packet_roundtrip =
 let prop_progcache_cold_agree =
   (* Cached parse ≡ cold parse, on well-formed, malformed and
      truncated packets alike — the insert (miss) path, the reuse
-     (hit) path, and a new program whose triples the cache already
+     (hit) path, the program under another next header (a miss that
+     takes the cached FN program's triples instead of parsing), whole
+     and truncated, and a new program whose triples the cache already
      holds under another basic header (here a shorter locations
      region, which can leave an FN out of bounds). One cache sees all
      the variants. *)
@@ -1661,8 +1794,15 @@ let prop_progcache_cold_agree =
           ((Bytes.get_uint16_be b 3 land 1) lor ((smash mod 33) lsl 1));
         Bytes.to_string b
       in
+      let renamed =
+        let b = Bytes.of_string s in
+        Bytes.set b 0 (Char.chr (smash land 0xff));
+        Bytes.to_string b
+      in
       check_buf s
       && check_buf (String.sub s 0 (min cut (String.length s)))
+      && check_buf renamed
+      && check_buf (String.sub renamed 0 (min cut (String.length renamed)))
       && check_buf reheaded
       && check_buf smashed
       && check_buf (String.sub smashed 0 (min cut (String.length smashed))))
@@ -1818,6 +1958,10 @@ let () =
             test_progcache_control_invalidation;
           Alcotest.test_case "stale without control" `Quick
             test_progcache_stale_verdict_without_control;
+          Alcotest.test_case "next headers share a program" `Quick
+            test_progcache_next_header_shared;
+          Alcotest.test_case "program outlives entries" `Quick
+            test_progcache_program_outlives_entries;
           Alcotest.test_case "direct registry change" `Quick
             test_progcache_direct_registry_change;
           QCheck_alcotest.to_alcotest prop_progcache_cold_agree;
@@ -1826,6 +1970,9 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "probe: LRU hit" `Quick test_alloc_probe_lru_hit;
+          Alcotest.test_case "probe: new FN program" `Quick test_alloc_probe_new_program;
+          Alcotest.test_case "engine: cached FN program, new next header" `Quick
+            test_alloc_engine_known_program_miss;
           Alcotest.test_case "Env.create" `Quick test_alloc_env_create;
           Alcotest.test_case "engine: cached DIP-32" `Quick test_alloc_engine_dip32;
           Alcotest.test_case "handler: cached DIP-32" `Quick test_alloc_handler_dip32;

@@ -746,6 +746,87 @@ let prop_compiled_interpreter_parity =
       let vi, _ = Algorithm1_ref.process ~registry interp ~now:0.0 ~ingress:0 b in
       Progcache.hits compiled.Env.prog_cache = hits + 1 && vc = vi && Bitbuf.equal a b)
 
+(* --- 9. The words a fat-tree hop allocates --- *)
+
+(* The benchmark's fattree workload at k=4: a fat-tree of Engine
+   routers and host handlers, per-host /24 routes along BFS trees,
+   800 DIP-32 packets of 64 bytes between random host pairs at
+   Poisson instants, sent by the hosts. One round warms the program
+   caches and the simulator's queues; the same traffic again is
+   counted. The pin is the second round's total, measured at the
+   release build on OCaml 5.1 (exact: minor words do not vary between
+   runs), so a change of one word either way fails; a fall is kept by
+   lowering it. It counts the standard library's tables and buffers
+   too, so it runs on 5.1 only. *)
+let test_fat_tree_words_per_arrival () =
+  if not (String.starts_with ~prefix:"5.1." Sys.ocaml_version) then Alcotest.skip ();
+  let module Topology = Dip_netsim.Topology in
+  let topo = Topology.fat_tree ~latency:1e-6 ~bandwidth:1.25e9 4 in
+  let n = topo.Topology.node_count in
+  let is_host u = List.length (Topology.neighbors topo u) = 1 in
+  let hosts = Array.of_list (List.filter is_host (List.init n Fun.id)) in
+  let addr i = Ipaddr.V4.of_octets 10 0 i 1 in
+  let envs = Array.init n (fun u -> Env.create ~name:(Printf.sprintf "n%d" u) ()) in
+  Array.iteri
+    (fun i h ->
+      let pred = Topology.shortest_paths topo ~src:h in
+      for r = 0 to n - 1 do
+        if (not (is_host r)) && pred.(r) >= 0 then
+          Dip_tables.Fib.V4.insert envs.(r).Env.v4_routes (addr i) ~len:24
+            (Topology.port_of topo r pred.(r))
+      done;
+      envs.(h).Env.local_v4 <- Some (addr i))
+    hosts;
+  (* A host sends what is injected at [send_port] out of its one link. *)
+  let send_port = 99 in
+  let sender env : Sim.handler =
+    let h = Engine.host_handler ~registry env in
+    fun sim ~now ~ingress pkt ->
+      if ingress = send_port then [ Sim.Forward (0, pkt) ] else h sim ~now ~ingress pkt
+  in
+  let sim = Sim.create () in
+  let ids =
+    Topology.instantiate topo sim ~name:(Printf.sprintf "n%d")
+      ~handler:(fun u ->
+        if is_host u then sender envs.(u) else Engine.handler ~registry envs.(u))
+  in
+  let delivered = ref 0 in
+  Sim.on_consume sim (fun _ _ _ -> incr delivered);
+  let arrivals () =
+    List.fold_left
+      (fun acc (k, v) -> if String.ends_with ~suffix:".rx" k then acc + v else acc)
+      0
+      (Dip_netsim.Stats.Counters.to_list (Sim.counters sim))
+  in
+  let g = Dip_stdext.Prng.create 101L in
+  let hosts_n = Array.length hosts in
+  let traffic =
+    let t = ref 0.0 in
+    List.init 800 (fun j ->
+        t := !t +. Dip_stdext.Prng.exponential g 2e6;
+        let s = Dip_stdext.Prng.int g hosts_n in
+        let d = (s + 1 + Dip_stdext.Prng.int g (hosts_n - 1)) mod hosts_n in
+        (!t, s, d, j))
+  in
+  let round base =
+    List.iter
+      (fun (at, s, d, j) ->
+        Sim.inject sim ~at:(base +. at) ~node:ids.(hosts.(s)) ~port:send_port
+          (Realize.ipv4 ~src:(addr s) ~dst:(addr d) ~payload:(Printf.sprintf "%038d" j) ()))
+      traffic;
+    let a0 = arrivals () and d0 = !delivered in
+    let w0 = Gc.minor_words () in
+    Sim.run sim;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "every packet delivered" 800 (!delivered - d0);
+    (words, arrivals () - a0)
+  in
+  ignore (round 0.0);
+  let words, arrivals = round 1.0 in
+  Alcotest.(check int) "arrivals" 5190 arrivals;
+  (* 7.459 words per arrival. *)
+  Alcotest.(check (float 0.0)) "minor words" 38712.0 words
+
 let () =
   Alcotest.run "integration"
     [
@@ -773,6 +854,8 @@ let () =
             `Quick test_run_equals_run_parallel;
           Alcotest.test_case "event order pinned on a lossy fat-tree" `Quick
             test_event_order_pinned;
+          Alcotest.test_case "fat-tree k=4: words per arrival" `Quick
+            test_fat_tree_words_per_arrival;
         ] );
       ( "fuzz",
         [

@@ -94,6 +94,95 @@ let test_flow_match_field_agrees_with_analyzer () =
           ~payload:"x" () );
     ]
 
+(* The flow hash as first written, on the decoded header: the oracle
+   of the in-place one. *)
+module Flow_ref = struct
+  let fold = Int32.to_int
+  let whole buf = fold (Dip_stdext.Crc32.digest_bytes (Bitbuf.to_bytes buf)) land max_int
+
+  let match_field buf =
+    match Header.decode buf with
+    | Error _ -> None
+    | Ok h ->
+        if Header.header_length h > Bitbuf.length buf then None
+        else begin
+          let rec find i =
+            if i >= h.Header.fn_num then None
+            else
+              let pos = Header.fn_offset i in
+              match Opkey.of_int (Bitbuf.get_uint16 buf (pos + 4) land 0x7fff) with
+              | Some k when (Registry.access k).Registry.forwarding ->
+                  Some (Bitbuf.get_uint16 buf pos, Bitbuf.get_uint16 buf (pos + 2))
+              | _ -> find (i + 1)
+          in
+          match find 0 with
+          | None -> None
+          | Some (loc_bits, len_bits) ->
+              if len_bits = 0 then None
+              else
+                Some
+                  (Dip_bitbuf.Field.v
+                     ~off_bits:((8 * Header.locations_offset h) + loc_bits)
+                     ~len_bits)
+        end
+
+  let hash buf =
+    match match_field buf with
+    | None -> whole buf
+    | Some f ->
+        let first, byte_len = Dip_bitbuf.Field.byte_span f in
+        let last = Stdlib.min (first + byte_len) (Bitbuf.length buf) in
+        if first < 0 || first >= last then whole buf
+        else
+          fold
+            (Dip_stdext.Crc32.digest_sub (Bitbuf.to_bytes buf) ~pos:first
+               ~len:(last - first))
+          land max_int
+
+  let shard buf ~workers = if workers <= 1 then 0 else hash buf mod workers
+end
+
+(* The in-place flow hash against the decoded form: every realization
+   and random program, and byte-mutated and truncated copies of them,
+   give the same match field, hash and shard. *)
+let prop_flow_in_place =
+  let base = Array.of_list (Programs.realized ()) in
+  QCheck.Test.make ~name:"flow: in-place = decoded form" ~count:2000
+    QCheck.(pair (int_bound 1_000_000) (int_range 0 3))
+    (fun (seed, damage) ->
+      let g = Dip_stdext.Prng.create (Int64.of_int seed) in
+      let s =
+        if seed mod 3 = 0 then Programs.random_program g
+        else base.(Dip_stdext.Prng.int g (Array.length base))
+      in
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      for _ = 1 to damage do
+        (* Mostly the header and triples, where the hash reads. *)
+        let hot = min n (6 + (6 * Char.code (Bytes.get b 1)) + 2) in
+        let i = if Dip_stdext.Prng.int g 4 = 0 then Dip_stdext.Prng.int g n else Dip_stdext.Prng.int g (max 1 hot) in
+        Bytes.set b i (Char.chr (Dip_stdext.Prng.int g 256))
+      done;
+      let s = Bytes.to_string b in
+      let s = if Dip_stdext.Prng.int g 4 = 0 then String.sub s 0 (Dip_stdext.Prng.int g (n + 1)) else s in
+      let buf = Bitbuf.of_string s in
+      Mcore.Flow.match_field buf = Flow_ref.match_field buf
+      && Mcore.Flow.hash buf = Flow_ref.hash buf
+      && List.for_all
+           (fun workers -> Mcore.Flow.shard buf ~workers = Flow_ref.shard buf ~workers)
+           [ 1; 2; 3; 4; 7 ])
+
+(* Sharding a DIP-32 packet reads its triples and hashes its
+   destination where they lie: nothing is allocated (35 words when it
+   decoded the header and boxed the CRC). *)
+let test_flow_shard_alloc () =
+  let pkt = mk_ipv4 7 in
+  let step () = ignore (Sys.opaque_identity (Mcore.Flow.shard pkt ~workers:4)) in
+  for _ = 1 to 16 do step () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do step () done;
+  Alcotest.(check (float 0.0)) "minor words per shard" 0.0 ((Gc.minor_words () -. w0) /. 1000.0)
+
 (* --- shared workload helpers --- *)
 
 let chain_name = Name.of_string "/mcore/test"
@@ -871,6 +960,8 @@ let () =
           Alcotest.test_case "garbage safe" `Quick test_flow_garbage_safe;
           Alcotest.test_case "match field agrees with analyzer" `Quick
             test_flow_match_field_agrees_with_analyzer;
+          Alcotest.test_case "shard allocates nothing" `Quick test_flow_shard_alloc;
+          QCheck_alcotest.to_alcotest prop_flow_in_place;
         ] );
       ( "batch",
         [

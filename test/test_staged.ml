@@ -143,17 +143,17 @@ let show_config c =
     (List.length (Registry.supported c.registry))
     (if c.verified then ", verify" else "")
 
-(* A staged node and an oracle node configured alike, fed packet by
-   packet: the feed fails at the first packet on which anything
-   differs. *)
-let pair c =
+(* A staged node and an oracle node configured alike, and their feed,
+   packet by packet: it fails at the first packet on which anything
+   differs, and returns what it observed. *)
+let sides c =
   let staged = make_side ~host:c.is_host ~cache:c.cache ~observed:c.observed in
   let oracle = make_side ~host:c.is_host ~cache:c.cache ~observed:c.observed in
   let verify =
     if c.verified then Some (Dip_analysis.verifier ~registry:c.registry ()) else None
   in
   let count = ref 0 in
-  fun raw ->
+  staged, oracle, fun raw ->
       let i = !count in
       incr count;
       let now = 0.25 *. float_of_int i in
@@ -183,7 +183,12 @@ let pair c =
           if g <> w then
             Alcotest.failf "[%s] packet %d (%s): %s differ\n  staged: %s\n  oracle: %s"
               (show_config c) i (Dip_stdext.Hex.encode raw) what g w)
-        got want
+        got want;
+      got
+
+let pair c =
+  let _, _, feed = sides c in
+  fun raw -> ignore (feed raw : (string * string) list)
 
 let differential c packets = List.iter (pair c) packets
 
@@ -314,6 +319,80 @@ let test_registry_change () =
       feed pkt)
     [ false; true ]
 
+(* Programs under many next headers through caches of 1 to 8 entries,
+   so the entries of one FN program come and go while they share its
+   compiled program and verify memo (a flipped parallel flag makes
+   another FN program); direct registry changes and
+   Control Enable_op/Disable_op commands come between packets. The
+   working set of 3 programs changes every 40 packets. *)
+let test_next_header_variants () =
+  let g = Prng.create 16L in
+  let pool = Array.of_list (realized () @ List.init 10 (fun _ -> random_program g)) in
+  let keys = Array.of_list Opkey.all in
+  let control_key = Dip_crypto.Prf.key_of_string "staged-control-0" in
+  List.iter
+    (fun is_host ->
+      for cache = 1 to 8 do
+        let registry = Registry.restrict master Opkey.all in
+        let c =
+          { is_host; cache; observed = cache mod 2 = 0; registry; verified = Prng.int g 2 = 0 }
+        in
+        let staged, oracle, feed = sides c in
+        (* The oracle parses through its cache, as the engine does; a
+           third node parses every packet cold. *)
+        let cold = make_side ~host:is_host ~cache:0 ~observed:false in
+        let verify =
+          if c.verified then Some (Dip_analysis.verifier ~registry ()) else None
+        in
+        let go_cold = if is_host then Algorithm1_ref.host_process else Algorithm1_ref.process in
+        let states =
+          List.map (fun s -> (s, Control.initial_state ())) [ staged; oracle; cold ]
+        in
+        let working = Array.make 3 "" and fed = ref 0 in
+        for i = 0 to 399 do
+          if i mod 40 = 0 then
+            Array.iteri (fun j _ -> working.(j) <- pool.(Prng.int g (Array.length pool))) working;
+          let k = keys.(Prng.int g (Array.length keys)) in
+          match Prng.int g 30 with
+          | 0 ->
+              if Prng.int g 2 = 0 then Registry.uninstall registry k
+              else Registry.install registry k (Option.get (Registry.find master k))
+          | 1 ->
+              let cmd = if Prng.int g 2 = 0 then Control.Enable_op k else Control.Disable_op k in
+              let pkt = Control.encode ~key:control_key ~seq:(Int64.of_int i) cmd in
+              List.iter
+                (fun (s, state) ->
+                  match
+                    Control.apply ~key:control_key ~state ~env:s.env ~registry ~master
+                      (Bitbuf.copy pkt)
+                  with
+                  | Ok _ -> ()
+                  | Error e -> Alcotest.failf "[%s] control: %s" (show_config c) e)
+                states
+          | _ ->
+              let b = Bytes.of_string working.(Prng.int g 3) in
+              Bytes.set b 0 (Char.chr (Prng.int g 12));
+              (* Now and then the parallel flag: another FN program. *)
+              if Prng.int g 4 = 0 then Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 1));
+              let raw = Bytes.to_string b in
+              let got = feed raw in
+              (* The feed's clock and ingress for its [n]th packet. *)
+              let n = !fed and buf = Bitbuf.of_string raw in
+              incr fed;
+              let now = 0.25 *. float_of_int n and ingress = n mod 3 in
+              let v, info = go_cold ?verify ~registry cold.env ~now ~ingress buf in
+              ignore (Engine.actions_of_verdict cold.env ~ingress buf v);
+              List.iter2
+                (fun what w ->
+                  if List.assoc what got <> w then
+                    Alcotest.failf "[%s] packet %d (%s): %s differ from the cold parse"
+                      (show_config c) n (Dip_stdext.Hex.encode raw) what)
+                [ "verdict"; "info"; "bytes" ]
+                [ show_verdict v; show_info info; Dip_stdext.Hex.encode (Bitbuf.to_string buf) ]
+        done
+      done)
+    [ false; true ]
+
 let test_coverage () =
   List.iter
     (fun k ->
@@ -331,6 +410,7 @@ let () =
           Alcotest.test_case "byte mutations never raise" `Quick test_mutations;
           Alcotest.test_case "MAC and DAG regions, 10k mutations" `Quick test_adversarial;
           Alcotest.test_case "direct registry change" `Quick test_registry_change;
+          Alcotest.test_case "next-header variants" `Quick test_next_header_variants;
           Alcotest.test_case "every verdict class compared" `Quick test_coverage;
         ] );
     ]
