@@ -40,7 +40,6 @@ val read : store -> Dip_bitbuf.Field.t -> value
 (** The value of a slice, reassembling exact bytes across cell
     boundaries when possible. Out-of-region bits read as unknown. *)
 
-val write : store -> Dip_bitbuf.Field.t -> value -> store
 val join : store -> store -> store
 val equal : store -> store -> bool
 

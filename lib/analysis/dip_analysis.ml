@@ -5,17 +5,17 @@ module Bitbuf = Dip_bitbuf.Bitbuf
 module Field = Dip_bitbuf.Field
 open Dip_core
 
-let access (fn : Fn.t) = Registry.access fn.Fn.key
+let transfer (fn : Fn.t) = Registry.transfer fn.Fn.key
 
 (* Two FNs conflict — must be serialized by a parallel dataplane —
    when their target slices overlap with at least one writer, or when
    the earlier one produces the scratch value the later one consumes.
    [conflict a b] assumes [a] precedes [b] in program order. *)
 let conflict a b =
-  let aa = access a and ab = access b in
+  let ta = transfer a and tb = transfer b in
   (Field.overlaps a.Fn.field b.Fn.field
-  && (Registry.writes_target aa || Registry.writes_target ab))
-  || (aa.Registry.writes_scratch && ab.Registry.reads_scratch)
+  && (ta.Registry.t_writes <> [] || tb.Registry.t_writes <> []))
+  || (ta.Registry.t_produces <> [] && tb.Registry.t_consumes <> [])
 
 let levels ~conflict fns =
   let n = Array.length fns in
@@ -301,7 +301,7 @@ let key_diags ~errors_only ~registry indexed =
 let tag_diags indexed =
   List.filter_map
     (fun (i, (fn : Fn.t)) ->
-      if fn.Fn.tag = Fn.Host && (access fn).Registry.forwarding then
+      if fn.Fn.tag = Fn.Host && (transfer fn).Registry.t_match then
         Some
           (Report.warning ~fn_index:i ~field:fn.Fn.field Report.Tag
              (Printf.sprintf

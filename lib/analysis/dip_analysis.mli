@@ -9,8 +9,8 @@
       and the 16-bit wire fields;
     - {b overlap/race} — with the §2.2 parallel flag set, no two FNs
       may race on overlapping bits (classified write-write or
-      read-write from the declared {!Dip_core.Registry.access}
-      modes), and no scratch-mediated dependency may escape the
+      read-write from the declared {!Dip_core.Registry.transfer}
+      rows), and no scratch-mediated dependency may escape the
       engine's overlap-based serialization. Every report carries
       the hazard-aware critical-path depth next to
       {!Dip_core.Engine.critical_path}'s estimate, for

@@ -37,12 +37,12 @@ type config = {
 let hex s =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
 
-(* The region-relative target field of the first FN whose key has
-   forwarding access — the slice Dip_mcore.Flow hashes and the match
+(* The region-relative target field of the first FN whose key matches
+   a node table ([t_match]) — the slice Dip_mcore.Flow hashes and the match
    value routing keys on. *)
 let match_field fns =
   List.find_opt
-    (fun (fn : Fn.t) -> (Registry.access fn.Fn.key).Registry.forwarding)
+    (fun (fn : Fn.t) -> (Registry.transfer fn.Fn.key).Registry.t_match)
     fns
   |> Option.map (fun (fn : Fn.t) -> fn.Fn.field)
 

@@ -33,24 +33,16 @@ type config = {
 }
 
 val match_field : Dip_core.Fn.t list -> Dip_bitbuf.Field.t option
-(** The region-relative target field of the first FN with forwarding
-    access — the slice routing keys on and {!Dip_mcore.Flow} hashes.
+(** The region-relative target field of the first FN whose transfer
+    row matches a node table ([t_match]) — the slice routing keys on
+    and {!Dip_mcore.Flow} hashes.
     [None] when the program has no forwarding FN. *)
 
 val match_value : Dip_core.Packet.view -> string option
 (** The concrete bytes of {!match_field} in a parsed packet — handy
-    for building route tables keyed the way {!check} compares. *)
-
-val check :
-  config ->
-  region_bits:int ->
-  ?bytes:string ->
-  Dip_core.Fn.t list ->
-  Report.diag list
-(** Run the reachability pass for one program injected at [c_src]
-    toward [c_dst]. [bytes] seeds the locations region with the
-    packet's concrete contents (without it every match value is
-    unknown and every node fans out). *)
+    for building route tables keyed the way {!check_view} compares. *)
 
 val check_view : config -> Dip_core.Packet.view -> Report.diag list
-(** {!check} with region size and bytes taken from a parsed packet. *)
+(** Run the reachability pass for one parsed packet injected at
+    [c_src] toward [c_dst]: the packet's locations region seeds the
+    store, so match values are its concrete bytes. *)

@@ -21,9 +21,4 @@ let contains outer inner =
 
 let equal a b = a.off_bits = b.off_bits && a.len_bits = b.len_bits
 
-let compare a b =
-  match Int.compare a.off_bits b.off_bits with
-  | 0 -> Int.compare a.len_bits b.len_bits
-  | c -> c
-
 let pp fmt f = Format.fprintf fmt "(loc:%d, len:%d)" f.off_bits f.len_bits

@@ -31,5 +31,4 @@ val contains : t -> t -> bool
     [outer]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

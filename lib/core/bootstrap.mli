@@ -24,9 +24,6 @@ val add_as : t -> int -> Opkey.t list -> unit
 val link : t -> int -> int -> unit
 (** Provider/peer adjacency between two registered ASes. *)
 
-val supported : t -> int -> Opkey.t list
-(** An AS's own support set. Raises [Not_found] for unknown ASes. *)
-
 val local_offer : t -> int -> Opkey.t list
 (** What a host attached to this AS learns at bootstrap (the DHCP
     analogue): the access AS's support set. *)

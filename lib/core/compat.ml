@@ -2,13 +2,13 @@ module Bitbuf = Dip_bitbuf.Bitbuf
 
 let dip_protocol_number = 0xFD
 
-let encapsulate_ipv4 ~src ~dst ?(ttl = 64) dip_packet =
+let encapsulate_ipv4 ~src ~dst dip_packet =
   let payload = Bitbuf.to_string dip_packet in
   Dip_ip.Ipv4.encode
     {
       Dip_ip.Ipv4.src = src;
       dst;
-      ttl;
+      ttl = 64;
       protocol = dip_protocol_number;
       payload_len = String.length payload;
     }
@@ -34,14 +34,14 @@ let strip buf =
       let loc = view.Packet.loc_base in
       Ok (Bitbuf.of_string (String.sub s loc (String.length s - loc)))
 
-let restore ~fns ?next_header ?hop_limit ?parallel ~loc_len legacy =
+let restore ~fns ?hop_limit ?parallel ~loc_len legacy =
   let s = Bitbuf.to_string legacy in
   if String.length s < loc_len then Error "restore: packet shorter than loc_len"
   else
     let locations = String.sub s 0 loc_len in
     let payload = String.sub s loc_len (String.length s - loc_len) in
     match
-      Packet.build ?next_header ?hop_limit ?parallel ~fns ~locations ~payload ()
+      Packet.build ?hop_limit ?parallel ~fns ~locations ~payload ()
     with
     | buf -> Ok buf
     | exception Invalid_argument e -> Error e

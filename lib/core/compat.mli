@@ -21,11 +21,10 @@
 val encapsulate_ipv4 :
   src:Dip_tables.Ipaddr.V4.t ->
   dst:Dip_tables.Ipaddr.V4.t ->
-  ?ttl:int ->
   Dip_bitbuf.Bitbuf.t ->
   Dip_bitbuf.Bitbuf.t
 (** Wrap a DIP packet for transit through a DIP-agnostic IPv4
-    domain. *)
+    domain (TTL 64). *)
 
 val decapsulate_ipv4 : Dip_bitbuf.Bitbuf.t -> (Dip_bitbuf.Bitbuf.t, string) result
 (** Unwrap at the far tunnel endpoint; rejects non-tunnel packets. *)
@@ -36,7 +35,6 @@ val strip : Dip_bitbuf.Bitbuf.t -> (Dip_bitbuf.Bitbuf.t, string) result
 
 val restore :
   fns:Fn.t list ->
-  ?next_header:int ->
   ?hop_limit:int ->
   ?parallel:bool ->
   loc_len:int ->

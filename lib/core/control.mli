@@ -26,9 +26,6 @@ type command =
 
 val pp_command : Format.formatter -> command -> unit
 
-val next_header_value : int
-(** 0xFC. *)
-
 val is_control : Dip_bitbuf.Bitbuf.t -> bool
 
 val encode : key:Dip_crypto.Prf.key -> seq:int64 -> command -> Dip_bitbuf.Bitbuf.t

@@ -134,7 +134,6 @@ type router = {
 
 let node t = t.node
 let env t = t.env
-let store t = t.store
 
 (* Put every held bundle back on the wire (link-up, or the periodic
    safety sweep covering lost custody ACKs). Injection goes through

@@ -96,8 +96,6 @@ val add_router :
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t
-val store : router -> Dip_bitbuf.Bitbuf.t Dip_tables.Custody_store.t
-
 val replay : router -> unit
 (** Put every held bundle back on the wire now — what the
     {!Dip_netsim.Faults.on_link_up} hook should call. *)

@@ -409,5 +409,5 @@ let handle ~side ?obs ?verify ~registry env ~now ~ingress packet =
 let handler ?obs ?verify ~registry env _sim ~now ~ingress packet =
   handle ~side:Router_side ?obs ?verify ~registry env ~now ~ingress packet
 
-let host_handler ?obs ?verify ~registry env _sim ~now ~ingress packet =
-  handle ~side:Host_side ?obs ?verify ~registry env ~now ~ingress packet
+let host_handler ~registry env _sim ~now ~ingress packet =
+  handle ~side:Host_side ~registry env ~now ~ingress packet

@@ -53,7 +53,7 @@ val critical_path : Fn.t array -> int
     FNs whose target fields overlap are serialized, everything else
     may run concurrently (§2.2 parallel bit). This is the engine's
     conservative (access-mode-blind) estimate; the {!Dip_analysis}
-    verifier recomputes it from declared {!Registry.access} modes and
+    verifier recomputes it from declared {!Registry.transfer} rows and
     cross-checks the two. [parallel_depth] restricts the same
     analysis to the executed subset. *)
 
@@ -160,8 +160,6 @@ val handler :
     ({!actions_of_verdict}). *)
 
 val host_handler :
-  ?obs:Obs.t ->
-  ?verify:(Packet.view -> (unit, string) result) ->
   registry:Registry.t ->
   Env.t ->
   Dip_netsim.Sim.handler

@@ -100,7 +100,7 @@ let idle_view =
     buf = Dip_bitbuf.Bitbuf.create 0;
   }
 
-let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
+let create ?(cache_capacity = 0)
     ?(interest_lifetime = 4.0) ?(opt_alg = Dip_opt.Protocol.EM2) ?guard
     ?(prog_cache_capacity = 512) ~name () =
   let counters = Dip_obs.Metrics.create () in
@@ -113,7 +113,7 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
       local_v4 = None;
       local_v6 = None;
       fib = Dip_tables.Name_fib.create ();
-      pit = Dip_tables.Pit.create ~capacity:pit_capacity ();
+      pit = Dip_tables.Pit.create ~capacity:65536 ();
       cache =
         (if cache_capacity > 0 then
            Some

@@ -157,7 +157,6 @@ and t = {
 
 val create :
   ?cache_capacity:int ->
-  ?pit_capacity:int ->
   ?interest_lifetime:float ->
   ?opt_alg:Dip_opt.Protocol.alg ->
   ?guard:Guard.t ->
@@ -166,7 +165,8 @@ val create :
   unit ->
   t
 (** Fresh empty environment. [cache_capacity = 0] (default) disables
-    the content store, matching the paper's prototype.
+    the content store, matching the paper's prototype; the PIT holds
+    65536 entries.
     [prog_cache_capacity] (default 512) bounds the decoded-FN-program
     cache; [0] disables it so every packet is cold-parsed. *)
 

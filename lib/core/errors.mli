@@ -12,9 +12,6 @@
     operation key and echoes the first bytes of the rejected
     packet. *)
 
-val next_header_value : int
-(** The reserved next-header code for DIP control messages (0xFE). *)
-
 val integrity_reason : string
 (** The drop reason ["integrity-check-failed"] shared by every
     checksum-guarded receive path (see {!Host.Reliable}), so corrupted

@@ -82,4 +82,3 @@ let description = function
 
 let equal a b = a = b
 let compare a b = Int.compare (to_int a) (to_int b)
-let pp fmt t = Format.pp_print_string fmt (name t)

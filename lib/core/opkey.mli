@@ -53,4 +53,3 @@ val description : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -135,7 +135,6 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let size t = Slots.count t.index
-let capacity t = t.cap
 let set_flight t r = t.flight <- r
 
 let note_hit t =

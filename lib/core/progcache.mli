@@ -75,8 +75,6 @@ val stat_name : stat -> string
     its events and {!Env.publish_cache_stats} its counter. *)
 
 val size : t -> int
-val capacity : t -> int
-
 val set_flight : t -> Dip_obs.Flight.ring option -> unit
 (** Arm (or disarm) a flight-recorder ring: cache events are recorded
     as ["progcache.hit"] (sampled 1-in-16, a0 = running hit total),

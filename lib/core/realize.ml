@@ -13,9 +13,9 @@ let ipv4 ?hop_limit ~src ~dst ~payload () =
       ]
     ~locations ~payload ()
 
-let ipv6 ?hop_limit ~src ~dst ~payload () =
+let ipv6 ~src ~dst ~payload () =
   let locations = Ipaddr.V6.to_wire dst ^ Ipaddr.V6.to_wire src in
-  Packet.build ?hop_limit
+  Packet.build
     ~fns:
       [
         Fn.v ~loc:0 ~len:128 Opkey.F_128_match;
@@ -45,21 +45,18 @@ let with_pass ~pass ~fns ~locations =
       ( Fn.v ~loc:label_loc ~len:32 Opkey.F_pass :: fns,
         Bytes.to_string b )
 
-let ndn_interest ?hop_limit ?pass ~name ~payload () =
+let ndn_interest ?pass ~name ~payload () =
   let fns, locations =
     with_pass ~pass
       ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_fib ]
       ~locations:(hash_wire name)
   in
-  Packet.build ?hop_limit ~fns ~locations ~payload ()
+  Packet.build ~fns ~locations ~payload ()
 
-let ndn_data ?hop_limit ?pass ~name ~content () =
-  let fns, locations =
-    with_pass ~pass
-      ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_pit ]
-      ~locations:(hash_wire name)
-  in
-  Packet.build ?hop_limit ~fns ~locations ~payload:content ()
+let ndn_data ~name ~content () =
+  Packet.build
+    ~fns:[ Fn.v ~loc:0 ~len:32 Opkey.F_pit ]
+    ~locations:(hash_wire name) ~payload:content ()
 
 let opt_fns ~hops ~name_after =
   let ver_len = Dip_opt.Header.size_bits ~hops in
@@ -82,29 +79,27 @@ let opt_locations ?alg ~hops ~session_id ~timestamp ~dest_key ~payload extra =
     ~len:(String.length extra);
   Bitbuf.to_string buf
 
-let opt ?hop_limit ?alg ~hops ~session_id ~timestamp ~dest_key ~payload () =
-  Packet.build ?hop_limit
+let opt ?alg ~hops ~session_id ~timestamp ~dest_key ~payload () =
+  Packet.build
     ~fns:(opt_fns ~hops ~name_after:false)
     ~locations:
       (opt_locations ?alg ~hops ~session_id ~timestamp ~dest_key ~payload "")
     ~payload ()
 
-let ndn_opt_interest ?hop_limit ~name ~payload () =
-  ndn_interest ?hop_limit ~name ~payload ()
+let ndn_opt_interest ~name ~payload () = ndn_interest ~name ~payload ()
 
-let ndn_opt_data ?hop_limit ?alg ~hops ~session_id ~timestamp ~dest_key ~name
-    ~content () =
-  Packet.build ?hop_limit
+let ndn_opt_data ~hops ~session_id ~timestamp ~dest_key ~name ~content () =
+  Packet.build
     ~fns:(opt_fns ~hops ~name_after:true)
     ~locations:
-      (opt_locations ?alg ~hops ~session_id ~timestamp ~dest_key
+      (opt_locations ~hops ~session_id ~timestamp ~dest_key
          ~payload:content (hash_wire name))
     ~payload:content ()
 
-let xia ?hop_limit ~dag ~payload () =
+let xia ~dag ~payload () =
   let wire = "\x00" ^ Dip_xia.Dag.to_wire dag in
   let len_bits = 8 * String.length wire in
-  Packet.build ?hop_limit
+  Packet.build
     ~fns:
       [
         Fn.v ~loc:0 ~len:len_bits Opkey.F_dag;
@@ -112,7 +107,7 @@ let xia ?hop_limit ~dag ~payload () =
       ]
     ~locations:wire ~payload ()
 
-let netfence ?hop_limit ~src ~dst ~sender ~rate ~timestamp ~payload () =
+let netfence ~src ~dst ~sender ~rate ~timestamp ~payload () =
   let nf = Dip_netfence.Header.size_bytes in
   let region = Bitbuf.create (nf + 8) in
   Dip_netfence.Header.init region ~base:0 ~sender ~rate ~timestamp;
@@ -120,7 +115,7 @@ let netfence ?hop_limit ~src ~dst ~sender ~rate ~timestamp ~payload () =
     ~src:(Bitbuf.of_string (Ipaddr.V4.to_wire dst ^ Ipaddr.V4.to_wire src))
     ~src_off:0 ~dst:region ~dst_off:nf ~len:8;
   let nf_bits = 8 * nf in
-  Packet.build ?hop_limit
+  Packet.build
     ~fns:
       [
         Fn.v ~loc:0 ~len:nf_bits Opkey.F_cc;
@@ -129,7 +124,7 @@ let netfence ?hop_limit ~src ~dst ~sender ~rate ~timestamp ~payload () =
       ]
     ~locations:(Bitbuf.to_string region) ~payload ()
 
-let ipv4_telemetry ?hop_limit ~max_hops ~src ~dst ~payload () =
+let ipv4_telemetry ~max_hops ~src ~dst ~payload () =
   let tel = Telemetry.region_size ~max_hops in
   let region = Bitbuf.create (tel + 8) in
   Telemetry.init region ~base:0;
@@ -137,7 +132,7 @@ let ipv4_telemetry ?hop_limit ~max_hops ~src ~dst ~payload () =
     ~src:(Bitbuf.of_string (Ipaddr.V4.to_wire dst ^ Ipaddr.V4.to_wire src))
     ~src_off:0 ~dst:region ~dst_off:tel ~len:8;
   let tel_bits = 8 * tel in
-  Packet.build ?hop_limit
+  Packet.build
     ~fns:
       [
         Fn.v ~loc:0 ~len:tel_bits Opkey.F_tel;
@@ -146,7 +141,7 @@ let ipv4_telemetry ?hop_limit ~max_hops ~src ~dst ~payload () =
       ]
     ~locations:(Bitbuf.to_string region) ~payload ()
 
-let epic ?hop_limit ~hops ~src_id ~timestamp ~hop_keys ~src ~dst ~payload () =
+let epic ~hops ~src_id ~timestamp ~hop_keys ~src ~dst ~payload () =
   if List.length hop_keys <> hops then
     invalid_arg "Realize.epic: need one hop key per hop";
   let region_bytes = Dip_epic.Header.size_bytes ~hops in
@@ -157,7 +152,7 @@ let epic ?hop_limit ~hops ~src_id ~timestamp ~hop_keys ~src ~dst ~payload () =
     ~src:(Bitbuf.of_string (Ipaddr.V4.to_wire dst ^ Ipaddr.V4.to_wire src))
     ~src_off:0 ~dst:region ~dst_off:region_bytes ~len:8;
   let region_bits = 8 * region_bytes in
-  Packet.build ?hop_limit
+  Packet.build
     ~fns:
       [
         Fn.v ~loc:0 ~len:region_bits Opkey.F_hvf;

@@ -36,7 +36,6 @@ val ipv4 :
 (** DIP-32 forwarding (26-byte header). *)
 
 val ipv6 :
-  ?hop_limit:int ->
   src:Dip_tables.Ipaddr.V6.t ->
   dst:Dip_tables.Ipaddr.V6.t ->
   payload:string ->
@@ -45,7 +44,6 @@ val ipv6 :
 (** DIP-128 forwarding (50-byte header). *)
 
 val ndn_interest :
-  ?hop_limit:int ->
   ?pass:Dip_crypto.Siphash.key ->
   name:Name.t ->
   payload:string ->
@@ -54,8 +52,6 @@ val ndn_interest :
 (** NDN interest (16-byte header; +10 with an {i F_pass} label). *)
 
 val ndn_data :
-  ?hop_limit:int ->
-  ?pass:Dip_crypto.Siphash.key ->
   name:Name.t ->
   content:string ->
   unit ->
@@ -63,7 +59,6 @@ val ndn_data :
 (** NDN data (16-byte header). *)
 
 val opt :
-  ?hop_limit:int ->
   ?alg:Dip_opt.Protocol.alg ->
   hops:int ->
   session_id:int64 ->
@@ -75,12 +70,10 @@ val opt :
 (** OPT packet (98-byte header at one hop), seeded by the source. *)
 
 val ndn_opt_interest :
-  ?hop_limit:int -> name:Name.t -> payload:string -> unit -> Dip_bitbuf.Bitbuf.t
+  name:Name.t -> payload:string -> unit -> Dip_bitbuf.Bitbuf.t
 (** The request side of NDN+OPT: plain {i F_FIB} forwarding. *)
 
 val ndn_opt_data :
-  ?hop_limit:int ->
-  ?alg:Dip_opt.Protocol.alg ->
   hops:int ->
   session_id:int64 ->
   timestamp:int32 ->
@@ -93,11 +86,10 @@ val ndn_opt_data :
     {i F_PIT} + the four OPT FNs; content name after the OPT region. *)
 
 val xia :
-  ?hop_limit:int -> dag:Dip_xia.Dag.t -> payload:string -> unit -> Dip_bitbuf.Bitbuf.t
+  dag:Dip_xia.Dag.t -> payload:string -> unit -> Dip_bitbuf.Bitbuf.t
 (** XIA over DIP: pointer + DAG in the FN locations. *)
 
 val netfence :
-  ?hop_limit:int ->
   src:Dip_tables.Ipaddr.V4.t ->
   dst:Dip_tables.Ipaddr.V4.t ->
   sender:int32 ->
@@ -114,7 +106,6 @@ val netfence :
     [Dip_netfence.Header.get_flag buf ~base:view.loc_base]. *)
 
 val ipv4_telemetry :
-  ?hop_limit:int ->
   max_hops:int ->
   src:Dip_tables.Ipaddr.V4.t ->
   dst:Dip_tables.Ipaddr.V4.t ->
@@ -126,7 +117,6 @@ val ipv4_telemetry :
     at the head of the FN locations. *)
 
 val epic :
-  ?hop_limit:int ->
   hops:int ->
   src_id:int32 ->
   timestamp:int32 ->

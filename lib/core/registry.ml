@@ -22,40 +22,6 @@ and scratch = Env.scratch = {
 
 type impl = Fn.t -> Dip_bitbuf.Field.t -> ctx -> outcome
 
-type mode = Read | Write | Read_write
-
-type access = {
-  target : mode;
-  reads_scratch : bool;
-  writes_scratch : bool;
-  forwarding : bool;
-}
-
-let ro = { target = Read; reads_scratch = false; writes_scratch = false;
-           forwarding = false }
-
-(* Declared access modes, one per operation module. These mirror what
-   the implementations in Ops actually do to their target slice and
-   to the per-packet scratch; the static analyzer builds its hazard
-   and dependency graphs from this table, so an operation that starts
-   mutating its target must update its row here. *)
-let access = function
-  | Opkey.F_32_match | Opkey.F_128_match -> { ro with forwarding = true }
-  | Opkey.F_source -> ro
-  | Opkey.F_fib | Opkey.F_pit -> { ro with forwarding = true }
-  | Opkey.F_parm -> { ro with writes_scratch = true }
-  | Opkey.F_mac | Opkey.F_mark ->
-      { ro with target = Read_write; reads_scratch = true }
-  | Opkey.F_ver -> ro
-  | Opkey.F_dag -> { ro with target = Read_write; forwarding = true }
-  | Opkey.F_intent -> { ro with forwarding = true }
-  | Opkey.F_pass -> ro
-  | Opkey.F_cc | Opkey.F_tel -> { ro with target = Read_write }
-  | Opkey.F_hvf -> { ro with target = Read_write }
-  | Opkey.F_cust -> { ro with target = Read_write }
-
-let writes_target a = a.target <> Read
-
 (* ------------------------------------------------------------------ *)
 (* Declared transfer functions (abstract semantics).                   *)
 (* ------------------------------------------------------------------ *)

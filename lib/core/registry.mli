@@ -60,45 +60,20 @@ type impl = Fn.t -> Dip_bitbuf.Field.t -> ctx -> outcome
     application; an operation that fails one returns a constant
     [Abort] with the same reason it would give per packet. *)
 
-(** How an operation touches its target field slice. *)
-type mode = Read | Write | Read_write
-
-(** Declared (static) behaviour of an operation module: what it does
-    to its target slice, whether it consumes or produces the
-    per-packet scratch ({!scratch}), and whether it may propose a
-    forwarding/delivery decision. This is the metadata the
-    {!Dip_analysis} verifier reasons over — the §2.2 parallel bit is
-    only safe when no two FNs race on overlapping slices. *)
-type access = {
-  target : mode;
-  reads_scratch : bool;  (** consumes [scratch.opt_key] (F_MAC, F_mark) *)
-  writes_scratch : bool;  (** deposits [scratch.opt_key] (F_parm) *)
-  forwarding : bool;
-      (** may return [Set_route]/[Deliver_local] on a router — the
-          operations a host-tagged FN would silently disable *)
-}
-
-val access : Opkey.t -> access
-(** The declared access mode of an operation key. Total: every key in
-    Table 1 (plus this repo's extensions) has a row. *)
-
-val writes_target : access -> bool
-(** [true] when the target mode is [Write] or [Read_write]. *)
-
 (** {1 Transfer functions}
 
-    The coarse {!access} row says {e whether} an operation touches its
-    target; the transfer function says {e which bit slices} it reads
-    and writes, how the written value relates to the packet, and which
-    scratch cells it consumes or produces. This is the declared
-    abstract semantics the {!Dip_analysis} interpreter executes. *)
+    An operation's transfer function says {e which bit slices} of its
+    target it reads and writes, how the written value relates to the
+    packet, which scratch cells ({!scratch}) it consumes or produces,
+    and whether it may pick a route or propose local delivery. This is
+    the declared abstract semantics the {!Dip_analysis} interpreter
+    executes, and the one row per key that the verifier's races and
+    dependencies, {!Dip_mcore.Flow}'s shard key and the host-tag
+    check read. *)
 
 type span = { s_off : int; s_len : int }
 (** A slice of the FN's target field, in bits relative to the target's
     own offset. [s_len = -1] means "to the end of the target". *)
-
-val whole : span
-(** The entire target field. *)
 
 (** How a written slice relates to the inputs — this is what the
     Sharding check keys on:
@@ -121,13 +96,16 @@ type transfer = {
   t_produces : string list;  (** scratch cells written *)
   t_match : bool;
       (** matches the target value against a node table to pick a
-          route (the slice {!Dip_mcore.Flow} hashes on) *)
+          route, so may return [Set_route]/[Deliver_local] on a router
+          (the slice {!Dip_mcore.Flow} hashes on) *)
   t_deliver : bool;  (** may propose local delivery *)
 }
 
 val transfer : Opkey.t -> transfer
-(** The declared transfer function of an operation key. Total, and
-    kept consistent with {!access} (checked by the test suite). *)
+(** The declared transfer function of an operation key. Total: every
+    key in Table 1 (plus this repo's extensions) has a row. The six
+    keys with [t_match] are the forwarding ones; a router skips a
+    host-tagged one. *)
 
 val resolve_span :
   field:Dip_bitbuf.Field.t -> region_bits:int -> span ->

@@ -15,9 +15,6 @@ type block = int64 * int64
 (** A 128-bit block as two big-endian 64-bit lanes: [(hi, lo)] where
     [hi] holds bytes 0–7 of the wire representation. *)
 
-val rounds : int
-(** Number of ARX rounds applied (12). *)
-
 val round_constants : int64 array
 (** The [rounds] round constants, in order, for kernels that run the
     rounds inline ({!Mac2em}). Must not be mutated. *)

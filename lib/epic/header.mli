@@ -21,8 +21,6 @@
 val size_bytes : hops:int -> int
 (** 24 + 4·hops. *)
 
-val size_bits : hops:int -> int
-
 val set_src : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 val get_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit

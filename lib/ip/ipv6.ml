@@ -72,20 +72,12 @@ type verdict =
   | Deliver
   | Discard of string
 
-let forward ?local table buf =
+let forward table buf =
   match decode buf with
   | Error e -> Discard e
   | Ok h -> (
-      if local = Some h.dst then Deliver
-      else
-        match Dip_tables.Fib.V6.lookup table h.dst with
-        | None -> Discard "no-route"
-        | Some (_, port) ->
-            if decrement_hop_limit buf then Forward port
-            else Discard "hop-limit-expired")
-
-let handler ?local table _sim ~now:_ ~ingress:_ packet =
-  match forward ?local table packet with
-  | Forward port -> [ Dip_netsim.Sim.Forward (port, packet) ]
-  | Deliver -> [ Dip_netsim.Sim.Consume ]
-  | Discard reason -> [ Dip_netsim.Sim.Drop reason ]
+      match Dip_tables.Fib.V6.lookup table h.dst with
+      | None -> Discard "no-route"
+      | Some (_, port) ->
+          if decrement_hop_limit buf then Forward port
+          else Discard "hop-limit-expired")

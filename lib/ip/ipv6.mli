@@ -19,9 +19,6 @@ val header_size : int
 val encode : header -> payload:string -> Dip_bitbuf.Bitbuf.t
 val decode : Dip_bitbuf.Bitbuf.t -> (header, string) result
 
-val decrement_hop_limit : Dip_bitbuf.Bitbuf.t -> bool
-(** In-place decrement; [false] when the packet must be dropped. *)
-
 type route_table = Dip_netsim.Sim.port Dip_tables.Fib.V6.t
 (** Routes live in the compressed stride-8 multibit trie
     ({!Dip_tables.Fib.V6}). *)
@@ -33,7 +30,4 @@ type verdict =
   | Deliver
   | Discard of string
 
-val forward :
-  ?local:Dip_tables.Ipaddr.V6.t -> route_table -> Dip_bitbuf.Bitbuf.t -> verdict
-
-val handler : ?local:Dip_tables.Ipaddr.V6.t -> route_table -> Dip_netsim.Sim.handler
+val forward : route_table -> Dip_bitbuf.Bitbuf.t -> verdict

@@ -20,11 +20,12 @@ let whole buf =
   let d = Bitbuf.to_bytes buf in
   digest d ~pos:0 ~len:(Bytes.length d)
 
-(* Which wire keys name an operation declared [forwarding]. *)
+(* Which wire keys name a forwarding operation: one whose transfer row
+   matches a node table ([t_match]). *)
 let forwarding =
   Array.init (Opkey.max_key + 1) (fun i ->
       match Opkey.of_int i with
-      | Some k -> (Registry.access k).Registry.forwarding
+      | Some k -> (Registry.transfer k).Registry.t_match
       | None -> false)
 
 (* The byte offset of the triple of the first FN whose operation key

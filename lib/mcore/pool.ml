@@ -221,7 +221,7 @@ let worker t w =
   in
   loop 0
 
-let create ?(metrics = false) ?obs_sample_every ?flight ?flight_capacity
+let create ?(metrics = false) ?obs_sample_every ?flight
     ~domains snap =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   (match Snapshot.validate snap with
@@ -232,7 +232,7 @@ let create ?(metrics = false) ?obs_sample_every ?flight ?flight_capacity
     | None -> Array.make (domains + 1) None
     | Some pid ->
         Array.init (domains + 1) (fun tid ->
-            Some (F.create ?capacity:flight_capacity ~pid ~tid ()))
+            Some (F.create ~pid ~tid ()))
   in
   let acc_metrics = if metrics then Some (Metrics.create ()) else None in
   let pub =
@@ -302,7 +302,6 @@ let create ?(metrics = false) ?obs_sample_every ?flight ?flight_capacity
     Array.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker t (k + 1)));
   t
 
-let domains t = t.ndomains
 let epoch t = (Atomic.get t.current).snap.Snapshot.epoch
 
 (* Fold one epoch's per-worker counters/metrics into the pool-lifetime

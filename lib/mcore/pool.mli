@@ -52,7 +52,6 @@ val create :
   ?metrics:bool ->
   ?obs_sample_every:int ->
   ?flight:int ->
-  ?flight_capacity:int ->
   domains:int ->
   Snapshot.t ->
   t
@@ -66,8 +65,8 @@ val create :
     daemons.
 
     [flight] arms a {!Dip_obs.Flight} recorder with the given trace
-    pid: the pool owns [domains + 1] rings ([flight_capacity] events
-    each) — tid 0 is the dispatcher lane (["pool.dispatch"] /
+    pid: the pool owns [domains + 1] rings (of
+    {!Dip_obs.Flight.create}'s default capacity) — tid 0 is the dispatcher lane (["pool.dispatch"] /
     ["pool.await"] spans, ["pool.publish"] instants), tid [w + 1] is
     worker [w]'s lane (["pool.execute"] spans, the engine's and
     program cache's events, and per-batch ["gc.minor_collections"] /
@@ -83,8 +82,6 @@ val create :
     parallelism to buy with a domain crossing, only hand-off
     overhead. This is the configuration whose overhead floor
     test/budgets.ml asserts on small machines. *)
-
-val domains : t -> int
 
 val epoch : t -> int
 (** Epoch of the currently published snapshot. *)

@@ -1,9 +1,9 @@
 module Sim = Dip_netsim.Sim
 
-let run_parallel ?until ?window sim ~pools =
+let run_parallel ?window sim ~pools =
   let tbl = Hashtbl.create (List.length pools * 2) in
   List.iter (fun (node, pool) -> Hashtbl.replace tbl node pool) pools;
-  Sim.run_batched ?until ?window sim ~batchable:(Hashtbl.mem tbl)
+  Sim.run_batched ?window sim ~batchable:(Hashtbl.mem tbl)
     ~exec:(fun batch ->
       (* Group the window per node, preserving arrival order within
          each group, and run each group through its node's pool. *)

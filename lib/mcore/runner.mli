@@ -9,7 +9,6 @@
     collected, and the pools of one window run one after another. *)
 
 val run_parallel :
-  ?until:float ->
   ?window:float ->
   Dip_netsim.Sim.t ->
   pools:(Dip_netsim.Sim.node_id * Pool.t) list ->

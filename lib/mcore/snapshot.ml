@@ -9,12 +9,12 @@ type t = {
 let v ?verify ?check ~registry ~mk_env () =
   { epoch = 0; registry; mk_env; verify; check }
 
-let next ?verify ?check ?registry ?mk_env t =
+let next ?check ?mk_env t =
   {
     epoch = t.epoch + 1;
-    registry = Option.value registry ~default:t.registry;
+    registry = t.registry;
     mk_env = Option.value mk_env ~default:t.mk_env;
-    verify;
+    verify = None;
     check = (match check with Some _ -> check | None -> t.check);
   }
 

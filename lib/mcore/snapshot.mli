@@ -44,17 +44,15 @@ val v :
 (** A fresh epoch-0 snapshot. *)
 
 val next :
-  ?verify:(Dip_core.Packet.view -> (unit, string) result) ->
   ?check:(Dip_core.Registry.t -> (unit, string) result) ->
-  ?registry:Dip_core.Registry.t ->
   ?mk_env:(int -> Dip_core.Env.t) ->
   t ->
   t
 (** [next t] is [t] with the given fields replaced and the epoch
-    bumped — the value to hand to {!Pool.publish}. An omitted
-    [verify] clears it (pass it explicitly to keep verification); an
-    omitted [check] is inherited — a publish-time gate stays mandatory
-    across epochs unless explicitly replaced. *)
+    bumped — the value to hand to {!Pool.publish}. It keeps [t]'s
+    registry and clears [verify]; an omitted [check] is inherited — a
+    publish-time gate stays mandatory across epochs unless explicitly
+    replaced. *)
 
 val validate : t -> (unit, string) result
 (** Run the snapshot's {!check} (if any) against its registry. *)

@@ -30,11 +30,9 @@ val size_bits : int
 val get_sender : Dip_bitbuf.Bitbuf.t -> base:int -> int32
 val set_sender : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 val get_rate : Dip_bitbuf.Bitbuf.t -> base:int -> float
-val set_rate : Dip_bitbuf.Bitbuf.t -> base:int -> float -> unit
 val get_flag : Dip_bitbuf.Bitbuf.t -> base:int -> flag option
 val set_flag : Dip_bitbuf.Bitbuf.t -> base:int -> flag -> unit
 val get_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32
-val set_timestamp : Dip_bitbuf.Bitbuf.t -> base:int -> int32 -> unit
 
 type key
 (** A bottleneck's feedback key: its secret's {!Dip_crypto.Prf.frame}

@@ -10,8 +10,6 @@ let create ~rate ~burst ~now =
     invalid_arg "Token_bucket.create: rate and burst must be positive";
   { rate; burst; tokens = burst; last = now }
 
-let rate t = t.rate
-
 let set_rate t rate =
   if rate <= 0.0 then invalid_arg "Token_bucket.set_rate: rate must be positive";
   t.rate <- rate

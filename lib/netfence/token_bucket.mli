@@ -12,8 +12,6 @@ type t
 val create : rate:float -> burst:float -> now:float -> t
 (** [rate] in bytes/second and [burst] in bytes must be positive. *)
 
-val rate : t -> float
-
 val set_rate : t -> float -> unit
 (** Re-provision the fill rate (the policer applies AIMD decisions
     through this). *)

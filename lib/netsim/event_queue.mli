@@ -56,7 +56,6 @@ module Keys : sig
   }
 
   val create : unit -> t
-  val capacity : t -> int
 
   val ensure : t -> bool
   (** Make room for one more key: when every slot is live, double the

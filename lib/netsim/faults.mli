@@ -74,11 +74,8 @@ val crash_node : t -> Sim.node_id -> at:float -> until:float -> unit
 (** What was injected. *)
 type kind = Link_down | Drop | Corrupt | Reorder | Duplicate | Node_crash
 
-val kind_name : kind -> string
-(** ["link-down"], ["drop"], ["corrupt"], ["reorder"], ["duplicate"],
-    ["node-crash"] — the [<kind>] of the counter names. *)
-
 val counts : t -> (string * int) list
-(** Faults injected so far by {!kind_name} — the simulator's
-    ["sim.fault.<kind>"] counters — sorted; kinds that never fired
-    are not listed. *)
+(** Faults injected so far by kind name (["link-down"], ["drop"],
+    ["corrupt"], ["reorder"], ["duplicate"], ["node-crash"]) — the
+    simulator's ["sim.fault.<kind>"] counters — sorted; kinds that
+    never fired are not listed. *)

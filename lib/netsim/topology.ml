@@ -17,9 +17,9 @@ let make ~node_count edges =
 let mk_edge ?(latency = 1e-6) ?(bandwidth = Float.infinity) u v =
   { u; v; latency; bandwidth }
 
-let linear ?latency ?bandwidth n =
+let linear n =
   if n < 1 then invalid_arg "Topology.linear: need at least one node";
-  make ~node_count:n (List.init (n - 1) (fun i -> mk_edge ?latency ?bandwidth i (i + 1)))
+  make ~node_count:n (List.init (n - 1) (fun i -> mk_edge i (i + 1)))
 
 let random ~seed ~nodes ~degree =
   if nodes < 2 then invalid_arg "Topology.random: need at least two nodes";

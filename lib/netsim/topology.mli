@@ -30,9 +30,9 @@ val make : node_count:int -> edge list -> t
     direction; a repeated edge counts once). Raises
     [Invalid_argument] on an endpoint outside that range. *)
 
-val linear : ?latency:float -> ?bandwidth:float -> int -> t
+val linear : int -> t
 (** [linear n] is a chain of [n] nodes ([n >= 1]):
-    0 – 1 – … – (n-1). *)
+    0 – 1 – … – (n-1), over default links. *)
 
 val random : seed:int64 -> nodes:int -> degree:int -> t
 (** A connected random graph: a spanning backbone plus extra edges

@@ -1,9 +1,5 @@
 let paper_packet_sizes = [ 128; 768; 1500 ]
 
-let payload ~seed ~size =
-  let g = Dip_stdext.Prng.create seed in
-  Dip_stdext.Prng.bytes g size
-
 (* Satellite-pass / mobile contact schedule: the link is up only
    during periodic contact windows ("passes") and down the rest of
    the time. Returns the DOWN windows, ready to feed one by one to
@@ -11,20 +7,19 @@ let payload ~seed ~size =
    seeded uniform draw in [0, jitter) — a mobile node whose contacts
    drift — while windows provably stay disjoint and ordered because
    jitter must leave [period - pass] headroom. *)
-let satellite_passes ?(start = 0.0) ?(jitter = 0.0) ?(seed = 0L) ~period ~pass
+let satellite_passes ?(jitter = 0.0) ?(seed = 0L) ~period ~pass
     ~horizon () =
   if pass <= 0.0 then invalid_arg "Workload.satellite_passes: pass must be positive";
   if period <= pass then
     invalid_arg "Workload.satellite_passes: period must exceed pass";
   if horizon <= 0.0 then
     invalid_arg "Workload.satellite_passes: horizon must be positive";
-  if start < 0.0 then invalid_arg "Workload.satellite_passes: negative start";
   if jitter < 0.0 || jitter >= period -. pass then
     invalid_arg "Workload.satellite_passes: jitter must be in [0, period - pass)";
   let g = Dip_stdext.Prng.create seed in
   let rec go k down_from acc =
     let up_from =
-      start +. (float_of_int k *. period)
+      (float_of_int k *. period)
       +. (if jitter > 0.0 then Dip_stdext.Prng.float g jitter else 0.0)
     in
     if up_from >= horizon then

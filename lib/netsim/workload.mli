@@ -9,11 +9,7 @@
 val paper_packet_sizes : int list
 (** The three sizes of Figure 2: [\[128; 768; 1500\]]. *)
 
-val payload : seed:int64 -> size:int -> bytes
-(** [size] pseudo-random payload bytes. *)
-
 val satellite_passes :
-  ?start:float ->
   ?jitter:float ->
   ?seed:int64 ->
   period:float ->
@@ -22,7 +18,7 @@ val satellite_passes :
   unit ->
   (float * float) list
 (** A satellite-pass / mobile contact schedule for one link: contact
-    windows of length [pass] begin at [start + k*period] (plus a
+    windows of length [pass] begin at [k*period] (plus a
     seeded uniform draw in [\[0, jitter)] per pass when [jitter] is
     set); the link is {e down} outside them. Returns the down
     windows covering [\[0, horizon)], in order, ready for

@@ -96,8 +96,6 @@ let record_at t ~ts id a0 a1 a2 =
 
 let record t id a0 a1 a2 = record_at t ~ts:(now ()) id a0 a1 a2
 
-let pid t = t.r_pid
-let tid t = t.r_tid
 let capacity t = t.mask + 1
 let recorded t = t.w
 let dropped t = Stdlib.max 0 (t.w - (t.mask + 1))

@@ -70,9 +70,6 @@ val now : unit -> int
     [record t id (now () - t0) a1 a2] ends a span opened at
     [let t0 = now ()]. *)
 
-val pid : ring -> int
-val tid : ring -> int
-
 val capacity : ring -> int
 (** The rounded (power-of-two) capacity. *)
 

@@ -69,10 +69,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))
-
 let exponential t rate =
   if rate <= 0. then invalid_arg "Prng.exponential: rate must be positive";
   let u = 1.0 -. float t 1.0 in

@@ -42,10 +42,6 @@ val bytes : t -> int -> bytes
 val shuffle : t -> 'a array -> unit
 (** Fisher–Yates in-place shuffle. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument]
-    on an empty array. *)
-
 val exponential : t -> float -> float
 (** [exponential t rate] samples an exponential inter-arrival time
     with the given rate (mean [1. /. rate]). *)

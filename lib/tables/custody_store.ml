@@ -34,8 +34,6 @@ let create ~capacity ~max_bytes ~size () =
     observer = None;
   }
 
-let capacity t = t.cap
-let max_bytes t = t.max_bytes
 let size t = Slots.count t.index
 let bytes t = t.bytes
 let high_water t = t.high_water

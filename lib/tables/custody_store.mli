@@ -21,9 +21,6 @@ val create : capacity:int -> max_bytes:int -> size:('v -> int) -> unit -> 'v t
 (** [size] measures a stored value in bytes (charged on admission,
     refunded on release/evict). Both bounds must be [>= 1]. *)
 
-val capacity : 'v t -> int
-val max_bytes : 'v t -> int
-
 val size : 'v t -> int
 (** Live entries — never exceeds [capacity]. *)
 

@@ -361,12 +361,6 @@ module V4 = struct
       true
     end
 
-  let find_exact t a ~len =
-    if len < 0 || len > 32 then invalid_arg "Fib.V4.find_exact: len in [0,32]";
-    match Side.find_opt t.side (side_key len (mask len a)) with
-    | Some id -> Some (Pool.get t.pool id)
-    | None -> None
-
   let lookup_int t u =
     let u = u land 0xFFFFFFFF in
     let i = u lsr 8 in
@@ -686,12 +680,6 @@ module V6 = struct
       true
     end
 
-  let find_exact t addr ~len =
-    if len < 0 || len > 128 then invalid_arg "Fib.V6.find_exact: len in [0,128]";
-    match Hashtbl.find_opt t.side (len, mask6 addr len) with
-    | Some id -> Some (Pool.get t.pool id)
-    | None -> None
-
   let lookup_id t hi lo =
     let best = ref (t.default - 1) in
     let node = ref t.root and depth = ref 0 and stop = ref false in
@@ -734,9 +722,6 @@ module V6 = struct
       end
     done;
     if !best < 0 then None else Some (!best_len, Pool.get t.pool !best)
-
-  let fold f t init =
-    Hashtbl.fold (fun (len, a) id acc -> f a len (Pool.get t.pool id) acc) t.side init
 
   type stats = {
     routes : int;

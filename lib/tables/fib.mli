@@ -47,8 +47,6 @@ module V4 : sig
   (** Withdraw an exact prefix; returns whether it was present.
       Covered slots fall back to the next-best covering route. *)
 
-  val find_exact : 'a t -> Ipaddr.V4.t -> len:int -> 'a option
-
   val lookup : 'a t -> Ipaddr.V4.t -> (int * 'a) option
   (** Longest-prefix match: [(prefix_len, value)], like
       {!Lpm_trie.lookup}. *)
@@ -99,13 +97,10 @@ module V6 : sig
   type 'a t
 
   val create : unit -> 'a t
-  val size : 'a t -> int
-
   val insert : 'a t -> Ipaddr.V6.t -> len:int -> 'a -> unit
   (** [len] in [\[0,128\]]; host bits are ignored. *)
 
   val remove : 'a t -> Ipaddr.V6.t -> len:int -> bool
-  val find_exact : 'a t -> Ipaddr.V6.t -> len:int -> 'a option
   val lookup : 'a t -> Ipaddr.V6.t -> (int * 'a) option
 
   val lookup_id : 'a t -> int64 -> int64 -> int
@@ -113,8 +108,6 @@ module V6 : sig
       the address pair; interned id or [-1]. *)
 
   val value : 'a t -> int -> 'a
-
-  val fold : (Ipaddr.V6.t -> int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 
   type stats = {
     routes : int;

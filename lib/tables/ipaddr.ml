@@ -40,8 +40,6 @@ module V4 = struct
     if i < 0 || i > 31 then invalid_arg "Ipaddr.V4.bit: index out of range";
     Int32.logand (Int32.shift_right_logical a (31 - i)) 1l = 1l
 
-  let compare = Int32.unsigned_compare
-  let pp fmt a = Format.pp_print_string fmt (to_string a)
 end
 
 module V6 = struct
@@ -123,8 +121,6 @@ module V6 = struct
     match Int64.unsigned_compare ah bh with
     | 0 -> Int64.unsigned_compare al bl
     | c -> c
-
-  let pp fmt a = Format.pp_print_string fmt (to_string a)
 end
 
 module Prefix = struct
@@ -166,23 +162,9 @@ module Prefix = struct
     | V4 a -> Printf.sprintf "%s/%d" (V4.to_string a) t.len
     | V6 a -> Printf.sprintf "%s/%d" (V6.to_string a) t.len
 
-  let bits t i =
-    match t.addr with V4 a -> V4.bit a i | V6 a -> V6.bit a i
-
   let matches t addr =
     match (t.addr, addr) with
     | V4 p, V4 a -> mask_v4 a t.len = p
     | V6 p, V6 a -> mask_v6 a t.len = p
     | V4 _, V6 _ | V6 _, V4 _ -> false
-
-  let compare a b =
-    match (a.addr, b.addr) with
-    | V4 x, V4 y -> (
-        match V4.compare x y with 0 -> Int.compare a.len b.len | c -> c)
-    | V6 x, V6 y -> (
-        match V6.compare x y with 0 -> Int.compare a.len b.len | c -> c)
-    | V4 _, V6 _ -> -1
-    | V6 _, V4 _ -> 1
-
-  let pp fmt t = Format.pp_print_string fmt (to_string t)
 end

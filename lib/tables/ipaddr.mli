@@ -23,9 +23,6 @@ module V4 : sig
 
   val bit : t -> int -> bool
   (** [bit a i] is bit [i], MSB first ([i] in [\[0,32)]). *)
-
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 module V6 : sig
@@ -47,7 +44,6 @@ module V6 : sig
   val of_wire : string -> t
   val bit : t -> int -> bool
   val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 (** A CIDR prefix over either family. *)
@@ -56,24 +52,11 @@ module Prefix : sig
 
   type t = private { addr : addr; len : int }
 
-  val v4 : V4.t -> int -> t
-  (** [v4 a len] with [len] in [\[0,32\]]; host bits beyond the
-      prefix are cleared. *)
-
-  val v6 : V6.t -> int -> t
-  (** [v6 a len] with [len] in [\[0,128\]]. *)
-
   val of_string : string -> t
   (** Parse ["10.0.0.0/8"] or ["2001:db8::/32"]. *)
 
   val to_string : t -> string
-  val bits : t -> int -> bool
-  (** [bits p i] is bit [i] of the prefix address. *)
-
   val matches : t -> addr -> bool
   (** Whether an address falls inside the prefix (same family and
       shared high bits). *)
-
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
 end

@@ -22,14 +22,12 @@ let of_string s =
 let to_string t = "/" ^ String.concat "/" t
 let components t = t
 let length = List.length
-let append t c = validate_component c; t @ [ c ]
 
 let prefix t k =
   if k < 1 || k > length t then invalid_arg "Name.prefix: bad length";
   List.filteri (fun i _ -> i < k) t
 
 let equal a b = List.equal String.equal a b
-let compare a b = List.compare String.compare a b
 let hash32 t = Dip_crypto.Siphash.hash32 Dip_crypto.Siphash.default_key (to_string t)
 
 let to_wire t =
@@ -60,5 +58,3 @@ let of_wire s =
   in
   if !pos <> String.length s then fail ();
   of_components comps
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

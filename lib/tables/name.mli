@@ -20,18 +20,10 @@ val of_components : string list -> t
     empty list, empty components, or components containing ['/']. *)
 
 val components : t -> string list
-val length : t -> int
-(** Number of components. *)
-
-val append : t -> string -> t
-(** Add one component at the end. *)
-
 val prefix : t -> int -> t
 (** [prefix n k] is the first [k] components ([1 <= k <= length n]). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val hash32 : t -> int32
 (** The prototype's 32-bit content-name form: SipHash of the
     canonical rendering folded to 32 bits. Stable across runs. *)
@@ -43,5 +35,3 @@ val to_wire : t -> string
 val of_wire : string -> t
 (** Inverse of {!to_wire}. Raises [Invalid_argument] on truncated or
     trailing bytes. *)
-
-val pp : Format.formatter -> t -> unit

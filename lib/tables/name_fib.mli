@@ -32,5 +32,3 @@ val find_hash : 'a t -> int -> 'a option
     an unsigned [int] read off the packet — the prototype's
     forwarding path (§4.1). The index is int-keyed ({!Slots}): a hit
     allocates nothing. *)
-
-val fold : (Name.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

@@ -111,7 +111,7 @@ module Flow_ref = struct
             else
               let pos = Header.fn_offset i in
               match Opkey.of_int (Bitbuf.get_uint16 buf (pos + 4) land 0x7fff) with
-              | Some k when (Registry.access k).Registry.forwarding ->
+              | Some k when (Registry.transfer k).Registry.t_match ->
                   Some (Bitbuf.get_uint16 buf pos, Bitbuf.get_uint16 buf (pos + 2))
               | _ -> find (i + 1)
           in
